@@ -308,6 +308,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         format_fault_summary,
         format_shard_summary,
         format_summary,
+        format_version_summary,
     )
 
     disk = _disk(args.disk)
@@ -338,6 +339,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         for line in format_device_summary(runtime):
             print(line)
         for line in format_shard_summary(engine):
+            print(line)
+        for line in format_version_summary(runtime.metrics):
             print(line)
         for line in format_fault_summary(runtime.metrics):
             print(line)

@@ -35,7 +35,7 @@ from repro.core.compaction.policy import CompactionPolicy, MergePlan, make_polic
 from repro.core.options import BLSMOptions
 from repro.core.progress import outprogress
 from repro.core.scheduler import make_scheduler
-from repro.core.versions import TreeSnapshot, VersionSet, ram_source
+from repro.core.versions import TreeSnapshot, VersionSet
 from repro.errors import EngineClosedError
 from repro.memtable.memtable import MemTable
 from repro.records import Record, resolve
@@ -266,14 +266,16 @@ class CompactionTree:
     def snapshot(self) -> TreeSnapshot:
         """Pin a consistent point-in-time read view of the tree.
 
-        The memtable is copied; every on-disk run is pinned in the
-        :class:`VersionSet` so merge installs defer their frees past
-        the snapshot's lifetime.
+        Opening is O(1): the memtable is read in place, copy-on-write —
+        one O(|C0|) copy only if a write lands while the snapshot is
+        open.  Every on-disk run is pinned in the :class:`VersionSet` so
+        merge installs defer their frees past the snapshot's lifetime.
         """
         self._check_open()
         return TreeSnapshot(
             self.versions,
-            [ram_source(self._memtable)],
+            self._memtable,
+            [],
             list(self._manager.iter_tables()),
             engine=self._policy.name,
         )

@@ -14,8 +14,9 @@ snapshot; the older source is the downstream component being rewritten.
 
 from __future__ import annotations
 
-from typing import Callable, Protocol
+from typing import Callable, Iterator, Protocol
 
+from repro.core.versions import SortedRun
 from repro.memtable.memtable import MemTable
 from repro.memtable.snowshovel import SnowshovelCursor
 from repro.records import Record
@@ -193,8 +194,11 @@ class MergeProcess:
         # readable until the merge commits (in the real system they are
         # served from the in-progress tree, Figure 1).  Sources that
         # expose ``advance_past`` drain a live memtable and need it.
+        # They emit in strictly ascending key order, so the overlay is
+        # an append-only sorted run and a snapshot's view of it is a
+        # prefix (no copy).
         self._track_overlay = hasattr(newer, "advance_past")
-        self.overlay: dict[bytes, Record] = {}
+        self.overlay = SortedRun()
 
     @property
     def inprogress(self) -> float:
@@ -253,7 +257,7 @@ class MergeProcess:
             self.newer_bytes_read += nbytes
             self._note_seqno(record.seqno)
             if self._track_overlay:
-                self.overlay[record.key] = record
+                self.overlay.append(record)
         if take_older:
             record = self._older.pop()
             group.append(record)
@@ -298,14 +302,9 @@ class MergeProcess:
         """Look up a consumed-but-uncommitted record (reads mid-merge)."""
         return self.overlay.get(key)
 
-    def overlay_scan(self, lo: bytes, hi: bytes | None):
+    def overlay_scan(self, lo: bytes, hi: bytes | None) -> Iterator[Record]:
         """Overlay records with lo <= key < hi, in key order."""
-        for key in sorted(self.overlay):
-            if key < lo:
-                continue
-            if hi is not None and key >= hi:
-                break
-            yield self.overlay[key]
+        return self.overlay.scan(lo, hi)
 
     def _note_seqno(self, seqno: int) -> None:
         if self.min_seqno_consumed is None or seqno < self.min_seqno_consumed:

@@ -36,7 +36,7 @@ from repro.core.merge import FrozenSource, MergeProcess, SnowshovelSource  # noq
 from repro.core.options import BLSMOptions
 from repro.core.progress import outprogress
 from repro.core.scheduler import make_scheduler
-from repro.core.versions import TreeSnapshot, VersionSet, ram_source
+from repro.core.versions import RamSource, TreeSnapshot, VersionSet
 from repro.errors import EngineClosedError
 from repro.memtable.memtable import MemTable
 from repro.records import Record, resolve
@@ -335,25 +335,31 @@ class BLSM:
     def snapshot(self) -> TreeSnapshot:
         """Pin a consistent point-in-time read view of the tree.
 
-        RAM sources (C0, frozen C0', the snowshovel overlay) are copied;
-        on-disk components are pinned in the :class:`VersionSet`, which
-        defers their ``free()`` past the snapshot's lifetime.  Taking a
-        snapshot costs O(|C0|) copying and no I/O; reads through it
-        charge the device clock exactly like live reads.
+        Opening is O(1) and does no I/O: nothing is copied.  C0 is read
+        in place, copy-on-write — only if a write lands while the
+        snapshot is open does it take one O(|C0|) copy, just before that
+        write.  A frozen C0' never changes and is referenced as is; the
+        snowshovel overlay is append-only, so its current length bounds
+        the view.  On-disk components are pinned in the
+        :class:`VersionSet`, which defers their ``free()`` past the
+        snapshot's lifetime.  Reads through the snapshot charge the
+        device clock exactly like live reads.
         """
         self._check_open()
-        ram = [ram_source(self._memtable)]
+        older_ram: list[RamSource] = []
         if self._frozen is not None:
-            ram.append(ram_source(self._frozen))
+            older_ram.append(self._frozen)
         if self._m01 is not None:
-            ram.append(ram_source(self._m01.overlay.values()))
+            older_ram.append(self._m01.overlay.prefix())
         tables = list(self._extras)  # newest first (§3.2 workaround)
         tables.extend(
             component
             for component in (self._c1, self._c1_prime, self._c2)
             if component is not None
         )
-        return TreeSnapshot(self.versions, ram, tables, engine="blsm")
+        return TreeSnapshot(
+            self.versions, self._memtable, older_ram, tables, engine="blsm"
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -16,13 +16,29 @@ Three pieces:
   last-unpin otherwise.  ``deferred_frees`` counts how often a snapshot
   actually held a component past its retirement — the direct evidence
   that a read survived a merge install without blocking or restarting.
-* :class:`_RamSource` — an O(size) copy of an in-RAM source (memtable,
-  frozen C0', merge overlay) taken at snapshot time.  RAM sources must
-  be copied, not pinned: the memtable keeps changing under writers.
-* :class:`TreeSnapshot` — the read view itself: copied RAM sources plus
-  pinned on-disk components, in recency order.  ``get``/``multi_get``/
-  ``scan`` walk exactly the source order the live tree would have walked
-  at snapshot time; disk reads charge the virtual clock normally.
+* :class:`SortedRun` — an append-only run of records in ascending key
+  order (parallel ``keys``/``records`` lists: a range read is a
+  ``bisect``, a point read one probe of a key -> position index).
+  The snowshovel merge overlay is one; so is the copy a snapshot takes
+  of C0.  Because a run only ever grows at its tail, its first ``n``
+  records never change: :meth:`SortedRun.prefix` is an O(1)
+  point-in-time view.
+* :class:`TreeSnapshot` — the read view itself: RAM sources plus pinned
+  on-disk components, in recency order.  ``get``/``multi_get``/``scan``
+  walk exactly the source order the live tree would have walked at
+  snapshot time; disk reads charge the virtual clock normally.
+
+Cost contract: opening a snapshot is O(1) in the size of C0 and does no
+I/O.  No RAM source is copied at open — the live memtable is read in
+place, copy-on-write: the snapshot registers with the
+:class:`~repro.memtable.memtable.MemTable`, whose first ``put`` or
+``remove`` makes the snapshot take one O(|C0|) sorted copy before the
+mutation lands (an in-flight scan resumes on the copy after its last
+key).  A snapshot opened, read and closed with no write in between
+never copies.  A frozen C0' is immutable while any reader can reach it
+and is referenced as is; the merge overlay is a :class:`SortedRun`
+prefix.  ``versions.cow_copies`` counts the copies taken,
+``versions.live_views`` the snapshots currently open.
 
 Scans built on snapshots never restart: the epoch-validation loop the
 trees used (Section 4.4.1's logical timestamps) re-resolved the
@@ -34,12 +50,13 @@ so a merge or memtable switch underneath it is invisible.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Protocol, Sequence
 
 from repro.records import Record, resolve
 from repro.sstable.iterator import kway_merge
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.memtable.memtable import MemTable
     from repro.obs.runtime import EngineRuntime
     from repro.sstable.reader import SSTable
 
@@ -55,6 +72,13 @@ class VersionSet:
         self._zombies: dict[int, Any] = {}  # retired while pinned
         self.deferred_frees = 0
         self.completed_frees = 0
+        self.live_views = 0  # snapshots opened and not yet closed
+        self.cow_copies = 0  # snapshots a write forced to copy C0
+        self._gauge_live_views = self._ctr_cow_copies = None
+        if runtime is not None:
+            metrics = runtime.metrics
+            self._gauge_live_views = metrics.gauge("versions.live_views")
+            self._ctr_cow_copies = metrics.counter("versions.cow_copies")
 
     @property
     def pinned_count(self) -> int:
@@ -109,8 +133,28 @@ class VersionSet:
             table.free()
             self.completed_frees += 1
 
+    def view_opened(self) -> None:
+        """A snapshot opened (:class:`TreeSnapshot` calls this)."""
+        self._set_live_views(self.live_views + 1)
+
+    def view_closed(self) -> None:
+        """A snapshot closed; one that outlived :meth:`crash` is ignored."""
+        if self.live_views:
+            self._set_live_views(self.live_views - 1)
+
+    def _set_live_views(self, count: int) -> None:
+        self.live_views = count
+        if self._gauge_live_views is not None:
+            self._gauge_live_views.set(count)
+
+    def note_cow_copy(self) -> None:
+        """A write landed under an open snapshot, which copied C0."""
+        self.cow_copies += 1
+        if self._ctr_cow_copies is not None:
+            self._ctr_cow_copies.inc()
+
     def crash(self) -> None:
-        """Volatile state is lost: pins and zombies evaporate.
+        """Volatile state is lost: pins, zombies and open views evaporate.
 
         Zombie extents are *not* freed — the crashed process never got
         to it, and recovery's orphan-extent sweep reclaims them from the
@@ -118,54 +162,129 @@ class VersionSet:
         """
         self._pins.clear()
         self._zombies.clear()
+        self._set_live_views(0)
 
 
-class _RamSource:
-    """A point-in-time copy of one in-RAM record source."""
+class RamSource(Protocol):
+    """What a snapshot reads an in-RAM component through."""
 
-    __slots__ = ("_keys", "_records", "_by_key")
+    def get(self, key: bytes) -> Record | None: ...
 
-    def __init__(self, records: Iterable[Record]) -> None:
-        ordered = sorted(records, key=lambda record: record.key)
-        self._records = ordered
-        self._keys = [record.key for record in ordered]
-        self._by_key = {record.key: record for record in ordered}
+    def scan(self, lo: bytes, hi: bytes | None) -> Iterator[Record]: ...
+
+
+class SortedRun:
+    """Append-only run of records in strictly ascending key order.
+
+    Parallel ``keys``/``records`` lists (range reads are a ``bisect``)
+    plus a key -> position index, so a point read stays one hash probe —
+    ``BLSM.get`` consults the merge overlay on every lookup made while a
+    C0:C1 pass is open.  ``end`` bounds a read to the run's first
+    ``end`` records, which appends never disturb — see :meth:`prefix`.
+    """
+
+    __slots__ = ("keys", "records", "_index")
+
+    def __init__(self, records: Iterable[Record] = ()) -> None:
+        self.records = list(records)
+        self.keys = [record.key for record in self.records]
+        self._index = {key: index for index, key in enumerate(self.keys)}
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def append(self, record: Record) -> None:
+        """Add ``record``, whose key must exceed every key in the run."""
+        keys = self.keys
+        assert not keys or record.key > keys[-1], "run out of order"
+        self._index[record.key] = len(keys)
+        keys.append(record.key)
+        self.records.append(record)
+
+    def get(self, key: bytes, end: int | None = None) -> Record | None:
+        index = self._index.get(key)
+        if index is None or (end is not None and index >= end):
+            return None
+        return self.records[index]
+
+    def scan(
+        self, lo: bytes, hi: bytes | None, end: int | None = None
+    ) -> Iterator[Record]:
+        """Records with lo <= key < hi among the first ``end``."""
+        keys, records = self.keys, self.records
+        if end is None:
+            end = len(keys)
+        start = bisect_left(keys, lo, 0, end)
+        if hi is not None:
+            end = bisect_left(keys, hi, start, end)
+        for index in range(start, end):
+            yield records[index]
+
+    def prefix(self) -> "RunPrefix":
+        """A zero-copy view of the run as it stands now."""
+        return RunPrefix(self, len(self.keys))
+
+
+class RunPrefix:
+    """The first ``end`` records of a :class:`SortedRun`."""
+
+    __slots__ = ("_run", "_end")
+
+    def __init__(self, run: SortedRun, end: int) -> None:
+        self._run = run
+        self._end = end
 
     def get(self, key: bytes) -> Record | None:
-        return self._by_key.get(key)
+        return self._run.get(key, self._end)
 
     def scan(self, lo: bytes, hi: bytes | None) -> Iterator[Record]:
-        start = bisect_left(self._keys, lo)
-        for record in self._records[start:]:
-            if hi is not None and record.key >= hi:
-                return
-            yield record
+        return self._run.scan(lo, hi, self._end)
 
 
 class TreeSnapshot:
     """An immutable, consistent read view over one tree.
 
-    ``ram_sources`` are already-copied RAM sources and ``tables`` the
-    on-disk components, both in recency order (newest first) — the same
-    order the live tree's read path walks.  The constructor pins every
-    table in ``versions``; :meth:`close` (or context-manager exit)
-    releases the pins, triggering any frees a merge deferred.
+    ``memtable`` is the live C0, ``older_ram`` the in-RAM sources behind
+    it that cannot change under a reader (a frozen C0', a merge-overlay
+    prefix) and ``tables`` the on-disk components, all in recency order
+    (newest first) — the same order the live tree's read path walks.
+    The constructor registers with the memtable (copy-on-write, see
+    :meth:`materialize`) and pins every table in ``versions``;
+    :meth:`close` (or context-manager exit) undoes both, triggering any
+    frees a merge deferred.
     """
 
     def __init__(
         self,
         versions: VersionSet,
-        ram_sources: Sequence[_RamSource],
+        memtable: "MemTable",
+        older_ram: Sequence[RamSource],
         tables: Sequence["SSTable"],
         engine: str = "tree",
     ) -> None:
         self.engine = engine
         self._versions = versions
-        self._ram = list(ram_sources)
+        # Read in place until a write is about to land on it.
+        self._memtable: "MemTable | None" = memtable
+        self._ram: list[RamSource] = [memtable, *older_ram]
         self._tables = list(tables)
         self._released = False
+        memtable.attach_view(self)
+        versions.view_opened()
         for table in self._tables:
             versions.pin(table)
+
+    def materialize(self) -> None:
+        """Take the snapshot's own copy of C0 (called by the memtable).
+
+        The memtable calls this once, before the first mutation after
+        the snapshot registered, then forgets the snapshot: the copy is
+        exactly the state every read so far has seen.
+        """
+        assert self._memtable is not None
+        self._ram[0] = SortedRun(self._memtable)  # iterates in key order
+        self._memtable = None
+        self._versions.note_cow_copy()
 
     def get(self, key: bytes) -> bytes | None:
         """Point lookup against the snapshot's component set.
@@ -202,9 +321,8 @@ class TreeSnapshot:
         matter how many merges install or memtables switch while the
         caller holds it paused.
         """
-        sources: list[Iterator[Record]] = [
-            source.scan(lo, hi) for source in self._ram
-        ]
+        sources: list[Iterator[Record]] = [self._scan_c0(lo, hi)]
+        sources.extend(source.scan(lo, hi) for source in self._ram[1:])
         sources.extend(table.scan(lo, hi) for table in self._tables)
         emitted = 0
         for group in kway_merge(sources):
@@ -216,11 +334,24 @@ class TreeSnapshot:
             if limit is not None and emitted >= limit:
                 return
 
+    def _scan_c0(self, lo: bytes, hi: bytes | None) -> Iterator[Record]:
+        source = self._ram[0]
+        for record in source.scan(lo, hi):
+            yield record
+            if self._ram[0] is not source:
+                # A write landed while the scan was paused: the live
+                # iterator is no longer ours; resume on the copy.
+                yield from self._ram[0].scan(record.key + b"\x00", hi)
+                return
+
     def close(self) -> None:
-        """Release the pinned components (idempotent)."""
+        """Release the memtable and the pinned components (idempotent)."""
         if self._released:
             return
         self._released = True
+        if self._memtable is not None:
+            self._memtable.release_view(self)
+        self._versions.view_closed()
         for table in self._tables:
             self._versions.unpin(table)
 
@@ -236,8 +367,3 @@ class TreeSnapshot:
             f"TreeSnapshot({self.engine}, ram={len(self._ram)}, "
             f"tables={len(self._tables)}, {state})"
         )
-
-
-def ram_source(records: Iterable[Record]) -> _RamSource:
-    """Copy an in-RAM record source for inclusion in a snapshot."""
-    return _RamSource(records)

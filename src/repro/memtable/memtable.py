@@ -14,11 +14,17 @@ data-structure ablation (``repro profile --memtable all``).
 The memtable tracks its approximate byte footprint; the merge scheduler
 uses the fill fraction of C0 as its primary progress signal
 (Section 4.3).
+
+Snapshots read C0 in place (copy-on-write): an open snapshot registers
+with :meth:`MemTable.attach_view` and reads through ``get``/``scan``;
+the first ``put``/``remove`` that finds views registered tells each to
+take its own copy (``view.materialize()``) *before* mutating, then
+forgets them.  With no view open a mutation pays one truthiness test.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Any, Iterator
 
 from repro.memtable.backends import make_backend
 from repro.records import Record, RecordKind, fold
@@ -38,6 +44,9 @@ class MemTable:
         self.kind = kind
         self._tree = make_backend(kind, seed=seed)
         self._nbytes = 0
+        # Open snapshots reading this table in place; emptied by the
+        # first mutation (each view has copied by then) or by release.
+        self._views: list[Any] = []
 
     def __len__(self) -> int:
         return len(self._tree)
@@ -56,6 +65,29 @@ class MemTable:
     def is_empty(self) -> bool:
         return len(self._tree) == 0
 
+    @property
+    def view_count(self) -> int:
+        """Snapshots currently reading this table in place."""
+        return len(self._views)
+
+    def attach_view(self, view: Any) -> None:
+        """Register a reader to be told before the next mutation.
+
+        ``view.materialize()`` is called once, while the table still
+        holds exactly what the reader has seen; after that the reader is
+        on its own copy and the table no longer knows it.
+        """
+        self._views.append(view)
+
+    def release_view(self, view: Any) -> None:
+        """Forget a registered reader that closed before any mutation."""
+        self._views.remove(view)
+
+    def _detach_views(self) -> None:
+        views, self._views = self._views, []
+        for view in views:
+            view.materialize()
+
     def put(self, record: Record) -> None:
         """Insert a record, folding onto any resident version of the key.
 
@@ -66,6 +98,8 @@ class MemTable:
         replayed duplicates (older seqno resident wins) pay a second
         traversal to restore the correct fold result.
         """
+        if self._views:
+            self._detach_views()
         tree = self._tree
         if record.kind is not RecordKind.DELTA:
             existing = tree.insert(record.key, record)
@@ -92,6 +126,8 @@ class MemTable:
 
     def remove(self, key: bytes) -> Record | None:
         """Physically remove a key (used as records drain into C1)."""
+        if self._views:
+            self._detach_views()
         record = self._tree.remove(key)
         if record is not None:
             self._nbytes -= record.nbytes

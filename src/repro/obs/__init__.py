@@ -33,6 +33,7 @@ from repro.obs.summary import (
     format_fault_summary,
     format_shard_summary,
     format_summary,
+    format_version_summary,
     merge_seconds_by_level,
     reconstruct_stalls,
     stall_causes,
@@ -67,6 +68,7 @@ __all__ = [
     "format_fault_summary",
     "format_shard_summary",
     "format_summary",
+    "format_version_summary",
     "merge_seconds_by_level",
     "reconstruct_stalls",
     "stall_causes",

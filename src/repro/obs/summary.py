@@ -249,3 +249,27 @@ def format_fault_summary(metrics: "MetricsRegistry") -> list[str]:
     if spike:
         lines.append(f"  {'injected latency':24s} {spike * 1e3:>8.2f} ms")
     return lines
+
+
+_VERSION_METRIC_LABELS = (
+    ("versions.deferred_frees", "frees deferred past a view"),
+    ("versions.zombie_frees", "deferred frees completed"),
+    ("versions.cow_copies", "C0 copies (write under view)"),
+    ("versions.live_views", "views still open"),
+)
+
+
+def format_version_summary(metrics: "MetricsRegistry") -> list[str]:
+    """Snapshot bookkeeping lines for the CLI trace summary.
+
+    What MVCC reads cost the run: component frees a merge had to defer
+    past an open view, and C0 copies taken because a write landed under
+    one (zero when every snapshot closed before the next write).  Empty
+    for engines without a version set.
+    """
+    if "versions.live_views" not in metrics:
+        return []
+    lines = ["snapshots (version set):"]
+    for name, label in _VERSION_METRIC_LABELS:
+        lines.append(f"  {label:30s} {int(metrics.value(name, 0.0)):>8d}")
+    return lines

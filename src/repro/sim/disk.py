@@ -305,6 +305,8 @@ class SimDisk:
         self.stats.queue_wait_seconds += wait
         if background:
             self.stats.bg_busy_seconds += service
+        else:
+            self.stats.fg_wait_seconds += wait
         self._head = offset + nbytes
         if self._obs:
             if not sequential:
@@ -508,6 +510,8 @@ class StripedDisk(SimDisk):
         self.stats.queue_wait_seconds += wait_max
         if background:
             self.stats.bg_busy_seconds += service
+        else:
+            self.stats.fg_wait_seconds += wait_max
         if self._obs:
             if seeked:
                 self._ctr_seeks.inc(seeked)

@@ -27,6 +27,9 @@ class IOStats:
             the remainder was synchronous foreground service.
         queue_wait_seconds: total time requesters spent queued behind the
             device's busy horizon before their access started.
+        fg_wait_seconds: the share of ``queue_wait_seconds`` paid by
+            synchronous foreground requests (the rest delayed only
+            background merge work).
     """
 
     seeks: int = 0
@@ -37,6 +40,7 @@ class IOStats:
     busy_seconds: float = 0.0
     bg_busy_seconds: float = 0.0
     queue_wait_seconds: float = 0.0
+    fg_wait_seconds: float = 0.0
 
     def snapshot(self) -> "IOStats":
         """Return an independent copy of the current counters."""

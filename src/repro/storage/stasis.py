@@ -184,43 +184,33 @@ class Stasis:
     def io_summary(self) -> dict[str, Any]:
         """Combined device counters, for benchmark reporting.
 
-        Values come from the shared :class:`MetricsRegistry` — the same
-        numbers any caller can read via ``runtime.metrics`` — so this is
-        a convenience view, not a separate accounting.
+        Values come from each device's :class:`~repro.sim.stats.IOStats`,
+        which is kept whether or not ``observability`` is on (the
+        metrics registry's ``disk.*`` counters are not).
         """
-        metrics = self.runtime.metrics
-        data = f"disk.{self.data_disk.name}"
-        log = f"disk.{self.log_disk.name}"
+        data = self.data_disk.stats
+        log = self.log_disk.stats
         # Background work can be queued beyond the foreground clock; the
         # observation window ends at the furthest device horizon.
         elapsed = max(
             self.clock.now, self.data_disk.busy_until, self.log_disk.busy_until
         )
-        busy = metrics.value(f"{data}.busy_seconds") + metrics.value(
-            f"{log}.busy_seconds"
-        )
-        bg_busy = metrics.value(f"{data}.bg_busy_seconds") + metrics.value(
-            f"{log}.bg_busy_seconds"
-        )
+        busy = data.busy_seconds + log.busy_seconds
+        bg_busy = data.bg_busy_seconds + log.bg_busy_seconds
         return {
-            "data_seeks": int(metrics.value(f"{data}.seeks")),
-            "data_bytes_read": int(metrics.value(f"{data}.bytes_read")),
-            "data_bytes_written": int(metrics.value(f"{data}.bytes_written")),
-            "log_bytes_written": int(metrics.value(f"{log}.bytes_written")),
+            "data_seeks": data.seeks,
+            "data_bytes_read": data.bytes_read,
+            "data_bytes_written": data.bytes_written,
+            "log_bytes_written": log.bytes_written,
             "busy_seconds": busy,
             "fg_busy_seconds": busy - bg_busy,
             "bg_busy_seconds": bg_busy,
-            "fg_wait_seconds": metrics.value(f"{data}.fg_wait_seconds")
-            + metrics.value(f"{log}.fg_wait_seconds"),
+            "fg_wait_seconds": data.fg_wait_seconds + log.fg_wait_seconds,
             "data_utilization": (
-                metrics.value(f"{data}.busy_seconds") / elapsed
-                if elapsed > 0
-                else 0.0
+                data.busy_seconds / elapsed if elapsed > 0 else 0.0
             ),
             "log_utilization": (
-                metrics.value(f"{log}.busy_seconds") / elapsed
-                if elapsed > 0
-                else 0.0
+                log.busy_seconds / elapsed if elapsed > 0 else 0.0
             ),
             "buffer_hit_rate": self.buffer.hit_rate,
         }

@@ -192,6 +192,22 @@ def _execute(
     return None
 
 
+def _leaked_read_views(engine: KVEngine) -> tuple[int, int]:
+    """``(live_views, pinned_count)`` summed over the engine's trees.
+
+    Both are refcounts a finished run must have returned to zero: an
+    open view keeps a C0 copy (or the registration that would make one)
+    alive, a pinned component keeps retired extents from being freed.
+    """
+    live = pinned = 0
+    for part in getattr(engine, "shards", None) or [engine]:
+        versions = getattr(getattr(part, "tree", None), "versions", None)
+        if versions is not None:
+            live += versions.live_views
+            pinned += versions.pinned_count
+    return live, pinned
+
+
 def run_trace(
     engine: KVEngine,
     trace: Trace,
@@ -203,10 +219,11 @@ def run_trace(
 
     Reads are verified op-by-op; after the last op the engine's full
     ordered scan is compared against the oracle (reported as a
-    divergence at index ``len(trace)``).  An exception out of the engine
-    is reported as a divergence too — the oracle never raises, so any
-    engine exception is a conformance failure in its own right.  Returns
-    ``None`` on full agreement.
+    divergence at index ``len(trace)``), and every snapshot the run
+    opened must have been released (no live view, no pinned component).
+    An exception out of the engine is reported as a divergence too — the
+    oracle never raises, so any engine exception is a conformance
+    failure in its own right.  Returns ``None`` on full agreement.
     """
     oracle = TraceOracle()
     divergence: Divergence | None = None
@@ -230,11 +247,17 @@ def run_trace(
                 config, len(trace), "final-state", expected_state, None,
                 detail=f"engine raised {type(error).__name__}: {error}",
             )
+        leaked = _leaked_read_views(engine)
         if actual_state != expected_state:
             divergence = Divergence(
                 config, len(trace), "final-state",
                 expected_state, actual_state,
                 detail="full ordered scan disagrees with the oracle",
+            )
+        elif leaked != (0, 0):
+            divergence = Divergence(
+                config, len(trace), "end-of-run", (0, 0), leaked,
+                detail="(live_views, pinned_count) did not return to zero",
             )
         return divergence
     finally:

@@ -110,7 +110,7 @@ def check_blsm_invariants(tree: BLSM) -> None:
         assert expected_bytes == component.nbytes, "byte accounting drift"
     levels = [{r.key: r.seqno for r in tree._memtable}]
     if tree._m01 is not None:
-        levels.append({k: r.seqno for k, r in tree._m01.overlay.items()})
+        levels.append({r.key: r.seqno for r in tree._m01.overlay.records})
     for extra in tree._extras:
         levels.append({r.key: r.seqno for r in extra.iter_records()})
     for component in components:

@@ -112,6 +112,10 @@ class OperationGenerator:
         spec = self.spec
         rng = self._rng
         n = spec.operation_count
+        if n == 0:
+            # A load-only spec has no proportions to draw kinds from
+            # (``choices`` rejects an empty population even for k=0).
+            return []
         kinds = rng.choices(self._kinds, weights=self._weights, k=n)
         pool = [
             make_value(rng, spec.value_bytes)

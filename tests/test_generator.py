@@ -108,3 +108,12 @@ def test_reads_and_deletes_have_no_value():
     )
     for op in OperationGenerator(spec, seed=6).operations():
         assert op.value is None
+
+
+def test_load_only_spec_generates_no_operations():
+    # operation_count == 0 with no proportions: rng.choices([], k=0)
+    # raises IndexError, so the batched path used to crash where the
+    # streaming path yields nothing.
+    spec = WorkloadSpec(record_count=50, operation_count=0)
+    assert list(OperationGenerator(spec).operations()) == []
+    assert OperationGenerator(spec).prepared_operations() == []

@@ -188,6 +188,37 @@ def test_observability_off_disables_trace_and_counters():
     lit.close()
 
 
+@pytest.mark.parametrize("name", ["blsm", "leveled", "sharded"])
+def test_io_summary_does_not_depend_on_observability(name):
+    """``io_summary`` used to read the metrics registry, which devices
+    skip with observability off, so every untraced run reported an idle
+    device: the same seeded reads must give the same non-zero counters
+    either way."""
+    from repro.engines import build_engine
+
+    summaries = []
+    for observability in (True, False):
+        engine = build_engine(
+            name, c0_bytes=8 * 1024, cache_pages=16,
+            observability=observability,
+        )
+        # Data >> C0 and >> the buffer pool, in scattered key order:
+        # merges read and write, cold reads seek.
+        keys = [b"key%04d" % ((i * 7919) % 2000) for i in range(2000)]
+        for key in keys:
+            engine.put(key, b"v" * 256)
+        for key in keys[::20]:
+            engine.get(key)
+        summaries.append(engine.io_summary())
+        engine.close()
+    lit, dark = summaries
+    assert dark == lit
+    assert dark["data_seeks"] > 0
+    assert dark["data_bytes_read"] > 0
+    assert dark["data_bytes_written"] > 0
+    assert dark["busy_seconds"] > 0.0
+
+
 # ----------------------------------------------------------------------
 # CLI: repro profile / the planted-regression gate self-test
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 from repro.core.options import BLSMOptions
 from repro.core.tree import BLSM
-from repro.core.versions import VersionSet, ram_source
+from repro.core.versions import SortedRun, VersionSet
 from repro.engines import EngineConfig, build_engine
 from repro.records import Record, RecordKind
 
@@ -157,16 +157,26 @@ def test_versionset_crash_drops_pins_without_freeing():
     assert versions.pinned_count == versions.zombie_count == 0
 
 
-def test_ram_source_is_a_point_in_time_copy():
-    records = [
-        Record(b"b", b"2", RecordKind.BASE, seqno=1),
-        Record(b"a", b"1", RecordKind.BASE, seqno=0),
-    ]
-    source = ram_source(records)
-    records.append(Record(b"c", b"3", RecordKind.BASE, seqno=2))
+def test_ram_source_is_a_point_in_time_view():
+    # The contract the eager copy used to provide, now without copying:
+    # what a RAM source showed when the view opened is what it shows
+    # forever, whatever is added to the underlying run afterwards.
+    run = SortedRun(
+        [
+            Record(b"a", b"1", RecordKind.BASE, seqno=0),
+            Record(b"b", b"2", RecordKind.BASE, seqno=1),
+        ]
+    )
+    source = run.prefix()
+    run.append(Record(b"c", b"3", RecordKind.BASE, seqno=2))
     assert source.get(b"a").value == b"1"
     assert source.get(b"c") is None
     assert [r.key for r in source.scan(b"", None)] == [b"a", b"b"]
+    assert [r.key for r in source.scan(b"b", b"z")] == [b"b"]
+    # ...and no list was copied to get it.
+    assert source._run is run
+    assert run.get(b"c").value == b"3"
+    assert [r.key for r in run.scan(b"b", None)] == [b"b", b"c"]
 
 
 # ---------------------------------------------------------------------------
