@@ -56,6 +56,7 @@ class _CompactionJob:
         self.target_level = target_level
         self.drop_tombstones = drop_tombstones
         self.input_bytes = max(1, sum(t.nbytes for t in self.inputs))
+        self.input_keys = sum(t.key_count for t in self.inputs)
         self.bytes_read = 0
         self.outputs: list[SSTable] = []
         self.done = False
@@ -80,7 +81,9 @@ class _CompactionJob:
             if merged is None:
                 continue
             if self._builder is None:
-                self._builder = self.engine._new_builder(self.input_bytes)
+                self._builder = self.engine._new_builder(
+                    self.input_bytes, self.input_keys
+                )
             self._builder.add(merged)
             if self._builder.nbytes >= self.engine.file_bytes:
                 self._finish_builder()
@@ -210,10 +213,13 @@ class LevelDBEngine(KVEngine):
         while True:
             epoch = self._compaction_epoch
             restart = False
+            remaining = None if limit is None else limit - emitted
             sources: list[Iterator[Record]] = [self._memtable.scan(cursor, hi)]
-            sources.extend(table.scan(cursor, hi) for table in self._l0)
+            sources.extend(
+                table.scan(cursor, hi, limit=remaining) for table in self._l0
+            )
             for level in self._levels:
-                sources.append(self._scan_level(level, cursor, hi))
+                sources.append(self._scan_level(level, cursor, hi, remaining))
             for group in kway_merge(sources):
                 value = resolve(group)
                 if value is None:
@@ -363,7 +369,9 @@ class LevelDBEngine(KVEngine):
     def _flush_memtable(self) -> None:
         if self._memtable.is_empty:
             return
-        builder = self._new_builder(self._memtable.nbytes)
+        builder = self._new_builder(
+            self._memtable.nbytes, len(self._memtable)
+        )
         for record in self._memtable:
             builder.add(record)
         table = builder.finish()
@@ -471,11 +479,20 @@ class LevelDBEngine(KVEngine):
         self._next_tree_id += 1
         return tree_id
 
-    def _new_builder(self, expected_bytes: int) -> SSTableBuilder:
+    def _new_builder(
+        self, expected_bytes: int, expected_keys: int
+    ) -> SSTableBuilder:
+        # An output file closes at file_bytes: reserve two files' worth
+        # at most, for records of the inputs' mean size.
+        limit = 2 * self.file_bytes
+        if expected_bytes > limit:
+            expected_keys = expected_keys * limit // expected_bytes
+            expected_bytes = limit
         return SSTableBuilder(
             self.stasis,
             tree_id=self._take_tree_id(),
-            expected_bytes=min(expected_bytes, 2 * self.file_bytes),
+            expected_bytes=expected_bytes,
+            expected_keys=expected_keys,
             with_bloom=False,  # stock 2012 LevelDB has no Bloom filters
         )
 
@@ -497,14 +514,14 @@ class LevelDBEngine(KVEngine):
 
     @staticmethod
     def _scan_level(
-        level: list[SSTable], lo: bytes, hi: bytes | None
+        level: list[SSTable], lo: bytes, hi: bytes | None, limit: int | None
     ) -> Iterator[Record]:
         for table in level:
             if table.max_key is not None and table.max_key < lo:
                 continue
             if hi is not None and table.min_key is not None and table.min_key >= hi:
                 break
-            yield from table.scan(lo, hi)
+            yield from table.scan(lo, hi, limit=limit)
 
     def _overlapping(self, level: int, lo: bytes, hi: bytes) -> list[SSTable]:
         if level - 1 >= len(self._levels):

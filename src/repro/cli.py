@@ -5,7 +5,7 @@ Examples::
     python -m repro workload --engine blsm --workload a \\
         --records 2000 --ops 5000 --disk hdd
     python -m repro workload --engine leveldb --read 0.2 --blind-write 0.8
-    python -m repro amplification           # Figure 2's series
+    python -m repro amplification           # Figure 2 + write amp by cause
     python -m repro cache-table             # Table 2 (Appendix A)
 """
 
@@ -266,6 +266,26 @@ def _cmd_amplification(args: argparse.Namespace) -> int:
         for label in labels:
             row += f"{series[label][i][1]:8.2f}"
         print(row)
+    # The write side, measured: where a load's device bytes come from.
+    import random
+
+    from repro.obs import format_write_amplification
+
+    records, value = 4000, bytes(1000)
+    engine = _engine("blsm", _disk("hdd"), c0_bytes=256 * 1024, cache_pages=64)
+    keys = [b"user%012d" % i for i in range(records)]
+    random.Random(0).shuffle(keys)
+    for key in keys:
+        engine.put(key, value)
+    engine.tree.drain()
+    print(
+        f"write amplification of a {records} x {len(value)} B load "
+        f"(blsm, C0 256 KiB), by cause:"
+    )
+    user_bytes = sum(len(key) + len(value) for key in keys)
+    for line in format_write_amplification(engine, user_bytes):
+        print(line)
+    engine.close()
     return 0
 
 
@@ -306,6 +326,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import (
         format_device_summary,
         format_fault_summary,
+        format_layout_summary,
         format_shard_summary,
         format_summary,
         format_version_summary,
@@ -339,6 +360,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         for line in format_device_summary(runtime):
             print(line)
         for line in format_shard_summary(engine):
+            print(line)
+        for line in format_layout_summary(engine):
             print(line)
         for line in format_version_summary(runtime.metrics):
             print(line)
@@ -1355,7 +1378,9 @@ def build_parser() -> argparse.ArgumentParser:
     compare.set_defaults(fn=_cmd_compare)
 
     amplification = sub.add_parser(
-        "amplification", help="print Figure 2's read-amplification series"
+        "amplification",
+        help="print Figure 2's read-amplification series and a measured "
+        "load's write amplification by cause",
     )
     amplification.add_argument("--max-ratio", type=int, default=16)
     amplification.set_defaults(fn=_cmd_amplification)

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.core.components import (
     component_extents,
+    component_row,
     describe_component,
     rebuild_component,
 )
@@ -114,13 +115,9 @@ class LevelManager:
             yield from level
 
     def level_view(self) -> list[list[dict[str, Any]]]:
-        """Introspection: per level, per run ``{nbytes, key_count}``."""
+        """Introspection: per level, one ``component_row`` per run."""
         return [
-            [
-                {"nbytes": table.nbytes, "key_count": table.key_count}
-                for table in level
-            ]
-            for level in self.levels
+            [component_row(table) for table in level] for level in self.levels
         ]
 
     # ------------------------------------------------------------------

@@ -20,18 +20,52 @@ from repro.storage.region import Extent
 from repro.storage.stasis import Stasis
 
 
+class _Descriptor(dict):
+    """One component's manifest entry, with its ``repr`` taken once.
+
+    Every manifest commit sizes its WAL record by ``len(repr(manifest))``
+    and a manifest names every block of every live component; components
+    are immutable, so the text of an entry never changes.
+    """
+
+    __slots__ = ("_repr",)
+
+    def __repr__(self) -> str:
+        try:
+            return self._repr
+        except AttributeError:
+            self._repr = dict.__repr__(self)
+            return self._repr
+
+
 def describe_component(table: SSTable | None) -> dict[str, Any] | None:
-    """The manifest entry for one component (``None`` for an empty slot)."""
+    """The manifest entry for one component (``None`` for an empty slot).
+
+    Memoised on the table; :func:`~repro.sstable.bloom_store.persist_bloom`,
+    the one thing that changes an entry, drops the memo.
+    """
     if table is None:
         return None
+    desc = table.descriptor
+    if desc is None:
+        desc = table.descriptor = _Descriptor(
+            tree_id=table.tree_id,
+            blocks=tuple(table.blocks),
+            extents=tuple(table.extents),
+            key_count=table.key_count,
+            nbytes=table.nbytes,
+            max_key=table.max_key,
+            bloom=bloom_descriptor(table),
+        )
+    return desc
+
+
+def component_row(table: SSTable) -> dict[str, Any]:
+    """One component's row in an engine's ``level_view()``."""
     return {
-        "tree_id": table.tree_id,
-        "blocks": tuple(table.blocks),
-        "extents": tuple(table.extents),
-        "key_count": table.key_count,
         "nbytes": table.nbytes,
-        "max_key": table.max_key,
-        "bloom": bloom_descriptor(table),
+        "key_count": table.key_count,
+        "page_fill": table.page_fill,
     }
 
 

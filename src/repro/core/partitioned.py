@@ -239,8 +239,9 @@ class PartitionedBLSM:
             if hi is not None and (bound is None or hi < bound):
                 bound = hi
             restart = False
+            remaining = None if limit is None else limit - emitted
             for group in kway_merge(
-                self._partition_sources(partition, cursor, bound)
+                self._partition_sources(partition, cursor, bound, remaining)
             ):
                 value = resolve(group)
                 if value is None:
@@ -260,14 +261,18 @@ class PartitionedBLSM:
             cursor = max(cursor, partition.hi)
 
     def _partition_sources(
-        self, partition: Partition, lo: bytes, hi: bytes | None
+        self,
+        partition: Partition,
+        lo: bytes,
+        hi: bytes | None,
+        limit: int | None,
     ) -> list[Iterator[Record]]:
         sources: list[Iterator[Record]] = [self._memtable.scan(lo, hi)]
         if partition.m01 is not None:
             sources.append(partition.m01.overlay_scan(lo, hi))
         for component in (partition.c1, partition.c2):
             if component is not None:
-                sources.append(component.scan(lo, hi))
+                sources.append(component.scan(lo, hi, limit=limit))
         return sources
 
     # ------------------------------------------------------------------

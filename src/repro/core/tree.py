@@ -29,6 +29,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 from repro.core.components import (
     component_extents,
+    component_row,
     describe_component,
     rebuild_component,
 )
@@ -651,21 +652,14 @@ class BLSM:
         engine the same way: level 0 holds the §3.2 extra components
         (overlapping runs, like any L0), level 1 C1 and C1', level 2 C2.
         """
-        levels: list[list[dict[str, int]]] = [
+        levels: list[list[dict[str, Any]]] = [
+            [component_row(extra) for extra in self._extras],
             [
-                {"nbytes": extra.nbytes, "key_count": extra.key_count}
-                for extra in self._extras
-            ],
-            [
-                {"nbytes": c.nbytes, "key_count": c.key_count}
+                component_row(c)
                 for c in (self._c1, self._c1_prime)
                 if c is not None
             ],
-            [
-                {"nbytes": self._c2.nbytes, "key_count": self._c2.key_count}
-            ]
-            if self._c2 is not None
-            else [],
+            [component_row(self._c2)] if self._c2 is not None else [],
         ]
         return {
             "policy": "blsm3",

@@ -323,7 +323,9 @@ class TreeSnapshot:
         """
         sources: list[Iterator[Record]] = [self._scan_c0(lo, hi)]
         sources.extend(source.scan(lo, hi) for source in self._ram[1:])
-        sources.extend(table.scan(lo, hi) for table in self._tables)
+        sources.extend(
+            table.scan(lo, hi, limit=limit) for table in self._tables
+        )
         emitted = 0
         for group in kway_merge(sources):
             value = resolve(group)

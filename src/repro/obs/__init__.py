@@ -31,9 +31,11 @@ from repro.obs.summary import (
     events_within,
     format_device_summary,
     format_fault_summary,
+    format_layout_summary,
     format_shard_summary,
     format_summary,
     format_version_summary,
+    format_write_amplification,
     merge_seconds_by_level,
     reconstruct_stalls,
     stall_causes,
@@ -66,9 +68,11 @@ __all__ = [
     "windows_over_span",
     "format_device_summary",
     "format_fault_summary",
+    "format_layout_summary",
     "format_shard_summary",
     "format_summary",
     "format_version_summary",
+    "format_write_amplification",
     "merge_seconds_by_level",
     "reconstruct_stalls",
     "stall_causes",

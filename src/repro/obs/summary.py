@@ -212,6 +212,64 @@ def format_shard_summary(engine: Any) -> list[str]:
     return lines
 
 
+def format_layout_summary(engine: Any) -> list[str]:
+    """On-disk layout lines for the CLI trace summary.
+
+    One row per live component with its page fill (record bytes over
+    the bytes of the pages its blocks own), then everything the
+    component builders wrote, split into records and padding — the
+    layout's share of a device write-amplification number.  Empty for
+    engines whose tree has no ``level_view``.
+    """
+    level_view = getattr(getattr(engine, "tree", engine), "level_view", None)
+    if level_view is None:
+        return []
+    lines = [
+        "components (on-disk layout):",
+        f"  {'level':>5s} {'keys':>9s} {'records':>10s} {'page fill':>10s}",
+    ]
+    for level, runs in enumerate(level_view()["levels"]):
+        for run in runs:
+            lines.append(
+                f"  {level:>5d} {run['key_count']:>9d} "
+                f"{run['nbytes'] / 1e6:8.2f}MB {run['page_fill']:>10.3f}"
+            )
+    metrics = engine.runtime.metrics
+    packed = metrics.value("sstable.bytes_packed")
+    padded = metrics.value("sstable.bytes_padded")
+    if packed > 0:
+        lines.append(
+            f"  built: {packed / 1e6:.2f}MB of records + "
+            f"{padded / 1e6:.2f}MB of padding "
+            f"(fill {packed / (packed + padded):.3f})"
+        )
+    return lines
+
+
+def format_write_amplification(engine: Any, user_bytes: int) -> list[str]:
+    """Device write amplification of a finished load, by cause.
+
+    ``device bytes / user bytes`` is what the LSM literature compares
+    designs by; it is the product of how often merges rewrite a record
+    and what the block layout adds around the records, plus the log.
+    """
+    io = engine.io_summary()
+    packed = engine.runtime.metrics.value("sstable.bytes_packed")
+    data, log = io["data_bytes_written"], io["log_bytes_written"]
+    rewrite = packed / user_bytes
+    layout = data / packed if packed > 0 else 0.0
+    return [
+        f"  user bytes   {user_bytes / 1e6:9.2f}MB",
+        f"  record bytes {packed / 1e6:9.2f}MB built into components "
+        f"({rewrite:.2f}x record rewrite)",
+        f"  device bytes {data / 1e6:9.2f}MB written to the data device "
+        f"({layout:.3f}x layout overhead: page padding)",
+        f"  log bytes    {log / 1e6:9.2f}MB",
+        f"  write amplification {(data + log) / user_bytes:.2f} = "
+        f"{rewrite:.2f} x {layout:.3f} + {log / user_bytes:.2f}",
+    ]
+
+
 _FAULT_METRIC_LABELS = (
     ("faults.transient_errors", "transient I/O errors"),
     ("faults.torn_writes", "torn writes"),

@@ -38,6 +38,7 @@ def persist_bloom(stasis: Stasis, table: SSTable) -> None:
     ]
     stasis.pagefile.write_run(extent.start, payloads)
     table.bloom_extent = extent
+    table.descriptor = None  # its manifest entry now names the filter
 
 
 def bloom_descriptor(table: SSTable) -> dict[str, Any] | None:

@@ -6,6 +6,14 @@ into contiguous extents from the region allocator.  Output I/O is buffered
 and flushed in multi-page chunks, so component construction is charged as
 sequential bandwidth — the defining property of log-structured writes.
 
+Blocks are dense.  A block grows until its records reach one page; from
+then on it owns ``ceil(bytes / page_size)`` pages and keeps accepting
+records while they still fit in those pages, closing *before* the record
+that would need one more.  Sub-page records therefore give two-page
+blocks that are nearly full, and a record larger than a page gives a
+block of exactly the pages it spans; the only padding is the tail of a
+block's last page.
+
 The Bloom filter is sized up front from the expected key count (the merge
 knows its inputs' key counts; Section 4.4.3: "we track the number of keys
 in each tree component, and size the Bloom filter for a false positive
@@ -71,8 +79,11 @@ class SSTableBuilder:
         self._nbytes = 0
         self._last_key: bytes | None = None
         self._finished = False
+        metrics = stasis.runtime.metrics
+        self._ctr_packed = metrics.counter("sstable.bytes_packed")
+        self._ctr_padded = metrics.counter("sstable.bytes_padded")
         if expected_bytes > 0:
-            pages = math.ceil(expected_bytes * 1.05 / self._page_size)
+            pages = self._pages_for(expected_bytes, expected_keys)
             self._grow(max(_MIN_EXTENT_PAGES, pages))
 
     @property
@@ -94,15 +105,24 @@ class SSTableBuilder:
                 f"({record.key!r} after {self._last_key!r})"
             )
         self._last_key = record.key
-        self._current.append(record)
         disk_bytes = max(8, int(record.nbytes * self._compression_ratio))
-        self._current_bytes += disk_bytes
+        held = self._current_bytes
+        page_size = self._page_size
+        # A block that has reached a page owns ceil(held / page_size)
+        # pages: top up the last one, close before the record that
+        # would need one more.
+        if (
+            held >= page_size
+            and held + disk_bytes > -(-held // page_size) * page_size
+        ):
+            self._close_block()
+            held = 0
+        self._current.append(record)
+        self._current_bytes = held + disk_bytes
         self._key_count += 1
         self._nbytes += disk_bytes
         if self._bloom is not None:
             self._bloom.add(record.key)
-        if self._current_bytes >= self._page_size:
-            self._close_block()
 
     def finish(self) -> SSTable | None:
         """Flush everything and return the component (``None`` if empty)."""
@@ -144,8 +164,29 @@ class SSTableBuilder:
         self._blocks = []
         self._pending = []
 
+    def _pages_for(
+        self, expected_bytes: int, expected_keys: int | None
+    ) -> int:
+        """Pages a build of uniform records of the expected mean size fills.
+
+        Follows the close rule in :meth:`add`, so a merge whose output
+        matches its estimate lands in the one extent reserved up front.
+        Without a key count the records are taken to be small.
+        """
+        page_size = self._page_size
+        if not expected_keys:
+            return math.ceil(expected_bytes / page_size)
+        record = max(1, math.ceil(expected_bytes / expected_keys))
+        # Records until the block reaches a page fix the pages it owns.
+        opening = math.ceil(page_size / record) * record
+        block_pages = math.ceil(opening / page_size)
+        per_block = block_pages * page_size // record
+        return math.ceil(expected_keys / per_block) * block_pages
+
     def _close_block(self) -> None:
         npages = max(1, math.ceil(self._current_bytes / self._page_size))
+        self._ctr_packed.inc(self._current_bytes)
+        self._ctr_padded.inc(npages * self._page_size - self._current_bytes)
         first_page = self._reserve(npages)
         self._blocks.append(
             Block(

@@ -17,6 +17,7 @@ Two read paths exist:
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -30,10 +31,14 @@ from repro.storage.stasis import Stasis
 class Block:
     """One indexed unit: ``npages`` consecutive pages holding records.
 
-    The record tuple is stored on the first page; continuation pages exist
-    so that records larger than a page are charged their true transfer
-    size (the paper's append-only data page format stores records that
-    span multiple pages).
+    The builder fills the pages a block owns (see
+    :mod:`repro.sstable.builder`): sub-page records make nearly full
+    two-page blocks, a record larger than a page makes a block of the
+    pages it spans, so the device transfers little besides records (the
+    paper's append-only data page format stores records that span
+    multiple pages).  The record tuple is stored on the first page;
+    the other pages are continuation sentinels that charge the block
+    its true transfer size.
     """
 
     first_key: bytes
@@ -68,6 +73,8 @@ class SSTable:
         self._freed = False
         self.bloom_extent: Extent | None = None
         """Where the persisted Bloom filter lives, if it was persisted."""
+        self.descriptor: dict | None = None
+        """The manifest entry describing this component, once one was made."""
         metrics = stasis.runtime.metrics
         self._ctr_bloom_negative = metrics.counter("bloom.negatives")
         self._ctr_bloom_hit = metrics.counter("bloom.hits")
@@ -86,6 +93,19 @@ class SSTable:
     def npages(self) -> int:
         """Pages across all extents (includes alignment waste)."""
         return sum(extent.length for extent in self.extents)
+
+    @property
+    def page_fill(self) -> float:
+        """Record bytes over the bytes of the pages its blocks own.
+
+        What is left of 1.0 is padding the device writes, reads and
+        stores along with the records: the tail of each block's last
+        page.
+        """
+        pages = sum(block.npages for block in self.blocks)
+        if pages == 0:
+            return 0.0
+        return self.nbytes / (pages * self._stasis.page_size)
 
     def index_ram_bytes(self, pointer_bytes: int = 8) -> int:
         """RAM the in-memory block index consumes (Appendix A).
@@ -134,6 +154,7 @@ class SSTable:
         lo: bytes,
         hi: bytes | None = None,
         readahead_blocks: int = 16,
+        limit: int | None = None,
     ) -> Iterator[Record]:
         """Yield records with lo <= key < hi, through the buffer manager.
 
@@ -143,13 +164,23 @@ class SSTable:
         (not the shared page cache, which interleaved component streams
         would thrash), so a long scan stays near-sequential per
         component — as any production scan path behaves.
+
+        ``limit`` is the most records the caller will consume.  The
+        first read is then sized to hold that many — one block for a
+        start in mid-block plus ``limit`` over the mean records per
+        block — and each refill doubles, up to ``readahead_blocks``;
+        the caller may still read past ``limit`` (older versions and
+        tombstones it skipped do not count against its own limit).
         """
         if not self.blocks:
             return
-        index = max(0, bisect.bisect_right(self._first_keys, lo) - 1)
-        position = index
+        nblocks = readahead_blocks
+        if limit is not None:
+            first = 1 + math.ceil(limit * len(self.blocks) / self.key_count)
+            nblocks = min(first, readahead_blocks)
+        position = max(0, bisect.bisect_right(self._first_keys, lo) - 1)
         while position < len(self.blocks):
-            group = self._contiguous_group(position, readahead_blocks, hi)
+            group = self._contiguous_group(position, nblocks, hi)
             if not group:
                 return
             for records in self._group_records(group):
@@ -160,6 +191,7 @@ class SSTable:
                         return
                     yield record
             position += len(group)
+            nblocks = min(2 * nblocks, readahead_blocks)
 
     def _contiguous_group(
         self, position: int, limit: int, hi: bytes | None
@@ -239,6 +271,7 @@ class SSTable:
             self._stasis.regions.free(extent)
 
     def _read_block(self, block: Block) -> tuple[Record, ...]:
+        """The block's records, every page of it charged to the pool."""
         records = self._stasis.buffer.get(block.first_page_id)
         for page_id in range(
             block.first_page_id + 1, block.first_page_id + block.npages

@@ -48,10 +48,11 @@ def test_spin_shim_slows_the_measured_phase():
     spun = profile_workload(
         memtable="skiplist", trials=1, spin_us=200.0, **SMALL
     )
-    # 200 CPU-microseconds per measured op is a planted regression far
-    # beyond timing noise; the rate must collapse.
-    assert spun.ops_per_cpu_second < clean.ops_per_cpu_second / 2
-    assert spun.run_cpu_seconds >= SMALL["operations"] * 150e-6
+    # The shim burns 200 CPU-microseconds per measured op.  Assert on
+    # the CPU it *added*: a ratio of two single-trial rates moves with
+    # whatever else the box is doing, the spin's own cost does not.
+    added = spun.run_cpu_seconds - clean.run_cpu_seconds
+    assert added >= 0.75 * SMALL["operations"] * 200e-6
 
 
 def test_sweep_covers_every_backend(sweep_results):

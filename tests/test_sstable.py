@@ -164,15 +164,18 @@ def test_extent_tail_trimmed(stasis):
 
 
 def test_growth_after_estimate_exhausted(stasis):
+    # The estimate promises two pages of records; the minimum extent
+    # holds sixteen.  500 x 424 B = 52 dense pages outrun both.
     builder = SSTableBuilder(
-        stasis, tree_id=1, expected_bytes=2 * 4096, expected_keys=100
+        stasis, tree_id=1, expected_bytes=2 * 4096, expected_keys=20
     )
-    for i in range(100):
+    for i in range(500):
         builder.add(Record.base(b"k%03d" % i, b"v" * 400, i))
     table = builder.finish()
-    assert table.key_count == 100
+    assert table.key_count == 500
     assert len(table.extents) >= 2
-    assert [r.key for r in table.iter_records()] == [b"k%03d" % i for i in range(100)]
+    assert table.npages <= 54  # grown as needed, the tail trimmed
+    assert [r.key for r in table.iter_records()] == [b"k%03d" % i for i in range(500)]
 
 
 def test_abandon_frees_everything(stasis):
