@@ -16,25 +16,13 @@ to random reads":
 from __future__ import annotations
 
 from benchmarks.conftest import (
-    KIB,
     SCALE,
-    Scale,
     make_blsm,
     make_btree,
     make_leveldb,
     report,
 )
 from repro.ycsb import WorkloadSpec, load_phase
-
-# The loads run at data : RAM = 10 : 1, not 5 : 1.  bLSM's duplicate
-# check costs ~0.03 seeks per insert (three filters at 1 % each), a
-# fixed price; what it is weighed against is merge I/O, which dense
-# blocks cut by ~43 % for both trees.  At 5 : 1 the two loads then tie
-# (bLSM/LevelDB 0.88 to 1.06 over 2 000 to 12 000 records), because
-# LevelDB defers most of its compaction debt past the end of so short
-# a load; with half the memory it has to pay as it goes and the
-# paper's order holds at 1.4x to 1.9x over the same range.
-LOAD_SCALE = Scale(memory_bytes=320 * KIB)
 
 
 def _spec(**overrides):
@@ -49,23 +37,23 @@ def _spec(**overrides):
 
 def _run_loads():
     results = {}
-    blsm = make_blsm(scale=LOAD_SCALE)
+    blsm = make_blsm()
     results["bLSM (unordered, insert-if-not-exists)"] = load_phase(
         blsm, _spec(check_exists_on_insert=True), seed=3
     )
     assert blsm.get(b"__nope__") is None
 
-    leveldb = make_leveldb(scale=LOAD_SCALE)
+    leveldb = make_leveldb()
     results["LevelDB (unordered, blind writes)"] = load_phase(
         leveldb, _spec(), seed=3
     )
 
-    btree_sorted = make_btree(scale=LOAD_SCALE)
+    btree_sorted = make_btree()
     results["InnoDB (pre-sorted bulk load)"] = load_phase(
         btree_sorted, _spec(ordered_inserts=True), seed=3, use_bulk_load=True
     )
 
-    btree_random = make_btree(scale=LOAD_SCALE)
+    btree_random = make_btree()
     results["InnoDB (unordered inserts)"] = load_phase(
         btree_random, _spec(), seed=3
     )

@@ -327,6 +327,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         format_device_summary,
         format_fault_summary,
         format_layout_summary,
+        format_memory_summary,
         format_shard_summary,
         format_summary,
         format_version_summary,
@@ -362,6 +363,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         for line in format_shard_summary(engine):
             print(line)
         for line in format_layout_summary(engine):
+            print(line)
+        for line in format_memory_summary(engine):
             print(line)
         for line in format_version_summary(runtime.metrics):
             print(line)

@@ -45,12 +45,11 @@ class PolicyMergeJob:
         self.bytes_read = 0
         self.output: SSTable | None = None
         self.done = False
-        chunk_pages = max(1, options.merge_chunk_bytes // stasis.page_size)
+        self._stats = stasis.data_disk.stats
+        self.read_calls = 0  # data-device reads this job issued
+        self.seeks = 0  # head repositionings its reads and writes caused
         self._groups = kway_merge(
-            [
-                table.iter_records(chunk_pages=chunk_pages)
-                for table in self.inputs
-            ]
+            [table.iter_records() for table in self.inputs]
         )
         self._builder = SSTableBuilder(
             stasis,
@@ -73,6 +72,7 @@ class PolicyMergeJob:
         """Consume up to ``budget_bytes`` of input; return bytes consumed."""
         if self.done or budget_bytes <= 0:
             return 0
+        reads, seeks = self._stats.read_ops, self._stats.seeks
         consumed = 0
         while consumed < budget_bytes:
             group = next(self._groups, None)
@@ -85,4 +85,6 @@ class PolicyMergeJob:
             if merged is not None:
                 self._builder.add(merged)
         self.bytes_read += consumed
+        self.read_calls += self._stats.read_ops - reads
+        self.seeks += self._stats.seeks - seeks
         return consumed

@@ -135,7 +135,7 @@ class CompactionTree:
         }
 
     def _note_merge_progress(
-        self, level: str, worked: int, seconds: float, inprogress: float
+        self, level: str, worked: int, seconds: float, job: PolicyMergeJob
     ) -> None:
         _passes, ctr_bytes, ctr_seconds = self._merge_obs[level]
         ctr_bytes.inc(worked)
@@ -147,7 +147,9 @@ class CompactionTree:
                 level=level,
                 worked=worked,
                 seconds=seconds,
-                inprogress=inprogress,
+                inprogress=job.inprogress,
+                reads=job.read_calls,
+                seeks=job.seeks,
             )
 
     # ------------------------------------------------------------------
@@ -473,7 +475,7 @@ class CompactionTree:
         worked = job.step(budget_bytes)
         elapsed = self.stasis.clock.now - started
         if worked:
-            self._note_merge_progress(gear, worked, elapsed, job.inprogress)
+            self._note_merge_progress(gear, worked, elapsed, job)
         if job.done:
             if shallow:
                 self._job0 = None
@@ -495,6 +497,8 @@ class CompactionTree:
             level=gear,
             plan=job.plan.label,
             output_bytes=job.output.nbytes if job.output is not None else 0,
+            reads=job.read_calls,
+            seeks=job.seeks,
         )
         self.stasis.commit_manifest(self._manifest())
         self._merge_epoch += 1  # historical: scans now pin snapshots

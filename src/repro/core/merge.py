@@ -23,7 +23,7 @@ from repro.records import Record
 from repro.sstable.builder import SSTableBuilder
 from repro.sstable.iterator import merge_records
 from repro.sstable.reader import SSTable
-from repro.storage.stasis import Stasis
+from repro.storage.stasis import WRITE_BEHIND_PAGES, Stasis
 
 
 class RecordSource(Protocol):
@@ -80,12 +80,7 @@ class SnowshovelSource:
         self._memtable = memtable
 
     def peek(self) -> Record | None:
-        cursor = self._cursor.cursor
-        if cursor is None:
-            key = self._memtable.first_key()
-        else:
-            key = self._memtable.ceiling_key(cursor)
-        return self._memtable.get(key) if key is not None else None
+        return self._memtable.ceiling(self._cursor.cursor or b"")
 
     def pop(self) -> Record:
         record = self._cursor.next_record()
@@ -112,25 +107,21 @@ class RangeSnowshovelSource:
         self._hi = hi
         self._cursor: bytes = lo
 
-    def _next_key(self) -> bytes | None:
-        key = self._memtable.ceiling_key(self._cursor)
-        if key is None:
-            return None
-        if self._hi is not None and key >= self._hi:
-            return None
-        return key
-
     def peek(self) -> Record | None:
-        key = self._next_key()
-        return self._memtable.get(key) if key is not None else None
+        record = self._memtable.ceiling(self._cursor)
+        if record is None:
+            return None
+        if self._hi is not None and record.key >= self._hi:
+            return None
+        return record
 
     def pop(self) -> Record:
-        key = self._next_key()
-        if key is None:
+        head = self.peek()
+        if head is None:
             raise StopIteration("range snowshovel exhausted")
-        record = self._memtable.remove(key)
+        record = self._memtable.remove(head.key)
         assert record is not None
-        self._cursor = key + b"\x00"
+        self._cursor = head.key + b"\x00"
         return record
 
     def advance_past(self, key: bytes) -> None:
@@ -145,7 +136,7 @@ class MergeProcess:
     def __init__(
         self,
         stasis: Stasis,
-        newer: RecordSource,
+        newer: RecordSource | SSTable,
         older: SSTable | None,
         tree_id: int,
         input_bytes: int,
@@ -153,24 +144,34 @@ class MergeProcess:
         drop_tombstones: bool,
         with_bloom: bool = True,
         bloom_false_positive_rate: float = 0.01,
-        merge_chunk_bytes: int = 256 * 1024,
         split_output_bytes: int | None = None,
         tree_id_source: "Callable[[], int] | None" = None,
         compression_ratio: float = 1.0,
+        bloom_keys: int | None = None,
     ) -> None:
         self._stasis = stasis
-        self._newer = newer
-        chunk_pages = max(1, merge_chunk_bytes // stasis.page_size)
-        self._chunk_pages = chunk_pages
-        if older is not None:
-            self._older: RecordSource = FrozenSource(
-                older.iter_records(chunk_pages=chunk_pages)
-            )
-        else:
-            self._older = EmptySource()
+        self._stats = stats = stasis.data_disk.stats
+        reads, seeks = stats.read_ops, stats.seeks
+        # On-disk inputs are read as streams (``SSTable.iter_records``);
+        # each holds one streaming-size run of its pages in RAM.
+        self._readahead_pages = 0
+        if isinstance(newer, SSTable):
+            newer = self._open_stream(newer)
+        self._newer: RecordSource = newer
+        self._older: RecordSource = (
+            self._open_stream(older) if older is not None else EmptySource()
+        )
+        # Data-device reads this pass issued, and head repositionings
+        # its reads and writes caused (opening a stream reads its head).
+        self.read_calls = stats.read_ops - reads
+        self.seeks = stats.seeks - seeks
         self._with_bloom = with_bloom
         self._bloom_fpr = bloom_false_positive_rate
         self._expected_keys = expected_keys
+        # A snowshovel pass outgrows the keys present at its start; its
+        # owner passes the run it plans for (Bloom sizing only: the
+        # extent reservation keeps following ``expected_keys``).
+        self._bloom_keys = bloom_keys
         self._compression_ratio = compression_ratio
         # Partitioned trees split oversized outputs into multiple
         # components, each becoming its own partition (Section 4.2.2).
@@ -207,6 +208,17 @@ class MergeProcess:
             return 1.0
         return min(1.0, self.bytes_read / self.input_bytes)
 
+    @property
+    def buffer_pages(self) -> int:
+        """Pages of RAM the merge holds while it runs (Appendix A).
+
+        One streaming-size read-ahead per on-disk input stream plus the
+        builder's write-behind unit.
+        """
+        if self.done:
+            return 0
+        return self._readahead_pages + WRITE_BEHIND_PAGES
+
     def step(self, budget_bytes: int) -> int:
         """Consume up to ``budget_bytes`` of input; return bytes consumed.
 
@@ -215,6 +227,8 @@ class MergeProcess:
         """
         if self.done:
             return 0
+        stats = self._stats
+        reads, seeks = stats.read_ops, stats.seeks
         consumed = 0
         while consumed < budget_bytes:
             newer_head = self._newer.peek()
@@ -224,6 +238,8 @@ class MergeProcess:
                 break
             consumed += self._emit_next(newer_head, older_head)
         self.bytes_read += consumed
+        self.read_calls += stats.read_ops - reads
+        self.seeks += stats.seeks - seeks
         return consumed
 
     def run_to_completion(self) -> int:
@@ -276,6 +292,10 @@ class MergeProcess:
                 self._rotate_builder()
         return consumed
 
+    def _open_stream(self, table: SSTable) -> FrozenSource:
+        self._readahead_pages += min(self._stasis.streaming_pages, table.npages)
+        return FrozenSource(table.iter_records())
+
     def _new_builder(self, tree_id: int, expected_bytes: int) -> SSTableBuilder:
         return SSTableBuilder(
             self._stasis,
@@ -284,8 +304,8 @@ class MergeProcess:
             expected_keys=self._expected_keys,
             with_bloom=self._with_bloom,
             bloom_false_positive_rate=self._bloom_fpr,
-            flush_chunk_pages=self._chunk_pages,
             compression_ratio=self._compression_ratio,
+            bloom_keys=self._bloom_keys,
         )
 
     def _rotate_builder(self) -> None:

@@ -110,9 +110,6 @@ class BLSMOptions:
     high_water: float = 0.90
     """C0 fill above which writes are fully backpressured."""
 
-    merge_chunk_bytes: int = 256 * 1024
-    """Merge I/O batch size (the paper's arrays use 512 KB stripes)."""
-
     max_tick_bytes: int = 512 * 1024
     """Cap on merge work performed inside a single write.
 

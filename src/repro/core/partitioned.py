@@ -363,6 +363,8 @@ class PartitionedBLSM:
                     worked=worked,
                     seconds=seconds,
                     inprogress=process.inprogress,
+                    reads=process.read_calls,
+                    seeks=process.seeks,
                 )
         if timeline is None and process.done:
             self._finish_merge(partition, process)
@@ -486,13 +488,20 @@ class PartitionedBLSM:
         source = RangeSnowshovelSource(
             self._memtable, partition.lo, partition.hi
         )
-        c0_bytes = self._range_bytes(partition)
+        c0_bytes, c0_keys = self._range_size(partition)
         c1_bytes = partition.c1.nbytes if partition.c1 is not None else 0
         c1_keys = partition.c1.key_count if partition.c1 is not None else 0
         # A partition with no C2 writes bottom-level output, so the merge
         # may split it directly into new partitions — this is how bulk
         # loads (one giant snowshovel run) partition the keyspace.
         bottom = partition.c2 is None
+        # Keys keep joining the run while the pass drains it: size the
+        # filter for this range's share of two C0s, the snowshovel
+        # expectation (§4.4.3), never for less than the keys present.
+        run_keys = max(
+            c0_keys,
+            math.ceil(2 * self.options.c0_bytes * c0_keys / self._memtable.nbytes),
+        )
         # Paused scans must restart to pick up the merge overlay (the
         # range snowshovel moves live memtable records into it).
         self._merge_epoch += 1
@@ -506,10 +515,10 @@ class PartitionedBLSM:
             drop_tombstones=bottom,
             with_bloom=self.options.with_bloom_filters,
             bloom_false_positive_rate=self.options.bloom_false_positive_rate,
-            merge_chunk_bytes=self.options.merge_chunk_bytes,
             split_output_bytes=self.max_partition_bytes if bottom else None,
             tree_id_source=self._take_tree_id if bottom else None,
             compression_ratio=self.options.compression_ratio,
+            bloom_keys=run_keys + c1_keys,
         )
         self._merge_obs["c0c1"][0].inc()
         self.runtime.trace.emit(
@@ -524,12 +533,9 @@ class PartitionedBLSM:
         assert partition.c1 is not None
         c2_bytes = partition.c2.nbytes if partition.c2 is not None else 0
         c2_keys = partition.c2.key_count if partition.c2 is not None else 0
-        chunk_pages = max(
-            1, self.options.merge_chunk_bytes // self.stasis.page_size
-        )
         partition.m12 = MergeProcess(
             self.stasis,
-            newer=_frozen(partition.c1, chunk_pages),
+            newer=partition.c1,
             older=partition.c2,
             tree_id=self._take_tree_id(),
             input_bytes=partition.c1.nbytes + c2_bytes,
@@ -537,7 +543,6 @@ class PartitionedBLSM:
             drop_tombstones=True,
             with_bloom=self.options.with_bloom_filters,
             bloom_false_positive_rate=self.options.bloom_false_positive_rate,
-            merge_chunk_bytes=self.options.merge_chunk_bytes,
             split_output_bytes=self.max_partition_bytes,
             tree_id_source=self._take_tree_id,
             compression_ratio=self.options.compression_ratio,
@@ -558,6 +563,8 @@ class PartitionedBLSM:
             level="c0c1" if process is partition.m01 else "c1c2",
             output_bytes=sum(t.nbytes for t in process.outputs),
             partition=partition.lo.hex(),
+            reads=process.read_calls,
+            seeks=process.seeks,
         )
         if process is partition.m01:
             old_c1 = partition.c1
@@ -634,13 +641,15 @@ class PartitionedBLSM:
             )
         self._partitions[index : index + 1] = replacements
 
-    def _range_bytes(self, partition: Partition) -> int:
-        total = 0
+    def _range_size(self, partition: Partition) -> tuple[int, int]:
+        """``(bytes, keys)`` of C0 that fall in the partition's range."""
+        nbytes = keys = 0
         for record in self._memtable.iter_from(partition.lo):
             if partition.hi is not None and record.key >= partition.hi:
                 break
-            total += record.nbytes
-        return total
+            nbytes += record.nbytes
+            keys += 1
+        return nbytes, keys
 
     def _truncate_logical_log(self) -> None:
         """Exact log retention (see :meth:`BLSM._truncate_logical_log`)."""
@@ -842,9 +851,3 @@ class PartitionedBLSM:
                 for page_id in range(extent.start, extent.end):
                     self.stasis.pagefile.free_page(page_id)
                 self.stasis.regions.free(extent)
-
-
-def _frozen(table: SSTable, chunk_pages: int):
-    from repro.core.merge import FrozenSource
-
-    return FrozenSource(table.iter_records(chunk_pages=chunk_pages))

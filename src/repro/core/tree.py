@@ -162,7 +162,7 @@ class BLSM:
         }
 
     def _note_merge_progress(
-        self, level: str, worked: int, seconds: float, inprogress: float
+        self, level: str, worked: int, seconds: float, merge: MergeProcess
     ) -> None:
         _passes, ctr_bytes, ctr_seconds = self._merge_obs[level]
         ctr_bytes.inc(worked)
@@ -174,7 +174,9 @@ class BLSM:
                 level=level,
                 worked=worked,
                 seconds=seconds,
-                inprogress=inprogress,
+                inprogress=merge.inprogress,
+                reads=merge.read_calls,
+                seeks=merge.seeks,
             )
 
     # ------------------------------------------------------------------
@@ -496,27 +498,23 @@ class BLSM:
             return 0
         if self._m01 is None and not self._start_m01():
             return 0
-        assert self._m01 is not None
+        merge = self._m01
+        assert merge is not None
         if timeline is None:
             started = self.stasis.clock.now
-            worked = self._m01.step(budget_bytes)
+            worked = merge.step(budget_bytes)
             elapsed = self.stasis.clock.now - started
         else:
             timeline.catch_up(self.stasis.clock)
             started = timeline.now
             with self.stasis.clock.running_on(timeline):
-                worked = self._m01.step(budget_bytes)
-                if self._m01.done:
+                worked = merge.step(budget_bytes)
+                if merge.done:
                     self._finish_m01()
             elapsed = timeline.now - started
         if worked:
-            self._note_merge_progress(
-                "c0c1",
-                worked,
-                elapsed,
-                self._m01.inprogress if self._m01 is not None else 1.0,
-            )
-        if self._m01 is not None and self._m01.done:
+            self._note_merge_progress("c0c1", worked, elapsed, merge)
+        if self._m01 is merge and merge.done:
             self._finish_m01()
         return worked
 
@@ -533,27 +531,23 @@ class BLSM:
             return 0
         if self._m12 is None and not self._start_m12():
             return 0
-        assert self._m12 is not None
+        merge = self._m12
+        assert merge is not None
         if timeline is None:
             started = self.stasis.clock.now
-            worked = self._m12.step(budget_bytes)
+            worked = merge.step(budget_bytes)
             elapsed = self.stasis.clock.now - started
         else:
             timeline.catch_up(self.stasis.clock)
             started = timeline.now
             with self.stasis.clock.running_on(timeline):
-                worked = self._m12.step(budget_bytes)
-                if self._m12.done:
+                worked = merge.step(budget_bytes)
+                if merge.done:
                     self._finish_m12()
             elapsed = timeline.now - started
         if worked:
-            self._note_merge_progress(
-                "c1c2",
-                worked,
-                elapsed,
-                self._m12.inprogress if self._m12 is not None else 1.0,
-            )
-        if self._m12 is not None and self._m12.done:
+            self._note_merge_progress("c1c2", worked, elapsed, merge)
+        if self._m12 is merge and merge.done:
             self._finish_m12()
         return worked
 
@@ -679,7 +673,9 @@ class BLSM:
         ``index`` is the in-RAM block indexes of every on-disk
         component; ``bloom`` their filters (~1.25 bytes/key at a 1 %
         FPR); ``c0`` the memtable payload; ``cache`` the buffer pool's
-        configured capacity in bytes.
+        configured capacity in bytes; ``merge_buffers`` what the running
+        merges hold: one streaming-size read-ahead per open input
+        stream and one write-behind unit per merge.
         """
         index = 0
         bloom = 0
@@ -695,6 +691,12 @@ class BLSM:
             "c0": self._memtable.nbytes
             + (self._frozen.nbytes if self._frozen is not None else 0),
             "cache": self.options.buffer_pool_pages * self.stasis.page_size,
+            "merge_buffers": self.stasis.page_size
+            * sum(
+                merge.buffer_pages
+                for merge in (self._m01, self._m12)
+                if merge is not None
+            ),
         }
 
     def key_count_estimate(self) -> int:
@@ -876,23 +878,24 @@ class BLSM:
         if self._extras:
             # Oldest extra first: it sits directly above C1 in recency.
             self._m01_extra = self._extras[-1]
-            chunk_pages = max(
-                1, self.options.merge_chunk_bytes // self.stasis.page_size
-            )
-            newer = FrozenSource(
-                self._m01_extra.iter_records(chunk_pages=chunk_pages)
-            )
+            newer = self._m01_extra
             newer_bytes = self._m01_extra.nbytes
-            newer_keys = self._m01_extra.key_count
+            newer_keys = run_keys = self._m01_extra.key_count
         elif self.options.snowshovel:
             newer = SnowshovelSource(self._memtable)
             newer_bytes = self._memtable.nbytes
             newer_keys = len(self._memtable)
+            # Keys keep joining the run while the pass drains it: size
+            # the filter for the run the scheduler plans for (§4.4.3).
+            run_keys = max(
+                newer_keys,
+                math.ceil(self._expected_run_bytes() * newer_keys / newer_bytes),
+            )
         else:
             assert self._frozen is not None
             newer = FrozenSource(iter(self._frozen))
             newer_bytes = self._frozen.nbytes
-            newer_keys = len(self._frozen)
+            newer_keys = run_keys = len(self._frozen)
         c1_bytes = self._c1.nbytes if self._c1 is not None else 0
         c1_keys = self._c1.key_count if self._c1 is not None else 0
         drop = self._c1_prime is None and self._c2 is None
@@ -910,8 +913,8 @@ class BLSM:
             drop_tombstones=drop,
             with_bloom=self.options.with_bloom_filters,
             bloom_false_positive_rate=self.options.bloom_false_positive_rate,
-            merge_chunk_bytes=self.options.merge_chunk_bytes,
             compression_ratio=self.options.compression_ratio,
+            bloom_keys=run_keys + c1_keys,
         )
         self._merge_obs["c0c1"][0].inc()
         self.runtime.trace.emit(
@@ -926,13 +929,7 @@ class BLSM:
         c2_keys = self._c2.key_count if self._c2 is not None else 0
         self._m12 = MergeProcess(
             self.stasis,
-            newer=FrozenSource(
-                self._c1_prime.iter_records(
-                    chunk_pages=max(
-                        1, self.options.merge_chunk_bytes // self.stasis.page_size
-                    )
-                )
-            ),
+            newer=self._c1_prime,
             older=self._c2,
             tree_id=self._take_tree_id(),
             input_bytes=self._c1_prime.nbytes + c2_bytes,
@@ -940,7 +937,6 @@ class BLSM:
             drop_tombstones=True,  # C2 is the bottom level
             with_bloom=self.options.with_bloom_filters,
             bloom_false_positive_rate=self.options.bloom_false_positive_rate,
-            merge_chunk_bytes=self.options.merge_chunk_bytes,
             compression_ratio=self.options.compression_ratio,
         )
         self._merge_obs["c1c2"][0].inc()
@@ -957,6 +953,8 @@ class BLSM:
             "merge_finish",
             level="c0c1",
             output_bytes=self._c1.nbytes if self._c1 is not None else 0,
+            reads=self._m01.read_calls,
+            seeks=self._m01.seeks,
         )
         self._m01 = None
         consumed_extra = self._m01_extra
@@ -986,6 +984,8 @@ class BLSM:
             "merge_finish",
             level="c1c2",
             output_bytes=self._c2.nbytes if self._c2 is not None else 0,
+            reads=self._m12.read_calls,
+            seeks=self._m12.seeks,
         )
         self._c1_prime = None
         self._m12 = None

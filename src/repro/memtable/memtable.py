@@ -143,6 +143,11 @@ class MemTable:
         pair = self._tree.ceiling(key)
         return pair[0] if pair else None
 
+    def ceiling(self, key: bytes) -> Record | None:
+        """The record of the smallest resident key >= ``key``, or ``None``."""
+        pair = self._tree.ceiling(key)
+        return pair[1] if pair else None
+
     def __iter__(self) -> Iterator[Record]:
         for _, record in self._tree:
             yield record

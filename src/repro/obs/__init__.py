@@ -32,6 +32,7 @@ from repro.obs.summary import (
     format_device_summary,
     format_fault_summary,
     format_layout_summary,
+    format_memory_summary,
     format_shard_summary,
     format_summary,
     format_version_summary,
@@ -69,6 +70,7 @@ __all__ = [
     "format_device_summary",
     "format_fault_summary",
     "format_layout_summary",
+    "format_memory_summary",
     "format_shard_summary",
     "format_summary",
     "format_version_summary",

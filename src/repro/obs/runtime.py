@@ -65,7 +65,9 @@ class EngineRuntime:
         ends at the furthest device horizon, since background work can be
         queued beyond the foreground clock.  ``backlog_seconds`` is how
         far each device's horizon is ahead of the clock right now — the
-        queue depth, expressed in time.
+        queue depth, expressed in time.  ``sequential_efficiency`` is the
+        share of busy time spent transferring rather than positioning
+        (from the device's own ``IOStats``, kept with observability off).
         """
         elapsed = max(
             [self.clock.now] + [disk.busy_until for disk in self.disks]
@@ -88,6 +90,7 @@ class EngineRuntime:
                         f"{prefix}.bg_wait_seconds"
                     ),
                     "utilization": busy / elapsed if elapsed > 0 else 0.0,
+                    "sequential_efficiency": disk.stats.sequential_efficiency,
                     "backlog_seconds": max(
                         0.0, disk.busy_until - self.clock.now
                     ),

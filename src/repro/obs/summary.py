@@ -156,8 +156,10 @@ def format_device_summary(runtime: Any) -> list[str]:
 
     One row per registered device: how busy it was over the observation
     window, how that busy time splits between synchronous foreground
-    service and background merge work, and how long foreground requests
-    queued behind the device's busy horizon.
+    service and background merge work, how long foreground requests
+    queued behind the device's busy horizon, and ``seq eff``: the share
+    of busy time spent transferring rather than positioning (is this
+    device streaming or seeking?).
     """
     rows = runtime.device_summary()
     if not rows:
@@ -165,7 +167,7 @@ def format_device_summary(runtime: Any) -> list[str]:
     lines = ["devices (foreground vs background):"]
     lines.append(
         f"  {'device':16s} {'util':>6s} {'fg busy':>10s} {'bg busy':>10s} "
-        f"{'fg wait':>10s} {'backlog':>10s}"
+        f"{'fg wait':>10s} {'backlog':>10s} {'seq eff':>8s}"
     )
     for row in rows:
         lines.append(
@@ -174,8 +176,27 @@ def format_device_summary(runtime: Any) -> list[str]:
             f"{row['fg_busy_seconds'] * 1e3:8.2f}ms "
             f"{row['bg_busy_seconds'] * 1e3:8.2f}ms "
             f"{row['fg_wait_seconds'] * 1e3:8.2f}ms "
-            f"{row['backlog_seconds'] * 1e3:8.2f}ms"
+            f"{row['backlog_seconds'] * 1e3:8.2f}ms "
+            f"{row['sequential_efficiency'] * 100:7.1f}%"
         )
+    return lines
+
+
+def format_memory_summary(engine: Any) -> list[str]:
+    """RAM the tree holds, by role (Appendix A), for the CLI.
+
+    ``merge_buffers`` is what the merges open right now hold: one
+    streaming-size read-ahead per input stream plus a write-behind unit
+    each.  Empty for engines whose tree has no ``memory_footprint``.
+    """
+    footprint = getattr(
+        getattr(engine, "tree", engine), "memory_footprint", None
+    )
+    if footprint is None:
+        return []
+    lines = ["memory (RAM by role):"]
+    for role, nbytes in footprint().items():
+        lines.append(f"  {role:14s} {nbytes / 1e6:9.3f}MB")
     return lines
 
 

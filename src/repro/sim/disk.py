@@ -76,6 +76,17 @@ class DiskModel:
     seq_read_bandwidth: float
     seq_write_bandwidth: float
 
+    @property
+    def streaming_read_bytes(self) -> float:
+        """The least a read must move to count as *streaming*.
+
+        Twice what the device transfers in one positioning time, so
+        positioning costs at most a third of the access.  Every
+        sequential reader (merge inputs, recovery scans) reads runs of
+        this size; measured alternatives are in docs/simulation.md.
+        """
+        return 2 * self.read_access_seconds * self.seq_read_bandwidth
+
     @classmethod
     def hdd(cls) -> "DiskModel":
         """Two 10K RPM enterprise SATA drives in RAID 0 (Section 5.1).
@@ -253,7 +264,7 @@ class SimDisk:
             return 0.0
         timeline = self.clock.active_timeline
         issue_at = timeline.now if timeline is not None else self.clock.now
-        end, _service, _wait = self._service_at(
+        end, _wait, _seeked = self._service_at(
             issue_at,
             offset,
             nbytes,
@@ -277,9 +288,9 @@ class SimDisk:
         bandwidth: float,
         is_write: bool,
         background: bool,
-    ) -> tuple[float, float, float]:
+    ) -> tuple[float, float, bool]:
         """Book one access issued at ``issue_at``; return
-        ``(end_time, service, queue_wait)``.
+        ``(end_time, queue_wait, seeked)``.
 
         Advances the device horizon and all counters but *no* clock or
         timeline — the caller decides whose timeline completion lands on
@@ -291,6 +302,7 @@ class SimDisk:
         if not sequential:
             service += access_seconds
             self.stats.seeks += 1
+            self.stats.seek_seconds += access_seconds
         start = max(issue_at, self.busy_until)
         wait = start - issue_at
         end = start + service
@@ -348,7 +360,7 @@ class SimDisk:
                     background=background,
                 )
             )
-        return end, service, wait
+        return end, wait, not sequential
 
     def _charge_wasted(self, seconds: float) -> None:
         """Charge extra device time (injected faults) to the requester."""
@@ -358,6 +370,11 @@ class SimDisk:
         else:
             self.clock.advance(seconds)
         self.stats.busy_seconds += seconds
+
+    @property
+    def streaming_read_bytes(self) -> float:
+        """This device's streaming-read unit (see :class:`DiskModel`)."""
+        return self.model.streaming_read_bytes
 
     def sync_barrier(self) -> None:
         """Forget head-sequentiality after a durability barrier.
@@ -477,11 +494,10 @@ class StripedDisk(SimDisk):
         background = timeline is not None
         issue_at = timeline.now if background else self.clock.now
         end = issue_at
-        service_sum = 0.0
         wait_max = 0.0
-        seeks_before = sum(m.stats.seeks for m in self.members)
+        seeked = 0
         for member, member_offset, span in self._split(offset, nbytes):
-            sub_end, sub_service, sub_wait = self.members[member]._service_at(
+            sub_end, sub_wait, sub_seeked = self.members[member]._service_at(
                 issue_at,
                 member_offset,
                 span,
@@ -491,15 +507,17 @@ class StripedDisk(SimDisk):
                 background=background,
             )
             end = max(end, sub_end)
-            service_sum += sub_service
+            seeked += sub_seeked
             wait_max = max(wait_max, sub_wait)
         self.busy_until = max(self.busy_until, end)
         # Aggregate accounting: the array was "busy" for the access's
-        # critical path; seeks count member head repositionings.
-        seeked = sum(m.stats.seeks for m in self.members) - seeks_before
+        # critical path; seeks count member head repositionings, which
+        # happen in parallel (one positioning time on the critical path).
         latency = end - issue_at
         service = latency - wait_max  # critical-path service time
         self.stats.seeks += seeked
+        if seeked:
+            self.stats.seek_seconds += min(access_seconds, service)
         if is_write:
             self.stats.write_ops += 1
             self.stats.bytes_written += nbytes
@@ -557,6 +575,11 @@ class StripedDisk(SimDisk):
         else:
             self.clock.advance_to(end)
         return latency
+
+    @property
+    def streaming_read_bytes(self) -> float:
+        """A streaming read keeps every member streaming at once."""
+        return len(self.members) * self.model.streaming_read_bytes
 
     def sync_barrier(self) -> None:
         """A barrier drains every member's queue (see base class)."""

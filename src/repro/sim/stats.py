@@ -22,6 +22,9 @@ class IOStats:
         bytes_read: total bytes transferred from the device.
         bytes_written: total bytes transferred to the device.
         busy_seconds: total virtual time the device spent servicing I/O.
+        seek_seconds: the share of ``busy_seconds`` spent positioning
+            the head; the rest transferred bytes (a device that streams
+            keeps this share small).
         bg_busy_seconds: the share of ``busy_seconds`` issued from a
             background :class:`~repro.sim.clock.Timeline` (merge work);
             the remainder was synchronous foreground service.
@@ -38,6 +41,7 @@ class IOStats:
     bytes_read: int = 0
     bytes_written: int = 0
     busy_seconds: float = 0.0
+    seek_seconds: float = 0.0
     bg_busy_seconds: float = 0.0
     queue_wait_seconds: float = 0.0
     fg_wait_seconds: float = 0.0
@@ -54,6 +58,17 @@ class IOStats:
                 for f in fields(self)
             }
         )
+
+    @property
+    def sequential_efficiency(self) -> float:
+        """Share of busy time spent transferring rather than positioning.
+
+        Near 1.0 the device streams; near 0.0 it seeks.  An idle device
+        has wasted nothing and reports 1.0.
+        """
+        if self.busy_seconds <= 0.0:
+            return 1.0
+        return 1.0 - self.seek_seconds / self.busy_seconds
 
     @property
     def total_bytes(self) -> int:

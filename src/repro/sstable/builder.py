@@ -3,8 +3,9 @@
 A builder receives records in strictly increasing key order (merges emit
 them that way), packs them into blocks, and writes blocks sequentially
 into contiguous extents from the region allocator.  Output I/O is buffered
-and flushed in multi-page chunks, so component construction is charged as
-sequential bandwidth — the defining property of log-structured writes.
+and written behind ``WRITE_BEHIND_PAGES`` at a time, so component
+construction is charged as sequential bandwidth — the defining property
+of log-structured writes.
 
 Blocks are dense.  A block grows until its records reach one page; from
 then on it owns ``ceil(bytes / page_size)`` pages and keeps accepting
@@ -17,7 +18,9 @@ block's last page.
 The Bloom filter is sized up front from the expected key count (the merge
 knows its inputs' key counts; Section 4.4.3: "we track the number of keys
 in each tree component, and size the Bloom filter for a false positive
-rate below 1%").
+rate below 1%").  A build whose input grows while it runs (a snowshovel
+pass) passes ``bloom_keys``, the keys it plans for, which sizes the
+filter only: ``expected_keys`` also sizes the extent reservation.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from repro.errors import StorageError
 from repro.records import Record
 from repro.sstable.reader import Block, SSTable
 from repro.storage.region import Extent
-from repro.storage.stasis import Stasis
+from repro.storage.stasis import WRITE_BEHIND_PAGES, Stasis
 
 _CONTINUATION = ("cont",)  # payload of pages 2..n of a multi-page block
 _MIN_EXTENT_PAGES = 16
@@ -46,8 +49,8 @@ class SSTableBuilder:
         expected_keys: int | None = None,
         with_bloom: bool = True,
         bloom_false_positive_rate: float = 0.01,
-        flush_chunk_pages: int = 64,
         compression_ratio: float = 1.0,
+        bloom_keys: int | None = None,
     ) -> None:
         if not 0.0 < compression_ratio <= 1.0:
             raise ValueError(
@@ -55,7 +58,6 @@ class SSTableBuilder:
             )
         self._stasis = stasis
         self._tree_id = tree_id
-        self._flush_chunk_pages = flush_chunk_pages
         self._page_size = stasis.page_size
         # Rose-style column compression (Section 6): records occupy
         # ratio * size on disk, shrinking merge bandwidth by a constant
@@ -64,7 +66,7 @@ class SSTableBuilder:
         self._compression_ratio = compression_ratio
         self._bloom: BloomFilter | None = None
         if with_bloom:
-            capacity = expected_keys if expected_keys else 1024
+            capacity = bloom_keys or expected_keys or 1024
             self._bloom = BloomFilter.for_capacity(
                 max(64, capacity), bloom_false_positive_rate
             )
@@ -201,7 +203,7 @@ class SSTableBuilder:
             self._pending.append((first_page + i, _CONTINUATION))
         self._current = []
         self._current_bytes = 0
-        if len(self._pending) >= self._flush_chunk_pages:
+        if len(self._pending) >= WRITE_BEHIND_PAGES:
             self._flush_pending()
 
     def _reserve(self, npages: int) -> int:

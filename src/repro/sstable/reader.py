@@ -9,9 +9,10 @@ exactly one block read: one seek plus the block's pages.
 Two read paths exist:
 
 * ``get``/``scan`` go through the buffer manager (application reads).
-* ``iter_records`` bypasses the buffer manager and reads page runs in
-  large chunks (merge reads; the paper pins merge pages separately from
-  the application cache and batches iterator operations, Section 4.4.1).
+* ``iter_records`` bypasses the buffer manager and reads page runs of
+  the device's streaming size (merge reads; the paper pins merge pages
+  separately from the application cache and batches iterator
+  operations, Section 4.4.1).
 """
 
 from __future__ import annotations
@@ -229,13 +230,15 @@ class SSTable:
         for block in group:
             yield payloads[block.first_page_id - first]
 
-    def iter_records(self, chunk_pages: int = 64) -> Iterator[Record]:
-        """Yield all records in order, reading page runs in large chunks.
+    def iter_records(self) -> Iterator[Record]:
+        """Yield all records in order, reading streaming-size page runs.
 
         This is the merge read path: it bypasses the buffer manager so
-        merges do not evict the application's working set, and it batches
-        contiguous pages so merge reads are charged as sequential I/O.
+        merges do not evict the application's working set, and it reads
+        contiguous pages ``Stasis.streaming_pages`` at a time, so the
+        device spends most of each access transferring, not positioning.
         """
+        run_pages = self._stasis.streaming_pages
         pending: list[Block] = []
         pending_pages = 0
         for block in self.blocks:
@@ -244,7 +247,7 @@ class SSTable:
                 or pending[-1].first_page_id + pending[-1].npages
                 == block.first_page_id
             )
-            if pending and (not contiguous or pending_pages >= chunk_pages):
+            if pending and (not contiguous or pending_pages >= run_pages):
                 yield from self._drain_chunk(pending)
                 pending, pending_pages = [], 0
             pending.append(block)

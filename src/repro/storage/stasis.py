@@ -24,6 +24,7 @@ manager and merge I/O.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 from repro.errors import RecoveryError
@@ -41,6 +42,14 @@ from repro.storage.region import RegionAllocator
 from repro.storage.wal import WriteAheadLog
 
 _MANIFEST_KIND = "manifest"
+
+WRITE_BEHIND_PAGES = 64
+"""Pages a component builder buffers before one sequential write.
+
+Fixed, not derived from the device: this unit is the lump of device time
+a foreground write can queue behind (3.5 ms on the HDD model), so it sets
+the write-latency tail; docs/simulation.md has the measurement.
+"""
 
 
 class Stasis:
@@ -129,6 +138,13 @@ class Stasis:
             else None
         )
         self.pagefile = PageFile(self.data_disk, page_size, retry=self.retry)
+        self.streaming_pages = max(
+            WRITE_BEHIND_PAGES,
+            math.ceil(self.data_disk.streaming_read_bytes / page_size),
+        )
+        """Pages per read of a sequential reader (merge inputs, recovery
+        scans): the data device's streaming unit, never less than what
+        the builder writes behind."""
         self.buffer = BufferManager(
             self.pagefile, buffer_pool_pages, eviction_policy, runtime=runtime
         )
@@ -212,5 +228,7 @@ class Stasis:
             "log_utilization": (
                 log.busy_seconds / elapsed if elapsed > 0 else 0.0
             ),
+            "data_sequential_efficiency": data.sequential_efficiency,
+            "log_sequential_efficiency": log.sequential_efficiency,
             "buffer_hit_rate": self.buffer.hit_rate,
         }

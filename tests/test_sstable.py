@@ -101,7 +101,7 @@ def test_scan_unbounded_tail(stasis):
 
 def test_iter_records_complete_and_sorted(stasis):
     table = build(stasis, n=300)
-    records = list(table.iter_records(chunk_pages=8))
+    records = list(table.iter_records())
     assert len(records) == 300
     assert [r.key for r in records] == sorted(r.key for r in records)
 
@@ -109,8 +109,8 @@ def test_iter_records_complete_and_sorted(stasis):
 def test_iter_records_is_sequential_io(stasis):
     table = build(stasis, n=500)
     seeks = stasis.data_disk.stats.seeks
-    list(table.iter_records(chunk_pages=64))
-    # A handful of chunked reads over one extent: few seeks, not per-page.
+    list(table.iter_records())
+    # Streaming-size reads over one extent: few seeks, not per-page.
     assert stasis.data_disk.stats.seeks - seeks <= 4
 
 
