@@ -32,11 +32,11 @@ from repro.ycsb import WorkloadSpec, load_phase, run_workload
 
 # The skew scenario runs at data : RAM = 3.3 : 1 instead of 5 : 1.  A
 # partitioned tree commits one manifest per partition merge; with dense
-# blocks and streaming merge reads a merge costs little device time,
-# and at the default C0 those commits cost more log time than the merge
-# I/O partitioning saves (14971 vs 18590 ops/s while write amplification
-# still wins 1.27 vs 1.99).  A C0 half again as large makes the run
-# merge-bound again.
+# blocks and streaming merge reads and writes a merge costs little
+# device time, and at the default C0 those commits cost more log time
+# than the merge I/O partitioning saves (16474 vs 22508 ops/s while write
+# amplification still wins 1.47 vs 2.15).  A C0 half again as large
+# makes the run merge-bound again.
 SKEW_SCALE = Scale(memory_bytes=960 * KIB)
 
 

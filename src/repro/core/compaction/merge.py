@@ -2,7 +2,8 @@
 
 A :class:`PolicyMergeJob` is the policy-agnostic worker: it k-way merges
 its input runs (newest first, so version resolution is positional) into
-one new sorted run, consuming input in byte-budgeted steps exactly like
+one new sorted run, consuming input in byte-budgeted steps of at most
+one data-device access each, exactly like
 :class:`repro.core.merge.MergeProcess` — which is what lets the existing
 merge schedulers pace policy trees unchanged.  The inputs stay readable
 in their levels until the job finishes; the tree then installs the
@@ -17,6 +18,7 @@ from repro.core.progress import inprogress
 from repro.sstable.builder import SSTableBuilder
 from repro.sstable.iterator import kway_merge, merge_records
 from repro.sstable.reader import SSTable
+from repro.storage.stasis import WAIT, StepGate
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.compaction.policy import MergePlan
@@ -46,10 +48,15 @@ class PolicyMergeJob:
         self.output: SSTable | None = None
         self.done = False
         self._stats = stasis.data_disk.stats
-        self.read_calls = 0  # data-device reads this job issued
-        self.seeks = 0  # head repositionings its reads and writes caused
+        # Data-device accesses this job issued and the head
+        # repositionings among them (``seeks``: reads and writes).
+        self.read_calls = 0
+        self.seeks = 0
+        self.write_calls = 0
+        self.write_seeks = 0
+        self._gate = gate = StepGate(self._stats)
         self._groups = kway_merge(
-            [table.iter_records() for table in self.inputs]
+            [table.iter_records(gate) for table in self.inputs]
         )
         self._builder = SSTableBuilder(
             stasis,
@@ -59,6 +66,7 @@ class PolicyMergeJob:
             with_bloom=options.with_bloom_filters,
             bloom_false_positive_rate=options.bloom_false_positive_rate,
             compression_ratio=options.compression_ratio,
+            gate=gate,
         )
 
     @property
@@ -69,13 +77,23 @@ class PolicyMergeJob:
         return inprogress(self.bytes_read, self.input_bytes)
 
     def step(self, budget_bytes: int) -> int:
-        """Consume up to ``budget_bytes`` of input; return bytes consumed."""
+        """Consume up to ``budget_bytes`` of input; return bytes consumed.
+
+        One data-device access per step, and 1 for a step that only
+        fetched an input's head (opening ``k`` runs takes ``k`` steps),
+        as in :meth:`repro.core.merge.MergeProcess.step`.
+        """
         if self.done or budget_bytes <= 0:
             return 0
-        reads, seeks = self._stats.read_ops, self._stats.seeks
+        stats = self._stats
+        reads, writes = stats.read_ops, stats.write_ops
+        seeks, write_seeks = stats.seeks, stats.write_seeks
+        self._gate.open()
         consumed = 0
         while consumed < budget_bytes:
             group = next(self._groups, None)
+            if group is WAIT:
+                break
             if group is None:
                 self.output = self._builder.finish()
                 self.done = True
@@ -85,6 +103,10 @@ class PolicyMergeJob:
             if merged is not None:
                 self._builder.add(merged)
         self.bytes_read += consumed
-        self.read_calls += self._stats.read_ops - reads
-        self.seeks += self._stats.seeks - seeks
+        self.read_calls += stats.read_ops - reads
+        self.write_calls += stats.write_ops - writes
+        self.seeks += stats.seeks - seeks
+        self.write_seeks += stats.write_seeks - write_seeks
+        if consumed == 0 and not self.done:
+            return 1
         return consumed

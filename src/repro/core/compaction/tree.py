@@ -150,6 +150,8 @@ class CompactionTree:
                 inprogress=job.inprogress,
                 reads=job.read_calls,
                 seeks=job.seeks,
+                writes=job.write_calls,
+                write_seeks=job.write_seeks,
             )
 
     # ------------------------------------------------------------------
@@ -499,6 +501,8 @@ class CompactionTree:
             output_bytes=job.output.nbytes if job.output is not None else 0,
             reads=job.read_calls,
             seeks=job.seeks,
+            writes=job.write_calls,
+            write_seeks=job.write_seeks,
         )
         self.stasis.commit_manifest(self._manifest())
         self._merge_epoch += 1  # historical: scans now pin snapshots

@@ -5,7 +5,10 @@ new on-disk component, a bounded number of bytes at a time, so the
 scheduler can interleave merge work with application writes.  In the
 paper these are threads rate-limited by the scheduler; on the virtual
 clock the same rate coupling is expressed by calling ``step`` with a byte
-budget.
+budget.  A step also gets only one data-device access
+(:class:`~repro.storage.stasis.StepGate`), so whatever runs the step (an
+application write, a background dispatch) pays for at most one streaming
+unit of device time.
 
 The newer source is either a :class:`SnowshovelSource` draining the live
 memtable (Section 4.2) or a :class:`FrozenSource` over a frozen C0'/C1'
@@ -23,7 +26,7 @@ from repro.records import Record
 from repro.sstable.builder import SSTableBuilder
 from repro.sstable.iterator import merge_records
 from repro.sstable.reader import SSTable
-from repro.storage.stasis import WRITE_BEHIND_PAGES, Stasis
+from repro.storage.stasis import WAIT, Stasis, StepGate
 
 
 class RecordSource(Protocol):
@@ -48,18 +51,35 @@ class EmptySource:
         raise StopIteration("empty source")
 
 
+class _AccessDeferred(Exception):
+    """An input needs the device and this step's one access is spent."""
+
+
 class FrozenSource:
-    """Drains an immutable snapshot: a frozen memtable or an SSTable."""
+    """Drains an immutable snapshot: a frozen memtable or an SSTable.
+
+    Nothing is fetched before the first ``peek``.  A gated SSTable stream
+    (``SSTable.iter_records(gate)``) answers ``WAIT`` when its next run
+    must wait for the merge's next step; the head then stays unfetched
+    and ``peek`` raises :class:`_AccessDeferred` until the read happens.
+    """
 
     def __init__(self, records) -> None:
         self._iterator = iter(records)
-        self._head: Record | None = next(self._iterator, None)
+        self._head: Record | None = WAIT
 
     def peek(self) -> Record | None:
-        return self._head
+        head = self._head
+        if head is WAIT:
+            head = self._head = next(self._iterator, None)
+            if head is WAIT:
+                raise _AccessDeferred
+        return head
 
     def pop(self) -> Record:
         record = self._head
+        if record is WAIT:
+            record = self.peek()
         if record is None:
             raise StopIteration("source exhausted")
         self._head = next(self._iterator, None)
@@ -150,10 +170,11 @@ class MergeProcess:
         bloom_keys: int | None = None,
     ) -> None:
         self._stasis = stasis
-        self._stats = stats = stasis.data_disk.stats
-        reads, seeks = stats.read_ops, stats.seeks
+        self._stats = stasis.data_disk.stats
+        self._gate = StepGate(self._stats)
         # On-disk inputs are read as streams (``SSTable.iter_records``);
-        # each holds one streaming-size run of its pages in RAM.
+        # each holds one streaming-size run of its pages in RAM.  A
+        # stream reads nothing until ``step`` first peeks it.
         self._readahead_pages = 0
         if isinstance(newer, SSTable):
             newer = self._open_stream(newer)
@@ -161,10 +182,13 @@ class MergeProcess:
         self._older: RecordSource = (
             self._open_stream(older) if older is not None else EmptySource()
         )
-        # Data-device reads this pass issued, and head repositionings
-        # its reads and writes caused (opening a stream reads its head).
-        self.read_calls = stats.read_ops - reads
-        self.seeks = stats.seeks - seeks
+        # Data-device accesses this pass issued, and the head
+        # repositionings among them, from ``IOStats`` deltas around
+        # ``step``.
+        self.read_calls = 0
+        self.seeks = 0  # repositionings by reads and writes together
+        self.write_calls = 0
+        self.write_seeks = 0
         self._with_bloom = with_bloom
         self._bloom_fpr = bloom_false_positive_rate
         self._expected_keys = expected_keys
@@ -213,33 +237,51 @@ class MergeProcess:
         """Pages of RAM the merge holds while it runs (Appendix A).
 
         One streaming-size read-ahead per on-disk input stream plus the
-        builder's write-behind unit.
+        builder's write-behind, which is the same unit.
         """
         if self.done:
             return 0
-        return self._readahead_pages + WRITE_BEHIND_PAGES
+        return self._readahead_pages + self._stasis.streaming_pages
 
     def step(self, budget_bytes: int) -> int:
         """Consume up to ``budget_bytes`` of input; return bytes consumed.
 
+        The step gets one data-device access (an input stream reading its
+        next run, or the builder writing one behind) and ends early only
+        when an input needs a second one; a write-behind that comes due
+        after the access waits in the builder instead.  The step that
+        starts a merge of two on-disk inputs fetches one head and cannot
+        consume yet: it returns 1, so that 0 keeps meaning "could not
+        run" to every caller.
+
         Completing the merge (building the output component) happens
-        automatically when both sources drain.
+        automatically when both sources drain; closing an output flushes
+        its tail whatever the step has already touched.
         """
-        if self.done:
+        if self.done or budget_bytes <= 0:
             return 0
         stats = self._stats
-        reads, seeks = stats.read_ops, stats.seeks
+        reads, writes = stats.read_ops, stats.write_ops
+        seeks, write_seeks = stats.seeks, stats.write_seeks
+        self._gate.open()
         consumed = 0
-        while consumed < budget_bytes:
-            newer_head = self._newer.peek()
-            older_head = self._older.peek()
-            if newer_head is None and older_head is None:
-                self._complete()
-                break
-            consumed += self._emit_next(newer_head, older_head)
+        try:
+            while consumed < budget_bytes:
+                newer_head = self._newer.peek()
+                older_head = self._older.peek()
+                if newer_head is None and older_head is None:
+                    self._complete()
+                    break
+                consumed += self._emit_next(newer_head, older_head)
+        except _AccessDeferred:
+            pass
         self.bytes_read += consumed
         self.read_calls += stats.read_ops - reads
+        self.write_calls += stats.write_ops - writes
         self.seeks += stats.seeks - seeks
+        self.write_seeks += stats.write_seeks - write_seeks
+        if consumed == 0 and not self.done and not self._gate.clear:
+            return 1
         return consumed
 
     def run_to_completion(self) -> int:
@@ -294,7 +336,7 @@ class MergeProcess:
 
     def _open_stream(self, table: SSTable) -> FrozenSource:
         self._readahead_pages += min(self._stasis.streaming_pages, table.npages)
-        return FrozenSource(table.iter_records())
+        return FrozenSource(table.iter_records(self._gate))
 
     def _new_builder(self, tree_id: int, expected_bytes: int) -> SSTableBuilder:
         return SSTableBuilder(
@@ -306,6 +348,7 @@ class MergeProcess:
             bloom_false_positive_rate=self._bloom_fpr,
             compression_ratio=self._compression_ratio,
             bloom_keys=self._bloom_keys,
+            gate=self._gate,
         )
 
     def _rotate_builder(self) -> None:

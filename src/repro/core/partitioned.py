@@ -365,6 +365,8 @@ class PartitionedBLSM:
                     inprogress=process.inprogress,
                     reads=process.read_calls,
                     seeks=process.seeks,
+                    writes=process.write_calls,
+                    write_seeks=process.write_seeks,
                 )
         if timeline is None and process.done:
             self._finish_merge(partition, process)
@@ -565,6 +567,8 @@ class PartitionedBLSM:
             partition=partition.lo.hex(),
             reads=process.read_calls,
             seeks=process.seeks,
+            writes=process.write_calls,
+            write_seeks=process.write_seeks,
         )
         if process is partition.m01:
             old_c1 = partition.c1

@@ -177,6 +177,8 @@ class BLSM:
                 inprogress=merge.inprogress,
                 reads=merge.read_calls,
                 seeks=merge.seeks,
+                writes=merge.write_calls,
+                write_seeks=merge.write_seeks,
             )
 
     # ------------------------------------------------------------------
@@ -674,8 +676,8 @@ class BLSM:
         component; ``bloom`` their filters (~1.25 bytes/key at a 1 %
         FPR); ``c0`` the memtable payload; ``cache`` the buffer pool's
         configured capacity in bytes; ``merge_buffers`` what the running
-        merges hold: one streaming-size read-ahead per open input
-        stream and one write-behind unit per merge.
+        merges hold: one streaming unit of read-ahead per open input
+        stream and one of write-behind per running builder.
         """
         index = 0
         bloom = 0
@@ -955,6 +957,8 @@ class BLSM:
             output_bytes=self._c1.nbytes if self._c1 is not None else 0,
             reads=self._m01.read_calls,
             seeks=self._m01.seeks,
+            writes=self._m01.write_calls,
+            write_seeks=self._m01.write_seeks,
         )
         self._m01 = None
         consumed_extra = self._m01_extra
@@ -986,6 +990,8 @@ class BLSM:
             output_bytes=self._c2.nbytes if self._c2 is not None else 0,
             reads=self._m12.read_calls,
             seeks=self._m12.seeks,
+            writes=self._m12.write_calls,
+            write_seeks=self._m12.write_seeks,
         )
         self._c1_prime = None
         self._m12 = None

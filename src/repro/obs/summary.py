@@ -93,11 +93,29 @@ def merge_seconds_by_level(events: Iterable[TraceEvent]) -> dict[str, float]:
     return seconds
 
 
+_MERGE_IO_FIELDS = ("reads", "seeks", "writes", "write_seeks")
+
+
+def merge_io_by_level(events: Iterable[TraceEvent]) -> dict[str, list[int]]:
+    """Per level: finished passes, then their data-device ``reads``,
+    ``seeks``, ``writes`` and ``write_seeks`` (from finish events)."""
+    totals: dict[str, list[int]] = {}
+    for event in events:
+        if event.etype == "merge_finish":
+            row = totals.setdefault(
+                str(event.get("level", "?")), [0] * (1 + len(_MERGE_IO_FIELDS))
+            )
+            row[0] += 1
+            for i, name in enumerate(_MERGE_IO_FIELDS, start=1):
+                row[i] += int(event.get(name, 0))
+    return totals
+
+
 def summarize_trace(events: Iterable[TraceEvent]) -> dict[str, Any]:
     """Aggregate a trace into the numbers the CLI prints.
 
     Returns event counts by type, reconstructed stalls with their
-    causes, and per-level merge time.
+    causes, and per-level merge time and merge I/O.
     """
     events = list(events)
     counts: TallyCounter[str] = TallyCounter(e.etype for e in events)
@@ -108,6 +126,7 @@ def summarize_trace(events: Iterable[TraceEvent]) -> dict[str, Any]:
         "stalls": stalls,
         "stall_causes": stall_causes(stalls),
         "merge_seconds": merge_seconds_by_level(events),
+        "merge_io": merge_io_by_level(events),
         "span": (
             (events[0].time, events[-1].time) if events else (0.0, 0.0)
         ),
@@ -148,6 +167,19 @@ def format_summary(events: Iterable[TraceEvent]) -> list[str]:
             lines.append(
                 f"  {level:24s} {merge_seconds[level] * 1e3:10.2f} ms"
             )
+    merge_io: dict[str, list[int]] = summary["merge_io"]
+    if merge_io:
+        lines.append("merge I/O by level (finished passes, data device):")
+        lines.append(
+            f"  {'level':8s} {'passes':>7s} {'reads':>7s} {'seeks':>7s} "
+            f"{'writes':>7s} {'write seeks':>12s}"
+        )
+        for level in sorted(merge_io):
+            passes, reads, seeks, writes, write_seeks = merge_io[level]
+            lines.append(
+                f"  {level:8s} {passes:>7d} {reads:>7d} {seeks:>7d} "
+                f"{writes:>7d} {write_seeks:>12d}"
+            )
     return lines
 
 
@@ -186,8 +218,9 @@ def format_memory_summary(engine: Any) -> list[str]:
     """RAM the tree holds, by role (Appendix A), for the CLI.
 
     ``merge_buffers`` is what the merges open right now hold: one
-    streaming-size read-ahead per input stream plus a write-behind unit
-    each.  Empty for engines whose tree has no ``memory_footprint``.
+    streaming unit of read-ahead per input stream plus one of
+    write-behind per builder.  Empty for engines whose tree has no
+    ``memory_footprint``.
     """
     footprint = getattr(
         getattr(engine, "tree", engine), "memory_footprint", None

@@ -302,6 +302,7 @@ class SimDisk:
         if not sequential:
             service += access_seconds
             self.stats.seeks += 1
+            self.stats.write_seeks += is_write
             self.stats.seek_seconds += access_seconds
         start = max(issue_at, self.busy_until)
         wait = start - issue_at
@@ -494,8 +495,9 @@ class StripedDisk(SimDisk):
         background = timeline is not None
         issue_at = timeline.now if background else self.clock.now
         end = issue_at
-        wait_max = 0.0
+        wait = 0.0
         seeked = 0
+        first_wait: dict[int, float] = {}
         for member, member_offset, span in self._split(offset, nbytes):
             sub_end, sub_wait, sub_seeked = self.members[member]._service_at(
                 issue_at,
@@ -506,30 +508,37 @@ class StripedDisk(SimDisk):
                 is_write,
                 background=background,
             )
-            end = max(end, sub_end)
             seeked += sub_seeked
-            wait_max = max(wait_max, sub_wait)
+            # A member's later sub-requests queue behind its own first
+            # one; only the first's wait was spent behind other accesses.
+            first_wait.setdefault(member, sub_wait)
+            if sub_end >= end:
+                end = sub_end
+                wait = first_wait[member]
         self.busy_until = max(self.busy_until, end)
         # Aggregate accounting: the array was "busy" for the access's
-        # critical path; seeks count member head repositionings, which
-        # happen in parallel (one positioning time on the critical path).
+        # critical path — the member that finished last, from the start
+        # of its first sub-request to the end of its last; seeks count
+        # member head repositionings, which happen in parallel (one
+        # positioning time on the critical path).
         latency = end - issue_at
-        service = latency - wait_max  # critical-path service time
+        service = latency - wait
         self.stats.seeks += seeked
         if seeked:
             self.stats.seek_seconds += min(access_seconds, service)
         if is_write:
+            self.stats.write_seeks += seeked
             self.stats.write_ops += 1
             self.stats.bytes_written += nbytes
         else:
             self.stats.read_ops += 1
             self.stats.bytes_read += nbytes
         self.stats.busy_seconds += service
-        self.stats.queue_wait_seconds += wait_max
+        self.stats.queue_wait_seconds += wait
         if background:
             self.stats.bg_busy_seconds += service
         else:
-            self.stats.fg_wait_seconds += wait_max
+            self.stats.fg_wait_seconds += wait
         if self._obs:
             if seeked:
                 self._ctr_seeks.inc(seeked)
@@ -542,10 +551,10 @@ class StripedDisk(SimDisk):
             self._ctr_busy.inc(service)
             if background:
                 self._ctr_bg_busy.inc(service)
-                self._ctr_bg_wait.inc(wait_max)
+                self._ctr_bg_wait.inc(wait)
             else:
                 self._ctr_fg_busy.inc(service)
-                self._ctr_fg_wait.inc(wait_max)
+                self._ctr_fg_wait.inc(wait)
             self._gauge_backlog.set(max(0.0, self.busy_until - issue_at))
             self.runtime.trace.emit(
                 "disk_io",
@@ -554,7 +563,7 @@ class StripedDisk(SimDisk):
                 nbytes=nbytes,
                 seek=seeked > 0,
                 busy=service,
-                wait=wait_max,
+                wait=wait,
                 background=background,
             )
         if self._trace is not None:
@@ -566,7 +575,7 @@ class StripedDisk(SimDisk):
                     nbytes=nbytes,
                     seek=seeked > 0,
                     service=service,
-                    wait=wait_max,
+                    wait=wait,
                     background=background,
                 )
             )

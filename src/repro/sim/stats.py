@@ -17,6 +17,8 @@ class IOStats:
 
     Attributes:
         seeks: number of non-sequential accesses (head repositioning).
+        write_seeks: the share of ``seeks`` caused by writes (sequential
+            writers that take turns on one head show up here).
         read_ops: number of read requests serviced.
         write_ops: number of write requests serviced.
         bytes_read: total bytes transferred from the device.
@@ -36,6 +38,7 @@ class IOStats:
     """
 
     seeks: int = 0
+    write_seeks: int = 0
     read_ops: int = 0
     write_ops: int = 0
     bytes_read: int = 0

@@ -3,9 +3,10 @@
 A builder receives records in strictly increasing key order (merges emit
 them that way), packs them into blocks, and writes blocks sequentially
 into contiguous extents from the region allocator.  Output I/O is buffered
-and written behind ``WRITE_BEHIND_PAGES`` at a time, so component
-construction is charged as sequential bandwidth — the defining property
-of log-structured writes.
+and written behind ``Stasis.streaming_pages`` at a time — the unit merge
+inputs are read in — so component construction is charged as sequential
+bandwidth, the defining property of log-structured writes.  Only the
+last write of an extent or of the component is shorter.
 
 Blocks are dense.  A block grows until its records reach one page; from
 then on it owns ``ceil(bytes / page_size)`` pages and keeps accepting
@@ -32,7 +33,7 @@ from repro.errors import StorageError
 from repro.records import Record
 from repro.sstable.reader import Block, SSTable
 from repro.storage.region import Extent
-from repro.storage.stasis import WRITE_BEHIND_PAGES, Stasis
+from repro.storage.stasis import Stasis, StepGate
 
 _CONTINUATION = ("cont",)  # payload of pages 2..n of a multi-page block
 _MIN_EXTENT_PAGES = 16
@@ -51,6 +52,7 @@ class SSTableBuilder:
         bloom_false_positive_rate: float = 0.01,
         compression_ratio: float = 1.0,
         bloom_keys: int | None = None,
+        gate: StepGate | None = None,
     ) -> None:
         if not 0.0 < compression_ratio <= 1.0:
             raise ValueError(
@@ -59,6 +61,11 @@ class SSTableBuilder:
         self._stasis = stasis
         self._tree_id = tree_id
         self._page_size = stasis.page_size
+        self._write_behind_pages = stasis.streaming_pages
+        # A merge's gate puts a write-behind off to the merge's next step
+        # when this step has already touched the device; the buffer then
+        # runs past one unit by at most the step's budget.
+        self._gate = gate
         # Rose-style column compression (Section 6): records occupy
         # ratio * size on disk, shrinking merge bandwidth by a constant
         # factor without affecting reads.  Decompression cost is CPU,
@@ -75,6 +82,7 @@ class SSTableBuilder:
         self._extent_end = 0  # one past the current extent's last page
         self._blocks: list[Block] = []
         self._pending: list[tuple[int, object]] = []  # (page_id, payload)
+        self._pending_breaks = 0  # extent boundaries inside the buffer
         self._current: list[Record] = []
         self._current_bytes = 0
         self._key_count = 0
@@ -133,7 +141,8 @@ class SSTableBuilder:
         self._finished = True
         if self._current:
             self._close_block()
-        self._flush_pending()
+        while self._pending:
+            self._flush_pending()
         if not self._blocks:
             for extent in self._extents:
                 self._stasis.regions.free(extent)
@@ -165,6 +174,7 @@ class SSTableBuilder:
         self._extents = []
         self._blocks = []
         self._pending = []
+        self._pending_breaks = 0
 
     def _pages_for(
         self, expected_bytes: int, expected_keys: int | None
@@ -203,7 +213,13 @@ class SSTableBuilder:
             self._pending.append((first_page + i, _CONTINUATION))
         self._current = []
         self._current_bytes = 0
-        if len(self._pending) >= WRITE_BEHIND_PAGES:
+        # A write-behind is due when a unit is buffered, or when the
+        # buffer has left an extent (that extent's last, short run).
+        gate = self._gate
+        while (
+            len(self._pending) >= self._write_behind_pages
+            or self._pending_breaks
+        ) and (gate is None or gate.clear):
             self._flush_pending()
 
     def _reserve(self, npages: int) -> int:
@@ -211,8 +227,9 @@ class SSTableBuilder:
         if self._next_page + npages > self._extent_end:
             # The block would straddle an extent boundary; waste the tail
             # (it is reclaimed with the extent) and start a fresh extent.
-            self._flush_pending()
             self._grow(max(_MIN_EXTENT_PAGES, npages, self._estimated_growth()))
+            if self._pending and self._pending[-1][0] + 1 != self._next_page:
+                self._pending_breaks += 1
         first = self._next_page
         self._next_page += npages
         return first
@@ -228,20 +245,20 @@ class SSTableBuilder:
         return max(_MIN_EXTENT_PAGES, used // 4)
 
     def _flush_pending(self) -> None:
-        """Write buffered pages, one contiguous run per transfer."""
-        if not self._pending:
-            return
-        run_start = 0
-        for i in range(1, len(self._pending) + 1):
-            end_of_run = i == len(self._pending) or (
-                self._pending[i][0] != self._pending[i - 1][0] + 1
-            )
-            if end_of_run:
-                first_id = self._pending[run_start][0]
-                payloads = [payload for _, payload in self._pending[run_start:i]]
-                self._stasis.pagefile.write_run(first_id, payloads)
-                run_start = i
-        self._pending = []
+        """Write the head of the buffer as one transfer: up to one
+        write-behind unit of pages, ending early at an extent boundary."""
+        pending = self._pending
+        first_id = pending[0][0]
+        limit = min(len(pending), self._write_behind_pages)
+        n = 1
+        while n < limit and pending[n][0] == first_id + n:
+            n += 1
+        if n < len(pending) and pending[n][0] != first_id + n:
+            self._pending_breaks -= 1
+        self._stasis.pagefile.write_run(
+            first_id, [payload for _, payload in pending[:n]]
+        )
+        del pending[:n]
 
     def _trim_tail(self) -> None:
         """Return the unused tail of the final extent to the allocator."""

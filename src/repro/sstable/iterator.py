@@ -14,6 +14,7 @@ import heapq
 from typing import Iterator
 
 from repro.records import Record, fold
+from repro.storage.stasis import WAIT
 
 
 def kway_merge(
@@ -27,12 +28,18 @@ def kway_merge(
 
     Yields:
         For each distinct key (in key order), the list of versions found,
-        newest first.
+        newest first.  A gated source (``SSTable.iter_records(gate)``)
+        may answer :data:`~repro.storage.stasis.WAIT`; the merge passes
+        it on in place of a group and asks that source again when
+        resumed.
     """
     heap: list[tuple[bytes, int, Record]] = []
     iterators = [iter(source) for source in sources]
     for priority, iterator in enumerate(iterators):
         record = next(iterator, None)
+        while record is WAIT:
+            yield WAIT
+            record = next(iterator, None)
         if record is not None:
             heap.append((record.key, priority, record))
     heapq.heapify(heap)
@@ -43,6 +50,9 @@ def kway_merge(
             _, priority, record = heapq.heappop(heap)
             group.append(record)
             successor = next(iterators[priority], None)
+            while successor is WAIT:
+                yield WAIT
+                successor = next(iterators[priority], None)
             if successor is not None:
                 heapq.heappush(heap, (successor.key, priority, successor))
         yield group

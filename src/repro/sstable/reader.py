@@ -25,7 +25,7 @@ from typing import Iterator
 from repro.bloom import BloomFilter
 from repro.records import Record
 from repro.storage.region import Extent
-from repro.storage.stasis import Stasis
+from repro.storage.stasis import WAIT, Stasis, StepGate
 
 
 @dataclass(frozen=True)
@@ -230,13 +230,17 @@ class SSTable:
         for block in group:
             yield payloads[block.first_page_id - first]
 
-    def iter_records(self) -> Iterator[Record]:
+    def iter_records(self, gate: StepGate | None = None) -> Iterator[Record]:
         """Yield all records in order, reading streaming-size page runs.
 
         This is the merge read path: it bypasses the buffer manager so
         merges do not evict the application's working set, and it reads
         contiguous pages ``Stasis.streaming_pages`` at a time, so the
         device spends most of each access transferring, not positioning.
+
+        A merge passes its ``gate``: while the gate is not clear the
+        iterator yields :data:`~repro.storage.stasis.WAIT` instead of
+        reading its next run, and reads it when asked again later.
         """
         run_pages = self._stasis.streaming_pages
         pending: list[Block] = []
@@ -248,12 +252,12 @@ class SSTable:
                 == block.first_page_id
             )
             if pending and (not contiguous or pending_pages >= run_pages):
-                yield from self._drain_chunk(pending)
+                yield from self._drain_chunk(pending, gate)
                 pending, pending_pages = [], 0
             pending.append(block)
             pending_pages += block.npages
         if pending:
-            yield from self._drain_chunk(pending)
+            yield from self._drain_chunk(pending, gate)
 
     def free(self) -> None:
         """Release the component's extents and cached pages.
@@ -282,7 +286,11 @@ class SSTable:
             self._stasis.buffer.get(page_id)  # charge continuation pages
         return records
 
-    def _drain_chunk(self, blocks: list[Block]) -> Iterator[Record]:
+    def _drain_chunk(
+        self, blocks: list[Block], gate: StepGate | None
+    ) -> Iterator[Record]:
+        while gate is not None and not gate.clear:
+            yield WAIT
         first = blocks[0].first_page_id
         count = blocks[-1].first_page_id + blocks[-1].npages - first
         payloads = self._stasis.pagefile.read_run(first, count)

@@ -11,9 +11,10 @@ Three durability modes are supported, matching the paper and contemporary
 practice (Section 4.4.2 and 5.1):
 
 * ``SYNC`` — force the log on every write (commit-latency bound).
-* ``ASYNC`` — size-triggered batching; force when the buffer exceeds a
-  threshold.  This is the paper's benchmark configuration ("none of the
-  systems sync their logs at commit").
+* ``ASYNC`` — size-triggered batching; append the buffer when it exceeds
+  a threshold.  This is the paper's benchmark configuration ("none of
+  the systems sync their logs at commit"), so the append is *not* a
+  durability barrier: the log streams at device bandwidth.
 * ``GROUP`` — leader-based group commit: ``log()`` only stages the
   record; a :class:`~repro.storage.group_commit.GroupCommitQueue` owns
   every force, so concurrent sessions amortize one force across their
@@ -33,6 +34,13 @@ durable-by-contract outcome.  Silent corruption marks on replayed ranges
 raise :class:`~repro.errors.CorruptionError`.  An optional
 :class:`~repro.faults.retry.RetryExecutor` absorbs transient force
 failures with backoff.
+
+Who pays the barrier (:meth:`SimDisk.sync_barrier`, one head positioning
+per call): every SYNC write, every GROUP leader force, and every explicit
+:meth:`LogicalLog.force` (``flush_log``, ``close``) in any mode.  ASYNC's
+size-triggered appends do not; they reposition only when something else
+(a WAL manifest commit, which is always forced) moved the log device's
+head in between.
 """
 
 from __future__ import annotations
@@ -107,7 +115,7 @@ class LogicalLog:
         self._torn: set[int] = set()  # seqnos whose write was torn mid-record
         self._durable_seqno = -1  # highest seqno fully persisted by a force
         self.torn_records_dropped = 0
-        self.forces = 0  # completed non-empty forces (any mode)
+        self.forces = 0  # completed non-empty forces and ASYNC appends
         # A device that never corrupts or tears (plain SimDisk) can never
         # fail read-back verification, so skip the per-append checksum —
         # it sits on the write hot path.  Fault-capable devices pay.
@@ -160,11 +168,15 @@ class LogicalLog:
             # The GroupCommitQueue owns every force; log() only stages.
             return 0.0
         if self._pending_bytes >= self.group_commit_bytes:
-            return self.force()
+            return self.force(sync=False)
         return 0.0
 
-    def force(self) -> float:
+    def force(self, sync: bool = True) -> float:
         """Write buffered records sequentially; return service time.
+
+        ``sync=False`` is ASYNC's size-triggered append: the same write
+        without the durability barrier, so it continues from wherever the
+        log device's head is.
 
         A :class:`~repro.errors.CrashPoint` mid-write models a torn force:
         fully-persisted records stay durable, the straddler stays on disk
@@ -179,7 +191,8 @@ class LogicalLog:
         # positioning even though the log is numerically sequential (see
         # SimDisk.sync_barrier).  This is what makes per-commit syncing
         # access-bound and gives group commit something to amortize.
-        self.disk.sync_barrier()
+        if sync:
+            self.disk.sync_barrier()
         try:
             service = self._write(offset, nbytes)
         except CrashPoint as crash:

@@ -34,6 +34,7 @@ from repro.faults.retry import RetryExecutor, RetryPolicy
 from repro.obs.runtime import EngineRuntime
 from repro.sim.clock import VirtualClock
 from repro.sim.disk import DiskModel, SimDisk, StripedDisk
+from repro.sim.stats import IOStats
 from repro.storage.buffer import BufferManager, EvictionPolicy
 from repro.storage.group_commit import GroupCommitQueue
 from repro.storage.logical_log import DurabilityMode, LogicalLog
@@ -44,12 +45,44 @@ from repro.storage.wal import WriteAheadLog
 _MANIFEST_KIND = "manifest"
 
 WRITE_BEHIND_PAGES = 64
-"""Pages a component builder buffers before one sequential write.
+"""Floor of :attr:`Stasis.streaming_pages`, the one sequential unit.
 
-Fixed, not derived from the device: this unit is the lump of device time
-a foreground write can queue behind (3.5 ms on the HDD model), so it sets
-the write-latency tail; docs/simulation.md has the measurement.
+Readers and writers both move ``streaming_pages`` per access; on a device
+whose positioning is cheap (the SSD model) the derived unit would fall
+below this many pages, and this floor applies instead.
 """
+
+WAIT: Any = object()
+"""What a gated merge input yields instead of a record while the step's
+one data-device access is spent (see :class:`StepGate`)."""
+
+
+class StepGate:
+    """One data-device access per merge step.
+
+    A merge step calls :meth:`open` on entry.  The step's sequential
+    readers and its builder ask :attr:`clear` before each streaming
+    access: the first goes through (and moves the device's counters, so
+    the gate closes by itself), a later one is put off to the next step —
+    an input stream yields :data:`WAIT` instead of reading its next run,
+    the builder keeps buffering.  One step therefore never stacks two
+    streaming units of device time on whoever runs it, and it loses no
+    budget to the access it did make.
+    """
+
+    __slots__ = ("_stats", "_mark")
+
+    def __init__(self, stats: IOStats) -> None:
+        self._stats = stats
+        self._mark = -1
+
+    def open(self) -> None:
+        self._mark = self._stats.read_ops + self._stats.write_ops
+
+    @property
+    def clear(self) -> bool:
+        """Whether the device is untouched since :meth:`open`."""
+        return self._stats.read_ops + self._stats.write_ops == self._mark
 
 
 class Stasis:
@@ -142,9 +175,10 @@ class Stasis:
             WRITE_BEHIND_PAGES,
             math.ceil(self.data_disk.streaming_read_bytes / page_size),
         )
-        """Pages per read of a sequential reader (merge inputs, recovery
-        scans): the data device's streaming unit, never less than what
-        the builder writes behind."""
+        """Pages per access of every sequential reader and writer (merge
+        inputs, recovery scans, the component builder's write-behind):
+        the data device's streaming unit, floored at
+        ``WRITE_BEHIND_PAGES``."""
         self.buffer = BufferManager(
             self.pagefile, buffer_pool_pages, eviction_policy, runtime=runtime
         )

@@ -158,8 +158,9 @@ def test_load_fill_and_padding_guard(value_bytes, min_fill, max_overhead):
     padded = metrics.value("sstable.bytes_padded")
     written = tree.stasis.io_summary()["data_bytes_written"]
     # Nothing else writes the data device; a merge still in flight
-    # holds back at most its 64-page write buffer.
-    assert 0 <= packed + padded - written <= 2 * 64 * PAGE
+    # holds back about one streaming unit of write-behind.
+    unit = tree.stasis.streaming_pages
+    assert 0 <= packed + padded - written <= 2 * unit * PAGE
     assert (packed + padded) / packed <= max_overhead
     view = tree.level_view()
     fills = [run["page_fill"] for level in view["levels"] for run in level]
