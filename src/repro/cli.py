@@ -324,6 +324,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Run a workload and dump or summarize its observability trace."""
     from repro.obs import (
+        format_buffer_summary,
         format_device_summary,
         format_fault_summary,
         format_layout_summary,
@@ -365,6 +366,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         for line in format_layout_summary(engine):
             print(line)
         for line in format_memory_summary(engine):
+            print(line)
+        for line in format_buffer_summary(runtime.metrics):
             print(line)
         for line in format_version_summary(runtime.metrics):
             print(line)

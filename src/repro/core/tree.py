@@ -675,9 +675,10 @@ class BLSM:
         ``index`` is the in-RAM block indexes of every on-disk
         component; ``bloom`` their filters (~1.25 bytes/key at a 1 %
         FPR); ``c0`` the memtable payload; ``cache`` the buffer pool's
-        configured capacity in bytes; ``merge_buffers`` what the running
-        merges hold: one streaming unit of read-ahead per open input
-        stream and one of write-behind per running builder.
+        configured capacity in bytes and ``cache_ghost`` its admission
+        history (one page id per frame); ``merge_buffers`` what the
+        running merges hold: one streaming unit of read-ahead per open
+        input stream and one of write-behind per running builder.
         """
         index = 0
         bloom = 0
@@ -693,6 +694,7 @@ class BLSM:
             "c0": self._memtable.nbytes
             + (self._frozen.nbytes if self._frozen is not None else 0),
             "cache": self.options.buffer_pool_pages * self.stasis.page_size,
+            "cache_ghost": self.stasis.buffer.ghost_bytes,
             "merge_buffers": self.stasis.page_size
             * sum(
                 merge.buffer_pages

@@ -29,6 +29,7 @@ from repro.obs.timeline import (
 from repro.obs.summary import (
     StallInterval,
     events_within,
+    format_buffer_summary,
     format_device_summary,
     format_fault_summary,
     format_layout_summary,
@@ -67,6 +68,7 @@ __all__ = [
     "new_report",
     "percentile",
     "windows_over_span",
+    "format_buffer_summary",
     "format_device_summary",
     "format_fault_summary",
     "format_layout_summary",

@@ -363,6 +363,36 @@ def format_fault_summary(metrics: "MetricsRegistry") -> list[str]:
     return lines
 
 
+_BUFFER_METRIC_LABELS = (
+    ("buffer.hits", "page hits"),
+    ("buffer.misses", "page misses"),
+    ("buffer.evictions", "evictions"),
+    ("buffer.dirty_writebacks", "dirty writebacks"),
+    ("buffer.offered", "pages offered by scans"),
+    ("buffer.deferred", "offers deferred (ghost list)"),
+)
+
+
+def format_buffer_summary(metrics: "MetricsRegistry") -> list[str]:
+    """Buffer-pool lines for the CLI trace summary.
+
+    Hits and misses count pages, from ``get`` and from the blocks scans
+    look up; an *offer* is a page a scan read itself and handed to the
+    pool, *deferred* when the pool was full and it was the page's first
+    miss (remembered, not installed).  Empty for engines with no pool.
+    """
+    if "buffer.hits" not in metrics:
+        return []
+    lines = ["buffer pool:"]
+    for name, label in _BUFFER_METRIC_LABELS:
+        lines.append(f"  {label:30s} {int(metrics.value(name, 0.0)):>8d}")
+    lookups = metrics.value("buffer.hits") + metrics.value("buffer.misses")
+    if lookups:
+        ratio = metrics.value("buffer.hits") / lookups
+        lines.append(f"  {'hit ratio':30s} {ratio:>8.3f}")
+    return lines
+
+
 _VERSION_METRIC_LABELS = (
     ("versions.deferred_frees", "frees deferred past a view"),
     ("versions.zombie_frees", "deferred frees completed"),

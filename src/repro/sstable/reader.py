@@ -6,9 +6,18 @@ read-fanout analysis (Section 2.1, Appendix A) assumes index nodes fit in
 memory and counts only leaf-page cache — so an uncached point lookup costs
 exactly one block read: one seek plus the block's pages.
 
-Two read paths exist:
+Three read paths exist:
 
-* ``get``/``scan`` go through the buffer manager (application reads).
+* ``get`` goes through the buffer manager: an application read.
+* ``scan`` goes through the buffer manager for as long as the pool has
+  the blocks it wants — the block holding its start key, then each next
+  one — and from the first block the pool does not have it is a stream
+  with a private readahead buffer.  Short scans over hot keys are the
+  traffic a cache exists for (the paper's Stasis buffer manager serves
+  every application page read, Section 4.4.2); a long scan's tail is
+  not, and one that went through the pool would flush it.  The block a
+  scan first had to go to the device for is offered to the pool and
+  admitted on its second miss (``BufferManager.offer``).
 * ``iter_records`` bypasses the buffer manager and reads page runs of
   the device's streaming size (merge reads; the paper pins merge pages
   separately from the application cache and batches iterator
@@ -19,13 +28,23 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
 from repro.bloom import BloomFilter
+from repro.errors import CorruptionError, IOFaultError
 from repro.records import Record
 from repro.storage.region import Extent
 from repro.storage.stasis import WAIT, Stasis, StepGate
+
+_KEY = operator.attrgetter("key")
+
+
+def _from(records: tuple[Record, ...], lo: bytes) -> tuple[Record, ...]:
+    """The records of a block's (key-ordered) tuple at or above ``lo``."""
+    start = bisect.bisect_left(records, lo, key=_KEY)
+    return records[start:] if start else records
 
 
 @dataclass(frozen=True)
@@ -141,7 +160,7 @@ class SSTable:
         if index < 0:
             return None
         records = self._read_block(self.blocks[index])
-        position = bisect.bisect_left(records, key, key=lambda r: r.key)
+        position = bisect.bisect_left(records, key, key=_KEY)
         if position < len(records) and records[position].key == key:
             if filtered:
                 self._ctr_bloom_hit.inc()
@@ -157,14 +176,23 @@ class SSTable:
         readahead_blocks: int = 16,
         limit: int | None = None,
     ) -> Iterator[Record]:
-        """Yield records with lo <= key < hi, through the buffer manager.
+        """Yield records with lo <= key < hi.
 
         Bloom filters do not help scans (Section 3.3); the first block
-        access is the component's per-scan seek.  Blocks are read
-        ``readahead_blocks`` at a time into a private readahead buffer
-        (not the shared page cache, which interleaved component streams
-        would thrash), so a long scan stays near-sequential per
-        component — as any production scan path behaves.
+        access is the component's per-scan seek.  The block the scan
+        lands on — the one holding ``lo`` — is an application read like
+        ``get``'s and is looked up in the buffer pool, and so is each
+        next block for as long as the pool holds it: a short scan over
+        resident blocks never touches the device for this component.
+        From the first block that is not resident the scan is a stream:
+        blocks are read ``readahead_blocks`` at a time into a private
+        readahead buffer (not the shared page cache, which interleaved
+        component streams would thrash), so a long scan stays
+        near-sequential per component.  The block the scan went to the
+        device for — one per scan, the head of its first read — is
+        offered to the pool (:meth:`BufferManager.offer`: admitted on
+        its second miss once the pool is full, so one-shot scans cannot
+        flush it).
 
         ``limit`` is the most records the caller will consume.  The
         first read is then sized to hold that many — one block for a
@@ -173,26 +201,54 @@ class SSTable:
         the caller may still read past ``limit`` (older versions and
         tombstones it skipped do not count against its own limit).
         """
-        if not self.blocks:
+        blocks = self.blocks
+        if not blocks:
             return
+        position = max(0, bisect.bisect_right(self._first_keys, lo) - 1)
+        buffer = self._stasis.buffer
+        clip = True  # only the first block read can hold keys below lo
+        while True:  # application reads: from the pool while it has them
+            if position == len(blocks):
+                return
+            block = blocks[position]
+            if hi is not None and block.first_key >= hi:
+                return
+            records = buffer.lookup_block(block.first_page_id, block.npages)
+            if records is None:
+                break
+            if clip:
+                records, clip = _from(records, lo), False
+            for record in records:
+                if hi is not None and record.key >= hi:
+                    return
+                yield record
+            position += 1
         nblocks = readahead_blocks
         if limit is not None:
-            first = 1 + math.ceil(limit * len(self.blocks) / self.key_count)
+            first = 1 + math.ceil(limit * len(blocks) / self.key_count)
             nblocks = min(first, readahead_blocks)
-        position = max(0, bisect.bisect_right(self._first_keys, lo) - 1)
-        while position < len(self.blocks):
-            group = self._contiguous_group(position, nblocks, hi)
-            if not group:
-                return
-            for records in self._group_records(group):
+        group = self._contiguous_group(position, nblocks, hi)
+        while group:  # the stream: private readahead from `block` on
+            first_page = group[0].first_page_id
+            count = group[-1].first_page_id + group[-1].npages - first_page
+            try:
+                payloads = self._stasis.pagefile.read_run(first_page, count)
+            except (CorruptionError, IOFaultError):
+                self._forget_run(first_page, count)
+                raise
+            if group[0] is block:
+                buffer.offer(first_page, payloads, block.npages)
+            for member in group:
+                records = payloads[member.first_page_id - first_page]
+                if clip:
+                    records, clip = _from(records, lo), False
                 for record in records:
-                    if record.key < lo:
-                        continue
                     if hi is not None and record.key >= hi:
                         return
                     yield record
             position += len(group)
             nblocks = min(2 * nblocks, readahead_blocks)
+            group = self._contiguous_group(position, nblocks, hi)
 
     def _contiguous_group(
         self, position: int, limit: int, hi: bytes | None
@@ -209,26 +265,16 @@ class SSTable:
             group.append(block)
         return group
 
-    def _group_records(
-        self, group: list[Block]
-    ) -> Iterator[tuple[Record, ...]]:
-        """Record tuples for a contiguous block group.
+    def _forget_run(self, first_page_id: int, count: int) -> None:
+        """Drop what the pool knows of a run whose read just failed.
 
-        Served from the shared cache when fully resident (free), else
-        fetched as one sequential transfer into a private buffer.
+        A read that fails verification (or runs out of retries) fails
+        the scan, not the engine, and nothing of the run stays cached:
+        resident copies and ghost entries of its pages go, so no later
+        read is served from a range the device got wrong.
         """
-        first = group[0].first_page_id
-        count = group[-1].first_page_id + group[-1].npages - first
-        if all(
-            page_id in self._stasis.buffer
-            for page_id in range(first, first + count)
-        ):
-            for block in group:
-                yield self._read_block(block)
-            return
-        payloads = self._stasis.pagefile.read_run(first, count)
-        for block in group:
-            yield payloads[block.first_page_id - first]
+        for page_id in range(first_page_id, first_page_id + count):
+            self._stasis.buffer.invalidate(page_id)
 
     def iter_records(self, gate: StepGate | None = None) -> Iterator[Record]:
         """Yield all records in order, reading streaming-size page runs.

@@ -265,4 +265,6 @@ class Stasis:
             "data_sequential_efficiency": data.sequential_efficiency,
             "log_sequential_efficiency": log.sequential_efficiency,
             "buffer_hit_rate": self.buffer.hit_rate,
+            "buffer_offered": self.buffer.offered,
+            "buffer_deferred": self.buffer.deferred,
         }

@@ -1,0 +1,553 @@
+"""Scans through the buffer pool.
+
+``SSTable.scan`` reads blocks from the pool for as long as the pool has
+them; the first block it does not have is read from the device together
+with its readahead and *offered* (``BufferManager.offer``: installed at
+once while a frame is free, on its second miss once admitting means
+evicting).  These tests hold
+
+* the answers: any stream of writes, scans, compactions and crashes
+  scans the same rows at every pool size, on every tree that scans
+  through ``SSTable.scan`` — a freed component's pages are never served
+  after the allocator hands their ids out again;
+* the device accesses: what a landing miss, a repeat and a hit cost;
+* scan resistance: one-shot scans and a full-table scan evict nothing;
+* that nothing else moved: point reads and logical state equal values
+  pinned from the commit before scans used the pool.
+"""
+
+import hashlib
+import random
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import example, given, settings
+
+from repro.core import BLSM, BLSMOptions
+from repro.engines import build_engine
+from repro.errors import CorruptionError
+from repro.faults import FaultPlan
+from repro.records import Record
+from repro.sstable import SSTableBuilder
+from repro.storage import EvictionPolicy, Stasis
+
+PAGE = 4096
+
+# ---------------------------------------------------------------------------
+# (a) answers do not depend on the pool
+# ---------------------------------------------------------------------------
+
+POOLS = (2, 8, 128, 4096)
+KEYSPACE = 300
+
+_key = st.integers(0, KEYSPACE - 1)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), _key, st.integers(0, 900)),
+        st.tuples(st.just("fill"), _key, st.integers(20, 150)),
+        st.tuples(st.just("delete"), _key),
+        st.tuples(
+            st.just("scan"),
+            _key,
+            st.one_of(st.none(), st.integers(1, 150)),
+            st.one_of(st.none(), st.integers(1, 40)),
+        ),
+        st.just(("compact",)),
+        st.just(("crash",)),
+    ),
+    min_size=4,
+    max_size=60,
+)
+
+
+def _k(i):
+    return b"key%05d" % i
+
+
+def _crash_and_recover(engine):
+    tree = engine.tree
+    tree.stasis.crash()
+    extra = {}
+    if hasattr(tree, "max_partition_bytes"):
+        extra["max_partition_bytes"] = tree.max_partition_bytes
+    engine.tree = type(tree).recover(tree.stasis, tree.options, **extra)
+
+
+#: Rounds of overwrite, scan (which leaves landing blocks in the pool)
+#: and compaction (which frees their components): the next round's
+#: components are built on the page ids just freed.
+_REUSE = [
+    step
+    for start in (0, 40, 0, 80, 20, 0)
+    for step in (
+        ("fill", start, 150),
+        ("scan", start + 7, None, 3),
+        ("scan", start + 60, 50, None),
+        ("compact",),
+        ("scan", start + 7, None, 3),
+        ("scan", 0, None, None),
+    )
+]
+
+
+@pytest.mark.parametrize("name", ["blsm", "blsm-part", "leveled"])
+@settings(max_examples=60, deadline=None)
+@given(ops=_ops)
+@example(ops=_REUSE)
+@example(ops=[_REUSE[0], ("crash",), *_REUSE[1:8], ("crash",), *_REUSE[8:]])
+def test_scans_equal_the_model_at_every_pool_size(name, ops):
+    engines = [
+        build_engine(name, cache_pages=pages, c0_bytes=8 * 1024, durability="sync")
+        for pages in POOLS
+    ]
+    model = {}
+    stamp = 0
+
+    def put(i, size):
+        nonlocal stamp
+        stamp += 1
+        value = b"%06d" % stamp + bytes(size)
+        model[_k(i)] = value
+        for engine in engines:
+            engine.put(_k(i), value)
+
+    for op in ops:
+        if op[0] == "put":
+            put(op[1], op[2])
+        elif op[0] == "fill":  # enough records for components of several blocks
+            for i in range(op[1], min(KEYSPACE, op[1] + op[2])):
+                put(i, 400)
+        elif op[0] == "delete":
+            model.pop(_k(op[1]), None)
+            for engine in engines:
+                engine.delete(_k(op[1]))
+        elif op[0] == "scan":
+            lo = _k(op[1])
+            hi = None if op[2] is None else _k(op[1] + op[2])
+            want = sorted(
+                (k, v) for k, v in model.items()
+                if k >= lo and (hi is None or k < hi)
+            )[: op[3]]
+            for engine, pages in zip(engines, POOLS):
+                assert list(engine.scan(lo, hi, op[3])) == want, pages
+        elif op[0] == "compact":
+            for engine in engines:
+                getattr(engine.tree, "compact", engine.tree.drain)()
+        else:
+            for engine in engines:
+                _crash_and_recover(engine)
+    want = sorted(model.items())
+    for engine, pages in zip(engines, POOLS):
+        assert list(engine.scan(b"")) == want, pages
+        engine.close()
+
+
+# ---------------------------------------------------------------------------
+# (b) device accesses
+# ---------------------------------------------------------------------------
+
+RECORDS = 2100  # 7 per two-page block: 300 blocks
+
+
+def build_table(stasis, records):
+    builder = SSTableBuilder(
+        stasis,
+        tree_id=1,
+        expected_bytes=sum(r.nbytes for r in records),
+        expected_keys=len(records),
+    )
+    for record in records:
+        builder.add(record)
+    return builder.finish()
+
+
+def table_and_reads(pool_pages=16, fault_plan=None):
+    """A 300-block component and the (first page, pages) of every read."""
+    stasis = Stasis(buffer_pool_pages=pool_pages, fault_plan=fault_plan)
+    records = [
+        Record.base(b"key%06d" % i, b"v" * 1000, i) for i in range(RECORDS)
+    ]
+    table = build_table(stasis, records)
+    assert {block.nrecords for block in table.blocks[:-1]} == {7}
+    assert {block.npages for block in table.blocks} == {2}
+    reads = []
+    read_run = stasis.pagefile.read_run
+
+    def counting_read_run(first, count):
+        reads.append((first, count))
+        return read_run(first, count)
+
+    stasis.pagefile.read_run = counting_read_run
+    return stasis, table, records, reads
+
+
+def fill_pool(stasis, table):
+    """Fill every frame with pages of the component's last blocks."""
+    buffer = stasis.buffer
+    for block in reversed(table.blocks):
+        if len(buffer) == buffer.capacity_pages:
+            break
+        table._read_block(block)
+    assert len(buffer) == buffer.capacity_pages
+
+
+def take(table, lo, n, **kwargs):
+    rows = []
+    for record in table.scan(lo, **kwargs):
+        rows.append(record)
+        if len(rows) == n:
+            break
+    return rows
+
+
+MID = 703  # record 3 of block 100
+LAST = 706  # record 6, the last of block 100
+
+
+def test_a_landing_miss_is_the_one_read_it_always_was():
+    stasis, table, records, reads = table_and_reads()
+    page = table.blocks[100].first_page_id
+    assert take(table, records[MID].key, 1, limit=1) == records[MID : MID + 1]
+    assert reads == [(page, 4)]  # landing block + limit-sized readahead
+    assert take(table, records[MID].key, 50) == records[MID : MID + 50]
+    assert reads[1:] == [(page + 2, 32)]  # landing hit, sixteen-block stream
+
+
+def test_full_pool_admits_the_landing_block_on_its_second_miss():
+    stasis, table, records, reads = table_and_reads()
+    fill_pool(stasis, table)
+    resident = set(stasis.buffer._frames)
+    page = table.blocks[100].first_page_id
+    lo = records[MID].key
+    assert take(table, lo, 2, limit=1) == records[MID : MID + 2]
+    assert reads == [(page, 4)]
+    assert set(stasis.buffer._frames) == resident  # deferred: nothing evicted
+    assert take(table, lo, 2, limit=1) == records[MID : MID + 2]
+    assert reads == [(page, 4)] * 2
+    assert stasis.buffer.evictions == 2  # the block's two pages came in
+    assert take(table, lo, 2, limit=1) == records[MID : MID + 2]
+    assert reads == [(page, 4)] * 2  # third run: served from the pool
+    assert (stasis.buffer.offered, stasis.buffer.deferred) == (4, 2)
+
+
+def test_free_frames_admit_the_landing_block_at_once():
+    stasis, table, records, reads = table_and_reads()
+    lo = records[MID].key
+    assert take(table, lo, 2, limit=1) == records[MID : MID + 2]
+    assert take(table, lo, 2, limit=1) == records[MID : MID + 2]
+    assert len(reads) == 1
+    assert (stasis.buffer.hits, stasis.buffer.misses) == (2, 2)
+
+
+def test_a_hit_that_runs_off_the_block_reads_on_from_the_next():
+    stasis, table, records, reads = table_and_reads()
+    lo = records[LAST].key
+    assert take(table, lo, 1, limit=1) == records[LAST : LAST + 1]
+    del reads[:]
+    assert take(table, lo, 3, limit=1) == records[LAST : LAST + 3]
+    nxt = table.blocks[101].first_page_id
+    assert reads == [(nxt, 4)]  # one further read, from the next block
+    # That block is where the scan went to the device: it is the one on
+    # offer now, and with a frame free it is resident next time.
+    assert take(table, lo, 3, limit=1) == records[LAST : LAST + 3]
+    assert len(reads) == 1
+
+
+def test_only_the_head_of_the_first_read_is_offered():
+    stasis, table, records, reads = table_and_reads(pool_pages=64)
+    assert list(table.scan(b"")) == records
+    assert len(stasis.buffer) == 2  # block 0; 299 blocks streamed past
+    assert stasis.buffer.offered == 2
+
+
+def blsm_with_three_components(cache_pages):
+    engine = build_engine("blsm", cache_pages=cache_pages, c0_bytes=64 * 1024)
+    keys = [b"user%06d" % i for i in range(3000)]
+    random.Random(1).shuffle(keys)
+    for key in keys[:2500]:
+        engine.put(key, bytes(1000))
+    engine.tree.compact()
+    for key in keys[2500:]:
+        engine.put(key, bytes(1000))
+    engine.tree.drain()
+    sizes = engine.tree.component_sizes()
+    assert sizes["c0"] == 0
+    assert all(sizes[name] > 0 for name in ("c1", "c1_prime", "c2"))
+    return engine, sorted(keys)
+
+
+def test_a_cold_scan_costs_one_read_per_component_as_before():
+    engine, keys = blsm_with_three_components(cache_pages=16)
+    stats = engine.tree.stasis.data_disk.stats
+    rng = random.Random(7)
+    cold = warm = 0
+    for _ in range(150):
+        start = rng.randrange(len(keys) - 10)
+        limit = rng.randint(1, 4)
+        want = keys[start : start + limit]
+        engine.tree.stasis.buffer.drop_all()
+        before = stats.read_ops
+        assert [k for k, _ in engine.scan(keys[start], limit=limit)] == want
+        assert stats.read_ops - before == 3  # what the parent commit reads
+        cold += 3
+        before = stats.read_ops
+        assert [k for k, _ in engine.scan(keys[start], limit=limit)] == want
+        assert stats.read_ops - before <= 3
+        warm += stats.read_ops - before
+    assert warm < cold / 2  # free frames: most repeats hit
+
+
+# ---------------------------------------------------------------------------
+# (c) scan resistance
+# ---------------------------------------------------------------------------
+
+
+def test_one_shot_scans_and_a_full_scan_evict_nothing():
+    engine = build_engine("blsm", cache_pages=64, c0_bytes=256 * 1024)
+    keys = [b"user%06d" % i for i in range(5000)]
+    for key in keys:
+        engine.put(key, bytes(1000))
+    engine.tree.compact()
+    with engine.tree.snapshot() as snap:
+        (table,) = snap._tables
+    assert len(table.blocks) > 700
+    buffer = engine.tree.stasis.buffer
+    rng = random.Random(3)
+    while len(buffer) < buffer.capacity_pages:  # a point-read working set
+        engine.get(rng.choice(keys))
+    working_set = set(buffer._frames)
+    evictions = buffer.evictions
+
+    assert [k for k, _ in engine.scan(b"")] == keys
+    assert set(buffer._frames) == working_set
+
+    # 500 short scans, no block landed on twice: uniform over the blocks,
+    # starting early enough in each that the scan ends inside it.
+    first_record = [0]
+    for block in table.blocks:
+        first_record.append(first_record[-1] + block.nrecords)
+    for index in rng.sample(range(len(table.blocks) - 1), 500):
+        start = first_record[index] + rng.randint(0, 1)
+        limit = rng.randint(1, 4)
+        got = [k for k, _ in engine.scan(keys[start], limit=limit)]
+        assert got == keys[start : start + limit]
+    assert set(buffer._frames) == working_set
+    assert buffer.evictions == evictions
+    assert buffer.deferred == buffer.offered > 900  # nearly all were misses
+
+
+# ---------------------------------------------------------------------------
+# (d) point reads did not move, (e) nor did logical state
+# ---------------------------------------------------------------------------
+
+#: (hits, misses, evictions, dirty writebacks, read ops, write ops, seeks,
+#: bytes read, bytes written, busy seconds) at the parent commit.  The
+#: bLSM stream runs six C0:C1 merges, whose freed pages leave the pool by
+#: ``invalidate``; it is one on which the parent's CLOCK ring never held a
+#: page twice (with a 64 KB C0 it did, 65 times, and the parent's numbers
+#: for that stream are the bug's, not a reference).
+POINT_PINS = {
+    ("blsm", EvictionPolicy.CLOCK): (
+        238, 858, 762, 0, 864, 9, 437, 5357568, 1998848, "1.1217317708333319",
+    ),
+    ("blsm", EvictionPolicy.LRU): (
+        224, 872, 776, 0, 878, 9, 444, 5414912, 1998848, "1.1394596354166646",
+    ),
+    ("btree", EvictionPolicy.CLOCK): (
+        1370, 4623, 4704, 2178, 4623, 2178, 6628, 75743232, 35684352,
+        "17.012773437501668",
+    ),
+}
+
+
+def point_stream(engine):
+    rng = random.Random(11)
+    for i in range(6000):
+        key = b"user%05d" % rng.randrange(4000)
+        if rng.random() < 0.4:
+            engine.put(key, b"%06d" % i + bytes(500))
+        else:
+            engine.get(key)
+    stasis = engine.tree.stasis if hasattr(engine, "tree") else engine.stasis
+    buffer, io = stasis.buffer, stasis.data_disk.stats
+    return (
+        buffer.hits, buffer.misses, buffer.evictions, buffer.dirty_writebacks,
+        io.read_ops, io.write_ops, io.seeks, io.bytes_read, io.bytes_written,
+        repr(io.busy_seconds),
+    )
+
+
+@pytest.mark.parametrize("name, policy", list(POINT_PINS))
+def test_point_reads_equal_the_parent_commit(name, policy):
+    if name == "blsm":
+        from repro.baselines import BLSMEngine
+
+        engine = BLSMEngine(
+            BLSMOptions(
+                c0_bytes=256 * 1024, buffer_pool_pages=24, eviction_policy=policy
+            )
+        )
+    else:
+        engine = build_engine("btree", cache_pages=24)
+    assert point_stream(engine) == POINT_PINS[name, policy]
+
+
+#: (digest of every scan's rows, ``state_digest()``) at the parent commit.
+STREAM_PINS = (
+    "82992727701708f9d58b0e2d19a4bbb08b54de7a9b0cedb10307d506d315fc0c",
+    "d59a0cfe8cc4d41b5db63799b4396d1388bf8500e1e1096027e970a3f1b65fe0",
+)
+
+
+def test_a_stream_with_scans_ends_in_the_parents_state():
+    engine = build_engine("blsm", cache_pages=32, c0_bytes=128 * 1024)
+    rng = random.Random(5)
+    rows = hashlib.sha256()
+    for i in range(20_000):
+        key = b"user%05d" % rng.randrange(5000)
+        dice = rng.random()
+        if dice < 0.45:
+            engine.put(key, b"%06d" % i + bytes(rng.randrange(50, 700)))
+        elif dice < 0.55:
+            engine.delete(key)
+        elif dice < 0.8:
+            engine.get(key)
+        else:
+            for k, v in engine.scan(key, limit=rng.randint(1, 20)):
+                rows.update(k)
+                rows.update(v)
+    assert (rows.hexdigest(), engine.state_digest()) == STREAM_PINS
+    assert engine.tree.stasis.buffer.offered > 0  # the scans did use the pool
+
+
+# ---------------------------------------------------------------------------
+# a failed read inside a scan fails the scan, not the engine
+# ---------------------------------------------------------------------------
+
+
+def test_corrupt_landing_page_fails_the_scan_and_caches_nothing():
+    stasis, table, records, reads = table_and_reads(
+        fault_plan=FaultPlan([], armed=False)
+    )
+    fill_pool(stasis, table)
+    buffer = stasis.buffer
+    lo = records[MID].key
+    page = table.blocks[100].first_page_id
+    take(table, lo, 1, limit=1)  # first miss: the block is on the ghost list
+    assert page in buffer._ghost
+    table._read_block(table.blocks[101])  # a readahead page a get left behind
+    stasis.data_disk.mark_corrupt((page + 1) * PAGE + 9, 1)
+    with pytest.raises(CorruptionError, match=rf"page {page + 1} failed"):
+        take(table, lo, 1, limit=1)
+    run = range(page, page + 4)
+    assert not any(p in buffer for p in run)
+    assert not any(p in buffer._ghost for p in run)
+    assert buffer._ghost_pages == sum(buffer._ghost.values())
+    # Everything else still reads, from the device and from the pool.
+    assert take(table, records[0].key, 3, limit=3) == records[:3]
+    assert table.get(records[-1].key) == records[-1]
+
+
+def test_corrupt_readahead_page_behind_a_resident_landing_block():
+    stasis, table, records, reads = table_and_reads(
+        fault_plan=FaultPlan([], armed=False)
+    )
+    buffer = stasis.buffer
+    lo = records[LAST].key
+    landing = table.blocks[100].first_page_id
+    nxt = table.blocks[101].first_page_id
+    take(table, lo, 1, limit=1)  # free frames: block 100 is resident
+    stasis.data_disk.mark_corrupt((nxt + 3) * PAGE, PAGE)
+    scan = table.scan(lo, limit=1)
+    assert next(scan) == records[LAST]  # the landing block, from the pool
+    with pytest.raises(CorruptionError, match=rf"page {nxt + 3} failed"):
+        next(scan)
+    assert buffer.lookup_block(landing, 2) is not None  # not part of that run
+    assert not any(p in buffer or p in buffer._ghost for p in range(nxt, nxt + 4))
+
+
+@pytest.mark.parametrize("where", ["landing", "readahead"])
+def test_engine_survives_a_corrupt_page_under_a_scan(where):
+    options = BLSMOptions(
+        c0_bytes=64 * 1024,
+        buffer_pool_pages=16,
+        fault_plan=FaultPlan([], armed=False),
+    )
+    tree = BLSM(options)
+    keys = [b"user%06d" % i for i in range(1500)]
+    for key in keys:
+        tree.put(key, bytes(1000))
+    tree.compact()
+    with tree.snapshot() as snap:
+        (table,) = snap._tables
+    block = table.blocks[40]
+    victim = keys[sum(b.nrecords for b in table.blocks[:40]) + 1]
+    if where == "readahead":
+        assert [k for k, _ in tree.scan(victim, limit=1)] == [victim]
+        block = table.blocks[41]  # behind the now resident landing block
+    tree.stasis.data_disk.mark_corrupt(block.first_page_id * PAGE, PAGE)
+    with pytest.raises(CorruptionError, match=f"page {block.first_page_id} "):
+        list(tree.scan(victim, limit=20))
+    buffer = tree.stasis.buffer
+    assert block.first_page_id not in buffer
+    assert block.first_page_id not in buffer._ghost
+    # The snapshot's pins came back and the engine is open for business.
+    assert tree.versions.pinned_count == 0
+    assert tree.versions.live_views == 0
+    assert [k for k, _ in tree.scan(keys[0], limit=5)] == keys[:5]
+    assert tree.get(keys[-1]) == bytes(1000)
+    tree.put(b"after", b"ok")
+    assert tree.get(b"after") == b"ok"
+    tree.close()
+
+
+def test_exhausted_retries_in_a_landing_read_cache_nothing():
+    from repro.errors import IOFaultError
+    from repro.faults import FaultRule
+
+    plan = FaultPlan(
+        [FaultRule(kind="transient", device="data", op="read", every=1)],
+        armed=False,
+    )
+    stasis, table, records, reads = table_and_reads(fault_plan=plan)
+    fill_pool(stasis, table)
+    lo = records[MID].key
+    page = table.blocks[100].first_page_id
+    take(table, lo, 1, limit=1)
+    assert page in stasis.buffer._ghost
+    plan.arm()
+    with pytest.raises(IOFaultError):
+        take(table, lo, 1, limit=1)
+    plan.disarm()
+    assert page not in stasis.buffer and page not in stasis.buffer._ghost
+    assert take(table, lo, 1, limit=1) == records[MID : MID + 1]
+
+
+# ---------------------------------------------------------------------------
+# the counters reach every surface
+# ---------------------------------------------------------------------------
+
+
+def test_offers_show_in_metrics_io_summary_footprint_and_trace_table():
+    from repro.obs import format_buffer_summary
+
+    engine, keys = blsm_with_three_components(cache_pages=16)
+    rng = random.Random(2)
+    for _ in range(300):
+        list(engine.scan(rng.choice(keys[:400]), limit=2))
+    buffer = engine.tree.stasis.buffer
+    metrics = engine.runtime.metrics
+    assert buffer.hits > 0 and buffer.deferred > 0
+    assert buffer.offered > buffer.deferred  # some second misses got in
+    assert metrics.value("buffer.offered") == buffer.offered
+    assert metrics.value("buffer.deferred") == buffer.deferred
+    assert metrics.value("buffer.hits") == buffer.hits
+    assert metrics.value("buffer.misses") == buffer.misses
+    io = engine.io_summary()
+    assert io["buffer_offered"] == buffer.offered
+    assert io["buffer_deferred"] == buffer.deferred
+    assert io["buffer_hit_rate"] == buffer.hits / (buffer.hits + buffer.misses)
+    assert engine.tree.memory_footprint()["cache_ghost"] == 8 * 16
+    table = "\n".join(format_buffer_summary(metrics))
+    assert f"{buffer.offered:>8d}" in table and f"{buffer.deferred:>8d}" in table
+    assert "hit ratio" in table
