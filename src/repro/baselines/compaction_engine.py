@@ -11,18 +11,14 @@ same loop they use for every other engine.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any
 
-from repro.baselines.interface import KVEngine, WriteBatch
+from repro.baselines.blsm_engine import BLSMEngine
 from repro.core.compaction import make_tree
 from repro.core.options import BLSMOptions
-from repro.core.versions import TreeSnapshot
-from repro.sim.clock import VirtualClock
-from repro.storage.group_commit import CommitTicket
-from repro.storage.logical_log import DurabilityMode
 
 
-class CompactionEngine(KVEngine):
+class CompactionEngine(BLSMEngine):
     """A policy-parameterized compaction tree behind the engine interface."""
 
     name = "compaction"
@@ -32,54 +28,6 @@ class CompactionEngine(KVEngine):
             options = BLSMOptions(compaction_policy="leveled")
         self.tree = make_tree(options)
         self.name = options.compaction_policy
-
-    @property
-    def clock(self) -> VirtualClock:
-        return self.tree.stasis.clock
-
-    def get(self, key: bytes) -> bytes | None:
-        return self.tree.get(key)
-
-    def put(self, key: bytes, value: bytes) -> None:
-        self.tree.put(key, value)
-
-    def delete(self, key: bytes) -> None:
-        self.tree.delete(key)
-
-    def scan(
-        self, lo: bytes, hi: bytes | None = None, limit: int | None = None
-    ) -> Iterator[tuple[bytes, bytes]]:
-        return self.tree.scan(lo, hi, limit)
-
-    def insert_if_not_exists(self, key: bytes, value: bytes) -> bool:
-        return self.tree.insert_if_not_exists(key, value)
-
-    def apply_delta(self, key: bytes, delta: bytes) -> None:
-        self.tree.apply_delta(key, delta)
-
-    def apply_batch(
-        self, batch: "WriteBatch | Any"
-    ) -> None:
-        # Mirror BLSMEngine: under GROUP durability a batch is a commit
-        # unit routed through the group-commit queue.
-        if self.tree.stasis.logical_log.mode is DurabilityMode.GROUP:
-            self.tree.write_batch(batch)
-        else:
-            super().apply_batch(batch)
-
-    def commit_batch(
-        self, batch: "WriteBatch", session: int = 0, wait: bool = True
-    ) -> CommitTicket:
-        return self.tree.write_batch(batch, session=session, wait=wait)
-
-    def snapshot(self) -> TreeSnapshot:
-        return self.tree.snapshot()
-
-    def flush(self) -> None:
-        self.tree.flush_log()
-
-    def close(self) -> None:
-        self.tree.close()
 
     def io_summary(self) -> dict[str, Any]:
         summary = self.tree.stasis.io_summary()

@@ -276,11 +276,8 @@ class LevelDBEngine(KVEngine):
         log replays the memtable lost at crash; extents a torn
         compaction allocated but never committed are freed.
         """
-        from repro.core.components import (
-            component_extents,
-            describe_component,
-            rebuild_component,
-        )
+        from repro.core.components import rebuild_component
+        from repro.core.kernel import free_orphan_extents, replay_log
         from repro.core.options import BLSMOptions
         from repro.errors import RecoveryError
 
@@ -304,28 +301,12 @@ class LevelDBEngine(KVEngine):
             ]
             engine._next_seqno = manifest["next_seqno"]
             engine._next_tree_id = manifest["next_tree_id"]
-        live = set()
-        for table in engine._l0 + [t for lvl in engine._levels for t in lvl]:
-            live.update(component_extents(describe_component(table)))
-        for extent in stasis.regions.allocated_extents:
-            if extent not in live:
-                for page_id in range(extent.start, extent.end):
-                    stasis.pagefile.free_page(page_id)
-                stasis.regions.free(extent)
-        for record in stasis.logical_log.replay():
-            if record.op == "delete":
-                engine._memtable.put(
-                    Record.tombstone(record.key, record.seqno)
-                )
-            elif record.op == "delta":
-                engine._memtable.put(
-                    Record.delta(record.key, record.value, record.seqno)
-                )
-            else:
-                engine._memtable.put(
-                    Record.base(record.key, record.value, record.seqno)
-                )
-            engine._next_seqno = max(engine._next_seqno, record.seqno + 1)
+        free_orphan_extents(
+            stasis, engine._l0 + [t for lvl in engine._levels for t in lvl]
+        )
+        engine._next_seqno = replay_log(
+            stasis, engine._memtable, engine._next_seqno
+        )
         return engine
 
     def level_bytes(self, level: int) -> int:

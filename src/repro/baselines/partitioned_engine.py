@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any
 
-from repro.baselines.interface import KVEngine
+from repro.baselines.blsm_engine import BLSMEngine
 from repro.core.options import BLSMOptions
 from repro.core.partitioned import PartitionedBLSM
-from repro.sim.clock import VirtualClock
 
 
-class PartitionedBLSMEngine(KVEngine):
+class PartitionedBLSMEngine(BLSMEngine):
     """Partitioned bLSM behind the common engine interface."""
 
     name = "bLSM-part"
@@ -23,36 +22,6 @@ class PartitionedBLSMEngine(KVEngine):
         self.tree = PartitionedBLSM(
             options, max_partition_bytes=max_partition_bytes
         )
-
-    @property
-    def clock(self) -> VirtualClock:
-        return self.tree.stasis.clock
-
-    def get(self, key: bytes) -> bytes | None:
-        return self.tree.get(key)
-
-    def put(self, key: bytes, value: bytes) -> None:
-        self.tree.put(key, value)
-
-    def delete(self, key: bytes) -> None:
-        self.tree.delete(key)
-
-    def scan(
-        self, lo: bytes, hi: bytes | None = None, limit: int | None = None
-    ) -> Iterator[tuple[bytes, bytes]]:
-        return self.tree.scan(lo, hi, limit)
-
-    def insert_if_not_exists(self, key: bytes, value: bytes) -> bool:
-        return self.tree.insert_if_not_exists(key, value)
-
-    def apply_delta(self, key: bytes, delta: bytes) -> None:
-        self.tree.apply_delta(key, delta)
-
-    def flush(self) -> None:
-        self.tree.flush_log()
-
-    def close(self) -> None:
-        self.tree.close()
 
     def io_summary(self) -> dict[str, Any]:
         summary = self.tree.stasis.io_summary()

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.core.components import (
-    component_extents,
     component_row,
     describe_component,
     rebuild_component,
@@ -31,7 +30,6 @@ from repro.sstable.reader import SSTable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.options import BLSMOptions
-    from repro.storage.region import Extent
     from repro.storage.stasis import Stasis
 
 __all__ = ["LevelManager"]
@@ -183,13 +181,6 @@ class LevelManager:
                 [rebuild_component(stasis, entry, options) for entry in level]
             )
         return manager
-
-    def live_extents(self) -> set["Extent"]:
-        """Every extent pinned by a resident run (orphan accounting)."""
-        live: set["Extent"] = set()
-        for table in self.iter_tables():
-            live.update(component_extents(describe_component(table)))
-        return live
 
     def __repr__(self) -> str:
         shape = "/".join(str(len(level)) for level in self.levels) or "-"

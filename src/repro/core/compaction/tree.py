@@ -5,11 +5,12 @@ slots, a :class:`CompactionTree` pairs one memtable with a
 :class:`~repro.core.compaction.manager.LevelManager` and delegates every
 layout decision — how many runs a level may hold, what merges are due —
 to a :class:`~repro.core.compaction.policy.CompactionPolicy`.  The tree
-keeps bLSM's *mechanisms* (logical logging, budget-stepped merges paced
-by the write path, manifest-committed installs, epoch-validated scans,
-log-replay recovery) and swaps only the *policy*, which is exactly the
-factoring the compaction design-space literature argues for (Sarkar et
-al.; Luo & Carey, PAPERS.md).
+keeps bLSM's *mechanisms* — all of
+:class:`~repro.core.kernel.TreeKernel`: logical logging, budget-stepped
+merges paced by the write path, snapshot-pinned scans, log-replay
+recovery — and swaps only the *policy*, which is exactly the factoring
+the compaction design-space literature argues for (Sarkar et al.; Luo &
+Carey, PAPERS.md).
 
 Differences from the bLSM tree, all policy-neutral:
 
@@ -27,32 +28,23 @@ Differences from the bLSM tree, all policy-neutral:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable
 
 from repro.core.compaction.manager import LevelManager
 from repro.core.compaction.merge import PolicyMergeJob
 from repro.core.compaction.policy import CompactionPolicy, MergePlan, make_policy
+from repro.core.kernel import TreeKernel
 from repro.core.options import BLSMOptions
 from repro.core.progress import outprogress
-from repro.core.scheduler import make_scheduler
-from repro.core.versions import TreeSnapshot, VersionSet
-from repro.errors import EngineClosedError
-from repro.memtable.memtable import MemTable
+from repro.core.versions import TreeSnapshot
 from repro.records import Record, resolve
-from repro.sstable.builder import SSTableBuilder
-from repro.storage.group_commit import CommitTicket
-from repro.storage.recovery import recover as storage_recover
-from repro.storage.region import Extent
+from repro.sstable.reader import SSTable
 from repro.storage.stasis import Stasis
-
-_OP_PUT = "put"
-_OP_DELETE = "delete"
-_OP_DELTA = "delta"
 
 __all__ = ["CompactionTree"]
 
 
-class CompactionTree:
+class CompactionTree(TreeKernel):
     """A policy-parameterized LSM tree over the generalized level manager."""
 
     def __init__(
@@ -60,52 +52,23 @@ class CompactionTree:
         options: BLSMOptions | None = None,
         stasis: Stasis | None = None,
     ) -> None:
-        self.options = options if options is not None else BLSMOptions(
-            compaction_policy="leveled"
-        )
-        opts = self.options
-        if stasis is not None:
-            self.stasis = stasis
-        else:
-            self.stasis = Stasis(
-                disk_model=opts.disk_model,
-                page_size=opts.page_size,
-                buffer_pool_pages=opts.buffer_pool_pages,
-                eviction_policy=opts.eviction_policy,
-                durability=opts.durability,
-                fault_plan=opts.fault_plan,
-                retry=opts.retry,
-                capacity_bytes=opts.capacity_bytes,
-                log_disk_model=opts.log_disk_model,
-                data_stripes=opts.data_stripes,
-                stripe_chunk_bytes=opts.stripe_chunk_bytes,
-                observability=opts.observability,
-            )
-        self._policy = self._make_policy(opts)
-        self._memtable = MemTable(
-            opts.c0_bytes, seed=opts.seed, kind=opts.memtable
-        )
-        self._manager = LevelManager(self._base_bytes(opts), opts.level_ratio)
-        self._job0: PolicyMergeJob | None = None
-        self._jobn: PolicyMergeJob | None = None
-        self._next_seqno = 0
-        self._next_tree_id = 1
-        self._merge_epoch = 0
-        self._closed = False
-        self._init_obs()
-        self.scheduler = make_scheduler(
-            opts.scheduler, opts.low_water, opts.high_water, opts.max_tick_bytes
-        )
-        self.scheduler.attach(self)
-        self.stasis.commit_manifest(self._manifest())
+        super().__init__(options, stasis)
 
     @staticmethod
-    def _make_policy(opts: BLSMOptions) -> CompactionPolicy:
-        return make_policy(
+    def _default_options() -> BLSMOptions:
+        return BLSMOptions(compaction_policy="leveled")
+
+    def _init_layout(self) -> None:
+        opts = self.options
+        self._policy = make_policy(
             opts.compaction_policy,
             level0_trigger=opts.level0_trigger,
             fanout=opts.tier_fanout,
         )
+        self._manager = LevelManager(self._base_bytes(opts), opts.level_ratio)
+        self._job0: PolicyMergeJob | None = None
+        self._jobn: PolicyMergeJob | None = None
+        self._attach_scheduler()
 
     @staticmethod
     def _base_bytes(opts: BLSMOptions) -> int:
@@ -113,121 +76,6 @@ class CompactionTree:
         if opts.level_base_bytes is not None:
             return opts.level_base_bytes
         return max(1, opts.level0_trigger * opts.c0_bytes)
-
-    def _init_obs(self) -> None:
-        """Bind instrumentation under the same metric names as the bLSM
-        tree, so dashboards and trace consumers work across policies."""
-        self.runtime = self.stasis.runtime
-        self.versions = VersionSet(self.runtime)
-        metrics = self.runtime.metrics
-        self._ctr_rotations = metrics.counter("memtable.rotations")
-        self._ctr_memtable_full = metrics.counter("memtable.full_events")
-        self._gauge_fill = metrics.gauge("memtable.fill")
-        self._ctr_stalls = metrics.counter("writes.stalls")
-        self._hist_stall = metrics.histogram("writes.stall_seconds")
-        self._merge_obs = {
-            level: (
-                metrics.counter(f"merge.{level}.passes"),
-                metrics.counter(f"merge.{level}.bytes"),
-                metrics.counter(f"merge.{level}.seconds"),
-            )
-            for level in ("c0c1", "c1c2")
-        }
-
-    def _note_merge_progress(
-        self, level: str, worked: int, seconds: float, job: PolicyMergeJob
-    ) -> None:
-        _passes, ctr_bytes, ctr_seconds = self._merge_obs[level]
-        ctr_bytes.inc(worked)
-        ctr_seconds.inc(seconds)
-        trace = self.runtime.trace
-        if trace.enabled:  # skip the kwargs build when tracing is off
-            trace.emit(
-                "merge_progress",
-                level=level,
-                worked=worked,
-                seconds=seconds,
-                inprogress=job.inprogress,
-                reads=job.read_calls,
-                seeks=job.seeks,
-                writes=job.write_calls,
-                write_seeks=job.write_seeks,
-            )
-
-    # ------------------------------------------------------------------
-    # Public write API
-    # ------------------------------------------------------------------
-
-    def put(self, key: bytes, value: bytes) -> None:
-        """Blind write of a full base record: zero seeks."""
-        self._write(Record.base(key, value, self._take_seqno()), _OP_PUT)
-
-    def delete(self, key: bytes) -> None:
-        """Write a tombstone; space is reclaimed by bottom-level merges."""
-        self._write(Record.tombstone(key, self._take_seqno()), _OP_DELETE)
-
-    def apply_delta(self, key: bytes, delta: bytes) -> None:
-        """Zero-seek partial update; folded by reads and merges."""
-        self._write(Record.delta(key, delta, self._take_seqno()), _OP_DELTA)
-
-    def insert_if_not_exists(self, key: bytes, value: bytes) -> bool:
-        """Insert ``key`` only if absent; returns whether it inserted."""
-        if self.get(key) is not None:
-            return False
-        self.put(key, value)
-        return True
-
-    def read_modify_write(
-        self, key: bytes, update: Callable[[bytes | None], bytes]
-    ) -> bytes:
-        """Read the current value, apply ``update``, write the result."""
-        new_value = update(self.get(key))
-        self.put(key, new_value)
-        return new_value
-
-    def write_batch(
-        self,
-        ops: Iterable[tuple[str, bytes, bytes | None]],
-        session: int = 0,
-        wait: bool = True,
-    ) -> CommitTicket:
-        """Apply a batch and commit it through Stasis group commit.
-
-        Same contract as :meth:`repro.core.tree.BLSM.write_batch`: the
-        records land in the memtable and the staged log; the returned
-        ticket resolves when a leader's force covers the batch.
-        """
-        self._check_open()
-        first = self._next_seqno
-        count = 0
-        for op, key, value in ops:
-            if op == "put":
-                assert value is not None
-                self.put(key, value)
-            elif op == "delete":
-                self.delete(key)
-            elif op == "delta":
-                assert value is not None
-                self.apply_delta(key, value)
-            else:
-                raise ValueError(f"unknown batch op {op!r}")
-            count += 1
-        if count == 0:
-            now = self.stasis.clock.now
-            return CommitTicket(
-                session=session,
-                first_seqno=first,
-                last_seqno=first - 1,
-                ops=0,
-                enqueued_at=now,
-                leader=True,
-                group_size=1,
-                durable_at=now,
-                durable_lsn=self.stasis.logical_log.durable_seqno,
-            )
-        return self.stasis.group_commit.commit(
-            first, self._next_seqno - 1, count, session=session, wait=wait
-        )
 
     # ------------------------------------------------------------------
     # Public read API
@@ -248,24 +96,7 @@ class CompactionTree:
         for table in self._manager.iter_tables():
             if self._collect(table.get(key), versions):
                 break
-        return resolve(versions)
-
-    def scan(
-        self,
-        lo: bytes,
-        hi: bytes | None = None,
-        limit: int | None = None,
-    ) -> Iterator[tuple[bytes, bytes]]:
-        """Range scan across every run, against a pinned snapshot.
-
-        A merge installing (or the memtable flushing) underneath a
-        paused scan is invisible: the snapshot pinned the run set at
-        scan start, so there is no restart and no row is observed twice
-        — same semantics as :meth:`repro.core.tree.BLSM.scan`.
-        """
-        self._check_open()
-        with self.snapshot() as snap:
-            yield from snap.scan(lo, hi, limit)
+        return self._resolve_read(key, versions)
 
     def snapshot(self) -> TreeSnapshot:
         """Pin a consistent point-in-time read view of the tree.
@@ -287,15 +118,6 @@ class CompactionTree:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-
-    def flush_log(self) -> None:
-        """Force the logical log (durability barrier).
-
-        Pending group-commit tickets resolve first — a flush must not
-        leave a session's acknowledged-later batch behind its barrier.
-        """
-        self.stasis.group_commit.drain()
-        self.stasis.logical_log.force()
 
     def drain(self) -> None:
         """Flush C0 and run every due merge to completion."""
@@ -327,14 +149,6 @@ class CompactionTree:
         while not job.done:
             job.step(1 << 30)
         self._install_job(job, gear="c1c2")
-
-    def close(self) -> None:
-        """Force logs and mark the tree closed."""
-        if self._closed:
-            return
-        self.flush_log()
-        self.stasis.wal.force()
-        self._closed = True
 
     # ------------------------------------------------------------------
     # Scheduler interface (the two-gear surface over N levels)
@@ -450,13 +264,7 @@ class CompactionTree:
             options=self.options,
         )
         gear = "c0c1" if plan.source_level == 0 else "c1c2"
-        self._merge_obs[gear][0].inc()
-        self.runtime.trace.emit(
-            "merge_start",
-            level=gear,
-            plan=plan.label,
-            input_bytes=job.input_bytes,
-        )
+        self._merge_started(gear, job, plan=plan.label)
         return job
 
     def _step_gear(self, gear: str, budget_bytes: int) -> int:
@@ -473,39 +281,32 @@ class CompactionTree:
                 self._job0 = job
             else:
                 self._jobn = job
-        started = self.stasis.clock.now
-        worked = job.step(budget_bytes)
-        elapsed = self.stasis.clock.now - started
-        if worked:
-            self._note_merge_progress(gear, worked, elapsed, job)
-        if job.done:
-            if shallow:
-                self._job0 = None
-            else:
-                self._jobn = None
-            self._install_job(job, gear)
-        return worked
+        return self._step_merge(
+            gear, job, budget_bytes, None, lambda: self._finish_job(job, gear)
+        )
+
+    def _finish_job(self, job: PolicyMergeJob, gear: str) -> None:
+        if job is self._job0:
+            self._job0 = None
+        else:
+            self._jobn = None
+        self._install_job(job, gear)
 
     def _install_job(self, job: PolicyMergeJob, gear: str) -> None:
         """Swap a finished job's inputs for its output, durably.
 
         Ordering mirrors the bLSM tree: install in memory, commit the
-        manifest (the durability point), bump the merge epoch so paused
-        scans restart, then free the inputs' extents.
+        manifest (the durability point), then retire the inputs — their
+        extents are freed once no snapshot pins them.
         """
         self._manager.install(job.inputs, job.plan.target_level, job.output)
-        self.runtime.trace.emit(
-            "merge_finish",
-            level=gear,
+        self._merge_finished(
+            gear,
+            job,
+            job.output.nbytes if job.output is not None else 0,
             plan=job.plan.label,
-            output_bytes=job.output.nbytes if job.output is not None else 0,
-            reads=job.read_calls,
-            seeks=job.seeks,
-            writes=job.write_calls,
-            write_seeks=job.write_seeks,
         )
         self.stasis.commit_manifest(self._manifest())
-        self._merge_epoch += 1  # historical: scans now pin snapshots
         for table in job.inputs:
             self.versions.retire(table)
 
@@ -513,16 +314,12 @@ class CompactionTree:
     # Write internals
     # ------------------------------------------------------------------
 
-    def _write(self, record: Record, op: str) -> None:
-        self._check_open()
-        value = record.value if op != _OP_DELETE else None
-        self.stasis.logical_log.log(record.seqno, op, record.key, value)
-        self._memtable.put(record)
+    def _on_write(self, nbytes: int) -> None:
         self._gauge_fill.set(self._memtable.fill_fraction)
         if self._memtable.fill_fraction >= 1.0:
             self._stall_for_level0()
             self._flush_memtable()
-        self.scheduler.on_write(record.nbytes)
+        self.scheduler.on_write(nbytes)
 
     def _stall_for_level0(self) -> None:
         """Hard backpressure: too many L0 runs blocks the writer.
@@ -533,76 +330,26 @@ class CompactionTree:
         """
         if self._manager.run_count(0) < self.options.level0_stop_trigger:
             return
-        self._ctr_memtable_full.inc()
-        self.runtime.trace.emit(
-            "level0_full", runs=self._manager.run_count(0)
-        )
-        started = self.stasis.clock.now
-        with self.runtime.trace.span("stall", cause="level0_backpressure"):
+        with self._stall(
+            "level0_backpressure", "level0_full", runs=self._manager.run_count(0)
+        ):
             while self._manager.run_count(0) >= self._policy.max_runs(0):
                 if self.step_m01(1 << 30) == 0 and self.step_m12(1 << 30) == 0:
                     break
-        self._ctr_stalls.inc()
-        self._hist_stall.observe(self.stasis.clock.now - started)
 
     def _flush_memtable(self) -> None:
         """Flush the whole memtable as level 0's newest run.
 
-        The manifest commits before the log truncates, so a crash
-        between the two replays onto state that already contains the
-        run — idempotent because replay rebuilds C0 from scratch.
+        The flush empties C0 whole, so the log truncates to a seqno
+        prefix instead of the exact retention snowshoveling needs.
         """
         if self._memtable.is_empty:
             return
-        builder = SSTableBuilder(
-            self.stasis,
-            tree_id=self._take_tree_id(),
-            expected_bytes=self._memtable.nbytes,
-            expected_keys=len(self._memtable),
-            with_bloom=self.options.with_bloom_filters,
-            bloom_false_positive_rate=self.options.bloom_false_positive_rate,
-            compression_ratio=self.options.compression_ratio,
-        )
-        for record in self._memtable:
-            builder.add(record)
-        table = builder.finish()
-        flushed = self._memtable.nbytes
+        table = self._flush_c0("flush")
         if table is not None:
             self._manager.add_run(0, table)
-        self._memtable = MemTable(
-            self.options.c0_bytes,
-            seed=self.options.seed,
-            kind=self.options.memtable,
-        )
-        self._ctr_rotations.inc()
-        self.runtime.trace.emit(
-            "memtable_rotate", kind="flush", frozen_bytes=flushed
-        )
-        self._merge_epoch += 1  # paused scans re-resolve (memtable swap)
         self.stasis.commit_manifest(self._manifest())
         self.stasis.logical_log.truncate(self._next_seqno)
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise EngineClosedError()
-
-    @staticmethod
-    def _collect(record: Record | None, versions: list[Record]) -> bool:
-        """Append a found version; return True to terminate the walk."""
-        if record is None:
-            return False
-        versions.append(record)
-        return not record.is_delta
-
-    def _take_seqno(self) -> int:
-        seqno = self._next_seqno
-        self._next_seqno += 1
-        return seqno
-
-    def _take_tree_id(self) -> int:
-        tree_id = self._next_tree_id
-        self._next_tree_id += 1
-        return tree_id
 
     # ------------------------------------------------------------------
     # Introspection
@@ -653,75 +400,6 @@ class CompactionTree:
             f"t={self.stasis.clock.now:.3f}s)"
         )
 
-    # ------------------------------------------------------------------
-    # Crash recovery
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def recover(
-        cls, stasis: Stasis, options: BLSMOptions | None = None
-    ) -> "CompactionTree":
-        """Rebuild a tree from durable state after ``stasis.crash()``.
-
-        Identical two-phase shape to :meth:`BLSM.recover`: the newest
-        committed manifest restores the level structure (Bloom filters
-        rebuilt by scanning — a charged cost), orphaned extents from
-        torn merges are freed, and the logical log replays into a fresh
-        memtable.
-        """
-        tree = cls.__new__(cls)
-        tree.options = options if options is not None else BLSMOptions(
-            compaction_policy="leveled"
-        )
-        tree.stasis = stasis
-        tree._policy = cls._make_policy(tree.options)
-        tree._memtable = MemTable(
-            tree.options.c0_bytes,
-            seed=tree.options.seed,
-            kind=tree.options.memtable,
-        )
-        tree._job0 = None
-        tree._jobn = None
-        tree._next_seqno = 0
-        tree._next_tree_id = 1
-        tree._merge_epoch = 0
-        tree._closed = False
-        tree._init_obs()
-        tree.scheduler = make_scheduler(
-            tree.options.scheduler,
-            tree.options.low_water,
-            tree.options.high_water,
-            tree.options.max_tick_bytes,
-        )
-        tree.scheduler.attach(tree)
-
-        def replay(record) -> None:
-            if record.op == _OP_DELETE:
-                tree._memtable.put(Record.tombstone(record.key, record.seqno))
-            elif record.op == _OP_DELTA:
-                tree._memtable.put(
-                    Record.delta(record.key, record.value, record.seqno)
-                )
-            else:
-                tree._memtable.put(
-                    Record.base(record.key, record.value, record.seqno)
-                )
-            tree._next_seqno = max(tree._next_seqno, record.seqno + 1)
-
-        manifest = stasis.recover_manifest()
-        tree._next_seqno = manifest["next_seqno"]
-        tree._next_tree_id = manifest["next_tree_id"]
-        tree._manager = LevelManager.rebuild(
-            stasis,
-            manifest["levels"],
-            cls._base_bytes(tree.options),
-            tree.options.level_ratio,
-            tree.options,
-        )
-        tree._free_orphan_extents()
-        storage_recover(stasis, replay)
-        return tree
-
     # -- manifest ------------------------------------------------------
 
     def _manifest(self) -> dict[str, Any]:
@@ -732,11 +410,14 @@ class CompactionTree:
             "levels": self._manager.describe(),
         }
 
-    def _free_orphan_extents(self) -> None:
-        """Free extents a torn merge allocated but never committed."""
-        live: set[Extent] = self._manager.live_extents()
-        for extent in self.stasis.regions.allocated_extents:
-            if extent not in live:
-                for page_id in range(extent.start, extent.end):
-                    self.stasis.pagefile.free_page(page_id)
-                self.stasis.regions.free(extent)
+    def _restore_layout(self, manifest: dict[str, Any]) -> None:
+        self._manager = LevelManager.rebuild(
+            self.stasis,
+            manifest["levels"],
+            self._base_bytes(self.options),
+            self.options.level_ratio,
+            self.options,
+        )
+
+    def _live_tables(self) -> Iterable[SSTable]:
+        return self._manager.iter_tables()

@@ -17,7 +17,7 @@ snapshot; the older source is the downstream component being rewritten.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Protocol
+from typing import Callable, Protocol
 
 from repro.core.versions import SortedRun
 from repro.memtable.memtable import MemTable
@@ -364,10 +364,6 @@ class MergeProcess:
     def overlay_get(self, key: bytes) -> Record | None:
         """Look up a consumed-but-uncommitted record (reads mid-merge)."""
         return self.overlay.get(key)
-
-    def overlay_scan(self, lo: bytes, hi: bytes | None) -> Iterator[Record]:
-        """Overlay records with lo <= key < hi, in key order."""
-        return self.overlay.scan(lo, hi)
 
     def _note_seqno(self, seqno: int) -> None:
         if self.min_seqno_consumed is None or seqno < self.min_seqno_consumed:

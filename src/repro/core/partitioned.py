@@ -4,9 +4,9 @@
 breaking the LSM-Tree into smaller trees and merging the trees according
 to their update rates concentrates merge activity on frequently updated
 key ranges" (Section 2.3.2).  The paper's prototype defers this ("we
-have not yet implemented partitioning"); this module implements it on
-top of the same substrate, composed with the spring scheduler exactly as
-Section 4.3 envisions.
+have not yet implemented partitioning"); this module implements it as a
+layout over the same substrate (:class:`~repro.core.kernel.TreeKernel`),
+composed with the spring scheduler exactly as Section 4.3 envisions.
 
 Design:
 
@@ -34,26 +34,16 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Iterable
 
-from repro.core.components import (
-    component_extents,
-    describe_component,
-    rebuild_component,
-)
+from repro.core.components import describe_component
+from repro.core.kernel import TreeKernel
 from repro.core.merge import MergeProcess, RangeSnowshovelSource
 from repro.core.options import BLSMOptions
-from repro.errors import EngineClosedError
-from repro.memtable.memtable import MemTable
+from repro.core.versions import TreeSnapshot
 from repro.records import Record, resolve
-from repro.sim.clock import Timeline
-from repro.sstable.iterator import kway_merge
 from repro.sstable.reader import SSTable
 from repro.storage.stasis import Stasis
-
-_OP_PUT = "put"
-_OP_DELETE = "delete"
-_OP_DELTA = "delta"
 
 
 @dataclass
@@ -88,7 +78,7 @@ class Partition:
         return key >= self.lo and (self.hi is None or key < self.hi)
 
 
-class PartitionedBLSM:
+class PartitionedBLSM(TreeKernel):
     """A range-partitioned bLSM tree with greedy merge selection."""
 
     def __init__(
@@ -97,89 +87,21 @@ class PartitionedBLSM:
         stasis: Stasis | None = None,
         max_partition_bytes: int | None = None,
     ) -> None:
-        self.options = options if options is not None else BLSMOptions()
-        opts = self.options
-        if stasis is not None:
-            self.stasis = stasis
-        else:
-            self.stasis = Stasis(
-                disk_model=opts.disk_model,
-                page_size=opts.page_size,
-                buffer_pool_pages=opts.buffer_pool_pages,
-                eviction_policy=opts.eviction_policy,
-                durability=opts.durability,
-                fault_plan=opts.fault_plan,
-                retry=opts.retry,
-                capacity_bytes=opts.capacity_bytes,
-                log_disk_model=opts.log_disk_model,
-                data_stripes=opts.data_stripes,
-                stripe_chunk_bytes=opts.stripe_chunk_bytes,
-                observability=opts.observability,
-            )
+        super().__init__(
+            options, stasis, max_partition_bytes=max_partition_bytes
+        )
+
+    def _init_layout(self, max_partition_bytes: int | None = None) -> None:
         self.max_partition_bytes = (
             max_partition_bytes
             if max_partition_bytes is not None
-            else 4 * opts.c0_bytes
-        )
-        self._memtable = MemTable(
-            opts.c0_bytes, seed=opts.seed, kind=opts.memtable
+            else 4 * self.options.c0_bytes
         )
         self._partitions: list[Partition] = [Partition(lo=b"", hi=None)]
-        self._next_seqno = 0
-        self._next_tree_id = 1
-        self._merge_epoch = 0
-        self._closed = False
         # One merge runs at a time (the greedy selector serializes them),
         # so one background timeline models the merge worker.
-        self._bg: Timeline | None = (
-            Timeline("merge-worker") if opts.background_merges else None
-        )
-        self._init_obs()
-        self.stasis.commit_manifest(self._manifest())
-
-    def _init_obs(self) -> None:
-        """Bind this tree's instrumentation to the runtime's registry."""
-        self.runtime = self.stasis.runtime
-        metrics = self.runtime.metrics
-        self._gauge_fill = metrics.gauge("memtable.fill")
-        self._gauge_pressure = metrics.gauge("scheduler.pressure")
-        self._ctr_memtable_full = metrics.counter("memtable.full_events")
-        self._ctr_stalls = metrics.counter("writes.stalls")
-        self._hist_stall = metrics.histogram("writes.stall_seconds")
-        self._merge_obs = {
-            level: (
-                metrics.counter(f"merge.{level}.passes"),
-                metrics.counter(f"merge.{level}.bytes"),
-                metrics.counter(f"merge.{level}.seconds"),
-            )
-            for level in ("c0c1", "c1c2")
-        }
-
-    # ------------------------------------------------------------------
-    # Write API
-    # ------------------------------------------------------------------
-
-    def put(self, key: bytes, value: bytes) -> None:
-        self._write(Record.base(key, value, self._take_seqno()), _OP_PUT)
-
-    def delete(self, key: bytes) -> None:
-        self._write(Record.tombstone(key, self._take_seqno()), _OP_DELETE)
-
-    def apply_delta(self, key: bytes, delta: bytes) -> None:
-        self._write(Record.delta(key, delta, self._take_seqno()), _OP_DELTA)
-
-    def insert_if_not_exists(self, key: bytes, value: bytes) -> bool:
-        if self.get(key) is not None:
-            return False
-        self.put(key, value)
-        return True
-
-    def read_modify_write(
-        self, key: bytes, update: Callable[[bytes | None], bytes]
-    ) -> bytes:
-        new_value = update(self.get(key))
-        self.put(key, new_value)
-        return new_value
+        self._bg = self._new_timeline("merge-worker")
+        self._gauge_pressure = self.runtime.metrics.gauge("scheduler.pressure")
 
     # ------------------------------------------------------------------
     # Read API
@@ -200,91 +122,37 @@ class PartitionedBLSM:
                 continue
             if self._collect(component.get(key), versions):
                 break
-        value = resolve(versions)
-        if (
-            self.options.delta_read_repair
-            and value is not None
-            and len(versions) > 1
-            and versions[0].is_delta
-        ):
-            # Section 5.6's repair, as in BLSM.get: logged, so exact log
-            # retention keeps the writes it subsumes reconstructible.
-            self._write(Record.base(key, value, self._take_seqno()), _OP_PUT)
-        return value
+        return self._resolve_read(key, versions)
 
-    def scan(
-        self,
-        lo: bytes,
-        hi: bytes | None = None,
-        limit: int | None = None,
-    ) -> Iterator[tuple[bytes, bytes]]:
-        """Range scan: two seeks per crossed partition (Section 3.3).
+    def snapshot(self) -> TreeSnapshot:
+        """Pin a consistent point-in-time read view of the tree.
 
-        Partitions are opened lazily, one range at a time, so a short
-        scan touches only the components of the partition it lands in —
-        the two-seek property partitioning exists to provide.  Scans
-        are epoch-validated like :meth:`BLSM.scan`: a merge committing
-        while the caller holds a paused scan triggers a transparent
-        restart from the scan cursor against the current components.
+        One key range per partition behind the shared C0, each with the
+        partition's merge-overlay prefix (while its C0:C1ᵖ pass is
+        open) and its at most two components: a scan opens the ranges
+        it crosses one at a time, so a short scan touches only the
+        partition it lands in — the two-seek property partitioning
+        exists to provide (Section 3.3) — and a merge or split
+        committing underneath it is invisible.
         """
         self._check_open()
-        cursor = lo
-        emitted = 0
-        while True:
-            if hi is not None and cursor >= hi:
-                return
-            epoch = self._merge_epoch
-            partition = self._partitions[self._partition_index(cursor)]
-            bound = partition.hi
-            if hi is not None and (bound is None or hi < bound):
-                bound = hi
-            restart = False
-            remaining = None if limit is None else limit - emitted
-            for group in kway_merge(
-                self._partition_sources(partition, cursor, bound, remaining)
-            ):
-                value = resolve(group)
-                if value is None:
-                    continue
-                yield group[0].key, value
-                cursor = group[0].key + b"\x00"
-                emitted += 1
-                if limit is not None and emitted >= limit:
-                    return
-                if self._merge_epoch != epoch:
-                    restart = True
-                    break
-            if restart:
-                continue  # re-resolve the partition from the cursor
-            if partition.hi is None:
-                return  # the last partition is exhausted
-            cursor = max(cursor, partition.hi)
-
-    def _partition_sources(
-        self,
-        partition: Partition,
-        lo: bytes,
-        hi: bytes | None,
-        limit: int | None,
-    ) -> list[Iterator[Record]]:
-        sources: list[Iterator[Record]] = [self._memtable.scan(lo, hi)]
-        if partition.m01 is not None:
-            sources.append(partition.m01.overlay_scan(lo, hi))
-        for component in (partition.c1, partition.c2):
-            if component is not None:
-                sources.append(component.scan(lo, hi, limit=limit))
-        return sources
+        ranges = [
+            (
+                p.lo,
+                p.hi,
+                [p.m01.overlay.prefix()] if p.m01 is not None else [],
+                [c for c in (p.c1, p.c2) if c is not None],
+            )
+            for p in self._partitions
+        ]
+        return TreeSnapshot(
+            self.versions, self._memtable, (), (), engine="blsm-part",
+            ranges=ranges,
+        )
 
     # ------------------------------------------------------------------
     # Scheduler (spring + greedy partition selection)
     # ------------------------------------------------------------------
-
-    def _write(self, record: Record, op: str) -> None:
-        self._check_open()
-        value = record.value if op != _OP_DELETE else None
-        self.stasis.logical_log.log(record.seqno, op, record.key, value)
-        self._memtable.put(record)
-        self._on_write(record.nbytes)
 
     def _on_write(self, nbytes: int) -> None:
         opts = self.options
@@ -303,22 +171,18 @@ class PartitionedBLSM:
         )
         self.merge_step(budget)
         if self._memtable.fill_fraction >= 1.0:
-            self._ctr_memtable_full.inc()
-            self.runtime.trace.emit(
+            with self._stall(
+                "merge_backpressure",
                 "memtable_full",
                 fill=self._memtable.fill_fraction,
                 c0_bytes=self._memtable.nbytes,
-            )
-            started = self.stasis.clock.now
-            with self.runtime.trace.span("stall", cause="merge_backpressure"):
+            ):
                 while self._memtable.fill_fraction > opts.high_water:
                     if self.merge_step(opts.max_tick_bytes):
                         continue
                     if self._wait_for_background():
                         continue  # wait for the busy merge worker
                     break
-            self._ctr_stalls.inc()
-            self._hist_stall.observe(self.stasis.clock.now - started)
 
     def merge_step(self, budget_bytes: int) -> int:
         """Advance the active merge, starting the best one when idle.
@@ -327,10 +191,10 @@ class PartitionedBLSM:
         timeline; while the worker is still servicing previously
         dispatched I/O, nothing is dispatched and 0 is returned.
         """
-        if budget_bytes <= 0:
-            return 0
         timeline = self._bg
-        if timeline is not None and timeline.busy(self.stasis.clock):
+        if budget_bytes <= 0 or (
+            timeline is not None and timeline.busy(self.stasis.clock)
+        ):
             return 0
         active = self._active_merge()
         if active is None:
@@ -338,47 +202,13 @@ class PartitionedBLSM:
         if active is None:
             return 0
         partition, process = active
-        level = "c1c2" if process is partition.m12 else "c0c1"
-        if timeline is None:
-            started = self.stasis.clock.now
-            worked = process.step(budget_bytes)
-            seconds = self.stasis.clock.now - started
-        else:
-            timeline.catch_up(self.stasis.clock)
-            started = timeline.now
-            with self.stasis.clock.running_on(timeline):
-                worked = process.step(budget_bytes)
-                if process.done:
-                    self._finish_merge(partition, process)
-            seconds = timeline.now - started
-        if worked:
-            _passes, ctr_bytes, ctr_seconds = self._merge_obs[level]
-            ctr_bytes.inc(worked)
-            ctr_seconds.inc(seconds)
-            trace = self.runtime.trace
-            if trace.enabled:  # skip the kwargs build when tracing is off
-                trace.emit(
-                    "merge_progress",
-                    level=level,
-                    worked=worked,
-                    seconds=seconds,
-                    inprogress=process.inprogress,
-                    reads=process.read_calls,
-                    seeks=process.seeks,
-                    writes=process.write_calls,
-                    write_seeks=process.write_seeks,
-                )
-        if timeline is None and process.done:
-            self._finish_merge(partition, process)
-        return worked
-
-    def _wait_for_background(self) -> bool:
-        """Advance the clock to the merge worker's completion, if busy."""
-        timeline = self._bg
-        if timeline is None or not timeline.busy(self.stasis.clock):
-            return False
-        self.stasis.clock.advance_to(timeline.now)
-        return True
+        return self._step_merge(
+            "c1c2" if process is partition.m12 else "c0c1",
+            process,
+            budget_bytes,
+            timeline,
+            lambda: self._finish_merge(partition, process),
+        )
 
     def _active_merge(self) -> tuple[Partition, MergeProcess] | None:
         for partition in self._partitions:
@@ -504,9 +334,6 @@ class PartitionedBLSM:
             c0_keys,
             math.ceil(2 * self.options.c0_bytes * c0_keys / self._memtable.nbytes),
         )
-        # Paused scans must restart to pick up the merge overlay (the
-        # range snowshovel moves live memtable records into it).
-        self._merge_epoch += 1
         partition.m01 = MergeProcess(
             self.stasis,
             newer=source,
@@ -522,13 +349,7 @@ class PartitionedBLSM:
             compression_ratio=self.options.compression_ratio,
             bloom_keys=run_keys + c1_keys,
         )
-        self._merge_obs["c0c1"][0].inc()
-        self.runtime.trace.emit(
-            "merge_start",
-            level="c0c1",
-            input_bytes=partition.m01.input_bytes,
-            partition=partition.lo.hex(),
-        )
+        self._merge_started("c0c1", partition.m01, partition=partition.lo.hex())
         return partition.m01
 
     def _start_m12(self, partition: Partition) -> MergeProcess:
@@ -549,26 +370,15 @@ class PartitionedBLSM:
             tree_id_source=self._take_tree_id,
             compression_ratio=self.options.compression_ratio,
         )
-        self._merge_obs["c1c2"][0].inc()
-        self.runtime.trace.emit(
-            "merge_start",
-            level="c1c2",
-            input_bytes=partition.m12.input_bytes,
-            partition=partition.lo.hex(),
-        )
+        self._merge_started("c1c2", partition.m12, partition=partition.lo.hex())
         return partition.m12
 
     def _finish_merge(self, partition: Partition, process: MergeProcess) -> None:
-        self._merge_epoch += 1  # paused scans must re-resolve components
-        self.runtime.trace.emit(
-            "merge_finish",
-            level="c0c1" if process is partition.m01 else "c1c2",
-            output_bytes=sum(t.nbytes for t in process.outputs),
+        self._merge_finished(
+            "c0c1" if process is partition.m01 else "c1c2",
+            process,
+            sum(t.nbytes for t in process.outputs),
             partition=partition.lo.hex(),
-            reads=process.read_calls,
-            seeks=process.seeks,
-            writes=process.write_calls,
-            write_seeks=process.write_seeks,
         )
         if process is partition.m01:
             old_c1 = partition.c1
@@ -590,9 +400,8 @@ class PartitionedBLSM:
                     partition, process.outputs, run_bytes
                 )
             self.stasis.commit_manifest(self._manifest())
-            if old_c1 is not None:
-                old_c1.free()
-            self._truncate_logical_log()
+            self.versions.retire(old_c1)
+            self._retain_log(self._memtable)
         else:
             assert process is partition.m12
             old_c1, old_c2 = partition.c1, partition.c2
@@ -609,10 +418,8 @@ class PartitionedBLSM:
             # C1ᵖ:C2ᵖ merges are rare per partition: checkpoint the WAL
             # so manifest replay stays bounded.
             self.stasis.checkpoint_wal()
-            if old_c1 is not None:
-                old_c1.free()
-            if old_c2 is not None:
-                old_c2.free()
+            self.versions.retire(old_c1)
+            self.versions.retire(old_c2)
 
     def _install_split_outputs(
         self,
@@ -655,14 +462,6 @@ class PartitionedBLSM:
             keys += 1
         return nbytes, keys
 
-    def _truncate_logical_log(self) -> None:
-        """Exact log retention (see :meth:`BLSM._truncate_logical_log`)."""
-        coverage = {
-            record.key: (record.coverage_start, record.seqno)
-            for record in self._memtable
-        }
-        self.stasis.logical_log.retain_ranges(coverage)
-
     # ------------------------------------------------------------------
     # Lifecycle and introspection
     # ------------------------------------------------------------------
@@ -673,16 +472,6 @@ class PartitionedBLSM:
         while not self._memtable.is_empty or self._active_merge() is not None:
             if self.merge_step(1 << 30) == 0 and not self._wait_for_background():
                 break
-
-    def flush_log(self) -> None:
-        self.stasis.logical_log.force()
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self.flush_log()
-        self.stasis.wal.force()
-        self._closed = True
 
     @property
     def partition_count(self) -> int:
@@ -716,66 +505,6 @@ class PartitionedBLSM:
         summary["clock_seconds"] = self.stasis.clock.now
         return summary
 
-    # ------------------------------------------------------------------
-    # Recovery
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def recover(
-        cls,
-        stasis: Stasis,
-        options: BLSMOptions | None = None,
-        max_partition_bytes: int | None = None,
-    ) -> "PartitionedBLSM":
-        """Rebuild from the newest committed manifest plus log replay."""
-        tree = cls.__new__(cls)
-        tree.options = options if options is not None else BLSMOptions()
-        tree.stasis = stasis
-        tree.max_partition_bytes = (
-            max_partition_bytes
-            if max_partition_bytes is not None
-            else 4 * tree.options.c0_bytes
-        )
-        tree._memtable = MemTable(
-            tree.options.c0_bytes,
-            seed=tree.options.seed,
-            kind=tree.options.memtable,
-        )
-        tree._merge_epoch = 0
-        tree._closed = False
-        tree._bg = (
-            Timeline("merge-worker")
-            if tree.options.background_merges
-            else None
-        )
-        tree._init_obs()
-        manifest = stasis.recover_manifest()
-        tree._next_seqno = manifest["next_seqno"]
-        tree._next_tree_id = manifest["next_tree_id"]
-        tree._partitions = [
-            Partition(
-                lo=desc["lo"],
-                hi=desc["hi"],
-                c1=tree._rebuild_component(desc["c1"]),
-                c2=tree._rebuild_component(desc["c2"]),
-            )
-            for desc in manifest["partitions"]
-        ]
-        tree._free_orphan_extents()
-        for record in stasis.logical_log.replay():
-            if record.op == _OP_DELETE:
-                tree._memtable.put(Record.tombstone(record.key, record.seqno))
-            elif record.op == _OP_DELTA:
-                tree._memtable.put(
-                    Record.delta(record.key, record.value, record.seqno)
-                )
-            else:
-                tree._memtable.put(
-                    Record.base(record.key, record.value, record.seqno)
-                )
-            tree._next_seqno = max(tree._next_seqno, record.seqno + 1)
-        return tree
-
     def __repr__(self) -> str:
         return (
             f"PartitionedBLSM(partitions={len(self._partitions)}, "
@@ -787,27 +516,6 @@ class PartitionedBLSM:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise EngineClosedError()
-
-    def _take_seqno(self) -> int:
-        seqno = self._next_seqno
-        self._next_seqno += 1
-        return seqno
-
-    def _take_tree_id(self) -> int:
-        tree_id = self._next_tree_id
-        self._next_tree_id += 1
-        return tree_id
-
-    @staticmethod
-    def _collect(record: Record | None, versions: list[Record]) -> bool:
-        if record is None:
-            return False
-        versions.append(record)
-        return not record.is_delta
 
     def _partition_index(self, key: bytes) -> int:
         los = [partition.lo for partition in self._partitions]
@@ -826,32 +534,28 @@ class PartitionedBLSM:
                 {
                     "lo": p.lo,
                     "hi": p.hi,
-                    "c1": self._describe(p.c1),
-                    "c2": self._describe(p.c2),
+                    "c1": describe_component(p.c1),
+                    "c2": describe_component(p.c2),
                 }
                 for p in self._partitions
             ),
         }
 
-    def _maybe_persist_bloom(self, component: SSTable | None) -> None:
-        if component is not None and self.options.persist_bloom_filters:
-            from repro.sstable.bloom_store import persist_bloom
+    def _restore_layout(self, manifest: dict[str, Any]) -> None:
+        self._partitions = [
+            Partition(
+                lo=desc["lo"],
+                hi=desc["hi"],
+                c1=self._rebuild_component(desc["c1"]),
+                c2=self._rebuild_component(desc["c2"]),
+            )
+            for desc in manifest["partitions"]
+        ]
 
-            persist_bloom(self.stasis, component)
-
-    def _describe(self, component: SSTable | None) -> dict[str, Any] | None:
-        return describe_component(component)
-
-    def _rebuild_component(self, desc: dict[str, Any] | None) -> SSTable | None:
-        return rebuild_component(self.stasis, desc, self.options)
-
-    def _free_orphan_extents(self) -> None:
-        live = set()
-        for partition in self._partitions:
-            for component in (partition.c1, partition.c2):
-                live.update(component_extents(describe_component(component)))
-        for extent in self.stasis.regions.allocated_extents:
-            if extent not in live:
-                for page_id in range(extent.start, extent.end):
-                    self.stasis.pagefile.free_page(page_id)
-                self.stasis.regions.free(extent)
+    def _live_tables(self) -> Iterable[SSTable]:
+        return [
+            component
+            for partition in self._partitions
+            for component in (partition.c1, partition.c2)
+            if component is not None
+        ]

@@ -26,7 +26,10 @@ Three pieces:
 * :class:`TreeSnapshot` — the read view itself: RAM sources plus pinned
   on-disk components, in recency order.  ``get``/``multi_get``/``scan``
   walk exactly the source order the live tree would have walked at
-  snapshot time; disk reads charge the virtual clock normally.
+  snapshot time; disk reads charge the virtual clock normally.  A
+  partitioned tree's view is one such source list per key range
+  behind the shared C0; a scan opens the ranges it crosses one at a
+  time.
 
 Cost contract: opening a snapshot is O(1) in the size of C0 and does no
 I/O.  No RAM source is copied at open — the live memtable is read in
@@ -44,12 +47,15 @@ Scans built on snapshots never restart: the epoch-validation loop the
 trees used (Section 4.4.1's logical timestamps) re-resolved the
 component set after every merge install, forcing a re-descent from the
 cursor.  A snapshot scan holds its sources for the scan's whole life,
-so a merge or memtable switch underneath it is invisible.
+so a merge, memtable switch or partition split underneath it is
+invisible.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from itertools import chain, islice
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Protocol, Sequence
 
 from repro.records import Record, resolve
@@ -173,6 +179,13 @@ class RamSource(Protocol):
     def scan(self, lo: bytes, hi: bytes | None) -> Iterator[Record]: ...
 
 
+KeyRange = tuple[bytes, "bytes | None", Sequence[RamSource], Sequence["SSTable"]]
+"""``(lo, hi, older_ram, tables)``: one key range ``[lo, hi)`` of a
+snapshot and the sources behind C0 that serve it, newest first."""
+
+_range_lo = itemgetter(0)
+
+
 class SortedRun:
     """Append-only run of records in strictly ascending key order.
 
@@ -248,10 +261,13 @@ class TreeSnapshot:
     it that cannot change under a reader (a frozen C0', a merge-overlay
     prefix) and ``tables`` the on-disk components, all in recency order
     (newest first) — the same order the live tree's read path walks.
-    The constructor registers with the memtable (copy-on-write, see
-    :meth:`materialize`) and pins every table in ``versions``;
-    :meth:`close` (or context-manager exit) undoes both, triggering any
-    frees a merge deferred.
+    A tree whose on-disk layout is split by key passes ``ranges``
+    instead: contiguous ``(lo, hi, older_ram, tables)`` in key order,
+    the first starting at ``b""`` and the last with ``hi=None``, all
+    behind the one shared C0.  The constructor registers with the
+    memtable (copy-on-write, see :meth:`materialize`) and pins every
+    table in ``versions``; :meth:`close` (or context-manager exit)
+    undoes both, triggering any frees a merge deferred.
     """
 
     def __init__(
@@ -261,13 +277,21 @@ class TreeSnapshot:
         older_ram: Sequence[RamSource],
         tables: Sequence["SSTable"],
         engine: str = "tree",
+        ranges: "Sequence[KeyRange] | None" = None,
     ) -> None:
         self.engine = engine
         self._versions = versions
         # Read in place until a write is about to land on it.
         self._memtable: "MemTable | None" = memtable
-        self._ram: list[RamSource] = [memtable, *older_ram]
-        self._tables = list(tables)
+        self._c0: RamSource = memtable
+        if ranges is None:
+            self._tables = list(tables)
+            self._ranges: list[KeyRange] = [(b"", None, older_ram, self._tables)]
+        else:
+            self._ranges = list(ranges)
+            self._tables = [
+                table for _lo, _hi, _ram, on_disk in ranges for table in on_disk
+            ]
         self._released = False
         memtable.attach_view(self)
         versions.view_opened()
@@ -282,7 +306,7 @@ class TreeSnapshot:
         exactly the state every read so far has seen.
         """
         assert self._memtable is not None
-        self._ram[0] = SortedRun(self._memtable)  # iterates in key order
+        self._c0 = SortedRun(self._memtable)  # iterates in key order
         self._memtable = None
         self._versions.note_cow_copy()
 
@@ -293,15 +317,11 @@ class TreeSnapshot:
         newest-to-oldest, stop at the first base record or tombstone,
         fold deltas (Section 3.1.1).  Disk probes are charged normally.
         """
+        ranges = self._ranges
+        _lo, _hi, ram, tables = ranges[bisect_right(ranges, key, key=_range_lo) - 1]
         versions: list[Record] = []
-        for source in self._ram:
+        for source in chain((self._c0,), ram, tables):
             record = source.get(key)
-            if record is not None:
-                versions.append(record)
-                if not record.is_delta:
-                    return resolve(versions)
-        for table in self._tables:
-            record = table.get(key)
             if record is not None:
                 versions.append(record)
                 if not record.is_delta:
@@ -319,31 +339,42 @@ class TreeSnapshot:
 
         Never restarts: the sources cannot change under the scan, no
         matter how many merges install or memtables switch while the
-        caller holds it paused.
+        caller holds it paused.  Ranges are opened one at a time, so a
+        short scan touches only the components of the range it lands in.
         """
-        sources: list[Iterator[Record]] = [self._scan_c0(lo, hi)]
-        sources.extend(source.scan(lo, hi) for source in self._ram[1:])
-        sources.extend(
-            table.scan(lo, hi, limit=limit) for table in self._tables
-        )
+        ranges = self._ranges
+        landing = bisect_right(ranges, lo, key=_range_lo) - 1
         emitted = 0
-        for group in kway_merge(sources):
-            value = resolve(group)
-            if value is None:
-                continue
-            yield group[0].key, value
-            emitted += 1
-            if limit is not None and emitted >= limit:
+        for range_lo, range_hi, ram, tables in islice(ranges, landing, None):
+            if hi is not None and range_lo >= hi:
                 return
+            start = lo if lo > range_lo else range_lo
+            stop = range_hi
+            if stop is None or (hi is not None and hi < stop):
+                stop = hi
+            remaining = None if limit is None else limit - emitted
+            sources: list[Iterator[Record]] = [self._scan_c0(start, stop)]
+            sources.extend(source.scan(start, stop) for source in ram)
+            sources.extend(
+                table.scan(start, stop, limit=remaining) for table in tables
+            )
+            for group in kway_merge(sources):
+                value = resolve(group)
+                if value is None:
+                    continue
+                yield group[0].key, value
+                emitted += 1
+                if limit is not None and emitted >= limit:
+                    return
 
     def _scan_c0(self, lo: bytes, hi: bytes | None) -> Iterator[Record]:
-        source = self._ram[0]
+        source = self._c0
         for record in source.scan(lo, hi):
             yield record
-            if self._ram[0] is not source:
+            if self._c0 is not source:
                 # A write landed while the scan was paused: the live
                 # iterator is no longer ours; resume on the copy.
-                yield from self._ram[0].scan(record.key + b"\x00", hi)
+                yield from self._c0.scan(record.key + b"\x00", hi)
                 return
 
     def close(self) -> None:
@@ -366,6 +397,6 @@ class TreeSnapshot:
     def __repr__(self) -> str:
         state = "released" if self._released else "pinned"
         return (
-            f"TreeSnapshot({self.engine}, ram={len(self._ram)}, "
+            f"TreeSnapshot({self.engine}, ranges={len(self._ranges)}, "
             f"tables={len(self._tables)}, {state})"
         )

@@ -32,7 +32,10 @@ from repro.baselines import (
     LevelDBEngine,
     PartitionedBLSMEngine,
 )
+from repro.core.compaction import CompactionTree
 from repro.core.options import BLSMOptions
+from repro.core.partitioned import PartitionedBLSM
+from repro.core.tree import BLSM
 from repro.faults.plan import FaultPlan
 from repro.shard import ShardedEngine, make_partitioner
 from repro.sim.disk import DiskModel
@@ -257,21 +260,22 @@ def build_engine(
 # Crash-harness surface (raw trees over one serial access sequence)
 # ----------------------------------------------------------------------
 
-#: Engines the crash-point enumeration can drive: their construction
-#: accepts a shared FaultPlan and all device traffic forms one serial
-#: access sequence (which is why striped and sharded engines — N
-#: independent device sets — cannot appear here).
-CRASH_ENGINE_NAMES: tuple[str, ...] = (
-    "blsm",
-    "partitioned",
-    "leveled",
-    "tiered",
-    "lazy-leveled",
-)
+#: Engines the crash-point enumeration can drive, as ``name -> (tree
+#: class, option overrides, layout keywords)``: every tree builds as
+#: ``cls(options, **layout)`` and recovers as ``cls.recover(stasis,
+#: options, **layout)``.  Their construction accepts a shared FaultPlan
+#: and all device traffic forms one serial access sequence (which is why
+#: striped and sharded engines — N independent device sets — cannot
+#: appear here).
+_CRASH_TREES: dict[str, tuple[Any, dict[str, Any], dict[str, Any]]] = {
+    "blsm": (BLSM, {}, {}),
+    "partitioned": (PartitionedBLSM, {}, {"max_partition_bytes": 24 * 1024}),
+    "leveled": (CompactionTree, {"compaction_policy": "leveled"}, {}),
+    "tiered": (CompactionTree, {"compaction_policy": "tiered"}, {}),
+    "lazy-leveled": (CompactionTree, {"compaction_policy": "lazy-leveled"}, {}),
+}
 
-_CRASH_PARTITION_BYTES = 24 * 1024
-
-_POLICY_CRASH_NAMES = ("leveled", "tiered", "lazy-leveled")
+CRASH_ENGINE_NAMES: tuple[str, ...] = tuple(_CRASH_TREES)
 
 
 def crash_options(plan: FaultPlan | None, seed: int) -> BLSMOptions:
@@ -289,46 +293,22 @@ def crash_options(plan: FaultPlan | None, seed: int) -> BLSMOptions:
     )
 
 
+def _crash_tree(name: str) -> tuple[Any, dict[str, Any], dict[str, Any]]:
+    try:
+        return _CRASH_TREES[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown engine {name!r}; expected one of {CRASH_ENGINE_NAMES}"
+        ) from None
+
+
 def build_crash_tree(name: str, plan: FaultPlan | None, seed: int) -> Any:
     """A raw tree wired to ``plan`` for crash-point enumeration."""
-    if name == "blsm":
-        from repro.core.tree import BLSM
-
-        return BLSM(crash_options(plan, seed))
-    if name == "partitioned":
-        from repro.core.partitioned import PartitionedBLSM
-
-        return PartitionedBLSM(
-            crash_options(plan, seed),
-            max_partition_bytes=_CRASH_PARTITION_BYTES,
-        )
-    if name in _POLICY_CRASH_NAMES:
-        from repro.core.compaction import CompactionTree
-
-        return CompactionTree(
-            replace(crash_options(plan, seed), compaction_policy=name)
-        )
-    raise ValueError(
-        f"unknown engine {name!r}; expected one of {CRASH_ENGINE_NAMES}"
-    )
+    cls, overrides, layout = _crash_tree(name)
+    return cls(replace(crash_options(plan, seed), **overrides), **layout)
 
 
 def recover_crash_tree(name: str, stasis: Any, options: Any) -> Any:
     """Recover the matching tree type from a crashed substrate."""
-    if name == "blsm":
-        from repro.core.tree import BLSM
-
-        return BLSM.recover(stasis, options)
-    if name == "partitioned":
-        from repro.core.partitioned import PartitionedBLSM
-
-        return PartitionedBLSM.recover(
-            stasis, options, max_partition_bytes=_CRASH_PARTITION_BYTES
-        )
-    if name in _POLICY_CRASH_NAMES:
-        from repro.core.compaction import CompactionTree
-
-        return CompactionTree.recover(stasis, options)
-    raise ValueError(
-        f"unknown engine {name!r}; expected one of {CRASH_ENGINE_NAMES}"
-    )
+    cls, _overrides, layout = _crash_tree(name)
+    return cls.recover(stasis, options, **layout)

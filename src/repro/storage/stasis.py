@@ -188,6 +188,25 @@ class Stasis:
         self.group_commit = GroupCommitQueue(self)
         self._committed_manifest: Any = None
 
+    @classmethod
+    def from_options(cls, options: Any) -> "Stasis":
+        """The substrate a tree's :class:`~repro.core.options.BLSMOptions`
+        describe (devices, pool, durability, faults, observability)."""
+        return cls(
+            disk_model=options.disk_model,
+            page_size=options.page_size,
+            buffer_pool_pages=options.buffer_pool_pages,
+            eviction_policy=options.eviction_policy,
+            durability=options.durability,
+            fault_plan=options.fault_plan,
+            retry=options.retry,
+            capacity_bytes=options.capacity_bytes,
+            log_disk_model=options.log_disk_model,
+            data_stripes=options.data_stripes,
+            stripe_chunk_bytes=options.stripe_chunk_bytes,
+            observability=options.observability,
+        )
+
     @property
     def page_size(self) -> int:
         return self.pagefile.page_size

@@ -31,6 +31,7 @@ from typing import Any, Callable
 
 from repro.errors import CrashPoint
 from repro.faults.plan import FaultPlan
+from repro.testing.differential import step_merge
 from repro.testing.trace import Trace, TraceOp
 
 __all__ = [
@@ -141,12 +142,6 @@ def _verify_recovered(
             )
 
 
-def _step_merge(tree: Any, budget: int) -> None:
-    step = getattr(tree, "step_m01", None) or getattr(tree, "merge_step", None)
-    if step is not None:
-        step(budget)
-
-
 def _mutations_of(op: TraceOp):
     """The mutation stream of one trace op (batch ops flatten)."""
     if op.kind in ("put", "delete", "delta"):
@@ -224,7 +219,7 @@ def _run(
             plan.arm()
             continue
         if op.kind == "merge_work":
-            _step_merge(tree, op.budget)
+            step_merge(tree, op.budget)
             continue
         if op.kind == "get":
             actual = tree.get(op.key)

@@ -121,6 +121,16 @@ class Divergence:
         return f"{line} — {self.detail}" if self.detail else line
 
 
+def step_merge(tree: Any, budget: int) -> bool:
+    """Step ``tree``'s merge by ``budget`` bytes; False if it has no
+    merge-step API (``step_m01``, or the partitioned ``merge_step``)."""
+    step = getattr(tree, "step_m01", None) or getattr(tree, "merge_step", None)
+    if step is None:
+        return False
+    step(budget)
+    return True
+
+
 def _drive_merge(engine: KVEngine, budget: int) -> None:
     """Honour a ``merge_work`` marker on whatever machinery exists.
 
@@ -130,15 +140,7 @@ def _drive_merge(engine: KVEngine, budget: int) -> None:
     thing advancing shard clocks — get a ``flush`` instead, which is the
     closest state-neutral "push background work" lever they expose.
     """
-    tree = getattr(engine, "tree", None)
-    step = None
-    if tree is not None:
-        step = getattr(tree, "step_m01", None) or getattr(
-            tree, "merge_step", None
-        )
-    if step is not None:
-        step(budget)
-    else:
+    if not step_merge(getattr(engine, "tree", None), budget):
         engine.flush()
 
 
@@ -354,13 +356,16 @@ def default_fuzz_configs(
             return build_engine("blsm", base, fault_plan=plan)
 
         configs.append(FuzzConfig("blsm-faulty", build_faulted))
+    # GROUP durability: every write commits through the leader-based
+    # group-commit queue instead of forcing in log(); the same trace
+    # must stay oracle-correct with that commit path underneath (one
+    # kernel method, on both layouts that can be built with it).
+    for name in ("blsm", "blsm-part"):
+        if name in names:
+            configs.append(
+                FuzzConfig(f"{name}-group", builder(name, durability="group"))
+            )
     if "blsm" in names:
-        # GROUP durability: every write commits through the leader-based
-        # group-commit queue instead of forcing in log(); the same trace
-        # must stay oracle-correct with the new commit path underneath.
-        configs.append(
-            FuzzConfig("blsm-group", builder("blsm", durability="group"))
-        )
         # Memtable ablation backends (repro profile --memtable all): C0
         # on a sorted array and a hash map must answer every trace
         # identically to the paper-faithful skip list.

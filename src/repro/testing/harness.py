@@ -88,6 +88,8 @@ def _config_hints(label: str, shards: int) -> dict[str, object]:
         # sharded configs (hash and migrating range), which covers the
         # failing one either way.
         return {"engines": ["sharded"], "shards": int(label.rsplit("-", 1)[1])}
+    if label.startswith("blsm-part"):
+        return {"engines": ["blsm-part"]}  # itself, or blsm-part-group
     if label.startswith("blsm-"):
         # Derived blsm configs (blsm-faulty, blsm-group, blsm-mt-*):
         # replay rebuilds the whole blsm config family, which covers

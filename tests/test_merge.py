@@ -168,7 +168,7 @@ class TestMergeProcess:
         process.step(1)  # consumes at least record a
         assert memtable.get(b"a") is None
         assert process.overlay_get(b"a") is not None
-        assert [r.key for r in process.overlay_scan(b"a", None)] == [b"a"]
+        assert [r.key for r in process.overlay.scan(b"a", None)] == [b"a"]
 
     def test_seqno_tracking(self, stasis):
         memtable = make_memtable([b"a", b"b"], seqno=40)

@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro.baselines import BTreeEngine, LevelDBEngine
-from repro.core import BLSM, BLSMOptions, PartitionedBLSM
+from repro.core import BLSM, BLSMOptions, CompactionTree, PartitionedBLSM
 
 
 def check_interleaved_scan(engine, writer, stable_keys, scan_from=b""):
@@ -71,6 +71,37 @@ def test_partitioned_scan_survives_splits_under_it():
 
     check_interleaved_scan(tree, writer, stable)
     assert tree.partition_count >= 1
+
+    # ...and what it returns is the snapshot: exactly the rows live when
+    # the scan opened, while the partitions it crosses split under it.
+    tree = PartitionedBLSM(
+        BLSMOptions(c0_bytes=16 * 1024), max_partition_bytes=32 * 1024
+    )
+    model = {}
+
+    def write(count):
+        for _ in range(count):
+            key = b"key%05d" % rng.randrange(5000)
+            model[key] = b"%06d" % rng.randrange(10**6) + bytes(58)
+            tree.put(key, model[key])
+
+    write(1500)
+    at_open = sorted(model.items())
+    partitions = tree.partition_count
+    scan = tree.scan(b"")
+    rows = [next(scan) for _ in range(50)]
+    write(3000)
+    assert tree.partition_count > partitions
+    assert tree.versions.deferred_frees > 0  # a pinned component was replaced
+    rows.extend(scan)
+    assert rows == at_open
+    versions = tree.versions
+    assert versions.pinned_count == versions.zombie_count == 0
+    assert versions.live_views == 0
+    tree.drain()
+    assert set(tree.stasis.regions.allocated_extents) == {
+        extent for table in tree._live_tables() for extent in table.extents
+    }
 
 
 def test_leveldb_scan_survives_compaction_under_it():
@@ -131,9 +162,20 @@ def test_scan_restart_respects_hi_bound():
     assert keys == [b"key%05d" % i for i in range(100, 200)]
 
 
+def _replace_every_component(tree):
+    """Rewrite the on-disk components a paused scan is reading."""
+    if isinstance(tree, PartitionedBLSM):  # no compact(): merge it all again
+        for i in range(300):
+            tree.put(b"key%05d" % (i * 37 % 300), bytes(64))
+        tree.drain()
+    else:
+        tree.compact()
+
+
 @pytest.mark.parametrize("pause_at", [0, 1, 7, 50])
-def test_blsm_scan_paused_at_various_points(pause_at):
-    tree = BLSM(BLSMOptions(c0_bytes=16 * 1024))
+def test_blsm_scan_paused_at_various_points(pause_at, tree_cls=BLSM):
+    policy = "leveled" if tree_cls is CompactionTree else "blsm3"
+    tree = tree_cls(BLSMOptions(c0_bytes=16 * 1024, compaction_policy=policy))
     for i in range(300):
         tree.put(b"key%05d" % i, bytes(64))
     tree.drain()
@@ -141,6 +183,14 @@ def test_blsm_scan_paused_at_various_points(pause_at):
     rows = []
     for _ in range(pause_at):
         rows.append(next(scan))
-    tree.compact()
+    retired = tree.versions.completed_frees + tree.versions.deferred_frees
+    _replace_every_component(tree)
+    assert tree.versions.completed_frees + tree.versions.deferred_frees > retired
     rows.extend(scan)
     assert [k for k, _ in rows] == [b"key%05d" % i for i in range(300)]
+
+
+@pytest.mark.parametrize("tree_cls", [PartitionedBLSM, CompactionTree])
+@pytest.mark.parametrize("pause_at", [0, 1, 7, 50])
+def test_scan_paused_at_various_points_on_the_other_layouts(pause_at, tree_cls):
+    test_blsm_scan_paused_at_various_points(pause_at, tree_cls)

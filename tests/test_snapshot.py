@@ -1,24 +1,41 @@
 """MVCC snapshot reads: pinned views that survive switches and merges."""
 
+import pytest
+
+from repro.core.compaction.tree import CompactionTree
+from repro.core.kernel import TreeKernel
 from repro.core.options import BLSMOptions
+from repro.core.partitioned import PartitionedBLSM
 from repro.core.tree import BLSM
 from repro.core.versions import SortedRun, VersionSet
 from repro.engines import EngineConfig, build_engine
 from repro.records import Record, RecordKind
 
 
-def _small_tree(**overrides) -> BLSM:
+def _small_tree(tree_cls=BLSM, **overrides) -> TreeKernel:
     options = BLSMOptions(
-        c0_bytes=overrides.pop("c0_bytes", 6 * 1024),
+        c0_bytes=6 * 1024,
         buffer_pool_pages=16,
+        compaction_policy="leveled" if tree_cls is CompactionTree else "blsm3",
         **overrides,
     )
-    return BLSM(options)
+    return tree_cls(options)
 
 
-def _fill(tree: BLSM, count: int, tag: str = "v0", start: int = 0) -> None:
-    for i in range(start, start + count):
+def _fill(tree: TreeKernel, count: int, tag: str = "v0") -> None:
+    # Keys 0..count-1 in a scattered order: ascending inserts are one
+    # endless snowshovel run, which never installs a component.
+    for i in (n * 37 % count for n in range(count)):
         tree.put(b"key-%06d" % i, (f"{tag}-{i:06d}").encode() + b"x" * 40)
+
+
+def _c0_turnovers(tree: TreeKernel) -> int:
+    """Times C0 was switched out from under readers: rotated (frozen or
+    flushed whole) or, on the partitioned tree, which only ever
+    snowshovels, drained into a partition by a finished C0:C1 pass."""
+    if isinstance(tree, PartitionedBLSM):
+        return tree.versions.completed_frees + tree.versions.deferred_frees
+    return tree.runtime.metrics.counter("memtable.rotations").value
 
 
 # ---------------------------------------------------------------------------
@@ -26,8 +43,13 @@ def _fill(tree: BLSM, count: int, tag: str = "v0", start: int = 0) -> None:
 # ---------------------------------------------------------------------------
 
 
-def test_snapshot_isolated_from_later_writes():
-    tree = _small_tree()
+# Each case below takes the tree class; under its own name it runs on
+# BLSM, and test_snapshot_case_on_the_other_layouts runs the same body
+# on the other two.
+
+
+def test_snapshot_isolated_from_later_writes(tree_cls=BLSM):
+    tree = _small_tree(tree_cls)
     _fill(tree, 20, tag="old")
     with tree.snapshot() as snap:
         tree.put(b"key-000003", b"new-000003")
@@ -43,8 +65,8 @@ def test_snapshot_isolated_from_later_writes():
     tree.close()
 
 
-def test_snapshot_multi_get_matches_point_gets():
-    tree = _small_tree()
+def test_snapshot_multi_get_matches_point_gets(tree_cls=BLSM):
+    tree = _small_tree(tree_cls)
     _fill(tree, 10)
     with tree.snapshot() as snap:
         keys = [b"key-%06d" % i for i in range(12)]
@@ -57,18 +79,17 @@ def test_snapshot_multi_get_matches_point_gets():
 # ---------------------------------------------------------------------------
 
 
-def test_paused_scan_survives_memtable_switch():
+def test_paused_scan_survives_memtable_switch(tree_cls=BLSM):
     # The bLSM acceptance scenario: a scan paused mid-iteration while
     # the memtable rotates (and merges install) underneath it completes
     # without a restart and yields exactly the snapshot-time rows —
     # zero blocked-read stalls, no row seen twice, no row skipped.
     # snowshovel=False uses the freeze/rotate C0 discipline — the
     # "memtable switch" the acceptance scenario names.
-    tree = _small_tree(snowshovel=False)
-    _fill(tree, 60, tag="old")
+    tree = _small_tree(tree_cls, snowshovel=False)
+    _fill(tree, 200, tag="old")
     expected = [(key, value) for key, value in tree.scan(b"")]
-    rotations = tree.runtime.metrics.counter("memtable.rotations")
-    before = rotations.value
+    before = _c0_turnovers(tree)
 
     rows = []
     with tree.snapshot() as snap:
@@ -77,8 +98,8 @@ def test_paused_scan_survives_memtable_switch():
             rows.append(next(scan))
         # Interleave enough writes to rotate C0 and run merges while
         # the scan is paused.
-        _fill(tree, 200, tag="new", start=0)
-        assert rotations.value > before, "workload never rotated C0"
+        _fill(tree, 400, tag="new")
+        assert _c0_turnovers(tree) > before, "workload never switched C0"
         rows.extend(scan)
     assert rows == expected
     keys = [key for key, _ in rows]
@@ -86,15 +107,15 @@ def test_paused_scan_survives_memtable_switch():
     tree.close()
 
 
-def test_merge_install_defers_frees_past_live_snapshot():
+def test_merge_install_defers_frees_past_live_snapshot(tree_cls=BLSM):
     # A merge retiring a component a snapshot still pins must defer the
     # free (zombie) until the last pin drops — the direct evidence that
     # the read never blocked behind the install.
-    tree = _small_tree(snowshovel=False)
-    _fill(tree, 80, tag="old")
+    tree = _small_tree(tree_cls, snowshovel=False)
+    _fill(tree, 200, tag="old")
     tree.flush_log()
     snap = tree.snapshot()
-    _fill(tree, 300, tag="new")
+    _fill(tree, 600, tag="new")
     assert tree.versions.deferred_frees > 0, (
         "no merge retired a pinned component; workload too small"
     )
@@ -105,6 +126,23 @@ def test_merge_install_defers_frees_past_live_snapshot():
     assert tree.versions.zombie_count == 0
     assert tree.versions.completed_frees >= freed_before + zombies
     tree.close()
+
+
+@pytest.mark.parametrize(
+    "tree_cls", [PartitionedBLSM, CompactionTree], ids=lambda cls: cls.__name__
+)
+@pytest.mark.parametrize(
+    "case",
+    [
+        test_snapshot_isolated_from_later_writes,
+        test_snapshot_multi_get_matches_point_gets,
+        test_paused_scan_survives_memtable_switch,
+        test_merge_install_defers_frees_past_live_snapshot,
+    ],
+    ids=lambda case: case.__name__,
+)
+def test_snapshot_case_on_the_other_layouts(case, tree_cls):
+    case(tree_cls)
 
 
 # ---------------------------------------------------------------------------

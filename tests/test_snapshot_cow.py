@@ -5,7 +5,7 @@ memtable in place and takes its own copy only if a write lands while it
 is open (``core/versions.py``).  The stateful test holds the isolation
 contract — every read through a snapshot answers from the state frozen
 at open, whatever happens underneath — for every memtable backend, both
-C0 disciplines and both tree kernels; the deterministic tests hold the
+C0 disciplines and all three layouts; the deterministic tests hold the
 cost contract and the bookkeeping (registry, pins, gauges) around it.
 """
 
@@ -22,7 +22,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.core import BLSM, BLSMOptions
+from repro.core import BLSM, BLSMOptions, PartitionedBLSM
 from repro.core.compaction.tree import CompactionTree
 from repro.engines import EngineConfig, build_engine
 from repro.memtable import MEMTABLE_NAMES
@@ -62,8 +62,14 @@ class SnapshotMachine(RuleBasedStateMachine):
             snowshovel=self.SNOWSHOVEL,
             compaction_policy="leveled" if self.TREE == "leveled" else "blsm3",
         )
-        self.kernel = CompactionTree if self.TREE == "leveled" else BLSM
-        self.tree = self.kernel(self.options)
+        self.kernel = {
+            "blsm": BLSM, "leveled": CompactionTree, "part": PartitionedBLSM
+        }[self.TREE]
+        # Partitions of a few records, so that snapshots span several.
+        self.layout = (
+            {"max_partition_bytes": 256} if self.TREE == "part" else {}
+        )
+        self.tree = self.kernel(self.options, **self.layout)
         self.model: dict[bytes, bytes] = {}
         self.open: list[_OpenSnapshot] = []
         self.opened = 0  # on the current tree (a crash starts a new one)
@@ -88,7 +94,9 @@ class SnapshotMachine(RuleBasedStateMachine):
 
     @rule(budget=st.integers(1, 5000))
     def merge_step(self, budget):
-        if self.tree.step_m01(budget) == 0:
+        if self.kernel is PartitionedBLSM:
+            self.tree.merge_step(budget)
+        elif self.tree.step_m01(budget) == 0:
             self.tree.step_m12(budget)
 
     @rule()
@@ -98,7 +106,7 @@ class SnapshotMachine(RuleBasedStateMachine):
             return
         if self.kernel is CompactionTree:
             tree._flush_memtable()
-        elif self.SNOWSHOVEL:
+        elif self.SNOWSHOVEL or self.kernel is PartitionedBLSM:
             tree.drain()  # snowshoveling has no C0' to freeze into
         elif tree._frozen is None:
             tree._freeze_memtable()
@@ -107,7 +115,7 @@ class SnapshotMachine(RuleBasedStateMachine):
     def crash_and_recover(self):
         stasis = self.tree.stasis
         stasis.crash()
-        self.tree = self.kernel.recover(stasis, self.options)
+        self.tree = self.kernel.recover(stasis, self.options, **self.layout)
         self.open.clear()  # views died with the process that held them
         self.opened = 0
         assert self.tree.versions.live_views == 0
@@ -178,9 +186,11 @@ class SnapshotMachine(RuleBasedStateMachine):
         assert list(self.tree.scan(b"")) == sorted(self.model.items())
 
 
-for _kernel, _memtable, _snowshovel in itertools.product(
-    ("blsm", "leveled"), MEMTABLE_NAMES, (True, False)
-):
+for _kernel, _memtable, _snowshovel in [
+    *itertools.product(("blsm", "leveled"), MEMTABLE_NAMES, (True, False)),
+    # The partitioned tree only snowshovels; its snapshots are ranged.
+    *itertools.product(("part",), MEMTABLE_NAMES, (True,)),
+]:
     _name = (
         f"Test_{_kernel}_{_memtable}_"
         f"{'snowshovel' if _snowshovel else 'freeze'}"
@@ -203,17 +213,23 @@ for _kernel, _memtable, _snowshovel in itertools.product(
 
 
 def _tree(
-    kind: str = "skiplist", c0_bytes: int = 64 * 1024, **overrides
-) -> BLSM:
-    return BLSM(
+    kind: str = "skiplist", c0_bytes: int = 64 * 1024, tree_cls=BLSM, **overrides
+):
+    return tree_cls(
         BLSMOptions(
-            c0_bytes=c0_bytes, buffer_pool_pages=16, memtable=kind, **overrides
+            c0_bytes=c0_bytes,
+            buffer_pool_pages=16,
+            memtable=kind,
+            compaction_policy="leveled" if tree_cls is CompactionTree else "blsm3",
+            **overrides,
         )
     )
 
 
 def _fill(tree, count: int, tag: bytes = b"v") -> None:
-    for i in range(count):
+    # Scattered order: ascending inserts are one endless snowshovel run,
+    # which never installs a component.
+    for i in (n * 37 % count for n in range(count)):
         tree.put(b"key-%04d" % i, tag + b"-%04d" % i)
 
 
@@ -231,8 +247,13 @@ def test_open_scan_close_without_a_write_never_copies(kind):
     tree.close()
 
 
-def test_write_under_open_views_copies_once_per_view():
-    tree = _tree()
+# The view-lifecycle cases take the tree class: under their own names
+# they run on BLSM, test_view_lifecycle_on_the_other_layouts runs the
+# same bodies on the other two.
+
+
+def test_write_under_open_views_copies_once_per_view(tree_cls=BLSM):
+    tree = _tree(tree_cls=tree_cls)
     _fill(tree, 50, b"old")
     expected = list(tree.scan(b""))
     views = [tree.snapshot() for _ in range(5)]
@@ -274,8 +295,10 @@ def test_paused_scan_resumes_on_the_copy_after_its_last_key(kind):
     tree.close()
 
 
-def test_never_closed_snapshot_costs_one_copy_and_leaves_the_registry():
-    tree = _tree()
+def test_never_closed_snapshot_costs_one_copy_and_leaves_the_registry(
+    tree_cls=BLSM,
+):
+    tree = _tree(tree_cls=tree_cls)
     _fill(tree, 30)
     leaked = tree.snapshot()  # never closed
     _fill(tree, 300, b"later")
@@ -285,8 +308,8 @@ def test_never_closed_snapshot_costs_one_copy_and_leaves_the_registry():
     tree.close()
 
 
-def test_registry_and_pins_are_zero_after_close_and_after_crash():
-    tree = _tree(snowshovel=False, c0_bytes=6 * 1024)
+def test_registry_and_pins_are_zero_after_close_and_after_crash(tree_cls=BLSM):
+    tree = _tree(snowshovel=False, c0_bytes=6 * 1024, tree_cls=tree_cls)
     _fill(tree, 400)  # enough to put components on disk
     snap = tree.snapshot()
     assert tree.versions.pinned_count > 0
@@ -307,11 +330,27 @@ def test_registry_and_pins_are_zero_after_close_and_after_crash():
 
     stasis = tree.stasis
     stasis.crash()
-    recovered = BLSM.recover(stasis, tree.options)
+    recovered = tree_cls.recover(stasis, tree.options)
     assert recovered.versions.pinned_count == 0
     assert recovered.versions.live_views == 0
     assert recovered._memtable.view_count == 0
     recovered.close()
+
+
+@pytest.mark.parametrize(
+    "tree_cls", [PartitionedBLSM, CompactionTree], ids=lambda cls: cls.__name__
+)
+@pytest.mark.parametrize(
+    "case",
+    [
+        test_write_under_open_views_copies_once_per_view,
+        test_never_closed_snapshot_costs_one_copy_and_leaves_the_registry,
+        test_registry_and_pins_are_zero_after_close_and_after_crash,
+    ],
+    ids=lambda case: case.__name__,
+)
+def test_view_lifecycle_on_the_other_layouts(case, tree_cls):
+    case(tree_cls)
 
 
 def test_snapshot_survives_the_merge_that_drains_what_it_reads():

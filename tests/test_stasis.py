@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.core.kernel import replay_log
 from repro.errors import RecoveryError
+from repro.memtable import MemTable
 from repro.sim import DiskModel
 from repro.storage import DurabilityMode, Stasis
-from repro.storage.recovery import recover
 
 
 def test_default_construction():
@@ -77,10 +78,13 @@ def test_recover_helper_replays_logical_log():
     stasis.logical_log.log(0, "put", b"a", b"1")
     stasis.logical_log.log(1, "put", b"b", b"2")
     stasis.crash()
-    seen = []
-    manifest = recover(stasis, seen.append)
-    assert manifest == {"version": 1}
-    assert [record.key for record in seen] == [b"a", b"b"]
+    memtable = MemTable(1 << 20)
+    assert stasis.recover_manifest() == {"version": 1}
+    assert replay_log(stasis, memtable, 0) == 2
+    assert [(r.key, r.value, r.seqno) for r in memtable] == [
+        (b"a", b"1", 0),
+        (b"b", b"2", 1),
+    ]
 
 
 def test_logs_live_on_separate_device():
