@@ -229,7 +229,7 @@ def policy_table(
     Rows carry ``policy``, ``levels``, ``write_amp`` (with its
     ``per_level`` breakdown), ``read_seeks`` (Bloom-filtered and
     filterless) and ``space_amp`` at one data size — the analytic
-    counterpart of the measured ``BENCH_6.json`` sweep.
+    counterpart of the measured ``repro bench --policy all`` sweep.
     """
     from repro.core.compaction.policy import POLICY_NAMES
 

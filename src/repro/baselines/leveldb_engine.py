@@ -120,7 +120,6 @@ class LevelDBEngine(KVEngine):
         compaction_share: float = 4.0,
         durability: DurabilityMode = DurabilityMode.ASYNC,
         seed: int = 0,
-        memtable: str = "skiplist",
         stasis: Stasis | None = None,
     ) -> None:
         if stasis is not None:
@@ -144,8 +143,7 @@ class LevelDBEngine(KVEngine):
         self.slowdown_sleep_seconds = slowdown_sleep_seconds
         self.compaction_share = compaction_share
         self._seed = seed
-        self._memtable_kind = memtable
-        self._memtable = MemTable(memtable_bytes, seed=seed, kind=memtable)
+        self._memtable = MemTable(memtable_bytes, seed=seed)
         self._l0: list[SSTable] = []  # newest first; ranges overlap
         self._levels: list[list[SSTable]] = []  # L1.. sorted, disjoint
         self._job: _CompactionJob | None = None
@@ -358,9 +356,7 @@ class LevelDBEngine(KVEngine):
         table = builder.finish()
         if table is not None:
             self._l0.insert(0, table)
-        self._memtable = MemTable(
-            self.memtable_bytes, seed=self._seed, kind=self._memtable_kind
-        )
+        self._memtable = MemTable(self.memtable_bytes, seed=self._seed)
         # LevelDB rotates its log with the memtable: every logged write
         # is now durable in the L0 file, so the old log retires whole.
         self.stasis.commit_manifest(self._manifest())

@@ -987,123 +987,9 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     return 0 if gates_passed(gate_results) else 1
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    """Hot-path CPU profiler (``repro profile``, BENCH_10).
-
-    Measures simulated operations per host CPU-second on the default
-    YCSB mix, swept across the registered memtable backends
-    (``--memtable all`` — the Szanto-style structure ablation), with
-    optional per-subsystem phase microbenches.  ``--json`` writes the
-    shared BenchReport envelope (the committed ``BENCH_10.json``);
-    ``--assert-min-ops`` is the conservative CI floor and
-    ``--assert-speedup`` gates the optimization acceptance (best
-    configuration vs the committed pre-optimization baseline).
-    """
-    from repro.memtable import MEMTABLE_NAMES
-    from repro.ycsb.profile import (
-        memtable_microbench,
-        profile_memtables,
-        profile_phases,
-        profile_report,
-    )
-
-    if args.memtable == "all":
-        kinds = list(MEMTABLE_NAMES)
-    else:
-        kinds = [name.strip() for name in args.memtable.split(",") if name.strip()]
-        unknown = [name for name in kinds if name not in MEMTABLE_NAMES]
-        if unknown:
-            raise SystemExit(
-                f"unknown memtable(s) {', '.join(unknown)}; "
-                f"expected one of {', '.join(MEMTABLE_NAMES)}"
-            )
-    print(
-        f"profile bench: workload={args.workload} records={args.records} "
-        f"ops={args.ops} trials={args.trials} "
-        f"memtables={','.join(kinds)}"
-    )
-    progress = None if args.quiet else (lambda line: print(line, flush=True))
-    results = profile_memtables(
-        kinds,
-        progress=progress,
-        workload=args.workload,
-        records=args.records,
-        operations=args.ops,
-        seed=args.seed,
-        trials=args.trials,
-        observability=args.observability,
-        spin_us=args.spin_us,
-    )
-    micro = {
-        kind: memtable_microbench(kind, n=args.records, seed=args.seed)
-        for kind in kinds
-    }
-    phases = profile_phases(seed=args.seed) if args.phases else None
-    report = profile_report(
-        results,
-        {
-            "workload": args.workload,
-            "records": args.records,
-            "operations": args.ops,
-            "trials": args.trials,
-            "seed": args.seed,
-            "memtables": kinds,
-            "observability": args.observability,
-        },
-        micro=micro,
-        phases=phases,
-    )
-    print(
-        f"{'memtable':10s}{'ops/cpu-s':>12s}{'speedup':>9s}"
-        f"{'insert':>9s}{'read':>9s}{'scan':>9s}{'drain':>9s}  (ns/op)"
-    )
-    for result in sorted(
-        results, key=lambda r: r.ops_per_cpu_second, reverse=True
-    ):
-        costs = micro[result.memtable]
-        print(
-            f"{result.memtable:10s}{result.ops_per_cpu_second:>12,.0f}"
-            f"{result.speedup_vs_baseline:>8.2f}x"
-            f"{costs['insert_ns']:>9.0f}{costs['point_read_ns']:>9.0f}"
-            f"{costs['scan_ns']:>9.0f}{costs['drain_ns']:>9.0f}"
-        )
-    if phases:
-        print("phases: " + "  ".join(
-            f"{name.removesuffix('_ns')}={value:.0f}ns"
-            for name, value in phases.items()
-        ))
-    if args.json:
-        report.save(args.json)
-        print(f"wrote {args.json}")
-    gates: list[Gate] = []
-    if args.assert_min_ops > 0:
-        gates.append(
-            Gate(
-                "ops/CPU-second floor (best)",
-                "best.ops_per_cpu_second", ">=", args.assert_min_ops,
-            )
-        )
-    if args.assert_speedup > 0:
-        gates.append(
-            Gate(
-                "speedup vs pre-PR baseline (best)",
-                "best.speedup_vs_baseline", ">=", args.assert_speedup,
-                unit="x",
-            )
-        )
-    gate_results = evaluate_gates(report, gates)
-    for line in format_gate_table(gate_results):
-        print(line)
-    return 0 if gates_passed(gate_results) else 1
-
-
 def _compare_rules(baseline, tolerance: float) -> list[CompareRule]:
     """The default perf-gate rule set for a baseline report's bench."""
     bench = baseline.bench
-    if bench == "profile":
-        from repro.ycsb.profile import profile_compare_rules
-
-        return profile_compare_rules(baseline, tolerance)
     if bench == "stability":
         from repro.analysis.stability import stability_compare_rules
 
@@ -1134,8 +1020,8 @@ def _compare_rules(baseline, tolerance: float) -> list[CompareRule]:
 def _cmd_report(args: argparse.Namespace) -> int:
     """Bench-report toolbox: validate envelopes, diff against baselines.
 
-    ``repro report PATH...`` loads each file (upgrading legacy
-    BENCH_6/7/8 shapes transparently) and reports whether it parses.
+    ``repro report PATH...`` loads each file and reports whether it
+    parses.
     ``repro report --compare BASELINE CURRENT`` is the CI perf gate:
     it derives the bench's default comparison rules and fails on
     throughput or tail-latency drift beyond ``--tolerance``.
@@ -1172,9 +1058,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
             print(f"{path}: INVALID — {error}")
             status = 1
             continue
-        legacy = " (legacy, upgraded)" if report.meta.get("legacy") else ""
         print(
-            f"{path}: OK — bench={report.bench}{legacy}, "
+            f"{path}: OK — bench={report.bench}, "
             f"{len(report.metrics)} metric block(s)"
         )
     return status
@@ -1674,73 +1559,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stability.set_defaults(fn=_cmd_stability)
 
-    profile = sub.add_parser(
-        "profile",
-        help="hot-path CPU profiler: ops per CPU-second, memtable "
-        "ablation, per-subsystem phase costs",
-    )
-    profile.add_argument(
-        "--memtable", default="skiplist", metavar="KIND",
-        help="memtable backend(s): a name, comma list, or 'all' "
-        "(skiplist, array, dict)",
-    )
-    profile.add_argument(
-        "--workload", default="a", choices=tuple("abcdef"),
-        help="standard YCSB mix to drive (default: a)",
-    )
-    profile.add_argument("--records", type=int, default=2000)
-    profile.add_argument(
-        "--ops", type=int, default=10000,
-        help="measured-phase operations",
-    )
-    profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument(
-        "--trials", type=int, default=3,
-        help="repetitions per configuration; best trial is reported "
-        "(CPU noise only ever slows a trial)",
-    )
-    profile.add_argument(
-        "--observability", action="store_true",
-        help="profile with metrics/tracing ON (default: off, the raw "
-        "hot path)",
-    )
-    profile.add_argument(
-        "--phases", action="store_true",
-        help="also microbench per-subsystem costs (generation, bloom, "
-        "disk charge, metrics dispatch)",
-    )
-    # The planted-regression shim: burns CPU per measured op so the
-    # gate self-test can manufacture a real hot-path regression.
-    profile.add_argument(
-        "--spin-us", type=float, default=0.0, help=argparse.SUPPRESS
-    )
-    profile.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="write the BenchReport envelope to PATH (BENCH_10.json)",
-    )
-    profile.add_argument(
-        "--assert-min-ops", type=float, default=0.0, metavar="RATE",
-        help="fail if the best configuration sustains fewer simulated "
-        "ops per CPU-second (conservative CI floor)",
-    )
-    profile.add_argument(
-        "--assert-speedup", type=float, default=0.0, metavar="X",
-        help="fail if the best configuration's speedup over the "
-        "committed pre-optimization baseline is below X",
-    )
-    profile.add_argument(
-        "--quiet", action="store_true", help="suppress progress lines"
-    )
-    profile.set_defaults(fn=_cmd_profile)
-
     report = sub.add_parser(
         "report",
         help="validate bench-report files; diff a run against a baseline",
     )
     report.add_argument(
         "paths", nargs="*", metavar="PATH",
-        help="report files to validate (legacy BENCH_* shapes upgrade "
-        "transparently)",
+        help="report files to validate",
     )
     report.add_argument(
         "--compare", nargs=2, metavar=("BASELINE", "CURRENT"),

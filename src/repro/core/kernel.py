@@ -471,11 +471,7 @@ class TreeKernel:
     # ------------------------------------------------------------------
 
     def _new_memtable(self) -> MemTable:
-        return MemTable(
-            self._c0_capacity,
-            seed=self.options.seed,
-            kind=self.options.memtable,
-        )
+        return MemTable(self._c0_capacity, seed=self.options.seed)
 
     def _flush_c0(self, kind: str) -> SSTable | None:
         """Write the whole memtable out as one component and start a

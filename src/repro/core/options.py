@@ -118,13 +118,7 @@ class BLSMOptions:
     """
 
     seed: int = 0
-    """Seed for the memtable's skip list."""
-
-    memtable: str = "skiplist"
-    """Ordered-map structure backing C0: ``skiplist`` (the paper's and
-    LevelDB's structure), ``array`` (sorted array + bisect) or ``dict``
-    (hash map, sorted on freeze/drain) — the Szanto-style data-structure
-    ablation swept by ``repro profile --memtable all``."""
+    """The skip list's tower seed (C0 is a skip list)."""
 
     observability: bool = True
     """Record per-access device metrics and trace events.  ``False``
@@ -198,13 +192,6 @@ class BLSMOptions:
         if self.stripe_chunk_bytes <= 0:
             raise ValueError(
                 f"stripe_chunk_bytes must be positive, got {self.stripe_chunk_bytes}"
-            )
-        from repro.memtable.backends import MEMTABLE_NAMES
-
-        if self.memtable not in MEMTABLE_NAMES:
-            raise ValueError(
-                f"unknown memtable {self.memtable!r}; "
-                f"expected one of {MEMTABLE_NAMES}"
             )
         from repro.core.compaction.policy import POLICY_NAMES
 

@@ -81,7 +81,6 @@ class EngineConfig:
     partitioner_sample: tuple[bytes, ...] | None = None
     migration: bool = False
     seed: int = 0
-    memtable: str = "skiplist"
     observability: bool = True
 
 
@@ -99,7 +98,6 @@ def blsm_options(config: EngineConfig) -> BLSMOptions:
         data_stripes=config.data_stripes,
         background_merges=config.background_merges,
         seed=config.seed,
-        memtable=config.memtable,
         observability=config.observability,
     )
 
@@ -152,7 +150,6 @@ def _build_leveldb(config: EngineConfig) -> KVEngine:
         file_bytes=max(16 * 1024, config.c0_bytes // 2),
         level_base_bytes=2 * config.c0_bytes,
         buffer_pool_pages=config.cache_pages,
-        memtable=config.memtable,
     )
 
 

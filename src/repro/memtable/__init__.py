@@ -1,22 +1,12 @@
 """In-memory tree component C0 and snowshoveling (Sections 2.3, 4.2)."""
 
-from repro.memtable.backends import (
-    MEMTABLE_NAMES,
-    ArrayTable,
-    DictTable,
-    make_backend,
-)
 from repro.memtable.memtable import MemTable
 from repro.memtable.skiplist import SkipList
 from repro.memtable.snowshovel import SnowshovelCursor, replacement_selection_runs
 
 __all__ = [
-    "ArrayTable",
-    "DictTable",
-    "MEMTABLE_NAMES",
     "MemTable",
     "SkipList",
     "SnowshovelCursor",
-    "make_backend",
     "replacement_selection_runs",
 ]

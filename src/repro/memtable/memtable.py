@@ -6,10 +6,10 @@ supersedes, and a delta written over a resident version folds immediately
 (C0 is update-in-place, unlike the append-only on-disk components), so
 reads of hot keys stay cheap.
 
-The ordered structure underneath is swappable
-(:mod:`repro.memtable.backends`): the paper-faithful default is a skip
-list, with sorted-array and hash-map alternatives for the Szanto-style
-data-structure ablation (``repro profile --memtable all``).
+The ordered structure underneath is a skip list
+(:class:`~repro.memtable.skiplist.SkipList`): O(log n) updates and
+cheap ordered successor steps, so a merge is one pass and snowshoveling
+can ``ceiling()`` the live structure (Section 4.2).
 
 The memtable tracks its approximate byte footprint; the merge scheduler
 uses the fill fraction of C0 as its primary progress signal
@@ -26,23 +26,20 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
-from repro.memtable.backends import make_backend
+from repro.memtable.skiplist import SkipList
 from repro.records import Record, RecordKind, fold
 
 
 class MemTable:
     """Bounded-memory ordered map of key -> newest :class:`Record`."""
 
-    def __init__(
-        self, capacity_bytes: int, seed: int = 0, kind: str = "skiplist"
-    ) -> None:
+    def __init__(self, capacity_bytes: int, seed: int = 0) -> None:
         if capacity_bytes <= 0:
             raise ValueError(
                 f"capacity_bytes must be positive, got {capacity_bytes}"
             )
         self.capacity_bytes = capacity_bytes
-        self.kind = kind
-        self._tree = make_backend(kind, seed=seed)
+        self._tree = SkipList(seed=seed)
         self._nbytes = 0
         # Open snapshots reading this table in place; emptied by the
         # first mutation (each view has copied by then) or by release.

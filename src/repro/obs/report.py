@@ -1,17 +1,12 @@
 """The versioned bench-report envelope (every ``BENCH_*.json``).
 
-Before this module each benchmark subcommand invented its own JSON
-shape: ``BENCH_6.json`` (compaction sweep), ``BENCH_7.json`` (live
-migration) and ``BENCH_8.json`` (group commit) were three incompatible
-ad-hoc dicts, and every ``--assert-*`` flag re-implemented its own gate
-logic inline.  This module is the one report surface the repo emits and
-consumes (docs/benchmarking.md):
+This module is the one report surface the bench subcommands emit and
+the perf gate consumes (docs/benchmarking.md):
 
 * :class:`BenchReport` — a schema-versioned envelope: ``bench`` name,
   run ``config`` (seed and parameters), ``meta`` (schema version, git
   revision) and named ``metrics`` blocks addressed by dotted paths.
-* :func:`load_report` — loads envelopes *and* the three legacy shapes,
-  upgrading them in memory so old snapshots keep parsing.
+* :func:`load_report` — loads and validates an envelope file.
 * :class:`Gate` + :func:`evaluate_gates` — the declarative assertion
   helper every CLI ``--assert-*`` flag now compiles into, printed as
   one uniform pass/fail table by :func:`format_gate_table`.
@@ -50,13 +45,12 @@ __all__ = [
     "load_report",
     "metric_value",
     "new_report",
-    "upgrade_legacy",
     "validate_payload",
 ]
 
 
 class ReportError(ValueError):
-    """A payload that is not (and cannot be upgraded to) a BenchReport."""
+    """A payload that is not a BenchReport."""
 
 
 def git_revision() -> str:
@@ -180,74 +174,14 @@ def validate_payload(payload: Mapping[str, Any]) -> list[str]:
     return problems
 
 
-# ----------------------------------------------------------------------
-# Legacy loaders (the pre-envelope BENCH_6/7/8 shapes)
-# ----------------------------------------------------------------------
-
-#: Scalar keys that were the live-migration bench's implicit config.
-_LEGACY_MIGRATION_CONFIG = (
-    "records", "batches", "batch", "value_bytes", "shards", "seed",
-    "hot_fraction",
-)
-
-
-def upgrade_legacy(payload: Mapping[str, Any]) -> BenchReport:
-    """Wrap a pre-envelope BENCH payload into a :class:`BenchReport`.
-
-    Recognizes the three historical shapes by their ``bench`` tag —
-    ``compaction-policy-sweep`` (BENCH_6), ``live-migration`` (BENCH_7)
-    and ``sessions-group-commit`` (BENCH_8) — and normalizes them:
-    config keys move under ``config``, everything else becomes metric
-    blocks, and BENCH_6's policy *list* becomes a dict keyed by policy
-    name so dotted paths (``policies.blsm3.read_ops_per_s``) work on
-    old and new snapshots alike.  ``meta["legacy"]`` records the
-    upgrade.
-    """
-    bench = payload.get("bench")
-    if bench == "live-migration":
-        config = {
-            key: payload[key]
-            for key in _LEGACY_MIGRATION_CONFIG
-            if key in payload
-        }
-        metrics = {
-            key: value
-            for key, value in payload.items()
-            if key != "bench" and key not in config
-        }
-    elif bench in ("compaction-policy-sweep", "sessions-group-commit"):
-        config = dict(payload.get("config", {}))
-        metrics = {
-            key: value
-            for key, value in payload.items()
-            if key not in ("bench", "config")
-        }
-    else:
-        raise ReportError(
-            f"unrecognized legacy bench payload (bench={bench!r})"
-        )
-    policies = metrics.get("policies")
-    if isinstance(policies, list):
-        metrics["policies"] = {
-            row["policy"]: row for row in policies if "policy" in row
-        }
-    return BenchReport(
-        bench=str(bench),
-        config=config,
-        metrics=metrics,
-        meta={"legacy": True, "schema_version": 0},
-    )
-
-
 def load_report(path: str) -> BenchReport:
-    """Load a report file, upgrading legacy shapes transparently."""
+    """Load a report file; an invalid payload's error names the file."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
-    if not isinstance(payload, dict):
-        raise ReportError(f"{path}: top level is not an object")
-    if "schema" in payload:
+    try:
         return BenchReport.from_dict(payload)
-    return upgrade_legacy(payload)
+    except ReportError as error:
+        raise ReportError(f"{path}: {error}") from None
 
 
 def metric_value(metrics: Mapping[str, Any], path: str) -> Any:

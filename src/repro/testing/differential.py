@@ -276,10 +276,12 @@ class FuzzConfig:
 
     ``build`` returns a *fresh* engine (and fresh fault plan — plans are
     stateful) on every call, so one config can be replayed repeatedly
-    during minimization.
+    during minimization.  ``engine`` is the registry name ``label`` was
+    derived from, which is what a filed repro needs to rebuild it.
     """
 
     label: str
+    engine: str
     build: Callable[[], KVEngine]
     batched: bool = True
 
@@ -309,7 +311,9 @@ def default_fuzz_configs(
         if name == "sharded":
             count = max(2, shards)
             configs.append(
-                FuzzConfig(f"sharded-{count}", builder(name, shards=count))
+                FuzzConfig(
+                    f"sharded-{count}", name, builder(name, shards=count)
+                )
             )
             # Range-partitioned with a live migration controller: the
             # same trace must stay oracle-correct while ``migrate`` ops
@@ -337,10 +341,10 @@ def default_fuzz_configs(
                 return engine
 
             configs.append(
-                FuzzConfig(f"sharded-range-{count}", build_migrating)
+                FuzzConfig(f"sharded-range-{count}", name, build_migrating)
             )
         else:
-            configs.append(FuzzConfig(name, builder(name)))
+            configs.append(FuzzConfig(name, name, builder(name)))
     if include_faulted and "blsm" in names:
 
         def build_faulted() -> KVEngine:
@@ -355,7 +359,7 @@ def default_fuzz_configs(
             )
             return build_engine("blsm", base, fault_plan=plan)
 
-        configs.append(FuzzConfig("blsm-faulty", build_faulted))
+        configs.append(FuzzConfig("blsm-faulty", "blsm", build_faulted))
     # GROUP durability: every write commits through the leader-based
     # group-commit queue instead of forcing in log(); the same trace
     # must stay oracle-correct with that commit path underneath (one
@@ -363,19 +367,9 @@ def default_fuzz_configs(
     for name in ("blsm", "blsm-part"):
         if name in names:
             configs.append(
-                FuzzConfig(f"{name}-group", builder(name, durability="group"))
-            )
-    if "blsm" in names:
-        # Memtable ablation backends (repro profile --memtable all): C0
-        # on a sorted array and a hash map must answer every trace
-        # identically to the paper-faithful skip list.
-        from repro.memtable import MEMTABLE_NAMES
-
-        for kind in MEMTABLE_NAMES:
-            if kind == "skiplist":
-                continue  # the default every other config already runs
-            configs.append(
-                FuzzConfig(f"blsm-mt-{kind}", builder("blsm", memtable=kind))
+                FuzzConfig(
+                    f"{name}-group", name, builder(name, durability="group")
+                )
             )
     return configs
 

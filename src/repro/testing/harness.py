@@ -75,29 +75,6 @@ class FuzzReport:
         return not self.divergences and not self.crash_failures
 
 
-def _config_hints(label: str, shards: int) -> dict[str, object]:
-    """Replay hints for a corpus file naming one matrix config.
-
-    Maps a :func:`default_fuzz_configs` label back to registry terms so
-    :func:`replay_corpus_file` can rebuild the failing config without
-    the fuzz loop around it.
-    """
-    if label.startswith("sharded-"):
-        # Labels are "sharded-<count>" or "sharded-range-<count>"; the
-        # count is always the last dash segment.  Replay rebuilds both
-        # sharded configs (hash and migrating range), which covers the
-        # failing one either way.
-        return {"engines": ["sharded"], "shards": int(label.rsplit("-", 1)[1])}
-    if label.startswith("blsm-part"):
-        return {"engines": ["blsm-part"]}  # itself, or blsm-part-group
-    if label.startswith("blsm-"):
-        # Derived blsm configs (blsm-faulty, blsm-group, blsm-mt-*):
-        # replay rebuilds the whole blsm config family, which covers
-        # the failing one.
-        return {"engines": ["blsm"]}
-    return {"engines": [label], "shards": shards}
-
-
 def _shrink_and_file(
     trace: Trace,
     divergence: Divergence,
@@ -127,8 +104,12 @@ def _shrink_and_file(
         )
     path = None
     if corpus_dir is not None:
-        small.meta.update(_config_hints(divergence.config, shards))
-        small.meta["mode"] = "differential"
+        small.meta.update(
+            mode="differential",
+            config=config.label,
+            engines=[config.engine],
+            shards=shards,
+        )
         path = write_corpus_file(
             small, corpus_dir, name, note=divergence.describe()
         )
@@ -270,7 +251,9 @@ def replay_corpus_file(
     (default) rebuilds the matrix the file's ``engines``/``shards``
     hints name and demands zero divergences; ``"crash"`` drives the
     crash composer — ``crash`` markers always, plus a full boundary
-    enumeration when ``meta["crash_every"]`` is set.
+    enumeration when ``meta["crash_every"]`` is set.  A differential
+    file that names its ``config`` replays on that one config, fault
+    plan included; one without replays its engines' fault-free family.
     """
     trace = Trace.load(path)
     mode = trace.meta.get("mode", "differential")
@@ -292,11 +275,16 @@ def replay_corpus_file(
         return failures
     if mode != "differential":
         return [f"{path}: unknown trace mode {mode!r}"]
+    label = trace.meta.get("config")
     configs = default_fuzz_configs(
         engines=trace.meta.get("engines") or None,
         shards=int(trace.meta.get("shards", 2)),
-        include_faulted=False,
+        include_faulted=label is not None,
     )
+    if label is not None:
+        configs = [config for config in configs if config.label == label]
+        if not configs:
+            return [f"{path}: no fuzz config is labelled {label!r}"]
     return [
         divergence.describe()
         for divergence in run_differential(trace, configs, progress=progress)

@@ -23,15 +23,6 @@ from repro.ycsb.metrics import (
     Timeseries,
 )
 from repro.ycsb.open_loop import OpenLoopResult, run_open_loop
-from repro.ycsb.profile import (
-    PRE_PR_BASELINE_OPS_PER_CPU_SECOND,
-    ProfileResult,
-    memtable_microbench,
-    profile_memtables,
-    profile_phases,
-    profile_report,
-    profile_workload,
-)
 from repro.ycsb.sessions import (
     SessionsResult,
     commit_queues,
@@ -71,13 +62,6 @@ __all__ = [
     "Operation",
     "OperationGenerator",
     "OpKind",
-    "PRE_PR_BASELINE_OPS_PER_CPU_SECOND",
-    "ProfileResult",
-    "memtable_microbench",
-    "profile_memtables",
-    "profile_phases",
-    "profile_report",
-    "profile_workload",
     "RunResult",
     "run_open_loop",
     "run_sessions",

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -144,6 +146,19 @@ def test_parser_rejects_unknown_engine():
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args(["workload", "--engine", "bogus"])
+
+
+def test_profile_subcommand_is_gone(capsys):
+    parser = build_parser()
+    with pytest.raises(SystemExit) as excinfo:
+        parser.parse_args(["profile"])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+    (subcommands,) = (
+        action.choices for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert len(subcommands) == 15
 
 
 def test_parser_requires_command():

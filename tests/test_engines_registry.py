@@ -6,6 +6,9 @@ instead of silently ignoring flags, and the crash-harness surface
 builds/recovers the raw trees the enumeration drives.
 """
 
+import dataclasses
+import inspect
+
 import pytest
 
 from repro import cli
@@ -18,7 +21,7 @@ from repro.baselines import (
     LevelDBEngine,
     PartitionedBLSMEngine,
 )
-from repro.core import BLSM, CompactionTree, PartitionedBLSM
+from repro.core import BLSM, BLSMOptions, CompactionTree, PartitionedBLSM
 from repro.engines import (
     CRASH_ENGINE_NAMES,
     ENGINE_NAMES,
@@ -31,9 +34,11 @@ from repro.engines import (
     recover_crash_tree,
 )
 from repro.faults import FaultPlan
+from repro.memtable import MemTable
 from repro.shard import RangePartitioner, ShardedEngine
 from repro.sim import DiskModel
 from repro.storage import DurabilityMode
+from repro.testing.differential import default_fuzz_configs
 
 
 EXPECTED_TYPES = {
@@ -100,6 +105,27 @@ def test_blsm_options_mirror_config():
     assert options.compression_ratio == 0.5
     assert options.data_stripes == 2
     assert options.seed == 7
+
+
+def test_c0_structure_is_a_constant_in_every_layer():
+    # C0 is a skip list; no layer carries a knob that says otherwise.
+    # The counts make adding one a deliberate act.
+    assert len(dataclasses.fields(BLSMOptions)) == 34
+    assert len(dataclasses.fields(EngineConfig)) == 16
+    for cls in (BLSMOptions, EngineConfig):
+        assert "memtable" not in {f.name for f in dataclasses.fields(cls)}
+    params = inspect.signature(MemTable.__init__).parameters
+    assert list(params) == ["self", "capacity_bytes", "seed"]
+    assert params["seed"].default == 0
+    assert "memtable" not in inspect.signature(LevelDBEngine.__init__).parameters
+    # An unknown override is an error, never swallowed.
+    with pytest.raises(TypeError):
+        build_engine("blsm", memtable="array")
+    with pytest.raises(TypeError):
+        build_engine("blsm", small_config(), memtable="array")
+    labels = {config.label for config in default_fuzz_configs()}
+    assert len(labels) == 13
+    assert not any(label.startswith("blsm-mt-") for label in labels)
 
 
 def test_range_partitioner_from_sample():

@@ -15,6 +15,7 @@ import pytest
 from repro.engines import EngineConfig, build_engine
 from repro.testing import (
     BrokenEngine,
+    Divergence,
     FuzzConfig,
     Trace,
     TraceOp,
@@ -150,6 +151,7 @@ def test_run_trace_reports_engine_exception_as_divergence():
 def test_broken_engine_is_caught_and_shrunk(bug, tmp_path):
     config = FuzzConfig(
         f"broken-{bug}",
+        "blsm",
         lambda: BrokenEngine(build_engine("blsm", CONFIG), bug=bug),
     )
 
@@ -311,6 +313,7 @@ def test_fuzz_with_broken_config_files_minimized_corpus(tmp_path):
                                   include_faulted=False)
     configs.append(FuzzConfig(
         "planted",
+        "blsm",
         lambda: BrokenEngine(build_engine("blsm", CONFIG),
                              bug="drop-tombstone"),
     ))
@@ -327,6 +330,43 @@ def test_fuzz_with_broken_config_files_minimized_corpus(tmp_path):
     assert len(small) <= 25
     assert path is not None
     assert Trace.load(path).meta["mode"] == "differential"
+
+
+@pytest.mark.parametrize(
+    "label, engine",
+    [
+        ("blsm-faulty", "blsm"),
+        ("blsm-part-group", "blsm-part"),
+        ("sharded-range-2", "sharded"),
+    ],
+)
+def test_filed_repro_replays_on_the_config_that_failed(label, engine, tmp_path):
+    from repro.testing.harness import _shrink_and_file
+
+    trace = Trace([TraceOp.put(b"k", b"v"), TraceOp.get(b"k")])
+    _, path = _shrink_and_file(
+        trace, Divergence(label, 1, "get", b"v", None),
+        default_fuzz_configs(), str(tmp_path), "repro", None, 2,
+    )
+    meta = Trace.load(path).meta
+    assert meta["config"] == label
+    assert meta["engines"] == [engine]
+    replayed = []
+    assert replay_corpus_file(path, progress=replayed.append) == []
+    # One line per config run: the derived config itself, fault plan
+    # and all — not its engine's fault-free family.
+    assert [line.split(":")[0].strip() for line in replayed] == [label]
+
+
+def test_replay_of_a_config_the_matrix_no_longer_has_fails(tmp_path):
+    path = str(tmp_path / "stale.json")
+    Trace(
+        [TraceOp.put(b"k", b"v")],
+        meta={"mode": "differential", "engines": ["blsm"],
+              "config": "blsm-mt-array"},
+    ).save(path)
+    failures = replay_corpus_file(path)
+    assert failures and "blsm-mt-array" in failures[0]
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,6 @@ from repro.core.tree import BLSM
 from repro.faults.crashpoints import enumerate_group_commit_crash_points
 from repro.storage.logical_log import DurabilityMode
 from repro.testing.differential import default_fuzz_configs
-from repro.testing.harness import _config_hints
 
 
 def _group_tree(**overrides) -> BLSM:
@@ -158,8 +157,7 @@ def test_group_commit_crash_matrix():
 
 
 def test_fuzz_matrix_includes_group_commit_config():
-    labels = {config.label for config in default_fuzz_configs()}
-    assert {"blsm-group", "blsm-part-group"} <= labels
+    engines = {config.label: config.engine for config in default_fuzz_configs()}
+    assert engines["blsm-group"] == "blsm"
     # A filed blsm-part failure replays on blsm-part, not on blsm.
-    for label in ("blsm-part", "blsm-part-group"):
-        assert _config_hints(label, shards=2)["engines"] == ["blsm-part"]
+    assert engines["blsm-part"] == engines["blsm-part-group"] == "blsm-part"

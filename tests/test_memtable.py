@@ -1,9 +1,10 @@
 """Unit tests for the C0 memtable."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.memtable import MemTable
-from repro.records import Record
+from repro.records import Record, fold
 
 
 def test_put_and_get():
@@ -100,3 +101,43 @@ def test_first_and_ceiling_key():
 def test_invalid_capacity_rejected():
     with pytest.raises(ValueError):
         MemTable(0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.binary(min_size=1, max_size=8),
+            st.integers(0, 2),
+            st.binary(max_size=24),
+        ),
+        min_size=1,
+        max_size=80,
+    )
+)
+def test_tombstones_folds_and_replay_duplicates_match_a_fold_model(ops):
+    table = MemTable(1 << 30, seed=5)
+    model = {}
+    records = []
+    for seqno, (key, op, value) in enumerate(ops):
+        if op == 0:
+            record = Record.base(key, value, seqno)
+        elif op == 1:
+            record = Record.tombstone(key, seqno)
+        else:
+            record = Record.delta(key, value, seqno)
+        records.append(record)
+        table.put(record)
+        model[key] = fold(record, model[key]) if key in model else record
+
+    def check():
+        assert table.nbytes == sum(r.nbytes for r in model.values())
+        assert list(table) == [model[key] for key in sorted(model)]
+        for key in model:
+            assert table.get(key) == model[key]
+
+    check()
+    # A crash replay re-puts records C0 already holds: nothing moves.
+    for record in records:
+        table.put(record)
+    check()

@@ -438,3 +438,98 @@ class TestUniformEngineMetrics:
         for engine in self._engines():
             assert engine.runtime.clock is engine.clock, engine.name
             engine.close()
+
+
+# ----------------------------------------------------------------------
+# Observability toggle: byte-identical engine state either way
+# ----------------------------------------------------------------------
+
+
+def _seeded_trace(engine, ops: int = 400, seed: int = 9):
+    import random
+
+    rng = random.Random(seed)
+    for step in range(ops):
+        key = b"key%03d" % rng.randrange(80)
+        roll = rng.random()
+        if roll < 0.6:
+            engine.put(key, bytes([rng.randrange(256)]) * 24)
+        elif roll < 0.8:
+            engine.delete(key)
+        else:
+            engine.get(key)
+
+
+def test_observability_off_is_semantically_invisible():
+    """Disabling metrics/tracing skips dispatch work only: logical
+    state (digest), scan order and even the virtual clock must be
+    byte-identical to the instrumented engine."""
+    from repro.engines import build_engine
+
+    observed = build_engine(
+        "blsm", c0_bytes=8 * 1024, cache_pages=16, observability=True
+    )
+    dark = build_engine(
+        "blsm", c0_bytes=8 * 1024, cache_pages=16, observability=False
+    )
+    _seeded_trace(observed)
+    _seeded_trace(dark)
+    assert observed.state_digest() == dark.state_digest()
+    assert observed.clock.now == dark.clock.now
+    observed.close()
+    dark.close()
+
+
+def test_observability_off_disables_trace_and_counters():
+    from repro.engines import build_engine
+
+    dark = build_engine("blsm", durability="sync", observability=False)
+    lit = build_engine("blsm", durability="sync", observability=True)
+    assert not dark.runtime.observability
+    assert not dark.runtime.trace.enabled
+    _seeded_trace(dark, ops=50)
+    _seeded_trace(lit, ops=50)
+    # The instrumented engine accumulates per-device counters; the dark
+    # one skips that dispatch entirely (same I/O, no bookkeeping).
+    lit_writes = [
+        name for name in lit.metrics() if name.endswith(".write_ops")
+    ]
+    assert lit_writes, "instrumented engine must expose disk counters"
+    assert any(
+        lit.runtime.metrics.value(name, 0.0) > 0.0 for name in lit_writes
+    )
+    for name in lit_writes:
+        assert dark.runtime.metrics.value(name, 0.0) == 0.0
+    dark.close()
+    lit.close()
+
+
+@pytest.mark.parametrize("name", ["blsm", "leveled", "sharded"])
+def test_io_summary_does_not_depend_on_observability(name):
+    """``io_summary`` used to read the metrics registry, which devices
+    skip with observability off, so every untraced run reported an idle
+    device: the same seeded reads must give the same non-zero counters
+    either way."""
+    from repro.engines import build_engine
+
+    summaries = []
+    for observability in (True, False):
+        engine = build_engine(
+            name, c0_bytes=8 * 1024, cache_pages=16,
+            observability=observability,
+        )
+        # Data >> C0 and >> the buffer pool, in scattered key order:
+        # merges read and write, cold reads seek.
+        keys = [b"key%04d" % ((i * 7919) % 2000) for i in range(2000)]
+        for key in keys:
+            engine.put(key, b"v" * 256)
+        for key in keys[::20]:
+            engine.get(key)
+        summaries.append(engine.io_summary())
+        engine.close()
+    lit, dark = summaries
+    assert dark == lit
+    assert dark["data_seeks"] > 0
+    assert dark["data_bytes_read"] > 0
+    assert dark["data_bytes_written"] > 0
+    assert dark["busy_seconds"] > 0.0

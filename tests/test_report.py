@@ -1,7 +1,6 @@
 """Tests for the shared bench-report envelope, gates and perf gate."""
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -21,11 +20,8 @@ from repro.obs.report import (
     load_report,
     metric_value,
     new_report,
-    upgrade_legacy,
     validate_payload,
 )
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def sample_report() -> BenchReport:
@@ -84,64 +80,13 @@ def test_metric_value_dotted_paths():
         metric_value(report.metrics, "group.missing.deeper")
 
 
-# ----------------------------------------------------------------------
-# Legacy snapshots (the committed BENCH_6/7/8 files)
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "name, bench",
-    [
-        ("BENCH_6.json", "compaction-policy-sweep"),
-        ("BENCH_7.json", "live-migration"),
-        ("BENCH_8.json", "sessions-group-commit"),
-    ],
-)
-def test_legacy_snapshots_load(name, bench):
-    path = REPO_ROOT / name
-    if not path.exists():
-        pytest.skip(f"{name} not committed")
-    report = load_report(str(path))
-    assert report.bench == bench
-    assert report.meta.get("legacy") is True
-    assert report.config
-    assert report.metrics
-
-
-def test_legacy_policy_list_becomes_dict():
-    report = upgrade_legacy(
-        {
-            "bench": "compaction-policy-sweep",
-            "config": {"records": 10},
-            "policies": [
-                {"policy": "leveled", "write_amp": 3.0},
-                {"policy": "tiered", "write_amp": 1.5},
-            ],
-            "crossover": {},
-        }
-    )
-    assert report.value("policies.tiered.write_amp") == 1.5
-
-
-def test_legacy_migration_config_split():
-    report = upgrade_legacy(
-        {
-            "bench": "live-migration",
-            "records": 2400,
-            "shards": 4,
-            "seed": 0,
-            "p99_ratio": 0.9,
-            "quiescent": {"read_p99": 0.001},
-        }
-    )
-    assert report.config["records"] == 2400
-    assert "records" not in report.metrics
-    assert report.value("p99_ratio") == 0.9
-
-
-def test_unrecognized_legacy_raises():
-    with pytest.raises(ReportError):
-        upgrade_legacy({"bench": "mystery-bench", "x": 1})
+def test_load_report_rejects_a_payload_without_schema(tmp_path):
+    # A pre-envelope dump ({"bench": ..., flat metrics}) is outside
+    # input: rejected by name, not guessed at.
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({"bench": "live-migration", "p99_ratio": 0.9}))
+    with pytest.raises(ReportError, match="old.json"):
+        load_report(str(path))
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from repro.memtable import SkipList
 
 
@@ -107,3 +109,37 @@ def test_large_random_workload_against_dict():
             assert sl.remove(key) == model.pop(key, None)
     assert [k for k, _ in sl] == sorted(model)
     assert len(sl) == len(model)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.binary(min_size=1, max_size=8),
+            st.integers(0, 2),
+            st.binary(max_size=24),
+        ),
+        max_size=120,
+    ),
+    probe=st.binary(min_size=1, max_size=8),
+)
+def test_matches_dict_model(ops, probe):
+    sl = SkipList(seed=7)
+    model = {}
+    for key, op, value in ops:
+        if op == 0:
+            assert sl.insert(key, value) == model.get(key)
+            model[key] = value
+        elif op == 1:
+            assert sl.get(key) == model.get(key)
+        else:
+            assert sl.remove(key) == model.pop(key, None)
+    assert len(sl) == len(model)
+    # Sorted iteration and ordered successor steps are what a merge's
+    # single pass and the snowshovel drain depend on.
+    ordered = [(key, model[key]) for key in sorted(model)]
+    assert list(sl) == ordered
+    assert sl.first() == (ordered[0] if ordered else None)
+    tail = [pair for pair in ordered if pair[0] >= probe]
+    assert sl.ceiling(probe) == (tail[0] if tail else None)
+    assert list(sl.iter_from(probe)) == tail

@@ -4,8 +4,8 @@ A snapshot no longer copies C0 when it opens: it reads the live
 memtable in place and takes its own copy only if a write lands while it
 is open (``core/versions.py``).  The stateful test holds the isolation
 contract — every read through a snapshot answers from the state frozen
-at open, whatever happens underneath — for every memtable backend, both
-C0 disciplines and all three layouts; the deterministic tests hold the
+at open, whatever happens underneath — for both C0 disciplines and
+all three layouts; the deterministic tests hold the
 cost contract and the bookkeeping (registry, pins, gauges) around it.
 """
 
@@ -25,7 +25,6 @@ from hypothesis.stateful import (
 from repro.core import BLSM, BLSMOptions, PartitionedBLSM
 from repro.core.compaction.tree import CompactionTree
 from repro.engines import EngineConfig, build_engine
-from repro.memtable import MEMTABLE_NAMES
 from repro.obs import format_version_summary
 from repro.storage import DurabilityMode
 from repro.testing import generate_trace, run_trace
@@ -49,7 +48,6 @@ class SnapshotMachine(RuleBasedStateMachine):
     """Writes, merges, memtable switches and crashes under open snapshots."""
 
     TREE = "blsm"
-    MEMTABLE = "skiplist"
     SNOWSHOVEL = True
 
     @initialize()
@@ -58,7 +56,6 @@ class SnapshotMachine(RuleBasedStateMachine):
             c0_bytes=2048,
             buffer_pool_pages=8,
             durability=DurabilityMode.SYNC,
-            memtable=self.MEMTABLE,
             snowshovel=self.SNOWSHOVEL,
             compaction_policy="leveled" if self.TREE == "leveled" else "blsm3",
         )
@@ -186,19 +183,16 @@ class SnapshotMachine(RuleBasedStateMachine):
         assert list(self.tree.scan(b"")) == sorted(self.model.items())
 
 
-for _kernel, _memtable, _snowshovel in [
-    *itertools.product(("blsm", "leveled"), MEMTABLE_NAMES, (True, False)),
+for _kernel, _snowshovel in [
+    *itertools.product(("blsm", "leveled"), (True, False)),
     # The partitioned tree only snowshovels; its snapshots are ranged.
-    *itertools.product(("part",), MEMTABLE_NAMES, (True,)),
+    ("part", True),
 ]:
-    _name = (
-        f"Test_{_kernel}_{_memtable}_"
-        f"{'snowshovel' if _snowshovel else 'freeze'}"
-    )
+    _name = f"Test_{_kernel}_{'snowshovel' if _snowshovel else 'freeze'}"
     _machine = type(
         _name + "_Machine",
         (SnapshotMachine,),
-        {"TREE": _kernel, "MEMTABLE": _memtable, "SNOWSHOVEL": _snowshovel},
+        {"TREE": _kernel, "SNOWSHOVEL": _snowshovel},
     )
     _case = _machine.TestCase
     _case.settings = settings(
@@ -212,14 +206,11 @@ for _kernel, _memtable, _snowshovel in [
 # ---------------------------------------------------------------------------
 
 
-def _tree(
-    kind: str = "skiplist", c0_bytes: int = 64 * 1024, tree_cls=BLSM, **overrides
-):
+def _tree(c0_bytes: int = 64 * 1024, tree_cls=BLSM, **overrides):
     return tree_cls(
         BLSMOptions(
             c0_bytes=c0_bytes,
             buffer_pool_pages=16,
-            memtable=kind,
             compaction_policy="leveled" if tree_cls is CompactionTree else "blsm3",
             **overrides,
         )
@@ -233,9 +224,8 @@ def _fill(tree, count: int, tag: bytes = b"v") -> None:
         tree.put(b"key-%04d" % i, tag + b"-%04d" % i)
 
 
-@pytest.mark.parametrize("kind", MEMTABLE_NAMES)
-def test_open_scan_close_without_a_write_never_copies(kind):
-    tree = _tree(kind)
+def test_open_scan_close_without_a_write_never_copies():
+    tree = _tree()
     _fill(tree, 200)
     for round_ in range(1000):
         lo = b"key-%04d" % (round_ % 200)
@@ -276,9 +266,8 @@ def test_write_under_open_views_copies_once_per_view(tree_cls=BLSM):
     tree.close()
 
 
-@pytest.mark.parametrize("kind", MEMTABLE_NAMES)
-def test_paused_scan_resumes_on_the_copy_after_its_last_key(kind):
-    tree = _tree(kind)
+def test_paused_scan_resumes_on_the_copy_after_its_last_key():
+    tree = _tree()
     _fill(tree, 40, b"old")
     expected = list(tree.scan(b""))
     snap = tree.snapshot()

@@ -385,14 +385,13 @@ def test_merge_events_carry_the_passes_reads_and_seeks(kind):
 
 
 def test_memtable_ceiling_returns_the_record():
-    for kind in ("skiplist", "array", "dict"):
-        table = MemTable(1 << 20, kind=kind)
-        for i in (10, 20, 30):
-            table.put(Record.base(b"k%02d" % i, b"v", i))
-        assert table.ceiling(b"").key == b"k10"
-        assert table.ceiling(b"k20").seqno == 20
-        assert table.ceiling(b"k21").key == table.ceiling_key(b"k21") == b"k30"
-        assert table.ceiling(b"k31") is None
+    table = MemTable(1 << 20)
+    for i in (10, 20, 30):
+        table.put(Record.base(b"k%02d" % i, b"v", i))
+    assert table.ceiling(b"").key == b"k10"
+    assert table.ceiling(b"k20").seqno == 20
+    assert table.ceiling(b"k21").key == table.ceiling_key(b"k21") == b"k30"
+    assert table.ceiling(b"k31") is None
 
 
 # ---------------------------------------------------------------------------

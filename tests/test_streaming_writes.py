@@ -20,7 +20,6 @@ from repro.core.merge import FrozenSource, MergeProcess, _AccessDeferred
 from repro.core.partitioned import PartitionedBLSM
 from repro.engines import build_engine
 from repro.faults.crashpoints import enumerate_crash_points
-from repro.memtable.backends import MEMTABLE_NAMES
 from repro.obs.summary import format_summary, merge_io_by_level
 from repro.records import Record
 from repro.sim import DiskModel, SimDisk, StripedDisk, VirtualClock
@@ -403,16 +402,13 @@ def test_a_write_behind_waits_in_the_builder():
 # (c) what the tree holds does not change
 # ---------------------------------------------------------------------------
 
-# state_digest() of this stream at the parent commit (0974e37), where it
-# is the same for all three memtable backends.
+# state_digest() of this stream at the parent commit (0974e37).
 PARENT_DIGEST = "17538c63b531ee2efe036591ef4d94a64f14af174c55940b1599ea894db1946a"
 
 
-@pytest.mark.parametrize("memtable", MEMTABLE_NAMES)
-def test_state_digest_matches_the_parent_commit(memtable):
+def test_state_digest_matches_the_parent_commit():
     engine = build_engine(
-        "blsm", c0_bytes=512 * KIB, cache_pages=32, memtable=memtable,
-        observability=False,
+        "blsm", c0_bytes=512 * KIB, cache_pages=32, observability=False
     )
     run_stream(engine, 20_000, 16, sizes=range(20, 1500))
     assert engine.state_digest() == PARENT_DIGEST
