@@ -27,11 +27,15 @@ def _blind_write_throughput(make_engine, value_bytes: int) -> float:
     engine.flush()
     spec = WorkloadSpec(
         record_count=records,
-        operation_count=200,
+        # Sized with the data: a window smaller than one streaming unit
+        # never reaches the device and measures nothing.
+        operation_count=max(200, 2 * records),
         blind_write_proportion=1.0,
         value_bytes=value_bytes,
     )
-    return run_workload(engine, spec, seed=142).throughput
+    result = run_workload(engine, spec, seed=142)
+    assert result.elapsed_seconds > 0, "the window saw no device time"
+    return result.throughput
 
 
 def _measure():

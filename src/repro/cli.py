@@ -908,6 +908,7 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     from repro.analysis.stability import stability_table
     from repro.ycsb.stability import (
         STABILITY_MATRIX,
+        default_scenario,
         run_stability_matrix,
         stability_report,
     )
@@ -924,42 +925,16 @@ def _cmd_stability(args: argparse.Namespace) -> int:
             )
         configs = [STABILITY_MATRIX[name] for name in names]
     print(
-        f"stability bench: duration={args.duration:g}s rate={args.rate:g}/s "
+        f"stability bench: duration={args.duration_seconds:g}s "
+        f"rate={args.rate:g}/s "
         f"sessions={args.sessions} arrival={args.arrival} "
         f"windows={args.windows} configs={','.join(c.name for c in configs)}"
     )
     progress = None if args.quiet else (lambda line: print(line, flush=True))
-    results = run_stability_matrix(
-        configs,
-        progress=progress,
-        duration_seconds=args.duration,
-        rate=args.rate,
-        sessions=args.sessions,
-        arrival=args.arrival,
-        records=args.records,
-        value_bytes=args.value_bytes,
-        read_proportion=args.read,
-        c0_bytes=args.c0_bytes,
-        cache_pages=args.cache_pages,
-        windows=args.windows,
-        seed=args.seed,
-    )
+    scenario = {name: getattr(args, name) for name in default_scenario()}
+    results = run_stability_matrix(configs, progress=progress, **scenario)
     report = stability_report(
-        results,
-        {
-            "configs": [c.name for c in configs],
-            "duration_seconds": args.duration,
-            "rate": args.rate,
-            "sessions": args.sessions,
-            "arrival": args.arrival,
-            "records": args.records,
-            "value_bytes": args.value_bytes,
-            "read_proportion": args.read,
-            "c0_bytes": args.c0_bytes,
-            "cache_pages": args.cache_pages,
-            "windows": args.windows,
-            "seed": args.seed,
-        },
+        results, {"configs": [c.name for c in configs], **scenario}
     )
     print(stability_table(report))
     if args.json:
@@ -1513,34 +1488,31 @@ def build_parser() -> argparse.ArgumentParser:
         "spring_gear,gear,unthrottled,leveled,tiered)",
     )
     stability.add_argument(
-        "--duration", type=float, default=4.0, metavar="SECONDS",
+        "--duration", dest="duration_seconds", type=float, metavar="SECONDS",
         help="offered-load duration in virtual seconds",
     )
     stability.add_argument(
-        "--rate", type=float, default=2000.0,
+        "--rate", type=float,
         help="total offered rate, ops per virtual second",
     )
     stability.add_argument(
-        "--sessions", type=int, default=8,
-        help="concurrent open-loop sessions",
+        "--sessions", type=int, help="concurrent open-loop sessions",
     )
     stability.add_argument(
-        "--arrival", choices=("uniform", "poisson", "diurnal"),
-        default="poisson",
+        "--arrival", choices=("uniform", "poisson", "diurnal")
     )
-    stability.add_argument("--records", type=int, default=600)
-    stability.add_argument("--value-bytes", type=int, default=100)
+    stability.add_argument("--records", type=int)
+    stability.add_argument("--value-bytes", type=int)
     stability.add_argument(
-        "--read", type=float, default=0.1,
+        "--read", dest="read_proportion", type=float,
         help="read proportion (rest are blind writes)",
     )
-    stability.add_argument("--c0-bytes", type=int, default=48 * 1024)
-    stability.add_argument("--cache-pages", type=int, default=32)
+    stability.add_argument("--c0-bytes", type=int)
+    stability.add_argument("--cache-pages", type=int)
     stability.add_argument(
-        "--windows", type=int, default=24,
-        help="timeline windows across the run",
+        "--windows", type=int, help="timeline windows across the run",
     )
-    stability.add_argument("--seed", type=int, default=0)
+    stability.add_argument("--seed", type=int)
     stability.add_argument(
         "--json", default=None, metavar="PATH",
         help="write the BenchReport envelope to PATH (BENCH_9.json)",
@@ -1557,7 +1529,9 @@ def build_parser() -> argparse.ArgumentParser:
     stability.add_argument(
         "--quiet", action="store_true", help="suppress progress lines"
     )
-    stability.set_defaults(fn=_cmd_stability)
+    from repro.ycsb.stability import default_scenario
+
+    stability.set_defaults(fn=_cmd_stability, **default_scenario())
 
     report = sub.add_parser(
         "report",

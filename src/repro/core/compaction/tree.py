@@ -200,8 +200,12 @@ class CompactionTree(TreeKernel):
         deep = self._manager.total_bytes() - self._manager.level_bytes(0)
         return max(1, deep)
 
-    def write_amplification_estimate(self) -> float:
-        """Analytic bytes of merge I/O per written byte (policy-owned)."""
+    def m01_debt_per_byte(self) -> float:
+        """Analytic bytes of merge I/O per written byte (policy-owned).
+
+        Policy merges do not drain C0, so the spring has no rest point
+        here; the policy's whole-tree estimate stands in as the debt.
+        """
         levels = self._manager.deepest_nonempty()
         depth = max(1, (levels if levels is not None else 0) + 1)
         return max(

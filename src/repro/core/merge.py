@@ -243,6 +243,11 @@ class MergeProcess:
             return 0
         return self._readahead_pages + self._stasis.streaming_pages
 
+    @property
+    def overlay_bytes(self) -> int:
+        """RAM the snowshovel overlay holds: what the pass took from C0."""
+        return self.newer_bytes_read if self._track_overlay else 0
+
     def step(self, budget_bytes: int) -> int:
         """Consume up to ``budget_bytes`` of input; return bytes consumed.
 

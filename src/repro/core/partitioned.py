@@ -40,6 +40,7 @@ from repro.core.components import describe_component
 from repro.core.kernel import TreeKernel
 from repro.core.merge import MergeProcess, RangeSnowshovelSource
 from repro.core.options import BLSMOptions
+from repro.core.scheduler import HEADROOM
 from repro.core.versions import TreeSnapshot
 from repro.records import Record, resolve
 from repro.sstable.reader import SSTable
@@ -165,9 +166,9 @@ class PartitionedBLSM(TreeKernel):
             1.0, (fill - opts.low_water) / (opts.high_water - opts.low_water)
         )
         self._gauge_pressure.set(pressure)
-        amplification = self._write_amplification_estimate()
+        debt = self._merge_debt_per_byte()
         budget = min(
-            opts.max_tick_bytes, int(2.0 * pressure * amplification * nbytes) + 1
+            opts.max_tick_bytes, int(HEADROOM * pressure * debt * nbytes) + 1
         )
         self.merge_step(budget)
         if self._memtable.fill_fraction >= 1.0:
@@ -293,24 +294,25 @@ class PartitionedBLSM(TreeKernel):
         ratio = math.sqrt(max(1.0, data / self.options.c0_bytes))
         return min(self.options.max_r, max(self.options.min_r, ratio))
 
-    def _write_amplification_estimate(self) -> float:
-        """Per-byte merge I/O under the greedy policy.
+    def _merge_debt_per_byte(self) -> float:
+        """Input bytes ``merge_step`` consumes per byte drained from C0.
 
         Partitioning caps each merge's inputs at one partition's stack,
         so the estimate uses the *average* partition rather than the
-        whole tree.
+        whole tree.  One ``merge_step`` runs C0:C1ᵖ and C1ᵖ:C2ᵖ merges
+        alike, so both terms are in the debt, each in input bytes.
         """
         share = max(1.0, self._c0_share())
         average_c1 = sum(
             p.c1.nbytes if p.c1 is not None else 0 for p in self._partitions
         ) / max(1, len(self._partitions))
-        amp01 = 2.0 * (share + average_c1) / share
+        debt01 = (share + average_c1) / share
         average_c2 = sum(
             p.c2.nbytes if p.c2 is not None else 0 for p in self._partitions
         ) / max(1, len(self._partitions))
         promo = max(1.0, self._target_r() * share)
-        amp12 = 2.0 * (promo + average_c2) / promo
-        return amp01 + amp12
+        debt12 = (promo + average_c2) / promo
+        return debt01 + debt12
 
     # ------------------------------------------------------------------
     # Merge lifecycle

@@ -29,7 +29,7 @@ spread out shows up as a latency spike, just as in the paper's Figure 7.
 Schedulers are written against a *merge host* surface, not a concrete
 tree class: any object exposing ``c0_fill_fraction``, the two gears'
 ``m01_*``/``m12_*`` progress and input-size properties,
-``write_amplification_estimate()``, ``step_m01``/``step_m12`` and
+``m01_debt_per_byte()``, ``step_m01``/``step_m12`` and
 ``force_drain`` can attach.  :class:`repro.core.tree.BLSM` maps the
 gears onto its C0:C1 and C1':C2 merges;
 :class:`repro.core.compaction.tree.CompactionTree` maps them onto its
@@ -47,6 +47,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.tree import BLSM
 
     MergeHost = Union["BLSM", "CompactionTree"]
+
+
+HEADROOM = 1.6
+"""Spring merge rate at full pressure, as a multiple of break-even.
+
+The spring rests at pressure ``1 / HEADROOM`` (see
+:class:`SpringGearScheduler`); shared by the partitioned tree's spring.
+"""
 
 
 class MergeScheduler(ABC):
@@ -136,6 +144,23 @@ class SpringGearScheduler(MergeScheduler):
     C0 has filled; above the high water mark the write stalls until
     merges bring C0 back down.  The downstream C1:C2 merge keeps the gear
     coupling, paced off the C0:C1 merge's outprogress.
+
+    Units.  ``step_m01`` spends its budget in *input bytes consumed*
+    (C0 run plus C1), so the budget is built from the host's
+    ``m01_debt_per_byte()``: the input bytes the C0-draining merge must
+    consume to remove one byte from C0 — ``(run + |C1|) / run`` for a
+    bLSM pass.  A write of ``nbytes`` hands the merge
+    ``HEADROOM x pressure x debt x nbytes``; the merge breaks even with
+    the writer at ``pressure = 1 / HEADROOM``, which is where C0's fill
+    comes to rest: ``low + (high - low) / HEADROOM`` = 0.35 + 0.55 / 1.6
+    = 0.69 at the default marks.  C0's fill is a design point, not an
+    accident — the I/O of a pass is paid per resident byte of C0
+    (Section 4.2), so the spring rests two-thirds of the way up and keeps
+    the top third as slack; at high water the merge still runs
+    ``HEADROOM`` x break-even, which is what absorbs a C1 waiting on the
+    C1':C2 merge before a write stalls.  The C1':C2 merge is not in the
+    debt: it has its own gear budget below.  (docs/merge-scheduling.md
+    has the measured table behind 1.6.)
     """
 
     def __init__(
@@ -185,15 +210,11 @@ class SpringGearScheduler(MergeScheduler):
             1.0, (fill - self.low_water) / (self.high_water - self.low_water)
         )
         self._set_pressure(pressure)
-        # Steady state: each written byte must eventually push an
-        # amplified volume of merge I/O.  Scale that volume by the spring
-        # pressure, with headroom (the 2x) so the merge can catch up after
-        # an idle spell instead of only ever breaking even.  One budget is
-        # shared across all steps below: max_tick_bytes is the per-tick
-        # latency bound, not a per-step cap.
-        amplification = tree.write_amplification_estimate()
+        # One budget is shared across all steps below: max_tick_bytes is
+        # the per-tick latency bound, not a per-step cap.
+        debt = tree.m01_debt_per_byte()
         budget = min(
-            self.max_tick_bytes, int(2.0 * pressure * amplification * nbytes) + 1
+            self.max_tick_bytes, int(HEADROOM * pressure * debt * nbytes) + 1
         )
         worked = tree.step_m01(budget)
         remaining = self.max_tick_bytes - worked

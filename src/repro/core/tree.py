@@ -212,22 +212,19 @@ class BLSM(TreeKernel):
         c2 = self._c2.nbytes if self._c2 is not None else 0
         return max(1, c1p + c2)
 
-    def write_amplification_estimate(self) -> float:
-        """Bytes of merge I/O each written byte eventually costs.
+    def m01_debt_per_byte(self) -> float:
+        """Input bytes the C0:C1 merge consumes per byte it drains from C0.
 
-        Used by the spring-and-gear scheduler to convert a write into a
-        merge-work budget.  Derived from current component sizes: each
-        C0:C1 pass reads and writes ``run + |C1|`` bytes to consume
-        ``run`` bytes of C0; each promotion reads and writes
-        ``|C1'| + |C2|`` to consume ``R * C0`` bytes.
+        The spring's conversion from a write to a ``step_m01`` budget, in
+        that method's own unit: a pass consumes ``run + |C1|`` input
+        bytes to remove ``run`` bytes from C0, where a snowshovel run is
+        about twice what C0 holds now (Section 4.2) and a frozen pass
+        consumes exactly C0'.
         """
-        run_bytes = self._expected_run_bytes()
+        doubling = 2 if self.options.snowshovel else 1
+        run_bytes = max(1, doubling * self._c0_source_bytes())
         c1_bytes = self._c1.nbytes if self._c1 is not None else 0
-        amp01 = 2.0 * (run_bytes + c1_bytes) / run_bytes
-        promo_bytes = max(1.0, self._r * self._c0_capacity)
-        c2_bytes = self._c2.nbytes if self._c2 is not None else 0
-        amp12 = 2.0 * (promo_bytes + c2_bytes) / promo_bytes
-        return amp01 + amp12
+        return (run_bytes + c1_bytes) / run_bytes
 
     def step_m01(self, budget_bytes: int) -> int:
         """Run up to ``budget_bytes`` of C0:C1 merge work.
@@ -363,7 +360,9 @@ class BLSM(TreeKernel):
         configured capacity in bytes and ``cache_ghost`` its admission
         history (one page id per frame); ``merge_buffers`` what the
         running merges hold: one streaming unit of read-ahead per open
-        input stream and one of write-behind per running builder.
+        input stream and one of write-behind per running builder;
+        ``merge_overlay`` the records a running snowshovel pass has
+        taken out of C0, held readable until its output installs.
         """
         index = 0
         bloom = 0
@@ -385,6 +384,9 @@ class BLSM(TreeKernel):
                 merge.buffer_pages
                 for merge in (self._m01, self._m12)
                 if merge is not None
+            ),
+            "merge_overlay": (
+                self._m01.overlay_bytes if self._m01 is not None else 0
             ),
         }
 

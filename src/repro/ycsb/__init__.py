@@ -47,6 +47,7 @@ from repro.ycsb.stability import (
     StabilityConfig,
     StabilityResult,
     default_configs,
+    default_scenario,
     run_stability,
     run_stability_matrix,
     stability_report,
@@ -74,6 +75,7 @@ __all__ = [
     "StabilityResult",
     "commit_queues",
     "default_configs",
+    "default_scenario",
     "logical_logs",
     "stability_report",
     "Timeseries",

@@ -148,7 +148,16 @@ def test_load_fill_and_padding_guard(value_bytes, min_fill, max_overhead):
     ]
     assert components
     for component in components:
-        assert component.page_fill >= min_fill
+        # Every block but the last, which is the component's tail and
+        # however short its last records leave it (a 3-block C1 of 100 B
+        # values reads 0.915 whole, 0.99 without it).  Records are
+        # uniform, so each is nbytes / key_count bytes.
+        body = component.blocks[:-1]
+        record_bytes = component.nbytes / component.key_count
+        assert body, component
+        assert sum(b.nrecords for b in body) * record_bytes >= min_fill * (
+            PAGE * sum(b.npages for b in body)
+        )
     # C2 is built from fixed inputs, so its reservation is exact.
     assert tree._c2 is not None and len(tree._c2.extents) == 1
     # Device bytes written per record byte written: the layout's whole

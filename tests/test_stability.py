@@ -10,35 +10,67 @@ from repro.analysis.stability import (
     stability_table,
 )
 from repro.cli import main
+from repro.engines import build_engine
 from repro.obs.report import load_report, validate_payload
+from repro.ycsb.runner import load_phase
 from repro.ycsb.stability import (
     STABILITY_MATRIX,
+    default_scenario,
     run_stability,
     run_stability_matrix,
     stability_report,
 )
+from repro.ycsb.workload import WorkloadSpec
 
 CONTRAST = ("spring_gear", "gear", "unthrottled")
 
 
+DEFAULTS = default_scenario()
+
+
 @pytest.fixture(scope="module")
 def matrix_results():
-    """One shared contrast run (defaults-scale, ~2s total)."""
-    return run_stability_matrix(
-        [STABILITY_MATRIX[name] for name in CONTRAST],
-        duration_seconds=4.0,
-        rate=2000.0,
-        sessions=8,
-        windows=24,
-        records=600,
-        seed=0,
+    """One shared contrast run at ``run_stability``'s defaults (~4s)."""
+    return run_stability_matrix([STABILITY_MATRIX[name] for name in CONTRAST])
+
+
+def test_default_scenario_exercises_the_merges_it_gates():
+    """When the offered load starts, both merges move streaming units.
+
+    The C1 generation (C1, or the C1' it was just promoted to) and C2
+    each hold at least two of the device's streaming units, so C0:C1
+    and C1':C2 passes read and write whole runs while the p99.9 ceiling
+    is measured (the 48 KiB scenario this replaces never built a
+    64-page component).
+    """
+    spec = WorkloadSpec(
+        record_count=DEFAULTS["records"],
+        operation_count=0,
+        value_bytes=DEFAULTS["value_bytes"],
     )
+    for name in ("spring_gear", "unthrottled"):
+        engine = build_engine(
+            "blsm",
+            c0_bytes=DEFAULTS["c0_bytes"],
+            cache_pages=DEFAULTS["cache_pages"],
+            scheduler=STABILITY_MATRIX[name].scheduler,
+            durability="async",
+            seed=DEFAULTS["seed"],
+        )
+        load_phase(engine, spec, seed=DEFAULTS["seed"])
+        stasis = engine.tree.stasis
+        two_units = 2 * stasis.streaming_pages * stasis.page_size
+        sizes = engine.tree.component_sizes()
+        assert sizes["c1"] + sizes["c1_prime"] >= two_units, (name, sizes)
+        assert sizes["c2"] >= two_units, (name, sizes)
+        engine.close()
 
 
 def test_matrix_runs_every_config(matrix_results):
     assert [r.config.name for r in matrix_results] == list(CONTRAST)
+    offered = int(DEFAULTS["duration_seconds"] * DEFAULTS["rate"])
     for result in matrix_results:
-        assert result.sessions.operations == 8000
+        assert result.sessions.operations == offered
         assert result.timeline, result.config.name
         assert result.sessions.probes, result.config.name
 

@@ -288,7 +288,10 @@ def test_snowshovel_built_filters_stay_under_one_percent(kind):
     engine = build_engine(
         kind, c0_bytes=2 << 20, cache_pages=128, observability=False
     )
-    for i in range(20_000):
+    # 22 000 records end the bLSM load with C1, C1' and C2 all present
+    # (three-component phase: 21-23 k; 20 000 now ends just after a
+    # promotion, with two).
+    for i in range(22_000):
         engine.put(b"user%012d" % ((i * 2_654_435_761) % 2**32), bytes(1000))
     absent = [b"none%012d" % i for i in range(20_000)]
     built = components(engine.tree)
@@ -333,6 +336,25 @@ def test_merge_buffers_are_counted_while_merges_are_open():
     assert tree._m12.buffer_pages >= min(run, tree._c1_prime.npages) + 64
     tree.compact()
     assert tree.memory_footprint()["merge_buffers"] == 0
+
+
+def test_the_snowshovel_overlay_is_ram_the_footprint_shows():
+    tree = BLSM(BLSMOptions(c0_bytes=256 * 1024, buffer_pool_pages=16))
+    assert tree.memory_footprint()["merge_overlay"] == 0
+    i = 0
+    while tree._m01 is None or len(tree._m01.overlay) < 50:
+        tree.put(b"key%06d" % ((i * 7919) % 100_000), bytes(1000))
+        i += 1
+    held = sum(record.nbytes for record in tree._m01.overlay.records)
+    assert tree.memory_footprint()["merge_overlay"] == held > 0
+    tree.drain()
+    assert tree.memory_footprint()["merge_overlay"] == 0
+    # A frozen C0' is counted under "c0"; its pass keeps no overlay.
+    tree = BLSM(BLSMOptions(c0_bytes=256 * 1024, snowshovel=False))
+    while tree._m01 is None:
+        tree.put(b"key%06d" % ((i * 7919) % 100_000), bytes(1000))
+        i += 1
+    assert tree.memory_footprint()["merge_overlay"] == 0
 
 
 def test_seek_seconds_and_sequential_efficiency():
