@@ -8,7 +8,7 @@ a level count and a size ratio, :func:`policy_write_amplification`,
 :func:`policy_read_amplification` and
 :func:`policy_space_amplification` place it on the write/read/space
 trade-off triangle, and :func:`policy_table` tabulates the whole design
-space at once — the analytic twin of ``repro bench --policy all``.
+space at once — the analytic twin of ``repro policies``.
 
 Figure 2 plots worst-case read amplification against data size (in
 multiples of available RAM) for two designs:
@@ -229,7 +229,7 @@ def policy_table(
     Rows carry ``policy``, ``levels``, ``write_amp`` (with its
     ``per_level`` breakdown), ``read_seeks`` (Bloom-filtered and
     filterless) and ``space_amp`` at one data size — the analytic
-    counterpart of the measured ``repro bench --policy all`` sweep.
+    counterpart of the measured ``repro policies`` sweep.
     """
     from repro.core.compaction.policy import POLICY_NAMES
 

@@ -43,6 +43,7 @@ from repro.storage.logical_log import DurabilityMode
 
 __all__ = [
     "CRASH_ENGINE_NAMES",
+    "DISK_MODELS",
     "ENGINE_NAMES",
     "EngineConfig",
     "EngineSpec",
@@ -53,6 +54,14 @@ __all__ = [
     "engine_spec",
     "recover_crash_tree",
 ]
+
+
+#: The device models an entry point can name (``--disk``).
+DISK_MODELS: dict[str, Callable[[], DiskModel]] = {
+    "hdd": DiskModel.hdd,
+    "ssd": DiskModel.ssd,
+    "single-hdd": DiskModel.single_hdd,
+}
 
 
 @dataclass(frozen=True)

@@ -173,3 +173,9 @@ class StaleOwnerError(MigrationError):
 
 class WorkloadError(ReproError):
     """Raised when a YCSB workload specification is invalid."""
+
+
+class UsageError(ReproError, ValueError):
+    """A parameter combination an entry point rejects: ``repro`` prints it
+    and exits instead of tracing back, so raise it only where a flag is
+    validated, never for a fault inside a run."""

@@ -2,34 +2,44 @@
 
 The harness answers the question §4.4.2's recovery design must answer:
 *is every acknowledged write recoverable no matter where the process
-dies?*  It runs a deterministic scripted workload against an engine
-whose devices share an armed :class:`~repro.faults.plan.FaultPlan`,
-crashing at every Nth device-access boundary (reads and writes across
-both the data and log device, so merge I/O, buffer evictions, WAL forces
-and logical-log forces are all crash candidates).  After each simulated
-crash it drops volatile state, recovers via the engine's ``recover``
-classmethod, and verifies the recovered store against a shadow model:
+dies?*  It runs a deterministic workload against a store whose devices
+share a :class:`~repro.faults.plan.FaultPlan`, crashing at every Nth
+device-access boundary (reads and writes across both the data and log
+device, so merge I/O, buffer evictions, WAL forces and logical-log
+forces are all crash candidates).  After each simulated crash it drops
+volatile state, recovers, and verifies the recovered store.
 
-* every acknowledged write (``SYNC`` durability) must read back exactly;
-* the single in-flight operation may surface as either its old or its
-  new value — both outcomes are durable-by-contract.
+There is one sweep loop, :func:`sweep_crash_points`, and one report,
+:class:`CrashTestReport`.  What varies is the :class:`CrashRun` — the
+fresh state, the workload that drives it, and the durability contract
+checked after the crash:
 
-This package sits *above* the engine layer, so the engine registry is
-imported lazily inside functions — ``repro.faults`` itself stays
-importable from the storage layer below.  Which trees can be enumerated
-and how they are built/recovered lives in :mod:`repro.engines`
-(``CRASH_ENGINE_NAMES`` / ``build_crash_tree`` / ``recover_crash_tree``),
-the same registry the CLI draws from.
+* a trace over a raw tree (:mod:`repro.testing.composer`;
+  :func:`enumerate_crash_points` is that sweep over a put/delete
+  script): every acknowledged ``SYNC`` write reads back exactly, the
+  single in-flight operation as either its old or its new value;
+* the ``GROUP`` commit path (:func:`enumerate_group_commit_crash_points`):
+  the recovered state is a seqno-prefix of the submitted records no
+  shorter than what resolved tickets acknowledged;
+* an online shard migration (:func:`enumerate_migration_crash_points`):
+  acked writes, fleet invariants, and the migration resumes to
+  completion — at every journal force and every step boundary.
+
+This package sits *above* the engine layer, so the engine registry and
+the trace composer are imported lazily inside functions —
+``repro.faults`` itself stays importable from the storage layer below.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.errors import CrashPoint
 from repro.faults.plan import FaultPlan
+
+Script = list[tuple[str, bytes, "bytes | None"]]
 
 
 @dataclass
@@ -37,12 +47,16 @@ class CrashOutcome:
     """What happened at one enumerated crash point."""
 
     access_index: int
-    crashed: bool
-    recovered: bool
+    crashed: bool = False
+    recovered: bool = False
     failures: list[str] = field(default_factory=list)
+    family: str = "access"
+    """Which boundary family ``access_index`` counts (a report may sweep
+    more than one: migration has journal forces and step boundaries)."""
 
     @property
     def ok(self) -> bool:
+        """Whether the recovery at this point verified cleanly."""
         return not self.failures
 
 
@@ -54,14 +68,21 @@ class CrashTestReport:
     ops: int
     every: int
     seed: int
-    total_accesses: int
-    points_tested: int
-    crashes_triggered: int
-    recoveries_verified: int
+    boundaries: dict[str, int] = field(default_factory=dict)
+    """Crash candidates per family, as the report prints them (``{"workload
+    device accesses": 120}``)."""
+    points_tested: int = 0
+    crashes_triggered: int = 0
+    recoveries_verified: int = 0
     outcomes: list[CrashOutcome] = field(default_factory=list)
 
     @property
+    def total_accesses(self) -> int:
+        return sum(self.boundaries.values())
+
+    @property
     def failures(self) -> list[CrashOutcome]:
+        """Every outcome whose recovery verification failed."""
         return [outcome for outcome in self.outcomes if not outcome.ok]
 
     @property
@@ -69,88 +90,146 @@ class CrashTestReport:
         return not self.failures
 
 
-def scripted_workload(
-    ops: int, seed: int = 0, keyspace: int | None = None
-) -> list[tuple[str, bytes, bytes | None]]:
-    """A deterministic op script: mostly puts, some deletes, reused keys."""
-    rng = random.Random(seed)
-    if keyspace is None:
-        keyspace = max(ops // 2, 16)
-    script: list[tuple[str, bytes, bytes | None]] = []
-    for index in range(ops):
-        key = f"key-{rng.randrange(keyspace):06d}".encode()
-        if rng.random() < 0.15:
-            script.append(("delete", key, None))
-        else:
-            script.append(("put", key, f"value-{index:06d}".encode()))
-    return script
+class CrashRun:
+    """One fresh state of a sweep, built around a disarmed ``plan``.
+
+    ``drive`` runs the workload (a :class:`CrashPoint` unwinds out of
+    it); ``settle`` then recovers-and-verifies a crashed run (setting
+    ``outcome.recovered``) or verifies and closes a completed one.
+    """
+
+    plan: FaultPlan
+
+    def drive(self) -> None:
+        raise NotImplementedError
+
+    def settle(self, outcome: CrashOutcome) -> None:
+        raise NotImplementedError
+
+    def count(self) -> int:
+        """Drive to completion, settle; the accesses that took (the crash
+        candidates).  For a run whose plan only counts.  A sweep over a
+        workload that does not verify *uncrashed* would mean nothing, so
+        that raises."""
+        outcome = CrashOutcome(0)
+        drive_armed(self)
+        self.settle(outcome)
+        if not outcome.ok:
+            raise AssertionError(
+                f"the uncrashed run does not verify: {outcome.failures[:3]}"
+            )
+        return self.plan.access_count
 
 
-def _registry() -> Any:
-    # Lazy: the registry imports the whole engine layer above us.
+def crash_plan(point: int | None, seed: int) -> FaultPlan:
+    """The disarmed plan of one run: kill at armed access ``point``, or
+    (``None``) only count accesses."""
+    if point is None:
+        return FaultPlan(seed=seed, armed=False)
+    return FaultPlan.crash_at(point, seed=seed, armed=False)
+
+
+def drive_armed(run: CrashRun) -> bool:
+    """Drive ``run`` with its plan armed; whether it crashed.
+
+    Construction and recovery happen outside, disarmed, so access index
+    ``k`` always names the ``k``-th device access *of the workload* —
+    the same boundary in every run of the same script.
+    """
+    run.plan.arm()
+    try:
+        run.drive()
+    except CrashPoint:
+        return True
+    finally:
+        run.plan.disarm()
+    return False
+
+
+def sweep_crash_points(
+    report: CrashTestReport,
+    points: Iterable[int],
+    fresh: Callable[[int], CrashRun],
+    family: str = "access",
+    progress: Callable[[str], None] | None = None,
+) -> CrashTestReport:
+    """The crash-sweep loop: one fresh run per point, crash, settle, tally.
+
+    A point past the workload's last access does not crash; ``settle``
+    then verifies the completed run instead.
+    """
+    points = list(points)
+    for point in points:
+        outcome = CrashOutcome(access_index=point, family=family)
+        run = fresh(point)
+        outcome.crashed = drive_armed(run)
+        run.settle(outcome)
+        report.crashes_triggered += outcome.crashed
+        report.recoveries_verified += outcome.ok and outcome.recovered
+        report.points_tested += 1
+        report.outcomes.append(outcome)
+        if progress is not None and report.points_tested % 50 == 1:
+            progress(
+                f"crashtest[{report.engine}]: {family} {point}/{points[-1]}, "
+                f"{len(report.failures)} failures"
+            )
+    return report
+
+
+def require_positive(**values: int) -> None:
+    for name, value in values.items():
+        if value <= 0:
+            raise ValueError(f"{name} must be positive, got {value}")
+
+
+def registry() -> Any:
+    """:mod:`repro.engines`, imported lazily: it imports the whole engine
+    layer above this package."""
     from repro import engines
 
     return engines
 
 
-def _run_script(
-    tree: Any,
-    script: list[tuple[str, bytes, bytes | None]],
-    model: dict[bytes, bytes | None],
-) -> None:
-    """Apply the whole script, maintaining the acked-write model."""
-    for op, key, value in script:
-        if op == "put":
-            tree.put(key, value)
-            model[key] = value
-        else:
-            tree.delete(key)
-            model[key] = None
+# ---------------------------------------------------------------------------
+# Scripted put/delete workload over a raw tree
+# ---------------------------------------------------------------------------
 
 
-def _verify(
-    recovered: Any,
-    model: dict[bytes, bytes | None],
-    in_flight: tuple[str, bytes, bytes | None] | None,
-    outcome: CrashOutcome,
-) -> None:
-    in_flight_key = in_flight[1] if in_flight is not None else None
-    for key, expected in sorted(model.items()):
-        actual = recovered.get(key)
-        if key == in_flight_key:
-            op, _, value = in_flight  # type: ignore[misc]
-            new = value if op == "put" else None
-            if actual != expected and actual != new:
-                outcome.failures.append(
-                    f"key {key!r}: got {actual!r}, expected acked {expected!r} "
-                    f"or in-flight {new!r}"
-                )
-        elif actual != expected:
-            outcome.failures.append(
-                f"key {key!r}: got {actual!r}, expected acked {expected!r}"
-            )
-    if in_flight_key is not None and in_flight_key not in model:
-        op, _, value = in_flight  # type: ignore[misc]
-        new = value if op == "put" else None
-        actual = recovered.get(in_flight_key)
-        if actual is not None and actual != new:
-            outcome.failures.append(
-                f"in-flight key {in_flight_key!r}: got {actual!r}, "
-                f"expected None or {new!r}"
-            )
+def _random_op(
+    rng: random.Random, keyspace: int, serial: int
+) -> tuple[str, bytes, bytes | None]:
+    key = f"key-{rng.randrange(keyspace):06d}".encode()
+    if rng.random() < 0.15:
+        return ("delete", key, None)
+    return ("put", key, f"value-{serial:06d}".encode())
 
 
-def count_workload_accesses(
-    engine: str, script: list[tuple[str, bytes, bytes | None]], seed: int = 0
-) -> int:
+def scripted_workload(
+    ops: int, seed: int = 0, keyspace: int | None = None
+) -> Script:
+    """A deterministic op script: mostly puts, some deletes, reused keys."""
+    rng = random.Random(seed)
+    if keyspace is None:
+        keyspace = max(ops // 2, 16)
+    return [_random_op(rng, keyspace, index) for index in range(ops)]
+
+
+def _script_trace(script: Script) -> Any:
+    from repro.testing.trace import Trace, TraceOp
+
+    return Trace(
+        [
+            TraceOp.put(key, value) if op == "put" else TraceOp.delete(key)
+            for op, key, value in script
+        ]
+    )
+
+
+def count_workload_accesses(engine: str, script: Script, seed: int = 0) -> int:
     """Device accesses the scripted workload performs (crash candidates)."""
-    plan = FaultPlan(seed=seed, armed=False)
-    tree = _registry().build_crash_tree(engine, plan, seed)
-    plan.arm()
-    _run_script(tree, script, {})
-    plan.disarm()
-    tree.close()
-    return plan.access_count
+    from repro.testing.composer import trace_access_count
+
+    return trace_access_count(_script_trace(script), engine, seed=seed)
 
 
 def enumerate_crash_points(
@@ -162,78 +241,19 @@ def enumerate_crash_points(
 ) -> CrashTestReport:
     """Crash at every ``every``-th I/O boundary; recover; verify.
 
-    Engine construction and recovery run with the plan disarmed, so
-    access index ``k`` always names the ``k``-th device access *of the
-    workload* — the same boundary in every run of the same script.
+    ``engine`` is a crash-capable tree of the registry
+    (``CRASH_ENGINE_NAMES``), swept over :func:`scripted_workload` by the
+    trace composer, or one of :data:`PROTOCOL_SWEEPS`.
     """
-    registry = _registry()
-    if engine not in registry.CRASH_ENGINE_NAMES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of "
-            f"{registry.CRASH_ENGINE_NAMES}"
-        )
-    if ops <= 0:
-        raise ValueError(f"ops must be positive, got {ops}")
-    if every <= 0:
-        raise ValueError(f"every must be positive, got {every}")
-    script = scripted_workload(ops, seed=seed)
-    total = count_workload_accesses(engine, script, seed=seed)
-    report = CrashTestReport(
-        engine=engine,
-        ops=ops,
-        every=every,
-        seed=seed,
-        total_accesses=total,
-        points_tested=0,
-        crashes_triggered=0,
-        recoveries_verified=0,
+    require_positive(ops=ops)
+    if engine in PROTOCOL_SWEEPS:
+        return PROTOCOL_SWEEPS[engine](ops, every, seed, progress)
+    from repro.testing.composer import enumerate_trace_crash_points
+
+    return enumerate_trace_crash_points(
+        _script_trace(scripted_workload(ops, seed=seed)),
+        engine, every, seed, progress,
     )
-    for access in range(1, total + 1, every):
-        outcome = CrashOutcome(access_index=access, crashed=False, recovered=False)
-        plan = FaultPlan.crash_at(access, seed=seed, armed=False)
-        tree = registry.build_crash_tree(engine, plan, seed)
-        model: dict[bytes, bytes | None] = {}
-        in_flight: tuple[str, bytes, bytes | None] | None = None
-        plan.arm()
-        try:
-            for op, key, value in script:
-                in_flight = (op, key, value)
-                if op == "put":
-                    tree.put(key, value)
-                    model[key] = value
-                else:
-                    tree.delete(key)
-                    model[key] = None
-                in_flight = None
-        except CrashPoint:
-            outcome.crashed = True
-        finally:
-            plan.disarm()
-        if outcome.crashed:
-            report.crashes_triggered += 1
-            tree.stasis.crash()
-            recovered = registry.recover_crash_tree(
-                engine, tree.stasis, tree.options
-            )
-            outcome.recovered = True
-            _verify(recovered, model, in_flight, outcome)
-        else:
-            # The boundary fell past the workload's last access (access
-            # counts can shrink slightly when earlier crashes reorder
-            # nothing — with a fixed script they should not, but stay
-            # honest): verify the completed run instead.
-            tree.close()
-            _verify(tree, model, None, outcome)
-        if outcome.ok and outcome.recovered:
-            report.recoveries_verified += 1
-        report.points_tested += 1
-        report.outcomes.append(outcome)
-        if progress is not None and access % 50 == 1:
-            progress(
-                f"crashtest[{engine}]: boundary {access}/{total}, "
-                f"{len(report.failures)} failures"
-            )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -243,56 +263,23 @@ def enumerate_crash_points(
 
 def group_commit_script(
     batches: int, seed: int = 0, sessions: int = 4
-) -> list[tuple[int, list[tuple[str, bytes, bytes | None]]]]:
+) -> list[tuple[int, Script]]:
     """A deterministic multi-session batch script: ``(session, ops)``."""
     rng = random.Random(seed)
     keyspace = max(batches, 16)
-    script: list[tuple[int, list[tuple[str, bytes, bytes | None]]]] = []
+    script: list[tuple[int, Script]] = []
     serial = 0
     for _ in range(batches):
         sid = rng.randrange(sessions)
-        ops: list[tuple[str, bytes, bytes | None]] = []
+        ops = []
         for _ in range(rng.randrange(1, 4)):
-            key = f"key-{rng.randrange(keyspace):06d}".encode()
-            if rng.random() < 0.15:
-                ops.append(("delete", key, None))
-            else:
-                ops.append(("put", key, f"value-{serial:06d}".encode()))
+            ops.append(_random_op(rng, keyspace, serial))
             serial += 1
         script.append((sid, ops))
     return script
 
 
-def _drive_group_commit(
-    tree: Any,
-    script: list[tuple[int, list[tuple[str, bytes, bytes | None]]]],
-    applied: list[tuple[str, bytes, bytes | None]],
-    tickets: list[Any],
-) -> None:
-    """Submit every batch with ``wait=False``; wait on every 5th ticket.
-
-    The staggered waits are the point of the matrix: a wait drains the
-    queue mid-stream, so a crash during it lands on a force covering a
-    *partially drained* commit group — some tickets acked by the leader,
-    the rest still queued.  ``applied`` accumulates the flattened record
-    stream in seqno order and ``tickets`` the commit receipts, both
-    mutated in place so the caller still sees the pre-crash truth when a
-    CrashPoint unwinds.
-    """
-    queue = tree.stasis.group_commit
-    for index, (sid, ops) in enumerate(script):
-        ticket = tree.write_batch(ops, session=sid, wait=False)
-        applied.extend(ops)
-        tickets.append(ticket)
-        if index % 5 == 4:
-            queue.wait(ticket)
-    tree.flush_log()
-
-
-def _acked_records(
-    script: list[tuple[int, list[tuple[str, bytes, bytes | None]]]],
-    tickets: list[Any],
-) -> int:
+def _acked_records(script: list[tuple[int, Script]], tickets: list[Any]) -> int:
     """Records covered by resolved tickets (a seqno-prefix: the durable
     LSN is monotone, so a resolved ticket implies every earlier one)."""
     covered = 0
@@ -304,10 +291,7 @@ def _acked_records(
 
 
 def _verify_prefix_consistent(
-    recovered: Any,
-    applied: list[tuple[str, bytes, bytes | None]],
-    min_records: int,
-    outcome: CrashOutcome,
+    recovered: Any, applied: Script, min_records: int, outcome: CrashOutcome
 ) -> None:
     """The recovered store must equal *some* seqno-prefix of the record
     stream no shorter than the acked coverage.
@@ -335,6 +319,64 @@ def _verify_prefix_consistent(
     )
 
 
+class _GroupCommitRun(CrashRun):
+    """A ``GROUP``-durability BLSM tree driven by a multi-session script."""
+
+    def __init__(
+        self, script: list[tuple[int, Script]], seed: int, point: int | None
+    ) -> None:
+        from dataclasses import replace
+
+        from repro.core.tree import BLSM
+        from repro.storage.logical_log import DurabilityMode
+
+        self.script = script
+        self.plan = crash_plan(point, seed)
+        self.tree = BLSM(
+            replace(
+                registry().crash_options(self.plan, seed),
+                durability=DurabilityMode.GROUP,
+            )
+        )
+        # Mutated in place, so the pre-crash truth survives a CrashPoint:
+        # the flattened record stream in seqno order, and the receipts.
+        self.applied: Script = []
+        self.tickets: list[Any] = []
+
+    def drive(self) -> None:
+        """Submit every batch with ``wait=False``; wait on every 5th ticket.
+
+        The staggered waits are the point of the matrix: a wait drains
+        the queue mid-stream, so a crash during it lands on a force
+        covering a *partially drained* commit group — some tickets acked
+        by the leader, the rest still queued.
+        """
+        queue = self.tree.stasis.group_commit
+        for index, (sid, ops) in enumerate(self.script):
+            ticket = self.tree.write_batch(ops, session=sid, wait=False)
+            self.applied.extend(ops)
+            self.tickets.append(ticket)
+            if index % 5 == 4:
+                queue.wait(ticket)
+        self.tree.flush_log()
+
+    def settle(self, outcome: CrashOutcome) -> None:
+        tree, applied = self.tree, self.applied
+        if outcome.crashed:
+            acked = _acked_records(self.script, self.tickets)
+            tree.stasis.crash()
+            recovered = registry().recover_crash_tree(
+                "blsm", tree.stasis, tree.options
+            )
+            outcome.recovered = True
+            _verify_prefix_consistent(recovered, applied, acked, outcome)
+        else:
+            # The completed, fully drained run must equal the full
+            # record stream exactly.
+            _verify_prefix_consistent(tree, applied, len(applied), outcome)
+            tree.close()
+
+
 def enumerate_group_commit_crash_points(
     batches: int = 60,
     every: int = 1,
@@ -343,227 +385,32 @@ def enumerate_group_commit_crash_points(
 ) -> CrashTestReport:
     """Kill the GROUP-durability commit path at every I/O boundary.
 
-    Runs a multi-session batch script through a ``GROUP``-mode BLSM tree
-    (writes commit via the leader-based queue, ``wait=False``, with
-    staggered waits so forces interleave with submits), crashing at
-    every ``every``-th device access — which places kills inside leader
-    forces over partially drained groups, memtable-flush merges, and the
-    final drain.  After each crash, recovery must yield a state that is
-    prefix-consistent with the submitted record stream and no shorter
-    than what the resolved tickets acked (see
-    :func:`_verify_prefix_consistent`).
+    Crashing a multi-session batch script at every ``every``-th device
+    access places kills inside leader forces over partially drained
+    groups, memtable-flush merges, and the final drain.  After each,
+    recovery must yield a state that is prefix-consistent with the
+    submitted record stream and no shorter than what the resolved
+    tickets acked (:func:`_verify_prefix_consistent`).
     """
-    from dataclasses import replace as _replace
-
-    from repro.storage.logical_log import DurabilityMode
-
-    if batches <= 0:
-        raise ValueError(f"batches must be positive, got {batches}")
-    if every <= 0:
-        raise ValueError(f"every must be positive, got {every}")
-    registry = _registry()
+    require_positive(batches=batches, every=every)
     script = group_commit_script(batches, seed=seed)
 
-    def build(plan: FaultPlan) -> Any:
-        from repro.core.tree import BLSM
+    def fresh(point: int | None) -> _GroupCommitRun:
+        return _GroupCommitRun(script, seed, point)
 
-        options = _replace(
-            registry.crash_options(plan, seed),
-            durability=DurabilityMode.GROUP,
-        )
-        return BLSM(options)
-
-    # Counting run (disarmed): how many device accesses the full driven
-    # workload performs — each one is a crash candidate.
-    plan = FaultPlan(seed=seed, armed=False)
-    tree = build(plan)
-    plan.arm()
-    _drive_group_commit(tree, script, [], [])
-    plan.disarm()
-    tree.close()
-    total = plan.access_count
-
+    total = fresh(None).count()
     report = CrashTestReport(
-        engine="blsm-group",
-        ops=sum(len(ops) for _, ops in script),
-        every=every,
-        seed=seed,
-        total_accesses=total,
-        points_tested=0,
-        crashes_triggered=0,
-        recoveries_verified=0,
+        "group-commit", batches, every, seed,
+        {"workload device accesses": total},
     )
-    for access in range(1, total + 1, every):
-        outcome = CrashOutcome(
-            access_index=access, crashed=False, recovered=False
-        )
-        plan = FaultPlan.crash_at(access, seed=seed, armed=False)
-        tree = build(plan)
-        applied: list[tuple[str, bytes, bytes | None]] = []
-        tickets: list[Any] = []
-        plan.arm()
-        try:
-            _drive_group_commit(tree, script, applied, tickets)
-        except CrashPoint:
-            outcome.crashed = True
-        finally:
-            plan.disarm()
-        if outcome.crashed:
-            report.crashes_triggered += 1
-            acked = _acked_records(script, tickets)
-            tree.stasis.crash()
-            recovered = registry.recover_crash_tree(
-                "blsm", tree.stasis, tree.options
-            )
-            outcome.recovered = True
-            _verify_prefix_consistent(recovered, applied, acked, outcome)
-        else:
-            tree.close()
-            # Boundary past the workload: the completed, fully drained
-            # run must equal the full record stream exactly.
-            _verify_prefix_consistent(
-                tree, applied, len(applied), outcome
-            )
-        if outcome.ok and outcome.recovered:
-            report.recoveries_verified += 1
-        report.points_tested += 1
-        report.outcomes.append(outcome)
-        if progress is not None and access % 50 == 1:
-            progress(
-                f"crashtest[blsm-group]: boundary {access}/{total}, "
-                f"{len(report.failures)} failures"
-            )
-    return report
-
-
-@dataclass
-class MigrationCrashReport:
-    """Aggregate result of one migration crash-point enumeration run.
-
-    Two families of crash points cover the whole protocol surface:
-    *journal* boundaries (the process dies inside a migration-journal
-    force — plan, copy-start, catch-up-start, switch, retire-done,
-    prune) and *step* boundaries (the process dies between any two
-    controller steps, i.e. with arbitrary amounts of cleared/copied/
-    caught-up/retired data on the shards but no journal record in
-    flight).  Every crash must recover to a consistent ownership map,
-    read back every acknowledged write, and then be able to finish the
-    migration.
-    """
-
-    ops: int
-    seed: int
-    journal_accesses: int
-    migration_steps: int
-    points_tested: int = 0
-    crashes_triggered: int = 0
-    recoveries_verified: int = 0
-    journal_outcomes: list[CrashOutcome] = field(default_factory=list)
-    step_outcomes: list[CrashOutcome] = field(default_factory=list)
-
-    @property
-    def failures(self) -> list[CrashOutcome]:
-        return [
-            outcome
-            for outcome in self.journal_outcomes + self.step_outcomes
-            if not outcome.ok
-        ]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def _build_migration_fleet(seed: int, journal_plan: FaultPlan | None) -> Any:
-    """A tiny 2-shard SYNC fleet with an attached migration controller.
-
-    Faults attach only to the migration journal: each shard's device
-    traffic is its own serial sequence (which is why the data-path crash
-    harness cannot drive sharded engines), but the journal *is* one
-    serial sequence — its force boundaries are exactly the protocol's
-    durable transitions.
-    """
-    from repro.core.options import BLSMOptions
-    from repro.shard.engine import ShardedEngine
-    from repro.shard.migration import (
-        MigrationJournal,
-        MigrationThrottle,
-        attach_migration,
+    return sweep_crash_points(
+        report, range(1, total + 1, every), fresh, progress=progress
     )
-    from repro.shard.partitioner import RangePartitioner
-    from repro.storage.logical_log import DurabilityMode
-
-    options = BLSMOptions(
-        c0_bytes=8 * 1024,
-        buffer_pool_pages=16,
-        durability=DurabilityMode.SYNC,
-        seed=seed,
-    )
-    engine = ShardedEngine(
-        options,
-        shards=2,
-        partitioner=RangePartitioner([b"key-000100"]),
-    )
-    journal = MigrationJournal(fault_plan=journal_plan, seed=seed)
-    attach_migration(
-        engine,
-        journal=journal,
-        chunk_keys=8,
-        # The crash test wants step boundaries, not throttle boundaries:
-        # a full budget share means the controller never defers.
-        throttle=MigrationThrottle(1.0),
-    )
-    return engine
 
 
-def _drive_migration_workload(
-    engine: Any,
-    script: list[tuple[str, bytes, bytes | None]],
-    model: dict[bytes, bytes | None],
-    start_at: int,
-    stop_after_steps: int | None = None,
-) -> int:
-    """Interleave the scripted workload with migration steps.
-
-    At op ``start_at`` a split of shard 0 is planned and started; once
-    it retires, a merge of shard 0 follows — so both protocol kinds'
-    journal records and step boundaries are enumerated in one scenario.
-    Every workload op while a migration is active is followed by one
-    controller step.  Returns the number of steps taken; with
-    ``stop_after_steps`` set, stops stepping there (the driver then
-    crashes the fleet at that exact step boundary).  A journal-fault
-    :class:`~repro.errors.CrashPoint` propagates to the caller mid-drive
-    with ``model`` reflecting every op acknowledged so far.
-    """
-    from repro.shard.migration import plan_merge, plan_split
-
-    controller = engine.migration
-    steps = 0
-    started = 0  # how many of the scenario's two migrations began
-    for index, (op, key, value) in enumerate(script):
-        if op == "put":
-            engine.put(key, value)
-            model[key] = value
-        else:
-            engine.delete(key)
-            model[key] = None
-        if not controller.active and index >= start_at and started < 2:
-            planner = plan_split if started == 0 else plan_merge
-            plan = planner(engine, 0)
-            started += 1
-            if plan is not None:
-                controller.start(plan)
-        if controller.active:
-            if stop_after_steps is not None and steps >= stop_after_steps:
-                return steps
-            controller.step()
-            steps += 1
-    while controller.active:
-        if stop_after_steps is not None and steps >= stop_after_steps:
-            return steps
-        controller.step()
-        steps += 1
-    return steps
+# ---------------------------------------------------------------------------
+# Online-migration crash matrix
+# ---------------------------------------------------------------------------
 
 
 def _verify_fleet(
@@ -584,51 +431,118 @@ def _verify_fleet(
         outcome.failures.append(f"invariant violated: {error}")
 
 
-def enumerate_migration_crash_points(
-    ops: int = 120,
-    seed: int = 0,
-    progress: Callable[[str], None] | None = None,
-) -> MigrationCrashReport:
-    """Crash at every migration step and journal-force boundary; verify.
+class _MigrationRun(CrashRun):
+    """A tiny 2-shard SYNC fleet mid-split/merge, under scripted traffic.
 
-    Three-phase, like :func:`enumerate_crash_points`: a disarmed-plan
-    counting run fixes the journal access count and step count for the
-    scripted scenario; then one fresh fleet per journal boundary crashes
-    inside that force, and one fresh fleet per step boundary crashes
-    between those steps.  Each crash recovers via
-    :func:`~repro.shard.migration.crash_and_recover`, is verified
-    against the acked-write model and the sharded invariants, resumes
-    the recovered migration to completion, and is verified again — a
-    consistent ownership map is not enough if the migration can never
-    finish.
+    Faults attach only to the migration journal: each shard's device
+    traffic is its own serial sequence (which is why the data-path crash
+    harness cannot drive sharded engines), but the journal *is* one
+    serial sequence — its force boundaries are exactly the protocol's
+    durable transitions.  ``journal_point`` arms the journal's plan (the
+    process dies inside that force); ``stop_after_steps`` instead dies
+    at that controller-step boundary, with arbitrary amounts of
+    cleared/copied/caught-up/retired data on the shards but no journal
+    record in flight.
     """
-    from repro.shard.migration import crash_and_recover
 
-    if ops <= 0:
-        raise ValueError(f"ops must be positive, got {ops}")
-    script = scripted_workload(ops, seed=seed, keyspace=max(ops // 2, 16))
-    start_at = min(10, ops - 1)
-
-    count_plan = FaultPlan(seed=seed, armed=False)
-    engine = _build_migration_fleet(seed, count_plan)
-    count_plan.arm()
-    model: dict[bytes, bytes | None] = {}
-    total_steps = _drive_migration_workload(engine, script, model, start_at)
-    count_plan.disarm()
-    total_accesses = count_plan.access_count
-    engine.close()
-
-    report = MigrationCrashReport(
-        ops=ops,
-        seed=seed,
-        journal_accesses=total_accesses,
-        migration_steps=total_steps,
-    )
-
-    def finish_and_verify(
-        recovered: Any, model: dict[bytes, bytes | None], outcome: CrashOutcome
+    def __init__(
+        self,
+        script: Script,
+        seed: int,
+        journal_point: int | None = None,
+        stop_after_steps: int | None = None,
     ) -> None:
-        _verify_fleet(recovered, model, outcome)
+        from repro.core.options import BLSMOptions
+        from repro.shard.engine import ShardedEngine
+        from repro.shard.migration import (
+            MigrationJournal,
+            MigrationThrottle,
+            attach_migration,
+        )
+        from repro.shard.partitioner import RangePartitioner
+        from repro.storage.logical_log import DurabilityMode
+
+        self.script = script
+        self.stop_after_steps = stop_after_steps
+        self.plan = crash_plan(journal_point, seed)
+        self.engine = ShardedEngine(
+            BLSMOptions(
+                c0_bytes=8 * 1024,
+                buffer_pool_pages=16,
+                durability=DurabilityMode.SYNC,
+                seed=seed,
+            ),
+            shards=2,
+            partitioner=RangePartitioner([b"key-000100"]),
+        )
+        attach_migration(
+            self.engine,
+            journal=MigrationJournal(
+                fault_plan=self.plan if stop_after_steps is None else None,
+                seed=seed,
+            ),
+            chunk_keys=8,
+            # The crash test wants step boundaries, not throttle boundaries:
+            # a full budget share means the controller never defers.
+            throttle=MigrationThrottle(1.0),
+        )
+        self.model: dict[bytes, bytes | None] = {}
+        self.steps = 0
+
+    def drive(self) -> None:
+        """Interleave the scripted workload with migration steps.
+
+        At op 10 a split of shard 0 is planned and started; once it
+        retires, a merge of shard 0 follows — so both protocol kinds'
+        journal records and step boundaries are enumerated in one
+        scenario.  Every workload op while a migration is active is
+        followed by one controller step.  ``model`` reflects every op
+        acknowledged when a :class:`~repro.errors.CrashPoint` unwinds.
+        """
+        from repro.shard.migration import plan_merge, plan_split
+
+        engine, controller = self.engine, self.engine.migration
+        start_at = min(10, len(self.script) - 1)
+        started = 0  # how many of the scenario's two migrations began
+
+        def step() -> None:
+            if self.steps == self.stop_after_steps:
+                raise CrashPoint()
+            controller.step()
+            self.steps += 1
+
+        for index, (op, key, value) in enumerate(self.script):
+            if op == "put":
+                engine.put(key, value)
+                self.model[key] = value
+            else:
+                engine.delete(key)
+                self.model[key] = None
+            if not controller.active and index >= start_at and started < 2:
+                planner = plan_split if started == 0 else plan_merge
+                plan = planner(engine, 0)
+                started += 1
+                if plan is not None:
+                    controller.start(plan)
+            if controller.active:
+                step()
+        while controller.active:
+            step()
+        if self.stop_after_steps is not None:
+            raise CrashPoint()  # the boundary after the last step
+
+    def settle(self, outcome: CrashOutcome) -> None:
+        """Verify; a crashed fleet must also finish its migration — a
+        consistent ownership map is not enough if it can never finish."""
+        from repro.shard.migration import crash_and_recover
+
+        if not outcome.crashed:
+            _verify_fleet(self.engine, self.model, outcome)
+            self.engine.close()
+            return
+        recovered = crash_and_recover(self.engine)
+        outcome.recovered = True
+        _verify_fleet(recovered, self.model, outcome)
         controller = recovered.migration
         try:
             if controller is not None and controller.active:
@@ -638,107 +552,85 @@ def enumerate_migration_crash_points(
                 f"resume raised {type(error).__name__}: {error}"
             )
             return
-        _verify_fleet(recovered, model, outcome)
-        partitioner = recovered.partitioner
-        if partitioner.history_depth:
+        _verify_fleet(recovered, self.model, outcome)
+        if recovered.partitioner.history_depth:
             outcome.failures.append(
                 f"placement history not pruned after completion "
-                f"(depth {partitioner.history_depth})"
+                f"(depth {recovered.partitioner.history_depth})"
             )
         recovered.close()
 
-    for access in range(1, total_accesses + 1):
-        outcome = CrashOutcome(
-            access_index=access, crashed=False, recovered=False
-        )
-        plan = FaultPlan.crash_at(access, seed=seed, armed=False)
-        engine = _build_migration_fleet(seed, plan)
-        model = {}
-        plan.arm()
-        try:
-            _drive_migration_workload(engine, script, model, start_at)
-        except CrashPoint:
-            outcome.crashed = True
-        finally:
-            plan.disarm()
-        if outcome.crashed:
-            report.crashes_triggered += 1
-            recovered = crash_and_recover(engine)
-            outcome.recovered = True
-            finish_and_verify(recovered, model, outcome)
-        else:
-            _verify_fleet(engine, model, outcome)
-            engine.close()
-        if outcome.ok and outcome.recovered:
-            report.recoveries_verified += 1
-        report.points_tested += 1
-        report.journal_outcomes.append(outcome)
-        if progress is not None:
-            progress(
-                f"migration crashtest: journal force {access}/"
-                f"{total_accesses}, {len(report.failures)} failures"
-            )
 
-    for boundary in range(total_steps + 1):
-        outcome = CrashOutcome(
-            access_index=boundary, crashed=False, recovered=False
-        )
-        engine = _build_migration_fleet(seed, None)
-        model = {}
-        _drive_migration_workload(
-            engine, script, model, start_at, stop_after_steps=boundary
-        )
-        outcome.crashed = True
-        report.crashes_triggered += 1
-        recovered = crash_and_recover(engine)
-        outcome.recovered = True
-        finish_and_verify(recovered, model, outcome)
-        if outcome.ok:
-            report.recoveries_verified += 1
-        report.points_tested += 1
-        report.step_outcomes.append(outcome)
-        if progress is not None and boundary % 10 == 0:
-            progress(
-                f"migration crashtest: step boundary {boundary}/"
-                f"{total_steps}, {len(report.failures)} failures"
-            )
-    return report
+def enumerate_migration_crash_points(
+    ops: int = 120,
+    every: int = 1,
+    seed: int = 0,
+    progress: Callable[[str], None] | None = None,
+) -> CrashTestReport:
+    """Crash at every migration step and journal-force boundary; verify.
+
+    Two families of crash points cover the whole protocol surface:
+    *journal* boundaries (the process dies inside a migration-journal
+    force — plan, copy-start, catch-up-start, switch, retire-done,
+    prune) and *step* boundaries (between any two controller steps).  A
+    disarmed counting run fixes both counts for the scripted scenario;
+    every crash then recovers via
+    :func:`~repro.shard.migration.crash_and_recover`, is verified against
+    the acked-write model and the sharded invariants, resumes the
+    recovered migration to completion, and is verified again.
+    """
+    require_positive(ops=ops, every=every)
+    script = scripted_workload(ops, seed=seed, keyspace=max(ops // 2, 16))
+    counting = _MigrationRun(script, seed)
+    forces, steps = counting.count(), counting.steps
+    report = CrashTestReport(
+        "migration", ops, every, seed,
+        {
+            "journal force boundaries": forces,
+            "migration step boundaries": steps + 1,
+        },
+    )
+    sweep_crash_points(
+        report,
+        range(1, forces + 1, every),
+        lambda point: _MigrationRun(script, seed, journal_point=point),
+        family="journal force",
+        progress=progress,
+    )
+    return sweep_crash_points(
+        report,
+        range(0, steps + 1, every),
+        lambda point: _MigrationRun(script, seed, stop_after_steps=point),
+        family="step boundary",
+        progress=progress,
+    )
 
 
-def format_migration_report(report: MigrationCrashReport) -> str:
-    """Human-readable summary (the ``repro migrate --crash-matrix`` output)."""
-    lines = [
-        f"migration crash-point enumeration: ops={report.ops} "
-        f"seed={report.seed}",
-        f"  journal force boundaries : {report.journal_accesses}",
-        f"  migration step boundaries: {report.migration_steps + 1}",
-        f"  points tested            : {report.points_tested}",
-        f"  crashes triggered        : {report.crashes_triggered}",
-        f"  recoveries verified      : {report.recoveries_verified}",
-        f"  failures                 : {len(report.failures)}",
-    ]
-    for outcome in report.failures[:10]:
-        for failure in outcome.failures[:3]:
-            lines.append(f"    at boundary {outcome.access_index}: {failure}")
-    verdict = "PASS" if report.ok else "FAIL"
-    lines.append(f"  verdict                  : {verdict}")
-    return "\n".join(lines)
+#: ``repro crashtest --engine`` targets that are protocols, not registry
+#: trees: ``name -> sweep(ops, every, seed, progress)``.
+PROTOCOL_SWEEPS: dict[str, Callable[..., CrashTestReport]] = {
+    "group-commit": enumerate_group_commit_crash_points,
+    "migration": enumerate_migration_crash_points,
+}
 
 
 def format_report(report: CrashTestReport) -> str:
     """Human-readable summary (the ``repro crashtest`` output)."""
     lines = [
         f"crash-point enumeration: engine={report.engine} ops={report.ops} "
-        f"every={report.every} seed={report.seed}",
-        f"  workload device accesses : {report.total_accesses}",
-        f"  boundaries tested        : {report.points_tested}",
-        f"  crashes triggered        : {report.crashes_triggered}",
-        f"  recoveries verified      : {report.recoveries_verified}",
-        f"  failures                 : {len(report.failures)}",
+        f"every={report.every} seed={report.seed}"
     ]
+    rows = list(report.boundaries.items()) + [
+        ("boundaries tested", report.points_tested),
+        ("crashes triggered", report.crashes_triggered),
+        ("recoveries verified", report.recoveries_verified),
+        ("failures", len(report.failures)),
+    ]
+    lines += [f"  {label:25s}: {count}" for label, count in rows]
     for outcome in report.failures[:10]:
         for failure in outcome.failures[:3]:
-            lines.append(f"    at access {outcome.access_index}: {failure}")
-    verdict = "PASS" if report.ok else "FAIL"
-    lines.append(f"  verdict                  : {verdict}")
+            lines.append(
+                f"    at {outcome.family} {outcome.access_index}: {failure}"
+            )
+    lines.append(f"  {'verdict':25s}: {'PASS' if report.ok else 'FAIL'}")
     return "\n".join(lines)

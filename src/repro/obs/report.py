@@ -17,10 +17,11 @@ the perf gate consumes (docs/benchmarking.md):
 
 from __future__ import annotations
 
+import inspect
 import json
 import subprocess
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 #: The envelope's schema identifier; bump VERSION on breaking changes.
 SCHEMA = "repro.bench-report"
@@ -42,6 +43,7 @@ __all__ = [
     "format_gate_table",
     "gates_passed",
     "git_revision",
+    "keyword_defaults",
     "load_report",
     "metric_value",
     "new_report",
@@ -143,6 +145,19 @@ def new_report(
         metrics=dict(metrics),
         meta=stamped,
     )
+
+
+def keyword_defaults(function: Callable[..., Any]) -> dict[str, Any]:
+    """``function``'s keyword defaults — a scenario's one home.
+
+    A bench's CLI flags take their defaults from here and its report's
+    ``config`` block is these names, so neither can drift from the code.
+    """
+    return {
+        name: parameter.default
+        for name, parameter in inspect.signature(function).parameters.items()
+        if parameter.default is not parameter.empty
+    }
 
 
 def validate_payload(payload: Mapping[str, Any]) -> list[str]:

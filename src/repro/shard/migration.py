@@ -1048,7 +1048,7 @@ def crash_and_recover(engine: "ShardedEngine") -> "ShardedEngine":
 
 
 # ----------------------------------------------------------------------
-# The live-migration benchmark (BENCH_7)
+# The live-migration benchmark (repro migrate)
 # ----------------------------------------------------------------------
 
 
@@ -1077,7 +1077,16 @@ def live_migration_bench(
     under the throttle.  Every read is verified against a dict oracle and
     the final states must match it exactly, so the timeline is only
     reported for a run that stayed correct.  The headline number is
-    ``p99_ratio`` — migrating p99 over quiescent p99 — which CI bounds.
+    ``p99_ratio`` — migrating p99 over quiescent p99 — which CI bounds
+    (``--assert-p99-ratio R``); a run that completes no migration fails.
+
+    ``batches`` batches of ``batch`` keys alternate reads and writes,
+    ``hot_fraction`` of the keys drawn from the hot tenth of the key
+    space; latencies are cut into ``windows`` timeline windows.  Each
+    shard has a ``c0_bytes`` C0 and ``cache_pages`` of buffer pool; the
+    migration copies ``chunk_keys`` keys a step and may take at most
+    ``max_migration_fraction`` of the device time.  The return value is
+    the report's ``metrics`` block.
     """
     from repro.baselines.interface import WriteBatch
     from repro.core.options import BLSMOptions
@@ -1229,14 +1238,6 @@ def live_migration_bench(
     q_p99 = max(quiescent["read_p99"], quiescent["write_p99"])
     m_p99 = max(migrating["read_p99"], migrating["write_p99"])
     return {
-        "bench": "live-migration",
-        "records": records,
-        "batches": batches,
-        "batch": batch,
-        "value_bytes": value_bytes,
-        "shards": shards,
-        "seed": seed,
-        "hot_fraction": hot_fraction,
         "quiescent": quiescent,
         "migrating": migrating,
         "p99_ratio": (m_p99 / q_p99) if q_p99 > 0 else 0.0,

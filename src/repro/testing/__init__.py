@@ -24,8 +24,6 @@ working for the old names and picks up the new surface.
 
 from repro.testing.broken import BrokenEngine
 from repro.testing.composer import (
-    CrashTraceOutcome,
-    CrashTraceReport,
     enumerate_trace_crash_points,
     run_crash_trace,
     trace_access_count,
@@ -65,8 +63,6 @@ from repro.testing.trace import (
 
 __all__ = [
     "BrokenEngine",
-    "CrashTraceOutcome",
-    "CrashTraceReport",
     "Divergence",
     "FAULT_MODES",
     "FuzzConfig",

@@ -26,17 +26,23 @@ Two entry points:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.errors import CrashPoint
+from repro.faults.crashpoints import (
+    CrashOutcome,
+    CrashRun,
+    CrashTestReport,
+    crash_plan,
+    drive_armed,
+    registry,
+    require_positive,
+    sweep_crash_points,
+)
 from repro.faults.plan import FaultPlan
 from repro.testing.differential import step_merge
 from repro.testing.trace import Trace, TraceOp
 
 __all__ = [
-    "CrashTraceOutcome",
-    "CrashTraceReport",
     "enumerate_trace_crash_points",
     "run_crash_trace",
     "trace_access_count",
@@ -44,55 +50,6 @@ __all__ = [
 
 #: Acked state: value bytes, or ``None`` for deleted/never-written.
 _Model = dict[bytes, "bytes | None"]
-#: One in-flight mutation: (kind, key, payload).
-_InFlight = "tuple[str, bytes, bytes | None] | None"
-
-
-@dataclass
-class CrashTraceOutcome:
-    """What happened at one composed crash point."""
-
-    access_index: int
-    crashed: bool = False
-    recovered: bool = False
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """Whether the recovery at this point verified cleanly."""
-        return not self.failures
-
-
-@dataclass
-class CrashTraceReport:
-    """Aggregate result of one trace crash-point enumeration."""
-
-    engine: str
-    trace_ops: int
-    every: int
-    seed: int
-    total_accesses: int
-    boundaries_tested: int = 0
-    crashes_triggered: int = 0
-    recoveries_verified: int = 0
-    outcomes: list[CrashTraceOutcome] = field(default_factory=list)
-
-    @property
-    def failures(self) -> list[CrashTraceOutcome]:
-        """Every outcome whose recovery verification failed."""
-        return [outcome for outcome in self.outcomes if not outcome.ok]
-
-    @property
-    def ok(self) -> bool:
-        """Whether every tested boundary recovered cleanly."""
-        return not self.failures
-
-
-def _registry() -> Any:
-    # Lazy: the registry imports the whole engine layer above us.
-    from repro import engines
-
-    return engines
 
 
 def _expected_after(
@@ -167,80 +124,55 @@ def _apply_mutation(
             model[key] = old + (payload or b"")
 
 
-def trace_access_count(
-    trace: Trace, engine: str = "blsm", seed: int = 0
-) -> int:
-    """Device accesses one full run of the trace performs.
+class _TraceRun(CrashRun):
+    """A crash-capable raw tree driven by a trace, with its acked model."""
 
-    These are the crash candidates :func:`enumerate_trace_crash_points`
-    sweeps; construction, recovery at ``crash`` markers and the final
-    close run disarmed so the count is workload-anchored (access ``k``
-    names the same boundary in every run).
-    """
-    registry = _registry()
-    plan = FaultPlan(seed=seed, armed=False)
-    tree = registry.build_crash_tree(engine, plan, seed)
-    failures: list[str] = []
-    plan.arm()
-    tree = _run(tree, trace, {}, plan, engine, failures, verify_reads=False)
-    plan.disarm()
-    tree.close()
-    return plan.access_count
+    def __init__(
+        self, trace: Trace, engine: str, seed: int, plan: FaultPlan
+    ) -> None:
+        self.trace, self.engine, self.plan = trace, engine, plan
+        self.tree = registry().build_crash_tree(engine, plan, seed)
+        self.model: _Model = {}
+        self.in_flight: tuple[str, bytes, bytes | None] | None = None
+        self.failures: list[str] = []
 
+    def _recover(self) -> None:
+        self.tree.stasis.crash()
+        self.tree = registry().recover_crash_tree(
+            self.engine, self.tree.stasis, self.tree.options
+        )
 
-def _run(
-    tree: Any,
-    trace: Trace,
-    model: _Model,
-    plan: FaultPlan,
-    engine: str,
-    failures: list[str],
-    verify_reads: bool = True,
-    set_in_flight: Callable[[Any], None] | None = None,
-) -> Any:
-    """Execute a trace on a raw tree, honouring ``crash`` markers.
+    def drive(self) -> None:
+        """Execute the trace, honouring ``crash`` markers.
 
-    Mutations keep ``model`` as the acked-write record; reads are
-    verified against it when ``verify_reads``; ``crash`` markers crash
-    the substrate (with the overlay plan disarmed so recovery I/O fires
-    nothing), recover, verify the whole acked state and continue on the
-    recovered tree, which is returned.
-    """
-    registry = _registry()
-    note = set_in_flight if set_in_flight is not None else (lambda value: None)
-    for index, op in enumerate(trace):
-        if op.kind == "crash":
-            plan.disarm()
-            tree.stasis.crash()
-            tree = registry.recover_crash_tree(engine, tree.stasis, tree.options)
-            _verify_recovered(
-                tree, model, None, failures, f"op {index} (crash marker)"
-            )
-            plan.arm()
-            continue
-        if op.kind == "merge_work":
-            step_merge(tree, op.budget)
-            continue
-        if op.kind == "get":
-            actual = tree.get(op.key)
-            if verify_reads and actual != model.get(op.key):
-                failures.append(
-                    f"op {index}: get {op.key!r} -> {actual!r}, expected "
-                    f"{model.get(op.key)!r}"
+        Mutations keep ``model`` as the acked-write record and reads are
+        verified against it; a ``crash`` marker crashes the substrate
+        (with the overlay plan disarmed so recovery I/O fires nothing),
+        recovers, verifies the whole acked state and continues on the
+        recovered tree.
+        """
+        model, failures = self.model, self.failures
+        for index, op in enumerate(self.trace):
+            if op.kind == "crash":
+                self.plan.disarm()
+                self._recover()
+                _verify_recovered(
+                    self.tree, model, None, failures,
+                    f"op {index} (crash marker)",
                 )
-            continue
-        if op.kind == "multi_get":
-            for key in op.keys:
-                actual = tree.get(key)
-                if verify_reads and actual != model.get(key):
-                    failures.append(
-                        f"op {index}: multi_get {key!r} -> {actual!r}, "
-                        f"expected {model.get(key)!r}"
-                    )
-            continue
-        if op.kind == "scan":
-            rows = list(tree.scan(op.key, op.hi, op.limit))
-            if verify_reads:
+                self.plan.arm()
+            elif op.kind == "merge_work":
+                step_merge(self.tree, op.budget)
+            elif op.kind in ("get", "multi_get"):
+                for key in [op.key] if op.kind == "get" else op.keys:
+                    actual = self.tree.get(key)
+                    if actual != model.get(key):
+                        failures.append(
+                            f"op {index}: {op.kind} {key!r} -> {actual!r}, "
+                            f"expected {model.get(key)!r}"
+                        )
+            elif op.kind == "scan":
+                rows = list(self.tree.scan(op.key, op.hi, op.limit))
                 expected = sorted(
                     (key, value)
                     for key, value in model.items()
@@ -255,12 +187,35 @@ def _run(
                         f"op {index}: scan diverged "
                         f"({len(rows)} rows vs {len(expected)} expected)"
                     )
-            continue
-        for kind, key, payload in _mutations_of(op):
-            note((kind, key, payload))
-            _apply_mutation(tree, model, kind, key, payload)
-            note(None)
-    return tree
+            else:
+                for mutation in _mutations_of(op):
+                    self.in_flight = mutation
+                    _apply_mutation(self.tree, model, *mutation)
+                    self.in_flight = None
+
+    def settle(self, outcome: CrashOutcome, context: str = "") -> None:
+        if outcome.crashed:
+            self._recover()
+            outcome.recovered = True
+        _verify_recovered(
+            self.tree, self.model, self.in_flight, self.failures,
+            context or f"access {outcome.access_index}",
+        )
+        self.tree.close()
+        outcome.failures.extend(self.failures)
+
+
+def trace_access_count(
+    trace: Trace, engine: str = "blsm", seed: int = 0
+) -> int:
+    """Device accesses one full run of the trace performs.
+
+    These are the crash candidates :func:`enumerate_trace_crash_points`
+    sweeps; construction, recovery at ``crash`` markers and the final
+    close run disarmed so the count is workload-anchored (access ``k``
+    names the same boundary in every run).
+    """
+    return _TraceRun(trace, engine, seed, crash_plan(None, seed)).count()
 
 
 def run_crash_trace(
@@ -278,36 +233,12 @@ def run_crash_trace(
     verified one final time — the trace's remaining ops are dead, as
     they would be on real hardware.
     """
-    registry = _registry()
     if plan is None:
-        plan = FaultPlan(seed=seed, armed=False)
-    tree = registry.build_crash_tree(engine, plan, seed)
-    model: _Model = {}
-    failures: list[str] = []
-    in_flight: list[Any] = [None]
-
-    def note(value: Any) -> None:
-        in_flight[0] = value
-
-    plan.arm()
-    try:
-        tree = _run(
-            tree, trace, model, plan, engine, failures, set_in_flight=note
-        )
-    except CrashPoint:
-        plan.disarm()
-        tree.stasis.crash()
-        recovered = registry.recover_crash_tree(
-            engine, tree.stasis, tree.options
-        )
-        _verify_recovered(
-            recovered, model, in_flight[0], failures, "overlay crash"
-        )
-        recovered.close()
-        return failures
-    plan.disarm()
-    tree.close()
-    return failures
+        plan = crash_plan(None, seed)
+    run = _TraceRun(trace, engine, seed, plan)
+    outcome = CrashOutcome(0, crashed=drive_armed(run))
+    run.settle(outcome, "overlay crash" if outcome.crashed else "end of trace")
+    return outcome.failures
 
 
 def enumerate_trace_crash_points(
@@ -316,71 +247,22 @@ def enumerate_trace_crash_points(
     every: int = 1,
     seed: int = 0,
     progress: Callable[[str], None] | None = None,
-) -> CrashTraceReport:
+) -> CrashTestReport:
     """Crash at every ``every``-th I/O boundary of a trace; recover; verify.
 
-    The trace-driven generalization of
-    :func:`repro.faults.crashpoints.enumerate_crash_points`: the same
-    disarmed-construction discipline, but the workload may now contain
-    deltas, batches, reads and merge markers, so crash points land
-    inside every operation family the trace format can express.
+    The workload may contain deltas, batches, reads and merge markers,
+    so crash points land inside every operation family the trace format
+    can express (:func:`repro.faults.crashpoints.enumerate_crash_points`
+    is this sweep over a put/delete script).
     """
-    registry = _registry()
-    if engine not in registry.CRASH_ENGINE_NAMES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of "
-            f"{registry.CRASH_ENGINE_NAMES}"
-        )
-    if every <= 0:
-        raise ValueError(f"every must be positive, got {every}")
+    require_positive(every=every)
     total = trace_access_count(trace, engine, seed=seed)
-    report = CrashTraceReport(
-        engine=engine,
-        trace_ops=len(trace),
-        every=every,
-        seed=seed,
-        total_accesses=total,
+    report = CrashTestReport(
+        engine, len(trace), every, seed, {"workload device accesses": total}
     )
-    for access in range(1, total + 1, every):
-        outcome = CrashTraceOutcome(access_index=access)
-        plan = FaultPlan.crash_at(access, seed=seed, armed=False)
-        tree = registry.build_crash_tree(engine, plan, seed)
-        model: _Model = {}
-        in_flight: list[Any] = [None]
-        plan.arm()
-        try:
-            tree = _run(
-                tree, trace, model, plan, engine, outcome.failures,
-                set_in_flight=lambda value: in_flight.__setitem__(0, value),
-            )
-        except CrashPoint:
-            outcome.crashed = True
-        finally:
-            plan.disarm()
-        if outcome.crashed:
-            report.crashes_triggered += 1
-            tree.stasis.crash()
-            recovered = registry.recover_crash_tree(
-                engine, tree.stasis, tree.options
-            )
-            outcome.recovered = True
-            _verify_recovered(
-                recovered, model, in_flight[0], outcome.failures,
-                f"access {access}",
-            )
-            recovered.close()
-        else:
-            _verify_recovered(
-                tree, model, None, outcome.failures, f"access {access}"
-            )
-            tree.close()
-        if outcome.ok and outcome.recovered:
-            report.recoveries_verified += 1
-        report.boundaries_tested += 1
-        report.outcomes.append(outcome)
-        if progress is not None and access % 50 == 1:
-            progress(
-                f"crash-compose[{engine}]: boundary {access}/{total}, "
-                f"{len(report.failures)} failures"
-            )
-    return report
+    return sweep_crash_points(
+        report,
+        range(1, total + 1, every),
+        lambda point: _TraceRun(trace, engine, seed, crash_plan(point, seed)),
+        progress=progress,
+    )

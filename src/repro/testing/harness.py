@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.testing.composer import (
-    CrashTraceReport,
     enumerate_trace_crash_points,
     run_crash_trace,
 )
@@ -219,7 +218,7 @@ def fuzz(
                     seed=round_seed,
                     progress=progress,
                 )
-                report.crash_boundaries += sweep.boundaries_tested
+                report.crash_boundaries += sweep.points_tested
                 report.crashes_triggered += sweep.crashes_triggered
                 report.crash_failures.extend(
                     f"[{crash_engine}] {failure}"
@@ -233,7 +232,7 @@ def fuzz(
                 if progress is not None:
                     progress(
                         f"  crash compose [{crash_engine}]: "
-                        f"{sweep.boundaries_tested} boundaries, "
+                        f"{sweep.points_tested} boundaries, "
                         f"{sweep.crashes_triggered} crashes, "
                         f"{len(sweep.failures)} failures"
                     )

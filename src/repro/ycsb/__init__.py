@@ -47,10 +47,10 @@ from repro.ycsb.stability import (
     StabilityConfig,
     StabilityResult,
     default_configs,
-    default_scenario,
     run_stability,
     run_stability_matrix,
-    stability_report,
+    stability_metrics,
+    stability_scenario,
 )
 from repro.ycsb.workload import WorkloadSpec, standard_workload
 
@@ -75,9 +75,9 @@ __all__ = [
     "StabilityResult",
     "commit_queues",
     "default_configs",
-    "default_scenario",
     "logical_logs",
-    "stability_report",
+    "stability_metrics",
+    "stability_scenario",
     "Timeseries",
     "UniformChooser",
     "WorkloadSpec",

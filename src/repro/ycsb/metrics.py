@@ -48,7 +48,9 @@ class LatencyStats:
     def mean(self) -> float:
         if not self._samples:
             return 0.0
-        return sum(self._samples) / len(self._samples)
+        # fsum is exactly rounded, so the mean does not depend on whether
+        # a percentile() call has sorted the samples yet.
+        return math.fsum(self._samples) / len(self._samples)
 
     @property
     def max(self) -> float:

@@ -34,14 +34,13 @@ below ``unthrottled``'s (the bounded-latency claim as a gate).
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Literal, Sequence
 
 from repro.baselines.interface import KVEngine
-from repro.obs.report import BenchReport, new_report
+from repro.errors import UsageError
 from repro.obs.timeline import percentile
-from repro.ycsb.sessions import SessionsResult, run_sessions
+from repro.ycsb.sessions import ARRIVAL_MODES, SessionsResult, run_sessions
 from repro.ycsb.workload import WorkloadSpec
 
 __all__ = [
@@ -49,10 +48,10 @@ __all__ = [
     "StabilityConfig",
     "StabilityResult",
     "default_configs",
-    "default_scenario",
     "run_stability",
     "run_stability_matrix",
-    "stability_report",
+    "stability_metrics",
+    "stability_scenario",
 ]
 
 
@@ -196,7 +195,7 @@ def run_stability(
     duration_seconds: float = 4.0,
     rate: float = 2500.0,
     sessions: int = 8,
-    arrival: str = "poisson",
+    arrival: Literal[ARRIVAL_MODES] = "poisson",
     records: int = 10_000,
     value_bytes: int = 1000,
     read_proportion: float = 0.1,
@@ -213,8 +212,8 @@ def run_stability(
     through N open-loop sessions, probing stall counters at every
     window boundary.
 
-    The defaults are the whole scenario (:func:`default_scenario`; ``repro
-    stability`` reads them from there).  They are sized so the gate exercises merges:
+    The defaults are the whole scenario (``repro stability`` reads them
+    from this signature).  They are sized so the gate exercises merges:
     10 MB of data over a 1 MiB C0 leaves the C1 generation and C2 each
     above two of the HDD model's 1.2 MiB streaming units when the load
     starts (tests/test_stability.py asserts it).  ``rate`` is 0.72 of
@@ -298,22 +297,9 @@ def run_stability(
     )
 
 
-def default_scenario() -> dict[str, Any]:
-    """:func:`run_stability`'s keyword defaults — the scenario's one home.
-
-    ``repro stability`` takes its flag defaults from here and the
-    report's config block is these names, so neither can drift.
-    """
-    return {
-        name: parameter.default
-        for name, parameter in inspect.signature(run_stability).parameters.items()
-        if parameter.default is not parameter.empty
-    }
-
-
 def run_stability_matrix(
     configs: Sequence[StabilityConfig],
-    progress=None,
+    progress: Callable[[str], None] | None = None,
     **kwargs: Any,
 ) -> list[StabilityResult]:
     """Run every requested matrix cell (same load, fresh engine each)."""
@@ -328,10 +314,8 @@ def run_stability_matrix(
     return results
 
 
-def stability_report(
-    results: Sequence[StabilityResult], config: dict[str, Any]
-) -> BenchReport:
-    """Assemble matrix results into the BENCH_9 envelope."""
+def stability_metrics(results: Sequence[StabilityResult]) -> dict[str, Any]:
+    """Matrix results as the BENCH_9 ``metrics`` block."""
     from repro.analysis.stability import bounded_latency_block
 
     metrics: dict[str, Any] = {
@@ -342,4 +326,44 @@ def stability_report(
     bounded = bounded_latency_block(results)
     if bounded is not None:
         metrics["bounded_latency"] = bounded
-    return new_report("stability", config, metrics)
+    return metrics
+
+
+def stability_scenario(
+    *,
+    configs: str = "all",
+    progress: Callable[[str], None] | None = None,
+    **scenario: Any,
+) -> dict[str, Any]:
+    """Performance-stability harness (``repro stability``, BENCH_9).
+
+    Sweeps ``configs`` — ``all``, or a comma-separated subset of the
+    scheduler/policy matrix ``spring_gear,gear,unthrottled,leveled,
+    tiered`` — under an extended open-loop sessions run, sampling
+    windowed p50/p99/p99.9 write latency, queueing delay, commit-queue
+    depth and the stall/backpressure counters into per-config
+    time-series (docs/benchmarking.md).  Every other parameter is
+    :func:`run_stability`'s, whose defaults are the committed
+    ``BENCH_9.json`` scenario: ``duration_seconds`` of offered load at
+    ``rate`` ops per virtual second from ``sessions`` open-loop sessions,
+    ``read_proportion`` of it reads (the rest blind writes), sampled into
+    ``windows`` timeline windows.
+
+    ``--assert-bounded`` gates on the paper's bounded-latency claim —
+    the spring-and-gear p99.9 write-latency ceiling strictly below the
+    unthrottled baseline's; ``--assert-ceiling SECONDS`` bounds the
+    ceiling itself.
+    """
+    names = [name.strip() for name in configs.split(",") if name.strip()]
+    if configs == "all":
+        names = list(STABILITY_MATRIX)
+    unknown = [name for name in names if name not in STABILITY_MATRIX]
+    if unknown:
+        raise UsageError(
+            f"unknown stability config(s) {', '.join(unknown)}; "
+            f"expected one of {', '.join(STABILITY_MATRIX)}"
+        )
+    selected = [STABILITY_MATRIX[name] for name in names]
+    return stability_metrics(
+        run_stability_matrix(selected, progress, **scenario)
+    )

@@ -158,7 +158,9 @@ def test_profile_subcommand_is_gone(capsys):
         action.choices for action in parser._actions
         if isinstance(action, argparse._SubParsersAction)
     )
-    assert len(subcommands) == 15
+    # 15 + `policies`: the sweep `bench --policy` multiplexed is its own
+    # row of the scenario table (PR 24); nothing else was added.
+    assert len(subcommands) == 16
 
 
 def test_parser_requires_command():
@@ -317,6 +319,30 @@ def test_compare_includes_sharded(capsys):
     )
     assert code == 0
     assert "sharded" in out
+
+
+def test_compare_passes_its_engine_flags_through(capsys):
+    # compare used to accept every workload flag and build each engine
+    # from --disk/--c0-bytes/--cache-pages alone: the rows never moved.
+    size = (
+        "compare", "--records", "600", "--ops", "0", "--value-bytes", "400",
+        "--c0-bytes", "32768", "--cache-pages", "16",
+    )
+
+    def blsm_row(*flags):
+        code, out = run_cli(capsys, *size, *flags)
+        assert code == 0
+        (row,) = [line for line in out.splitlines() if line.startswith("bLSM ")]
+        return row
+
+    default = blsm_row()
+    assert blsm_row("--scheduler", "naive") != default  # stalls at this size
+    assert blsm_row("--durability", "sync") != default
+    # What build_engine rejects on some engine is not a compare flag.
+    for flag in ("--fault-transient", "--data-stripes", "--shards"):
+        with pytest.raises(SystemExit):
+            main([*size, flag, "2"])
+    capsys.readouterr()
 
 
 def test_bench_reports_speedup(capsys):

@@ -8,7 +8,9 @@ engines — and is exercised by the scheduled ``crash-matrix`` CI job.
 import pytest
 
 from repro.faults.crashpoints import (
+    CrashRun,
     count_workload_accesses,
+    crash_plan,
     enumerate_crash_points,
     format_report,
     scripted_workload,
@@ -28,6 +30,22 @@ def test_workload_access_count_is_stable():
     first = count_workload_accesses("blsm", script)
     second = count_workload_accesses("blsm", script)
     assert first == second > 0
+
+
+def test_counting_run_that_does_not_verify_raises():
+    """The uncrashed run's verification is part of every sweep."""
+
+    class Broken(CrashRun):
+        plan = crash_plan(None, 0)
+
+        def drive(self):
+            pass
+
+        def settle(self, outcome):
+            outcome.failures.append("key b'k': got None, expected acked b'v'")
+
+    with pytest.raises(AssertionError, match="uncrashed run does not verify"):
+        Broken().count()
 
 
 @pytest.mark.parametrize("engine", ["blsm", "partitioned"])

@@ -246,7 +246,7 @@ def test_enumerate_trace_crash_points_small_sweep():
     report = enumerate_trace_crash_points(
         trace, engine="blsm", every=stride, seed=5
     )
-    assert report.boundaries_tested >= 3
+    assert report.points_tested >= 3
     assert report.crashes_triggered >= 3
     assert report.ok, [o.failures for o in report.failures]
 

@@ -20,6 +20,22 @@ class TestLatencyStats:
         assert stats.mean == pytest.approx(2.0)
         assert stats.max == 3.0
 
+    def test_mean_does_not_depend_on_sample_order(self):
+        # percentile() sorts the samples in place; a plain sum() then
+        # rounds differently, so reading p99 first moved the mean.
+        import random
+
+        rng = random.Random(0)
+        samples = [rng.expovariate(1000.0) for _ in range(2000)]
+        stats, shuffled = LatencyStats(), LatencyStats()
+        for value in samples:
+            stats.record(value)
+        for value in rng.sample(samples, len(samples)):
+            shuffled.record(value)
+        before = stats.mean
+        stats.percentile(99)
+        assert stats.mean == before == shuffled.mean
+
     def test_percentiles_nearest_rank(self):
         stats = LatencyStats()
         for value in range(1, 101):

@@ -30,7 +30,7 @@ from repro.errors import (
 from repro.faults import FaultPlan, FaultRule, RetryExecutor, RetryPolicy
 from repro.faults.crashpoints import (
     enumerate_migration_crash_points,
-    format_migration_report,
+    format_report,
 )
 from repro.shard import (
     HotShardDetector,
@@ -615,7 +615,7 @@ def test_crash_with_no_migration_in_flight_recovers_idle():
 
 def test_migration_crash_point_enumeration_is_clean():
     report = enumerate_migration_crash_points(ops=40, seed=0)
-    assert report.ok, format_migration_report(report)
+    assert report.ok, format_report(report)
     assert report.points_tested > 0
     assert report.crashes_triggered > 0
     assert report.recoveries_verified == report.points_tested

@@ -11,21 +11,25 @@ from repro.analysis.stability import (
 )
 from repro.cli import main
 from repro.engines import build_engine
-from repro.obs.report import load_report, validate_payload
+from repro.obs.report import (
+    keyword_defaults,
+    load_report,
+    new_report,
+    validate_payload,
+)
 from repro.ycsb.runner import load_phase
 from repro.ycsb.stability import (
     STABILITY_MATRIX,
-    default_scenario,
     run_stability,
     run_stability_matrix,
-    stability_report,
+    stability_metrics,
 )
 from repro.ycsb.workload import WorkloadSpec
 
 CONTRAST = ("spring_gear", "gear", "unthrottled")
 
 
-DEFAULTS = default_scenario()
+DEFAULTS = keyword_defaults(run_stability)
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +107,10 @@ def test_unthrottled_baseline_actually_stalls(matrix_results):
     assert by_name["unthrottled"].stall_count > 0
     assert by_name["unthrottled"].stall_seconds > 0.0
     assert by_name["spring_gear"].stall_count == 0
+
+
+def stability_report(results, config):
+    return new_report("stability", config, stability_metrics(results))
 
 
 def test_stability_report_is_schema_valid(matrix_results):
