@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from typing import Iterable
 
 _blake2b = hashlib.blake2b
 
@@ -83,20 +84,29 @@ class BloomFilter:
 
     def add(self, key: bytes) -> None:
         """Insert a key.  Monotonic: bits only ever flip from 0 to 1."""
+        self.update((key,))
+
+    def update(self, keys: Iterable[bytes]) -> None:
+        """Insert every key of ``keys`` (a component builder passes one
+        block's keys at a time)."""
         # h1 + i*h2 computed incrementally with locals bound outside the
-        # loop: adds and probes run per merged record and per point read,
-        # so the k-probe loop is hot.  Bit positions are identical to the
-        # closed form (h1 + i*h2 mod m).
-        digest = _blake2b(key, digest_size=16).digest()
-        h1 = int.from_bytes(digest[:8], "little")
-        h2 = int.from_bytes(digest[8:], "little") | 1  # odd => full-period
+        # loops: every merged record is inserted, so the k-probe loop is
+        # hot.  Bit positions are identical to the closed form
+        # (h1 + i*h2 mod m).
         bits = self._bits
         nbits = self._nbits
-        for _ in range(self._nhashes):
-            bit = h1 % nbits
-            bits[bit >> 3] |= 1 << (bit & 7)
-            h1 += h2
-        self._ninserted += 1
+        probes = range(self._nhashes)
+        inserted = 0
+        for key in keys:
+            digest = _blake2b(key, digest_size=16).digest()
+            h1 = int.from_bytes(digest[:8], "little")
+            h2 = int.from_bytes(digest[8:], "little") | 1  # odd => full-period
+            for _ in probes:
+                bit = h1 % nbits
+                bits[bit >> 3] |= 1 << (bit & 7)
+                h1 += h2
+            inserted += 1
+        self._ninserted += inserted
 
     def __contains__(self, key: bytes) -> bool:
         digest = _blake2b(key, digest_size=16).digest()

@@ -95,8 +95,7 @@ def rebuild_component(
         bloom = BloomFilter.for_capacity(
             desc["key_count"], options.bloom_false_positive_rate
         )
-        for record in table.iter_records():
-            bloom.add(record.key)
+        bloom.update(record.key for record in table.iter_records())
         table.bloom = bloom
     return table
 

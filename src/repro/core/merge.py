@@ -10,9 +10,21 @@ budget.  A step also gets only one data-device access
 application write, a background dispatch) pays for at most one streaming
 unit of device time.
 
-The newer source is either a :class:`SnowshovelSource` draining the live
-memtable (Section 4.2) or a :class:`FrozenSource` over a frozen C0'/C1'
-snapshot; the older source is the downstream component being rewritten.
+The newer source is a :class:`SnowshovelSource` draining the live
+memtable (Section 4.2) over a key range — the one C0 drain,
+:class:`~repro.memtable.snowshovel.SnowshovelCursor`, which bLSM runs
+over the whole keyspace and the partitioned tree over one partition —
+a :class:`FrozenSource` over a frozen C0', or an on-disk component;
+the older source is the downstream component being rewritten.  An
+on-disk input is a :class:`StreamSource`: it holds one streaming run of
+the component (``SSTable.iter_runs``) as a list and reads the next when
+the last record of one is taken.
+
+A merge is one sequential pass over its inputs (Section 4.4.1), and
+``step`` spends per record what that needs: a run of records with no
+version in the other input is copied to the builder with one key
+compare each, and only a key present in both inputs is folded
+(``merge_records``).
 """
 
 from __future__ import annotations
@@ -20,13 +32,15 @@ from __future__ import annotations
 from typing import Callable, Protocol
 
 from repro.core.versions import SortedRun
-from repro.memtable.memtable import MemTable
-from repro.memtable.snowshovel import SnowshovelCursor
-from repro.records import Record
+from repro.memtable.snowshovel import SnowshovelCursor as SnowshovelSource
+from repro.records import Record, RecordKind
 from repro.sstable.builder import SSTableBuilder
 from repro.sstable.iterator import merge_records
 from repro.sstable.reader import SSTable
 from repro.storage.stasis import WAIT, Stasis, StepGate
+
+_TOMBSTONE = RecordKind.TOMBSTONE
+_UNREAD = object()  # a FrozenSource head not fetched yet
 
 
 class RecordSource(Protocol):
@@ -56,98 +70,66 @@ class _AccessDeferred(Exception):
 
 
 class FrozenSource:
-    """Drains an immutable snapshot: a frozen memtable or an SSTable.
+    """Drains a frozen memtable (C0') in key order.
 
-    Nothing is fetched before the first ``peek``.  A gated SSTable stream
-    (``SSTable.iter_records(gate)``) answers ``WAIT`` when its next run
-    must wait for the merge's next step; the head then stays unfetched
-    and ``peek`` raises :class:`_AccessDeferred` until the read happens.
+    Nothing is fetched before the first ``peek``.
     """
 
     def __init__(self, records) -> None:
         self._iterator = iter(records)
-        self._head: Record | None = WAIT
+        self._head = _UNREAD
 
     def peek(self) -> Record | None:
-        head = self._head
-        if head is WAIT:
-            head = self._head = next(self._iterator, None)
-            if head is WAIT:
-                raise _AccessDeferred
-        return head
+        if self._head is _UNREAD:
+            self._head = next(self._iterator, None)
+        return self._head
 
     def pop(self) -> Record:
-        record = self._head
-        if record is WAIT:
-            record = self.peek()
+        record = self.peek()
         if record is None:
             raise StopIteration("source exhausted")
         self._head = next(self._iterator, None)
         return record
 
 
-class SnowshovelSource:
-    """Drains the *live* memtable via a snowshovel cursor.
+class StreamSource:
+    """Drains an on-disk component one streaming run at a time.
 
-    ``peek`` reflects the memtable's current contents, so records inserted
-    ahead of the cursor while the merge runs join the current pass —
-    that is snowshoveling.  The pass ends when nothing at or after the
-    cursor remains.
+    Nothing is read before the first ``peek``.  Taking a run's last
+    record reads the next run at once if the step's gate is still clear;
+    otherwise the read waits, and ``peek`` raises :class:`_AccessDeferred`
+    until a later step's gate lets it through.
     """
 
-    def __init__(self, memtable: MemTable) -> None:
-        self._cursor = SnowshovelCursor(memtable)
-        self._memtable = memtable
+    def __init__(self, table: SSTable, gate: StepGate) -> None:
+        self._runs = table.iter_runs(gate)
+        self._run: list[Record] | None = []  # None once exhausted
+        self._pos = 0
 
     def peek(self) -> Record | None:
-        return self._memtable.ceiling(self._cursor.cursor or b"")
+        run = self._run
+        if run is not None and self._pos == len(run):
+            if not self._fetch():
+                raise _AccessDeferred
+            run = self._run
+        return None if run is None else run[self._pos]
 
     def pop(self) -> Record:
-        record = self._cursor.next_record()
+        record = self.peek()
         if record is None:
-            raise StopIteration("snowshovel run exhausted")
+            raise StopIteration("source exhausted")
+        self._pos += 1
+        if self._pos == len(self._run):  # type: ignore[arg-type]
+            self._fetch()
         return record
 
-    def advance_past(self, key: bytes) -> None:
-        """Keep the run cursor at the merge's output position."""
-        self._cursor.advance_past(key)
-
-
-class RangeSnowshovelSource:
-    """Snowshovel source confined to one partition's key range.
-
-    Partitioned merges (Section 4.2.2) consume only the C0 records that
-    fall in the partition being merged: ``[lo, hi)``.  Records outside
-    the range stay in C0 for other partitions' merges.
-    """
-
-    def __init__(self, memtable: MemTable, lo: bytes, hi: bytes | None) -> None:
-        self._memtable = memtable
-        self._lo = lo
-        self._hi = hi
-        self._cursor: bytes = lo
-
-    def peek(self) -> Record | None:
-        record = self._memtable.ceiling(self._cursor)
-        if record is None:
-            return None
-        if self._hi is not None and record.key >= self._hi:
-            return None
-        return record
-
-    def pop(self) -> Record:
-        head = self.peek()
-        if head is None:
-            raise StopIteration("range snowshovel exhausted")
-        record = self._memtable.remove(head.key)
-        assert record is not None
-        self._cursor = head.key + b"\x00"
-        return record
-
-    def advance_past(self, key: bytes) -> None:
-        successor = key + b"\x00"
-        if successor > self._cursor:
-            self._cursor = successor
+    def _fetch(self) -> bool:
+        """Take the next run; ``False`` when the gate puts the read off."""
+        run = next(self._runs, None)
+        if run is WAIT:
+            return False
+        self._run, self._pos = run, 0
+        return True
 
 
 class MergeProcess:
@@ -172,7 +154,7 @@ class MergeProcess:
         self._stasis = stasis
         self._stats = stasis.data_disk.stats
         self._gate = StepGate(self._stats)
-        # On-disk inputs are read as streams (``SSTable.iter_records``);
+        # On-disk inputs are read as streams (``SSTable.iter_runs``);
         # each holds one streaming-size run of its pages in RAM.  A
         # stream reads nothing until ``step`` first peeks it.
         self._readahead_pages = 0
@@ -269,15 +251,46 @@ class MergeProcess:
         reads, writes = stats.read_ops, stats.write_ops
         seeks, write_seeks = stats.seeks, stats.write_seeks
         self._gate.open()
+        newer, older = self._newer, self._older
+        drop, track = self._drop_tombstones, self._track_overlay
         consumed = 0
         try:
             while consumed < budget_bytes:
-                newer_head = self._newer.peek()
-                older_head = self._older.peek()
-                if newer_head is None and older_head is None:
-                    self._complete()
-                    break
-                consumed += self._emit_next(newer_head, older_head)
+                newer_head = newer.peek()
+                older_head = older.peek()
+                if older_head is None:
+                    if newer_head is None:
+                        self._complete()
+                        break
+                    source, bound = newer, None
+                elif newer_head is None:
+                    source, bound = older, None
+                elif newer_head.key < older_head.key:
+                    source, bound = newer, older_head.key
+                elif older_head.key < newer_head.key:
+                    source, bound = older, newer_head.key
+                else:
+                    consumed += self._emit_next()
+                    continue
+                # Copy the records below the other input's head: none of
+                # them has a second version to fold.
+                from_newer = source is newer
+                while True:
+                    record = source.pop()
+                    consumed += record.nbytes
+                    if from_newer:
+                        self._took_newer(record)
+                    elif track:  # keep the snowshovel cursor at the output
+                        newer.advance_past(record.key)  # type: ignore
+                    if not (drop and record.kind is _TOMBSTONE):
+                        self._emit(record)
+                    if consumed >= budget_bytes:
+                        break
+                    head = source.peek()
+                    if head is None or (
+                        bound is not None and head.key >= bound
+                    ):
+                        break
         except _AccessDeferred:
             pass
         self.bytes_read += consumed
@@ -302,46 +315,43 @@ class MergeProcess:
             self.done = True
             self._builder.abandon()
 
-    def _emit_next(self, newer_head: Record | None, older_head: Record | None) -> int:
-        """Emit the next output record; return input bytes consumed."""
-        consumed = 0
-        group: list[Record] = []
-        take_newer = newer_head is not None and (
-            older_head is None or newer_head.key <= older_head.key
+    def _emit_next(self) -> int:
+        """Fold the key both inputs hold next; return input bytes consumed."""
+        newer = self._newer.pop()
+        self._took_newer(newer)
+        older = self._older.pop()
+        if self._track_overlay:
+            # The snowshovel cursor must not fall behind the merge's
+            # output position (see SnowshovelCursor.advance_past).
+            self._newer.advance_past(older.key)  # type: ignore[attr-defined]
+        merged = merge_records(
+            [newer, older], drop_tombstones=self._drop_tombstones
         )
-        take_older = older_head is not None and (
-            newer_head is None or older_head.key <= newer_head.key
-        )
-        if take_newer:
-            record = self._newer.pop()
-            group.append(record)
-            nbytes = record.nbytes
-            consumed += nbytes
-            self.newer_bytes_read += nbytes
-            self._note_seqno(record.seqno)
-            if self._track_overlay:
-                self.overlay.append(record)
-        if take_older:
-            record = self._older.pop()
-            group.append(record)
-            consumed += record.nbytes
-            if self._track_overlay:
-                # The snowshovel cursor must not fall behind the merge's
-                # output position (see SnowshovelCursor.advance_past).
-                self._newer.advance_past(record.key)  # type: ignore[attr-defined]
-        merged = merge_records(group, drop_tombstones=self._drop_tombstones)
         if merged is not None:
-            self._builder.add(merged)
-            if (
-                self._split_output_bytes is not None
-                and self._builder.nbytes >= self._split_output_bytes
-            ):
-                self._rotate_builder()
-        return consumed
+            self._emit(merged)
+        return newer.nbytes + older.nbytes
 
-    def _open_stream(self, table: SSTable) -> FrozenSource:
+    def _took_newer(self, record: Record) -> None:
+        self.newer_bytes_read += record.nbytes
+        seqno = record.seqno
+        if self.min_seqno_consumed is None or seqno < self.min_seqno_consumed:
+            self.min_seqno_consumed = seqno
+        if self.max_seqno_consumed is None or seqno > self.max_seqno_consumed:
+            self.max_seqno_consumed = seqno
+        if self._track_overlay:
+            self.overlay.append(record)
+
+    def _emit(self, record: Record) -> None:
+        self._builder.add(record)
+        if (
+            self._split_output_bytes is not None
+            and self._builder.nbytes >= self._split_output_bytes
+        ):
+            self._rotate_builder()
+
+    def _open_stream(self, table: SSTable) -> StreamSource:
         self._readahead_pages += min(self._stasis.streaming_pages, table.npages)
-        return FrozenSource(table.iter_records(self._gate))
+        return StreamSource(table, self._gate)
 
     def _new_builder(self, tree_id: int, expected_bytes: int) -> SSTableBuilder:
         return SSTableBuilder(
@@ -369,12 +379,6 @@ class MergeProcess:
     def overlay_get(self, key: bytes) -> Record | None:
         """Look up a consumed-but-uncommitted record (reads mid-merge)."""
         return self.overlay.get(key)
-
-    def _note_seqno(self, seqno: int) -> None:
-        if self.min_seqno_consumed is None or seqno < self.min_seqno_consumed:
-            self.min_seqno_consumed = seqno
-        if self.max_seqno_consumed is None or seqno > self.max_seqno_consumed:
-            self.max_seqno_consumed = seqno
 
     def _complete(self) -> None:
         table = self._builder.finish()

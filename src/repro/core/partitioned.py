@@ -38,7 +38,7 @@ from typing import Any, Iterable
 
 from repro.core.components import describe_component
 from repro.core.kernel import TreeKernel
-from repro.core.merge import MergeProcess, RangeSnowshovelSource
+from repro.core.merge import MergeProcess, SnowshovelSource
 from repro.core.options import BLSMOptions
 from repro.core.scheduler import HEADROOM
 from repro.core.versions import TreeSnapshot
@@ -319,9 +319,7 @@ class PartitionedBLSM(TreeKernel):
     # ------------------------------------------------------------------
 
     def _start_m01(self, partition: Partition) -> MergeProcess:
-        source = RangeSnowshovelSource(
-            self._memtable, partition.lo, partition.hi
-        )
+        source = SnowshovelSource(self._memtable, partition.lo, partition.hi)
         c0_bytes, c0_keys = self._range_size(partition)
         c1_bytes = partition.c1.nbytes if partition.c1 is not None else 0
         c1_keys = partition.c1.key_count if partition.c1 is not None else 0

@@ -326,7 +326,7 @@ class BLSM(TreeKernel):
         """Layout snapshot in the generalized N-level vocabulary.
 
         Maps the paper's fixed slots onto levels so cross-policy tooling
-        (``repro bench --policy``, docs/compaction.md) can render every
+        (``repro policies``, docs/compaction.md) can render every
         engine the same way: level 0 holds the §3.2 extra components
         (overlapping runs, like any L0), level 1 C1 and C1', level 2 C2.
         """

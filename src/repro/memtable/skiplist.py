@@ -6,6 +6,14 @@ ordered scans. Therefore, each merge can be performed in a single pass").
 A skip list provides expected O(log n) insert/lookup/delete and O(1)
 ordered successor steps, and is the structure used by LevelDB's memtable.
 
+The successor step is what a snowshovel drain takes (Section 4.2):
+``ceiling`` searches from a *finger* — per level, the rightmost node
+before the key the last ``ceiling`` asked for — so an ascending walk of
+``ceiling`` and ``remove`` calls costs O(1) expected per record, not a
+search from the head each.  ``insert`` and ``remove`` keep the finger on
+linked nodes; a ``ceiling`` behind it, or past nodes it has not seen,
+searches from the head again.
+
 Randomness is drawn from a per-instance seeded generator so simulations
 are reproducible.
 """
@@ -16,7 +24,6 @@ import random
 from typing import Any, Iterator
 
 _MAX_LEVEL = 24
-_P_INVERSE = 2  # promote with probability 1/2
 
 
 class _Node:
@@ -36,6 +43,10 @@ class SkipList:
         self._level = 1
         self._length = 0
         self._random = random.Random(seed)
+        # Per level, the rightmost node with key < _finger_key (the head
+        # where there is none).
+        self._finger = [self._head] * _MAX_LEVEL
+        self._finger_key = b""
 
     def __len__(self) -> int:
         return self._length
@@ -44,10 +55,10 @@ class SkipList:
         return self.get(key) is not None
 
     def _random_level(self) -> int:
-        level = 1
-        while level < _MAX_LEVEL and self._random.randrange(_P_INVERSE) == 0:
-            level += 1
-        return level
+        # Promote with probability 1/2 per level: one less than the level
+        # is the number of trailing one bits of a uniform word, capped.
+        bits = self._random.getrandbits(_MAX_LEVEL - 1)
+        return (bits ^ (bits + 1)).bit_length()
 
     def _find_predecessors(self, key: bytes) -> list[_Node]:
         """Per level, the rightmost node with key strictly less than ``key``."""
@@ -76,6 +87,11 @@ class SkipList:
         for i in range(level):
             node.forward[i] = update[i].forward[i]
             update[i].forward[i] = node
+        if key < self._finger_key:  # landed behind the finger: follow it
+            finger = self._finger
+            for i in range(level):
+                if finger[i] is update[i]:
+                    finger[i] = node
         self._length += 1
         return None
 
@@ -93,11 +109,24 @@ class SkipList:
         return None
 
     def remove(self, key: bytes) -> Any:
-        """Remove ``key``; return its value, or ``None`` if absent."""
-        update = self._find_predecessors(key)
-        candidate = update[0].forward[0]
-        if candidate is None or candidate.key != key:
-            return None
+        """Remove ``key``; return its value, or ``None`` if absent.
+
+        The node right after the finger is unlinked through the finger,
+        which stays where it is; any other node is found from the head,
+        and a finger entry on it moves to its predecessor.
+        """
+        finger = self._finger
+        candidate = finger[0].forward[0]
+        if candidate is not None and candidate.key == key:
+            update = finger
+        else:
+            update = self._find_predecessors(key)
+            candidate = update[0].forward[0]
+            if candidate is None or candidate.key != key:
+                return None
+            for i in range(len(candidate.forward)):
+                if finger[i] is candidate:
+                    finger[i] = update[i]
         for i in range(len(candidate.forward)):
             if update[i].forward[i] is candidate:
                 update[i].forward[i] = candidate.forward[i]
@@ -115,17 +144,22 @@ class SkipList:
         return node.key, node.value
 
     def ceiling(self, key: bytes) -> tuple[bytes, Any] | None:
-        """Smallest (key, value) with key >= ``key``, or ``None``."""
-        node = self._head
-        for level in range(self._level - 1, -1, -1):
-            nxt = node.forward[level]
-            while nxt is not None and nxt.key < key:
-                node = nxt
-                nxt = node.forward[level]
-        candidate = node.forward[0]
+        """Smallest (key, value) with key >= ``key``, or ``None``.
+
+        Moves the finger to ``key``: O(1) when no node lies between the
+        finger and ``key``; a search from the head when ``key`` is
+        behind the finger or some node does.
+        """
+        finger = self._finger
+        candidate = finger[0].forward[0]
+        if key < self._finger_key or (
+            candidate is not None and candidate.key < key
+        ):
+            self._finger = finger = self._find_predecessors(key)
+            candidate = finger[0].forward[0]
+        self._finger_key = key
         if candidate is None:
             return None
-        assert candidate.key is not None
         return candidate.key, candidate.value
 
     def __iter__(self) -> Iterator[tuple[bytes, Any]]:

@@ -13,8 +13,12 @@ workloads.
 
 Two implementations live here:
 
-* :class:`SnowshovelCursor` — the incremental cursor the C0:C1 merge uses
-  against the live memtable.
+* :class:`SnowshovelCursor` — the incremental drain every C0:C1 merge
+  runs against the live memtable (``repro.core.merge.SnowshovelSource``),
+  over the whole keyspace or, in a partitioned tree, one partition's
+  ``[lo, hi)``.  It is one ascending walk of the memtable's skip list:
+  ``MemTable.ceiling`` from the skip list's finger, then
+  ``MemTable.remove`` of the node right after it, each O(1) expected.
 * :func:`replacement_selection_runs` — the classic offline tournament-sort
   formulation over a bounded heap, used by the ablation benchmark to
   measure run lengths under sorted / random / reverse arrival orders.
@@ -30,38 +34,54 @@ from repro.records import Record
 
 
 class SnowshovelCursor:
-    """Drains a live memtable in key order, one run at a time.
+    """Drains a live memtable's keys in ``[lo, hi)`` in key order, one run
+    at a time (``hi=None`` means unbounded).
 
-    ``next_record`` removes and returns the smallest record at or after the
-    cursor.  When no such record exists the current run is exhausted
-    (``None`` is returned); calling ``start_new_run`` wraps the cursor so
-    draining can continue with the keys that arrived behind it.
+    ``peek`` is the smallest record at or after the cursor and below
+    ``hi``; ``pop`` (or ``next_record``) removes and returns it.  It
+    reflects the memtable's current contents, so records inserted ahead
+    of the cursor join the current run.  When no such record exists the
+    run is exhausted; ``start_new_run`` wraps the cursor back to ``lo``
+    so draining can continue with the keys that arrived behind it.
+    Records outside the range stay in the memtable.
     """
 
-    def __init__(self, memtable: MemTable) -> None:
+    def __init__(
+        self, memtable: MemTable, lo: bytes = b"", hi: bytes | None = None
+    ) -> None:
         self._memtable = memtable
-        self._cursor: bytes | None = None  # None means "start of keyspace"
+        self._lo = lo
+        self._hi = hi
+        self._cursor = lo
         self.records_emitted = 0
         self.runs_completed = 0
 
     @property
-    def cursor(self) -> bytes | None:
-        """Last key emitted in the current run, or ``None`` at run start."""
+    def cursor(self) -> bytes:
+        """Smallest key the current run may still emit."""
         return self._cursor
+
+    def peek(self) -> Record | None:
+        """The run's next record without consuming it; ``None`` when the
+        run is exhausted."""
+        record = self._memtable.ceiling(self._cursor)
+        if record is None or (self._hi is not None and record.key >= self._hi):
+            return None
+        return record
+
+    def pop(self) -> Record:
+        """Consume and return the run's next record."""
+        record = self.peek()
+        if record is None:
+            raise StopIteration("snowshovel run exhausted")
+        self._memtable.remove(record.key)
+        self._cursor = record.key + b"\x00"  # strictly-greater successor
+        self.records_emitted += 1
+        return record
 
     def next_record(self) -> Record | None:
         """Pop the next record of the current run, or ``None`` if exhausted."""
-        if self._cursor is None:
-            key = self._memtable.first_key()
-        else:
-            key = self._memtable.ceiling_key(self._cursor)
-        if key is None:
-            return None
-        record = self._memtable.remove(key)
-        assert record is not None
-        self._cursor = key + b"\x00"  # strictly-greater successor key
-        self.records_emitted += 1
-        return record
+        return None if self.peek() is None else self.pop()
 
     def advance_past(self, key: bytes) -> None:
         """Move the cursor past ``key`` without consuming anything.
@@ -72,18 +92,16 @@ class SnowshovelCursor:
         the merge output would go out of order.
         """
         successor = key + b"\x00"
-        if self._cursor is None or successor > self._cursor:
+        if successor > self._cursor:
             self._cursor = successor
 
     def run_exhausted(self) -> bool:
         """True when nothing at or after the cursor remains."""
-        if self._cursor is None:
-            return self._memtable.is_empty
-        return self._memtable.ceiling_key(self._cursor) is None
+        return self.peek() is None
 
     def start_new_run(self) -> None:
-        """Wrap the cursor to the start of the keyspace (next run)."""
-        self._cursor = None
+        """Wrap the cursor to ``lo`` (the next run)."""
+        self._cursor = self._lo
         self.runs_completed += 1
 
 

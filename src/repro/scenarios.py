@@ -31,7 +31,7 @@ from repro.analysis.stability import stability_compare_rules, stability_table
 from repro.baselines.interface import KVEngine
 from repro.core.compaction.policy import POLICY_NAMES
 from repro.engines import DISK_MODELS, ENGINE_NAMES, build_engine
-from repro.errors import UsageError
+from repro.errors import ReproError, UsageError
 from repro.obs.report import BenchReport, CompareRule, Gate, keyword_defaults
 from repro.shard.migration import live_migration_bench
 from repro.ycsb.runner import load_phase, run_batched_workload
@@ -351,7 +351,9 @@ def policy_sweep(
         read_started = engine.clock.now
         seeks_before = engine.seeks()
         for _ in range(ops):
-            assert engine.get(rng.choice(keys)) is not None
+            key = rng.choice(keys)
+            if engine.get(key) is None:  # the oracle: every key was loaded
+                raise ReproError(f"{name} lost loaded key {key!r}")
         read_seconds = engine.clock.now - read_started
         by_policy[name] = {
             "policy": name,

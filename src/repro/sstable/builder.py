@@ -21,7 +21,9 @@ knows its inputs' key counts; Section 4.4.3: "we track the number of keys
 in each tree component, and size the Bloom filter for a false positive
 rate below 1%").  A build whose input grows while it runs (a snowshovel
 pass) passes ``bloom_keys``, the keys it plans for, which sizes the
-filter only: ``expected_keys`` also sizes the extent reservation.
+filter only: ``expected_keys`` also sizes the extent reservation.  A
+block's keys go into the filter in one ``BloomFilter.update`` when the
+block closes, so the filter is complete when the component is.
 """
 
 from __future__ import annotations
@@ -131,8 +133,6 @@ class SSTableBuilder:
         self._current_bytes = held + disk_bytes
         self._key_count += 1
         self._nbytes += disk_bytes
-        if self._bloom is not None:
-            self._bloom.add(record.key)
 
     def finish(self) -> SSTable | None:
         """Flush everything and return the component (``None`` if empty)."""
@@ -200,6 +200,8 @@ class SSTableBuilder:
         self._ctr_packed.inc(self._current_bytes)
         self._ctr_padded.inc(npages * self._page_size - self._current_bytes)
         first_page = self._reserve(npages)
+        if self._bloom is not None:
+            self._bloom.update([record.key for record in self._current])
         self._blocks.append(
             Block(
                 first_key=self._current[0].key,

@@ -18,10 +18,11 @@ Three read paths exist:
   not, and one that went through the pool would flush it.  The block a
   scan first had to go to the device for is offered to the pool and
   admitted on its second miss (``BufferManager.offer``).
-* ``iter_records`` bypasses the buffer manager and reads page runs of
-  the device's streaming size (merge reads; the paper pins merge pages
-  separately from the application cache and batches iterator
-  operations, Section 4.4.1).
+* ``iter_runs`` bypasses the buffer manager and reads page runs of
+  the device's streaming size, handing each over as one list of records
+  (merge reads; the paper pins merge pages separately from the
+  application cache and batches iterator operations, Section 4.4.1).
+  ``iter_records`` is the same stream one record at a time.
 """
 
 from __future__ import annotations
@@ -276,34 +277,55 @@ class SSTable:
         for page_id in range(first_page_id, first_page_id + count):
             self._stasis.buffer.invalidate(page_id)
 
-    def iter_records(self, gate: StepGate | None = None) -> Iterator[Record]:
-        """Yield all records in order, reading streaming-size page runs.
+    def iter_runs(self, gate: StepGate | None = None) -> Iterator[list[Record]]:
+        """Yield all records in order, one list per streaming-size run.
 
         This is the merge read path: it bypasses the buffer manager so
         merges do not evict the application's working set, and it reads
         contiguous pages ``Stasis.streaming_pages`` at a time, so the
         device spends most of each access transferring, not positioning.
+        A run is a maximal group of physically contiguous blocks, closed
+        once it holds ``streaming_pages``.
 
         A merge passes its ``gate``: while the gate is not clear the
         iterator yields :data:`~repro.storage.stasis.WAIT` instead of
         reading its next run, and reads it when asked again later.
         """
         run_pages = self._stasis.streaming_pages
-        pending: list[Block] = []
-        pending_pages = 0
-        for block in self.blocks:
-            contiguous = (
-                not pending
-                or pending[-1].first_page_id + pending[-1].npages
-                == block.first_page_id
+        blocks = self.blocks
+        start = 0
+        while start < len(blocks):
+            end, pages = start + 1, blocks[start].npages
+            while (
+                end < len(blocks)
+                and pages < run_pages
+                and blocks[end - 1].first_page_id + blocks[end - 1].npages
+                == blocks[end].first_page_id
+            ):
+                pages += blocks[end].npages
+                end += 1
+            while gate is not None and not gate.clear:
+                yield WAIT
+            first = blocks[start].first_page_id
+            last = blocks[end - 1]
+            payloads = self._stasis.pagefile.read_run(
+                first, last.first_page_id + last.npages - first
             )
-            if pending and (not contiguous or pending_pages >= run_pages):
-                yield from self._drain_chunk(pending, gate)
-                pending, pending_pages = [], 0
-            pending.append(block)
-            pending_pages += block.npages
-        if pending:
-            yield from self._drain_chunk(pending, gate)
+            yield [
+                record
+                for block in blocks[start:end]
+                for record in payloads[block.first_page_id - first]
+            ]
+            start = end
+
+    def iter_records(self, gate: StepGate | None = None) -> Iterator[Record]:
+        """Yield all records in order: :meth:`iter_runs`, flattened
+        (a ``WAIT`` passes through)."""
+        for run in self.iter_runs(gate):
+            if run is WAIT:
+                yield WAIT
+            else:
+                yield from run
 
     def free(self) -> None:
         """Release the component's extents and cached pages.
@@ -331,18 +353,6 @@ class SSTable:
         ):
             self._stasis.buffer.get(page_id)  # charge continuation pages
         return records
-
-    def _drain_chunk(
-        self, blocks: list[Block], gate: StepGate | None
-    ) -> Iterator[Record]:
-        while gate is not None and not gate.clear:
-            yield WAIT
-        first = blocks[0].first_page_id
-        count = blocks[-1].first_page_id + blocks[-1].npages - first
-        payloads = self._stasis.pagefile.read_run(first, count)
-        for block in blocks:
-            records = payloads[block.first_page_id - first]
-            yield from records
 
     def __repr__(self) -> str:
         return (

@@ -46,7 +46,6 @@ from repro.ycsb.stability import (
     STABILITY_MATRIX,
     StabilityConfig,
     StabilityResult,
-    default_configs,
     run_stability,
     run_stability_matrix,
     stability_metrics,
@@ -74,7 +73,6 @@ __all__ = [
     "StabilityConfig",
     "StabilityResult",
     "commit_queues",
-    "default_configs",
     "logical_logs",
     "stability_metrics",
     "stability_scenario",

@@ -47,7 +47,6 @@ __all__ = [
     "STABILITY_MATRIX",
     "StabilityConfig",
     "StabilityResult",
-    "default_configs",
     "run_stability",
     "run_stability_matrix",
     "stability_metrics",
@@ -78,11 +77,6 @@ STABILITY_MATRIX: dict[str, StabilityConfig] = {
         StabilityConfig("tiered", "tiered", "spring_gear"),
     )
 }
-
-
-def default_configs() -> tuple[StabilityConfig, ...]:
-    """The full stability matrix, in presentation order."""
-    return tuple(STABILITY_MATRIX.values())
 
 
 @dataclass

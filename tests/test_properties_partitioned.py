@@ -5,7 +5,7 @@ import random
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import BLSMOptions, PartitionedBLSM
-from repro.core.merge import RangeSnowshovelSource
+from repro.core.merge import SnowshovelSource
 from repro.memtable import MemTable
 from repro.records import Record
 from repro.storage import DurabilityMode
@@ -91,7 +91,7 @@ def test_range_snowshovel_stays_in_bounds(all_keys, bound_a, bound_b):
     table = MemTable(1 << 20)
     for i, key in enumerate(all_keys):
         table.put(Record.base(key, b"v", i))
-    source = RangeSnowshovelSource(table, lo, hi)
+    source = SnowshovelSource(table, lo, hi)
     drained = []
     while (record := source.peek()) is not None:
         drained.append(source.pop().key)

@@ -298,3 +298,17 @@ def test_every_ci_command_line_parses(capsys):
                 f"ci.yml job {job!r}: `repro {' '.join(argv)}` does not "
                 f"parse: {capsys.readouterr().err}"
             )
+
+
+def test_the_policy_sweep_oracle_survives_optimised_python(monkeypatch):
+    """A loaded key that reads back missing fails the sweep with an
+    error, not an ``assert`` that ``python -O`` strips."""
+    from repro.baselines.compaction_engine import CompactionEngine
+    from repro.errors import ReproError
+
+    monkeypatch.setattr(CompactionEngine, "get", lambda self, key: None)
+    with pytest.raises(ReproError, match="leveled lost loaded key"):
+        policy_sweep(
+            policy="leveled", records=50, ops=5, value_bytes=100,
+            c0_bytes=16384, cache_pages=8,
+        )

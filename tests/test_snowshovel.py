@@ -1,12 +1,15 @@
 """Unit tests for snowshoveling (replacement selection)."""
 
+import bisect
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.memtable import MemTable, SnowshovelCursor, replacement_selection_runs
 from repro.memtable.snowshovel import run_length_multiplier
 from repro.records import Record
+from tests.test_skiplist import assert_finger_linked
 
 
 def fill(table, keys, start_seqno=0):
@@ -117,3 +120,66 @@ class TestReplacementSelection:
     def test_invalid_memory_rejected(self):
         with pytest.raises(ValueError):
             replacement_selection_runs([b"a"], memory_items=0)
+
+
+# ---------------------------------------------------------------------------
+# The drain against a sorted-list model
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 47), st.integers(1, 5)),
+        max_size=120,
+    ),
+    bounds=st.tuples(st.integers(0, 48), st.integers(0, 48)),
+    seed=st.integers(0, 3),
+)
+def test_the_drain_matches_a_sorted_list_model(ops, bounds, seed):
+    """One partition's ``[lo, hi)`` drained while C0 takes inserts ahead
+    of and behind the cursor, overwrites of resident keys, removals that
+    do not go through the cursor, new runs and drains to empty; what it
+    drains and what C0 keeps match a sorted list, and the skip list's
+    finger holds only linked nodes after every step."""
+    lo, hi = sorted(b"%02d" % bound for bound in bounds)
+    hi = None if hi == b"48" else hi
+    table = MemTable(1 << 20, seed=seed)
+    cursor = SnowshovelCursor(table, lo, hi)
+    model: list[bytes] = []  # resident keys, sorted
+    position = lo  # the model's cursor
+    seqno = 0
+
+    def in_run(key):
+        return key >= position and (hi is None or key < hi)
+
+    for op, k, n in ops:
+        key = b"%02d" % k
+        seqno += 1
+        if op in (0, 1):  # write: a new key, or an overwrite of a resident
+            if op == 1 and model:
+                key = model[k % len(model)]
+            table.put(Record.base(key, b"v%d" % seqno, seqno))
+            if key not in model:
+                bisect.insort(model, key)
+        elif op in (2, 3):  # drain n records, or to the end of the run
+            for _ in range(n if op == 2 else len(model) + 1):
+                expected = next((x for x in model if in_run(x)), None)
+                record = cursor.next_record()
+                assert (record and record.key) == expected
+                if record is None:
+                    assert cursor.run_exhausted()
+                    break
+                model.remove(record.key)
+                position = record.key + b"\x00"
+        elif op == 4:
+            cursor.start_new_run()
+            position = lo
+        elif op == 5 and model:  # a removal that does not use the cursor
+            victim = model.pop(k % len(model))
+            assert table.remove(victim).key == victim
+        elif op == 6:
+            cursor.advance_past(key)
+            position = max(position, key + b"\x00")
+        assert [record.key for record in table] == model
+        assert_finger_linked(table._tree)

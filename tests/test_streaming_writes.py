@@ -16,7 +16,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import BLSM, BLSMOptions
 from repro.core.compaction.merge import PolicyMergeJob
-from repro.core.merge import FrozenSource, MergeProcess, _AccessDeferred
+from repro.core.merge import (
+    FrozenSource,
+    MergeProcess,
+    StreamSource,
+    _AccessDeferred,
+)
 from repro.core.partitioned import PartitionedBLSM
 from repro.engines import build_engine
 from repro.faults.crashpoints import enumerate_crash_points
@@ -26,7 +31,8 @@ from repro.sim import DiskModel, SimDisk, StripedDisk, VirtualClock
 from repro.sim.disk import MIB
 from repro.sstable import SSTableBuilder
 from repro.storage import DurabilityMode, LogicalLog, Stasis
-from repro.storage.stasis import WAIT, StepGate
+from repro.storage.stasis import StepGate
+from repro.ycsb.generator import make_key, make_value
 
 PAGE = 4096
 KIB = 1024
@@ -355,13 +361,13 @@ def test_a_gated_stream_waits_for_the_next_step():
     stats = stasis.data_disk.stats
     gate = StepGate(stats)
     gate.open()
-    source = FrozenSource(table.iter_records(gate))
+    source = StreamSource(table, gate)
     reads = stats.read_ops
     assert source.peek().key == b"k%08d" % 0 and stats.read_ops == reads + 1
     assert not gate.clear
     popped = 1
     source.pop()
-    while source._head is not WAIT:  # drain the first run
+    while source._pos < len(source._run):  # drain the first run
         source.pop()
         popped += 1
     with pytest.raises(_AccessDeferred):
@@ -412,6 +418,47 @@ def test_state_digest_matches_the_parent_commit():
     )
     run_stream(engine, 20_000, 16, sizes=range(20, 1500))
     assert engine.state_digest() == PARENT_DIGEST
+
+
+# The benchmark's ingest load at 3 000 records: the clock, data seeks,
+# bytes read and written, and state_digest() as the record-at-a-time
+# merge loop left them (1549b4c).  Host-CPU changes to the write path
+# must leave every one in place.  At these two seeds a step that drops
+# the bytes of a run the gate cut short moves the clock and the seeks.
+INGEST_TRACE = {
+    6: ("0.3725002090136211", 69, 10993664, 13447168,
+        "bb5a3509804282b39014f5fe82d039bc54a24d627ab715658bb7ddb35a9c89cf"),
+    8: ("0.36736824989318856", 64, 11276288, 13729792,
+        "90167c05daa3e0d0d8124203b9cd6a01cda59b7f41b1d18614b1501f821cb730"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(INGEST_TRACE))
+def test_the_ingest_load_keeps_its_device_trace(seed):
+    records = 3000
+    keys = [make_key(i, False) for i in range(records)]
+    random.Random(seed).shuffle(keys)
+    rng = random.Random(seed * 7919 + 17)
+    pool = [make_value(rng, 1000) for _ in range(32)]
+    engine = build_engine(
+        "blsm",
+        c0_bytes=2 * MIB * records // 45_000,  # the benchmark's C0 : data
+        cache_pages=9,
+        disk=DiskModel.hdd(),
+        scheduler="spring_gear",
+        durability="async",
+        observability=False,
+    )
+    for i, key in enumerate(keys):
+        engine.put(key, pool[i % len(pool)])
+    stats = engine.tree.stasis.data_disk.stats
+    assert (
+        repr(engine.clock.now),
+        stats.seeks,
+        stats.bytes_read,
+        stats.bytes_written,
+        engine.state_digest(),
+    ) == INGEST_TRACE[seed]
 
 
 # ---------------------------------------------------------------------------
