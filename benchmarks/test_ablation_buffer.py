@@ -23,7 +23,7 @@ def _hit_rate(policy):
     load_phase(engine, load, seed=41)
     engine.tree.compact()
     buffer = engine.tree.stasis.buffer
-    buffer.hits = buffer.misses = 0  # count the read phase only
+    hits, misses = buffer.hits, buffer.misses  # count the read phase only
     reads = WorkloadSpec(
         record_count=SCALE.record_count,
         operation_count=3000,
@@ -32,7 +32,8 @@ def _hit_rate(policy):
         value_bytes=SCALE.value_bytes,
     )
     result = run_workload(engine, reads, seed=42)
-    return {"hit_rate": buffer.hit_rate, "throughput": result.throughput}
+    hits, misses = buffer.hits - hits, buffer.misses - misses
+    return {"hit_rate": hits / (hits + misses), "throughput": result.throughput}
 
 
 def _measure():

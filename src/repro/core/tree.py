@@ -37,7 +37,7 @@ from repro.core.options import BLSMOptions
 from repro.core.progress import outprogress
 from repro.core.versions import RamSource, TreeSnapshot
 from repro.memtable.memtable import MemTable
-from repro.records import Record, resolve
+from repro.records import Record, RecordKind
 from repro.sstable.reader import SSTable
 from repro.storage.stasis import Stasis
 
@@ -73,29 +73,32 @@ class BLSM(TreeKernel):
     # ------------------------------------------------------------------
 
     def get(self, key: bytes) -> bytes | None:
-        """Point lookup; at most ``1 + N/100`` seeks (Section 3.1)."""
+        """Point lookup; at most ``1 + N/100`` seeks (Section 3.1).
+
+        A base record or tombstone in C0 answers at once; otherwise the
+        walk goes on through C0', the merge overlay, the §3.2 extras
+        (newest first) and C1, C1', C2, and stops at the first base
+        record or tombstone (Section 3.1.1).
+        """
         self._check_open()
-        versions: list[Record] = []
-        if self._collect(self._memtable.get(key), versions):
-            return resolve(versions)
-        if self._frozen is not None and self._collect(
-            self._frozen.get(key), versions
+        record = self._memtable.get(key)
+        if record is None:
+            versions: list[Record] = []
+        elif record.kind is RecordKind.DELTA:
+            versions = [record]
+        else:
+            return record.value if record.kind is RecordKind.BASE else None
+        overlay = self._m01.overlay if self._m01 is not None else None
+        for source in (
+            self._frozen, overlay, *self._extras,
+            self._c1, self._c1_prime, self._c2,
         ):
-            return resolve(versions)
-        if self._m01 is not None and self._collect(
-            self._m01.overlay_get(key), versions
-        ):
-            return resolve(versions)
-        stopped = False
-        for extra in self._extras:  # newest first (§3.2 workaround)
-            if self._collect(extra.get(key), versions):
-                stopped = True
-                break
-        if not stopped:
-            for component in (self._c1, self._c1_prime, self._c2):
-                if component is None:
-                    continue
-                if self._collect(component.get(key), versions):
+            if source is None:
+                continue
+            record = source.get(key)
+            if record is not None:
+                versions.append(record)
+                if record.kind is not RecordKind.DELTA:
                     break
         return self._resolve_read(key, versions)
 

@@ -9,7 +9,12 @@ reads of hot keys stay cheap.
 The ordered structure underneath is a skip list
 (:class:`~repro.memtable.skiplist.SkipList`): O(log n) updates and
 cheap ordered successor steps, so a merge is one pass and snowshoveling
-can ``ceiling()`` the live structure (Section 4.2).
+can ``ceiling()`` the live structure (Section 4.2).  Beside it sits a
+hash index from key to the same record, kept by ``put`` and ``remove``,
+so a point read (``get``) is one dict probe instead of a skip-list
+search: every application read checks C0 first, and most of them miss
+it.  The skip list stays the only ordered structure — drains, scans
+and snapshot copies walk it.
 
 The memtable tracks its approximate byte footprint; the merge scheduler
 uses the fill fraction of C0 as its primary progress signal
@@ -40,6 +45,7 @@ class MemTable:
             )
         self.capacity_bytes = capacity_bytes
         self._tree = SkipList(seed=seed)
+        self._index: dict[bytes, Record] = {}  # the skip list's pairs, hashed
         self._nbytes = 0
         # Open snapshots reading this table in place; emptied by the
         # first mutation (each view has copied by then) or by release.
@@ -88,38 +94,31 @@ class MemTable:
     def put(self, record: Record) -> None:
         """Insert a record, folding onto any resident version of the key.
 
-        The common case — a base record or tombstone over an older (or
-        absent) version — folds to the new record unchanged, so it takes
-        a single tree traversal: insert, and account using the displaced
-        value.  Only deltas (whose fold *combines* the two versions) and
-        replayed duplicates (older seqno resident wins) pay a second
-        traversal to restore the correct fold result.
+        The index says whether a version is resident.  The common case —
+        a base record or tombstone over an older (or absent) version —
+        folds to the new record unchanged; a delta *combines* with the
+        resident version, and a replayed duplicate (older seqno) folds to
+        the resident version itself.
         """
         if self._views:
             self._detach_views()
-        tree = self._tree
-        if record.kind is not RecordKind.DELTA:
-            existing = tree.insert(record.key, record)
-            if existing is None:
-                self._nbytes += record.nbytes
-            elif record.seqno > existing.seqno:
-                self._nbytes += record.nbytes - existing.nbytes
-            else:
-                # Crash-replay duplicate: fold() keeps the older record.
-                tree.insert(record.key, existing)
-            return
-        existing = tree.get(record.key)
-        if existing is not None:
-            merged = fold(record, existing)
-            tree.insert(record.key, merged)
-            self._nbytes += merged.nbytes - existing.nbytes
-        else:
-            tree.insert(record.key, record)
+        key = record.key
+        existing = self._index.get(key)
+        if existing is None:
             self._nbytes += record.nbytes
+        else:
+            if (
+                record.kind is RecordKind.DELTA
+                or record.seqno <= existing.seqno
+            ):
+                record = fold(record, existing)
+            self._nbytes += record.nbytes - existing.nbytes
+        self._tree.insert(key, record)
+        self._index[key] = record
 
     def get(self, key: bytes) -> Record | None:
         """Return the resident record for ``key``, or ``None``."""
-        return self._tree.get(key)
+        return self._index.get(key)
 
     def remove(self, key: bytes) -> Record | None:
         """Physically remove a key (used as records drain into C1)."""
@@ -127,6 +126,7 @@ class MemTable:
             self._detach_views()
         record = self._tree.remove(key)
         if record is not None:
+            del self._index[key]
             self._nbytes -= record.nbytes
         return record
 

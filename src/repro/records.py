@@ -147,7 +147,8 @@ def resolve(versions_newest_first: list[Record]) -> bytes | None:
     """
     deltas: list[Record] = []
     for record in versions_newest_first:
-        if record.is_delta:
+        kind = record.kind
+        if kind is RecordKind.DELTA:
             # Distinct versions have strictly decreasing seqnos walking
             # down the tree; a delta that does not is a replay duplicate
             # of one already collected.
@@ -155,7 +156,7 @@ def resolve(versions_newest_first: list[Record]) -> bytes | None:
                 continue
             deltas.append(record)
             continue
-        if record.is_tombstone:
+        if kind is RecordKind.TOMBSTONE:
             return None
         value = record.value
         for delta_record in reversed(deltas):  # oldest delta first

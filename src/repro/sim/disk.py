@@ -259,24 +259,22 @@ class SimDisk:
         bandwidth: float,
         is_write: bool,
     ) -> float:
-        self._validate(offset, nbytes, is_write)
-        if nbytes == 0:
-            return 0.0
+        if offset < 0 or nbytes <= 0 or (
+            is_write and self.capacity_bytes is not None
+        ):
+            self._validate(offset, nbytes, is_write)
+            if nbytes == 0:
+                return 0.0
+        # The requester: a background timeline if one is installed, else
+        # the foreground clock; both answer ``now`` and ``advance_to``.
         timeline = self.clock.active_timeline
-        issue_at = timeline.now if timeline is not None else self.clock.now
-        end, _wait, _seeked = self._service_at(
-            issue_at,
-            offset,
-            nbytes,
-            access_seconds,
-            bandwidth,
-            is_write,
-            background=timeline is not None,
-        )
-        if timeline is not None:
-            timeline.advance_to(end)
-        else:
-            self.clock.advance_to(end)
+        requester = self.clock if timeline is None else timeline
+        issue_at = requester.now
+        end = self._service_at(
+            issue_at, offset, nbytes, access_seconds, bandwidth, is_write,
+            timeline is not None,
+        )[0]
+        requester.advance_to(end)
         return end - issue_at
 
     def _service_at(
@@ -297,29 +295,30 @@ class SimDisk:
         (a :class:`StripedDisk` fans one logical access out to several
         members this way).
         """
+        stats = self.stats
         sequential = offset == self._head
         service = nbytes / bandwidth
         if not sequential:
             service += access_seconds
-            self.stats.seeks += 1
-            self.stats.write_seeks += is_write
-            self.stats.seek_seconds += access_seconds
+            stats.seeks += 1
+            stats.write_seeks += is_write
+            stats.seek_seconds += access_seconds
         start = max(issue_at, self.busy_until)
         wait = start - issue_at
         end = start + service
         self.busy_until = end
         if is_write:
-            self.stats.write_ops += 1
-            self.stats.bytes_written += nbytes
+            stats.write_ops += 1
+            stats.bytes_written += nbytes
         else:
-            self.stats.read_ops += 1
-            self.stats.bytes_read += nbytes
-        self.stats.busy_seconds += service
-        self.stats.queue_wait_seconds += wait
+            stats.read_ops += 1
+            stats.bytes_read += nbytes
+        stats.busy_seconds += service
+        stats.queue_wait_seconds += wait
         if background:
-            self.stats.bg_busy_seconds += service
+            stats.bg_busy_seconds += service
         else:
-            self.stats.fg_wait_seconds += wait
+            stats.fg_wait_seconds += wait
         self._head = offset + nbytes
         if self._obs:
             if not sequential:

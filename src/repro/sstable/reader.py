@@ -8,7 +8,8 @@ exactly one block read: one seek plus the block's pages.
 
 Three read paths exist:
 
-* ``get`` goes through the buffer manager: an application read.
+* ``get`` goes through the buffer manager, one ``BufferManager.get``
+  per page of the block: an application read.
 * ``scan`` goes through the buffer manager for as long as the pool has
   the blocks it wants — the block holding its start key, then each next
   one — and from the first block the pool does not have it is a stream
@@ -147,27 +148,39 @@ class SSTable:
         """Point lookup through the buffer manager.
 
         Checks the Bloom filter first (Section 3.1): a negative answer
-        costs zero I/O; a positive answer reads exactly one block.
+        costs zero I/O; a positive answer reads exactly one block, every
+        page of it through the pool.  A page that fails verification (or
+        runs out of retries) fails this read, not the engine, and nothing
+        of the block stays cached (see :meth:`_forget_run`).
         """
         if not self.blocks:
             return None
-        filtered = self.bloom is not None
-        if filtered and key not in self.bloom:
-            self._ctr_bloom_negative.inc()  # zero-I/O rejection (§3.1)
+        bloom = self.bloom
+        if bloom is not None and key not in bloom:
+            self._ctr_bloom_negative.value += 1  # zero-I/O rejection (§3.1)
             return None
         if self._max_key is not None and key > self._max_key:
             return None
         index = bisect.bisect_right(self._first_keys, key) - 1
         if index < 0:
             return None
-        records = self._read_block(self.blocks[index])
+        block = self.blocks[index]
+        first = block.first_page_id
+        buffer_get = self._stasis.buffer.get
+        try:
+            records = buffer_get(first)
+            for page_id in range(first + 1, first + block.npages):
+                buffer_get(page_id)  # charge continuation pages
+        except (CorruptionError, IOFaultError):
+            self._forget_run(first, block.npages)
+            raise
         position = bisect.bisect_left(records, key, key=_KEY)
         if position < len(records) and records[position].key == key:
-            if filtered:
-                self._ctr_bloom_hit.inc()
+            if bloom is not None:
+                self._ctr_bloom_hit.value += 1
             return records[position]
-        if filtered:
-            self._ctr_bloom_false_positive.inc()  # paid a block read for nothing
+        if bloom is not None:  # paid a block read for nothing
+            self._ctr_bloom_false_positive.value += 1
         return None
 
     def scan(
@@ -270,7 +283,8 @@ class SSTable:
         """Drop what the pool knows of a run whose read just failed.
 
         A read that fails verification (or runs out of retries) fails
-        the scan, not the engine, and nothing of the run stays cached:
+        the scan or point read, not the engine, and nothing of the run
+        (for a point read: the block) stays cached:
         resident copies and ghost entries of its pages go, so no later
         read is served from a range the device got wrong.
         """
@@ -344,15 +358,6 @@ class SSTable:
                 self._stasis.buffer.invalidate(page_id)
                 self._stasis.pagefile.free_page(page_id)
             self._stasis.regions.free(extent)
-
-    def _read_block(self, block: Block) -> tuple[Record, ...]:
-        """The block's records, every page of it charged to the pool."""
-        records = self._stasis.buffer.get(block.first_page_id)
-        for page_id in range(
-            block.first_page_id + 1, block.first_page_id + block.npages
-        ):
-            self._stasis.buffer.get(page_id)  # charge continuation pages
-        return records
 
     def __repr__(self) -> str:
         return (

@@ -20,6 +20,14 @@ leaves its id on a ghost list that names at most ``capacity_pages`` pages
 (2Q's A1out, Johnson & Shasha, VLDB '94).  Most blocks a scan lands on
 are never landed on again, so one-shot scans cannot flush the pool and a
 full-table scan evicts nothing.
+
+``get`` runs once per page of every point read that passes a Bloom
+filter, so it does its bookkeeping inline: a hit is one dict probe, one
+counter bump and the frame's CLOCK bit (or LRU move).  Every count —
+hits, misses, evictions, writebacks, offers — is kept once, in its
+metrics-registry counter (``buffer.*``), and the attributes of the same
+names read it back.  An eviction's ``buffer_evict`` trace event is built
+only while the trace recorder is enabled.
 """
 
 from __future__ import annotations
@@ -90,20 +98,14 @@ class BufferManager:
         # Blocks offered once and not admitted: first page id -> pages.
         self._ghost: "OrderedDict[int, int]" = OrderedDict()
         self._ghost_pages = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.dirty_writebacks = 0
-        self.runtime = runtime
-        if runtime is not None:
-            metrics = runtime.metrics
-            self._ctr_hits = metrics.counter("buffer.hits")
-            self._ctr_misses = metrics.counter("buffer.misses")
-            self._ctr_evictions = metrics.counter("buffer.evictions")
-            self._ctr_writebacks = metrics.counter("buffer.dirty_writebacks")
-        # The offer path keeps its counts in the counters themselves
-        # (free-standing ones when no runtime collects them).
+        self._trace = runtime.trace if runtime is not None else None
+        # Every count lives in its counter, bumped in place (free-standing
+        # counters when no runtime collects them).
         counter = runtime.metrics.counter if runtime is not None else Counter
+        self._ctr_hits = counter("buffer.hits")
+        self._ctr_misses = counter("buffer.misses")
+        self._ctr_evictions = counter("buffer.evictions")
+        self._ctr_writebacks = counter("buffer.dirty_writebacks")
         self._ctr_offered = counter("buffer.offered")
         self._ctr_deferred = counter("buffer.deferred")
 
@@ -117,14 +119,13 @@ class BufferManager:
         """Return a page payload, reading from the device on a miss."""
         frame = self._frames.get(page_id)
         if frame is not None:
-            self.hits += 1
-            if self.runtime is not None:
-                self._ctr_hits.inc()
-            self._touch(page_id, frame)
+            self._ctr_hits.value += 1
+            if self.policy is EvictionPolicy.CLOCK:
+                frame.referenced = True
+            else:
+                self._frames.move_to_end(page_id)
             return frame.payload
-        self.misses += 1
-        if self.runtime is not None:
-            self._ctr_misses.inc()
+        self._ctr_misses.value += 1
         payload = self.pagefile.read_page(page_id)
         self._install(_Frame(page_id, payload))
         return payload
@@ -153,9 +154,7 @@ class BufferManager:
         if head is not None:
             tail = range(first_page_id + 1, first_page_id + npages)
             if all(map(frames.__contains__, tail)):
-                self.hits += npages
-                if self.runtime is not None:  # every scan passes here:
-                    self._ctr_hits.value += npages  # no call to inc()
+                self._ctr_hits.value += npages
                 if self.policy is EvictionPolicy.CLOCK:
                     head.referenced = True
                     for page_id in tail:
@@ -165,9 +164,7 @@ class BufferManager:
                     for page_id in tail:
                         frames.move_to_end(page_id)
                 return head.payload
-        self.misses += npages
-        if self.runtime is not None:
-            self._ctr_misses.value += npages
+        self._ctr_misses.value += npages
         return None
 
     def offer(self, first_page_id: int, payloads: list[Any], npages: int) -> None:
@@ -241,9 +238,28 @@ class BufferManager:
         self._ghost_pages = 0
 
     def _note_writeback(self) -> None:
-        self.dirty_writebacks += 1
-        if self.runtime is not None:
-            self._ctr_writebacks.inc()
+        self._ctr_writebacks.value += 1
+
+    @property
+    def hits(self) -> int:
+        """Page lookups served from the pool."""
+        return int(self._ctr_hits.value)
+
+    @property
+    def misses(self) -> int:
+        """Page lookups that had to read the device (or, for a scan's
+        ``lookup_block``, found the block incomplete)."""
+        return int(self._ctr_misses.value)
+
+    @property
+    def evictions(self) -> int:
+        """Frames reclaimed to make room for another page."""
+        return int(self._ctr_evictions.value)
+
+    @property
+    def dirty_writebacks(self) -> int:
+        """Dirty pages written back (on eviction or flush)."""
+        return int(self._ctr_writebacks.value)
 
     @property
     def hit_rate(self) -> float:
@@ -303,12 +319,10 @@ class BufferManager:
         if frame.dirty:
             self.pagefile.write_page(victim_id, frame.payload)
             self._note_writeback()
-        self.evictions += 1
-        if self.runtime is not None:
-            self._ctr_evictions.inc()
-            self.runtime.trace.emit(
-                "buffer_evict", page_id=victim_id, dirty=frame.dirty
-            )
+        self._ctr_evictions.value += 1
+        trace = self._trace
+        if trace is not None and trace.enabled:
+            trace.emit("buffer_evict", page_id=victim_id, dirty=frame.dirty)
 
     def _clock_sweep(self) -> _Frame:
         """Advance the clock hand until an unreferenced frame is found."""

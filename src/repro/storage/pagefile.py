@@ -85,19 +85,29 @@ class PageFile:
     def read_page(self, page_id: int) -> Any:
         """Read a page payload, charging one page of device read I/O.
 
+        Every point read that misses the pool comes through here, so
+        without a retry executor the device is called directly.
+
         Raises:
             CorruptionError: the page's stored checksum no longer matches
                 what the device returns (silent decay or a torn write).
+            IOFaultError: a transient device fault outlasted the retry
+                policy (the message names the page).
         """
         try:
             payload = self._pages[page_id]
         except KeyError:
             raise PageNotFoundError(page_id) from None
-        self._io(
-            lambda: self.disk.read(page_id * self.page_size, self.page_size),
-            what="pagefile.read",
-        )
-        self._verify(page_id, payload)
+        offset = page_id * self.page_size
+        if self.retry is None:
+            self.disk.read(offset, self.page_size)
+        else:
+            self.retry.run(
+                lambda: self.disk.read(offset, self.page_size),
+                what=f"pagefile.read of page {page_id}",
+            )
+        if self._checksummed:
+            self._verify(page_id, payload)
         return payload
 
     def write_page(self, page_id: int, payload: Any) -> None:
@@ -197,8 +207,8 @@ class PageFile:
                 self._pages[first_page_id + i] = payload
 
     def _verify(self, page_id: int, payload: Any) -> None:
-        if not self._checksummed:
-            return
+        """Raise if a read page fails its checksum (callers check
+        ``_checksummed`` first)."""
         stored = self._sums.get(page_id)
         if stored is None:
             # Pre-checksum page (or direct dict poke in a test): trust it.

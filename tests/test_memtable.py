@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.memtable import MemTable
+from repro.memtable import MemTable, SnowshovelCursor
 from repro.records import Record, fold
 
 
@@ -141,3 +141,83 @@ def test_tombstones_folds_and_replay_duplicates_match_a_fold_model(ops):
     for record in records:
         table.put(record)
     check()
+
+
+class _View:
+    """A reader registered on C0, as an open snapshot is."""
+
+    def __init__(self, table):
+        self.table = table
+        self.copy = None
+        table.attach_view(self)
+
+    def materialize(self):
+        self.copy = list(self.table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.integers(0, 6), st.integers(0, 15), st.binary(max_size=6)
+        ),
+        max_size=80,
+    ),
+    bounds=st.tuples(st.integers(0, 16), st.integers(0, 16)),
+)
+def test_the_index_and_the_skip_list_hold_the_same_records(ops, bounds):
+    """Base, tombstone and delta puts on resident and absent keys,
+    replayed duplicates, drains through a cursor over ``[lo, hi)``,
+    removals of absent keys and snapshots materialised by the next
+    write: after every step the hash index and the skip list hold the
+    same pairs, and ``get`` agrees with a fold model."""
+    lo, hi = sorted(b"%02d" % bound for bound in bounds)
+    hi = None if hi == b"16" else hi
+    table = MemTable(1 << 20, seed=3)
+    cursor = SnowshovelCursor(table, lo, hi)
+    model: dict[bytes, Record] = {}
+    written: list[Record] = []
+    view = opened = None
+    position = lo  # the model's cursor
+    for seqno, (op, k, value) in enumerate(ops, start=1):
+        key = b"%02d" % k
+        if op <= 3:
+            if op == 3 and written:  # a replayed duplicate: an older seqno
+                record = written[k % len(written)]
+            elif op == 1:
+                record = Record.tombstone(key, seqno)
+            elif op == 2:
+                record = Record.delta(key, value, seqno)
+            else:
+                record = Record.base(key, value, seqno)
+            written.append(record)
+            table.put(record)
+            old = model.get(record.key)
+            model[record.key] = record if old is None else fold(record, old)
+        elif op == 4:  # drain up to k % 4 + 1 records of the run
+            for _ in range(k % 4 + 1):
+                run = [
+                    x for x in sorted(model)
+                    if x >= position and (hi is None or x < hi)
+                ]
+                got = cursor.next_record()
+                if not run:
+                    assert got is None
+                    cursor.start_new_run()
+                    position = lo
+                    break
+                assert got == model.pop(run[0])
+                position = got.key + b"\x00"
+        elif op == 5:
+            assert table.remove(b"x" + key) is None
+        elif view is None:  # open a snapshot; the next mutation copies
+            view, opened = _View(table), [model[x] for x in sorted(model)]
+        if view is not None and view.copy is not None:
+            assert view.copy == opened
+            view = None
+        pairs = list(table._tree)
+        assert pairs == sorted(table._index.items())
+        assert pairs == sorted(model.items())
+        for probe in range(17):
+            assert table.get(b"%02d" % probe) == model.get(b"%02d" % probe)
+        assert table.nbytes == sum(r.nbytes for r in model.values())

@@ -187,7 +187,7 @@ def fill_pool(stasis, table):
     for block in reversed(table.blocks):
         if len(buffer) == buffer.capacity_pages:
             break
-        table._read_block(block)
+        table.get(block.first_key)  # the block's pages, through the pool
     assert len(buffer) == buffer.capacity_pages
 
 
@@ -446,7 +446,8 @@ def test_corrupt_landing_page_fails_the_scan_and_caches_nothing():
     page = table.blocks[100].first_page_id
     take(table, lo, 1, limit=1)  # first miss: the block is on the ghost list
     assert page in buffer._ghost
-    table._read_block(table.blocks[101])  # a readahead page a get left behind
+    # a readahead page a get left behind
+    table.get(table.blocks[101].first_key)
     stasis.data_disk.mark_corrupt((page + 1) * PAGE + 9, 1)
     with pytest.raises(CorruptionError, match=rf"page {page + 1} failed"):
         take(table, lo, 1, limit=1)
