@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.baselines import BLSMEngine, BTreeEngine, LevelDBEngine
+from repro.baselines import BLSMEngine, BTreeEngine, CompactionEngine
 from repro.core import BLSMOptions
+from repro.engines import LEVELDB_OPTIONS
 from repro.sim import DiskModel
 
 KIB = 1024
@@ -88,15 +89,18 @@ def make_btree(
 
 def make_leveldb(
     disk: DiskModel | None = None, scale: Scale = SCALE
-) -> LevelDBEngine:
+) -> CompactionEngine:
     # LevelDB: "extremely small C0 components" (Section 5.1); cache gets
-    # the full memory budget.
-    return LevelDBEngine(
-        disk_model=disk if disk is not None else DiskModel.hdd(),
-        memtable_bytes=scale.memory_bytes // 10,
-        file_bytes=scale.memory_bytes // 4,
-        level_base_bytes=scale.memory_bytes,
-        buffer_pool_pages=max(2, scale.memory_bytes // 4096),
+    # the full memory budget.  Files are a quarter of L1 (the policy's
+    # rule), L1 the whole memory budget.
+    return CompactionEngine(
+        BLSMOptions(
+            c0_bytes=scale.memory_bytes // 10,
+            level_base_bytes=scale.memory_bytes,
+            buffer_pool_pages=max(2, scale.memory_bytes // 4096),
+            disk_model=disk if disk is not None else DiskModel.hdd(),
+            **LEVELDB_OPTIONS,
+        )
     )
 
 

@@ -2,15 +2,16 @@
 """Side-by-side engine comparison on one workload.
 
 Runs the same mixed workload against bLSM, the update-in-place B-Tree
-(InnoDB stand-in) and the leveled LSM (LevelDB stand-in), then prints a
-comparison table — a miniature of the paper's Section 5 evaluation and
-a template for benchmarking your own mixes.
+(InnoDB stand-in) and the leveled LSM (LevelDB stand-in, the registry's
+``leveldb`` engine: a compaction policy of the same tree kernel), then
+prints a comparison table — a miniature of the paper's Section 5
+evaluation and a template for benchmarking your own mixes.
 
 Run:
     python examples/engine_comparison.py
 """
 
-from repro import BLSMEngine, BLSMOptions, BTreeEngine, LevelDBEngine
+from repro import BLSMEngine, BLSMOptions, BTreeEngine, build_engine
 from repro.ycsb import WorkloadSpec, load_phase, run_workload
 
 RECORDS = 2000
@@ -20,12 +21,8 @@ OPERATIONS = 2000
 def engines():
     yield BLSMEngine(BLSMOptions(c0_bytes=256 * 1024, buffer_pool_pages=32))
     yield BTreeEngine(page_size=16 * 1024, buffer_pool_pages=16)
-    yield LevelDBEngine(
-        memtable_bytes=64 * 1024,
-        file_bytes=128 * 1024,
-        level_base_bytes=512 * 1024,
-        buffer_pool_pages=64,
-    )
+    # A 64 KiB memtable (an eighth of c0_bytes) over a 1 MiB L1.
+    yield build_engine("leveldb", c0_bytes=512 * 1024, cache_pages=64)
 
 
 def main() -> None:

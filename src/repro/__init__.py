@@ -5,8 +5,9 @@ The package provides:
 
 * :class:`BLSM` / :class:`BLSMOptions` — the paper's three-level
   Bloom-filtered LSM-Tree with the spring-and-gear merge scheduler;
-* :class:`BTreeEngine` and :class:`LevelDBEngine` — the evaluation's
-  update-in-place and leveled-LSM baselines;
+* :class:`BTreeEngine` and ``build_engine("leveldb")`` — the
+  evaluation's update-in-place and leveled-LSM baselines (LevelDB is a
+  compaction policy of the same tree kernel);
 * :class:`ShardedEngine` — a hash/range-partitioned router over
   independent per-shard trees with a batched API (``multi_get`` /
   ``apply_batch``) whose cost is the max of per-shard device time;
@@ -37,7 +38,6 @@ from repro.baselines import (
     BLSMEngine,
     BTreeEngine,
     KVEngine,
-    LevelDBEngine,
     PartitionedBLSMEngine,
     WriteBatch,
 )
@@ -69,7 +69,6 @@ __all__ = [
     "HashPartitioner",
     "IOStats",
     "KVEngine",
-    "LevelDBEngine",
     "MetricsRegistry",
     "PartitionedBLSM",
     "PartitionedBLSMEngine",

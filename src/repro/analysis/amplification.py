@@ -117,8 +117,9 @@ def policy_run_counts(
 ) -> list[int]:
     """Worst-case resident sorted runs per on-disk level.
 
-    ``leveled`` keeps one run everywhere; ``tiered`` stacks ``fanout``
-    runs per level; ``lazy-leveled`` tiers the upper levels and keeps a
+    ``leveled`` (and ``leveldb``, whose level is one run cut into files)
+    keeps one run everywhere; ``tiered`` stacks ``fanout`` runs per
+    level; ``lazy-leveled`` tiers the upper levels and keeps a
     single-run bottom; ``blsm3`` is the paper's fixed layout — C1 and
     C1' share the first on-disk level, C2 is the second.
     """
@@ -126,7 +127,7 @@ def policy_run_counts(
         raise ValueError(f"levels must be >= 1, got {levels}")
     if policy == "blsm3":
         return [2, 1]
-    if policy == "leveled":
+    if policy in ("leveled", "leveldb"):
         return [1] * levels
     if policy == "tiered":
         return [fanout] * levels
@@ -208,7 +209,7 @@ def policy_space_amplification(
         raise ValueError(f"ratio must exceed 1, got {ratio}")
     if policy == "blsm3":
         return 1.0 + 2.0 / ratio
-    if policy == "leveled":
+    if policy in ("leveled", "leveldb"):
         return 1.0 + 1.0 / ratio
     if policy == "tiered":
         return float(fanout)

@@ -3,12 +3,13 @@
 * :class:`BTreeEngine` — an update-in-place B-Tree with a buffer pool;
   the InnoDB stand-in.  One seek per uncached read, two per update
   (Section 2.2), fragmentation that degrades long scans (Section 5.6).
-* :class:`LevelDBEngine` — a multi-level leveled LSM with a small
-  memtable, no Bloom filters, and a partition (file-granularity)
-  compaction scheduler; the LevelDB stand-in.  O(levels) seeks per read
-  and unbounded write pauses under sustained load (Sections 3.2, 5.2).
 * :class:`BLSMEngine` — adapts :class:`repro.core.BLSM` to the common
   engine interface used by the YCSB runner.
+* :class:`CompactionEngine` — the same for a policy tree; the LevelDB
+  stand-in is its ``leveldb`` policy (``build_engine("leveldb")``): a
+  small memtable, no Bloom filters, file-granularity compaction, so
+  O(levels) seeks per read and unbounded write pauses under sustained
+  load (Sections 3.2, 5.2).
 """
 
 from repro.baselines.bitcask_engine import BitCaskEngine
@@ -22,7 +23,6 @@ from repro.baselines.interface import (
     build_io_summary,
     validate_io_summary,
 )
-from repro.baselines.leveldb_engine import LevelDBEngine
 from repro.baselines.partitioned_engine import PartitionedBLSMEngine
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "CompactionEngine",
     "IO_SUMMARY_KEYS",
     "KVEngine",
-    "LevelDBEngine",
     "PartitionedBLSMEngine",
     "WriteBatch",
     "build_io_summary",

@@ -3,7 +3,8 @@
 A three-level LSM-Tree (C0 in memory; C1, C1', C2 on disk) with Bloom
 filters on every on-disk component, early-terminating reads, zero-seek
 insert-if-not-exists, snowshoveling, and a pluggable merge scheduler
-(naive, gear, or spring-and-gear).
+(naive, gear, or spring-and-gear; ``leveldb`` paces the LevelDB
+baseline, a policy of :class:`CompactionTree`).
 """
 
 from repro.core.compaction import (
@@ -19,6 +20,7 @@ from repro.core.options import BLSMOptions
 from repro.core.partitioned import PartitionedBLSM
 from repro.core.scheduler import (
     GearScheduler,
+    LevelDBScheduler,
     MergeScheduler,
     NaiveScheduler,
     SpringGearScheduler,
@@ -32,6 +34,7 @@ __all__ = [
     "CompactionPolicy",
     "CompactionTree",
     "GearScheduler",
+    "LevelDBScheduler",
     "LevelManager",
     "MergePlan",
     "MergeScheduler",

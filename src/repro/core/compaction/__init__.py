@@ -4,14 +4,14 @@ This package generalizes the storage core's on-disk layout away from
 the bLSM-specific C0/C1'/C1/C2 slots:
 
 * :mod:`~repro.core.compaction.policy` — the design-space axes as
-  strategy objects (``leveled``, ``tiered``, ``lazy-leveled``);
+  strategy objects (``leveled``, ``tiered``, ``lazy-leveled`` and the
+  file-granularity ``leveldb``);
 * :mod:`~repro.core.compaction.manager` — the N-level run structure
   with geometric ``base * ratio^level`` sizing;
-* :mod:`~repro.core.compaction.merge` — budget-stepped execution of one
-  policy-issued merge plan;
 * :mod:`~repro.core.compaction.tree` — the policy-parameterized tree
   exposing the same write/read/scheduler/recovery surface as
-  :class:`repro.core.tree.BLSM`.
+  :class:`repro.core.tree.BLSM`, running every plan as a
+  :class:`~repro.core.merge.MergeProcess`.
 
 :func:`make_tree` is the single dispatch point: ``blsm3`` (the default
 policy) returns the unmodified paper tree, so existing behaviour is
@@ -24,11 +24,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Union
 
 from repro.core.compaction.manager import LevelManager
-from repro.core.compaction.merge import PolicyMergeJob
 from repro.core.compaction.policy import (
     POLICY_NAMES,
     CompactionPolicy,
     LazyLeveledPolicy,
+    LevelDBPolicy,
     LeveledPolicy,
     MergePlan,
     TieredPolicy,
@@ -45,11 +45,11 @@ __all__ = [
     "CompactionPolicy",
     "CompactionTree",
     "LazyLeveledPolicy",
+    "LevelDBPolicy",
     "LevelManager",
     "LeveledPolicy",
     "MergePlan",
     "POLICY_NAMES",
-    "PolicyMergeJob",
     "TieredPolicy",
     "make_policy",
     "make_tree",

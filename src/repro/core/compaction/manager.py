@@ -15,6 +15,10 @@ level's run count or byte size makes a merge due (see
 and applies installs.  Manifest round-tripping reuses the same component
 descriptors as the bLSM tree, so recovery, orphan-extent accounting and
 Bloom-filter rebuild behave identically across policies.
+
+With ``file_levels`` (a file-granularity policy) every level below 0
+is one sorted run cut into key-disjoint files, kept in key order, and
+read as one :class:`~repro.core.versions.FileRun`.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from repro.core.components import (
     describe_component,
     rebuild_component,
 )
+from repro.core.versions import FileRun
 from repro.sstable.reader import SSTable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -38,14 +43,18 @@ __all__ = ["LevelManager"]
 class LevelManager:
     """N on-disk levels of newest-first sorted runs with geometric sizing."""
 
-    def __init__(self, base_bytes: int, ratio: float) -> None:
+    def __init__(
+        self, base_bytes: int, ratio: float, file_levels: bool = False
+    ) -> None:
         if base_bytes <= 0:
             raise ValueError(f"base_bytes must be positive, got {base_bytes}")
         if ratio <= 1.0:
             raise ValueError(f"ratio must exceed 1, got {ratio}")
         self.base_bytes = base_bytes
         self.ratio = ratio
+        self.file_levels = file_levels
         self.levels: list[list[SSTable]] = []
+        self._sources: tuple[SSTable | FileRun, ...] | None = None
 
     # ------------------------------------------------------------------
     # Queries (what policies read)
@@ -112,6 +121,17 @@ class LevelManager:
         for level in self.levels:
             yield from level
 
+    def sources(self) -> tuple[SSTable | FileRun, ...]:
+        """What a read probes, newest first (a level of files is one
+        :class:`FileRun`); never mutated, so a snapshot may hold it."""
+        if self._sources is None:
+            if self.file_levels:
+                deep = [FileRun(files) for files in self.levels[1:] if files]
+                self._sources = (*self.runs(0), *deep)
+            else:
+                self._sources = tuple(self.iter_tables())
+        return self._sources
+
     def level_view(self) -> list[list[dict[str, Any]]]:
         """Introspection: per level, one ``component_row`` per run."""
         return [
@@ -126,19 +146,22 @@ class LevelManager:
         """Install ``table`` as the newest run of ``level``."""
         self._ensure_level(level)
         self.levels[level].insert(0, table)
+        self._sources = None
 
     def install(
         self,
         inputs: list[SSTable],
         target_level: int,
-        output: SSTable | None,
+        outputs: list[SSTable],
     ) -> None:
-        """Atomically swap a finished merge's inputs for its output.
+        """Atomically swap a finished merge's inputs for its outputs.
 
-        The inputs (wherever they reside) leave the structure; the
+        The inputs (wherever they reside) leave the structure.  The
         output — newer than everything already in the target level,
         because data only flows downward — becomes the target's newest
-        run.  The caller commits the manifest and frees the inputs.
+        run; under ``file_levels`` the output files join the target's
+        files in key order.  The caller commits the manifest and frees
+        the inputs.
         """
         input_ids = {id(table) for table in inputs}
         for level in range(len(self.levels)):
@@ -147,8 +170,15 @@ class LevelManager:
                 for table in self.levels[level]
                 if id(table) not in input_ids
             ]
-        if output is not None:
-            self.add_run(target_level, output)
+        if self.file_levels and target_level > 0:
+            self._ensure_level(target_level)
+            files = self.levels[target_level] + outputs
+            files.sort(key=lambda table: table.min_key)
+            self.levels[target_level] = files
+        else:
+            for output in outputs:
+                self.add_run(target_level, output)
+        self._sources = None
 
     def _ensure_level(self, level: int) -> None:
         while len(self.levels) <= level:
@@ -173,9 +203,10 @@ class LevelManager:
         base_bytes: int,
         ratio: float,
         options: "BLSMOptions",
+        file_levels: bool = False,
     ) -> "LevelManager":
         """Reconstruct a manager (and every run) from a manifest payload."""
-        manager = cls(base_bytes, ratio)
+        manager = cls(base_bytes, ratio, file_levels)
         for level in desc:
             manager.levels.append(
                 [rebuild_component(stasis, entry, options) for entry in level]

@@ -7,9 +7,10 @@ Analyzing the LSM Compaction Design Space*; Luo & Carey's survey):
 
 * **data layout** — how many sorted runs a level may hold before it must
   merge (1 for leveling, ``fanout`` for tiering);
-* **granularity** — what one merge consumes (whole levels here, matching
-  bLSM's level scheduler; the file-granularity alternative lives in
-  :class:`repro.baselines.leveldb_engine.LevelDBEngine`);
+* **granularity** — what one merge consumes: whole levels (bLSM's level
+  scheduler, and ``leveled``/``tiered``/``lazy-leveled`` here) or one
+  file plus its overlaps in the next level (``leveldb``, the partition
+  scheduler the paper contrasts with its own, Section 3.2);
 * **trigger** — when a merge becomes due (size overflow for leveling,
   run-count overflow for tiering, L0 run count for both).
 
@@ -18,6 +19,9 @@ touches devices: it reads a :class:`~repro.core.compaction.manager.
 LevelManager` and yields :class:`MergePlan` work items; the tree turns
 plans into budget-stepped merge jobs.  Adding a policy is therefore one
 class with two small methods (see docs/compaction.md).
+
+:class:`LevelDBPolicy` is the paper's LevelDB baseline as one point in
+this space.
 """
 
 from __future__ import annotations
@@ -28,10 +32,12 @@ from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.compaction.manager import LevelManager
+    from repro.sstable.reader import SSTable
 
 __all__ = [
     "CompactionPolicy",
     "LazyLeveledPolicy",
+    "LevelDBPolicy",
     "LeveledPolicy",
     "MergePlan",
     "POLICY_NAMES",
@@ -42,7 +48,9 @@ __all__ = [
 #: Every policy ``make_policy`` knows how to build, in presentation
 #: order.  ``blsm3`` is the paper's own three-level layout and maps to
 #: :class:`repro.core.tree.BLSM` unchanged (see ``make_tree``).
-POLICY_NAMES: tuple[str, ...] = ("blsm3", "leveled", "tiered", "lazy-leveled")
+POLICY_NAMES: tuple[str, ...] = (
+    "blsm3", "leveled", "tiered", "lazy-leveled", "leveldb"
+)
 
 
 @dataclass(frozen=True)
@@ -56,12 +64,16 @@ class MergePlan:
     new run alongside the existing ones (the tiering move).  A plan with
     ``target_level == source_level`` consolidates the level in place —
     all its runs collapse into one (lazy leveling's bottom level).
+
+    A file-granularity plan names its ``inputs`` instead, newest first:
+    the files it moves and the target-level files they overlap.
     """
 
     source_level: int
     target_level: int
     include_target: bool
     label: str
+    inputs: tuple["SSTable", ...] = ()
 
     def __post_init__(self) -> None:
         if self.source_level < 0:
@@ -80,6 +92,13 @@ class CompactionPolicy(ABC):
 
     #: Registry name (one of :data:`POLICY_NAMES`).
     name: str = "abstract"
+
+    #: ``"file"``: levels below 0 are runs of key-disjoint files and a
+    #: plan names the files it moves (:attr:`MergePlan.inputs`).
+    granularity: str = "level"
+
+    #: Level-0 runs from which each flush sleeps first (or never).
+    slowdown_trigger: int | None = None
 
     def __init__(self, level0_trigger: int, fanout: int) -> None:
         if level0_trigger < 1:
@@ -105,6 +124,10 @@ class CompactionPolicy(ABC):
         consuming; plans touching them (as source or target) are
         withheld so two jobs never claim the same run.
         """
+
+    def plan_started(self, manager: "LevelManager", plan: MergePlan) -> None:
+        """A job for ``plan`` started (``plan_merges`` only answers what
+        is due: schedulers ask it too)."""
 
     # -- shared helpers -------------------------------------------------
 
@@ -260,6 +283,61 @@ class LazyLeveledPolicy(TieredPolicy):
         return [plan for plan in plans if self._free(plan, taken)]
 
 
+class LevelDBPolicy(LeveledPolicy):
+    """LevelDB circa 2012: leveling at file granularity (Section 3.2).
+
+    ``level0_trigger`` L0 flushes merge with the L1 files they overlap;
+    else the most over-budget level (L1 holds the base) moves one file,
+    round-robin, with its overlaps below.  One compaction runs at a
+    time.  Under uniform inserts each L0 file spans the keyspace, so L0
+    merges rewrite nearly all of L1 and L0 backs up into the slowdown
+    and stop triggers: partitioning alone cannot bound write latency.
+    """
+
+    name = "leveldb"
+    granularity = "file"
+    slowdown_trigger = 8
+
+    def __init__(self, level0_trigger: int, fanout: int) -> None:
+        super().__init__(level0_trigger, fanout)
+        self._next: dict[int, int] = {}  # level -> round-robin position
+
+    def plan_merges(
+        self, manager: "LevelManager", busy: Iterable[int] = ()
+    ) -> list[MergePlan]:
+        if frozenset(busy):  # LevelDB's one background compaction
+            return []
+        if manager.run_count(0) >= self.level0_trigger:
+            level, moved = 0, manager.runs(0)
+        else:  # L1's budget is the base: max_bytes counts from level 0
+            scores = {
+                level: manager.level_bytes(level) / manager.max_bytes(level - 1)
+                for level in range(1, manager.level_count)
+            }
+            level = max(scores, key=scores.__getitem__, default=0)
+            if not level or scores[level] <= 1.0:
+                return []
+            files = manager.runs(level)
+            moved = [files[self._next.get(level, 0) % len(files)]]
+        lo = min(table.min_key for table in moved)
+        hi = max(table.max_key for table in moved)
+        overlaps = [
+            table for table in manager.runs(level + 1)
+            if table.max_key >= lo and table.min_key <= hi
+        ]
+        return [
+            MergePlan(
+                level, level + 1, include_target=True,
+                label=f"leveldb:l{level}", inputs=(*moved, *overlaps),
+            )
+        ]
+
+    def plan_started(self, manager: "LevelManager", plan: MergePlan) -> None:
+        level = plan.source_level
+        if level > 0:
+            self._next[level] = manager.runs(level).index(plan.inputs[0]) + 1
+
+
 def make_policy(
     name: str, level0_trigger: int = 4, fanout: int = 4
 ) -> CompactionPolicy:
@@ -276,6 +354,8 @@ def make_policy(
         return TieredPolicy(level0_trigger, fanout)
     if name == "lazy-leveled":
         return LazyLeveledPolicy(level0_trigger, fanout)
+    if name == "leveldb":
+        return LevelDBPolicy(level0_trigger, fanout)
     raise ValueError(
         f"unknown compaction policy {name!r}; expected one of "
         f"{tuple(n for n in POLICY_NAMES if n != 'blsm3')}"

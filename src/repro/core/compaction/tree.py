@@ -18,8 +18,8 @@ Differences from the bLSM tree, all policy-neutral:
   instead of being consumed incrementally by snowshovel merges, so the
   logical log truncates to a simple seqno prefix at each flush.
 * Backpressure is level-0 run count, not C0 fill: once L0 accumulates
-  ``options.level0_stop_trigger`` runs the writer stalls and drives
-  merge work inline until L0 drains below the policy's trigger.
+  :attr:`CompactionTree.L0_STOP_TRIGGER` runs the writer stalls and
+  drives merge work inline until L0 drains below the policy's trigger.
 * At most two merge jobs run at a time — one with source level 0
   (driven by :meth:`step_m01`) and one deeper (driven by
   :meth:`step_m12`) — which is how the existing merge schedulers'
@@ -28,31 +28,38 @@ Differences from the bLSM tree, all policy-neutral:
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 from repro.core.compaction.manager import LevelManager
-from repro.core.compaction.merge import PolicyMergeJob
 from repro.core.compaction.policy import CompactionPolicy, MergePlan, make_policy
 from repro.core.kernel import TreeKernel
+from repro.core.merge import MergeProcess
 from repro.core.options import BLSMOptions
 from repro.core.progress import outprogress
 from repro.core.versions import TreeSnapshot
-from repro.records import Record, resolve
+from repro.records import Record, RecordKind
 from repro.sstable.reader import SSTable
-from repro.storage.stasis import Stasis
 
 __all__ = ["CompactionTree"]
+
+
+class _Job(NamedTuple):
+    """A running plan: what it consumes and the merge executing it."""
+
+    plan: MergePlan
+    inputs: list[SSTable]
+    merge: MergeProcess
 
 
 class CompactionTree(TreeKernel):
     """A policy-parameterized LSM tree over the generalized level manager."""
 
-    def __init__(
-        self,
-        options: BLSMOptions | None = None,
-        stasis: Stasis | None = None,
-    ) -> None:
-        super().__init__(options, stasis)
+    L0_STOP_TRIGGER = 12
+    """Level-0 runs at which a flushing writer stalls (LevelDB's stop
+    trigger, the same for every policy)."""
+
+    L0_SLOWDOWN_SECONDS = 1e-3
+    """What a flush sleeps from the policy's slowdown trigger on."""
 
     @staticmethod
     def _default_options() -> BLSMOptions:
@@ -65,9 +72,12 @@ class CompactionTree(TreeKernel):
             level0_trigger=opts.level0_trigger,
             fanout=opts.tier_fanout,
         )
-        self._manager = LevelManager(self._base_bytes(opts), opts.level_ratio)
-        self._job0: PolicyMergeJob | None = None
-        self._jobn: PolicyMergeJob | None = None
+        self._manager = LevelManager(
+            self._base_bytes(opts),
+            opts.level_ratio,
+            file_levels=self._policy.granularity == "file",
+        )
+        self._jobs: dict[str, _Job] = {}  # by gear: "c0c1", "c1c2"
         self._attach_scheduler()
 
     @staticmethod
@@ -85,17 +95,24 @@ class CompactionTree(TreeKernel):
         """Point lookup: probe runs newest-to-oldest, stop at a base.
 
         Recency is a total order over the structure (data only flows
-        downward), so the memtable followed by
-        :meth:`LevelManager.iter_tables` *is* the correct probe order
-        for every policy; Bloom filters skip most absent probes.
+        downward), so C0 followed by :meth:`LevelManager.sources` *is*
+        the probe order for every policy; Bloom filters skip most absent
+        probes.
         """
         self._check_open()
-        versions: list[Record] = []
-        if self._collect(self._memtable.get(key), versions):
-            return resolve(versions)
-        for table in self._manager.iter_tables():
-            if self._collect(table.get(key), versions):
-                break
+        record = self._memtable.get(key)
+        if record is None:
+            versions: list[Record] = []
+        elif record.kind is RecordKind.DELTA:
+            versions = [record]
+        else:
+            return record.value if record.kind is RecordKind.BASE else None
+        for source in self._manager.sources():
+            record = source.get(key)
+            if record is not None:
+                versions.append(record)
+                if record.kind is not RecordKind.DELTA:
+                    break
         return self._resolve_read(key, versions)
 
     def snapshot(self) -> TreeSnapshot:
@@ -111,7 +128,7 @@ class CompactionTree(TreeKernel):
             self.versions,
             self._memtable,
             [],
-            list(self._manager.iter_tables()),
+            self._manager.sources(),
             engine=self._policy.name,
         )
 
@@ -135,19 +152,9 @@ class CompactionTree(TreeKernel):
             return
         bottom = self._manager.deepest_nonempty()
         assert bottom is not None
-        plan = MergePlan(
-            bottom, bottom, include_target=True, label="compact"
-        )
-        job = PolicyMergeJob(
-            self.stasis,
-            plan,
-            tables,
-            self._take_tree_id(),
-            drop_tombstones=True,
-            options=self.options,
-        )
-        while not job.done:
-            job.step(1 << 30)
+        plan = MergePlan(bottom, bottom, include_target=True, label="compact")
+        job = _Job(plan, tables, self._new_merge(tables, drop=True))
+        job.merge.run_to_completion()
         self._install_job(job, gear="c1c2")
 
     # ------------------------------------------------------------------
@@ -160,11 +167,20 @@ class CompactionTree(TreeKernel):
         return self._memtable.fill_fraction
 
     @property
+    def merging(self) -> bool:
+        """Whether a merge job is running in either gear."""
+        return bool(self._jobs)
+
+    def _inprogress(self, gear: str) -> float:
+        job = self._jobs.get(gear)
+        if job is not None:
+            return job.merge.inprogress
+        return 0.0 if self._next_plan(gear) is not None else 1.0
+
+    @property
     def m01_inprogress(self) -> float:
         """Progress of the level-0 merge job (1.0 when none is due)."""
-        if self._job0 is not None:
-            return self._job0.inprogress
-        return 0.0 if self._next_plan(shallow=True) is not None else 1.0
+        return self._inprogress("c0c1")
 
     @property
     def m01_outprogress(self) -> float:
@@ -179,15 +195,13 @@ class CompactionTree(TreeKernel):
     @property
     def m12_inprogress(self) -> float:
         """Progress of the deep merge job (1.0 when none is due)."""
-        if self._jobn is not None:
-            return self._jobn.inprogress
-        return 0.0 if self._next_plan(shallow=False) is not None else 1.0
+        return self._inprogress("c1c2")
 
     @property
     def m01_input_bytes(self) -> int:
         """Input size of the active (or next) level-0 merge."""
-        if self._job0 is not None:
-            return self._job0.input_bytes
+        if "c0c1" in self._jobs:
+            return self._jobs["c0c1"].merge.input_bytes
         return max(
             1, self._manager.level_bytes(0) + self._manager.level_bytes(1)
         )
@@ -195,8 +209,8 @@ class CompactionTree(TreeKernel):
     @property
     def m12_input_bytes(self) -> int:
         """Input size of the active (or next) deep merge."""
-        if self._jobn is not None:
-            return self._jobn.input_bytes
+        if "c1c2" in self._jobs:
+            return self._jobs["c1c2"].merge.input_bytes
         deep = self._manager.total_bytes() - self._manager.level_bytes(0)
         return max(1, deep)
 
@@ -231,83 +245,87 @@ class CompactionTree(TreeKernel):
             and self._memtable.fill_fraction > target_fill
         ):
             self._flush_memtable()
-        chunk = max(1, chunk)
-        while self._manager.run_count(0) >= self._policy.max_runs(0):
-            if self.step_m01(chunk) == 0 and self.step_m12(chunk) == 0:
-                break
+        self._drain_level0(max(1, chunk))
 
     # ------------------------------------------------------------------
     # Merge machinery
     # ------------------------------------------------------------------
 
-    def _busy_levels(self) -> set[int]:
-        busy: set[int] = set()
-        for job in (self._job0, self._jobn):
-            if job is not None:
-                busy.add(job.plan.source_level)
-                busy.add(job.plan.target_level)
-        return busy
-
-    def _next_plan(self, shallow: bool) -> MergePlan | None:
+    def _next_plan(self, gear: str) -> MergePlan | None:
         """The most urgent due plan for one gear (L0-sourced or deeper)."""
-        for plan in self._policy.plan_merges(self._manager, self._busy_levels()):
-            if (plan.source_level == 0) == shallow:
+        busy = {
+            level
+            for job in self._jobs.values()
+            for level in (job.plan.source_level, job.plan.target_level)
+        }
+        for plan in self._policy.plan_merges(self._manager, busy):
+            if (plan.source_level == 0) == (gear == "c0c1"):
                 return plan
         return None
 
-    def _start_job(self, plan: MergePlan) -> PolicyMergeJob:
-        inputs = list(self._manager.runs(plan.source_level))
-        if plan.include_target and plan.target_level != plan.source_level:
-            inputs.extend(self._manager.runs(plan.target_level))
-        job = PolicyMergeJob(
+    def _new_merge(self, inputs: list[SSTable], drop: bool) -> MergeProcess:
+        """A merge of ``inputs`` (newest first) into the plan's output."""
+        opts = self.options
+        nbytes = sum(table.nbytes for table in inputs)
+        keys = sum(table.key_count for table in inputs)
+        split = None
+        if self._policy.granularity == "file":
+            # Files of a quarter of the level base (LevelDB: 2 MB under a
+            # 10 MB L1), each sized for records of the inputs' mean size.
+            split = max(1, self._manager.base_bytes // 4)
+            keys = max(1, keys * split // max(1, nbytes))
+        return MergeProcess(
             self.stasis,
-            plan,
-            inputs,
+            inputs[:-1],
+            inputs[-1],
             self._take_tree_id(),
-            drop_tombstones=self._policy.drop_tombstones(self._manager, plan),
-            options=self.options,
+            input_bytes=nbytes,
+            expected_keys=keys,
+            drop_tombstones=drop,
+            with_bloom=opts.with_bloom_filters,
+            bloom_false_positive_rate=opts.bloom_false_positive_rate,
+            split_output_bytes=split,
+            tree_id_source=self._take_tree_id if split is not None else None,
+            compression_ratio=opts.compression_ratio,
         )
-        gear = "c0c1" if plan.source_level == 0 else "c1c2"
-        self._merge_started(gear, job, plan=plan.label)
-        return job
 
     def _step_gear(self, gear: str, budget_bytes: int) -> int:
         if budget_bytes <= 0:
             return 0
-        shallow = gear == "c0c1"
-        job = self._job0 if shallow else self._jobn
+        job = self._jobs.get(gear)
         if job is None:
-            plan = self._next_plan(shallow)
+            plan = self._next_plan(gear)
             if plan is None:
                 return 0
-            job = self._start_job(plan)
-            if shallow:
-                self._job0 = job
-            else:
-                self._jobn = job
+            inputs = list(plan.inputs)
+            source, target = plan.source_level, plan.target_level
+            if not inputs:  # level granularity: every run of the levels
+                inputs = list(self._manager.runs(source))
+                if plan.include_target and target != source:
+                    inputs.extend(self._manager.runs(target))
+            self._policy.plan_started(self._manager, plan)
+            drop = self._policy.drop_tombstones(self._manager, plan)
+            job = _Job(plan, inputs, self._new_merge(inputs, drop))
+            self._jobs[gear] = job
+            self._merge_started(gear, job.merge, plan=plan.label)
         return self._step_merge(
-            gear, job, budget_bytes, None, lambda: self._finish_job(job, gear)
+            gear, job.merge, budget_bytes, None,
+            lambda: self._install_job(self._jobs.pop(gear), gear),
         )
 
-    def _finish_job(self, job: PolicyMergeJob, gear: str) -> None:
-        if job is self._job0:
-            self._job0 = None
-        else:
-            self._jobn = None
-        self._install_job(job, gear)
-
-    def _install_job(self, job: PolicyMergeJob, gear: str) -> None:
-        """Swap a finished job's inputs for its output, durably.
+    def _install_job(self, job: _Job, gear: str) -> None:
+        """Swap a finished job's inputs for its outputs, durably.
 
         Ordering mirrors the bLSM tree: install in memory, commit the
         manifest (the durability point), then retire the inputs — their
         extents are freed once no snapshot pins them.
         """
-        self._manager.install(job.inputs, job.plan.target_level, job.output)
+        outputs = job.merge.outputs
+        self._manager.install(job.inputs, job.plan.target_level, outputs)
         self._merge_finished(
             gear,
-            job,
-            job.output.nbytes if job.output is not None else 0,
+            job.merge,
+            sum(table.nbytes for table in outputs),
             plan=job.plan.label,
         )
         self.stasis.commit_manifest(self._manifest())
@@ -326,20 +344,27 @@ class CompactionTree(TreeKernel):
         self.scheduler.on_write(nbytes)
 
     def _stall_for_level0(self) -> None:
-        """Hard backpressure: too many L0 runs blocks the writer.
+        """Level-0 backpressure on a flushing writer.
 
-        The writer drives merge work inline (charged to its own clock —
-        the latency spike the paper's schedulers exist to avoid) until
-        L0 drops below the policy's trigger.
+        At :attr:`L0_STOP_TRIGGER` runs the writer drives merge work
+        inline (charged to its own clock — the latency spike the paper's
+        schedulers exist to avoid) until L0 drops below the policy's
+        trigger.  From the policy's slowdown trigger on, the flush
+        sleeps :attr:`L0_SLOWDOWN_SECONDS` first.
         """
-        if self._manager.run_count(0) < self.options.level0_stop_trigger:
-            return
-        with self._stall(
-            "level0_backpressure", "level0_full", runs=self._manager.run_count(0)
-        ):
-            while self._manager.run_count(0) >= self._policy.max_runs(0):
-                if self.step_m01(1 << 30) == 0 and self.step_m12(1 << 30) == 0:
-                    break
+        runs = self._manager.run_count(0)
+        if runs >= self.L0_STOP_TRIGGER:
+            with self._stall("level0_backpressure", "level0_full", runs=runs):
+                self._drain_level0(1 << 30)
+        elif runs >= (self._policy.slowdown_trigger or self.L0_STOP_TRIGGER):
+            with self._stall("level0_slowdown", "level0_slowdown", runs=runs):
+                self.stasis.clock.advance(self.L0_SLOWDOWN_SECONDS)
+
+    def _drain_level0(self, chunk: int) -> None:
+        """Merge until level 0 is below the policy's trigger (or stuck)."""
+        while self._manager.run_count(0) >= self._policy.max_runs(0):
+            if self.step_m01(chunk) == 0 and self.step_m12(chunk) == 0:
+                break
 
     def _flush_memtable(self) -> None:
         """Flush the whole memtable as level 0's newest run.
@@ -415,12 +440,14 @@ class CompactionTree(TreeKernel):
         }
 
     def _restore_layout(self, manifest: dict[str, Any]) -> None:
+        empty = self._manager
         self._manager = LevelManager.rebuild(
             self.stasis,
             manifest["levels"],
-            self._base_bytes(self.options),
-            self.options.level_ratio,
+            empty.base_bytes,
+            empty.ratio,
             self.options,
+            empty.file_levels,
         )
 
     def _live_tables(self) -> Iterable[SSTable]:

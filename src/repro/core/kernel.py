@@ -53,7 +53,7 @@ from repro.sstable.reader import SSTable
 from repro.storage.group_commit import CommitTicket
 from repro.storage.stasis import Stasis
 
-__all__ = ["TreeKernel", "free_orphan_extents", "replay_log"]
+__all__ = ["TreeKernel", "replay_log"]
 
 OP_PUT = "put"
 OP_DELETE = "delete"
@@ -77,25 +77,13 @@ def replay_log(stasis: Stasis, memtable: MemTable, next_seqno: int) -> int:
     return next_seqno
 
 
-def free_orphan_extents(stasis: Stasis, live_tables: Iterable[SSTable]) -> None:
-    """Free extents a torn merge allocated but never committed."""
-    live = set()
-    for table in live_tables:
-        live.update(component_extents(describe_component(table)))
-    for extent in stasis.regions.allocated_extents:
-        if extent not in live:
-            for page_id in range(extent.start, extent.end):
-                stasis.pagefile.free_page(page_id)
-            stasis.regions.free(extent)
-
-
 class TreeKernel:
     """Log, C0, write path, snapshots, merge stepping and recovery."""
 
     def __init__(
         self,
-        options: BLSMOptions | None,
-        stasis: Stasis | None,
+        options: BLSMOptions | None = None,
+        stasis: Stasis | None = None,
         **layout: Any,
     ) -> None:
         self._boot(options, stasis, **layout)
@@ -558,7 +546,16 @@ class TreeKernel:
         manifest = stasis.recover_manifest()
         tree._next_tree_id = manifest["next_tree_id"]
         tree._restore_layout(manifest)
-        free_orphan_extents(stasis, tree._live_tables())
+        live = {  # free what a torn merge allocated but never committed
+            extent
+            for table in tree._live_tables()
+            for extent in component_extents(describe_component(table))
+        }
+        for extent in stasis.regions.allocated_extents:
+            if extent not in live:
+                for page_id in range(extent.start, extent.end):
+                    stasis.pagefile.free_page(page_id)
+                stasis.regions.free(extent)
         tree._next_seqno = replay_log(
             stasis, tree._memtable, manifest["next_seqno"]
         )
@@ -581,14 +578,6 @@ class TreeKernel:
         tree_id = self._next_tree_id
         self._next_tree_id += 1
         return tree_id
-
-    @staticmethod
-    def _collect(record: Record | None, versions: list[Record]) -> bool:
-        """Append a found version; return True to terminate the walk."""
-        if record is None:
-            return False
-        versions.append(record)
-        return not record.is_delta
 
     def _maybe_persist_bloom(self, component: SSTable | None) -> None:
         if component is not None and self.options.persist_bloom_filters:

@@ -25,11 +25,14 @@ A merge is one sequential pass over its inputs (Section 4.4.1), and
 version in the other input is copied to the builder with one key
 compare each, and only a key present in both inputs is folded
 (``merge_records``).
+
+It is the only merge: a policy tree's plan of ``k`` on-disk inputs
+passes the newest ``k - 1`` as ``newer`` (one :class:`MergedSource`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Protocol
+from typing import Callable, Protocol, Sequence
 
 from repro.core.versions import SortedRun
 from repro.memtable.snowshovel import SnowshovelCursor as SnowshovelSource
@@ -40,7 +43,7 @@ from repro.sstable.reader import SSTable
 from repro.storage.stasis import WAIT, Stasis, StepGate
 
 _TOMBSTONE = RecordKind.TOMBSTONE
-_UNREAD = object()  # a FrozenSource head not fetched yet
+_UNREAD = object()  # a head not fetched yet
 
 
 class RecordSource(Protocol):
@@ -132,13 +135,46 @@ class StreamSource:
         return True
 
 
+class MergedSource:
+    """On-disk inputs, newest first, as one source: the smallest head key
+    with every version of it folded (no tombstone drop); ``taken`` is the
+    bytes the last ``pop`` consumed.  ``peek`` reads every head before it
+    changes anything, so a deferred read leaves no partial state."""
+
+    def __init__(self, children: list[StreamSource]) -> None:
+        self._children = children
+        self._head: Record | None | object = _UNREAD
+        self._holders: list[StreamSource] = []
+        self.taken = 0
+
+    def peek(self) -> Record | None:
+        if self._head is _UNREAD:
+            heads = [(child, child.peek()) for child in self._children]
+            live = [(child, head) for child, head in heads if head is not None]
+            key = min((head.key for _, head in live), default=None)
+            group = [head for _, head in live if head.key == key]
+            self._holders = [child for child, head in live if head.key == key]
+            self.taken = sum(record.nbytes for record in group)
+            self._head = merge_records(group) if group else None
+        return self._head  # type: ignore[return-value]
+
+    def pop(self) -> Record:
+        record = self.peek()
+        if record is None:
+            raise StopIteration("source exhausted")
+        for child in self._holders:
+            child.pop()
+        self._head = _UNREAD
+        return record
+
+
 class MergeProcess:
     """One merge between adjacent tree levels, executed incrementally."""
 
     def __init__(
         self,
         stasis: Stasis,
-        newer: RecordSource | SSTable,
+        newer: RecordSource | SSTable | Sequence[SSTable],
         older: SSTable | None,
         tree_id: int,
         input_bytes: int,
@@ -160,7 +196,10 @@ class MergeProcess:
         self._readahead_pages = 0
         if isinstance(newer, SSTable):
             newer = self._open_stream(newer)
+        elif isinstance(newer, (list, tuple)):
+            newer = self._open_streams(newer)
         self._newer: RecordSource = newer
+        self._merged = newer if isinstance(newer, MergedSource) else None
         self._older: RecordSource = (
             self._open_stream(older) if older is not None else EmptySource()
         )
@@ -277,11 +316,12 @@ class MergeProcess:
                 from_newer = source is newer
                 while True:
                     record = source.pop()
-                    consumed += record.nbytes
                     if from_newer:
-                        self._took_newer(record)
-                    elif track:  # keep the snowshovel cursor at the output
-                        newer.advance_past(record.key)  # type: ignore
+                        consumed += self._took_newer(record)
+                    else:
+                        consumed += record.nbytes
+                        if track:  # keep the snowshovel cursor at the output
+                            newer.advance_past(record.key)  # type: ignore
                     if not (drop and record.kind is _TOMBSTONE):
                         self._emit(record)
                     if consumed >= budget_bytes:
@@ -318,7 +358,7 @@ class MergeProcess:
     def _emit_next(self) -> int:
         """Fold the key both inputs hold next; return input bytes consumed."""
         newer = self._newer.pop()
-        self._took_newer(newer)
+        consumed = self._took_newer(newer)
         older = self._older.pop()
         if self._track_overlay:
             # The snowshovel cursor must not fall behind the merge's
@@ -329,10 +369,13 @@ class MergeProcess:
         )
         if merged is not None:
             self._emit(merged)
-        return newer.nbytes + older.nbytes
+        return consumed + older.nbytes
 
-    def _took_newer(self, record: Record) -> None:
-        self.newer_bytes_read += record.nbytes
+    def _took_newer(self, record: Record) -> int:
+        """Book a record taken from the newer input; return its bytes
+        (a MergedSource's: every version it folded)."""
+        nbytes = record.nbytes if self._merged is None else self._merged.taken
+        self.newer_bytes_read += nbytes
         seqno = record.seqno
         if self.min_seqno_consumed is None or seqno < self.min_seqno_consumed:
             self.min_seqno_consumed = seqno
@@ -340,6 +383,7 @@ class MergeProcess:
             self.max_seqno_consumed = seqno
         if self._track_overlay:
             self.overlay.append(record)
+        return nbytes
 
     def _emit(self, record: Record) -> None:
         self._builder.add(record)
@@ -352,6 +396,13 @@ class MergeProcess:
     def _open_stream(self, table: SSTable) -> StreamSource:
         self._readahead_pages += min(self._stasis.streaming_pages, table.npages)
         return StreamSource(table, self._gate)
+
+    def _open_streams(self, tables: Sequence[SSTable]) -> RecordSource:
+        if not tables:
+            return EmptySource()
+        if len(tables) == 1:
+            return self._open_stream(tables[0])
+        return MergedSource([self._open_stream(table) for table in tables])
 
     def _new_builder(self, tree_id: int, expected_bytes: int) -> SSTableBuilder:
         return SSTableBuilder(
@@ -375,10 +426,6 @@ class MergeProcess:
         self._builder = self._new_builder(
             self._tree_id_source(), self._split_output_bytes
         )
-
-    def overlay_get(self, key: bytes) -> Record | None:
-        """Look up a consumed-but-uncommitted record (reads mid-merge)."""
-        return self.overlay.get(key)
 
     def _complete(self) -> None:
         table = self._builder.finish()

@@ -88,7 +88,9 @@ class BLSMOptions:
     (~1.25 bytes/key) for a far cheaper recovery."""
 
     scheduler: str = "spring_gear"
-    """Merge scheduler: ``naive``, ``gear`` or ``spring_gear``."""
+    """Merge scheduler: ``naive``, ``gear``, ``spring_gear`` or
+    ``leveldb`` (a fixed share of each write, for a policy tree: it
+    never drains C0, so the paper's tree cannot run under it)."""
 
     extra_components: bool = False
     """The Section 3.2 workaround instead of stalling: when C0 is full
@@ -142,7 +144,8 @@ class BLSMOptions:
     compaction_policy: str = "blsm3"
     """On-disk layout policy (the design-space axis): ``blsm3`` is the
     paper's three-level tree, served by :class:`~repro.core.tree.BLSM`
-    unchanged; ``leveled``, ``tiered`` and ``lazy-leveled`` build a
+    unchanged; ``leveled``, ``tiered``, ``lazy-leveled`` and ``leveldb``
+    (file granularity) build a
     :class:`~repro.core.compaction.tree.CompactionTree` over the
     generalized :class:`~repro.core.compaction.manager.LevelManager`."""
 
@@ -157,11 +160,8 @@ class BLSMOptions:
     ``level0_trigger * c0_bytes`` — one L0's worth of memtable flushes."""
 
     level0_trigger: int = 4
-    """Level-0 run count that makes the L0 merge due (policy trees)."""
-
-    level0_stop_trigger: int = 12
-    """Level-0 run count at which the writer hard-stalls and drains
-    merges inline (LevelDB's stop trigger; policy trees only)."""
+    """Level-0 run count that makes the L0 merge due (policy trees; the
+    writer stalls at ``CompactionTree.L0_STOP_TRIGGER`` runs)."""
 
     tier_fanout: int = 4
     """Runs a tiered (or lazy-leveled upper) level stacks before its
@@ -179,8 +179,10 @@ class BLSMOptions:
             raise ValueError(
                 f"require 1 <= min_r <= max_r, got {self.min_r}, {self.max_r}"
             )
-        if self.scheduler not in ("naive", "gear", "spring_gear"):
+        if self.scheduler not in ("naive", "gear", "spring_gear", "leveldb"):
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
+        if self.scheduler == "leveldb" and self.compaction_policy == "blsm3":
+            raise ValueError("the leveldb scheduler never drains blsm3's C0")
         if not 0.0 < self.compression_ratio <= 1.0:
             raise ValueError(
                 f"compression_ratio must be in (0, 1], got {self.compression_ratio}"
@@ -211,11 +213,6 @@ class BLSMOptions:
         if self.level0_trigger < 1:
             raise ValueError(
                 f"level0_trigger must be >= 1, got {self.level0_trigger}"
-            )
-        if self.level0_stop_trigger < self.level0_trigger:
-            raise ValueError(
-                "level0_stop_trigger must be >= level0_trigger, got "
-                f"{self.level0_stop_trigger} < {self.level0_trigger}"
             )
         if self.tier_fanout < 2:
             raise ValueError(

@@ -42,7 +42,7 @@ from repro.core.merge import MergeProcess, SnowshovelSource
 from repro.core.options import BLSMOptions
 from repro.core.scheduler import HEADROOM
 from repro.core.versions import TreeSnapshot
-from repro.records import Record, resolve
+from repro.records import Record, RecordKind
 from repro.sstable.reader import SSTable
 from repro.storage.stasis import Stasis
 
@@ -110,19 +110,23 @@ class PartitionedBLSM(TreeKernel):
 
     def get(self, key: bytes) -> bytes | None:
         self._check_open()
-        versions: list[Record] = []
-        if self._collect(self._memtable.get(key), versions):
-            return resolve(versions)
+        record = self._memtable.get(key)
+        if record is None:
+            versions: list[Record] = []
+        elif record.kind is RecordKind.DELTA:
+            versions = [record]
+        else:
+            return record.value if record.kind is RecordKind.BASE else None
         partition = self._partition_for(key)
-        if partition.m01 is not None and self._collect(
-            partition.m01.overlay_get(key), versions
-        ):
-            return resolve(versions)
-        for component in (partition.c1, partition.c2):
-            if component is None:
+        overlay = partition.m01.overlay if partition.m01 is not None else None
+        for source in (overlay, partition.c1, partition.c2):
+            if source is None:
                 continue
-            if self._collect(component.get(key), versions):
-                break
+            record = source.get(key)
+            if record is not None:
+                versions.append(record)
+                if record.kind is not RecordKind.DELTA:
+                    break
         return self._resolve_read(key, versions)
 
     def snapshot(self) -> TreeSnapshot:

@@ -20,6 +20,8 @@ here against the same tree interface:
   as C0 fills (Section 4.3).  This composes with snowshoveling, which the
   plain gear scheduler cannot (Section 4.2.2).
 
+:class:`LevelDBScheduler` paces the LevelDB baseline: no level scheduler.
+
 Schedulers run on the write path: ``on_write`` is invoked after each
 application write and performs merge work (advancing the shared virtual
 clock) plus any deliberate stall.  The latency a write observes is exactly
@@ -232,15 +234,46 @@ class SpringGearScheduler(MergeScheduler):
             )
 
 
+class LevelDBScheduler(MergeScheduler):
+    """LevelDB's pacing: compaction gets a fixed share of the device.
+
+    No water marks: each write hands compaction ``SHARE`` times its
+    bytes, driving the compaction in progress (or starting one) a step
+    at a time until the share is spent or that compaction completes.
+    The only backpressure is the tree's level-0 slowdown and stop
+    triggers.  (A spring would owe ``2 (1 + ratio) x depth`` bytes per
+    written byte: LevelDB would never stop, and Figure 7 would lose its
+    long pauses.)
+    """
+
+    SHARE = 4.0
+
+    def on_write(self, nbytes: int) -> None:
+        tree = self.tree
+        budget = int(self.SHARE * nbytes)
+        while budget > 0:
+            driving = tree.merging
+            worked = tree.step_m01(budget)
+            if driving and not tree.merging:
+                return  # the compaction this write drove completed
+            worked = worked or tree.step_m12(budget)
+            if worked == 0 or (driving and not tree.merging):
+                return
+            budget -= worked
+
+
 def make_scheduler(
     name: str,
     low_water: float = 0.35,
     high_water: float = 0.90,
     max_tick_bytes: int = 512 * 1024,
 ) -> MergeScheduler:
-    """Build a scheduler by name: ``naive``, ``gear`` or ``spring_gear``."""
+    """Build a scheduler by name: ``naive``, ``gear``, ``spring_gear``
+    or ``leveldb``."""
     if name == "naive":
         return NaiveScheduler()
+    if name == "leveldb":
+        return LevelDBScheduler()
     if name == "gear":
         return GearScheduler(max_tick_bytes=max_tick_bytes)
     if name == "spring_gear":

@@ -39,18 +39,10 @@ from repro.core.versions import RamSource, TreeSnapshot
 from repro.memtable.memtable import MemTable
 from repro.records import Record, RecordKind
 from repro.sstable.reader import SSTable
-from repro.storage.stasis import Stasis
 
 
 class BLSM(TreeKernel):
     """A three-level log structured merge tree with Bloom filters."""
-
-    def __init__(
-        self,
-        options: BLSMOptions | None = None,
-        stasis: Stasis | None = None,
-    ) -> None:
-        super().__init__(options, stasis)
 
     def _init_layout(self) -> None:
         self._frozen: MemTable | None = None  # C0' (non-snowshovel mode)

@@ -179,7 +179,9 @@ class RamSource(Protocol):
     def scan(self, lo: bytes, hi: bytes | None) -> Iterator[Record]: ...
 
 
-KeyRange = tuple[bytes, "bytes | None", Sequence[RamSource], Sequence["SSTable"]]
+KeyRange = tuple[
+    bytes, "bytes | None", Sequence[RamSource], Sequence["SSTable | FileRun"]
+]
 """``(lo, hi, older_ram, tables)``: one key range ``[lo, hi)`` of a
 snapshot and the sources behind C0 that serve it, newest first."""
 
@@ -254,6 +256,32 @@ class RunPrefix:
         return self._run.scan(lo, hi, self._end)
 
 
+class FileRun:
+    """Key-disjoint on-disk components in key order, read as one run: a
+    point read probes the one file that can hold the key, a scan opens
+    files from the one holding its start (a LevelDB level)."""
+
+    __slots__ = ("files", "_max_keys")
+
+    def __init__(self, files: Sequence["SSTable"]) -> None:
+        self.files = tuple(files)
+        self._max_keys = [table.max_key for table in self.files]
+
+    def get(self, key: bytes) -> Record | None:
+        index = bisect_left(self._max_keys, key)
+        if index == len(self.files):
+            return None
+        return self.files[index].get(key)
+
+    def scan(
+        self, lo: bytes, hi: bytes | None = None, limit: int | None = None
+    ) -> Iterator[Record]:
+        for table in islice(self.files, bisect_left(self._max_keys, lo), None):
+            if hi is not None and table.min_key >= hi:
+                return
+            yield from table.scan(lo, hi, limit=limit)
+
+
 class TreeSnapshot:
     """An immutable, consistent read view over one tree.
 
@@ -266,8 +294,9 @@ class TreeSnapshot:
     the first starting at ``b""`` and the last with ``hi=None``, all
     behind the one shared C0.  The constructor registers with the
     memtable (copy-on-write, see :meth:`materialize`) and pins every
-    table in ``versions``; :meth:`close` (or context-manager exit)
-    undoes both, triggering any frees a merge deferred.
+    table in ``versions`` (a :class:`FileRun`'s files); :meth:`close`
+    (or context-manager exit) undoes both, triggering any frees a merge
+    deferred.
     """
 
     def __init__(
@@ -275,7 +304,7 @@ class TreeSnapshot:
         versions: VersionSet,
         memtable: "MemTable",
         older_ram: Sequence[RamSource],
-        tables: Sequence["SSTable"],
+        tables: Sequence["SSTable | FileRun"],
         engine: str = "tree",
         ranges: "Sequence[KeyRange] | None" = None,
     ) -> None:
@@ -285,13 +314,14 @@ class TreeSnapshot:
         self._memtable: "MemTable | None" = memtable
         self._c0: RamSource = memtable
         if ranges is None:
-            self._tables = list(tables)
-            self._ranges: list[KeyRange] = [(b"", None, older_ram, self._tables)]
-        else:
-            self._ranges = list(ranges)
-            self._tables = [
-                table for _lo, _hi, _ram, on_disk in ranges for table in on_disk
-            ]
+            ranges = [(b"", None, older_ram, list(tables))]
+        self._ranges: list[KeyRange] = list(ranges)
+        self._tables = [
+            table
+            for _lo, _hi, _ram, on_disk in self._ranges
+            for source in on_disk
+            for table in (source.files if type(source) is FileRun else (source,))
+        ]
         self._released = False
         memtable.attach_view(self)
         versions.view_opened()

@@ -29,7 +29,6 @@ from repro.baselines import (
     BTreeEngine,
     CompactionEngine,
     KVEngine,
-    LevelDBEngine,
     PartitionedBLSMEngine,
 )
 from repro.core.compaction import CompactionTree
@@ -47,6 +46,7 @@ __all__ = [
     "ENGINE_NAMES",
     "EngineConfig",
     "EngineSpec",
+    "LEVELDB_OPTIONS",
     "blsm_options",
     "build_crash_tree",
     "build_engine",
@@ -152,14 +152,29 @@ def _build_policy(config: EngineConfig, policy: str) -> KVEngine:
     )
 
 
+#: The options that make a policy tree the paper's LevelDB baseline (as
+#: of 2012): file-granularity leveling, ten-fold levels, no Bloom filters
+#: and a fixed share of each write for compaction.  Sizes are the caller's.
+LEVELDB_OPTIONS: dict[str, Any] = {
+    "compaction_policy": "leveldb",
+    "scheduler": "leveldb",
+    "with_bloom_filters": False,
+    "level_ratio": 10.0,
+}
+
+
 def _build_leveldb(config: EngineConfig) -> KVEngine:
-    return LevelDBEngine(
-        disk_model=config.disk,
-        memtable_bytes=max(4096, config.c0_bytes // 8),
-        file_bytes=max(16 * 1024, config.c0_bytes // 2),
-        level_base_bytes=2 * config.c0_bytes,
-        buffer_pool_pages=config.cache_pages,
+    # LevelDB's small write buffer (Section 5.1) over an L1 of 2 x C0.
+    engine = CompactionEngine(
+        replace(
+            blsm_options(config),
+            c0_bytes=max(4096, config.c0_bytes // 8),
+            level_base_bytes=2 * config.c0_bytes,
+            **LEVELDB_OPTIONS,
+        )
     )
+    engine.name = "LevelDB"
+    return engine
 
 
 @dataclass(frozen=True)
@@ -189,7 +204,7 @@ _REGISTRY: dict[str, EngineSpec] = {
             supports_placement=True, supports_shards=True,
         ),
         EngineSpec("btree", _build_btree),
-        EngineSpec("leveldb", _build_leveldb),
+        EngineSpec("leveldb", _build_leveldb, supports_faults=True),
         EngineSpec("bitcask", _build_bitcask),
         # The compaction design-space lab: one engine per policy, all
         # the same CompactionEngine over make_tree (docs/compaction.md).
@@ -279,6 +294,7 @@ _CRASH_TREES: dict[str, tuple[Any, dict[str, Any], dict[str, Any]]] = {
     "leveled": (CompactionTree, {"compaction_policy": "leveled"}, {}),
     "tiered": (CompactionTree, {"compaction_policy": "tiered"}, {}),
     "lazy-leveled": (CompactionTree, {"compaction_policy": "lazy-leveled"}, {}),
+    "leveldb": (CompactionTree, LEVELDB_OPTIONS, {}),
 }
 
 CRASH_ENGINE_NAMES: tuple[str, ...] = tuple(_CRASH_TREES)

@@ -1,11 +1,11 @@
 """K-way merging of sorted record sources.
 
-Used by tree merges (collapsing versions into one record per key) and by
-scans (resolving versions into current values).  Sources are ordered by
-freshness — source 0 is the newest component — which is what makes early
-termination and deterministic version ordering possible (Section 3.1.1:
-"updates to the same tuple are placed in tree levels consistent with their
-ordering").
+Used by scans (resolving versions into current values); merges fold
+with :func:`merge_records` (:mod:`repro.core.merge`).  Sources are
+ordered by freshness — source 0 is the newest component — which is what
+makes early termination and deterministic version ordering possible
+(Section 3.1.1: "updates to the same tuple are placed in tree levels
+consistent with their ordering").
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import heapq
 from typing import Iterator
 
 from repro.records import Record, fold
-from repro.storage.stasis import WAIT
 
 
 def kway_merge(
@@ -28,18 +27,12 @@ def kway_merge(
 
     Yields:
         For each distinct key (in key order), the list of versions found,
-        newest first.  A gated source (``SSTable.iter_records(gate)``)
-        may answer :data:`~repro.storage.stasis.WAIT`; the merge passes
-        it on in place of a group and asks that source again when
-        resumed.
+        newest first.
     """
     heap: list[tuple[bytes, int, Record]] = []
     iterators = [iter(source) for source in sources]
     for priority, iterator in enumerate(iterators):
         record = next(iterator, None)
-        while record is WAIT:
-            yield WAIT
-            record = next(iterator, None)
         if record is not None:
             heap.append((record.key, priority, record))
     heapq.heapify(heap)
@@ -50,9 +43,6 @@ def kway_merge(
             _, priority, record = heapq.heappop(heap)
             group.append(record)
             successor = next(iterators[priority], None)
-            while successor is WAIT:
-                yield WAIT
-                successor = next(iterators[priority], None)
             if successor is not None:
                 heapq.heappush(heap, (successor.key, priority, successor))
         yield group

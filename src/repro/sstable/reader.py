@@ -23,7 +23,7 @@ Three read paths exist:
   the device's streaming size, handing each over as one list of records
   (merge reads; the paper pins merge pages separately from the
   application cache and batches iterator operations, Section 4.4.1).
-  ``iter_records`` is the same stream one record at a time.
+  ``iter_records`` is the same stream one record at a time, ungated.
 """
 
 from __future__ import annotations
@@ -332,14 +332,10 @@ class SSTable:
             ]
             start = end
 
-    def iter_records(self, gate: StepGate | None = None) -> Iterator[Record]:
-        """Yield all records in order: :meth:`iter_runs`, flattened
-        (a ``WAIT`` passes through)."""
-        for run in self.iter_runs(gate):
-            if run is WAIT:
-                yield WAIT
-            else:
-                yield from run
+    def iter_records(self) -> Iterator[Record]:
+        """Yield all records in order: :meth:`iter_runs`, flattened."""
+        for run in self.iter_runs():
+            yield from run
 
     def free(self) -> None:
         """Release the component's extents and cached pages.

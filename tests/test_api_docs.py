@@ -28,7 +28,9 @@ def test_generator_covers_headline_api():
         "`BLSM`",
         "`PartitionedBLSM`",
         "`BTreeEngine`",
-        "`LevelDBEngine`",
+        "`CompactionEngine`",
+        "`LevelDBPolicy`",
+        "`LevelDBScheduler`",
         "`SpringGearScheduler`",
         "`run_workload(",
         "`run_open_loop(",

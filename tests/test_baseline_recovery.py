@@ -1,8 +1,14 @@
-"""Crash recovery for the baseline engines (B-Tree and LevelDB)."""
+"""Crash recovery for the baseline engines (B-Tree and LevelDB).
+
+LevelDB recovers through the tree kernel's two-phase path: the newest
+manifest names its files, the logical log replays the memtable.
+"""
 
 import random
 
-from repro.baselines import BTreeEngine, LevelDBEngine
+from repro.baselines import BTreeEngine, CompactionEngine
+from repro.core import BLSMOptions, CompactionTree
+from repro.engines import LEVELDB_OPTIONS
 from repro.storage import DurabilityMode, Stasis
 
 
@@ -71,32 +77,37 @@ def _btree_over(stasis: Stasis) -> BTreeEngine:
     return BTreeEngine(stasis=stasis)
 
 
-def leveldb_over(stasis=None):
-    return LevelDBEngine(
-        memtable_bytes=8 * 1024,
-        file_bytes=16 * 1024,
+def leveldb_options():
+    return BLSMOptions(
+        c0_bytes=8 * 1024,
         level_base_bytes=32 * 1024,
         buffer_pool_pages=32,
         durability=DurabilityMode.SYNC,
-        stasis=stasis,
+        **LEVELDB_OPTIONS,
+    )
+
+
+def leveldb_over():
+    return CompactionEngine(leveldb_options())
+
+
+def recover_leveldb(stasis):
+    return CompactionEngine.from_tree(
+        CompactionTree.recover(stasis, leveldb_options())
     )
 
 
 class TestLevelDBRecovery:
     def test_recover_empty(self):
         engine = leveldb_over()
-        stasis = engine.stasis
+        stasis = engine.tree.stasis
         stasis.crash()
-        recovered = LevelDBEngine.recover(
-            stasis, memtable_bytes=8 * 1024, file_bytes=16 * 1024,
-            level_base_bytes=32 * 1024, buffer_pool_pages=32,
-            durability=DurabilityMode.SYNC,
-        )
+        recovered = recover_leveldb(stasis)
         assert recovered.get(b"anything") is None
 
     def test_recover_files_and_memtable(self):
         engine = leveldb_over()
-        stasis = engine.stasis
+        stasis = engine.tree.stasis
         rng = random.Random(2)
         model = {}
         for i in range(3000):
@@ -105,11 +116,7 @@ class TestLevelDBRecovery:
             engine.put(key, value)
             model[key] = value
         stasis.crash()
-        recovered = LevelDBEngine.recover(
-            stasis, memtable_bytes=8 * 1024, file_bytes=16 * 1024,
-            level_base_bytes=32 * 1024, buffer_pool_pages=32,
-            durability=DurabilityMode.SYNC,
-        )
+        recovered = recover_leveldb(stasis)
         mismatches = sum(
             1 for k, v in model.items() if recovered.get(k) != v
         )
@@ -121,44 +128,33 @@ class TestLevelDBRecovery:
         for i in range(600):  # several memtable flushes
             engine.put(b"key%04d" % i, bytes(64))
         # Only the current memtable's writes remain in the log.
-        resident = len(engine._memtable)
-        assert engine.stasis.logical_log.durable_records <= resident
+        resident = len(engine.tree._memtable)
+        assert engine.tree.stasis.logical_log.durable_records <= resident
 
     def test_torn_compaction_leaves_no_leaks(self):
         engine = leveldb_over()
-        stasis = engine.stasis
+        stasis = engine.tree.stasis
         rng = random.Random(3)
         for i in range(2500):
             engine.put(b"key%05d" % rng.randrange(1200), bytes(64))
         stasis.crash()
-        recovered = LevelDBEngine.recover(
-            stasis, memtable_bytes=8 * 1024, file_bytes=16 * 1024,
-            level_base_bytes=32 * 1024, buffer_pool_pages=32,
-            durability=DurabilityMode.SYNC,
-        )
+        recovered = recover_leveldb(stasis)
         from repro.core.components import (
             component_extents,
             describe_component,
         )
 
         live = set()
-        tables = recovered._l0 + [
-            t for level in recovered._levels for t in level
-        ]
-        for table in tables:
+        for table in recovered.tree._live_tables():
             live.update(component_extents(describe_component(table)))
         assert set(stasis.regions.allocated_extents) == live
 
     def test_recovered_engine_keeps_working(self):
         engine = leveldb_over()
-        stasis = engine.stasis
+        stasis = engine.tree.stasis
         engine.put(b"a", b"1")
         stasis.crash()
-        recovered = LevelDBEngine.recover(
-            stasis, memtable_bytes=8 * 1024, file_bytes=16 * 1024,
-            level_base_bytes=32 * 1024, buffer_pool_pages=32,
-            durability=DurabilityMode.SYNC,
-        )
+        recovered = recover_leveldb(stasis)
         for i in range(1500):
             recovered.put(b"more%04d" % i, bytes(64))
         assert recovered.get(b"a") == b"1"

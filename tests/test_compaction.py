@@ -36,7 +36,6 @@ def small_options(policy, **overrides):
         buffer_pool_pages=64,
         level_ratio=3.0,
         level0_trigger=2,
-        level0_stop_trigger=6,
         tier_fanout=3,
     )
     defaults.update(overrides)
@@ -90,8 +89,9 @@ def test_options_validate_policy_fields():
         BLSMOptions(compaction_policy="rocksdb")
     with pytest.raises(ValueError, match="level_ratio"):
         BLSMOptions(level_ratio=1.0)
-    with pytest.raises(ValueError, match="level0_stop_trigger"):
-        BLSMOptions(level0_trigger=6, level0_stop_trigger=4)
+    # The stop trigger is LevelDB's constant, not an option.
+    with pytest.raises(TypeError, match="level0_stop_trigger"):
+        BLSMOptions(level0_stop_trigger=12)
     with pytest.raises(ValueError, match="tier_fanout"):
         BLSMOptions(tier_fanout=1)
 
@@ -278,7 +278,7 @@ def test_scheduler_surface_backpressure():
     tree = make_tree(options)
     fill_tree(tree, ops=4000, keyspace=400)
     assert (
-        tree.manager.run_count(0) <= options.level0_stop_trigger
+        tree.manager.run_count(0) <= CompactionTree.L0_STOP_TRIGGER
     ), tree.manager.run_count(0)
     assert tree.stats()["policy"] == "tiered"
     tree.close()

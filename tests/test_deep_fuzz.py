@@ -14,10 +14,11 @@ from repro.baselines import (
     BitCaskEngine,
     BLSMEngine,
     BTreeEngine,
-    LevelDBEngine,
+    CompactionEngine,
     PartitionedBLSMEngine,
 )
 from repro.core import BLSM, BLSMOptions
+from repro.engines import LEVELDB_OPTIONS
 from repro.storage import DurabilityMode
 from repro.testing import (
     check_blsm_invariants,
@@ -53,11 +54,13 @@ def engine_matrix():
         max_partition_bytes=96 * 1024,
     )
     yield "btree", BTreeEngine(buffer_pool_pages=32, page_size=4096)
-    yield "leveldb", LevelDBEngine(
-        memtable_bytes=16 * 1024,
-        file_bytes=32 * 1024,
-        level_base_bytes=64 * 1024,
-        buffer_pool_pages=32,
+    yield "leveldb", CompactionEngine(
+        BLSMOptions(
+            c0_bytes=16 * 1024,
+            level_base_bytes=64 * 1024,
+            buffer_pool_pages=32,
+            **LEVELDB_OPTIONS,
+        )
     )
     yield "bitcask", BitCaskEngine(garbage_threshold=0.5)
 

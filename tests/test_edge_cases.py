@@ -46,12 +46,13 @@ class TestInsertUnique:
         assert engine.get(b"k") == b"v"
 
     def test_works_on_every_engine(self):
-        from repro.baselines import BTreeEngine, LevelDBEngine
+        from repro.baselines import BTreeEngine
+        from repro.engines import build_engine
 
         for engine in (
             BLSMEngine(BLSMOptions(c0_bytes=8 * 1024)),
             BTreeEngine(buffer_pool_pages=8),
-            LevelDBEngine(memtable_bytes=4096, buffer_pool_pages=8),
+            build_engine("leveldb", c0_bytes=32 * 1024, cache_pages=8),
             PartitionedBLSMEngine(BLSMOptions(c0_bytes=8 * 1024)),
         ):
             engine.insert_unique(b"a", b"1")

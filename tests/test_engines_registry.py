@@ -18,7 +18,6 @@ from repro.baselines import (
     BTreeEngine,
     CompactionEngine,
     KVEngine,
-    LevelDBEngine,
     PartitionedBLSMEngine,
 )
 from repro.core import BLSM, BLSMOptions, CompactionTree, PartitionedBLSM
@@ -46,7 +45,7 @@ EXPECTED_TYPES = {
     "blsm-part": PartitionedBLSMEngine,
     "sharded": ShardedEngine,
     "btree": BTreeEngine,
-    "leveldb": LevelDBEngine,
+    "leveldb": CompactionEngine,
     "bitcask": BitCaskEngine,
     "leveled": CompactionEngine,
     "tiered": CompactionEngine,
@@ -110,14 +109,14 @@ def test_blsm_options_mirror_config():
 def test_c0_structure_is_a_constant_in_every_layer():
     # C0 is a skip list; no layer carries a knob that says otherwise.
     # The counts make adding one a deliberate act.
-    assert len(dataclasses.fields(BLSMOptions)) == 34
+    assert len(dataclasses.fields(BLSMOptions)) == 33
     assert len(dataclasses.fields(EngineConfig)) == 16
     for cls in (BLSMOptions, EngineConfig):
         assert "memtable" not in {f.name for f in dataclasses.fields(cls)}
     params = inspect.signature(MemTable.__init__).parameters
     assert list(params) == ["self", "capacity_bytes", "seed"]
     assert params["seed"].default == 0
-    assert "memtable" not in inspect.signature(LevelDBEngine.__init__).parameters
+    assert "memtable" not in inspect.signature(CompactionEngine.__init__).parameters
     # An unknown override is an error, never swallowed.
     with pytest.raises(TypeError):
         build_engine("blsm", memtable="array")
@@ -151,13 +150,13 @@ def test_unknown_engine_name_raises():
 
 def test_fault_plan_gate_rejects_non_blsm_engines():
     plan = FaultPlan(seed=1)
-    for name in ("btree", "leveldb", "bitcask", "sharded"):
+    for name in ("btree", "bitcask", "sharded"):
         with pytest.raises(ValueError, match="fault injection requires"):
             build_engine(name, small_config(fault_plan=plan))
 
 
 def test_fault_plan_accepted_by_blsm_family():
-    for name in ("blsm", "blsm-part"):
+    for name in ("blsm", "blsm-part", "leveldb"):
         engine = build_engine(name, small_config(fault_plan=FaultPlan(seed=1)))
         engine.put(b"k", b"v")
         assert engine.get(b"k") == b"v"
@@ -184,6 +183,7 @@ def test_placement_accepted_by_sharded_engine():
 def test_engine_spec_capabilities():
     assert engine_spec("blsm").supports_faults
     assert engine_spec("blsm-part").supports_faults
+    assert engine_spec("leveldb").supports_faults
     assert not engine_spec("sharded").supports_faults
     assert engine_spec("sharded").supports_shards
     assert engine_spec("sharded").supports_placement
@@ -216,6 +216,7 @@ def test_crash_engine_names():
         "leveled",
         "tiered",
         "lazy-leveled",
+        "leveldb",
     )
 
 
@@ -234,6 +235,7 @@ def test_crash_options_are_tiny_and_sync():
         ("leveled", CompactionTree),
         ("tiered", CompactionTree),
         ("lazy-leveled", CompactionTree),
+        ("leveldb", CompactionTree),
     ],
 )
 def test_build_and_recover_crash_tree(name, tree_type):

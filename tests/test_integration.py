@@ -2,8 +2,9 @@
 
 import random
 
-from repro.baselines import BLSMEngine, BTreeEngine, LevelDBEngine
+from repro.baselines import BLSMEngine, BTreeEngine, CompactionEngine
 from repro.core import BLSM, BLSMOptions
+from repro.engines import LEVELDB_OPTIONS
 from repro.sim import DiskModel
 from repro.ycsb import (
     OpKind,
@@ -24,11 +25,13 @@ def all_engines():
     return [
         small_blsm(),
         BTreeEngine(buffer_pool_pages=32, page_size=4096),
-        LevelDBEngine(
-            memtable_bytes=16 * 1024,
-            file_bytes=32 * 1024,
-            level_base_bytes=64 * 1024,
-            buffer_pool_pages=32,
+        CompactionEngine(
+            BLSMOptions(
+                c0_bytes=16 * 1024,
+                level_base_bytes=64 * 1024,
+                buffer_pool_pages=32,
+                **LEVELDB_OPTIONS,
+            )
         ),
     ]
 

@@ -32,7 +32,7 @@ KERNEL_OWNED = {
     "put", "delete", "apply_delta", "insert_if_not_exists",
     "read_modify_write", "write_batch", "_write", "scan", "flush_log",
     "close", "recover", "_take_seqno", "_take_tree_id", "_check_open",
-    "_collect", "_maybe_persist_bloom", "_rebuild_component",
+    "_maybe_persist_bloom", "_rebuild_component",
 }
 
 LAYOUT_HOOKS = {

@@ -1,22 +1,29 @@
-"""Behavioural tests for the LevelDB-like leveled LSM engine."""
+"""Behavioural tests for the LevelDB baseline: the ``leveldb`` policy.
+
+LevelDB is a compaction policy of the tree kernel (file-granularity
+leveling, ten-fold levels, no Bloom filters) paced by the ``leveldb``
+scheduler (compaction gets 4x the bytes each write wrote).
+"""
 
 import random
 
 import pytest
 
-from repro.baselines import LevelDBEngine
+from repro.baselines import CompactionEngine
+from repro.core import BLSMOptions, CompactionTree
+from repro.core.scheduler import LevelDBScheduler
+from repro.engines import LEVELDB_OPTIONS, build_engine
 from repro.errors import EngineClosedError
 
 
 def small_engine(**overrides):
     defaults = dict(
-        memtable_bytes=8 * 1024,
-        file_bytes=16 * 1024,
+        c0_bytes=8 * 1024,
         level_base_bytes=32 * 1024,
         buffer_pool_pages=64,
     )
     defaults.update(overrides)
-    return LevelDBEngine(**defaults)
+    return CompactionEngine(BLSMOptions(**defaults, **LEVELDB_OPTIONS))
 
 
 def test_put_get_roundtrip():
@@ -30,7 +37,7 @@ def test_memtable_flush_creates_l0_files():
     engine = small_engine()
     for i in range(200):
         engine.put(b"key%04d" % i, bytes(64))
-    assert engine.io_summary()["l0_files"] > 0 or engine._levels
+    assert sum(engine.io_summary()["level_runs"]) > 0
 
 
 def test_model_equivalence_under_churn():
@@ -74,9 +81,16 @@ def test_levels_form_and_grow():
     rng = random.Random(9)
     for i in range(6000):
         engine.put(b"key%06d" % rng.randrange(10**6), bytes(64))
-    summary = engine.io_summary()
-    assert summary["levels"]  # at least L1 exists
-    assert engine.level_bytes(1) > 0
+    manager = engine.tree.manager
+    assert manager.level_count >= 2  # at least L1 exists
+    assert manager.level_bytes(1) > 0
+    # Below L0 a level is one run of key-disjoint files in key order.
+    for level in range(1, manager.level_count):
+        files = manager.runs(level)
+        for left, right in zip(files, files[1:]):
+            assert left.max_key < right.min_key
+        # ...each at most a quarter of the level base, plus one record.
+        assert all(table.nbytes < 8 * 1024 + 200 for table in files)
 
 
 def test_reads_probe_multiple_components():
@@ -86,7 +100,7 @@ def test_reads_probe_multiple_components():
     rng = random.Random(10)
     for i in range(5000):
         engine.put(b"key%06d" % rng.randrange(10**6), bytes(64))
-    stats = engine.stasis.data_disk.stats
+    stats = engine.tree.stasis.data_disk.stats
     before = stats.seeks
     n = 50
     for i in range(n):
@@ -94,29 +108,50 @@ def test_reads_probe_multiple_components():
     assert (stats.seeks - before) / n > 1.5
 
 
-def test_l0_stop_trigger_causes_stall():
-    engine = small_engine(
-        l0_compaction_trigger=2, l0_slowdown_trigger=3, l0_stop_trigger=4,
-        compaction_share=0.0,  # starve background work to force the stop
-    )
-    rng = random.Random(11)
+def outrun_the_share(seed):
+    """An L1 of sixteen memtables: under uniform inserts each L0 merge
+    rewrites nearly all of it, more than the 4x share of the eight
+    flushes between the L0 trigger and the stop trigger pays for."""
+    engine = small_engine(level_base_bytes=128 * 1024)
+    rng = random.Random(seed)
     for i in range(4000):
         engine.put(b"key%06d" % rng.randrange(10**6), bytes(64))
-    assert engine.stop_events > 0
-    assert engine.stall_seconds > 0
+    return engine
+
+
+def test_l0_stop_trigger_causes_stall():
+    engine = outrun_the_share(11)
+    stops = engine.trace("level0_full")
+    assert stops
+    assert all(
+        event.data["runs"] == CompactionTree.L0_STOP_TRIGGER for event in stops
+    )
+    assert engine.runtime.metrics.get("writes.stall_seconds").max > 0.01
+    # The stop drained L0 below its trigger before the flush went on.
+    assert engine.tree.manager.run_count(0) < CompactionTree.L0_STOP_TRIGGER
 
 
 def test_slowdown_trigger_sleeps():
-    engine = small_engine(
-        l0_compaction_trigger=8,  # compaction hardly ever starts
-        l0_slowdown_trigger=2,
-        l0_stop_trigger=100,
-        compaction_share=0.0,
+    engine = outrun_the_share(12)
+    slowdowns = engine.trace("level0_slowdown")
+    assert slowdowns
+    assert all(
+        engine.tree.policy.slowdown_trigger
+        <= event.data["runs"]
+        < CompactionTree.L0_STOP_TRIGGER
+        for event in slowdowns
     )
-    rng = random.Random(12)
-    for i in range(1500):
-        engine.put(b"key%06d" % rng.randrange(10**6), bytes(64))
-    assert engine.slowdown_events > 0
+
+
+def test_the_scheduler_hands_compaction_four_times_the_write():
+    engine = small_engine()
+    tree = engine.tree
+    assert isinstance(tree.scheduler, LevelDBScheduler)
+    budgets = []
+    real = tree.step_m01
+    tree.step_m01 = lambda budget: budgets.append(budget) or real(budget)
+    engine.put(b"k", bytes(100))
+    assert budgets == [int(4 * (16 + 1 + 100))]
 
 
 def test_tombstones_eventually_collected():
@@ -135,9 +170,9 @@ def test_tombstones_eventually_collected():
 def test_blind_delta_is_zero_seek():
     engine = small_engine()
     engine.put(b"k", b"base")
-    seeks = engine.stasis.data_disk.stats.seeks
+    seeks = engine.tree.stasis.data_disk.stats.seeks
     engine.apply_delta(b"k", b"+d")
-    assert engine.stasis.data_disk.stats.seeks == seeks
+    assert engine.tree.stasis.data_disk.stats.seeks == seeks
     assert engine.get(b"k") == b"base+d"
 
 
@@ -148,7 +183,7 @@ def test_insert_if_not_exists_works_but_seeks():
         engine.put(b"key%06d" % rng.randrange(10**6), bytes(64))
     assert engine.insert_if_not_exists(b"key0000001x", b"v")
     assert not engine.insert_if_not_exists(b"key0000001x", b"w")
-    stats = engine.stasis.data_disk.stats
+    stats = engine.tree.stasis.data_disk.stats
     before = stats.seeks
     engine.insert_if_not_exists(b"key%06dy" % rng.randrange(10**6), b"v")
     assert stats.seeks > before  # the existence check paid real I/O
@@ -162,8 +197,7 @@ def test_closed_engine_rejects_operations():
 
 
 def test_compaction_preserves_data_across_many_levels():
-    engine = small_engine(memtable_bytes=4 * 1024, file_bytes=8 * 1024,
-                          level_base_bytes=16 * 1024)
+    engine = small_engine(c0_bytes=4 * 1024, level_base_bytes=16 * 1024)
     model = {}
     rng = random.Random(14)
     for i in range(8000):
@@ -171,6 +205,17 @@ def test_compaction_preserves_data_across_many_levels():
         value = b"v%d" % i
         engine.put(key, value)
         model[key] = value
-    assert len(engine.io_summary()["levels"]) >= 2
+    assert engine.tree.manager.level_count >= 3  # L0, L1 and L2
     sample = rng.sample(sorted(model), 500)
     assert all(engine.get(k) == model[k] for k in sample)
+
+
+def test_the_registry_builds_the_baseline_from_the_policy():
+    engine = build_engine("leveldb", c0_bytes=64 * 1024, cache_pages=16)
+    assert engine.name == "LevelDB"
+    options = engine.tree.options
+    assert (options.c0_bytes, options.level_base_bytes) == (8 * 1024, 128 * 1024)
+    assert not options.with_bloom_filters
+    assert engine.tree.policy.name == "leveldb"
+    with pytest.raises(ValueError, match="leveldb scheduler never drains"):
+        BLSMOptions(scheduler="leveldb")

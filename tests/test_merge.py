@@ -1,24 +1,26 @@
-"""Unit tests for the incremental merge process."""
+"""Unit tests for the incremental merge process, the only merge executor."""
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.merge import (
     EmptySource,
     FrozenSource,
+    MergedSource,
     MergeProcess,
     SnowshovelSource,
     StreamSource,
     _AccessDeferred,
 )
 from repro.memtable import MemTable
-from repro.records import Record
+from repro.records import Record, RecordKind
 from repro.sim import DiskModel
 from repro.sstable import SSTableBuilder
 from repro.sstable.iterator import merge_records
 from repro.storage import Stasis
-from repro.storage.stasis import WAIT
+from repro.storage.stasis import WAIT, StepGate
 
 
 @pytest.fixture
@@ -174,7 +176,7 @@ class TestMergeProcess:
         )
         process.step(1)  # consumes at least record a
         assert memtable.get(b"a") is None
-        assert process.overlay_get(b"a") is not None
+        assert process.overlay.get(b"a") is not None
         assert [r.key for r in process.overlay.scan(b"a", None)] == [b"a"]
 
     def test_seqno_tracking(self, stasis):
@@ -255,13 +257,23 @@ class TestMergeProcess:
 # ``ReferenceMerge`` is MergeProcess with the previous inner loop, kept
 # here as the reference: both inputs peeked for every record, one record
 # (or one equal-key pair) folded through ``merge_records`` per iteration,
-# an on-disk input read one record at a time from
-# ``SSTable.iter_records(gate)``, and C0 drained by a search from the
-# skip list's head for every peek.  Two worlds rebuilt from one seed run
-# the same steps and C0 writes; the bytes each step consumes, the device
-# trace, the outputs and what C0 and a snapshot hold must all agree.
+# an on-disk input read one record at a time (``_gated_records``), and
+# C0 drained by a search from the skip list's head for every peek.  Two
+# worlds rebuilt from one seed run the same steps and C0 writes; the
+# bytes each step consumes, the device trace, the outputs and what C0
+# and a snapshot hold must all agree.
 
 KEYS = [b"k%05d" % i for i in range(400)]
+
+
+def _gated_records(table, gate):
+    """The table one record at a time, ``WAIT`` where the gate puts its
+    next streaming run off."""
+    for run in table.iter_runs(gate):
+        if run is WAIT:
+            yield WAIT
+        else:
+            yield from run
 
 
 class _ReferenceStream:
@@ -319,7 +331,7 @@ class ReferenceMerge(MergeProcess):
 
     def _open_stream(self, table):
         self._readahead_pages += min(self._stasis.streaming_pages, table.npages)
-        return _ReferenceStream(table.iter_records(self._gate))
+        return _ReferenceStream(_gated_records(table, self._gate))
 
     def step(self, budget_bytes):
         if self.done or budget_bytes <= 0:
@@ -599,3 +611,227 @@ def test_a_deferred_peek_keeps_the_bytes_the_run_took():
     # Step 1 reads the newer head and may not read the older one; step 2
     # reads the older head and copies the newer input's first run.
     assert new[:2] == [1, sum(record.nbytes for record in runs[0])]
+
+
+# ---------------------------------------------------------------------------
+# Differential: the k-way policy merge MergeProcess replaced
+# ---------------------------------------------------------------------------
+#
+# ``ReferenceKWayMerge`` is the policy trees' former PolicyMergeJob loop,
+# kept as the reference for MergeProcess over k newest-first runs (the
+# newest k - 1 drained as one MergedSource): every input's head is
+# peeked, all versions of the smallest key are taken at once, folded by
+# one ``merge_records`` and counted in the bytes consumed.  Its inputs
+# are the same gated StreamSources MergeProcess reads: PolicyMergeJob's
+# ``kway_merge`` generator held a group back while the gate put off its
+# successor's read (the group's bytes landed in the next step), where a
+# stream returns the record and defers the next peek.  It cuts outputs
+# at ``split_output_bytes`` as LevelDB's file-granularity merges do.
+
+
+class ReferenceKWayMerge:
+    """One group of equal keys across all k inputs per loop iteration."""
+
+    def __init__(self, stasis, inputs, tree_id, drop_tombstones, split, ids):
+        self._stasis = stasis
+        self._stats = stasis.data_disk.stats
+        self._gate = StepGate(self._stats)
+        self._sources = [StreamSource(table, self._gate) for table in inputs]
+        self._drop = drop_tombstones
+        self._keys = sum(table.key_count for table in inputs)
+        self._split, self._ids = split, ids
+        self._builder = self._new_builder(
+            tree_id, sum(table.nbytes for table in inputs)
+        )
+        self.outputs = []
+        self.done = False
+
+    def _new_builder(self, tree_id, expected_bytes):
+        return SSTableBuilder(
+            self._stasis, tree_id=tree_id, expected_bytes=expected_bytes,
+            expected_keys=self._keys, gate=self._gate,
+        )
+
+    def _close(self):
+        table = self._builder.finish()
+        if table is not None:
+            self.outputs.append(table)
+
+    def step(self, budget_bytes):
+        if self.done or budget_bytes <= 0:
+            return 0
+        self._gate.open()
+        consumed = 0
+        try:
+            while consumed < budget_bytes:
+                heads = [source.peek() for source in self._sources]
+                keys = [head.key for head in heads if head is not None]
+                if not keys:
+                    self._close()
+                    self.done = True
+                    break
+                key = min(keys)
+                group = [
+                    source.pop()
+                    for source, head in zip(self._sources, heads)
+                    if head is not None and head.key == key
+                ]
+                consumed += sum(record.nbytes for record in group)
+                merged = merge_records(group, drop_tombstones=self._drop)
+                if merged is None:
+                    continue
+                self._builder.add(merged)
+                if self._split and self._builder.nbytes >= self._split:
+                    self._close()
+                    self._builder = self._new_builder(
+                        next(self._ids), self._split
+                    )
+        except _AccessDeferred:
+            pass
+        if consumed == 0 and not self.done and not self._gate.clear:
+            return 1
+        return consumed
+
+
+def _kway_world(seed, reference):
+    """k = 1 + seed % 6 overlapping runs merged by one implementation."""
+    rng = random.Random(seed)
+    k = 1 + seed % 6
+    stasis = Stasis(disk_model=DiskModel.ssd(), buffer_pool_pages=16)
+    inputs = [  # newest first: a newer run holds higher seqnos
+        _component(
+            stasis, rng, rng.sample(KEYS, rng.randrange(1, 160)),
+            (k - run) * 100_000, tree_id=10 + run,
+        )
+        for run in range(k)
+    ]
+    drop = rng.random() < 0.5
+    split = rng.choice((None, None, 8_192, 60_000))
+    ids = iter(range(100, 10_000))
+    if reference:
+        merge = ReferenceKWayMerge(stasis, inputs, 3, drop, split, ids)
+    else:
+        merge = MergeProcess(
+            stasis,
+            inputs[:-1],
+            inputs[-1],
+            3,
+            input_bytes=sum(table.nbytes for table in inputs),
+            expected_keys=sum(table.key_count for table in inputs),
+            drop_tombstones=drop,
+            split_output_bytes=split,
+            tree_id_source=(lambda: next(ids)) if split else None,
+        )
+    disk = stasis.data_disk
+    disk.start_trace()
+    steps, budgets = [], set()
+    while not merge.done:
+        budget = rng.choice(
+            (1, rng.randrange(1, 300), rng.randrange(300, 12_000),
+             rng.randrange(12_000, 200_000), 2**30)
+        )
+        budgets.add(budget)
+        steps.append(merge.step(budget))
+    trace = [
+        (e.kind, e.offset, e.nbytes, e.seek, e.time) for e in disk.stop_trace()
+    ]
+    return {
+        "steps": steps,
+        "trace": trace,
+        "records": [list(table.iter_records()) for table in merge.outputs],
+        "extents": [len(table.extents) for table in merge.outputs],
+        "bloom": [table.bloom.to_bytes() for table in merge.outputs],
+        "clock": stasis.clock.now,
+        "k": k,
+        "drop": drop,
+        "split": len(merge.outputs) > 1,
+        "budgets": budgets,
+    }
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_a_kway_merge_matches_the_policy_merge_it_replaced(seed):
+    new = _kway_world(seed, reference=False)
+    old = _kway_world(seed, reference=True)
+    assert new["steps"] == old["steps"]
+    for key in ("records", "extents", "bloom", "trace", "clock"):
+        assert new[key] == old[key], key
+    assert sum(new["steps"]) >= sum(
+        record.nbytes for run in new["records"] for record in run
+    )
+
+
+def test_the_kway_cases_cover_what_the_merged_source_must_keep(monkeypatch):
+    """The seeds reach k = 1 ... 6, merged-source folds of every kind
+    pair (the tombstone drop off) and then against the oldest input
+    with the drop on and off, a deferred read inside the merged source,
+    split outputs of a merge of three or more runs, and 1-byte and
+    unbounded budgets."""
+    seen = set()
+    peek = StreamSource.peek
+    merged = []
+
+    def deferring_peek(self):
+        try:
+            return peek(self)
+        except _AccessDeferred:
+            if merged and self in merged[-1]._children:
+                seen.add("deferred-in-merged-source")
+            raise
+
+    def folding(group, drop_tombstones=False):
+        kinds = "/".join(record.kind.name for record in group)
+        seen.add(f"fold-{kinds}-drop={drop_tombstones}")
+        return merge_records(group, drop_tombstones=drop_tombstones)
+
+    init = MergedSource.__init__
+
+    def tracking_init(self, children):
+        init(self, children)
+        merged.append(self)
+
+    monkeypatch.setattr(StreamSource, "peek", deferring_peek)
+    monkeypatch.setattr(MergedSource, "__init__", tracking_init)
+    monkeypatch.setattr("repro.core.merge.merge_records", folding)
+    for seed in range(60):
+        world = _kway_world(seed, reference=False)
+        seen.add(f"k={world['k']}")
+        if world["split"] and world["k"] >= 3:
+            seen.add("split-kway")
+        seen |= {f"budget-{b}" for b in world["budgets"] if b in (1, 2**30)}
+    kinds = ("BASE", "DELTA", "TOMBSTONE")
+    assert {f"k={k}" for k in range(1, 7)} <= seen
+    assert {
+        f"fold-{newer}/{older}-drop=False" for newer in kinds for older in kinds
+    } <= seen
+    assert {
+        "fold-DELTA/BASE-drop=True", "fold-TOMBSTONE/BASE-drop=True",
+        "deferred-in-merged-source", "split-kway", "budget-1",
+        f"budget-{2**30}",
+    } <= seen
+
+
+_VERSION = st.tuples(
+    st.sampled_from(list(RecordKind)),
+    st.binary(max_size=6),
+    st.integers(1, 9),  # seqno gap to the next older version
+    st.booleans(),  # carries the coverage of an earlier fold
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_VERSION, min_size=2, max_size=7), st.booleans())
+def test_folding_the_newest_versions_first_is_the_same_fold(versions, drop):
+    """What MergedSource relies on: one fold of a key's versions equals
+    folding its newest k - 1 first (the drop off) and then the oldest."""
+    group, seqno = [], 1000
+    for kind, value, gap, covered in versions:  # newest first
+        if kind is RecordKind.TOMBSTONE:
+            value = b""
+        first = seqno - gap + 1 if covered else -1
+        group.append(Record(b"k", value, kind, seqno, first_seqno=first))
+        seqno -= gap
+    newest = merge_records(group[:-1])
+    assert merge_records(
+        [newest, group[-1]], drop_tombstones=drop
+    ) == merge_records(group, drop_tombstones=drop)

@@ -6,10 +6,11 @@ from repro.baselines import (
     BitCaskEngine,
     BLSMEngine,
     BTreeEngine,
-    LevelDBEngine,
+    CompactionEngine,
     PartitionedBLSMEngine,
 )
 from repro.core import BLSMOptions
+from repro.engines import LEVELDB_OPTIONS
 from repro.obs import (
     EngineRuntime,
     MetricsRegistry,
@@ -406,12 +407,14 @@ class TestUniformEngineMetrics:
             BLSMOptions(c0_bytes=16 * 1024, buffer_pool_pages=16)
         )
         yield BTreeEngine(disk_model=DiskModel.hdd(), buffer_pool_pages=8)
-        yield LevelDBEngine(
-            disk_model=DiskModel.hdd(),
-            memtable_bytes=8 * 1024,
-            file_bytes=16 * 1024,
-            level_base_bytes=32 * 1024,
-            buffer_pool_pages=16,
+        yield CompactionEngine(
+            BLSMOptions(
+                disk_model=DiskModel.hdd(),
+                c0_bytes=8 * 1024,
+                level_base_bytes=32 * 1024,
+                buffer_pool_pages=16,
+                **LEVELDB_OPTIONS,
+            )
         )
         yield BitCaskEngine()
 

@@ -4,9 +4,10 @@ import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.baselines import BTreeEngine, LevelDBEngine
+from repro.baselines import BTreeEngine, CompactionEngine
 from repro.bloom import BloomFilter
 from repro.core import BLSM, BLSMOptions
+from repro.engines import LEVELDB_OPTIONS
 from repro.memtable import SkipList, replacement_selection_runs
 from repro.records import Record, fold, resolve
 from repro.sstable import SSTableBuilder, kway_merge
@@ -129,9 +130,11 @@ def test_btree_matches_dict_model(operations):
 
 @given(st.lists(st.tuples(keys, values), max_size=80))
 def test_leveldb_matches_dict_model(writes):
-    engine = LevelDBEngine(
-        memtable_bytes=512, file_bytes=1024, level_base_bytes=2048,
-        buffer_pool_pages=16,
+    engine = CompactionEngine(
+        BLSMOptions(
+            c0_bytes=512, level_base_bytes=2048, buffer_pool_pages=16,
+            **LEVELDB_OPTIONS,
+        )
     )
     model = {}
     for key, value in writes:

@@ -9,8 +9,9 @@ as before when no limit is given.
 
 import pytest
 
-from repro.baselines import LevelDBEngine, PartitionedBLSMEngine
+from repro.baselines import CompactionEngine, PartitionedBLSMEngine
 from repro.core import BLSM, BLSMOptions
+from repro.engines import LEVELDB_OPTIONS
 from repro.records import Record
 from repro.shard import ShardedEngine
 from repro.sstable import SSTableBuilder
@@ -159,8 +160,11 @@ def _engines():
     yield "partitioned", PartitionedBLSMEngine(
         BLSMOptions(**small), max_partition_bytes=64 * 1024
     )
-    yield "leveldb", LevelDBEngine(
-        memtable_bytes=16 * 1024, file_bytes=32 * 1024, buffer_pool_pages=16
+    yield "leveldb", CompactionEngine(
+        BLSMOptions(
+            c0_bytes=16 * 1024, level_base_bytes=64 * 1024,
+            buffer_pool_pages=16, **LEVELDB_OPTIONS,
+        )
     )
     yield "sharded", ShardedEngine(BLSMOptions(**small), shards=4)
 

@@ -12,8 +12,9 @@ import random
 
 import pytest
 
-from repro.baselines import BTreeEngine, LevelDBEngine
+from repro.baselines import BTreeEngine, CompactionEngine
 from repro.core import BLSM, BLSMOptions, CompactionTree, PartitionedBLSM
+from repro.engines import LEVELDB_OPTIONS
 
 
 def check_interleaved_scan(engine, writer, stable_keys, scan_from=b""):
@@ -105,10 +106,15 @@ def test_partitioned_scan_survives_splits_under_it():
 
 
 def test_leveldb_scan_survives_compaction_under_it():
-    engine = LevelDBEngine(
-        memtable_bytes=8 * 1024, file_bytes=16 * 1024,
-        level_base_bytes=32 * 1024, buffer_pool_pages=32,
-    )
+    def leveldb():
+        return CompactionEngine(
+            BLSMOptions(
+                c0_bytes=8 * 1024, level_base_bytes=32 * 1024,
+                buffer_pool_pages=32, **LEVELDB_OPTIONS,
+            )
+        )
+
+    engine = leveldb()
     stable = [b"key%05d" % i for i in range(700)]
     for key in stable:
         engine.put(key, bytes(64))
@@ -119,6 +125,37 @@ def test_leveldb_scan_survives_compaction_under_it():
             engine.put(b"key%05d" % rng.randrange(700), bytes(64))
 
     check_interleaved_scan(engine, writer, stable)
+
+    # ...and what it returns is the snapshot: exactly the rows live when
+    # the scan opened, while file-granularity compactions replace the
+    # files it is reading (no restart from a cursor).
+    engine = leveldb()
+    tree = engine.tree
+    model = {}
+
+    def write(count):
+        for _ in range(count):
+            key = b"key%05d" % rng.randrange(5000)
+            model[key] = b"%06d" % rng.randrange(10**6) + bytes(58)
+            engine.put(key, model[key])
+
+    write(1500)
+    at_open = sorted(model.items())
+    scan = engine.scan(b"")
+    rows = [next(scan) for _ in range(50)]
+    finished = len(engine.trace("merge_finish"))
+    write(3000)
+    assert len(engine.trace("merge_finish")) > finished
+    assert tree.versions.deferred_frees > 0  # a pinned file was replaced
+    rows.extend(scan)
+    assert rows == at_open
+    versions = tree.versions
+    assert versions.pinned_count == versions.zombie_count == 0
+    assert versions.live_views == 0
+    tree.drain()  # no merge holds an output under construction
+    assert set(tree.stasis.regions.allocated_extents) == {
+        extent for table in tree._live_tables() for extent in table.extents
+    }
 
 
 def test_btree_scan_survives_leaf_splits_under_it():

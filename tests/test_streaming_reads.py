@@ -119,7 +119,7 @@ def test_recovery_scans_and_compactions_stream_too():
     reads = data_reads(stasis, lambda: list(table.iter_records()))
     assert reads == [308] * (table.npages // 308) + [table.npages % 308]
     engine = build_engine("leveldb", c0_bytes=1 << 20, observability=False)
-    disk = engine.stasis.data_disk
+    disk = engine.tree.stasis.data_disk
     disk.start_trace()
     for i in range(6000):
         engine.put(b"k%06d" % ((i * 7919) % 6000), bytes(1000))

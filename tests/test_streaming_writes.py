@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import BLSM, BLSMOptions
-from repro.core.compaction.merge import PolicyMergeJob
 from repro.core.merge import (
     FrozenSource,
     MergeProcess,
@@ -268,11 +267,9 @@ def test_partitioned_steps_touch_the_device_once(step_log):
     assert tree._memtable.is_empty and tree._active_merge() is None
 
 
-@pytest.mark.parametrize("name", ["leveled", "tiered"])
+@pytest.mark.parametrize("name", ["leveled", "tiered", "leveldb"])
 def test_policy_jobs_touch_the_device_once(monkeypatch, name):
-    log = log_steps(
-        monkeypatch, PolicyMergeJob, outputs=lambda job: job.output is not None
-    )
+    log = log_steps(monkeypatch, MergeProcess)
     engine = build_engine(
         name, c0_bytes=256 * KIB, cache_pages=32, observability=False
     )

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.baselines import BLSMEngine, BTreeEngine, LevelDBEngine
+from repro.baselines import BLSMEngine, BTreeEngine, CompactionEngine
 from repro.core import BLSM, BLSMOptions
+from repro.engines import LEVELDB_OPTIONS
 from repro.storage import DurabilityMode
 from repro.testing import (
     check_blsm_invariants,
@@ -23,9 +24,11 @@ def test_run_model_workload_on_all_engines():
             max_partition_bytes=32 * 1024,
         ),
         BTreeEngine(buffer_pool_pages=16, page_size=4096),
-        LevelDBEngine(
-            memtable_bytes=8 * 1024, file_bytes=16 * 1024,
-            level_base_bytes=32 * 1024, buffer_pool_pages=16,
+        CompactionEngine(
+            BLSMOptions(
+                c0_bytes=8 * 1024, level_base_bytes=32 * 1024,
+                buffer_pool_pages=16, **LEVELDB_OPTIONS,
+            )
         ),
         BitCaskEngine(),
     ]
