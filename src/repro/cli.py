@@ -420,7 +420,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
         try:
             report = load_report(path)
         except (ReportError, OSError, _json.JSONDecodeError) as error:
-            print(f"{path}: INVALID — {error}")
+            # Name the file once: load_report's errors start with the
+            # path, and an OSError's text ends with it.
+            if isinstance(error, OSError):
+                reason = error.strerror or type(error).__name__
+            else:
+                reason = str(error).removeprefix(f"{path}: ")
+            print(f"{path}: INVALID — {reason}")
             status = 1
             continue
         print(

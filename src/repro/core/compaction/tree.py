@@ -145,13 +145,22 @@ class CompactionTree(TreeKernel):
             pass
 
     def compact(self) -> None:
-        """Merge everything into a single bottom-level run."""
+        """Merge everything into a single bottom-level run.
+
+        On a file-granularity tree level 0 only ever takes memtable
+        flushes, so the bottom run is level 1 or deeper, cut into
+        key-disjoint files.
+        """
         self.drain()
-        tables = list(self._manager.iter_tables())
-        if len(tables) <= 1:
+        manager = self._manager
+        bottom = manager.deepest_nonempty()
+        if bottom is None:
             return
-        bottom = self._manager.deepest_nonempty()
-        assert bottom is not None
+        if manager.file_levels:
+            bottom = max(1, bottom)
+        tables = list(manager.iter_tables())
+        if len(tables) == 1 and manager.runs(bottom) == tables:
+            return  # already one run at the bottom
         plan = MergePlan(bottom, bottom, include_target=True, label="compact")
         job = _Job(plan, tables, self._new_merge(tables, drop=True))
         job.merge.run_to_completion()

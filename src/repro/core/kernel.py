@@ -401,8 +401,7 @@ class TreeKernel:
             worked = merge.step(budget_bytes)
             seconds = clock.now - started
         else:
-            timeline.catch_up(clock)
-            started = timeline.now
+            started = timeline.catch_up(clock)
             with clock.running_on(timeline):
                 worked = merge.step(budget_bytes)
                 if merge.done:

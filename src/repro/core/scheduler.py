@@ -202,36 +202,39 @@ class SpringGearScheduler(MergeScheduler):
             runtime.trace.emit("backpressure_released")
 
     def on_write(self, nbytes: int) -> None:
-        tree = self.tree
+        # This runs after every write: the tree is read straight off the
+        # instance, and the pressure gauge is set directly unless the
+        # spring engages or releases (or the gauge is not bound yet).
+        tree = self._tree
+        if tree is None:
+            raise RuntimeError("scheduler is not attached to a tree")
+        low, high = self.low_water, self.high_water
         fill = tree.c0_fill_fraction
-        if fill <= self.low_water:
-            # spring unwound: pause merges, let C0 absorb writes
-            self._set_pressure(0.0)
-            return
-        pressure = min(
-            1.0, (fill - self.low_water) / (self.high_water - self.low_water)
-        )
-        self._set_pressure(pressure)
+        pressure = 0.0 if fill <= low else min(1.0, (fill - low) / (high - low))
+        gauge = self._gauge_pressure
+        if gauge is None or self._engaged != (pressure > 0.0):
+            self._set_pressure(pressure)
+        else:
+            gauge.set(pressure)
+        if fill <= low:
+            return  # spring unwound: pause merges, let C0 absorb writes
         # One budget is shared across all steps below: max_tick_bytes is
         # the per-tick latency bound, not a per-step cap.
+        max_tick = self.max_tick_bytes
         debt = tree.m01_debt_per_byte()
-        budget = min(
-            self.max_tick_bytes, int(HEADROOM * pressure * debt * nbytes) + 1
-        )
+        budget = min(max_tick, int(HEADROOM * pressure * debt * nbytes) + 1)
         worked = tree.step_m01(budget)
-        remaining = self.max_tick_bytes - worked
+        remaining = max_tick - worked
         deficit12 = tree.m01_outprogress - tree.m12_inprogress
         if deficit12 > 0 and remaining > 0:
             work = min(remaining, int(deficit12 * tree.m12_input_bytes) + 1)
             remaining -= tree.step_m12(work)
-        if worked == 0 and fill >= self.high_water and remaining > 0:
+        if worked == 0 and fill >= high and remaining > 0:
             # C0:C1 could not run (typically blocked on promotion while
             # the C1:C2 merge finishes); drive the blocker.
             tree.step_m12(remaining)
         if tree.c0_fill_fraction >= 1.0:
-            tree.force_drain(
-                target_fill=self.high_water, chunk=self.max_tick_bytes
-            )
+            tree.force_drain(target_fill=high, chunk=max_tick)
 
 
 class LevelDBScheduler(MergeScheduler):

@@ -261,8 +261,11 @@ def build_engine(
     elif overrides:
         config = replace(config, **overrides)
     if config.fault_plan is not None and not spec.supports_faults:
+        accepting = ", ".join(
+            other.name for other in _REGISTRY.values() if other.supports_faults
+        )
         raise ValueError(
-            f"fault injection requires a bLSM engine, not {name!r}"
+            f"fault injection requires one of {accepting}, not {name!r}"
         )
     placement = (
         config.log_disk is not None

@@ -89,8 +89,19 @@ class WindowedTimeline:
 
     def record(self, t: float, channel: str, value: float) -> None:
         """Add one latency/value sample to ``channel``'s window at ``t``."""
-        window = self._samples.setdefault(self.index_of(t), {})
-        window.setdefault(channel, []).append(value)
+        self.record_in(self.index_of(t), channel, value)
+
+    def record_in(self, index: int, channel: str, value: float) -> None:
+        """Add one sample to ``channel`` in window ``index`` (a caller
+        that files several samples per event computes the index once)."""
+        window = self._samples.get(index)
+        if window is None:
+            window = self._samples[index] = {}
+        samples = window.get(channel)
+        if samples is None:
+            window[channel] = [value]
+        else:
+            samples.append(value)
 
     def add(self, t: float, counter: str, amount: float = 1.0) -> None:
         """Accumulate ``amount`` into additive ``counter`` at time ``t``."""

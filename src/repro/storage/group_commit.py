@@ -104,7 +104,8 @@ class GroupCommitQueue:
         self.commits = 0
         self.committed_ops = 0
         self.forces = 0
-        self._last_force_issued = False
+        self._instruments: tuple | None = None
+        self._ctr_forces = None
 
     @property
     def pending(self) -> int:
@@ -205,59 +206,71 @@ class GroupCommitQueue:
         caller's point of view).
         """
         clock = self.stasis.clock
-        while self._pending and not self.timeline.busy(clock):
-            start = max(self.timeline.now, self._pending[0].enqueued_at)
-            cut = len(self._pending)
-            for index, ticket in enumerate(self._pending):
+        timeline = self.timeline
+        while self._pending and not timeline.busy(clock):
+            pending = self._pending
+            start = max(timeline.now, pending[0].enqueued_at)
+            cut = len(pending)
+            for index, ticket in enumerate(pending):
                 if ticket.enqueued_at > start:
                     cut = index
                     break
-            group = self._pending[:cut]
-            self._pending = self._pending[cut:]
-            self._force_group(group, start)
+            self._pending = pending[cut:]
+            self._force_group(pending[:cut], start)
 
     def _force_group(self, tickets: list[CommitTicket], start: float) -> None:
-        clock = self.stasis.clock
-        log = self.stasis.logical_log
-        wal = self.stasis.wal
-        self.timeline.advance_to(start)
+        stasis = self.stasis
+        log = stasis.logical_log
+        wal = stasis.wal
+        timeline = self.timeline
+        timeline.advance_to(start)
+        instruments = self._instruments
+        if instruments is None:
+            instruments = self._bind_instruments()
+        commits, ops_ctr, group_size, queue_delay = instruments
         issued = log.pending_count > 0 or wal.pending_records > 0
         if issued:
             # The leader's force runs on the log writer's timeline:
             # followers and concurrent reads never charge for it, they
             # only feel it through the ticket's durable_at.
-            with clock.running_on(self.timeline):
+            with stasis.clock.running_on(timeline):
                 log.force()
                 wal.force()
             self.forces += 1
-        self._last_force_issued = issued
-        durable_at = self.timeline.now
+            forces = self._ctr_forces
+            if forces is None:
+                forces = self._ctr_forces = stasis.runtime.metrics.counter(
+                    "commit.forces"
+                )
+            forces.inc()
+        durable_at = timeline.now
         durable_lsn = log.durable_seqno
-        leader = tickets[0]
-        leader.leader = True
+        size = len(tickets)
+        tickets[0].leader = True
+        ops = 0
         for ticket in tickets:
             ticket.durable_at = durable_at
             ticket.durable_lsn = durable_lsn
-            ticket.group_size = len(tickets)
-        self.commits += len(tickets)
-        self.committed_ops += sum(ticket.ops for ticket in tickets)
-        self.group_sizes[len(tickets)] = (
-            self.group_sizes.get(len(tickets), 0) + 1
-        )
-        self._observe(tickets, durable_at)
+            ticket.group_size = size
+            ops += ticket.ops
+            queue_delay.observe(max(0.0, durable_at - ticket.enqueued_at))
+        self.commits += size
+        self.committed_ops += ops
+        self.group_sizes[size] = self.group_sizes.get(size, 0) + 1
+        commits.inc(size)
+        ops_ctr.inc(ops)
+        group_size.observe(float(size))
 
-    def _observe(self, tickets: list[CommitTicket], durable_at: float) -> None:
-        runtime = self.stasis.runtime
-        if runtime is None:
-            return
-        metrics = runtime.metrics
-        metrics.counter("commit.commits").inc(len(tickets))
-        metrics.counter("commit.ops").inc(
-            sum(ticket.ops for ticket in tickets)
+    def _bind_instruments(self) -> tuple:
+        """Look the commit metrics up once, on the first group: a
+        registry lookup per force was measurable on the commit path.
+        ``commit.forces`` is bound on the first force that writes, so an
+        engine whose groups never force (SYNC) does not register it."""
+        metrics = self.stasis.runtime.metrics
+        self._instruments = (
+            metrics.counter("commit.commits"),
+            metrics.counter("commit.ops"),
+            metrics.histogram("commit.group_size"),
+            metrics.histogram("commit.queue_delay"),
         )
-        if self._last_force_issued:
-            metrics.counter("commit.forces").inc()
-        metrics.histogram("commit.group_size").observe(float(len(tickets)))
-        delay = metrics.histogram("commit.queue_delay")
-        for ticket in tickets:
-            delay.observe(ticket.queue_delay)
+        return self._instruments

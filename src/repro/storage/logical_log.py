@@ -46,7 +46,7 @@ head in between.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import CorruptionError, CrashPoint
@@ -68,27 +68,51 @@ class DurabilityMode(enum.Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
-class LogicalRecord:
-    """One logged application write.
+class LogicalRecord(tuple):
+    """One logged application write (an immutable tuple).
 
     ``op`` is an opaque tag (``put``, ``delete``, ``delta``); replay hands
-    records back to the engine, which knows how to reapply them.
+    records back to the engine, which knows how to reapply them.  The
+    fields are ``seqno``, ``op``, ``key``, ``value``, ``checksum`` and
+    ``nbytes``, the simulated on-disk size, computed once at
+    construction because every append and force reads it.
+
+    A tuple subclass rather than a frozen dataclass: the log builds one
+    per write, and a frozen dataclass's ``__init__`` cost a microsecond.
     """
 
-    seqno: int
-    op: str
-    key: bytes
-    value: bytes | None
-    checksum: int = field(default=0, compare=False)
-    nbytes: int = field(init=False, repr=False, compare=False, default=0)
-    """Simulated on-disk size; precomputed (this is read on every append
-    and every force, and a derived property showed up in profiles)."""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        value_len = len(self.value) if self.value is not None else 0
-        object.__setattr__(
-            self, "nbytes", _RECORD_OVERHEAD + len(self.key) + value_len
+    def __new__(
+        cls,
+        seqno: int,
+        op: str,
+        key: bytes,
+        value: bytes | None,
+        checksum: int = 0,
+    ) -> "LogicalRecord":
+        nbytes = _RECORD_OVERHEAD + len(key)
+        if value is not None:
+            nbytes += len(value)
+        return tuple.__new__(cls, (seqno, op, key, value, checksum, nbytes))
+
+    seqno = property(itemgetter(0), doc="The write's sequence number.")
+    op = property(itemgetter(1), doc="``put``, ``delete`` or ``delta``.")
+    key = property(itemgetter(2), doc="The written key.")
+    value = property(itemgetter(3), doc="The value or delta (None: delete).")
+    checksum = property(
+        itemgetter(4), doc="Payload checksum (0 on a device that never "
+        "corrupts)."
+    )
+    nbytes = property(itemgetter(5), doc="Simulated on-disk size in bytes.")
+
+    def __getnewargs__(self) -> tuple:
+        return self[:5]  # what copy and pickle pass back to __new__
+
+    def __repr__(self) -> str:
+        return (
+            f"LogicalRecord(seqno={self[0]!r}, op={self[1]!r}, "
+            f"key={self[2]!r}, value={self[3]!r}, checksum={self[4]!r})"
         )
 
 
@@ -149,7 +173,8 @@ class LogicalLog:
 
     def log(self, seqno: int, op: str, key: bytes, value: bytes | None) -> float:
         """Append one write; return the virtual time spent forcing, if any."""
-        if self.mode is DurabilityMode.NONE:
+        mode = self.mode
+        if mode is DurabilityMode.NONE:
             return 0.0
         record = LogicalRecord(
             seqno,
@@ -162,9 +187,9 @@ class LogicalLog:
         )
         self._pending.append(record)
         self._pending_bytes += record.nbytes
-        if self.mode is DurabilityMode.SYNC:
+        if mode is DurabilityMode.SYNC:
             return self.force()
-        if self.mode is DurabilityMode.GROUP:
+        if mode is DurabilityMode.GROUP:
             # The GroupCommitQueue owns every force; log() only stages.
             return 0.0
         if self._pending_bytes >= self.group_commit_bytes:
@@ -199,16 +224,19 @@ class LogicalLog:
             self._absorb_torn_force(offset, crash.persisted_bytes)
             raise
         self.forces += 1
+        pending = self._pending
+        offsets = self._offsets
         cursor = offset
-        for record in self._pending:
-            self._offsets[record.seqno] = (cursor, record.nbytes)
-            cursor += record.nbytes
+        top = self._durable_seqno
+        for seqno, _op, _key, _value, _checksum, size in pending:
+            offsets[seqno] = (cursor, size)
+            cursor += size
+            if seqno > top:
+                top = seqno
         self._tail_offset += nbytes
-        self._durable.extend(self._pending)
-        self._durable_seqno = max(
-            self._durable_seqno, max(r.seqno for r in self._pending)
-        )
-        self._pending.clear()
+        self._durable.extend(pending)
+        self._durable_seqno = top
+        pending.clear()
         self._pending_bytes = 0
         return service
 
@@ -275,24 +303,31 @@ class LogicalLog:
         """
         if self.mode is DurabilityMode.NONE:
             return 0.0
-
-        def keep(record: LogicalRecord) -> bool:
-            bounds = coverage.get(record.key)
-            return bounds is not None and bounds[0] <= record.seqno <= bounds[1]
-
-        past_all = 1 + max(
-            (r.seqno for r in self._durable + self._pending), default=-1
-        )
-        dropped = [r for r in self._durable if not keep(r)]
-        self._durable = [r for r in self._durable if keep(r)]
-        for record in dropped:
-            self._offsets.pop(record.seqno, None)
-            self._torn.discard(record.seqno)
+        # One pass over the durable records: keep or drop each, and
+        # track the highest seqno logged and the lowest one kept.
+        bounds_of = coverage.get
+        offsets, torn = self._offsets, self._torn
+        kept: list[LogicalRecord] = []
+        top = max((record.seqno for record in self._pending), default=-1)
+        floor: int | None = None
+        for record in self._durable:
+            seqno = record.seqno
+            if seqno > top:
+                top = seqno
+            bounds = bounds_of(record.key)
+            if bounds is not None and bounds[0] <= seqno <= bounds[1]:
+                kept.append(record)
+                if floor is None or seqno < floor:
+                    floor = seqno
+            else:
+                offsets.pop(seqno, None)
+                torn.discard(seqno)
+        self._durable = kept
         checkpoint_bytes = 16 + 24 * len(coverage)
         service = self.disk.write(self._tail_offset, checkpoint_bytes)
         self._tail_offset += checkpoint_bytes
-        retained = [r.seqno for r in self._durable]
-        floor = min(retained) if retained else past_all
+        if floor is None:
+            floor = top + 1  # nothing retained: past every logged write
         self._truncated_below = max(self._truncated_below, floor)
         return service
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import enum
 import random
+from bisect import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.ycsb.distributions import LatestChooser, fnv1a_64, make_chooser
 from repro.ycsb.workload import WorkloadSpec
@@ -73,6 +75,8 @@ class OperationGenerator:
         ]
         self._kinds = [kind for kind, p in choices if p > 0]
         self._weights = [p for _, p in choices if p > 0]
+        self._keys: dict[int, bytes] = {}  # key index -> rendered key
+        self._values: dict[int, bytes] = {}  # fill byte -> write value
 
     def load_keys(self):
         """Keys for the load phase, in the configured insertion order."""
@@ -158,32 +162,60 @@ class OperationGenerator:
         return ops
 
     def operations(self):
-        """Yield ``spec.operation_count`` operations."""
+        """Yield ``spec.operation_count`` operations.
+
+        One ``random()`` draw picks each op's kind by bisecting the
+        cumulative weights, built once: that is what
+        ``rng.choices(kinds, weights=...)`` does on every call, so the
+        stream is draw-for-draw the one a per-op ``choices`` loop makes.
+        Each key index is rendered once per generator, and each write
+        value once per fill byte (the same ``randrange(256)`` draw and
+        the same bytes as :func:`make_value`).
+        """
         spec = self.spec
-        for _ in range(spec.operation_count):
-            kind = self._rng.choices(self._kinds, weights=self._weights)[0]
-            if kind is OpKind.INSERT:
-                key = make_key(self._inserted, spec.ordered_inserts)
+        count = spec.operation_count
+        if count == 0:
+            # A load-only spec has no weights to build the table from.
+            return
+        rng = self._rng
+        draw = rng.random
+        kinds = self._kinds
+        cum = list(accumulate(self._weights))
+        total = cum[-1] + 0.0
+        hi = len(cum) - 1
+        ordered = spec.ordered_inserts
+        value_bytes = spec.value_bytes
+        scan_lo, scan_hi = spec.scan_length_min, spec.scan_length_max
+        chooser = self._chooser
+        choose = chooser.next
+        grow = chooser.grow if isinstance(chooser, LatestChooser) else None
+        keys = self._keys
+        values = self._values
+        insert, scan = OpKind.INSERT, OpKind.SCAN
+        read, delete = OpKind.READ, OpKind.DELETE
+        for _ in range(count):
+            kind = kinds[bisect(cum, draw() * total, 0, hi)]
+            if kind is insert:
+                key = make_key(self._inserted, ordered)
                 self._inserted += 1
-                if isinstance(self._chooser, LatestChooser):
-                    self._chooser.grow(self._inserted)
-                yield Operation(
-                    kind, key, make_value(self._rng, spec.value_bytes)
-                )
-                continue
-            key = make_key(
-                self._chooser.next(self._rng), spec.ordered_inserts
-            )
-            if kind is OpKind.SCAN:
-                length = self._rng.randint(
-                    spec.scan_length_min, spec.scan_length_max
-                )
-                yield Operation(kind, key, scan_length=length)
-            elif kind is OpKind.READ:
-                yield Operation(kind, key)
-            elif kind is OpKind.DELETE:
-                yield Operation(kind, key)
-            else:  # UPDATE, BLIND_WRITE, RMW carry a fresh value
-                yield Operation(
-                    kind, key, make_value(self._rng, spec.value_bytes)
-                )
+                if grow is not None:
+                    grow(self._inserted)
+            else:
+                index = choose(rng)
+                key = keys.get(index)
+                if key is None:
+                    key = keys[index] = make_key(index, ordered)
+                if kind is scan:
+                    yield Operation(
+                        kind, key, scan_length=rng.randint(scan_lo, scan_hi)
+                    )
+                    continue
+                if kind is read or kind is delete:
+                    yield Operation(kind, key)
+                    continue
+            # INSERT, UPDATE, BLIND_WRITE and RMW carry a fresh value.
+            fill = rng.randrange(256)
+            value = values.get(fill)
+            if value is None:
+                value = values[fill] = bytes([fill]) * value_bytes
+            yield Operation(kind, key, value)

@@ -30,6 +30,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -253,7 +254,12 @@ def run_sessions(
     ack_latency = LatencyStats()
     read_latency = LatencyStats()
     timeline = WindowedTimeline(window_seconds, base=base)
-    outstanding: list[tuple[CommitTicket, float]] = []
+    record_in = timeline.record_in
+    # (ticket, arrival time, arrival window) in submission order.  Every
+    # engine acknowledges commits in submission order (a group force
+    # covers a prefix of its queue), so the durable tickets are always
+    # a prefix of this deque.
+    outstanding: deque[tuple[CommitTicket, float, int]] = deque()
     completions: list[float] = []
     operations = reads = writes = 0
     first_arrival: float | None = None
@@ -274,16 +280,16 @@ def run_sessions(
         probed_through = index
 
     def resolve_acked() -> None:
-        remaining: list[tuple[CommitTicket, float]] = []
-        for ticket, arrived in outstanding:
-            if ticket.durable_at is not None:
-                latency = max(0.0, ticket.durable_at - arrived)
-                ack_latency.record(latency)
-                timeline.record(arrived, "write", latency)
-                completions.append(ticket.durable_at)
-            else:
-                remaining.append((ticket, arrived))
-        outstanding[:] = remaining
+        while outstanding:
+            ticket, arrived, window = outstanding[0]
+            durable_at = ticket.durable_at
+            if durable_at is None:
+                return
+            outstanding.popleft()
+            latency = max(0.0, durable_at - arrived)
+            ack_latency.record(latency)
+            record_in(window, "write", latency)
+            completions.append(durable_at)
 
     take_probe(0, base)
 
@@ -291,8 +297,8 @@ def run_sessions(
         op = next(ops_iter, None)
         if op is None:
             break
-        t, sid = heapq.heappop(heap)
-        heapq.heappush(
+        t, sid = heap[0]
+        heapq.heapreplace(
             heap,
             (
                 _next_arrival(
@@ -312,46 +318,43 @@ def run_sessions(
         delay = max(0.0, clock.now - t)
         queueing.record(delay)
         index = timeline.index_of(t)
-        timeline.record(t, "queue", delay)
+        record_in(index, "queue", delay)
         if index > probed_through:
             take_probe(index, timeline.window_start(index))
         clock.advance_to(t)
         resolve_acked()
         operations += 1
-        if op.kind is OpKind.READ:
-            engine.get(op.key)
-            read_latency.record(clock.now - t)
-            timeline.record(t, "read", clock.now - t)
-            completions.append(clock.now)
-            reads += 1
-        elif op.kind is OpKind.SCAN:
-            for _ in engine.scan(op.key, limit=op.scan_length):
-                pass
-            read_latency.record(clock.now - t)
-            timeline.record(t, "read", clock.now - t)
-            completions.append(clock.now)
+        kind = op.kind
+        if kind is OpKind.READ or kind is OpKind.SCAN:
+            if kind is OpKind.READ:
+                engine.get(op.key)
+            else:
+                for _ in engine.scan(op.key, limit=op.scan_length):
+                    pass
+            done = clock.now
+            read_latency.record(done - t)
+            record_in(index, "read", done - t)
+            completions.append(done)
             reads += 1
         else:
             batch = WriteBatch()
-            if op.kind is OpKind.DELETE:
+            if kind is OpKind.DELETE:
                 batch.delete(op.key)
-            elif op.kind in (OpKind.UPDATE, OpKind.RMW):
+            else:
                 assert op.value is not None
-                engine.get(op.key)  # the read half, inline
-                batch.put(op.key, op.value)
-            else:  # BLIND_WRITE / INSERT
-                assert op.value is not None
+                if kind is OpKind.UPDATE or kind is OpKind.RMW:
+                    engine.get(op.key)  # the read half, inline
                 batch.put(op.key, op.value)
             ticket = engine.commit_batch(batch, session=sid, wait=False)
-            outstanding.append((ticket, t))
+            outstanding.append((ticket, t, index))
             writes += 1
     # Durability barrier: resolve every in-flight ticket, then collect.
     engine.flush()
     resolve_acked()
-    for ticket, arrived in outstanding:
+    for _ticket, arrived, window in outstanding:
         latency = max(0.0, clock.now - arrived)
         ack_latency.record(latency)
-        timeline.record(arrived, "write", latency)
+        record_in(window, "write", latency)
         completions.append(clock.now)
     outstanding.clear()
     take_probe(probed_through + 1, clock.now)

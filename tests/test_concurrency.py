@@ -129,6 +129,17 @@ class TestTimeline:
             assert clock.active_timeline is outer
         assert clock.active_timeline is None
 
+    def test_running_on_restores_when_the_block_raises(self):
+        clock = VirtualClock()
+        outer, inner = Timeline("outer"), Timeline("inner")
+        with clock.running_on(outer):
+            with pytest.raises(KeyError):
+                with clock.running_on(inner) as active:
+                    assert active is inner
+                    raise KeyError("propagates")
+            assert clock.active_timeline is outer
+        assert clock.active_timeline is None
+
 
 class TestStripedDisk:
     def test_validation(self):

@@ -155,6 +155,18 @@ def test_fault_plan_gate_rejects_non_blsm_engines():
             build_engine(name, small_config(fault_plan=plan))
 
 
+def test_fault_plan_gate_names_the_engines_that_accept_plans():
+    with pytest.raises(ValueError) as raised:
+        build_engine("btree", small_config(fault_plan=FaultPlan(seed=1)))
+    message = str(raised.value)
+    accepting = [name for name in ENGINE_NAMES if engine_spec(name).supports_faults]
+    assert {"blsm", "blsm-part", "leveldb", "leveled", "tiered"} <= set(accepting)
+    for name in accepting:
+        assert name in message
+    assert "bLSM engine" not in message
+    assert message.endswith("not 'btree'")
+
+
 def test_fault_plan_accepted_by_blsm_family():
     for name in ("blsm", "blsm-part", "leveldb"):
         engine = build_engine(name, small_config(fault_plan=FaultPlan(seed=1)))

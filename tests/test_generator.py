@@ -1,9 +1,108 @@
 """Unit tests for the operation generator."""
 
+import random
 from collections import Counter
 
+import pytest
+
 from repro.ycsb import OperationGenerator, OpKind, WorkloadSpec
-from repro.ycsb.generator import make_key, make_value
+from repro.ycsb.distributions import LatestChooser, make_chooser
+from repro.ycsb.generator import Operation, make_key, make_value
+
+
+def reference_operations(spec, seed):
+    """The per-op ``rng.choices`` loop ``operations`` replaced: one
+    ``choices`` call per kind, every key rendered and every value built
+    afresh.  ``operations`` must yield this stream draw for draw."""
+    rng = random.Random(seed)
+    inserted = spec.record_count
+    chooser = make_chooser(spec.request_distribution, max(1, spec.record_count))
+    weighted = [
+        (OpKind.READ, spec.read_proportion),
+        (OpKind.UPDATE, spec.update_proportion),
+        (OpKind.BLIND_WRITE, spec.blind_write_proportion),
+        (OpKind.INSERT, spec.insert_proportion),
+        (OpKind.SCAN, spec.scan_proportion),
+        (OpKind.RMW, spec.rmw_proportion),
+        (OpKind.DELETE, spec.delete_proportion),
+    ]
+    kinds = [kind for kind, p in weighted if p > 0]
+    weights = [p for _, p in weighted if p > 0]
+    for _ in range(spec.operation_count):
+        kind = rng.choices(kinds, weights=weights)[0]
+        if kind is OpKind.INSERT:
+            key = make_key(inserted, spec.ordered_inserts)
+            inserted += 1
+            if isinstance(chooser, LatestChooser):
+                chooser.grow(inserted)
+            yield Operation(kind, key, make_value(rng, spec.value_bytes))
+            continue
+        key = make_key(chooser.next(rng), spec.ordered_inserts)
+        if kind is OpKind.SCAN:
+            length = rng.randint(spec.scan_length_min, spec.scan_length_max)
+            yield Operation(kind, key, scan_length=length)
+        elif kind in (OpKind.READ, OpKind.DELETE):
+            yield Operation(kind, key)
+        else:
+            yield Operation(kind, key, make_value(rng, spec.value_bytes))
+
+
+MIXES = {
+    "read_write": dict(read_proportion=0.5, blind_write_proportion=0.5),
+    "ycsb_a_rmw": dict(read_proportion=0.5, update_proportion=0.5),
+    "ycsb_e": dict(scan_proportion=0.95, insert_proportion=0.05),
+    "ycsb_f": dict(read_proportion=0.5, rmw_proportion=0.5),
+    "everything": dict(
+        read_proportion=0.3,
+        update_proportion=0.1,
+        blind_write_proportion=0.15,
+        insert_proportion=0.15,
+        scan_proportion=0.1,
+        rmw_proportion=0.1,
+        delete_proportion=0.1,
+    ),
+}
+
+
+@pytest.mark.parametrize("mix", sorted(MIXES))
+@pytest.mark.parametrize(
+    "distribution", ["uniform", "zipfian", "zipfian_clustered", "latest"]
+)
+def test_operations_match_the_per_op_choices_loop(distribution, mix):
+    spec = WorkloadSpec(
+        record_count=150,
+        operation_count=400,
+        request_distribution=distribution,
+        value_bytes=24,
+        scan_length_min=2,
+        scan_length_max=9,
+        **MIXES[mix],
+    )
+    for seed in range(5):
+        expected = [
+            (op.kind, op.key, op.value, op.scan_length)
+            for op in reference_operations(spec, seed)
+        ]
+        actual = [
+            (op.kind, op.key, op.value, op.scan_length)
+            for op in OperationGenerator(spec, seed=seed).operations()
+        ]
+        assert actual == expected, (distribution, mix, seed)
+
+
+def test_interned_values_equal_make_value():
+    spec = WorkloadSpec(
+        record_count=10, operation_count=2000, blind_write_proportion=1.0,
+        value_bytes=33,
+    )
+    ops = list(OperationGenerator(spec, seed=4).operations())
+    rng = random.Random(4)
+    for op in ops:
+        rng.random()  # the kind draw
+        rng.randrange(10)  # the key draw
+        assert op.value == make_value(rng, 33)
+    # One object per fill byte: at most 256 distinct values.
+    assert len({id(op.value) for op in ops}) == len({op.value for op in ops}) <= 256
 
 
 def test_make_key_ordered_vs_hashed():

@@ -210,6 +210,27 @@ def test_compaction_preserves_data_across_many_levels():
     assert all(engine.get(k) == model[k] for k in sample)
 
 
+def test_compact_moves_an_all_level0_tree_into_level1_files():
+    engine = small_engine()
+    tree = engine.tree
+    model = {}
+    for i in range(600):  # three flushes: under the L0 trigger of four
+        key = b"key%05d" % (i * 7919 % 600)
+        model[key] = b"v%04d" % i
+        engine.put(key, model[key])
+    tree.drain()
+    manager = tree.manager
+    assert manager.run_count(0) >= 2 and manager.level_bytes(1) == 0
+    tree.compact()
+    assert manager.run_count(0) == 0
+    files = manager.runs(1)
+    assert len(files) >= 2  # cut at a quarter of the level base
+    assert all(left.max_key < right.min_key for left, right in zip(files, files[1:]))
+    assert list(engine.scan(b"")) == sorted(model.items())
+    tree.compact()  # a second compaction keeps the shape
+    assert manager.run_count(0) == 0 and manager.runs(1)
+
+
 def test_the_registry_builds_the_baseline_from_the_policy():
     engine = build_engine("leveldb", c0_bytes=64 * 1024, cache_pages=16)
     assert engine.name == "LevelDB"

@@ -1,15 +1,37 @@
 """Unit tests for the logical log and its durability modes."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.sim import DiskModel, SimDisk, VirtualClock
-from repro.storage import DurabilityMode, LogicalLog
+from repro.storage import DurabilityMode, LogicalLog, LogicalRecord
 
 
 def make_log(mode, group_bytes=512 * 1024):
     clock = VirtualClock()
     disk = SimDisk(DiskModel.hdd(), clock)
     return LogicalLog(disk, mode, group_commit_bytes=group_bytes)
+
+
+def test_logical_record_is_an_immutable_tuple_with_named_fields():
+    record = LogicalRecord(7, "put", b"key", b"value", 99)
+    assert isinstance(record, tuple)
+    assert (record.seqno, record.op, record.key, record.value) == (
+        7, "put", b"key", b"value"
+    )
+    assert record.checksum == 99
+    assert record.nbytes == 24 + 3 + 5
+    assert LogicalRecord(8, "delete", b"key", None).nbytes == 24 + 3
+    with pytest.raises(AttributeError):
+        record.seqno = 8
+    assert copy.deepcopy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert repr(record) == (
+        "LogicalRecord(seqno=7, op='put', key=b'key', value=b'value', "
+        "checksum=99)"
+    )
 
 
 def test_sync_mode_forces_every_write():
@@ -126,6 +148,22 @@ def test_retain_ranges_noop_in_none_mode():
     log = make_log(DurabilityMode.NONE)
     assert log.retain_ranges({b"a": (0, 5)}) == 0.0
     assert log.disk.stats.bytes_written == 0
+
+
+def test_retain_ranges_truncates_below_the_lowest_kept_seqno():
+    log = make_log(DurabilityMode.SYNC)
+    for seqno, key in enumerate([b"a", b"b", b"c", b"b", b"d"]):
+        log.log(seqno, "put", key, b"v")
+    log.retain_ranges({b"b": (3, 3), b"d": (4, 4)})
+    assert [r.seqno for r in log.replay()] == [3, 4]
+    assert log.truncated_below == 3
+    # Nothing kept: the floor passes every logged write, pending included.
+    log = make_log(DurabilityMode.ASYNC)
+    log.log(0, "put", b"a", b"v")
+    log.force()
+    log.log(5, "put", b"b", b"v")
+    log.retain_ranges({})
+    assert log.truncated_below == 6
 
 
 def test_retain_ranges_leaves_pending_alone():

@@ -231,3 +231,20 @@ def test_cli_report_flags_invalid_file(capsys, tmp_path):
     code, out = run_cli(capsys, "report", str(bad))
     assert code == 1
     assert "INVALID" in out
+
+
+def test_cli_report_names_an_invalid_file_once(capsys, tmp_path):
+    bad_payload = tmp_path / "bad.json"
+    bad_payload.write_text('{"bench": "mystery", "x": 1}')
+    not_json = tmp_path / "garbage.json"
+    not_json.write_text("{not json")
+    missing = tmp_path / "missing.json"
+    code, out = run_cli(
+        capsys, "report", str(bad_payload), str(not_json), str(missing)
+    )
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 3
+    for path, line in zip((bad_payload, not_json, missing), lines):
+        assert line.startswith(f"{path}: INVALID — ")
+        assert line.count(str(path)) == 1, line
