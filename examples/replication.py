@@ -8,31 +8,30 @@ for high-throughput replication" — the replica's durability comes from
 the *shipped log*, not a local one (bLSM grew out of Rose, a
 log-structured replication engine).
 
-This example runs a primary that ships its operation stream (the trace
-format from ``repro.ycsb.trace``), and a replica applying it with
-``DurabilityMode.NONE``.  The replica then crashes: everything its
-merges made durable survives; the lost tail is re-applied by replaying
-the shipped log from the replica's recovery point.
+This example runs a primary that ships its operation stream (a
+``repro-trace-v1`` document, :class:`repro.testing.Trace`), and a
+replica applying it with ``DurabilityMode.NONE``.  The replica then
+crashes: everything its merges made durable survives; the lost tail is
+re-applied by replaying the shipped log from the replica's recovery
+point.
 
 Run:
     python examples/replication.py
 """
 
-import io
 import random
 
 from repro import BLSM, BLSMOptions, DurabilityMode
-from repro.ycsb.generator import Operation, OpKind
-from repro.ycsb.trace import read_trace, write_trace
+from repro.testing import Trace, TraceOp
 
 UPDATES = 4000
 KEYSPACE = 1200
 
 
-def apply(tree: BLSM, op: Operation) -> None:
-    if op.kind is OpKind.BLIND_WRITE:
-        tree.put(op.key, op.value or b"")
-    elif op.kind is OpKind.DELETE:
+def apply(tree: BLSM, op: TraceOp) -> None:
+    if op.kind == "put":
+        tree.put(op.key, op.value)
+    elif op.kind == "delete":
         tree.delete(op.key)
 
 
@@ -41,20 +40,19 @@ def main() -> None:
 
     # --- primary: generate writes and ship them as a trace -------------
     primary = BLSM(BLSMOptions(c0_bytes=64 * 1024))
-    shipped: list[Operation] = []
+    shipped = Trace()
     for i in range(UPDATES):
         key = b"row%05d" % rng.randrange(KEYSPACE)
         if rng.random() < 0.9:
-            op = Operation(OpKind.BLIND_WRITE, key, b"v%06d" % i)
+            op = TraceOp.put(key, b"v%06d" % i)
         else:
-            op = Operation(OpKind.DELETE, key)
+            op = TraceOp.delete(key)
         apply(primary, op)
-        shipped.append(op)
-    wire = io.StringIO()
-    write_trace(shipped, wire)
+        shipped.ops.append(op)
+    wire = shipped.to_json()
     print(
         f"primary: applied {UPDATES} updates, shipped "
-        f"{len(wire.getvalue()) / 1024:.1f} KB of log"
+        f"{len(wire) / 1024:.1f} KB of log"
     )
 
     # --- replica: apply with no local logging --------------------------
@@ -62,9 +60,8 @@ def main() -> None:
         c0_bytes=64 * 1024, durability=DurabilityMode.NONE
     )
     replica = BLSM(replica_options)
-    wire.seek(0)
     applied = 0
-    for op in read_trace(wire):
+    for op in Trace.from_json(wire):
         apply(replica, op)
         applied += 1
     log_mb = replica.stasis.log_disk.stats.bytes_written / 1e6
@@ -89,8 +86,7 @@ def main() -> None:
 
     # Catch up by replaying the shipped log from the recovery point —
     # replay is idempotent thanks to blind base/tombstone writes.
-    wire.seek(0)
-    for op in read_trace(wire):
+    for op in Trace.from_json(wire):
         apply(recovered, op)
     caught_up = dict(recovered.scan(b""))
     assert caught_up == expected

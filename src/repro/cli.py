@@ -1,12 +1,20 @@
-"""Command-line interface: run workloads and print the paper's tables.
+"""Command-line interface: run, trace, fuzz and crash-test the engines.
+
+Ten subcommands: ``workload`` and ``trace`` run one engine; ``fuzz``
+(the differential oracle plus end-of-run invariant checks) and
+``crashtest`` check correctness; the five rows of
+:data:`repro.scenarios.SCENARIOS` are the gated benches; ``report``
+validates and compares their reports.  The paper's analytical tables
+(Figure 2, Table 2) are written by ``benchmarks/`` into
+``benchmarks/results/``, and ``examples/engine_comparison.py`` runs one
+workload on every engine.
 
 Examples::
 
     python -m repro workload --engine blsm --workload a \\
         --records 2000 --ops 5000 --disk hdd
     python -m repro workload --engine leveldb --read 0.2 --blind-write 0.8
-    python -m repro amplification           # Figure 2 + write amp by cause
-    python -m repro cache-table             # Table 2 (Appendix A)
+    python -m repro fuzz --ops 2000 --seed 0
 """
 
 from __future__ import annotations
@@ -16,15 +24,8 @@ import inspect
 import sys
 from typing import Any, Sequence
 
-from repro.analysis import cache_gb_table, figure2_series
-from repro.analysis.five_minute import STANDARD_DEVICES
 from repro.baselines import KVEngine
-from repro.engines import (
-    CRASH_ENGINE_NAMES,
-    DISK_MODELS,
-    ENGINE_NAMES,
-    build_engine,
-)
+from repro.engines import CRASH_ENGINE_NAMES, DISK_MODELS, ENGINE_NAMES
 from repro.errors import UsageError
 from repro.faults.crashpoints import PROTOCOL_SWEEPS
 from repro.obs.report import (
@@ -59,14 +60,12 @@ def _progress(args: argparse.Namespace):
 
 def _fault_plan(args: argparse.Namespace):
     """A FaultPlan from the ``--fault-*`` flags, or ``None``."""
-    transient = getattr(args, "fault_transient", 0.0)
-    latency = getattr(args, "fault_latency", 0.0)
+    transient, latency = args.fault_transient, args.fault_latency
     if transient <= 0.0 and latency <= 0.0:
         return None
     from repro.faults import FaultPlan, FaultRule
 
-    seed = getattr(args, "fault_seed", 0)
-    plan = FaultPlan(seed=seed)
+    plan = FaultPlan(seed=args.fault_seed)
     if transient > 0.0:
         plan.add(FaultRule(kind="transient", probability=transient))
     if latency > 0.0:
@@ -76,13 +75,11 @@ def _fault_plan(args: argparse.Namespace):
     return plan
 
 
-def _engine(
-    name: str,
-    args: argparse.Namespace,
-    spec: WorkloadSpec | None = None,
-) -> KVEngine:
-    """Build ``name`` from whichever engine flags this subparser has."""
-    return engine_from(name, vars(args), spec, fault_plan=_fault_plan(args))
+def _engine(args: argparse.Namespace, spec: WorkloadSpec) -> KVEngine:
+    """Build ``--engine`` from the `_engine_flags`."""
+    return engine_from(
+        args.engine, vars(args), spec, fault_plan=_fault_plan(args)
+    )
 
 
 def _workload_spec(args: argparse.Namespace) -> WorkloadSpec:
@@ -113,7 +110,7 @@ def _workload_spec(args: argparse.Namespace) -> WorkloadSpec:
 
 def _cmd_workload(args: argparse.Namespace) -> int:
     spec = _workload_spec(args)
-    engine = _engine(args.engine, args, spec)
+    engine = _engine(args, spec)
     print(
         f"engine={engine.name} disk={args.disk} records={spec.record_count} "
         f"ops={spec.operation_count} dist={spec.request_distribution}"
@@ -158,97 +155,6 @@ def _cmd_workload(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    """Run the same workload against every engine, print a table."""
-    spec = _workload_spec(args)
-    print(
-        f"{'engine':12s}{'load ops/s':>12s}{'run ops/s':>12s}"
-        f"{'p99 (ms)':>10s}{'max (ms)':>10s}{'seeks':>8s}"
-    )
-    for name in ENGINES:
-        engine = _engine(name, args)
-        load = load_phase(engine, spec, seed=args.seed)
-        seeks_before = engine.seeks()
-        if spec.operation_count > 0:
-            result = run_workload(engine, spec, seed=args.seed + 1)
-            latency = result.all_latencies()
-            run_ops = result.throughput
-            p99 = latency.percentile(99) * 1e3
-            worst = latency.max * 1e3
-        else:
-            run_ops = p99 = worst = 0.0
-        print(
-            f"{engine.name:12s}{load.throughput:12,.0f}{run_ops:12,.0f}"
-            f"{p99:10.2f}{worst:10.2f}{engine.seeks() - seeks_before:8d}"
-        )
-        engine.close()
-    return 0
-
-
-def _cmd_amplification(args: argparse.Namespace) -> int:
-    series = figure2_series(max_ratio=args.max_ratio, points_per_unit=1)
-    labels = list(series)
-    print(f"{'data/RAM':>9s}" + "".join(f"{label:>8s}" for label in labels))
-    for i in range(len(series["bloom"])):
-        ratio = series["bloom"][i][0]
-        row = f"{ratio:9.0f}"
-        for label in labels:
-            row += f"{series[label][i][1]:8.2f}"
-        print(row)
-    # The write side, measured: where a load's device bytes come from.
-    import random
-
-    from repro.obs import format_write_amplification
-
-    records, value = 4000, bytes(1000)
-    engine = build_engine("blsm", c0_bytes=256 * 1024, cache_pages=64)
-    keys = [b"user%012d" % i for i in range(records)]
-    random.Random(0).shuffle(keys)
-    for key in keys:
-        engine.put(key, value)
-    engine.tree.drain()
-    print(
-        f"write amplification of a {records} x {len(value)} B load "
-        f"(blsm, C0 256 KiB), by cause:"
-    )
-    user_bytes = sum(len(key) + len(value) for key in keys)
-    for line in format_write_amplification(engine, user_bytes):
-        print(line)
-    engine.close()
-    return 0
-
-
-def _cmd_record(args: argparse.Namespace) -> int:
-    from repro.ycsb.trace import record_workload_trace
-
-    spec = _workload_spec(args)
-    with open(args.output, "w") as handle:
-        count = record_workload_trace(spec, handle, seed=args.seed)
-    print(f"recorded {count} operations to {args.output}")
-    return 0
-
-
-def _cmd_replay(args: argparse.Namespace) -> int:
-    from repro.ycsb.trace import replay_trace
-
-    engine = _engine(args.engine, args)
-    with open(args.trace) as handle:
-        operations, stats = replay_trace(engine, handle)
-    elapsed = engine.clock.now
-    throughput = operations / elapsed if elapsed > 0 else 0.0
-    print(
-        f"replayed {operations} ops on {engine.name} in "
-        f"{elapsed * 1e3:.1f} ms (virtual) -> {throughput:,.0f} ops/s"
-    )
-    print(
-        f"latency p50 {stats.percentile(50) * 1e6:.1f} us  "
-        f"p99 {stats.percentile(99) * 1e6:.1f} us  "
-        f"max {stats.max * 1e3:.2f} ms"
-    )
-    engine.close()
-    return 0
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Run a workload and dump or summarize its observability trace."""
     from repro.obs import (
@@ -263,7 +169,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     )
 
     spec = _workload_spec(args)
-    engine = _engine(args.engine, args, spec)
+    engine = _engine(args, spec)
     load_phase(engine, spec, seed=args.seed)
     if spec.operation_count > 0:
         run_workload(engine, spec, seed=args.seed + 1)
@@ -436,68 +342,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return status
 
 
-def _cmd_cache_table(args: argparse.Namespace) -> int:
-    print(
-        f"{'Access Frequency':18s}"
-        + "".join(f"{device.name:>12s}" for device in STANDARD_DEVICES)
-    )
-    for label, cells in cache_gb_table():
-        row = f"{label:18s}"
-        for cell in cells:
-            row += f"{'-':>12s}" if cell is None else f"{cell:12.3f}"
-        print(row)
-    return 0
-
-
-def _cmd_selfcheck(args: argparse.Namespace) -> int:
-    """Model-check every engine and verify tree invariants.
-
-    A fast release gate: drives each engine with the same random
-    operation stream against a dictionary model, deep-checks the bLSM
-    trees' structural invariants, and round-trips a crash/recover.
-    """
-    from repro.core import BLSM, BLSMOptions
-    from repro.storage import DurabilityMode
-    from repro.testing import (
-        check_blsm_invariants,
-        crash_recover_check,
-        run_model_workload,
-        verify_against_model,
-    )
-
-    failures = 0
-    for name in ENGINES:
-        engine = build_engine(name, c0_bytes=16 * 1024, cache_pages=16)
-        try:
-            model = run_model_workload(
-                engine, operations=args.operations, seed=args.seed
-            )
-            verify_against_model(engine, model)
-            if hasattr(engine, "tree") and isinstance(engine.tree, BLSM):
-                check_blsm_invariants(engine.tree)
-            print(f"  {engine.name:10s} OK  ({len(model)} live keys)")
-        except AssertionError as error:
-            failures += 1
-            print(f"  {engine.name:10s} FAILED: {error}")
-    options = BLSMOptions(
-        c0_bytes=16 * 1024, durability=DurabilityMode.SYNC
-    )
-    tree = BLSM(options)
-    model = {}
-    for i in range(args.operations // 4):
-        key = b"key%05d" % (i % 400)
-        tree.put(key, b"v%d" % i)
-        model[key] = b"v%d" % i
-    try:
-        crash_recover_check(tree, model)
-        print(f"  {'recovery':10s} OK  (crash + replay verified)")
-    except AssertionError as error:
-        failures += 1
-        print(f"  {'recovery':10s} FAILED: {error}")
-    print("selfcheck:", "PASS" if failures == 0 else f"{failures} FAILURES")
-    return 0 if failures == 0 else 1
-
-
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     """Differential conformance fuzzing (docs/correctness.md).
 
@@ -563,7 +407,8 @@ def _workload_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _engine_flags(parser: argparse.ArgumentParser) -> None:
-    """The `_engine` flags `build_engine` takes for every engine."""
+    """``--engine`` and the flags `_engine` builds it from (some are
+    only accepted by the engines their help names)."""
     parser.add_argument("--disk", choices=DISKS, default="hdd")
     parser.add_argument("--c0-bytes", type=int, default=512 * 1024)
     parser.add_argument("--cache-pages", type=int, default=64)
@@ -580,10 +425,6 @@ def _engine_flags(parser: argparse.ArgumentParser) -> None:
         default="spring_gear",
         help="merge scheduler for the bLSM engines",
     )
-
-
-def _one_engine_flags(parser: argparse.ArgumentParser) -> None:
-    """``--engine``, and the `_engine` flags only some engines accept."""
     parser.add_argument("--engine", choices=ENGINES, default="blsm")
     parser.add_argument(
         "--log-device", choices=DISKS, default=None,
@@ -628,56 +469,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="bLSM (SIGMOD 2012) reproduction: run workloads on "
-        "simulated devices and print the paper's analytical tables.",
+        "simulated devices, fuzz and crash-test the engines, and run the "
+        "gated benchmark scenarios.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     workload = sub.add_parser("workload", help="run a YCSB-style workload")
     _workload_flags(workload)
     _engine_flags(workload)
-    _one_engine_flags(workload)
     workload.add_argument(
         "--timeseries", type=float, default=0.0, metavar="WINDOW_S",
         help="print a windowed throughput sparkline (window in seconds)",
     )
     workload.set_defaults(fn=_cmd_workload)
-
-    compare = sub.add_parser(
-        "compare", help="run one workload against every engine"
-    )
-    _workload_flags(compare)
-    _engine_flags(compare)
-    compare.set_defaults(fn=_cmd_compare)
-
-    amplification = sub.add_parser(
-        "amplification",
-        help="print Figure 2's read-amplification series and a measured "
-        "load's write amplification by cause",
-    )
-    amplification.add_argument("--max-ratio", type=int, default=16)
-    amplification.set_defaults(fn=_cmd_amplification)
-
-    cache = sub.add_parser(
-        "cache-table", help="print Table 2 (Appendix A's cache sizing)"
-    )
-    cache.set_defaults(fn=_cmd_cache_table)
-
-    record = sub.add_parser(
-        "record", help="write a workload's operation stream to a trace file"
-    )
-    _workload_flags(record)
-    record.add_argument("--output", required=True, help="trace file path")
-    record.set_defaults(fn=_cmd_record)
-
-    replay = sub.add_parser(
-        "replay", help="replay a recorded trace against an engine"
-    )
-    replay.add_argument("--trace", required=True, help="trace file path")
-    replay.add_argument("--engine", choices=ENGINES, default="blsm")
-    replay.add_argument("--disk", choices=DISKS, default="hdd")
-    replay.add_argument("--c0-bytes", type=int, default=512 * 1024)
-    replay.add_argument("--cache-pages", type=int, default=64)
-    replay.set_defaults(fn=_cmd_replay)
 
     trace = sub.add_parser(
         "trace",
@@ -685,7 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _workload_flags(trace)
     _engine_flags(trace)
-    _one_engine_flags(trace)
     trace.add_argument(
         "--dump", action="store_true",
         help="print raw events instead of the summary",
@@ -698,13 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     for row in SCENARIOS:
         _add_scenario(sub, row)
-
-    selfcheck = sub.add_parser(
-        "selfcheck", help="model-check every engine (fast release gate)"
-    )
-    selfcheck.add_argument("--operations", type=int, default=3000)
-    selfcheck.add_argument("--seed", type=int, default=0)
-    selfcheck.set_defaults(fn=_cmd_selfcheck)
 
     crashtest = sub.add_parser(
         "crashtest",

@@ -36,6 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "CompactionPolicy",
+    "L0_TRIGGER",
     "LazyLeveledPolicy",
     "LevelDBPolicy",
     "LeveledPolicy",
@@ -51,6 +52,10 @@ __all__ = [
 POLICY_NAMES: tuple[str, ...] = (
     "blsm3", "leveled", "tiered", "lazy-leveled", "leveldb"
 )
+
+#: Level-0 runs that make the L0 merge due, for every policy (LevelDB's
+#: four-file trigger; the writer stalls at ``CompactionTree.L0_STOP_TRIGGER``).
+L0_TRIGGER = 4
 
 
 @dataclass(frozen=True)
@@ -100,14 +105,9 @@ class CompactionPolicy(ABC):
     #: Level-0 runs from which each flush sleeps first (or never).
     slowdown_trigger: int | None = None
 
-    def __init__(self, level0_trigger: int, fanout: int) -> None:
-        if level0_trigger < 1:
-            raise ValueError(
-                f"level0_trigger must be >= 1, got {level0_trigger}"
-            )
+    def __init__(self, fanout: int) -> None:
         if fanout < 2:
             raise ValueError(f"fanout must be >= 2, got {fanout}")
-        self.level0_trigger = level0_trigger
         self.fanout = fanout
 
     @abstractmethod
@@ -166,7 +166,7 @@ class LeveledPolicy(CompactionPolicy):
     """LevelDB-style leveling at level granularity: one run per level.
 
     L0 collects whole-memtable flushes (overlapping runs) and merges
-    them all into L1 once ``level0_trigger`` accumulate; every deeper
+    them all into L1 once :data:`L0_TRIGGER` accumulate; every deeper
     level holds a single run and spills into the next level — merging
     with its resident run — whenever it outgrows ``base * ratio^level``.
     Reads probe at most one run per deep level; writes pay ~``ratio``
@@ -176,7 +176,7 @@ class LeveledPolicy(CompactionPolicy):
     name = "leveled"
 
     def max_runs(self, level: int) -> int:
-        return self.level0_trigger if level == 0 else 1
+        return L0_TRIGGER if level == 0 else 1
 
     def estimated_write_amplification(self, levels: int, ratio: float) -> float:
         return 2.0 * (1.0 + ratio) * max(1, levels)
@@ -186,7 +186,7 @@ class LeveledPolicy(CompactionPolicy):
     ) -> list[MergePlan]:
         taken = frozenset(busy)
         plans: list[MergePlan] = []
-        if manager.run_count(0) >= self.level0_trigger:
+        if manager.run_count(0) >= L0_TRIGGER:
             plans.append(
                 MergePlan(0, 1, include_target=True, label="leveled:l0")
             )
@@ -214,7 +214,7 @@ class TieredPolicy(CompactionPolicy):
     name = "tiered"
 
     def max_runs(self, level: int) -> int:
-        return max(self.level0_trigger, self.fanout) if level == 0 else self.fanout
+        return max(L0_TRIGGER, self.fanout) if level == 0 else self.fanout
 
     def estimated_write_amplification(self, levels: int, ratio: float) -> float:
         return 2.0 * max(1, levels)
@@ -286,7 +286,7 @@ class LazyLeveledPolicy(TieredPolicy):
 class LevelDBPolicy(LeveledPolicy):
     """LevelDB circa 2012: leveling at file granularity (Section 3.2).
 
-    ``level0_trigger`` L0 flushes merge with the L1 files they overlap;
+    :data:`L0_TRIGGER` L0 flushes merge with the L1 files they overlap;
     else the most over-budget level (L1 holds the base) moves one file,
     round-robin, with its overlaps below.  One compaction runs at a
     time.  Under uniform inserts each L0 file spans the keyspace, so L0
@@ -298,8 +298,8 @@ class LevelDBPolicy(LeveledPolicy):
     granularity = "file"
     slowdown_trigger = 8
 
-    def __init__(self, level0_trigger: int, fanout: int) -> None:
-        super().__init__(level0_trigger, fanout)
+    def __init__(self, fanout: int) -> None:
+        super().__init__(fanout)
         self._next: dict[int, int] = {}  # level -> round-robin position
 
     def plan_merges(
@@ -307,7 +307,7 @@ class LevelDBPolicy(LeveledPolicy):
     ) -> list[MergePlan]:
         if frozenset(busy):  # LevelDB's one background compaction
             return []
-        if manager.run_count(0) >= self.level0_trigger:
+        if manager.run_count(0) >= L0_TRIGGER:
             level, moved = 0, manager.runs(0)
         else:  # L1's budget is the base: max_bytes counts from level 0
             scores = {
@@ -338,9 +338,7 @@ class LevelDBPolicy(LeveledPolicy):
             self._next[level] = manager.runs(level).index(plan.inputs[0]) + 1
 
 
-def make_policy(
-    name: str, level0_trigger: int = 4, fanout: int = 4
-) -> CompactionPolicy:
+def make_policy(name: str, fanout: int = 4) -> CompactionPolicy:
     """Build a policy by registry name.
 
     ``blsm3`` is deliberately absent: the paper's own layout is served
@@ -349,13 +347,13 @@ def make_policy(
     tree rather than being re-expressed — and re-risked — here.
     """
     if name == "leveled":
-        return LeveledPolicy(level0_trigger, fanout)
+        return LeveledPolicy(fanout)
     if name == "tiered":
-        return TieredPolicy(level0_trigger, fanout)
+        return TieredPolicy(fanout)
     if name == "lazy-leveled":
-        return LazyLeveledPolicy(level0_trigger, fanout)
+        return LazyLeveledPolicy(fanout)
     if name == "leveldb":
-        return LevelDBPolicy(level0_trigger, fanout)
+        return LevelDBPolicy(fanout)
     raise ValueError(
         f"unknown compaction policy {name!r}; expected one of "
         f"{tuple(n for n in POLICY_NAMES if n != 'blsm3')}"

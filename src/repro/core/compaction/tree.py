@@ -31,13 +31,18 @@ from __future__ import annotations
 from typing import Any, Iterable, NamedTuple
 
 from repro.core.compaction.manager import LevelManager
-from repro.core.compaction.policy import CompactionPolicy, MergePlan, make_policy
+from repro.core.compaction.policy import (
+    L0_TRIGGER,
+    CompactionPolicy,
+    MergePlan,
+    make_policy,
+)
 from repro.core.kernel import TreeKernel
 from repro.core.merge import MergeProcess
 from repro.core.options import BLSMOptions
 from repro.core.progress import outprogress
 from repro.core.versions import TreeSnapshot
-from repro.records import Record, RecordKind
+from repro.records import Record, RecordKind, resolve
 from repro.sstable.reader import SSTable
 
 __all__ = ["CompactionTree"]
@@ -56,7 +61,8 @@ class CompactionTree(TreeKernel):
 
     L0_STOP_TRIGGER = 12
     """Level-0 runs at which a flushing writer stalls (LevelDB's stop
-    trigger, the same for every policy)."""
+    trigger, the same for every policy; the L0 merge is due from
+    :data:`~repro.core.compaction.policy.L0_TRIGGER` runs)."""
 
     L0_SLOWDOWN_SECONDS = 1e-3
     """What a flush sleeps from the policy's slowdown trigger on."""
@@ -67,11 +73,7 @@ class CompactionTree(TreeKernel):
 
     def _init_layout(self) -> None:
         opts = self.options
-        self._policy = make_policy(
-            opts.compaction_policy,
-            level0_trigger=opts.level0_trigger,
-            fanout=opts.tier_fanout,
-        )
+        self._policy = make_policy(opts.compaction_policy, opts.tier_fanout)
         self._manager = LevelManager(
             self._base_bytes(opts),
             opts.level_ratio,
@@ -85,7 +87,7 @@ class CompactionTree(TreeKernel):
         """Level-1 byte budget: L0's worth of whole-memtable flushes."""
         if opts.level_base_bytes is not None:
             return opts.level_base_bytes
-        return max(1, opts.level0_trigger * opts.c0_bytes)
+        return max(1, L0_TRIGGER * opts.c0_bytes)
 
     # ------------------------------------------------------------------
     # Public read API
@@ -113,7 +115,7 @@ class CompactionTree(TreeKernel):
                 versions.append(record)
                 if record.kind is not RecordKind.DELTA:
                     break
-        return self._resolve_read(key, versions)
+        return resolve(versions)
 
     def snapshot(self) -> TreeSnapshot:
         """Pin a consistent point-in-time read view of the tree.
@@ -292,7 +294,6 @@ class CompactionTree(TreeKernel):
             expected_keys=keys,
             drop_tombstones=drop,
             with_bloom=opts.with_bloom_filters,
-            bloom_false_positive_rate=opts.bloom_false_positive_rate,
             split_output_bytes=split,
             tree_id_source=self._take_tree_id if split is not None else None,
             compression_ratio=opts.compression_ratio,

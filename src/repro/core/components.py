@@ -15,6 +15,7 @@ from typing import Any
 from repro.bloom import BloomFilter
 from repro.core.options import BLSMOptions
 from repro.sstable.bloom_store import bloom_descriptor, load_bloom
+from repro.sstable.builder import BLOOM_FALSE_POSITIVE_RATE
 from repro.sstable.reader import SSTable
 from repro.storage.region import Extent
 from repro.storage.stasis import Stasis
@@ -93,7 +94,7 @@ def rebuild_component(
     elif options.with_bloom_filters and desc["key_count"] > 0:
         # Prototype behaviour: rebuild by scanning the whole component.
         bloom = BloomFilter.for_capacity(
-            desc["key_count"], options.bloom_false_positive_rate
+            desc["key_count"], BLOOM_FALSE_POSITIVE_RATE
         )
         bloom.update(record.key for record in table.iter_records())
         table.bloom = bloom

@@ -6,11 +6,10 @@ merge threads, snapshot-consistent reads) and presents partitioning
 design-space literature draws the same line (layout, trigger and
 granularity are policy, the rest is mechanism).  :class:`TreeKernel` is
 that mechanism, once: the storage substrate, seqno and tree-id
-counters, C0, the write API down to the logical log, delta read-repair,
-snapshot scans, the durability barrier, one budgeted merge step on the
-caller's clock or a background timeline, the merge and stall
-instrumentation, whole-C0 flushes, exact log retention and crash
-recovery.
+counters, C0, the write API down to the logical log, snapshot scans,
+the durability barrier, one budgeted merge step on the caller's clock
+or a background timeline, the merge and stall instrumentation, whole-C0
+flushes, exact log retention and crash recovery.
 
 A layout — :class:`repro.core.tree.BLSM`'s three slots,
 :class:`repro.core.compaction.tree.CompactionTree`'s policy-owned
@@ -19,7 +18,7 @@ partitions — subclasses the kernel and supplies:
 
 * ``_init_layout(**layout)`` — its empty component structure, merge
   timelines and scheduler;
-* ``get`` (the probe order, finished by :meth:`TreeKernel._resolve_read`)
+* ``get`` (the probe order, folded by :func:`repro.records.resolve`)
   and ``snapshot`` (the same order, pinned);
 * ``_on_write(nbytes)`` — what a write triggers: pacing, merge
   selection, stalls;
@@ -45,7 +44,7 @@ from repro.core.scheduler import make_scheduler
 from repro.core.versions import TreeSnapshot, VersionSet
 from repro.errors import EngineClosedError
 from repro.memtable.memtable import MemTable
-from repro.records import Record, resolve
+from repro.records import Record
 from repro.sim.clock import Timeline
 from repro.sstable.bloom_store import persist_bloom
 from repro.sstable.builder import SSTableBuilder
@@ -269,24 +268,6 @@ class TreeKernel:
     # Public read API
     # ------------------------------------------------------------------
 
-    def _resolve_read(self, key: bytes, versions: list[Record]) -> bytes | None:
-        """Fold the versions ``get`` collected; repair a delta chain."""
-        value = resolve(versions)
-        if (
-            self.options.delta_read_repair
-            and value is not None
-            and len(versions) > 1
-            and versions[0].is_delta
-        ):
-            # Section 5.6: a read that had to fold deltas inserts the
-            # merged tuple into C0, so the next read stops there.  The
-            # repair is logged like any write: it may fold over (and
-            # therefore subsume) logged deltas still resident in C0, and
-            # exact log retention would otherwise drop those deltas with
-            # nothing durable to replace them.
-            self._write(Record.base(key, value, self._take_seqno()), OP_PUT)
-        return value
-
     def scan(
         self,
         lo: bytes,
@@ -473,7 +454,6 @@ class TreeKernel:
             expected_bytes=memtable.nbytes,
             expected_keys=len(memtable),
             with_bloom=self.options.with_bloom_filters,
-            bloom_false_positive_rate=self.options.bloom_false_positive_rate,
             compression_ratio=self.options.compression_ratio,
         )
         for record in memtable:

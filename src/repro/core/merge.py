@@ -181,7 +181,6 @@ class MergeProcess:
         expected_keys: int,
         drop_tombstones: bool,
         with_bloom: bool = True,
-        bloom_false_positive_rate: float = 0.01,
         split_output_bytes: int | None = None,
         tree_id_source: "Callable[[], int] | None" = None,
         compression_ratio: float = 1.0,
@@ -211,7 +210,6 @@ class MergeProcess:
         self.write_calls = 0
         self.write_seeks = 0
         self._with_bloom = with_bloom
-        self._bloom_fpr = bloom_false_positive_rate
         self._expected_keys = expected_keys
         # A snowshovel pass outgrows the keys present at its start; its
         # owner passes the run it plans for (Bloom sizing only: the
@@ -411,7 +409,6 @@ class MergeProcess:
             expected_bytes=expected_bytes,
             expected_keys=self._expected_keys,
             with_bloom=self._with_bloom,
-            bloom_false_positive_rate=self._bloom_fpr,
             compression_ratio=self._compression_ratio,
             bloom_keys=self._bloom_keys,
             gate=self._gate,

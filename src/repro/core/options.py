@@ -46,9 +46,6 @@ class BLSMOptions:
     :class:`~repro.sim.disk.SimDisk`; >= 2 builds a RAID-0
     :class:`~repro.sim.disk.StripedDisk` (Section 5.1's arrays)."""
 
-    stripe_chunk_bytes: int = 512 * 1024
-    """RAID-0 stripe chunk size (the paper's arrays use 512 KB stripes)."""
-
     background_merges: bool = False
     """Run merge I/O on per-merge background timelines (the paper's merge
     threads, Section 5.1) instead of charging it synchronously to the
@@ -64,16 +61,8 @@ class BLSMOptions:
     with_bloom_filters: bool = True
     """Protect C1/C1'/C2 with Bloom filters (Section 3.1)."""
 
-    bloom_false_positive_rate: float = 0.01
-    """Target FPR; 10 bits/key gives 1 % (Section 3.1)."""
-
     snowshovel: bool = True
     """Consume C0 via replacement selection instead of freezing C0'."""
-
-    delta_read_repair: bool = False
-    """Reads that fold deltas re-insert the merged base record into C0
-    (Section 5.6's suggestion), so later reads of the key stop at C0
-    instead of re-collecting the delta chain from disk."""
 
     compression_ratio: float = 1.0
     """On-disk bytes per logical record byte (Rose-style compression,
@@ -99,12 +88,6 @@ class BLSMOptions:
     overlapping range partitions).  Writes never block, but every extra
     component adds a seek to scans — the degradation the paper uses to
     argue for level scheduling instead."""
-
-    min_r: float = 2.0
-    """Lower clamp on the size ratio R between adjacent levels."""
-
-    max_r: float = 10.0
-    """Upper clamp on R."""
 
     low_water: float = 0.35
     """C0 fill below which downstream merges pause (spring and gear)."""
@@ -152,16 +135,12 @@ class BLSMOptions:
     level_ratio: float = 4.0
     """Geometric size ratio between adjacent levels of a policy tree:
     ``max_bytes(level) = level_base_bytes * level_ratio^level``.  (The
-    ``blsm3`` policy keeps its own adaptive R, clamped by
-    :attr:`min_r`/:attr:`max_r`.)"""
+    ``blsm3`` policy keeps its own adaptive R, clamped to
+    ``[MIN_R, MAX_R]`` in :mod:`repro.core.tree`.)"""
 
     level_base_bytes: int | None = None
     """Level-1 byte budget of a policy tree.  ``None`` derives
-    ``level0_trigger * c0_bytes`` — one L0's worth of memtable flushes."""
-
-    level0_trigger: int = 4
-    """Level-0 run count that makes the L0 merge due (policy trees; the
-    writer stalls at ``CompactionTree.L0_STOP_TRIGGER`` runs)."""
+    ``L0_TRIGGER * c0_bytes`` — one L0's worth of memtable flushes."""
 
     tier_fanout: int = 4
     """Runs a tiered (or lazy-leveled upper) level stacks before its
@@ -175,10 +154,6 @@ class BLSMOptions:
                 "require 0 <= low_water < high_water <= 1, got "
                 f"{self.low_water}, {self.high_water}"
             )
-        if self.min_r < 1.0 or self.max_r < self.min_r:
-            raise ValueError(
-                f"require 1 <= min_r <= max_r, got {self.min_r}, {self.max_r}"
-            )
         if self.scheduler not in ("naive", "gear", "spring_gear", "leveldb"):
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
         if self.scheduler == "leveldb" and self.compaction_policy == "blsm3":
@@ -186,14 +161,6 @@ class BLSMOptions:
         if not 0.0 < self.compression_ratio <= 1.0:
             raise ValueError(
                 f"compression_ratio must be in (0, 1], got {self.compression_ratio}"
-            )
-        if self.data_stripes < 1:
-            raise ValueError(
-                f"data_stripes must be >= 1, got {self.data_stripes}"
-            )
-        if self.stripe_chunk_bytes <= 0:
-            raise ValueError(
-                f"stripe_chunk_bytes must be positive, got {self.stripe_chunk_bytes}"
             )
         from repro.core.compaction.policy import POLICY_NAMES
 
@@ -210,18 +177,9 @@ class BLSMOptions:
             raise ValueError(
                 f"level_base_bytes must be positive, got {self.level_base_bytes}"
             )
-        if self.level0_trigger < 1:
-            raise ValueError(
-                f"level0_trigger must be >= 1, got {self.level0_trigger}"
-            )
         if self.tier_fanout < 2:
             raise ValueError(
                 f"tier_fanout must be >= 2, got {self.tier_fanout}"
-            )
-        if self.data_stripes > 1 and self.fault_plan is not None:
-            raise ValueError(
-                "fault injection is not supported on a striped data device "
-                "(the crash-point harness needs one serial access sequence)"
             )
 
 

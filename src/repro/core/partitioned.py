@@ -41,8 +41,9 @@ from repro.core.kernel import TreeKernel
 from repro.core.merge import MergeProcess, SnowshovelSource
 from repro.core.options import BLSMOptions
 from repro.core.scheduler import HEADROOM
+from repro.core.tree import target_r
 from repro.core.versions import TreeSnapshot
-from repro.records import Record, RecordKind
+from repro.records import Record, RecordKind, resolve
 from repro.sstable.reader import SSTable
 from repro.storage.stasis import Stasis
 
@@ -127,7 +128,7 @@ class PartitionedBLSM(TreeKernel):
                 versions.append(record)
                 if record.kind is not RecordKind.DELTA:
                     break
-        return self._resolve_read(key, versions)
+        return resolve(versions)
 
     def snapshot(self) -> TreeSnapshot:
         """Pin a consistent point-in-time read view of the tree.
@@ -295,8 +296,7 @@ class PartitionedBLSM(TreeKernel):
 
     def _target_r(self) -> float:
         data = sum(partition.disk_bytes for partition in self._partitions)
-        ratio = math.sqrt(max(1.0, data / self.options.c0_bytes))
-        return min(self.options.max_r, max(self.options.min_r, ratio))
+        return target_r(data, self.options.c0_bytes)
 
     def _merge_debt_per_byte(self) -> float:
         """Input bytes ``merge_step`` consumes per byte drained from C0.
@@ -347,7 +347,6 @@ class PartitionedBLSM(TreeKernel):
             expected_keys=len(self._memtable) + c1_keys,
             drop_tombstones=bottom,
             with_bloom=self.options.with_bloom_filters,
-            bloom_false_positive_rate=self.options.bloom_false_positive_rate,
             split_output_bytes=self.max_partition_bytes if bottom else None,
             tree_id_source=self._take_tree_id if bottom else None,
             compression_ratio=self.options.compression_ratio,
@@ -369,7 +368,6 @@ class PartitionedBLSM(TreeKernel):
             expected_keys=partition.c1.key_count + c2_keys,
             drop_tombstones=True,
             with_bloom=self.options.with_bloom_filters,
-            bloom_false_positive_rate=self.options.bloom_false_positive_rate,
             split_output_bytes=self.max_partition_bytes,
             tree_id_source=self._take_tree_id,
             compression_ratio=self.options.compression_ratio,

@@ -37,8 +37,19 @@ from repro.core.options import BLSMOptions
 from repro.core.progress import outprogress
 from repro.core.versions import RamSource, TreeSnapshot
 from repro.memtable.memtable import MemTable
-from repro.records import Record, RecordKind
+from repro.records import Record, RecordKind, resolve
 from repro.sstable.reader import SSTable
+
+MIN_R = 2.0
+"""Lower clamp on the size ratio R between adjacent levels."""
+
+MAX_R = 10.0
+"""Upper clamp on R."""
+
+
+def target_r(data_bytes: float, c0_bytes: float) -> float:
+    """R = sqrt(|data| / |C0|), clamped to ``[MIN_R, MAX_R]`` (§2.3.1)."""
+    return min(MAX_R, max(MIN_R, math.sqrt(max(1.0, data_bytes / c0_bytes))))
 
 
 class BLSM(TreeKernel):
@@ -54,7 +65,7 @@ class BLSM(TreeKernel):
         self._m01_extra: SSTable | None = None
         self._m12: MergeProcess | None = None
         self._promotion_pending = False
-        self._r = self.options.min_r
+        self._r = MIN_R
         # Each merge level gets its own worker (Section 5.1's threads).
         self._bg01 = self._new_timeline("merge-c0c1")
         self._bg12 = self._new_timeline("merge-c1c2")
@@ -92,7 +103,7 @@ class BLSM(TreeKernel):
                 versions.append(record)
                 if record.kind is not RecordKind.DELTA:
                     break
-        return self._resolve_read(key, versions)
+        return resolve(versions)
 
     def snapshot(self) -> TreeSnapshot:
         """Pin a consistent point-in-time read view of the tree.
@@ -500,7 +511,6 @@ class BLSM(TreeKernel):
             expected_keys=newer_keys + c1_keys,
             drop_tombstones=drop,
             with_bloom=self.options.with_bloom_filters,
-            bloom_false_positive_rate=self.options.bloom_false_positive_rate,
             compression_ratio=self.options.compression_ratio,
             bloom_keys=run_keys + c1_keys,
         )
@@ -521,7 +531,6 @@ class BLSM(TreeKernel):
             expected_keys=self._c1_prime.key_count + c2_keys,
             drop_tombstones=True,  # C2 is the bottom level
             with_bloom=self.options.with_bloom_filters,
-            bloom_false_positive_rate=self.options.bloom_false_positive_rate,
             compression_ratio=self.options.compression_ratio,
         )
         self._merge_started("c1c2", self._m12)
@@ -586,10 +595,9 @@ class BLSM(TreeKernel):
         self.stasis.commit_manifest(self._manifest())
 
     def _recompute_r(self) -> None:
-        """R = sqrt(|data| / |C0|) for a two-on-disk-level tree (§2.3.1)."""
+        """R for a two-on-disk-level tree: C2 is the data (§2.3.1)."""
         data_bytes = self._c2.nbytes if self._c2 is not None else 0
-        ratio = math.sqrt(max(1.0, data_bytes / self._c0_capacity))
-        self._r = min(self.options.max_r, max(self.options.min_r, ratio))
+        self._r = target_r(data_bytes, self._c0_capacity)
 
     def _c0_overfull(self, target_fill: float) -> bool:
         if self.options.snowshovel:

@@ -4,9 +4,8 @@ Before this module existed the CLI kept its own ``ENGINES`` tuple and
 flag-to-constructor wiring while the crash-point harness kept a parallel
 ``_ENGINES`` + ``_build_engine`` pair; adding an engine meant editing
 both (and missing one silently).  Now an engine registers once here and
-appears everywhere: ``repro workload``, ``compare``, ``bench``,
-``replay``, ``selfcheck`` and (for the crash-capable trees) ``repro
-crashtest``.
+appears everywhere: ``repro workload``, ``trace``, ``fuzz``, the
+scenario rows and (for the crash-capable trees) ``repro crashtest``.
 
 Two surfaces, one module:
 

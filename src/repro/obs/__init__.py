@@ -37,7 +37,6 @@ from repro.obs.summary import (
     format_shard_summary,
     format_summary,
     format_version_summary,
-    format_write_amplification,
     merge_seconds_by_level,
     reconstruct_stalls,
     stall_causes,
@@ -76,7 +75,6 @@ __all__ = [
     "format_shard_summary",
     "format_summary",
     "format_version_summary",
-    "format_write_amplification",
     "merge_seconds_by_level",
     "reconstruct_stalls",
     "stall_causes",

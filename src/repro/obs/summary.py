@@ -300,30 +300,6 @@ def format_layout_summary(engine: Any) -> list[str]:
     return lines
 
 
-def format_write_amplification(engine: Any, user_bytes: int) -> list[str]:
-    """Device write amplification of a finished load, by cause.
-
-    ``device bytes / user bytes`` is what the LSM literature compares
-    designs by; it is the product of how often merges rewrite a record
-    and what the block layout adds around the records, plus the log.
-    """
-    io = engine.io_summary()
-    packed = engine.runtime.metrics.value("sstable.bytes_packed")
-    data, log = io["data_bytes_written"], io["log_bytes_written"]
-    rewrite = packed / user_bytes
-    layout = data / packed if packed > 0 else 0.0
-    return [
-        f"  user bytes   {user_bytes / 1e6:9.2f}MB",
-        f"  record bytes {packed / 1e6:9.2f}MB built into components "
-        f"({rewrite:.2f}x record rewrite)",
-        f"  device bytes {data / 1e6:9.2f}MB written to the data device "
-        f"({layout:.3f}x layout overhead: page padding)",
-        f"  log bytes    {log / 1e6:9.2f}MB",
-        f"  write amplification {(data + log) / user_bytes:.2f} = "
-        f"{rewrite:.2f} x {layout:.3f} + {log / user_bytes:.2f}",
-    ]
-
-
 _FAULT_METRIC_LABELS = (
     ("faults.transient_errors", "transient I/O errors"),
     ("faults.torn_writes", "torn writes"),

@@ -40,6 +40,9 @@ from repro.storage.stasis import Stasis, StepGate
 _CONTINUATION = ("cont",)  # payload of pages 2..n of a multi-page block
 _MIN_EXTENT_PAGES = 16
 
+BLOOM_FALSE_POSITIVE_RATE = 0.01
+"""Every component's filter target: 10 bits/key gives 1 % (Section 3.1)."""
+
 
 class SSTableBuilder:
     """Accumulates sorted records into a new :class:`SSTable`."""
@@ -51,7 +54,6 @@ class SSTableBuilder:
         expected_bytes: int = 0,
         expected_keys: int | None = None,
         with_bloom: bool = True,
-        bloom_false_positive_rate: float = 0.01,
         compression_ratio: float = 1.0,
         bloom_keys: int | None = None,
         gate: StepGate | None = None,
@@ -77,7 +79,7 @@ class SSTableBuilder:
         if with_bloom:
             capacity = bloom_keys or expected_keys or 1024
             self._bloom = BloomFilter.for_capacity(
-                max(64, capacity), bloom_false_positive_rate
+                max(64, capacity), BLOOM_FALSE_POSITIVE_RATE
             )
         self._extents: list[Extent] = []
         self._next_page = 0  # next unused page id in the current extent

@@ -102,7 +102,6 @@ class Stasis:
         capacity_bytes: int | None = None,
         log_disk_model: DiskModel | None = None,
         data_stripes: int = 1,
-        stripe_chunk_bytes: int = 512 * 1024,
         observability: bool = True,
     ) -> None:
         model = disk_model if disk_model is not None else DiskModel.hdd()
@@ -145,7 +144,6 @@ class Stasis:
                 model,
                 self.clock,
                 stripes=data_stripes,
-                chunk_bytes=stripe_chunk_bytes,
                 name=f"{model.name}-data",
                 runtime=runtime,
                 capacity_bytes=capacity_bytes,
@@ -203,7 +201,6 @@ class Stasis:
             capacity_bytes=options.capacity_bytes,
             log_disk_model=options.log_disk_model,
             data_stripes=options.data_stripes,
-            stripe_chunk_bytes=options.stripe_chunk_bytes,
             observability=options.observability,
         )
 

@@ -27,6 +27,14 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.baselines.interface import KVEngine, WriteBatch
+from repro.core.partitioned import PartitionedBLSM
+from repro.core.tree import BLSM
+from repro.shard.engine import ShardedEngine
+from repro.testing.model import (
+    check_blsm_invariants,
+    check_partitioned_invariants,
+    check_sharded_invariants,
+)
 from repro.testing.trace import Trace, TraceOp
 
 __all__ = [
@@ -210,6 +218,21 @@ def _leaked_read_views(engine: KVEngine) -> tuple[int, int]:
     return live, pinned
 
 
+def _invariant_check(
+    engine: KVEngine,
+) -> tuple[Callable[[Any], None], Any] | None:
+    """``(checker, target)``: the deep structural check of ``engine``'s
+    layout, or ``None`` for an engine that has none."""
+    if isinstance(engine, ShardedEngine):
+        return check_sharded_invariants, engine
+    tree = getattr(engine, "tree", None)
+    if isinstance(tree, BLSM):
+        return check_blsm_invariants, tree
+    if isinstance(tree, PartitionedBLSM):
+        return check_partitioned_invariants, tree
+    return None
+
+
 def run_trace(
     engine: KVEngine,
     trace: Trace,
@@ -220,9 +243,11 @@ def run_trace(
     """Replay a trace against one engine; return the first divergence.
 
     Reads are verified op-by-op; after the last op the engine's full
-    ordered scan is compared against the oracle (reported as a
-    divergence at index ``len(trace)``), and every snapshot the run
-    opened must have been released (no live view, no pinned component).
+    ordered scan is compared against the oracle, every snapshot the run
+    opened must have been released (no live view, no pinned component),
+    and a bLSM tree, partitioned tree or sharded fleet must pass its
+    structural deep check (:mod:`repro.testing.model`); each end-of-run
+    failure is a divergence at index ``len(trace)``.
     An exception out of the engine is reported as a divergence too — the
     oracle never raises, so any engine exception is a conformance
     failure in its own right.  Returns ``None`` on full agreement.
@@ -261,6 +286,16 @@ def run_trace(
                 config, len(trace), "end-of-run", (0, 0), leaked,
                 detail="(live_views, pinned_count) did not return to zero",
             )
+        elif (check := _invariant_check(engine)) is not None:
+            checker, target = check
+            try:
+                checker(target)
+            except Exception as error:  # noqa: BLE001
+                divergence = Divergence(
+                    config, len(trace), "invariants", "hold", "violated",
+                    detail=f"{checker.__name__}: "
+                    f"{type(error).__name__}: {error}",
+                )
         return divergence
     finally:
         if close:

@@ -103,7 +103,7 @@ def check_blsm_invariants(tree: BLSM) -> None:
         keys = [record.key for record in records]
         assert keys == sorted(keys), "component out of order"
         assert len(keys) == len(set(keys)), "duplicate keys in component"
-        assert len(keys) == component.key_count
+        assert len(keys) == component.key_count, "key count drift"
         expected_bytes = sum(
             max(8, int(r.nbytes * ratio)) for r in records
         )
@@ -139,8 +139,8 @@ def check_blsm_invariants(tree: BLSM) -> None:
 def check_partitioned_invariants(tree: PartitionedBLSM) -> None:
     """Structural deep check of a partitioned tree."""
     ranges = tree.partition_ranges()
-    assert ranges[0][0] == b""
-    assert ranges[-1][1] is None
+    assert ranges[0][0] == b"", "first partition does not start at b''"
+    assert ranges[-1][1] is None, "last partition is bounded"
     for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
         assert hi == lo, "partitions do not tile the keyspace"
     for partition in tree._partitions:
@@ -149,15 +149,18 @@ def check_partitioned_invariants(tree: PartitionedBLSM) -> None:
                 continue
             records = list(component.iter_records())
             keys = [record.key for record in records]
-            assert keys == sorted(keys)
-            assert all(key >= partition.lo for key in keys)
-            if partition.hi is not None:
-                assert all(key < partition.hi for key in keys)
+            assert keys == sorted(keys), "component out of order"
+            assert len(keys) == component.key_count, "key count drift"
+            assert all(
+                partition.covers(key) for key in keys
+            ), "key outside its partition"
         if partition.c1 is not None and partition.c2 is not None:
             older = {r.key: r.seqno for r in partition.c2.iter_records()}
             for record in partition.c1.iter_records():
                 if record.key in older:
-                    assert record.seqno > older[record.key]
+                    assert (
+                        record.seqno > older[record.key]
+                    ), f"version inversion for {record.key!r}"
 
 
 def check_sharded_invariants(engine) -> None:

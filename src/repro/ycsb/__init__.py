@@ -36,12 +36,6 @@ from repro.ycsb.runner import (
     run_batched_workload,
     run_workload,
 )
-from repro.ycsb.trace import (
-    read_trace,
-    record_workload_trace,
-    replay_trace,
-    write_trace,
-)
 from repro.ycsb.stability import (
     STABILITY_MATRIX,
     StabilityConfig,
@@ -82,11 +76,7 @@ __all__ = [
     "ZipfianChooser",
     "execute_batch",
     "load_phase",
-    "read_trace",
-    "record_workload_trace",
-    "replay_trace",
     "run_batched_workload",
     "run_workload",
     "standard_workload",
-    "write_trace",
 ]

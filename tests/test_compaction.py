@@ -35,14 +35,13 @@ def small_options(policy, **overrides):
         c0_bytes=4 * 1024,
         buffer_pool_pages=64,
         level_ratio=3.0,
-        level0_trigger=2,
         tier_fanout=3,
     )
     defaults.update(overrides)
     return BLSMOptions(**defaults)
 
 
-def fill_tree(tree, ops=3000, keyspace=300, seed=7):
+def fill_tree(tree, ops=8000, keyspace=2000, seed=7):
     rng = random.Random(seed)
     oracle = {}
     for i in range(ops):
@@ -120,6 +119,7 @@ def test_leveled_single_run_per_deep_level_and_no_overlap():
     fill_tree(tree)
     tree.drain()
     manager = tree.manager
+    assert manager.level_count >= 3  # two deep levels to check
     for level in range(1, manager.level_count):
         runs = manager.runs(level)
         assert len(runs) <= 1, (level, len(runs))
@@ -141,6 +141,7 @@ def test_tiered_run_counts_bounded_after_drain():
     tree.drain()
     manager = tree.manager
     policy = tree.policy
+    assert manager.level_count >= 3
     for level in range(manager.level_count):
         assert manager.run_count(level) < policy.max_runs(level), level
     tree.close()
@@ -152,6 +153,7 @@ def test_lazy_leveled_bottom_is_single_run():
     tree.drain()
     manager = tree.manager
     bottom = manager.capacity_bottom()
+    assert bottom >= 2  # a tiered level sits above the leveled bottom
     for level in range(bottom, manager.level_count):
         assert manager.run_count(level) <= 1, (level, bottom)
     tree.close()
@@ -193,25 +195,26 @@ def count_tombstones(tree):
 @pytest.mark.parametrize("policy", POLICIES)
 def test_tombstones_survive_above_bottom_and_die_at_bottom(policy):
     tree = make_tree(small_options(policy))
-    # Settle a base of live data at the bottom first.
-    for i in range(400):
+    # Settle a base of live data at the bottom first: enough for two
+    # levels, so the deletes' L0 merges land above the bottom.
+    for i in range(1200):
         tree.put(b"base%04d" % i, b"x" * 24)
     tree.drain()
     # Now delete keys that live only at the bottom; the tombstones must
     # survive every non-bottom merge (dropping one early would
     # resurrect the bottom-level value).
-    for i in range(0, 400, 2):
+    for i in range(0, 1200, 2):
         tree.delete(b"base%04d" % i)
     tree.drain()
-    for i in range(0, 400, 2):
+    for i in range(0, 1200, 2):
         assert tree.get(b"base%04d" % i) is None, (policy, i)
-    for i in range(1, 400, 2):
+    for i in range(1, 1200, 2):
         assert tree.get(b"base%04d" % i) is not None, (policy, i)
     # A full consolidation reaches the bottom with every older version
     # in its inputs: all tombstones are garbage-collected.
     tree.compact()
     assert sum(count_tombstones(tree)) == 0, count_tombstones(tree)
-    for i in range(0, 400, 2):
+    for i in range(0, 1200, 2):
         assert tree.get(b"base%04d" % i) is None, (policy, i)
     tree.close()
 

@@ -314,8 +314,8 @@ class TestEngineIntegration:
         plan = FaultPlan(
             [FaultRule(kind="transient", probability=0.5)], seed=3
         )
-        with pytest.raises(ValueError):
-            BLSMOptions(data_stripes=2, fault_plan=plan)
+        with pytest.raises(ValueError, match="striped data device"):
+            BLSM(BLSMOptions(data_stripes=2, fault_plan=plan))
 
     def test_recovery_with_background_merges(self):
         options = BLSMOptions(

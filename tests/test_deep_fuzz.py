@@ -38,7 +38,6 @@ def engine_matrix():
         BLSMOptions(
             c0_bytes=48 * 1024,
             buffer_pool_pages=32,
-            delta_read_repair=True,
             persist_bloom_filters=True,
             compression_ratio=0.6,
             durability=DurabilityMode.SYNC,
@@ -80,7 +79,6 @@ def test_hundred_thousand_op_soak(name, engine):
 def test_crash_storm():
     options = BLSMOptions(
         c0_bytes=24 * 1024,
-        delta_read_repair=True,
         persist_bloom_filters=True,
         durability=DurabilityMode.SYNC,
     )

@@ -224,8 +224,3 @@ def test_cli_shows_page_fill_and_layout_overhead(capsys):
     assert code == 0
     assert "page fill" in out
     assert "of padding" in out
-    code = main(["amplification", "--max-ratio", "2"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "device bytes" in out and "record bytes" in out
-    assert "layout overhead" in out

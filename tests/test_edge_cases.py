@@ -16,12 +16,6 @@ class TestOptionsValidation:
         with pytest.raises(ValueError):
             BLSMOptions(low_water=-0.1)
 
-    def test_r_clamps(self):
-        with pytest.raises(ValueError):
-            BLSMOptions(min_r=0.5)
-        with pytest.raises(ValueError):
-            BLSMOptions(min_r=5.0, max_r=2.0)
-
     def test_scheduler_name(self):
         with pytest.raises(ValueError):
             BLSMOptions(scheduler="wibble")

@@ -143,6 +143,37 @@ def test_run_trace_reports_engine_exception_as_divergence():
     assert "RuntimeError" in divergence.detail
 
 
+@pytest.mark.parametrize(
+    "name, checker",
+    [("blsm", "check_blsm_invariants"),
+     ("blsm-part", "check_partitioned_invariants")],
+)
+def test_the_end_of_run_invariant_check_catches_a_planted_fault(name, checker):
+    trace = generate_trace(300, seed=2, merge_work_fraction=0.0)
+    assert run_trace(build_engine(name, CONFIG), trace) is None
+    # The planted fault: a merge_work marker after the trace drains C0
+    # and miscounts one on-disk component's keys.  Every answer, the
+    # final scan and the snapshot refcounts stay right; only the deep
+    # check can see it.
+    engine = build_engine(name, CONFIG)
+    tree = engine.tree
+    hook = "step_m01" if hasattr(tree, "step_m01") else "merge_step"
+
+    def corrupt(budget):
+        delattr(tree, hook)  # fire once; drain steps the real merge
+        tree.drain()
+        tree._live_tables()[0].key_count += 1
+        return budget
+
+    setattr(tree, hook, corrupt)
+    planted = trace.replace_ops([*trace, TraceOp.merge_work()])
+    divergence = run_trace(engine, planted, config=name)
+    assert divergence is not None
+    assert divergence.op_index == len(planted)
+    assert divergence.detail.startswith(checker)
+    assert "key count drift" in divergence.detail
+
+
 # ----------------------------------------------------------------------
 # The honesty test: catch a planted bug, shrink it, file it, replay it
 # ----------------------------------------------------------------------

@@ -80,7 +80,6 @@ def test_blsm_soak_with_all_options_enabled():
     options = BLSMOptions(
         c0_bytes=24 * 1024,
         buffer_pool_pages=32,
-        delta_read_repair=True,
         persist_bloom_filters=True,
         durability=DurabilityMode.SYNC,
     )

@@ -4,12 +4,13 @@ Every row runs once at a smoke size through ``main([...])`` (module
 fixture); the cases then check what the table promises of *each* row —
 parameters typed once, gates that bite, compare rules that resolve, a
 measurement callable without the CLI — and that the command lines CI
-runs still parse.
+runs and the docs show still parse.
 """
 
 import json
 import os
 import re
+import shlex
 
 import pytest
 
@@ -283,21 +284,53 @@ def ci_commands():
     return commands
 
 
+#: Docs whose fenced ``python -m repro ...`` lines must name live flags
+#: and subcommands.
+DOCS = ("README.md", os.path.join(".claude", "skills", "verify", "SKILL.md"))
+
+
+def doc_commands():
+    """``(doc, argv)`` per ``python -m repro`` line in a doc's code blocks
+    (backslash continuations joined, ``#`` comments dropped)."""
+    commands = []
+    for doc in DOCS:
+        with open(os.path.join(os.path.dirname(__file__), "..", doc)) as handle:
+            blocks = handle.read().split("```")[1::2]
+        for block in blocks:
+            for line in block.replace("\\\n", " ").splitlines():
+                if "python -m repro " in line:
+                    tail = line.split("python -m repro ", 1)[1]
+                    commands.append((doc, shlex.split(tail, comments=True)))
+    return commands
+
+
+def _assert_parses(commands, capsys):
+    parser = build_parser()
+    for where, argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(
+                f"{where}: `repro {' '.join(argv)}` does not "
+                f"parse: {capsys.readouterr().err}"
+            )
+
+
 def test_every_ci_command_line_parses(capsys):
     commands = ci_commands()
     # fuzz x2 + migration crash + 5 gates + stability/report + 7 crashtests
     assert len(commands) >= 17
     subcommands = {argv[0] for _, argv in commands}
     assert {row.command for row in SCENARIOS} <= subcommands
-    parser = build_parser()
-    for job, argv in commands:
-        try:
-            parser.parse_args(argv)
-        except SystemExit:
-            pytest.fail(
-                f"ci.yml job {job!r}: `repro {' '.join(argv)}` does not "
-                f"parse: {capsys.readouterr().err}"
-            )
+    _assert_parses(
+        [(f"ci.yml job {job!r}", argv) for job, argv in commands], capsys
+    )
+
+
+def test_every_documented_command_line_parses(capsys):
+    commands = doc_commands()
+    assert {doc for doc, _ in commands} == set(DOCS)
+    _assert_parses(commands, capsys)
 
 
 def test_the_policy_sweep_oracle_survives_optimised_python(monkeypatch):

@@ -28,9 +28,9 @@ class BLSMMachine(RuleBasedStateMachine):
     """The unpartitioned tree under arbitrary API interleavings.
 
     The option combination is itself randomized, so every feature flag
-    (scheduler, snowshoveling, compression, Bloom persistence, delta
-    read-repair, the extra-components workaround) is exercised under
-    the same arbitrary interleavings.
+    (scheduler, snowshoveling, compression, Bloom persistence, the
+    extra-components workaround) is exercised under the same arbitrary
+    interleavings.
     """
 
     @initialize(
@@ -38,11 +38,10 @@ class BLSMMachine(RuleBasedStateMachine):
         snowshovel=st.booleans(),
         compression=st.sampled_from([1.0, 0.5]),
         persist_blooms=st.booleans(),
-        repair=st.booleans(),
         extras=st.booleans(),
     )
     def setup(self, scheduler, snowshovel, compression, persist_blooms,
-              repair, extras):
+              extras):
         self.options = BLSMOptions(
             c0_bytes=2048,
             buffer_pool_pages=8,
@@ -51,7 +50,6 @@ class BLSMMachine(RuleBasedStateMachine):
             snowshovel=snowshovel,
             compression_ratio=compression,
             persist_bloom_filters=persist_blooms,
-            delta_read_repair=repair,
             extra_components=extras,
         )
         self.tree = BLSM(self.options)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core import BLSM, BLSMOptions
+from repro.core.tree import MAX_R, MIN_R
 from repro.errors import EngineClosedError
 
 
@@ -55,6 +56,16 @@ def test_deltas_fold_across_levels():
     assert tree.get(b"k") == b"base+1+2"
     tree.drain()
     assert tree.get(b"k") == b"base+1+2"
+
+
+def test_a_read_that_folds_deltas_leaves_c0_untouched():
+    tree = small_tree()
+    tree.put(b"k", b"base")
+    tree.drain()
+    tree.apply_delta(b"k", b"+1")
+    tree.drain()
+    assert tree.get(b"k") == b"base+1"
+    assert tree._memtable.get(b"k") is None
 
 
 def test_dangling_delta_unreadable():
@@ -127,11 +138,12 @@ def test_promotion_creates_c2():
 
 
 def test_r_grows_with_data():
-    tree = small_tree(c0_bytes=8 * 1024, min_r=2.0, max_r=10.0)
+    tree = small_tree(c0_bytes=8 * 1024)
+    assert tree.r == MIN_R
     rng = random.Random(0)
     for i in range(8000):
         tree.put(b"key%06d" % rng.randrange(10**6), bytes(64))
-    assert tree.r > 2.0
+    assert MIN_R < tree.r <= MAX_R
 
 
 def test_reads_prefer_newest_level():
