@@ -439,7 +439,7 @@ class TreeKernel:
     # ------------------------------------------------------------------
 
     def _new_memtable(self) -> MemTable:
-        return MemTable(self._c0_capacity, seed=self.options.seed)
+        return MemTable(self._c0_capacity)
 
     def _flush_c0(self, kind: str) -> SSTable | None:
         """Write the whole memtable out as one component and start a

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
@@ -102,9 +102,6 @@ class BLSMOptions:
     HDD bandwidth.  Deficits beyond the cap carry over to later writes.
     """
 
-    seed: int = 0
-    """The skip list's tower seed (C0 is a skip list)."""
-
     observability: bool = True
     """Record per-access device metrics and trace events.  ``False``
     skips the per-operation metrics/trace dispatch entirely (the hot
@@ -119,10 +116,6 @@ class BLSMOptions:
     """Retry/backoff policy for transient device faults.  ``None`` means
     no retries on a healthy substrate; with a ``fault_plan`` set, Stasis
     defaults to ``RetryPolicy()`` unless an explicit policy is given."""
-
-    capacity_bytes: int | None = None
-    """Optional data-device capacity; overflowing writes raise
-    :class:`~repro.errors.DeviceFullError`."""
 
     compaction_policy: str = "blsm3"
     """On-disk layout policy (the design-space axis): ``blsm3`` is the
@@ -181,21 +174,3 @@ class BLSMOptions:
             raise ValueError(
                 f"tier_fanout must be >= 2, got {self.tier_fanout}"
             )
-
-
-def derive_shard_options(options: BLSMOptions, index: int) -> BLSMOptions:
-    """Per-shard copy of ``options`` for one member of a sharded fleet.
-
-    Each shard is an independent tree over its own device set; the only
-    field that must differ is the skip-list ``seed`` (identical seeds
-    would make every shard's memtable towers — and hence CPU-side
-    behaviour — eerily correlated).  A shared ``fault_plan`` is
-    rejected: its access counter assumes one serial device-access
-    sequence, which N independent shard device sets do not produce.
-    """
-    if options.fault_plan is not None:
-        raise ValueError(
-            "fault injection is not supported on a sharded engine "
-            "(the crash-point harness needs one serial access sequence)"
-        )
-    return replace(options, seed=options.seed + index)

@@ -88,7 +88,6 @@ class EngineConfig:
     partitioner: str = "hash"
     partitioner_sample: tuple[bytes, ...] | None = None
     migration: bool = False
-    seed: int = 0
     observability: bool = True
 
 
@@ -105,7 +104,6 @@ def blsm_options(config: EngineConfig) -> BLSMOptions:
         log_disk_model=config.log_disk,
         data_stripes=config.data_stripes,
         background_merges=config.background_merges,
-        seed=config.seed,
         observability=config.observability,
     )
 
@@ -302,7 +300,7 @@ _CRASH_TREES: dict[str, tuple[Any, dict[str, Any], dict[str, Any]]] = {
 CRASH_ENGINE_NAMES: tuple[str, ...] = tuple(_CRASH_TREES)
 
 
-def crash_options(plan: FaultPlan | None, seed: int) -> BLSMOptions:
+def crash_options(plan: FaultPlan | None) -> BLSMOptions:
     """The deliberately tiny configuration crash enumeration runs.
 
     Small C0 and pool so a few hundred ops exercise merges, evictions
@@ -313,7 +311,6 @@ def crash_options(plan: FaultPlan | None, seed: int) -> BLSMOptions:
         buffer_pool_pages=16,
         durability=DurabilityMode.SYNC,
         fault_plan=plan,
-        seed=seed,
     )
 
 
@@ -326,10 +323,10 @@ def _crash_tree(name: str) -> tuple[Any, dict[str, Any], dict[str, Any]]:
         ) from None
 
 
-def build_crash_tree(name: str, plan: FaultPlan | None, seed: int) -> Any:
+def build_crash_tree(name: str, plan: FaultPlan | None) -> Any:
     """A raw tree wired to ``plan`` for crash-point enumeration."""
     cls, overrides, layout = _crash_tree(name)
-    return cls(replace(crash_options(plan, seed), **overrides), **layout)
+    return cls(replace(crash_options(plan), **overrides), **layout)
 
 
 def recover_crash_tree(name: str, stasis: Any, options: Any) -> Any:

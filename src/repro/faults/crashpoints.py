@@ -334,7 +334,7 @@ class _GroupCommitRun(CrashRun):
         self.plan = crash_plan(point, seed)
         self.tree = BLSM(
             replace(
-                registry().crash_options(self.plan, seed),
+                registry().crash_options(self.plan),
                 durability=DurabilityMode.GROUP,
             )
         )
@@ -470,7 +470,6 @@ class _MigrationRun(CrashRun):
                 c0_bytes=8 * 1024,
                 buffer_pool_pages=16,
                 durability=DurabilityMode.SYNC,
-                seed=seed,
             ),
             shards=2,
             partitioner=RangePartitioner([b"key-000100"]),

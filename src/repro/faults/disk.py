@@ -47,12 +47,9 @@ class FaultyDisk(SimDisk):
         clock: VirtualClock,
         name: str | None = None,
         runtime: "EngineRuntime | None" = None,
-        capacity_bytes: int | None = None,
         plan: FaultPlan | None = None,
     ) -> None:
-        super().__init__(
-            model, clock, name=name, runtime=runtime, capacity_bytes=capacity_bytes
-        )
+        super().__init__(model, clock, name=name, runtime=runtime)
         self.plan = plan if plan is not None else FaultPlan()
         self._corrupt: list[tuple[int, int]] = []  # disjoint [start, end) ranges
         if runtime is not None:

@@ -6,15 +6,14 @@ supersedes, and a delta written over a resident version folds immediately
 (C0 is update-in-place, unlike the append-only on-disk components), so
 reads of hot keys stay cheap.
 
-The ordered structure underneath is a skip list
-(:class:`~repro.memtable.skiplist.SkipList`): O(log n) updates and
-cheap ordered successor steps, so a merge is one pass and snowshoveling
-can ``ceiling()`` the live structure (Section 4.2).  Beside it sits a
-hash index from key to the same record, kept by ``put`` and ``remove``,
-so a point read (``get``) is one dict probe instead of a skip-list
-search: every application read checks C0 first, and most of them miss
-it.  The skip list stays the only ordered structure — drains, scans
-and snapshot copies walk it.
+Two structures hold it: a hash index from key to record, which answers
+point reads (``get``) and residency in one dict probe — every application
+read checks C0 first, and most of them miss it — and the resident keys
+as one sorted list.  An overwrite touches only the index; a new key is
+appended when it sorts last and ``insort``-ed otherwise, and a removal
+deletes it at its ``bisect`` position.  Ordered walks bisect and then
+step along the list, so a merge is one pass and snowshoveling can take
+the next key at or after its cursor (``ceiling``, Section 4.2).
 
 The memtable tracks its approximate byte footprint; the merge scheduler
 uses the fill fraction of C0 as its primary progress signal
@@ -29,30 +28,30 @@ forgets them.  With no view open a mutation pays one truthiness test.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Any, Iterator
 
-from repro.memtable.skiplist import SkipList
 from repro.records import Record, RecordKind, fold
 
 
 class MemTable:
     """Bounded-memory ordered map of key -> newest :class:`Record`."""
 
-    def __init__(self, capacity_bytes: int, seed: int = 0) -> None:
+    def __init__(self, capacity_bytes: int) -> None:
         if capacity_bytes <= 0:
             raise ValueError(
                 f"capacity_bytes must be positive, got {capacity_bytes}"
             )
         self.capacity_bytes = capacity_bytes
-        self._tree = SkipList(seed=seed)
-        self._index: dict[bytes, Record] = {}  # the skip list's pairs, hashed
+        self._index: dict[bytes, Record] = {}
+        self._keys: list[bytes] = []  # the index's keys, sorted
         self._nbytes = 0
         # Open snapshots reading this table in place; emptied by the
         # first mutation (each view has copied by then) or by release.
         self._views: list[Any] = []
 
     def __len__(self) -> int:
-        return len(self._tree)
+        return len(self._keys)
 
     @property
     def nbytes(self) -> int:
@@ -66,7 +65,7 @@ class MemTable:
 
     @property
     def is_empty(self) -> bool:
-        return len(self._tree) == 0
+        return not self._keys
 
     @property
     def view_count(self) -> int:
@@ -106,6 +105,11 @@ class MemTable:
         existing = self._index.get(key)
         if existing is None:
             self._nbytes += record.nbytes
+            keys = self._keys
+            if not keys or key > keys[-1]:
+                keys.append(key)
+            else:
+                insort(keys, key)
         else:
             if (
                 record.kind is RecordKind.DELTA
@@ -113,7 +117,6 @@ class MemTable:
             ):
                 record = fold(record, existing)
             self._nbytes += record.nbytes - existing.nbytes
-        self._tree.insert(key, record)
         self._index[key] = record
 
     def get(self, key: bytes) -> Record | None:
@@ -124,39 +127,41 @@ class MemTable:
         """Physically remove a key (used as records drain into C1)."""
         if self._views:
             self._detach_views()
-        record = self._tree.remove(key)
+        record = self._index.pop(key, None)
         if record is not None:
-            del self._index[key]
+            del self._keys[bisect_left(self._keys, key)]
             self._nbytes -= record.nbytes
         return record
 
     def first_key(self) -> bytes | None:
         """Smallest resident key, or ``None`` when empty."""
-        pair = self._tree.first()
-        return pair[0] if pair else None
+        return self._keys[0] if self._keys else None
 
     def ceiling_key(self, key: bytes) -> bytes | None:
         """Smallest resident key >= ``key``, or ``None``."""
-        pair = self._tree.ceiling(key)
-        return pair[0] if pair else None
+        keys = self._keys
+        position = bisect_left(keys, key)
+        return keys[position] if position < len(keys) else None
 
     def ceiling(self, key: bytes) -> Record | None:
         """The record of the smallest resident key >= ``key``, or ``None``."""
-        pair = self._tree.ceiling(key)
-        return pair[1] if pair else None
+        keys = self._keys
+        position = bisect_left(keys, key)
+        return self._index[keys[position]] if position < len(keys) else None
 
     def __iter__(self) -> Iterator[Record]:
-        for _, record in self._tree:
-            yield record
+        index = self._index
+        for key in self._keys:
+            yield index[key]
 
     def iter_from(self, key: bytes) -> Iterator[Record]:
         """Records with key >= ``key``, in key order."""
-        for _, record in self._tree.iter_from(key):
-            yield record
+        return self.scan(key, None)
 
     def scan(self, lo: bytes, hi: bytes | None) -> Iterator[Record]:
         """Records with lo <= key < hi (hi=None means unbounded)."""
-        for key, record in self._tree.iter_from(lo):
-            if hi is not None and key >= hi:
-                break
-            yield record
+        keys, index = self._keys, self._index
+        start = bisect_left(keys, lo)
+        end = len(keys) if hi is None else bisect_left(keys, hi, start)
+        for position in range(start, end):
+            yield index[keys[position]]

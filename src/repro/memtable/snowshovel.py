@@ -16,9 +16,9 @@ Two implementations live here:
 * :class:`SnowshovelCursor` — the incremental drain every C0:C1 merge
   runs against the live memtable (``repro.core.merge.SnowshovelSource``),
   over the whole keyspace or, in a partitioned tree, one partition's
-  ``[lo, hi)``.  It is one ascending walk of the memtable's skip list:
-  ``MemTable.ceiling`` from the skip list's finger, then
-  ``MemTable.remove`` of the node right after it, each O(1) expected.
+  ``[lo, hi)``.  It is one ascending walk of the memtable's sorted key
+  list: ``MemTable.ceiling`` (a ``bisect`` at the cursor), then
+  ``MemTable.remove`` of the key it found.
 * :func:`replacement_selection_runs` — the classic offline tournament-sort
   formulation over a bounded heap, used by the ablation benchmark to
   measure run lengths under sorted / random / reverse arrival orders.

@@ -334,7 +334,6 @@ def policy_sweep(
                 with_bloom_filters=False,
                 level_ratio=level_ratio,
                 tier_fanout=fanout,
-                seed=seed,
             )
         )
         rng = random.Random(seed)

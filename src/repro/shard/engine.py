@@ -35,7 +35,7 @@ from repro.baselines.interface import (
     WriteBatch,
     build_io_summary,
 )
-from repro.core.options import BLSMOptions, derive_shard_options
+from repro.core.options import BLSMOptions
 from repro.errors import ShardFanoutError
 from repro.obs.runtime import EngineRuntime
 from repro.shard.partitioner import HashPartitioner, Partitioner
@@ -63,11 +63,11 @@ class ShardedEngine(KVEngine):
         """Build ``shards`` independent engines and a router over them.
 
         Args:
-            options: per-shard tree configuration; each shard gets its
-                own copy (see ``derive_shard_options``) and therefore
-                its own device set.  ``fault_plan`` must be unset — the
-                crash-point harness needs one serial access sequence,
-                which N independent device sets do not provide.
+            options: per-shard tree configuration; each shard builds
+                its own tree, and therefore its own device set, from
+                it.  ``fault_plan`` must be unset — a plan's access
+                counter assumes one serial device-access sequence,
+                which N independent device sets do not produce.
             partitioner: placement policy; defaults to
                 :class:`HashPartitioner` over ``shards``.
             engine_factory: ``(shard_index, options) -> KVEngine``
@@ -83,13 +83,17 @@ class ShardedEngine(KVEngine):
             )
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
+        if opts.fault_plan is not None:
+            raise ValueError(
+                "fault injection is not supported on a sharded engine "
+                "(the crash-point harness needs one serial access sequence)"
+            )
         self.partitioner = partitioner
         self.options = opts
         if engine_factory is None:
             engine_factory = lambda index, shard_opts: BLSMEngine(shard_opts)
         self.shards: list[KVEngine] = [
-            engine_factory(index, derive_shard_options(opts, index))
-            for index in range(shards)
+            engine_factory(index, opts) for index in range(shards)
         ]
         self._clock = VirtualClock()
         self._runtime = EngineRuntime(clock=self._clock)

@@ -1101,7 +1101,6 @@ def live_migration_bench(
             c0_bytes=c0_bytes,
             buffer_pool_pages=cache_pages,
             durability=DurabilityMode.ASYNC,
-            seed=seed,
         )
         partitioner = RangePartitioner.from_sample(keys, shards)
         engine = ShardedEngine(options, shards=shards, partitioner=partitioner)

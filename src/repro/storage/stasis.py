@@ -99,7 +99,6 @@ class Stasis:
         runtime: EngineRuntime | None = None,
         fault_plan: FaultPlan | None = None,
         retry: RetryPolicy | None = None,
-        capacity_bytes: int | None = None,
         log_disk_model: DiskModel | None = None,
         data_stripes: int = 1,
         observability: bool = True,
@@ -127,7 +126,6 @@ class Stasis:
                 self.clock,
                 name=f"{model.name}-data",
                 runtime=runtime,
-                capacity_bytes=capacity_bytes,
                 plan=fault_plan,
             )
             self.log_disk: SimDisk = FaultyDisk(
@@ -146,18 +144,13 @@ class Stasis:
                 stripes=data_stripes,
                 name=f"{model.name}-data",
                 runtime=runtime,
-                capacity_bytes=capacity_bytes,
             )
             self.log_disk = SimDisk(
                 log_model, self.clock, name=f"{log_model.name}-log", runtime=runtime
             )
         else:
             self.data_disk = SimDisk(
-                model,
-                self.clock,
-                name=f"{model.name}-data",
-                runtime=runtime,
-                capacity_bytes=capacity_bytes,
+                model, self.clock, name=f"{model.name}-data", runtime=runtime
             )
             self.log_disk = SimDisk(
                 log_model, self.clock, name=f"{log_model.name}-log", runtime=runtime
@@ -198,7 +191,6 @@ class Stasis:
             durability=options.durability,
             fault_plan=options.fault_plan,
             retry=options.retry,
-            capacity_bytes=options.capacity_bytes,
             log_disk_model=options.log_disk_model,
             data_stripes=options.data_stripes,
             observability=options.observability,

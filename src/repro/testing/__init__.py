@@ -7,7 +7,7 @@ agree with it:
 * the **model checkers** (:mod:`repro.testing.model`, the original
   ``repro.testing`` module): seeded workload runners, full-state
   verification, and structural deep checks of the bLSM tree, the
-  partitioned tree and the sharded engine;
+  partitioned tree, the policy trees and the sharded engine;
 * the **trace harness** (PR 5): a serializable operation-trace format
   (:mod:`~repro.testing.trace`), a differential executor replaying one
   trace through every registry engine against a dictionary oracle
@@ -47,6 +47,7 @@ from repro.testing.harness import (
 from repro.testing.minimize import minimize_trace, write_corpus_file
 from repro.testing.model import (
     check_blsm_invariants,
+    check_compaction_invariants,
     check_partitioned_invariants,
     check_sharded_invariants,
     crash_recover_check,
@@ -73,6 +74,7 @@ __all__ = [
     "TraceOp",
     "TraceOracle",
     "check_blsm_invariants",
+    "check_compaction_invariants",
     "check_partitioned_invariants",
     "check_sharded_invariants",
     "crash_recover_check",

@@ -127,11 +127,9 @@ def _apply_mutation(
 class _TraceRun(CrashRun):
     """A crash-capable raw tree driven by a trace, with its acked model."""
 
-    def __init__(
-        self, trace: Trace, engine: str, seed: int, plan: FaultPlan
-    ) -> None:
+    def __init__(self, trace: Trace, engine: str, plan: FaultPlan) -> None:
         self.trace, self.engine, self.plan = trace, engine, plan
-        self.tree = registry().build_crash_tree(engine, plan, seed)
+        self.tree = registry().build_crash_tree(engine, plan)
         self.model: _Model = {}
         self.in_flight: tuple[str, bytes, bytes | None] | None = None
         self.failures: list[str] = []
@@ -215,7 +213,7 @@ def trace_access_count(
     close run disarmed so the count is workload-anchored (access ``k``
     names the same boundary in every run).
     """
-    return _TraceRun(trace, engine, seed, crash_plan(None, seed)).count()
+    return _TraceRun(trace, engine, crash_plan(None, seed)).count()
 
 
 def run_crash_trace(
@@ -235,7 +233,7 @@ def run_crash_trace(
     """
     if plan is None:
         plan = crash_plan(None, seed)
-    run = _TraceRun(trace, engine, seed, plan)
+    run = _TraceRun(trace, engine, plan)
     outcome = CrashOutcome(0, crashed=drive_armed(run))
     run.settle(outcome, "overlay crash" if outcome.crashed else "end of trace")
     return outcome.failures
@@ -263,6 +261,6 @@ def enumerate_trace_crash_points(
     return sweep_crash_points(
         report,
         range(1, total + 1, every),
-        lambda point: _TraceRun(trace, engine, seed, crash_plan(point, seed)),
+        lambda point: _TraceRun(trace, engine, crash_plan(point, seed)),
         progress=progress,
     )

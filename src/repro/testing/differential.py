@@ -27,11 +27,13 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.baselines.interface import KVEngine, WriteBatch
+from repro.core.compaction import CompactionTree
 from repro.core.partitioned import PartitionedBLSM
 from repro.core.tree import BLSM
 from repro.shard.engine import ShardedEngine
 from repro.testing.model import (
     check_blsm_invariants,
+    check_compaction_invariants,
     check_partitioned_invariants,
     check_sharded_invariants,
 )
@@ -230,6 +232,8 @@ def _invariant_check(
         return check_blsm_invariants, tree
     if isinstance(tree, PartitionedBLSM):
         return check_partitioned_invariants, tree
+    if isinstance(tree, CompactionTree):
+        return check_compaction_invariants, tree
     return None
 
 
@@ -245,8 +249,8 @@ def run_trace(
     Reads are verified op-by-op; after the last op the engine's full
     ordered scan is compared against the oracle, every snapshot the run
     opened must have been released (no live view, no pinned component),
-    and a bLSM tree, partitioned tree or sharded fleet must pass its
-    structural deep check (:mod:`repro.testing.model`); each end-of-run
+    and a bLSM tree, partitioned tree, policy tree or sharded fleet must
+    pass its structural deep check (:mod:`repro.testing.model`); each end-of-run
     failure is a divergence at index ``len(trace)``.
     An exception out of the engine is reported as a divergence too — the
     oracle never raises, so any engine exception is a conformance

@@ -7,9 +7,10 @@ their own against :class:`repro.baselines.KVEngine`):
 * :func:`run_model_workload` — drive any engine and a dictionary model
   with the same random operation stream, verifying reads as it goes;
 * :func:`check_blsm_invariants` / :func:`check_partitioned_invariants` /
-  :func:`check_sharded_invariants` — structural deep checks (sortedness,
-  version ordering, space accounting, partition tiling, router/placement
-  agreement);
+  :func:`check_compaction_invariants` / :func:`check_sharded_invariants`
+  — structural deep checks (sortedness, version ordering, space
+  accounting, partition tiling, file-level disjointness, manifest
+  round-trip, router/placement agreement);
 * :func:`crash_recover_check` — crash an engine mid-flight and verify
   recovery against the model.
 """
@@ -20,6 +21,7 @@ import random
 from typing import Callable
 
 from repro.baselines.interface import KVEngine
+from repro.core.compaction import CompactionTree, LevelManager
 from repro.core.partitioned import PartitionedBLSM
 from repro.core.tree import BLSM
 from repro.records import RecordKind
@@ -161,6 +163,37 @@ def check_partitioned_invariants(tree: PartitionedBLSM) -> None:
                     assert (
                         record.seqno > older[record.key]
                     ), f"version inversion for {record.key!r}"
+
+
+def check_compaction_invariants(tree: CompactionTree) -> None:
+    """Structural deep check of a policy tree's levels.
+
+    Every run's keys are strictly ascending and inside its
+    ``[min_key, max_key]``; under a file-granularity policy every level
+    below 0 is key-disjoint files in key order; and the manifest's
+    level descriptors rebuild to the same level view.
+    """
+    manager = tree.manager
+    for level, runs in enumerate(manager.levels):
+        for table in runs:
+            keys = [record.key for record in table.iter_records()]
+            assert all(a < b for a, b in zip(keys, keys[1:])), (
+                f"level {level}: run keys not strictly ascending"
+            )
+            assert not keys or (
+                keys[0] == table.min_key and keys[-1] == table.max_key
+            ), f"level {level}: run keys outside [min_key, max_key]"
+        if manager.file_levels and level > 0:
+            assert all(
+                a.max_key < b.min_key for a, b in zip(runs, runs[1:])
+            ), f"level {level}: files overlap or are out of key order"
+    rebuilt = LevelManager.rebuild(
+        tree.stasis, manager.describe(), manager.base_bytes, manager.ratio,
+        tree.options, manager.file_levels,
+    )
+    assert rebuilt.level_view() == manager.level_view(), (
+        "manifest descriptors rebuild to a different level view"
+    )
 
 
 def check_sharded_invariants(engine) -> None:

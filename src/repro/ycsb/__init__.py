@@ -18,16 +18,14 @@ from repro.ycsb.distributions import (
 from repro.ycsb.generator import Operation, OperationGenerator, OpKind
 from repro.ycsb.metrics import (
     BatchStats,
-    BucketedHistogram,
     LatencyStats,
     Timeseries,
 )
 from repro.ycsb.open_loop import OpenLoopResult, run_open_loop
 from repro.ycsb.sessions import (
     SessionsResult,
-    commit_queues,
-    logical_logs,
     run_sessions,
+    substrates,
 )
 from repro.ycsb.runner import (
     RunResult,
@@ -49,7 +47,6 @@ from repro.ycsb.workload import WorkloadSpec, standard_workload
 
 __all__ = [
     "BatchStats",
-    "BucketedHistogram",
     "LatencyStats",
     "LatestChooser",
     "OpenLoopResult",
@@ -66,10 +63,9 @@ __all__ = [
     "STABILITY_MATRIX",
     "StabilityConfig",
     "StabilityResult",
-    "commit_queues",
-    "logical_logs",
     "stability_metrics",
     "stability_scenario",
+    "substrates",
     "Timeseries",
     "UniformChooser",
     "WorkloadSpec",

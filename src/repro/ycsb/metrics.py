@@ -114,92 +114,6 @@ class BatchStats:
         }
 
 
-class BucketedHistogram:
-    """Memory-bounded latency histogram with geometric buckets.
-
-    `LatencyStats` keeps every sample for exact percentiles; at millions
-    of operations that costs memory proportional to the run.  This
-    histogram keeps a fixed number of geometric buckets (HDR-histogram
-    style): each bucket spans a constant ratio, so percentile estimates
-    carry bounded *relative* error (half the bucket ratio) at O(1)
-    memory.
-    """
-
-    def __init__(
-        self,
-        min_latency: float = 1e-7,
-        max_latency: float = 3600.0,
-        buckets_per_decade: int = 20,
-    ) -> None:
-        if not 0 < min_latency < max_latency:
-            raise ValueError("require 0 < min_latency < max_latency")
-        if buckets_per_decade < 1:
-            raise ValueError("buckets_per_decade must be >= 1")
-        self._min = min_latency
-        self._ratio = 10.0 ** (1.0 / buckets_per_decade)
-        self._log_ratio = math.log(self._ratio)
-        span = math.log(max_latency / min_latency)
-        self._counts = [0] * (int(math.ceil(span / self._log_ratio)) + 2)
-        self._count = 0
-        self._sum = 0.0
-        self._max = 0.0
-
-    def record(self, seconds: float) -> None:
-        self._count += 1
-        self._sum += seconds
-        self._max = max(self._max, seconds)
-        self._counts[self._bucket(seconds)] += 1
-
-    def _bucket(self, seconds: float) -> int:
-        if seconds <= self._min:
-            return 0
-        index = int(math.log(seconds / self._min) / self._log_ratio) + 1
-        return min(index, len(self._counts) - 1)
-
-    def _bucket_upper(self, index: int) -> float:
-        if index == 0:
-            return self._min
-        return self._min * self._ratio**index
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def mean(self) -> float:
-        return self._sum / self._count if self._count else 0.0
-
-    @property
-    def max(self) -> float:
-        return self._max
-
-    def percentile(self, p: float) -> float:
-        """Estimated ``p``-th percentile (upper bound of its bucket)."""
-        if not 0.0 <= p <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {p}")
-        if self._count == 0:
-            return 0.0
-        rank = max(1, math.ceil(p / 100.0 * self._count))
-        seen = 0
-        for index, bucket_count in enumerate(self._counts):
-            seen += bucket_count
-            if seen >= rank:
-                if index == len(self._counts) - 1:
-                    return self._max  # overflow bucket: report observed
-                return min(self._bucket_upper(index), self._max)
-        return self._max
-
-    def merge(self, other: "BucketedHistogram") -> None:
-        """Fold another histogram (same geometry) into this one."""
-        if len(other._counts) != len(self._counts) or other._min != self._min:
-            raise ValueError("histograms have different geometry")
-        for index, bucket_count in enumerate(other._counts):
-            self._counts[index] += bucket_count
-        self._count += other._count
-        self._sum += other._sum
-        self._max = max(self._max, other._max)
-
-
 @dataclass
 class Window:
     """One timeseries bucket."""

@@ -36,7 +36,8 @@ from typing import Any, Callable
 
 from repro.baselines.interface import KVEngine, WriteBatch
 from repro.obs.timeline import WindowedTimeline
-from repro.storage.group_commit import CommitTicket, GroupCommitQueue
+from repro.storage.group_commit import CommitTicket
+from repro.storage.stasis import Stasis
 from repro.ycsb.generator import OperationGenerator, OpKind
 from repro.ycsb.metrics import LatencyStats
 from repro.ycsb.workload import WorkloadSpec
@@ -129,43 +130,21 @@ class SessionsResult:
         }
 
 
-def commit_queues(engine: KVEngine) -> list[GroupCommitQueue]:
-    """Every group-commit queue under an engine (one per Stasis).
+def substrates(engine: KVEngine) -> list[Stasis]:
+    """Every :class:`Stasis` substrate under an engine.
 
-    A tree-backed engine has one; a sharded engine has one per shard's
-    substrate; engines off the Stasis stack (bitcask, btree...) have
-    none and report zero forces.
+    A tree-backed engine has one; a sharded engine has one per shard;
+    engines off the Stasis stack (bitcask, btree...) have none and
+    report zero forces.
     """
     tree = getattr(engine, "tree", None)
     if tree is not None:
-        return [tree.stasis.group_commit]
+        return [tree.stasis]
     shards = getattr(engine, "shards", None)
     if shards is not None:
-        return [queue for shard in shards for queue in commit_queues(shard)]
+        return [stasis for shard in shards for stasis in substrates(shard)]
     stasis = getattr(engine, "stasis", None)
-    if stasis is not None:
-        return [stasis.group_commit]
-    return []
-
-
-def logical_logs(engine: KVEngine) -> list[Any]:
-    """Every logical log under an engine (one per Stasis substrate).
-
-    The bench counts *log forces* here rather than at the commit queue:
-    under ``sync`` durability every write forces inside ``log()`` and
-    never passes through the queue, so the queue's own counter would
-    report zero for exactly the baseline the comparison needs.
-    """
-    tree = getattr(engine, "tree", None)
-    if tree is not None:
-        return [tree.stasis.logical_log]
-    shards = getattr(engine, "shards", None)
-    if shards is not None:
-        return [log for shard in shards for log in logical_logs(shard)]
-    stasis = getattr(engine, "stasis", None)
-    if stasis is not None:
-        return [stasis.logical_log]
-    return []
+    return [stasis] if stasis is not None else []
 
 
 def _next_arrival(
@@ -239,7 +218,10 @@ def run_sessions(
         expected = max(1, spec.operation_count) / offered_rate
         window_seconds = max(1e-9, expected / 12.0)
 
-    logs = logical_logs(engine)
+    # Forces are counted at the logical log, not the commit queue: under
+    # ``sync`` durability every write forces inside ``log()`` and never
+    # passes through the queue.
+    logs = [stasis.logical_log for stasis in substrates(engine)]
     forces_before = sum(log.forces for log in logs)
     rngs = [random.Random(seed * 1_000_003 + s + 11) for s in range(sessions)]
     heap: list[tuple[float, int]] = []
@@ -359,7 +341,7 @@ def run_sessions(
     outstanding.clear()
     take_probe(probed_through + 1, clock.now)
 
-    queues = commit_queues(engine)
+    queues = [stasis.group_commit for stasis in substrates(engine)]
     group_sizes: dict[int, int] = {}
     for queue in queues:
         for size, count in queue.group_sizes.items():

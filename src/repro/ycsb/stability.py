@@ -234,7 +234,6 @@ def run_stability(
         cache_pages=cache_pages,
         scheduler=config.scheduler,
         durability="async",
-        seed=seed,
     )
     try:
         load_phase(engine, spec, seed=seed)

@@ -1,35 +1,37 @@
-"""Tests for the memory-bounded bucketed histogram."""
+"""Tests for the memory-bounded geometric-bucket histogram
+(:class:`repro.obs.metrics.Histogram`)."""
 
 import random
 
 import pytest
 
-from repro.ycsb import BucketedHistogram, LatencyStats
+from repro.obs.metrics import Histogram
+from repro.ycsb import LatencyStats
 
 
 def test_empty():
-    hist = BucketedHistogram()
+    hist = Histogram("lat")
     assert hist.count == 0
     assert hist.mean == 0.0
     assert hist.percentile(99) == 0.0
 
 
 def test_basic_stats():
-    hist = BucketedHistogram()
+    hist = Histogram("lat")
     for value in (0.001, 0.002, 0.003):
-        hist.record(value)
+        hist.observe(value)
     assert hist.count == 3
     assert hist.mean == pytest.approx(0.002)
     assert hist.max == 0.003
 
 
 def test_percentiles_track_exact_within_bucket_error():
-    hist = BucketedHistogram(buckets_per_decade=40)
+    hist = Histogram("lat", buckets_per_decade=40)
     exact = LatencyStats()
     rng = random.Random(3)
     for _ in range(20000):
         value = rng.lognormvariate(-7.0, 1.5)  # latency-shaped
-        hist.record(value)
+        hist.observe(value)
         exact.record(value)
     ratio = 10 ** (1 / 40)
     for p in (50, 90, 99, 99.9):
@@ -39,48 +41,33 @@ def test_percentiles_track_exact_within_bucket_error():
 
 
 def test_memory_is_bounded():
-    hist = BucketedHistogram()
+    hist = Histogram("lat")
     buckets_before = len(hist._counts)
     for i in range(50000):
-        hist.record((i % 1000 + 1) * 1e-6)
+        hist.observe((i % 1000 + 1) * 1e-6)
     assert len(hist._counts) == buckets_before
 
 
 def test_out_of_range_values_clamp():
-    hist = BucketedHistogram(min_latency=1e-6, max_latency=1.0)
-    hist.record(1e-12)  # below range
-    hist.record(100.0)  # above range
+    hist = Histogram("lat", min_value=1e-6, max_value=1.0)
+    hist.observe(1e-12)  # below range
+    hist.observe(100.0)  # above range: the overflow bucket
     assert hist.count == 2
     assert hist.percentile(0) <= 1e-6
     assert hist.percentile(100) == 100.0  # capped at observed max
 
 
-def test_merge():
-    a = BucketedHistogram()
-    b = BucketedHistogram()
-    for i in range(100):
-        a.record(0.001)
-        b.record(0.010)
-    a.merge(b)
-    assert a.count == 200
-    assert a.percentile(25) == pytest.approx(0.001, rel=0.15)
-    assert a.percentile(75) == pytest.approx(0.010, rel=0.15)
-
-
-def test_merge_rejects_mismatched_geometry():
-    a = BucketedHistogram(buckets_per_decade=10)
-    b = BucketedHistogram(buckets_per_decade=20)
-    with pytest.raises(ValueError):
-        a.merge(b)
-
-
 def test_invalid_construction():
     with pytest.raises(ValueError):
-        BucketedHistogram(min_latency=0)
+        Histogram("lat", min_value=0)
     with pytest.raises(ValueError):
-        BucketedHistogram(buckets_per_decade=0)
+        Histogram("lat", min_value=1.0, max_value=1.0)
+    with pytest.raises(ValueError):
+        Histogram("lat", buckets_per_decade=0)
 
 
 def test_invalid_percentile():
     with pytest.raises(ValueError):
-        BucketedHistogram().percentile(-1)
+        Histogram("lat").percentile(-1)
+    with pytest.raises(ValueError):
+        Histogram("lat").percentile(100.5)

@@ -94,28 +94,24 @@ def test_overrides_without_config_use_defaults():
 
 
 def test_blsm_options_mirror_config():
-    config = small_config(
-        durability="sync", compression=0.5, data_stripes=2, seed=7
-    )
+    config = small_config(durability="sync", compression=0.5, data_stripes=2)
     options = blsm_options(config)
     assert options.c0_bytes == 32 * 1024
     assert options.buffer_pool_pages == 16
     assert options.durability is DurabilityMode.SYNC
     assert options.compression_ratio == 0.5
     assert options.data_stripes == 2
-    assert options.seed == 7
 
 
 def test_c0_structure_is_a_constant_in_every_layer():
-    # C0 is a skip list; no layer carries a knob that says otherwise.
-    # The counts make adding one a deliberate act.
-    assert len(dataclasses.fields(BLSMOptions)) == 27
-    assert len(dataclasses.fields(EngineConfig)) == 16
+    # C0 is a hash index over a sorted key list; no layer carries a knob
+    # that says otherwise.  The counts make adding one a deliberate act.
+    assert len(dataclasses.fields(BLSMOptions)) == 25
+    assert len(dataclasses.fields(EngineConfig)) == 15
     for cls in (BLSMOptions, EngineConfig):
         assert "memtable" not in {f.name for f in dataclasses.fields(cls)}
     params = inspect.signature(MemTable.__init__).parameters
-    assert list(params) == ["self", "capacity_bytes", "seed"]
-    assert params["seed"].default == 0
+    assert list(params) == ["self", "capacity_bytes"]
     assert "memtable" not in inspect.signature(CompactionEngine.__init__).parameters
     # An unknown override is an error, never swallowed.
     with pytest.raises(TypeError):
@@ -233,10 +229,9 @@ def test_crash_engine_names():
 
 
 def test_crash_options_are_tiny_and_sync():
-    options = crash_options(None, seed=3)
+    options = crash_options(None)
     assert options.c0_bytes == 6 * 1024
     assert options.durability is DurabilityMode.SYNC
-    assert options.seed == 3
 
 
 @pytest.mark.parametrize(
@@ -251,7 +246,7 @@ def test_crash_options_are_tiny_and_sync():
     ],
 )
 def test_build_and_recover_crash_tree(name, tree_type):
-    tree = build_crash_tree(name, None, seed=0)
+    tree = build_crash_tree(name, None)
     assert isinstance(tree, tree_type)
     tree.put(b"k", b"v")
     assert tree.get(b"k") == b"v"
@@ -264,6 +259,6 @@ def test_build_and_recover_crash_tree(name, tree_type):
 
 def test_crash_tree_unknown_name_raises():
     with pytest.raises(ValueError, match="unknown engine"):
-        build_crash_tree("sharded", None, seed=0)
+        build_crash_tree("sharded", None)
     with pytest.raises(ValueError, match="unknown engine"):
         recover_crash_tree("sharded", None, None)

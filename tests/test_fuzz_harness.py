@@ -174,6 +174,32 @@ def test_the_end_of_run_invariant_check_catches_a_planted_fault(name, checker):
     assert "key count drift" in divergence.detail
 
 
+def test_the_policy_tree_check_catches_two_swapped_files():
+    trace = generate_trace(1500, seed=2, keyspace=2000, value_bytes=100)
+    assert run_trace(build_engine("leveldb", CONFIG), trace) is None
+    # The planted fault: right after the final scan, two files of a
+    # file level trade places.  Reads had already cached their view of
+    # the level, so every answer and the final scan were right; only
+    # the deep check can see it.
+    engine = build_engine("leveldb", CONFIG)
+    scan = engine.scan
+
+    def scan_then_swap(lo, *rest):
+        rows = list(scan(lo, *rest))
+        if not rest:  # run_trace's final full scan
+            levels = engine.tree.manager.levels
+            files = next(files for files in levels[1:] if len(files) >= 2)
+            files[0], files[1] = files[1], files[0]
+        return rows
+
+    engine.scan = scan_then_swap
+    divergence = run_trace(engine, trace, config="leveldb")
+    assert divergence is not None
+    assert divergence.op_index == len(trace)
+    assert divergence.detail.startswith("check_compaction_invariants")
+    assert "files overlap or are out of key order" in divergence.detail
+
+
 # ----------------------------------------------------------------------
 # The honesty test: catch a planted bug, shrink it, file it, replay it
 # ----------------------------------------------------------------------

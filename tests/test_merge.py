@@ -258,7 +258,7 @@ class TestMergeProcess:
 # here as the reference: both inputs peeked for every record, one record
 # (or one equal-key pair) folded through ``merge_records`` per iteration,
 # an on-disk input read one record at a time (``_gated_records``), and
-# C0 drained by a search from the skip list's head for every peek.  Two
+# C0 drained by a fresh ``scan`` from the cursor for every peek.  Two
 # worlds rebuilt from one seed run the same steps and C0 writes; the
 # bytes each step consumes, the device trace, the outputs and what C0
 # and a snapshot hold must all agree.
@@ -302,7 +302,7 @@ class _ReferenceStream:
 
 
 class _ReferenceDrain:
-    """C0 in ``[lo, hi)``, searched from the skip list's head each time."""
+    """C0 in ``[lo, hi)``, scanned from the cursor for every peek."""
 
     def __init__(self, memtable, lo=b"", hi=None) -> None:
         self._memtable = memtable

@@ -30,7 +30,6 @@ CALLERS = {
     "persist_bloom_filters": "benchmarks/test_ablation_bloom_persistence.py",
     "scheduler": "benchmarks/test_ablation_schedulers.py",
     "extra_components": "benchmarks/test_ablation_stall_strategies.py",
-    "seed": "src/repro/engines.py",
     "observability": "bench/workloads.py",
     "fault_plan": "src/repro/engines.py",
     "compaction_policy": "src/repro/scenarios.py",
@@ -44,9 +43,8 @@ CALLERS = {
 PENDING = {"low_water", "high_water", "max_tick_bytes"}
 
 #: Also set by nothing outside tests: the fault substrate's retry policy
-#: and the data device's capacity (CHANGES.md lists both as found, not
-#: fixed).
-UNCLAIMED = {"retry", "capacity_bytes"}
+#: (CHANGES.md lists it as found, not fixed).
+UNCLAIMED = {"retry"}
 
 
 def test_every_option_names_the_caller_that_varies_it():

@@ -8,7 +8,7 @@ from repro.baselines import BTreeEngine, CompactionEngine
 from repro.bloom import BloomFilter
 from repro.core import BLSM, BLSMOptions
 from repro.engines import LEVELDB_OPTIONS
-from repro.memtable import SkipList, replacement_selection_runs
+from repro.memtable import MemTable, replacement_selection_runs
 from repro.records import Record, fold, resolve
 from repro.sstable import SSTableBuilder, kway_merge
 from repro.storage import DurabilityMode, RegionAllocator, Stasis
@@ -25,18 +25,20 @@ settings.load_profile("repro")
 
 
 @given(st.lists(st.tuples(keys, st.integers(0, 2), values), max_size=120))
-def test_skiplist_matches_dict(operations):
-    sl = SkipList(seed=7)
+def test_memtable_matches_dict(operations):
+    table = MemTable(1 << 30)
     model = {}
-    for key, op, value in operations:
+    for seqno, (key, op, value) in enumerate(operations):
         if op == 0:
-            sl.insert(key, value)
+            table.put(Record.base(key, value, seqno))
             model[key] = value
         elif op == 1:
-            assert sl.get(key) == model.get(key)
+            record = table.get(key)
+            assert (record and record.value) == model.get(key)
         else:
-            assert sl.remove(key) == model.pop(key, None)
-    assert [k for k, _ in sl] == sorted(model)
+            record = table.remove(key)
+            assert (record and record.value) == model.pop(key, None)
+    assert [record.key for record in table] == sorted(model)
 
 
 @given(st.lists(keys, unique=True, max_size=80))

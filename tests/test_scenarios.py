@@ -7,6 +7,7 @@ measurement callable without the CLI — and that the command lines CI
 runs and the docs show still parse.
 """
 
+import glob
 import json
 import os
 import re
@@ -284,9 +285,23 @@ def ci_commands():
     return commands
 
 
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+
 #: Docs whose fenced ``python -m repro ...`` lines must name live flags
-#: and subcommands.
-DOCS = ("README.md", os.path.join(".claude", "skills", "verify", "SKILL.md"))
+#: and subcommands: the README, the verify skill and every page of docs/.
+DOCS = (
+    "README.md",
+    os.path.join(".claude", "skills", "verify", "SKILL.md"),
+    *sorted(
+        os.path.relpath(path, ROOT)
+        for path in glob.glob(os.path.join(ROOT, "docs", "*.md"))
+    ),
+)
+
+
+def _read(doc):
+    with open(os.path.join(ROOT, doc)) as handle:
+        return handle.read()
 
 
 def doc_commands():
@@ -294,9 +309,7 @@ def doc_commands():
     (backslash continuations joined, ``#`` comments dropped)."""
     commands = []
     for doc in DOCS:
-        with open(os.path.join(os.path.dirname(__file__), "..", doc)) as handle:
-            blocks = handle.read().split("```")[1::2]
-        for block in blocks:
+        for block in _read(doc).split("```")[1::2]:
             for line in block.replace("\\\n", " ").splitlines():
                 if "python -m repro " in line:
                     tail = line.split("python -m repro ", 1)[1]
@@ -329,7 +342,10 @@ def test_every_ci_command_line_parses(capsys):
 
 def test_every_documented_command_line_parses(capsys):
     commands = doc_commands()
-    assert {doc for doc, _ in commands} == set(DOCS)
+    # A doc that shows a command line shows it in a code block.
+    mentioning = {doc for doc in DOCS if "python -m repro " in _read(doc)}
+    assert {doc for doc, _ in commands} == mentioning
+    assert len(mentioning) >= 6  # README, the skill, four pages of docs/
     _assert_parses(commands, capsys)
 
 

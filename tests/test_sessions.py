@@ -9,10 +9,9 @@ from repro.baselines import WriteBatch
 from repro.engines import EngineConfig, build_engine
 from repro.ycsb import (
     WorkloadSpec,
-    commit_queues,
     load_phase,
-    logical_logs,
     run_sessions,
+    substrates,
 )
 
 
@@ -151,8 +150,8 @@ def test_sessions_result_is_pinned(arrival, seed):
         EngineConfig(c0_bytes=16 * 1024, cache_pages=16, durability="group"),
     )
     load_phase(engine, PINNED_SPEC, seed=0)
-    (queue,) = commit_queues(engine)
-    (log,) = logical_logs(engine)
+    (stasis,) = substrates(engine)
+    queue, log = stasis.group_commit, stasis.logical_log
 
     def probe():
         return {
@@ -211,21 +210,20 @@ def test_every_engine_acknowledges_commits_in_submission_order(name):
 def test_helper_discovery_finds_the_stasis_substrate():
     engine = _engine()
     try:
-        assert len(commit_queues(engine)) == 1
-        assert len(logical_logs(engine)) == 1
+        assert substrates(engine) == [engine.tree.stasis]
     finally:
         engine.close()
     sharded = build_engine(
         "sharded", EngineConfig(c0_bytes=32 * 1024, cache_pages=16), shards=3
     )
     try:
-        assert len(commit_queues(sharded)) == 3
-        assert len(logical_logs(sharded)) == 3
+        assert substrates(sharded) == [
+            shard.tree.stasis for shard in sharded.shards
+        ]
     finally:
         sharded.close()
     bitcask = build_engine("bitcask", EngineConfig())
     try:
-        assert commit_queues(bitcask) == []
-        assert logical_logs(bitcask) == []
+        assert substrates(bitcask) == []
     finally:
         bitcask.close()

@@ -10,7 +10,6 @@ import pytest
 
 from repro.baselines import BLSMEngine, WriteBatch, validate_io_summary
 from repro.core import BLSMOptions
-from repro.core.options import derive_shard_options
 from repro.shard import (
     HashPartitioner,
     RangePartitioner,
@@ -147,10 +146,8 @@ def test_partitioner_shard_count_mismatch_rejected():
 def test_sharding_rejects_fault_plan():
     from repro.faults import FaultPlan
 
-    with pytest.raises(ValueError):
-        derive_shard_options(
-            small_options(fault_plan=FaultPlan(seed=0)), index=0
-        )
+    with pytest.raises(ValueError, match="not supported on a sharded engine"):
+        ShardedEngine(small_options(fault_plan=FaultPlan(seed=0)), shards=2)
 
 
 def test_shard_clocks_never_pass_the_router():

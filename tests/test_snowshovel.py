@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from repro.memtable import MemTable, SnowshovelCursor, replacement_selection_runs
 from repro.memtable.snowshovel import run_length_multiplier
 from repro.records import Record
-from tests.test_skiplist import assert_finger_linked
 
 
 def fill(table, keys, start_seqno=0):
@@ -134,17 +133,15 @@ class TestReplacementSelection:
         max_size=120,
     ),
     bounds=st.tuples(st.integers(0, 48), st.integers(0, 48)),
-    seed=st.integers(0, 3),
 )
-def test_the_drain_matches_a_sorted_list_model(ops, bounds, seed):
+def test_the_drain_matches_a_sorted_list_model(ops, bounds):
     """One partition's ``[lo, hi)`` drained while C0 takes inserts ahead
     of and behind the cursor, overwrites of resident keys, removals that
     do not go through the cursor, new runs and drains to empty; what it
-    drains and what C0 keeps match a sorted list, and the skip list's
-    finger holds only linked nodes after every step."""
+    drains and what C0 keeps match a sorted list after every step."""
     lo, hi = sorted(b"%02d" % bound for bound in bounds)
     hi = None if hi == b"48" else hi
-    table = MemTable(1 << 20, seed=seed)
+    table = MemTable(1 << 20)
     cursor = SnowshovelCursor(table, lo, hi)
     model: list[bytes] = []  # resident keys, sorted
     position = lo  # the model's cursor
@@ -182,4 +179,3 @@ def test_the_drain_matches_a_sorted_list_model(ops, bounds, seed):
             cursor.advance_past(key)
             position = max(position, key + b"\x00")
         assert [record.key for record in table] == model
-        assert_finger_linked(table._tree)

@@ -59,7 +59,6 @@ def test_default_scenario_exercises_the_merges_it_gates():
             cache_pages=DEFAULTS["cache_pages"],
             scheduler=STABILITY_MATRIX[name].scheduler,
             durability="async",
-            seed=DEFAULTS["seed"],
         )
         load_phase(engine, spec, seed=DEFAULTS["seed"])
         stasis = engine.tree.stasis
