@@ -3,16 +3,18 @@
 The paper runs under continuous overload, producing 100s-of-ms
 latencies, and notes that production systems throttle load, which
 "would reduce the latencies" — Figure 9's stable ~2 ms is the lightly
-loaded regime.  The open-loop runner makes the whole curve measurable:
-latency is flat at the service time up to the engine's capacity, then
-explodes past the knee.
+loaded regime.  One paced open-loop session makes the whole curve
+measurable: latency is flat at the service time up to the engine's
+capacity, then explodes past the knee.  A write is done when the
+group-commit force covering it lands, so its latency includes that
+force.
 """
 
 from __future__ import annotations
 
 from benchmarks.conftest import SCALE, make_blsm, report
 from repro.sim import DiskModel
-from repro.ycsb import WorkloadSpec, load_phase, run_open_loop, run_workload
+from repro.ycsb import WorkloadSpec, load_phase, run_sessions, run_workload
 
 LOAD_FRACTIONS = [0.2, 0.5, 0.8, 1.0, 1.5, 2.5]
 
@@ -47,10 +49,12 @@ def _measure():
     curve = {}
     for fraction in LOAD_FRACTIONS:
         engine = _prepared_engine()
-        result = run_open_loop(
+        result = run_sessions(
             engine,
             _serving_spec(1500),
             offered_rate=fraction * capacity,
+            sessions=1,
+            arrival="uniform",
             seed=96,
         )
         curve[fraction] = {

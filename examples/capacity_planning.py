@@ -4,8 +4,8 @@
 The paper benchmarks under continuous overload; production systems
 throttle (Section 5.1).  This example answers the operator's question:
 *how much offered load can this store absorb while meeting a p99 SLA?*
-It measures the closed-loop capacity, sweeps offered load with the
-open-loop runner, prints the latency curve, and reports the highest
+It measures the closed-loop capacity, sweeps offered load with one
+open-loop session, prints the latency curve, and reports the highest
 load that meets the SLA.
 
 Run:
@@ -13,7 +13,7 @@ Run:
 """
 
 from repro import BLSMEngine, BLSMOptions, DiskModel
-from repro.ycsb import WorkloadSpec, load_phase, run_open_loop, run_workload
+from repro.ycsb import WorkloadSpec, load_phase, run_sessions, run_workload
 
 SLA_P99_MS = 2.0
 RECORDS = 3000
@@ -55,13 +55,19 @@ def main() -> None:
     best_load = 0.0
     for fraction in (0.2, 0.4, 0.6, 0.8, 0.9, 1.0, 1.2):
         rate = fraction * capacity
-        result = run_open_loop(
-            fresh_engine(), serving_spec(), offered_rate=rate, seed=2,
-            poisson=True,
+        result = run_sessions(
+            fresh_engine(), serving_spec(), offered_rate=rate,
+            sessions=1, arrival="poisson", seed=2,
         )
-        p50 = result.latency.percentile(50) * 1e3
-        p99 = result.latency.percentile(99) * 1e3
-        meets = p99 <= SLA_P99_MS and not result.saturated
+        latency = result.latency  # reads to completion, writes to durable
+        p50 = latency.percentile(50) * 1e3
+        p99 = latency.percentile(99) * 1e3
+        # Keeping up means absorbing the offered rate while it arrives.
+        # (`result.saturated` compares the backlog, which ends with the
+        # closing log force, with five inter-arrival gaps: past ~30k
+        # ops/s on SSD one force spans five gaps.)
+        keeps_up = result.achieved_rate >= 0.99 * rate
+        meets = p99 <= SLA_P99_MS and keeps_up
         if meets:
             best_load = max(best_load, rate)
         print(

@@ -94,6 +94,12 @@ class PartitionedBLSM(TreeKernel):
         )
 
     def _init_layout(self, max_partition_bytes: int | None = None) -> None:
+        if self.options.scheduler != "spring_gear":
+            raise ValueError(
+                f"scheduler {self.options.scheduler!r}: the partitioned "
+                "tree paces itself (its own spring and greedy selector), "
+                "so it runs only under 'spring_gear'"
+            )
         self.max_partition_bytes = (
             max_partition_bytes
             if max_partition_bytes is not None
@@ -457,9 +463,7 @@ class PartitionedBLSM(TreeKernel):
     def _range_size(self, partition: Partition) -> tuple[int, int]:
         """``(bytes, keys)`` of C0 that fall in the partition's range."""
         nbytes = keys = 0
-        for record in self._memtable.iter_from(partition.lo):
-            if partition.hi is not None and record.key >= partition.hi:
-                break
+        for record in self._memtable.scan(partition.lo, partition.hi):
             nbytes += record.nbytes
             keys += 1
         return nbytes, keys

@@ -70,8 +70,9 @@ class EngineConfig:
     The CLI maps its flags onto one of these; tests construct them
     directly.  Fields irrelevant to a given engine are ignored by its
     builder (a B-Tree has no scheduler), except where ignoring them
-    would mislead — fault and device-placement settings raise on
-    engines that cannot honour them (see :func:`build_engine`).
+    would mislead — fault and device-placement settings, and any
+    scheduler but ``spring_gear`` on ``blsm-part``, raise on engines
+    that cannot honour them (see :func:`build_engine`).
     """
 
     disk: DiskModel = field(default_factory=DiskModel.hdd)

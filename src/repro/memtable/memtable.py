@@ -154,10 +154,6 @@ class MemTable:
         for key in self._keys:
             yield index[key]
 
-    def iter_from(self, key: bytes) -> Iterator[Record]:
-        """Records with key >= ``key``, in key order."""
-        return self.scan(key, None)
-
     def scan(self, lo: bytes, hi: bytes | None) -> Iterator[Record]:
         """Records with lo <= key < hi (hi=None means unbounded)."""
         keys, index = self._keys, self._index

@@ -1,25 +1,21 @@
 """Conformance testing: model checks, traces, differential fuzzing.
 
-The package has two generations of machinery that share one philosophy —
-a plain Python ``dict`` is the specification, and every engine must
-agree with it:
+One philosophy runs through the package: a plain Python ``dict`` is the
+specification, and every engine must agree with it.
 
-* the **model checkers** (:mod:`repro.testing.model`, the original
-  ``repro.testing`` module): seeded workload runners, full-state
-  verification, and structural deep checks of the bLSM tree, the
-  partitioned tree, the policy trees and the sharded engine;
-* the **trace harness** (PR 5): a serializable operation-trace format
-  (:mod:`~repro.testing.trace`), a differential executor replaying one
-  trace through every registry engine against a dictionary oracle
-  (:mod:`~repro.testing.differential`), a fault-schedule composer
-  overlaying crash points onto traces
-  (:mod:`~repro.testing.composer`), a greedy trace minimizer filing
-  shrunk repros into ``tests/corpus/`` (:mod:`~repro.testing.minimize`),
-  and the ``repro fuzz`` orchestration loop
-  (:mod:`~repro.testing.harness`).
-
-Everything re-exports here, so ``from repro.testing import ...`` keeps
-working for the old names and picks up the new surface.
+* :mod:`~repro.testing.trace` — a serializable operation-trace format
+  and its seeded generator (:func:`generate_trace`);
+* :mod:`~repro.testing.differential` — :func:`run_trace` replays one
+  trace through any engine against a dictionary oracle: it checks every
+  read, compares the final full scan, and runs the structural deep
+  check of the engine's layout (:mod:`~repro.testing.model`: the bLSM
+  tree, the partitioned tree, the policy trees, the sharded engine);
+  :func:`run_differential` does that for every registry engine;
+* :mod:`~repro.testing.composer` — overlays crash points onto traces
+  (:func:`run_crash_trace`), which is how crash recovery is checked;
+* :mod:`~repro.testing.minimize` — a greedy trace minimizer filing
+  shrunk repros into ``tests/corpus/``;
+* :mod:`~repro.testing.harness` — the ``repro fuzz`` loop.
 """
 
 from repro.testing.broken import BrokenEngine
@@ -50,9 +46,6 @@ from repro.testing.model import (
     check_compaction_invariants,
     check_partitioned_invariants,
     check_sharded_invariants,
-    crash_recover_check,
-    run_model_workload,
-    verify_against_model,
 )
 from repro.testing.trace import (
     OP_KINDS,
@@ -77,7 +70,6 @@ __all__ = [
     "check_compaction_invariants",
     "check_partitioned_invariants",
     "check_sharded_invariants",
-    "crash_recover_check",
     "default_fuzz_configs",
     "enumerate_trace_crash_points",
     "format_fuzz_report",
@@ -88,9 +80,7 @@ __all__ = [
     "replay_corpus_file",
     "run_crash_trace",
     "run_differential",
-    "run_model_workload",
     "run_trace",
     "trace_access_count",
-    "verify_against_model",
     "write_corpus_file",
 ]

@@ -1,91 +1,20 @@
-"""Model-based testing utilities for storage engines.
+"""Structural deep checks of the storage layouts.
 
-The invariants and model-checking drivers the internal test suite uses,
-exported for downstream users who build on the engines (or implement
-their own against :class:`repro.baselines.KVEngine`):
-
-* :func:`run_model_workload` — drive any engine and a dictionary model
-  with the same random operation stream, verifying reads as it goes;
-* :func:`check_blsm_invariants` / :func:`check_partitioned_invariants` /
-  :func:`check_compaction_invariants` / :func:`check_sharded_invariants`
-  — structural deep checks (sortedness, version ordering, space
-  accounting, partition tiling, file-level disjointness, manifest
-  round-trip, router/placement agreement);
-* :func:`crash_recover_check` — crash an engine mid-flight and verify
-  recovery against the model.
+:func:`check_blsm_invariants` / :func:`check_partitioned_invariants` /
+:func:`check_compaction_invariants` / :func:`check_sharded_invariants`
+verify what a dictionary oracle cannot see: sortedness, version
+ordering, space accounting, partition tiling, file-level disjointness,
+manifest round-trip and router/placement agreement.
+:func:`repro.testing.run_trace` runs the one that fits an engine's
+layout at the end of every trace.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Callable
-
-from repro.baselines.interface import KVEngine
 from repro.core.compaction import CompactionTree, LevelManager
 from repro.core.partitioned import PartitionedBLSM
 from repro.core.tree import BLSM
 from repro.records import RecordKind
-
-
-def run_model_workload(
-    engine: KVEngine,
-    operations: int,
-    keyspace: int = 1000,
-    seed: int = 0,
-    key_format: bytes = b"key%06d",
-    value_bytes: int = 64,
-    delta_fraction: float = 0.1,
-    delete_fraction: float = 0.1,
-    read_fraction: float = 0.1,
-    checkpoint_every: int | None = None,
-    on_checkpoint: Callable[[KVEngine, dict], None] | None = None,
-) -> dict[bytes, bytes]:
-    """Drive an engine and a dict model in lockstep; return the model.
-
-    Reads are verified inline; the caller can add periodic deep checks
-    via ``on_checkpoint``.  Raises ``AssertionError`` on any divergence.
-    """
-    rng = random.Random(seed)
-    model: dict[bytes, bytes] = {}
-    write_fraction = 1.0 - delta_fraction - delete_fraction - read_fraction
-    if write_fraction <= 0:
-        raise ValueError("fractions must leave room for writes")
-    for i in range(operations):
-        key = key_format % rng.randrange(keyspace)
-        roll = rng.random()
-        if roll < write_fraction:
-            value = b"v%08d" % i + bytes(max(0, value_bytes - 9))
-            engine.put(key, value)
-            model[key] = value
-        elif roll < write_fraction + delete_fraction:
-            engine.delete(key)
-            model.pop(key, None)
-        elif roll < write_fraction + delete_fraction + delta_fraction:
-            if key in model:
-                engine.apply_delta(key, b"+D")
-                model[key] += b"+D"
-        else:
-            got = engine.get(key)
-            expected = model.get(key)
-            assert got == expected, (
-                f"read divergence at op {i}: {key!r} -> {got!r}, "
-                f"expected {expected!r}"
-            )
-        if (
-            checkpoint_every
-            and on_checkpoint is not None
-            and i % checkpoint_every == checkpoint_every - 1
-        ):
-            on_checkpoint(engine, model)
-    return model
-
-
-def verify_against_model(engine: KVEngine, model: dict[bytes, bytes]) -> None:
-    """Every model entry reads back; a full scan matches exactly."""
-    for key, value in model.items():
-        got = engine.get(key)
-        assert got == value, f"{key!r} -> {got!r}, expected {value!r}"
-    assert list(engine.scan(b"")) == sorted(model.items())
 
 
 def check_blsm_invariants(tree: BLSM) -> None:
@@ -271,32 +200,3 @@ def check_sharded_invariants(engine) -> None:
     engine.clock.advance_to(
         max(shard.clock.now for shard in engine.shards)
     )
-
-
-def crash_recover_check(
-    tree: BLSM, model: dict[bytes, bytes]
-) -> BLSM:
-    """Crash the tree's storage, recover, verify, return the new tree.
-
-    Requires ``DurabilityMode.SYNC`` (otherwise recent writes are
-    legitimately lost and the model comparison would be wrong).
-    """
-    stasis = tree.stasis
-    options = tree.options
-    stasis.crash()
-    recovered = BLSM.recover(stasis, options)
-    verify_against_model(_as_engine(recovered), model)
-    return recovered
-
-
-class _as_engine:
-    """Duck-type a bare tree as the tiny engine surface we verify."""
-
-    def __init__(self, tree: BLSM) -> None:
-        self._tree = tree
-
-    def get(self, key: bytes):
-        return self._tree.get(key)
-
-    def scan(self, lo: bytes):
-        return self._tree.scan(lo)

@@ -5,8 +5,9 @@ synthetic workloads over a keyspace with uniform or Zipfian request
 distributions and configurable operation mixes.  This package provides
 the same generator surface — request distributions (including YCSB's
 scrambled Zipfian with its default parameters), the standard A-F workload
-mixes, and a closed-loop runner that measures latency and throughput in
-virtual time.
+mixes, a closed-loop runner that measures latency and throughput in
+virtual time, and an open-loop runner (:func:`run_sessions`) whose
+sessions arrive at an offered rate.
 """
 
 from repro.ycsb.distributions import (
@@ -21,7 +22,6 @@ from repro.ycsb.metrics import (
     LatencyStats,
     Timeseries,
 )
-from repro.ycsb.open_loop import OpenLoopResult, run_open_loop
 from repro.ycsb.sessions import (
     SessionsResult,
     run_sessions,
@@ -49,12 +49,10 @@ __all__ = [
     "BatchStats",
     "LatencyStats",
     "LatestChooser",
-    "OpenLoopResult",
     "Operation",
     "OperationGenerator",
     "OpKind",
     "RunResult",
-    "run_open_loop",
     "run_sessions",
     "run_stability",
     "run_stability_matrix",

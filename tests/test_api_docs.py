@@ -38,9 +38,9 @@ def test_generator_covers_headline_api():
         "`LevelDBScheduler`",
         "`SpringGearScheduler`",
         "`run_workload(",
-        "`run_open_loop(",
+        "`run_sessions(",
         "`BloomFilter`",
-        "`run_model_workload(",
+        "`run_trace(",
         "`LogicalRecord`",
         "`WindowedTimeline`",
         "`record_in(",

@@ -144,6 +144,22 @@ def test_unknown_engine_name_raises():
         engine_spec("nope")
 
 
+def test_partitioned_tree_rejects_a_scheduler_it_would_ignore():
+    # blsm-part paces its merges with its own spring; a naive or gear
+    # scheduler used to build, be ignored, and run the same clock.
+    for scheduler in ("naive", "gear"):
+        with pytest.raises(ValueError, match="paces itself"):
+            build_engine("blsm-part", small_config(), scheduler=scheduler)
+    build_engine("blsm-part", small_config()).close()
+    with pytest.raises(SystemExit) as raised:
+        cli.main(
+            ["workload", "--engine", "blsm-part", "--scheduler", "naive",
+             "--records", "10", "--ops", "10"]
+        )
+    assert raised.value.code not in (None, 0)
+    assert "paces itself" in str(raised.value.code)
+
+
 def test_fault_plan_gate_rejects_non_blsm_engines():
     plan = FaultPlan(seed=1)
     for name in ("btree", "bitcask", "sharded"):

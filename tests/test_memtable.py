@@ -83,7 +83,7 @@ def test_iter_from_and_scan():
     table = MemTable(10_000)
     for i in range(10):
         table.put(Record.base(b"%02d" % i, b"", i))
-    assert [r.key for r in table.iter_from(b"07")] == [b"07", b"08", b"09"]
+    assert [r.key for r in table.scan(b"07", None)] == [b"07", b"08", b"09"]
     assert [r.key for r in table.scan(b"03", b"06")] == [b"03", b"04", b"05"]
     assert [r.key for r in table.scan(b"08", None)] == [b"08", b"09"]
 

@@ -1,11 +1,11 @@
-"""Tests for the open-loop (throttled) runner."""
+"""Tests for the open-loop (throttled) runner with one session."""
 
 import pytest
 
 from repro.baselines import BLSMEngine
 from repro.core import BLSMOptions
 from repro.sim import DiskModel
-from repro.ycsb import WorkloadSpec, load_phase, run_open_loop, run_workload
+from repro.ycsb import WorkloadSpec, load_phase, run_sessions, run_workload
 
 
 def engine_and_spec():
@@ -27,6 +27,12 @@ def engine_and_spec():
     return engine, spec
 
 
+def one_session(engine, spec, rate, arrival="uniform"):
+    return run_sessions(
+        engine, spec, rate, sessions=1, arrival=arrival, seed=2
+    )
+
+
 def closed_loop_capacity():
     engine, spec = engine_and_spec()
     return run_workload(engine, spec, seed=2).throughput
@@ -35,7 +41,7 @@ def closed_loop_capacity():
 def test_light_load_latency_is_service_time():
     capacity = closed_loop_capacity()
     engine, spec = engine_and_spec()
-    result = run_open_loop(engine, spec, offered_rate=0.2 * capacity, seed=2)
+    result = one_session(engine, spec, 0.2 * capacity)
     assert not result.saturated
     # With the device mostly idle, p50 latency is about one seek.
     assert result.latency.percentile(50) < 3 * DiskModel.hdd().read_access_seconds
@@ -44,7 +50,7 @@ def test_light_load_latency_is_service_time():
 def test_overload_builds_backlog():
     capacity = closed_loop_capacity()
     engine, spec = engine_and_spec()
-    result = run_open_loop(engine, spec, offered_rate=3.0 * capacity, seed=2)
+    result = one_session(engine, spec, 3.0 * capacity)
     assert result.saturated
     assert result.backlog_seconds > 0
     # Under overload the achieved rate approaches closed-loop capacity.
@@ -56,9 +62,7 @@ def test_latency_grows_with_load():
     p99s = []
     for fraction in (0.2, 0.7, 1.5):
         engine, spec = engine_and_spec()
-        result = run_open_loop(
-            engine, spec, offered_rate=fraction * capacity, seed=2
-        )
+        result = one_session(engine, spec, fraction * capacity)
         p99s.append(result.latency.percentile(99))
     # Below the knee, latency is flat at the service time (deterministic
     # arrivals and service queue almost nothing)...
@@ -70,9 +74,7 @@ def test_latency_grows_with_load():
 def test_poisson_arrivals():
     capacity = closed_loop_capacity()
     engine, spec = engine_and_spec()
-    result = run_open_loop(
-        engine, spec, offered_rate=0.5 * capacity, seed=2, poisson=True
-    )
+    result = one_session(engine, spec, 0.5 * capacity, arrival="poisson")
     assert result.operations == spec.operation_count
     assert result.latency.count == spec.operation_count
 
@@ -82,7 +84,7 @@ def test_deterministic_latencies_repeatable():
     outcomes = []
     for _ in range(2):
         engine, spec = engine_and_spec()
-        result = run_open_loop(engine, spec, offered_rate=0.5 * capacity, seed=2)
+        result = one_session(engine, spec, 0.5 * capacity)
         outcomes.append(result.latency.percentile(99))
     assert outcomes[0] == outcomes[1]
 
@@ -90,7 +92,7 @@ def test_deterministic_latencies_repeatable():
 def test_invalid_rate_rejected():
     engine, spec = engine_and_spec()
     with pytest.raises(ValueError):
-        run_open_loop(engine, spec, offered_rate=0)
+        one_session(engine, spec, 0)
 
 
 def test_trailing_stall_does_not_deflate_achieved_rate():
@@ -101,13 +103,13 @@ def test_trailing_stall_does_not_deflate_achieved_rate():
     capacity = closed_loop_capacity()
     engine, spec = engine_and_spec()
     rate = 0.3 * capacity
-    result = run_open_loop(engine, spec, offered_rate=rate, seed=2)
+    result = one_session(engine, spec, rate)
     assert not result.saturated
     baseline = result.achieved_rate
     assert baseline == pytest.approx(rate, rel=0.15)
     # Simulate the trailing stall: same completions, with the clock (and
     # thus completed_in) dragged far past the last arrival.
-    stalled = run_open_loop(engine_and_spec()[0], spec, offered_rate=rate, seed=2)
+    stalled = one_session(engine_and_spec()[0], spec, rate)
     stalled.completed_in += 30.0  # 30 virtual seconds of post-arrival work
     stalled.backlog_seconds += 30.0
     assert stalled.achieved_rate == pytest.approx(baseline)  # unmoved

@@ -1,5 +1,5 @@
 """C0's ordered-map contract, checked on :class:`MemTable`: sorted
-iteration, ``first_key`` / ``ceiling`` / ``iter_from``, overwrite,
+iteration, ``first_key`` / ``ceiling`` / open-ended ``scan``, overwrite,
 remove-then-reuse, and a dict model."""
 
 import random
@@ -89,10 +89,10 @@ def test_iter_from():
     table = MemTable(1 << 20)
     for i in range(10):
         _put(table, b"%02d" % i, b"%d" % i)
-    assert [r.value for r in table.iter_from(b"05")] == [
+    assert [r.value for r in table.scan(b"05", None)] == [
         b"5", b"6", b"7", b"8", b"9"
     ]
-    assert list(table.iter_from(b"99")) == []
+    assert list(table.scan(b"99", None)) == []
 
 
 def test_contains():
@@ -157,4 +157,4 @@ def test_matches_dict_model(ops, probe):
     assert (ceiling and (ceiling.key, ceiling.value)) == (
         tail[0] if tail else None
     )
-    assert [(r.key, r.value) for r in table.iter_from(probe)] == tail
+    assert [(r.key, r.value) for r in table.scan(probe, None)] == tail
