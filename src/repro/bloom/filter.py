@@ -10,15 +10,30 @@ tree component and sizes the filter for a false-positive rate below 1 %
 (about 10 bits per item, ``k = 7``).  Updates are monotonic — bits only
 flip from 0 to 1 — and the on-disk trees are append-only, so deletion
 support is unnecessary.
+
+A filter is filled when it is first read.  A component builder hands
+each block's record tuple to :meth:`BloomFilter.defer` — the tuple it
+writes, so the filter holds one list slot per block — and the keys are
+hashed the first time :meth:`~BloomFilter.__contains__` or
+:meth:`~BloomFilter.to_bytes` needs the bits.  Every merge rewrites its
+output, so most components are merged away before any read probes them;
+those never hash a key.  :attr:`~BloomFilter.ninserted` counts deferred
+keys at once, and every answer and persisted byte equals the eager fill
+of :meth:`~BloomFilter.update`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from typing import Iterable
+from itertools import chain
+from operator import attrgetter
+from typing import Any, Iterable, Sequence
 
 _blake2b = hashlib.blake2b
+_from_bytes = int.from_bytes
+_KEY = attrgetter("key")
+_LOW64 = (1 << 64) - 1
 
 _MIN_BITS = 64
 
@@ -45,7 +60,7 @@ def optimal_hash_count(bits: int, capacity: int) -> int:
 class BloomFilter:
     """A fixed-size Bloom filter over byte-string keys."""
 
-    __slots__ = ("_bits", "_nbits", "_nhashes", "_ninserted")
+    __slots__ = ("_bits", "_nbits", "_nhashes", "_ninserted", "_pending")
 
     def __init__(self, nbits: int, nhashes: int) -> None:
         if nbits <= 0 or nhashes <= 0:
@@ -56,6 +71,7 @@ class BloomFilter:
         self._nhashes = nhashes
         self._bits = bytearray((nbits + 7) // 8)
         self._ninserted = 0
+        self._pending: list[Sequence[Any]] = []  # deferred record tuples
 
     @classmethod
     def for_capacity(
@@ -87,31 +103,50 @@ class BloomFilter:
         self.update((key,))
 
     def update(self, keys: Iterable[bytes]) -> None:
-        """Insert every key of ``keys`` (a component builder passes one
-        block's keys at a time)."""
-        # h1 + i*h2 computed incrementally with locals bound outside the
-        # loops: every merged record is inserted, so the k-probe loop is
-        # hot.  Bit positions are identical to the closed form
-        # (h1 + i*h2 mod m).
+        """Insert every key of ``keys`` now (``keys`` may be a generator
+        whose reads must happen at call time, as in a recovery scan)."""
+        self._ninserted += self._fill(keys)
+
+    def defer(self, records: Sequence[Any]) -> None:
+        """Insert the keys of ``records`` (objects with a ``key``), hashed
+        when the filter is next read.  ``records`` is kept, not copied:
+        a builder passes the block tuple it writes, which never changes."""
+        self._pending.append(records)
+        self._ninserted += len(records)
+
+    def _fill(self, keys: Iterable[bytes]) -> int:
+        """Set the ``k`` bits of every key; the number of keys.
+
+        ``h1`` and ``h2`` are taken from the digest as in
+        :meth:`__contains__`; the walk ``h1 + i*h2 (mod m)`` is kept
+        reduced, which sets the same bits as the closed form.  Every key
+        of every probed or persisted component passes through here, so
+        the loop is hot and its names are bound outside it.
+        """
         bits = self._bits
         nbits = self._nbits
         probes = range(self._nhashes)
         inserted = 0
         for key in keys:
-            digest = _blake2b(key, digest_size=16).digest()
-            h1 = int.from_bytes(digest[:8], "little")
-            h2 = int.from_bytes(digest[8:], "little") | 1  # odd => full-period
+            h = _from_bytes(_blake2b(key, digest_size=16).digest(), "little")
+            bit = (h & _LOW64) % nbits
+            step = ((h >> 64) | 1) % nbits
             for _ in probes:
-                bit = h1 % nbits
                 bits[bit >> 3] |= 1 << (bit & 7)
-                h1 += h2
+                bit = (bit + step) % nbits
             inserted += 1
-        self._ninserted += inserted
+        return inserted
+
+    def _fill_pending(self) -> None:
+        self._fill(map(_KEY, chain.from_iterable(self._pending)))
+        self._pending = []
 
     def __contains__(self, key: bytes) -> bool:
-        digest = _blake2b(key, digest_size=16).digest()
-        h1 = int.from_bytes(digest[:8], "little")
-        h2 = int.from_bytes(digest[8:], "little") | 1  # odd => full-period
+        if self._pending:
+            self._fill_pending()
+        h = _from_bytes(_blake2b(key, digest_size=16).digest(), "little")
+        h1 = h & _LOW64
+        h2 = (h >> 64) | 1  # odd => full-period
         bits = self._bits
         nbits = self._nbits
         for _ in range(self._nhashes):
@@ -122,7 +157,10 @@ class BloomFilter:
         return True
 
     def to_bytes(self) -> bytes:
-        """The raw bit array, for persistence (Section 4.4.3)."""
+        """The raw bit array, for persistence (Section 4.4.3); deferred
+        keys are hashed in first."""
+        if self._pending:
+            self._fill_pending()
         return bytes(self._bits)
 
     @classmethod
@@ -145,13 +183,6 @@ class BloomFilter:
             return 0.0
         fill = 1.0 - math.exp(-self._nhashes * self._ninserted / self._nbits)
         return fill**self._nhashes
-
-    @staticmethod
-    def _hash_pair(key: bytes) -> tuple[int, int]:
-        digest = hashlib.blake2b(key, digest_size=16).digest()
-        h1 = int.from_bytes(digest[:8], "little")
-        h2 = int.from_bytes(digest[8:], "little") | 1  # odd => full-period
-        return h1, h2
 
     def __repr__(self) -> str:
         return (

@@ -3,14 +3,19 @@
 Latency *timelines* — per-window percentiles over virtual time — are
 how production systems (and *On Performance Stability in LSM-based
 Storage Systems*, Luo & Carey) surface write stalls and tail-latency
-variance that end-of-run aggregates hide.  Before this module the
-windowing arithmetic was re-derived in three places: the sessions
-runner kept a ``dict[int, LatencyStats]`` by hand, the live-migration
-bench carried its own ``_percentile`` plus a fixed-window-count
-splitter, and the open-loop runner had no timeline at all.  One
-implementation now serves all of them plus the stability bench
-(``repro stability``), so every ``BENCH_*.json`` timeline row means the
-same thing.
+variance that end-of-run aggregates hide.  Every timeline in the repo
+is computed here, so every ``BENCH_*.json`` timeline row means the same
+thing:
+
+* :func:`repro.ycsb.sessions.run_sessions`, the one open-loop driver
+  (many sessions, or one paced client), files each arrival's queueing,
+  write-ack and read latencies into a :class:`WindowedTimeline`;
+* the stability bench (``repro stability``,
+  :mod:`repro.ycsb.stability`) takes that timeline from
+  ``run_sessions``, adds its stall windows and summarises the
+  per-window p99.9 with :func:`percentile`;
+* the live-migration bench (:mod:`repro.shard.migration`) slices its
+  collected read and write latencies with :func:`windows_over_span`.
 
 Two windowing styles, one sample store:
 

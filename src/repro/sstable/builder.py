@@ -21,9 +21,13 @@ knows its inputs' key counts; Section 4.4.3: "we track the number of keys
 in each tree component, and size the Bloom filter for a false positive
 rate below 1%").  A build whose input grows while it runs (a snowshovel
 pass) passes ``bloom_keys``, the keys it plans for, which sizes the
-filter only: ``expected_keys`` also sizes the extent reservation.  A
-block's keys go into the filter in one ``BloomFilter.update`` when the
-block closes, so the filter is complete when the component is.
+filter only: ``expected_keys`` also sizes the extent reservation.  When
+a block closes, the builder hands the filter the record tuple it writes
+(``BloomFilter.defer``); the filter hashes those keys when it is first
+probed or persisted.  A component merged away before any read reaches
+it therefore never hashes a key, while every answer and persisted byte
+is what an eager fill gives.  The fill reads the tuples the builder
+wrote, not the device, so it issues no I/O.
 """
 
 from __future__ import annotations
@@ -202,8 +206,9 @@ class SSTableBuilder:
         self._ctr_packed.inc(self._current_bytes)
         self._ctr_padded.inc(npages * self._page_size - self._current_bytes)
         first_page = self._reserve(npages)
+        payload = tuple(self._current)
         if self._bloom is not None:
-            self._bloom.update([record.key for record in self._current])
+            self._bloom.defer(payload)
         self._blocks.append(
             Block(
                 first_key=self._current[0].key,
@@ -212,7 +217,7 @@ class SSTableBuilder:
                 nrecords=len(self._current),
             )
         )
-        self._pending.append((first_page, tuple(self._current)))
+        self._pending.append((first_page, payload))
         for i in range(1, npages):
             self._pending.append((first_page + i, _CONTINUATION))
         self._current = []

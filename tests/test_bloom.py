@@ -66,7 +66,7 @@ def test_double_hashing_determinism():
     a.add(b"key")
     b.add(b"key")
     assert (b"key" in a) == (b"key" in b)
-    assert a._bits == b._bits
+    assert a.to_bytes() == b.to_bytes()
 
 
 def test_invalid_parameters_rejected():
