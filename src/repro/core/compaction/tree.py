@@ -42,7 +42,7 @@ from repro.core.merge import MergeProcess
 from repro.core.options import BLSMOptions
 from repro.core.progress import outprogress
 from repro.core.versions import TreeSnapshot
-from repro.records import Record, RecordKind, resolve
+from repro.records import lookup
 from repro.sstable.reader import SSTable
 
 __all__ = ["CompactionTree"]
@@ -102,20 +102,7 @@ class CompactionTree(TreeKernel):
         probes.
         """
         self._check_open()
-        record = self._memtable.get(key)
-        if record is None:
-            versions: list[Record] = []
-        elif record.kind is RecordKind.DELTA:
-            versions = [record]
-        else:
-            return record.value if record.kind is RecordKind.BASE else None
-        for source in self._manager.sources():
-            record = source.get(key)
-            if record is not None:
-                versions.append(record)
-                if record.kind is not RecordKind.DELTA:
-                    break
-        return resolve(versions)
+        return lookup(key, (self._memtable, *self._manager.sources()))
 
     def snapshot(self) -> TreeSnapshot:
         """Pin a consistent point-in-time read view of the tree.

@@ -34,6 +34,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Iterable
 
 from repro.core.components import describe_component
@@ -43,9 +44,11 @@ from repro.core.options import BLSMOptions
 from repro.core.scheduler import HEADROOM
 from repro.core.tree import target_r
 from repro.core.versions import TreeSnapshot
-from repro.records import Record, RecordKind, resolve
+from repro.records import lookup
 from repro.sstable.reader import SSTable
 from repro.storage.stasis import Stasis
+
+_LO = attrgetter("lo")
 
 
 @dataclass
@@ -117,24 +120,12 @@ class PartitionedBLSM(TreeKernel):
 
     def get(self, key: bytes) -> bytes | None:
         self._check_open()
-        record = self._memtable.get(key)
-        if record is None:
-            versions: list[Record] = []
-        elif record.kind is RecordKind.DELTA:
-            versions = [record]
-        else:
-            return record.value if record.kind is RecordKind.BASE else None
         partition = self._partition_for(key)
-        overlay = partition.m01.overlay if partition.m01 is not None else None
-        for source in (overlay, partition.c1, partition.c2):
-            if source is None:
-                continue
-            record = source.get(key)
-            if record is not None:
-                versions.append(record)
-                if record.kind is not RecordKind.DELTA:
-                    break
-        return resolve(versions)
+        m01 = partition.m01
+        return lookup(key, (
+            self._memtable, None if m01 is None else m01.overlay,
+            partition.c1, partition.c2,
+        ))
 
     def snapshot(self) -> TreeSnapshot:
         """Pin a consistent point-in-time read view of the tree.
@@ -524,8 +515,7 @@ class PartitionedBLSM(TreeKernel):
     # ------------------------------------------------------------------
 
     def _partition_index(self, key: bytes) -> int:
-        los = [partition.lo for partition in self._partitions]
-        return max(0, bisect.bisect_right(los, key) - 1)
+        return max(0, bisect.bisect_right(self._partitions, key, key=_LO) - 1)
 
     def _partition_for(self, key: bytes) -> Partition:
         partition = self._partitions[self._partition_index(key)]

@@ -36,8 +36,9 @@ from repro.core.merge import FrozenSource, MergeProcess, SnowshovelSource  # noq
 from repro.core.options import BLSMOptions
 from repro.core.progress import outprogress
 from repro.core.versions import RamSource, TreeSnapshot
+from repro.errors import EngineClosedError
 from repro.memtable.memtable import MemTable
-from repro.records import Record, RecordKind, resolve
+from repro.records import lookup
 from repro.sstable.reader import SSTable
 
 MIN_R = 2.0
@@ -83,27 +84,14 @@ class BLSM(TreeKernel):
         (newest first) and C1, C1', C2, and stops at the first base
         record or tombstone (Section 3.1.1).
         """
-        self._check_open()
-        record = self._memtable.get(key)
-        if record is None:
-            versions: list[Record] = []
-        elif record.kind is RecordKind.DELTA:
-            versions = [record]
-        else:
-            return record.value if record.kind is RecordKind.BASE else None
-        overlay = self._m01.overlay if self._m01 is not None else None
-        for source in (
-            self._frozen, overlay, *self._extras,
+        if self._closed:  # _check_open inline: a frame fewer per read
+            raise EngineClosedError()
+        m01 = self._m01
+        return lookup(key, (
+            self._memtable, self._frozen,
+            None if m01 is None else m01.overlay, *self._extras,
             self._c1, self._c1_prime, self._c2,
-        ):
-            if source is None:
-                continue
-            record = source.get(key)
-            if record is not None:
-                versions.append(record)
-                if record.kind is not RecordKind.DELTA:
-                    break
-        return resolve(versions)
+        ))
 
     def snapshot(self) -> TreeSnapshot:
         """Pin a consistent point-in-time read view of the tree.

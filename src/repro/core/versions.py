@@ -54,11 +54,11 @@ invisible.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import chain, islice
+from itertools import islice
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Protocol, Sequence
 
-from repro.records import Record, resolve
+from repro.records import Record, lookup, resolve
 from repro.sstable.iterator import kway_merge
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -349,14 +349,7 @@ class TreeSnapshot:
         """
         ranges = self._ranges
         _lo, _hi, ram, tables = ranges[bisect_right(ranges, key, key=_range_lo) - 1]
-        versions: list[Record] = []
-        for source in chain((self._c0,), ram, tables):
-            record = source.get(key)
-            if record is not None:
-                versions.append(record)
-                if not record.is_delta:
-                    break
-        return resolve(versions)
+        return lookup(key, (self._c0, *ram, *tables))
 
     def multi_get(self, keys: Sequence[bytes]) -> list[bytes | None]:
         """Batched point lookups; results align with ``keys``."""

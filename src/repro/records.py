@@ -20,6 +20,7 @@ largest component and can be discarded.
 from __future__ import annotations
 
 import enum
+import typing
 from dataclasses import dataclass
 from dataclasses import field as _field
 
@@ -164,6 +165,39 @@ def resolve(versions_newest_first: list[Record]) -> bytes | None:
                 value = apply_delta(value, delta_record.value)
         return value
     return None
+
+
+def lookup(key: bytes, sources: typing.Iterable[typing.Any]) -> bytes | None:
+    """Read ``key`` through ``sources``, newest first (Section 3.1.1).
+
+    Every source is ``None`` (skipped) or has ``get(key) -> Record |
+    None``: C0, then whatever sits between it and the oldest component,
+    in the order reads encounter them.  The walk stops at the first base
+    record or tombstone.  With no delta above it, that record is the
+    answer; under a chain of deltas, :func:`resolve` folds the chain
+    over it.  Returns ``None`` when the key is deleted or no source
+    holds a base for it — the same answer as :func:`resolve` over every
+    version the walk found.
+    """
+    deltas: list[Record] | None = None
+    for source in sources:
+        if source is None:
+            continue
+        record = source.get(key)
+        if record is None:
+            continue
+        kind = record.kind
+        if kind is RecordKind.DELTA:
+            if deltas is None:
+                deltas = [record]
+            else:
+                deltas.append(record)
+            continue
+        if deltas is None:
+            return record.value if kind is RecordKind.BASE else None
+        deltas.append(record)
+        return resolve(deltas)
+    return None  # no base: absent, or deltas with nothing to anchor them
 
 
 def fold(newer: Record, older: Record) -> Record:

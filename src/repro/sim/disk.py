@@ -219,23 +219,19 @@ class SimDisk:
     def read(self, offset: int, nbytes: int) -> float:
         """Service a read; advance the requester's timeline; return the
         observed latency (queue wait plus service time)."""
+        model = self.model
         return self._access(
-            offset,
-            nbytes,
-            access_seconds=self.model.read_access_seconds,
-            bandwidth=self.model.seq_read_bandwidth,
-            is_write=False,
+            offset, nbytes,
+            model.read_access_seconds, model.seq_read_bandwidth, False,
         )
 
     def write(self, offset: int, nbytes: int) -> float:
         """Service a write; advance the requester's timeline; return the
         observed latency (queue wait plus service time)."""
+        model = self.model
         return self._access(
-            offset,
-            nbytes,
-            access_seconds=self.model.write_access_seconds,
-            bandwidth=self.model.seq_write_bandwidth,
-            is_write=True,
+            offset, nbytes,
+            model.write_access_seconds, model.seq_write_bandwidth, True,
         )
 
     def _validate(self, offset: int, nbytes: int, is_write: bool) -> None:
@@ -266,15 +262,46 @@ class SimDisk:
             if nbytes == 0:
                 return 0.0
         # The requester: a background timeline if one is installed, else
-        # the foreground clock; both answer ``now`` and ``advance_to``.
-        timeline = self.clock.active_timeline
-        requester = self.clock if timeline is None else timeline
-        issue_at = requester.now
-        end = self._service_at(
-            issue_at, offset, nbytes, access_seconds, bandwidth, is_write,
-            timeline is not None,
-        )[0]
-        requester.advance_to(end)
+        # the foreground clock.  Both keep their position in ``_now``;
+        # every access of every device passes here, so it reads and
+        # moves that in place and books the access inline (one frame;
+        # :meth:`_service_at` is the same booking for a striped array's
+        # members, issued at the array's time).
+        clock = self.clock
+        timeline = clock._active_timeline
+        requester = clock if timeline is None else timeline
+        issue_at = requester._now
+        stats = self.stats
+        sequential = offset == self._head
+        service = nbytes / bandwidth
+        if not sequential:
+            service += access_seconds
+            stats.seeks += 1
+            stats.write_seeks += is_write
+            stats.seek_seconds += access_seconds
+        start = max(issue_at, self.busy_until)
+        wait = start - issue_at
+        end = start + service
+        self.busy_until = end
+        if is_write:
+            stats.write_ops += 1
+            stats.bytes_written += nbytes
+        else:
+            stats.read_ops += 1
+            stats.bytes_read += nbytes
+        stats.busy_seconds += service
+        stats.queue_wait_seconds += wait
+        if timeline is not None:
+            stats.bg_busy_seconds += service
+        else:
+            stats.fg_wait_seconds += wait
+        self._head = offset + nbytes
+        if self._obs or self._trace is not None:
+            self._record(
+                issue_at, offset, nbytes, is_write, 0 if sequential else 1,
+                service, wait, end, timeline is not None,
+            )
+        requester._now = end  # end >= issue_at: time never goes back
         return end - issue_at
 
     def _service_at(
@@ -290,10 +317,10 @@ class SimDisk:
         """Book one access issued at ``issue_at``; return
         ``(end_time, queue_wait, seeked)``.
 
-        Advances the device horizon and all counters but *no* clock or
-        timeline — the caller decides whose timeline completion lands on
-        (a :class:`StripedDisk` fans one logical access out to several
-        members this way).
+        :meth:`_access`'s booking, for a :class:`StripedDisk` member: it
+        advances the device horizon and all counters but *no* clock or
+        timeline — the array fans one logical access out to several
+        members, all issued at once, and advances its requester itself.
         """
         stats = self.stats
         sequential = offset == self._head
@@ -320,9 +347,31 @@ class SimDisk:
         else:
             stats.fg_wait_seconds += wait
         self._head = offset + nbytes
+        if self._obs or self._trace is not None:
+            self._record(
+                issue_at, offset, nbytes, is_write, 0 if sequential else 1,
+                service, wait, end, background,
+            )
+        return end, wait, not sequential
+
+    def _record(
+        self,
+        issue_at: float,
+        offset: int,
+        nbytes: int,
+        is_write: bool,
+        seeks: int,
+        service: float,
+        wait: float,
+        end: float,
+        background: bool,
+    ) -> None:
+        """Report a booked access to the metrics registry and trace (when
+        observability is on) and to :meth:`start_trace`'s list."""
+        kind = "write" if is_write else "read"
         if self._obs:
-            if not sequential:
-                self._ctr_seeks.inc()
+            if seeks:
+                self._ctr_seeks.inc(seeks)
             if is_write:
                 self._ctr_write_ops.inc()
                 self._ctr_bytes_written.inc(nbytes)
@@ -340,9 +389,9 @@ class SimDisk:
             self.runtime.trace.emit(
                 "disk_io",
                 disk=self.name,
-                kind="write" if is_write else "read",
+                kind=kind,
                 nbytes=nbytes,
-                seek=not sequential,
+                seek=seeks > 0,
                 busy=service,
                 wait=wait,
                 background=background,
@@ -351,16 +400,15 @@ class SimDisk:
             self._trace.append(
                 IOEvent(
                     time=end,
-                    kind="write" if is_write else "read",
+                    kind=kind,
                     offset=offset,
                     nbytes=nbytes,
-                    seek=not sequential,
+                    seek=seeks > 0,
                     service=service,
                     wait=wait,
                     background=background,
                 )
             )
-        return end, wait, not sequential
 
     def _charge_wasted(self, seconds: float) -> None:
         """Charge extra device time (injected faults) to the requester."""
@@ -538,45 +586,10 @@ class StripedDisk(SimDisk):
             self.stats.bg_busy_seconds += service
         else:
             self.stats.fg_wait_seconds += wait
-        if self._obs:
-            if seeked:
-                self._ctr_seeks.inc(seeked)
-            if is_write:
-                self._ctr_write_ops.inc()
-                self._ctr_bytes_written.inc(nbytes)
-            else:
-                self._ctr_read_ops.inc()
-                self._ctr_bytes_read.inc(nbytes)
-            self._ctr_busy.inc(service)
-            if background:
-                self._ctr_bg_busy.inc(service)
-                self._ctr_bg_wait.inc(wait)
-            else:
-                self._ctr_fg_busy.inc(service)
-                self._ctr_fg_wait.inc(wait)
-            self._gauge_backlog.set(max(0.0, self.busy_until - issue_at))
-            self.runtime.trace.emit(
-                "disk_io",
-                disk=self.name,
-                kind="write" if is_write else "read",
-                nbytes=nbytes,
-                seek=seeked > 0,
-                busy=service,
-                wait=wait,
-                background=background,
-            )
-        if self._trace is not None:
-            self._trace.append(
-                IOEvent(
-                    time=end,
-                    kind="write" if is_write else "read",
-                    offset=offset,
-                    nbytes=nbytes,
-                    seek=seeked > 0,
-                    service=service,
-                    wait=wait,
-                    background=background,
-                )
+        if self._obs or self._trace is not None:
+            self._record(
+                issue_at, offset, nbytes, is_write, seeked,
+                service, wait, end, background,
             )
         if background:
             timeline.advance_to(end)

@@ -28,9 +28,9 @@ Three read paths exist:
 
 from __future__ import annotations
 
-import bisect
 import math
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -45,7 +45,7 @@ _KEY = operator.attrgetter("key")
 
 def _from(records: tuple[Record, ...], lo: bytes) -> tuple[Record, ...]:
     """The records of a block's (key-ordered) tuple at or above ``lo``."""
-    start = bisect.bisect_left(records, lo, key=_KEY)
+    start = bisect_left(records, lo, key=_KEY)
     return records[start:] if start else records
 
 
@@ -161,7 +161,7 @@ class SSTable:
             return None
         if self._max_key is not None and key > self._max_key:
             return None
-        index = bisect.bisect_right(self._first_keys, key) - 1
+        index = bisect_right(self._first_keys, key) - 1
         if index < 0:
             return None
         block = self.blocks[index]
@@ -174,7 +174,7 @@ class SSTable:
         except (CorruptionError, IOFaultError):
             self._forget_run(first, block.npages)
             raise
-        position = bisect.bisect_left(records, key, key=_KEY)
+        position = bisect_left(records, key, key=_KEY)
         if position < len(records) and records[position].key == key:
             if bloom is not None:
                 self._ctr_bloom_hit.value += 1
@@ -218,7 +218,7 @@ class SSTable:
         blocks = self.blocks
         if not blocks:
             return
-        position = max(0, bisect.bisect_right(self._first_keys, lo) - 1)
+        position = max(0, bisect_right(self._first_keys, lo) - 1)
         buffer = self._stasis.buffer
         clip = True  # only the first block read can hold keys below lo
         while True:  # application reads: from the pool while it has them

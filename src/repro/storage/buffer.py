@@ -23,7 +23,13 @@ full-table scan evicts nothing.
 
 ``get`` runs once per page of every point read that passes a Bloom
 filter, so it does its bookkeeping inline: a hit is one dict probe, one
-counter bump and the frame's CLOCK bit (or LRU move).  Every count —
+counter bump and the frame's CLOCK bit (or LRU move).  A miss is one
+more call, ``_install``, which ``put`` and ``offer`` share: in a full
+pool it sweeps the hand to the victim, unlinks it, writes it back if
+dirty and *recycles its frame* for the new page, relinked at the seam
+— where a fresh frame would have gone — so a miss allocates nothing.
+CLOCK frames live in a plain dict (the ring holds their order); only
+LRU keeps an ``OrderedDict``, whose order is its policy.  Every count —
 hits, misses, evictions, writebacks, offers — is kept once, in its
 metrics-registry counter (``buffer.*``), and the attributes of the same
 names read it back.  An eviction's ``buffer_evict`` trace event is built
@@ -88,7 +94,11 @@ class BufferManager:
         self.pagefile = pagefile
         self.capacity_pages = capacity_pages
         self.policy = policy
-        self._frames: "OrderedDict[int, _Frame]" = OrderedDict()
+        self._uses_clock = policy is EvictionPolicy.CLOCK
+        # LRU's order is its frame dict's; CLOCK's is the ring below.
+        self._frames: "dict[int, _Frame]" = (
+            {} if self._uses_clock else OrderedDict()
+        )
         # CLOCK order: a circular list through a sentinel that marks the
         # seam between the newest install and the oldest.  A frame is
         # linked exactly once and unlinked the moment it leaves the pool,
@@ -120,25 +130,28 @@ class BufferManager:
         frame = self._frames.get(page_id)
         if frame is not None:
             self._ctr_hits.value += 1
-            if self.policy is EvictionPolicy.CLOCK:
+            if self._uses_clock:
                 frame.referenced = True
             else:
                 self._frames.move_to_end(page_id)
             return frame.payload
         self._ctr_misses.value += 1
         payload = self.pagefile.read_page(page_id)
-        self._install(_Frame(page_id, payload))
+        self._install(page_id, payload, False)
         return payload
 
     def put(self, page_id: int, payload: Any, dirty: bool = True) -> None:
         """Install a payload for a page without reading the device."""
         frame = self._frames.get(page_id)
-        if frame is not None:
-            frame.payload = payload
-            frame.dirty = frame.dirty or dirty
-            self._touch(page_id, frame)
+        if frame is None:
+            self._install(page_id, payload, dirty)
             return
-        self._install(_Frame(page_id, payload, dirty=dirty))
+        frame.payload = payload
+        frame.dirty = frame.dirty or dirty
+        if self._uses_clock:
+            frame.referenced = True
+        else:
+            self._frames.move_to_end(page_id)
 
     def lookup_block(self, first_page_id: int, npages: int) -> Any:
         """The first page's payload if all ``npages`` pages are resident.
@@ -155,7 +168,7 @@ class BufferManager:
             tail = range(first_page_id + 1, first_page_id + npages)
             if all(map(frames.__contains__, tail)):
                 self._ctr_hits.value += npages
-                if self.policy is EvictionPolicy.CLOCK:
+                if self._uses_clock:
                     head.referenced = True
                     for page_id in tail:
                         frames[page_id].referenced = True
@@ -190,7 +203,7 @@ class BufferManager:
         self._ctr_offered.value += npages
         for i in range(npages):
             if first_page_id + i not in self._frames:
-                self._install(_Frame(first_page_id + i, payloads[i]))
+                self._install(first_page_id + i, payloads[i], False)
 
     def flush_page(self, page_id: int) -> None:
         """Write one dirty page back to the device."""
@@ -199,7 +212,7 @@ class BufferManager:
             raise StorageError(f"page {page_id} is not resident")
         if frame.dirty:
             self.pagefile.write_page(page_id, frame.payload)
-            self._note_writeback()
+            self._ctr_writebacks.value += 1
             frame.dirty = False
 
     def flush_all(self) -> int:
@@ -212,7 +225,7 @@ class BufferManager:
             frame = self._frames[page_id]
             if frame.dirty:
                 self.pagefile.write_page(page_id, frame.payload)
-                self._note_writeback()
+                self._ctr_writebacks.value += 1
                 frame.dirty = False
                 written += 1
         return written
@@ -225,8 +238,11 @@ class BufferManager:
         may be handed out again, so the ghost list forgets it too.
         """
         frame = self._frames.pop(page_id, None)
-        if frame is not None:
-            self._unlink(frame)
+        if frame is not None and self._uses_clock:
+            if self._hand is frame:
+                self._hand = frame.next
+            frame.prev.next = frame.next
+            frame.next.prev = frame.prev
         if self._ghost:
             self._ghost_pages -= self._ghost.pop(page_id, 0)
 
@@ -236,9 +252,6 @@ class BufferManager:
         self._ring.prev = self._ring.next = self._hand = self._ring
         self._ghost.clear()
         self._ghost_pages = 0
-
-    def _note_writeback(self) -> None:
-        self._ctr_writebacks.value += 1
 
     @property
     def hits(self) -> int:
@@ -282,55 +295,50 @@ class BufferManager:
         """RAM reserved for the ghost list: one page id per frame."""
         return 8 * self.capacity_pages
 
-    def _touch(self, page_id: int, frame: _Frame) -> None:
-        if self.policy is EvictionPolicy.CLOCK:
-            frame.referenced = True
-        else:
-            self._frames.move_to_end(page_id)
+    def _install(self, page_id: int, payload: Any, dirty: bool) -> None:
+        """Make ``page_id`` resident, evicting one page if the pool is full.
 
-    def _install(self, frame: _Frame) -> None:
-        while len(self._frames) >= self.capacity_pages:
-            self._evict_one()
-        self._frames[frame.page_id] = frame
-        if self.policy is EvictionPolicy.CLOCK:
+        CLOCK: the hand sweeps to the first unreferenced frame (clearing
+        bits on the way), which is unlinked, written back if dirty and
+        reused for the new page; the page goes in at the seam, as the
+        newest install.  LRU evicts the least recently used frame.
+        """
+        frames = self._frames
+        if len(frames) < self.capacity_pages:
+            frame = _Frame(page_id, payload, True, dirty)
+        else:
+            if self._uses_clock:
+                ring = self._ring
+                frame = self._hand
+                while frame is ring or frame.referenced:
+                    frame.referenced = False
+                    frame = frame.next
+                victim_id = frame.page_id
+                del frames[victim_id]
+                after = frame.next
+                frame.prev.next = after
+                after.prev = frame.prev
+                self._hand = after
+            else:
+                victim_id, frame = frames.popitem(last=False)
+            if frame.dirty:
+                self.pagefile.write_page(victim_id, frame.payload)
+                self._ctr_writebacks.value += 1
+            self._ctr_evictions.value += 1
+            trace = self._trace
+            if trace is not None and trace.enabled:
+                trace.emit(
+                    "buffer_evict", page_id=victim_id, dirty=frame.dirty
+                )
+            frame.page_id = page_id
+            frame.payload = payload
+            frame.referenced = True
+            frame.dirty = dirty
+        frames[page_id] = frame
+        if self._uses_clock:
             seam = self._ring
             frame.prev, frame.next = seam.prev, seam
             seam.prev.next = frame
             seam.prev = frame
             if self._hand is seam:  # the hand had run off the newest end
                 self._hand = frame
-
-    def _unlink(self, frame: _Frame) -> None:
-        if frame.next is None:  # LRU: never linked
-            return
-        if self._hand is frame:
-            self._hand = frame.next
-        frame.prev.next = frame.next
-        frame.next.prev = frame.prev
-
-    def _evict_one(self) -> None:
-        if self.policy is EvictionPolicy.CLOCK:
-            frame = self._clock_sweep()
-        else:
-            frame = next(iter(self._frames.values()))
-        victim_id = frame.page_id
-        del self._frames[victim_id]
-        self._unlink(frame)
-        if frame.dirty:
-            self.pagefile.write_page(victim_id, frame.payload)
-            self._note_writeback()
-        self._ctr_evictions.value += 1
-        trace = self._trace
-        if trace is not None and trace.enabled:
-            trace.emit("buffer_evict", page_id=victim_id, dirty=frame.dirty)
-
-    def _clock_sweep(self) -> _Frame:
-        """Advance the clock hand until an unreferenced frame is found."""
-        if not self._frames:
-            raise StorageError("clock sweep over empty buffer pool")
-        frame = self._hand
-        while frame is self._ring or frame.referenced:
-            frame.referenced = False
-            frame = frame.next
-        self._hand = frame
-        return frame

@@ -4,6 +4,8 @@
 ``BloomFilter.defer``; the keys are hashed on the first probe or
 ``to_bytes``.  These tests hold
 
+* the digest: a copy of the module's template blake2b state, fed a
+  key, digests to ``blake2b(key, digest_size=16)``;
 * equivalence: a filter filled from deferred block tuples has the bits,
   the key count and the answers of one filled eagerly by ``update`` —
   and both set the bits of the closed form ``h1 + i*h2 (mod m)``;
@@ -20,7 +22,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import repro.bloom.filter as filter_module
 from repro.bloom import BloomFilter
@@ -48,6 +50,26 @@ def closed_form_bits(keys, nbits, nhashes):
             bit = (h1 + i * h2) % nbits
             bits[bit >> 3] |= 1 << (bit & 7)
     return bytes(bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=300))
+@example(b"")
+@example(b"k" * 128)  # exactly one blake2b block
+@example(b"k" * 129)  # one byte into the second
+@example(bytes(range(256)) * 2)
+def test_the_template_digest_is_the_blake2b_of_the_key(key):
+    template = filter_module._TEMPLATE
+    state = template.copy()
+    state.update(key)
+    assert state.digest() == hashlib.blake2b(key, digest_size=16).digest()
+    # The filter's fill and probe hash through the same copies: the
+    # closed form's bits, the key found, the template left empty.
+    bloom = BloomFilter(4099, 7)
+    bloom.update([key])
+    assert bloom.to_bytes() == closed_form_bits([key], 4099, 7)
+    assert key in bloom
+    assert template.digest() == hashlib.blake2b(digest_size=16).digest()
 
 
 def blocks_of(keys, cuts):
@@ -123,15 +145,17 @@ def eager_bits(table, records):
 
 
 def count_hashes(monkeypatch):
-    """Count every key the filter module hashes from now on."""
+    """Count every key the filter module hashes from now on: each digest
+    starts from a copy of the module's template state."""
     calls = [0]
-    blake2b = hashlib.blake2b
+    template = filter_module._TEMPLATE
 
-    def counting(data, **kwargs):
-        calls[0] += 1
-        return blake2b(data, **kwargs)
+    class Counting:
+        def copy(self):
+            calls[0] += 1
+            return template.copy()
 
-    monkeypatch.setattr(filter_module, "_blake2b", counting)
+    monkeypatch.setattr(filter_module, "_TEMPLATE", Counting())
     return calls
 
 

@@ -9,8 +9,9 @@ These tests hold
   device accesses under CLOCK, LRU and a striped data device — a
   CPU-only change to the read path moves none of them;
 * the call budget: one ``get`` that misses C0, passes one Bloom filter
-  and faults a two-page block makes a fixed number of Python calls, so a
-  wrapper added to the read path fails here;
+  and faults a two-page block makes a fixed number of Python calls — one
+  frame per layer, and a pool miss that recycles its victim's frame —
+  so a wrapper added to the read path fails here;
 * the blast radius: a read whose block fails verification (or runs out
   of retries) fails that read and leaves nothing of the block in the
   pool or on its ghost list, and the engine stays open.
@@ -136,12 +137,14 @@ def one_component_tree(**options):
     return tree, table, keys
 
 
-#: Python calls of that ``get``: BLSM.get, the open check, C0's index,
-#: SSTable.get, the Bloom probe, two pool misses (each: page file,
-#: device, two clock reads, booking, clock advance, frame, install,
-#: eviction, sweep, unlink) and ``records.resolve`` (called by ``get``
-#: itself since the kernel's read-repair wrapper went).
-GET_CALLS = 32
+#: Python calls of that ``get``: BLSM.get, the version walk
+#: (``records.lookup``), C0's index, SSTable.get, the Bloom probe and two
+#: pool misses, each five: ``BufferManager.get``, the page file, the
+#: device's ``read`` and its ``_access`` (which reads, books and moves
+#: the requester's time in place) and ``_install`` (which sweeps to the
+#: victim and reuses its frame).  The walk meets a base record, so it
+#: never calls ``records.resolve``.
+GET_CALLS = 15
 
 
 def test_a_cold_point_read_makes_a_fixed_number_of_calls():
