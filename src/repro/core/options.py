@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.faults.plan import FaultPlan
-from repro.faults.retry import RetryPolicy
 from repro.sim.disk import DiskModel
 from repro.storage.buffer import EvictionPolicy
 from repro.storage.logical_log import DurabilityMode
@@ -110,12 +109,9 @@ class BLSMOptions:
 
     fault_plan: FaultPlan | None = None
     """When set, both devices inject faults from this plan (the devices
-    become :class:`~repro.faults.disk.FaultyDisk` instances sharing it)."""
-
-    retry: RetryPolicy | None = None
-    """Retry/backoff policy for transient device faults.  ``None`` means
-    no retries on a healthy substrate; with a ``fault_plan`` set, Stasis
-    defaults to ``RetryPolicy()`` unless an explicit policy is given."""
+    become :class:`~repro.faults.disk.FaultyDisk` instances sharing it)
+    and transient faults are retried under the default
+    :class:`~repro.faults.retry.RetryPolicy`."""
 
     compaction_policy: str = "blsm3"
     """On-disk layout policy (the design-space axis): ``blsm3`` is the

@@ -23,7 +23,6 @@ from repro.shard.migration import (
     live_migration_bench,
     plan_merge,
     plan_split,
-    shard_range,
 )
 from repro.shard.partitioner import (
     HashPartitioner,
@@ -52,5 +51,4 @@ __all__ = [
     "make_partitioner",
     "plan_merge",
     "plan_split",
-    "shard_range",
 ]

@@ -17,11 +17,13 @@ its *own* clock and devices.  The router completes the batch at the
 the near-linear scaling lever sharding exists to buy.  Single-key
 operations degenerate to one shard and cost what they always did.
 
-Routing is delegated to a :class:`~repro.shard.partitioner.Partitioner`.
-With a resizable range partitioner, versions written before a boundary
-move live on their *old* owner; the router reads through the owner
-history and broadcasts tombstones to every historic owner, so scans and
-gets never resurrect a stale replica (see docs/sharding.md).
+Routing is delegated to a :class:`~repro.shard.partitioner.Partitioner`,
+and ownership is the one read rule: a shard is asked about a key only
+if it owns that key now, and a scan reads each shard only inside its
+owned range.  A live migration (``repro.shard.migration``) is the one
+way a boundary moves; its target holds the whole range before the
+switch makes it the owner, so no read ever needs a second shard (see
+docs/sharding.md).
 """
 
 from __future__ import annotations
@@ -101,7 +103,6 @@ class ShardedEngine(KVEngine):
         self._ctr_batches = metrics.counter("shard.batches")
         self._ctr_batch_ops = metrics.counter("shard.batch_ops")
         self._hist_batch = metrics.histogram("shard.batch_seconds")
-        self._ctr_fallback_reads = metrics.counter("shard.fallback_reads")
         self._shard_ops = [
             metrics.counter(f"shard.{index}.ops") for index in range(shards)
         ]
@@ -186,110 +187,42 @@ class ShardedEngine(KVEngine):
     # ------------------------------------------------------------------
 
     def get(self, key: bytes) -> bytes | None:
-        """Point lookup on the owning shard, falling back through the
-        placement history (a resize strands old versions — see module
-        docstring)."""
-        owners = self.partitioner.owners(key)
-        value = self._on_shard(owners[0], lambda s: s.get(key), "get")
-        for previous in owners[1:]:
-            if value is not None:
-                break
-            self._ctr_fallback_reads.inc()
-            value = self._on_shard(previous, lambda s: s.get(key), "get")
-        return value
+        """Point lookup on the shard that owns ``key``."""
+        index = self.partitioner.shard_for(key)
+        return self._on_shard(index, lambda s: s.get(key), "get")
+
+    def _mutate(
+        self, key: bytes, op: str, fn: Callable[[KVEngine], None]
+    ) -> None:
+        """Apply one mutation on ``key``'s owner.
+
+        While a migration's catch-up phase double-writes its range, the
+        controller names the target as a second destination for puts
+        and deletes, so the staged copy never falls behind.  Deltas stay
+        on the owner: the staged copy may lack the base version, so the
+        controller marks the key dirty and catch-up re-reads it.
+        """
+        groups = {self.partitioner.shard_for(key): fn}
+        if self.migration is not None:
+            extra = self.migration.on_write(key, op)
+            if extra is not None:
+                groups[extra] = fn
+        for index in groups:
+            self._shard_ops[index].inc()
+        self._fan_out(groups, op, ops=len(groups))
 
     def put(self, key: bytes, value: bytes) -> None:
-        """Write to the current owner and tombstone every historic one.
-
-        The invalidation keeps the fleet-wide invariant that at most one
-        *live* version of a key exists across all owners: without it, a
-        later resize that re-promotes an old owner would let ``get``
-        find that shard's stale copy before falling back to the newer
-        write (the differential harness caught exactly this).  With a
-        single owner — the hash-partitioned common case — this is the
-        plain one-shard put it always was.
-
-        During a migration's catch-up phase the controller returns the
-        migration target as an extra destination: the put double-writes
-        there so the staged copy never falls behind (set last, so it
-        wins over any historic-owner tombstone for the same shard).
-        """
-        owners = self.partitioner.owners(key)
-        extra = (
-            self.migration.on_write(key, "put")
-            if self.migration is not None
-            else None
-        )
-        if len(owners) == 1 and extra is None:
-            self._on_shard(owners[0], lambda s: s.put(key, value), "put")
-            return
-        groups: dict[int, Callable[[KVEngine], None]] = {
-            owners[0]: lambda s: s.put(key, value)
-        }
-        for index in owners[1:]:
-            groups[index] = lambda s: s.delete(key)
-        if extra is not None:
-            groups[extra] = lambda s: s.put(key, value)
-        for index in groups:
-            self._shard_ops[index].inc()
-        self._fan_out(groups, "put", ops=len(groups))
+        self._mutate(key, "put", lambda s: s.put(key, value))
 
     def delete(self, key: bytes) -> None:
-        """Tombstone every owner, current and historic, so a version
-        stranded on an old shard by a resize stays masked.  During
-        migration catch-up the tombstone also double-writes to the
-        migration target so its staged copy dies with the original."""
-        destinations = list(self.partitioner.owners(key))
-        extra = (
-            self.migration.on_write(key, "delete")
-            if self.migration is not None
-            else None
-        )
-        if extra is not None and extra not in destinations:
-            destinations.append(extra)
-        groups = {index: (lambda s: s.delete(key)) for index in destinations}
-        for index in groups:
-            self._shard_ops[index].inc()
-        self._fan_out(groups, "delete", ops=len(groups))
-
-    def _delta_target(self, key: bytes) -> int:
-        """The shard a delta must land on: wherever the base version is.
-
-        After a range resize the current owner may hold nothing while
-        the base version sits on a historic owner.  Routing the delta
-        blindly to the current owner would strand it there as a dangling
-        delta — which resolves to *no value* — while reads fall back to
-        the historic owner and return the base **without** the delta
-        (silent lost update; docs/correctness.md, bug 7).  So deltas
-        probe the placement history exactly like reads do and land on
-        the first owner that holds a version; with a single owner (the
-        common case) there is nothing to probe.
-        """
-        owners = self.partitioner.owners(key)
-        if len(owners) == 1:
-            return owners[0]
-        for index in owners:
-            if self._on_shard(index, lambda s: s.get(key), "get") is not None:
-                return index
-        return owners[0]
+        self._mutate(key, "delete", lambda s: s.delete(key))
 
     def apply_delta(self, key: bytes, delta: bytes) -> None:
-        """Partial update on the shard holding the base version.
-
-        Deltas are never double-written during migration: the staged
-        target copy may lack the base version, and a dangling delta
-        resolves to nothing.  The controller instead marks the key dirty
-        so catch-up re-reads the *resolved* value from the source.
-        """
-        if self.migration is not None:
-            self.migration.on_write(key, "delta")
-        index = self._delta_target(key)
-        self._on_shard(index, lambda s: s.apply_delta(key, delta), "delta")
+        self._mutate(key, "delta", lambda s: s.apply_delta(key, delta))
 
     def insert_if_not_exists(self, key: bytes, value: bytes) -> bool:
-        for index in self.partitioner.owners(key):
-            if self._on_shard(index, lambda s: s.get(key), "get") is not None:
-                return False
+        if self.get(key) is not None:
+            return False
         self.put(key, value)
         return True
 
@@ -319,33 +252,6 @@ class ShardedEngine(KVEngine):
         for index, positions in by_shard.items():
             for position, value in zip(positions, results[index]):
                 values[position] = value
-        # Fallback passes for keys a resize may have stranded on an old
-        # owner: each round consults the next shard in every missing
-        # key's placement history, still overlapped per shard.
-        remaining = {
-            position: list(self.partitioner.owners(keys[position]))[1:]
-            for position in range(len(keys))
-            if values[position] is None
-        }
-        while True:
-            missing: dict[int, list[int]] = {}
-            for position, history in remaining.items():
-                if values[position] is None and history:
-                    missing.setdefault(history.pop(0), []).append(position)
-            if not missing:
-                break
-            self._ctr_fallback_reads.inc(
-                sum(len(p) for p in missing.values())
-            )
-            fallback = self._fan_out(
-                {i: lookup(p) for i, p in missing.items()},
-                "multi_get_fallback",
-                ops=sum(len(p) for p in missing.values()),
-            )
-            for index, positions in missing.items():
-                for position, value in zip(positions, fallback[index]):
-                    if values[position] is None:
-                        values[position] = value
         return values
 
     def _route_writes(
@@ -353,53 +259,23 @@ class ShardedEngine(KVEngine):
     ) -> tuple[dict[int, WriteBatch], int]:
         """Split a write batch into per-shard sub-batches.
 
-        Puts write the current owner and tombstone historic owners;
-        deletes broadcast to every owner (tombstones are the
-        resize-safety mechanism); deltas route wherever the base version
-        lives (``_delta_target``) — unless an earlier mutation in this
-        very batch already placed the key, in which case the delta
-        follows it so per-key order within the batch is preserved on one
-        shard.  Within each shard the original operation order is
-        preserved, so per-key ordering semantics match the sequential
-        default.
+        Every operation lands on its key's owner, plus the migration
+        target for a catch-up double-write (see :meth:`_mutate`).
+        Within each shard the original operation order is preserved, so
+        per-key ordering semantics match the sequential default.
         """
         by_shard: dict[int, WriteBatch] = {}
-        placed: dict[bytes, int] = {}
         ops = 0
         migration = self.migration
-        for op, key, value in batch:
+        for entry in batch:
             ops += 1
-            if op == WriteBatch.DELETE:
-                owners = self.partitioner.owners(key)
-                placed[key] = owners[0]
-                routed = [(index, (op, key, value)) for index in owners]
-                extra = (
-                    migration.on_write(key, "delete") if migration else None
-                )
-                if extra is not None and extra not in owners:
-                    routed.append((extra, (op, key, value)))
-            elif op == WriteBatch.PUT:
-                owners = self.partitioner.owners(key)
-                placed[key] = owners[0]
-                routed = [(owners[0], (op, key, value))]
-                routed += [
-                    (index, (WriteBatch.DELETE, key, None))
-                    for index in owners[1:]
-                ]
-                extra = migration.on_write(key, "put") if migration else None
+            op, key, _ = entry
+            destinations = [self.partitioner.shard_for(key)]
+            if migration is not None:
+                extra = migration.on_write(key, op)
                 if extra is not None:
-                    # Appended last so the catch-up double-write put wins
-                    # over any historic-owner tombstone on that shard.
-                    routed.append((extra, (op, key, value)))
-            else:
-                if migration is not None:
-                    migration.on_write(key, "delta")
-                target = placed.get(key)
-                if target is None:
-                    target = self._delta_target(key)
-                    placed[key] = target
-                routed = [(target, (op, key, value))]
-            for index, entry in routed:
+                    destinations.append(extra)
+            for index in destinations:
                 sub = by_shard.setdefault(index, WriteBatch())
                 sub._ops.append(entry)
         return by_shard, ops
@@ -489,9 +365,18 @@ class ShardedEngine(KVEngine):
     def scan(
         self, lo: bytes, hi: bytes | None = None, limit: int | None = None
     ) -> Iterator[tuple[bytes, bytes]]:
-        """Merged range scan across every shard (chunked cursor merge).
+        """Merged range scan across the shards it crosses (chunked
+        cursor merge).
 
-        With a ``limit``, each shard initially produces only
+        Each shard is read only inside its owned range, and a shard
+        whose range misses ``[lo, hi)`` is not asked at all, so a range
+        fleet's scan touches only the shards it crosses (a hash shard
+        owns keys everywhere, so every one is asked).  A migration's
+        staged rows lie outside their holder's owned range, so neither
+        the target's copy before the switch nor the source's after it
+        is ever read.
+
+        With a ``limit``, each shard asked initially produces only
         ``ceil(limit / shards) + 1`` rows — not ``limit`` — and the
         merge refills an individual shard's cursor (from just past its
         last delivered key) only when that shard runs dry *before* the
@@ -503,110 +388,71 @@ class ShardedEngine(KVEngine):
         ``limit`` while the others stop after one empty chunk.  The
         initial chunk fetch overlaps across shards on the time axis;
         refills are sequential (the merge is blocked on that shard).
-
-        A key yielded by several shards (a range resize left an old
-        version behind) resolves to the version from the *newest* owner
-        in the placement history.
-
-        While a migration is staging rows on its target (copy and
-        catch-up phases), the target's cursor skips the staged range
-        entirely — a two-window sub-scan around the mask, not a
-        post-filter, so a chunk still produces enough rows *outside*
-        the mask to honor the merged prefix guarantee.  A staged copy
-        of a key deleted on the source mid-copy must never resurrect
-        in a scan.
         """
-        count = len(self.shards)
-        mask = (
-            self.migration.mask_range() if self.migration is not None else None
-        )
+        # Per shard asked: the end of its window, and where its next
+        # chunk starts (just past the last row it has delivered).
+        stops: dict[int, bytes | None] = {}
+        cursors: dict[int, bytes] = {}
+        for index in range(len(self.shards)):
+            own_lo, own_hi = self.partitioner.shard_range(index)
+            if (own_hi is not None and own_hi <= lo) or (
+                hi is not None and hi <= own_lo
+            ):
+                continue  # the owned range lies wholly outside [lo, hi)
+            ends = [end for end in (hi, own_hi) if end is not None]
+            stops[index] = min(ends) if ends else None
+            cursors[index] = max(lo, own_lo)
+        if not stops:
+            return
         chunk = (
-            None if limit is None else max(1, -(-limit // count) + 1)
+            None if limit is None else max(1, -(-limit // len(stops)) + 1)
         )
 
         def fetch(
-            index: int, start: bytes, want: int | None
+            index: int, want: int | None
         ) -> Callable[[KVEngine], list[tuple[bytes, bytes]]]:
-            if mask is not None and mask[0] == index:
-                _, mask_lo, mask_hi = mask
-
-                def masked(shard: KVEngine) -> list[tuple[bytes, bytes]]:
-                    rows: list[tuple[bytes, bytes]] = []
-                    below_hi = mask_lo if hi is None else min(hi, mask_lo)
-                    if start < below_hi:
-                        rows.extend(shard.scan(start, below_hi, want))
-                    above_lo = max(start, mask_hi)
-                    remaining = None if want is None else want - len(rows)
-                    if (remaining is None or remaining > 0) and (
-                        hi is None or above_lo < hi
-                    ):
-                        rows.extend(shard.scan(above_lo, hi, remaining))
-                    return rows
-
-                return masked
-            return lambda shard: list(shard.scan(start, hi, want))
+            start, stop = cursors[index], stops[index]
+            return lambda shard: list(shard.scan(start, stop, want))
 
         results = self._fan_out(
-            {index: fetch(index, lo, chunk) for index in range(count)},
-            "scan",
-            ops=1,
+            {index: fetch(index, chunk) for index in stops}, "scan", ops=1
         )
-        buffers: dict[int, deque[tuple[bytes, bytes]]] = {
-            index: deque(rows) for index, rows in results.items()
-        }
-        # Cursor: where the next chunk for this shard starts (just past
-        # the last row it has delivered so far).
-        cursors = {
-            index: rows[-1][0] + b"\x00" if rows else lo
-            for index, rows in results.items()
-        }
+        buffers: dict[int, deque[tuple[bytes, bytes]]] = {}
         # A shard that returned a short chunk has no more rows in range;
         # with no limit the first fetch was already exhaustive.
-        exhausted = {
-            index: chunk is None or len(rows) < chunk
-            for index, rows in results.items()
-        }
+        exhausted: dict[int, bool] = {}
+        for index, rows in results.items():
+            buffers[index] = deque(rows)
+            if rows:
+                cursors[index] = rows[-1][0] + b"\x00"
+            exhausted[index] = chunk is None or len(rows) < chunk
 
         def refill(index: int, emitted: int) -> None:
             assert limit is not None
             want = min(chunk or limit, max(1, limit - emitted))
-            rows = self._on_shard(
-                index, fetch(index, cursors[index], want), "scan"
-            )
+            rows = self._on_shard(index, fetch(index, want), "scan")
             buffers[index].extend(rows)
             if rows:
                 cursors[index] = rows[-1][0] + b"\x00"
             if len(rows) < want:
                 exhausted[index] = True
 
-        def resolve(key: bytes, versions: dict[int, bytes]) -> bytes:
-            for owner in self.partitioner.owners(key):
-                if owner in versions:
-                    return versions[owner]
-            return versions[min(versions)]
-
         emitted = 0
         while True:
             # The merge may only emit the global minimum head once every
             # non-exhausted shard has a head to compare (a dry cursor
             # could still be hiding smaller keys behind a refill).
-            for index in range(count):
+            for index in stops:
                 while not buffers[index] and not exhausted[index]:
                     refill(index, emitted)
             heads = [
                 (buffers[index][0][0], index)
-                for index in range(count)
+                for index in stops
                 if buffers[index]
             ]
             if not heads:
                 return
-            key = min(heads)[0]
-            versions = {
-                index: buffers[index].popleft()[1]
-                for _, index in heads
-                if buffers[index][0][0] == key
-            }
-            yield key, resolve(key, versions)
+            yield buffers[min(heads)[1]].popleft()
             emitted += 1
             if limit is not None and emitted >= limit:
                 return
@@ -614,29 +460,6 @@ class ShardedEngine(KVEngine):
     # ------------------------------------------------------------------
     # Online migration surface
     # ------------------------------------------------------------------
-
-    def prune_placement_history(self) -> int:
-        """Drop superseded placement mappings that strand no live data.
-
-        Probes each historic owner with a one-row ranged scan over every
-        keyspace segment where its mapping disagrees with the current
-        one; an entry whose segments are all empty cannot change any
-        read and is dropped (see ``RangePartitioner.prune_history``).
-        Returns the number of entries pruned; a policy without history
-        (hash partitioning) prunes nothing.
-        """
-        prune = getattr(self.partitioner, "prune_history", None)
-        if prune is None:
-            return 0
-
-        def stranded(index: int, lo: bytes, hi: bytes | None) -> bool:
-            return bool(
-                self._on_shard(
-                    index, lambda s: list(s.scan(lo, hi, 1)), "migrate_prune"
-                )
-            )
-
-        return prune(stranded)
 
     def lease(self, key: bytes) -> "ShardLease":
         """An epoch-stamped ownership claim for ``key``'s current shard.

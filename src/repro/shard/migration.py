@@ -1,13 +1,11 @@
 """Crash-safe online shard migration: live split/merge under traffic.
 
 The paper's deployment story (Sections 1 and 6) is a PNUTS-style fleet
-of independent trees; PR 4's :class:`~repro.shard.engine.ShardedEngine`
-reproduces the fleet but its only elasticity lever was
-``RangePartitioner.resize`` — a static, offline remap that strands every
-pre-move version on its old owner forever.  This module makes boundary
-movement a first-class *online* mechanism: data actually moves, the
-ownership switch is atomic and journaled, and a crash at any step
-recovers to a consistent ownership map.
+of independent trees, reproduced by
+:class:`~repro.shard.engine.ShardedEngine`.  This module is the one way
+a range boundary moves: data actually moves, the ownership switch is
+atomic and journaled, and a crash at any step recovers to a consistent
+ownership map.
 
 The protocol is the classic live-migration state machine, driven one
 bounded unit of work at a time so foreground traffic interleaves:
@@ -32,23 +30,24 @@ bounded unit of work at a time so foreground traffic interleaves:
 ``switch``
     The commit point: one journal force containing the new boundaries
     and a bumped cluster epoch.  Only after the record is durable does
-    the router's partitioner resize and the source become *fenced* — a
-    client still writing through a pre-switch :class:`ShardLease` gets
-    :class:`~repro.errors.StaleOwnerError` instead of a misplaced write.
+    the router install a new partitioner and the source become
+    *fenced* — a client still writing through a pre-switch
+    :class:`ShardLease` gets :class:`~repro.errors.StaleOwnerError`
+    instead of a misplaced write.
     Crash before the force: recovery restarts the copy (the dirty set
     is volatile, so nothing less is safe).  Crash after: recovery
     resumes at retire.  There is no in-between.
 ``retire``
     The source's now-stale copies of the moved range are deleted in
-    chunks, after which the superseded placement-history entry is
-    pruned (:meth:`~repro.shard.partitioner.RangePartitioner.
-    prune_history`) — the unbounded-history fix.
+    chunks.
 
-Until the switch, readers never observe the target's staged rows: point
-reads route to the source (still the owner) and the router's scan masks
-the staged range (see ``ShardedEngine.scan``).  After the switch,
-readers resolve the target first and the placement history keeps the
-un-retired source copies reachable only as (identical) fallbacks.
+Readers follow ownership alone: a key is read only on its owner, and a
+scan reads each shard only inside its owned range.  Before the switch
+the source owns the range, so the target's staged rows are never read;
+the switch can hand the range to the target because the copy cleared
+its slice first, the catch-up emptied the dirty set, and double-writes
+kept it current.  After the switch the source's un-retired copies lie
+outside its range and are never read either.
 
 Migration I/O is throttled against foreground traffic
 (:class:`MigrationThrottle` defers steps once migration exceeds its
@@ -91,7 +90,6 @@ __all__ = [
     "live_migration_bench",
     "plan_merge",
     "plan_split",
-    "shard_range",
 ]
 
 #: Controller states, in protocol order.
@@ -122,16 +120,6 @@ class MigrationPlan:
     lo: bytes
     hi: bytes
     new_boundaries: tuple[bytes, ...]
-
-
-def shard_range(
-    partitioner: RangePartitioner, index: int
-) -> tuple[bytes, bytes | None]:
-    """The key range shard ``index`` currently owns (``hi None`` = +inf)."""
-    boundaries = partitioner.boundaries
-    lo = b"" if index == 0 else boundaries[index - 1]
-    hi = None if index == len(boundaries) else boundaries[index]
-    return lo, hi
 
 
 def _valid_boundaries(
@@ -168,7 +156,7 @@ def plan_split(engine: "ShardedEngine", source: int) -> MigrationPlan | None:
     nshards = partitioner.nshards
     if not 0 <= source < nshards or nshards < 2:
         return None
-    lo, hi = shard_range(partitioner, source)
+    lo, hi = partitioner.shard_range(source)
     keys = _live_keys(engine, source, lo, hi)
     if len(keys) < 2:
         return None
@@ -207,7 +195,7 @@ def plan_merge(engine: "ShardedEngine", source: int) -> MigrationPlan | None:
     nshards = partitioner.nshards
     if not 0 <= source < nshards or nshards < 2:
         return None
-    lo, hi = shard_range(partitioner, source)
+    lo, hi = partitioner.shard_range(source)
     boundaries = list(partitioner.boundaries)
     if source < nshards - 1:
         assert hi is not None
@@ -319,26 +307,17 @@ class MigrationJournal:
 
 def _replay_journal(
     journal: MigrationJournal,
-) -> tuple[
-    list[bytes] | None,
-    list[bytes] | None,
-    int,
-    tuple[MigrationPlan, str] | None,
-    int,
-]:
-    """Reconstruct ``(boundaries, pre_switch_boundaries, epoch, pending,
-    next_plan_id)`` from the journal's durable records.
+) -> tuple[list[bytes] | None, int, tuple[MigrationPlan, str] | None, int]:
+    """Reconstruct ``(boundaries, epoch, pending, next_plan_id)`` from
+    the journal's durable records.
 
     ``pending`` is ``(plan, phase)`` with phase ``"copy"`` (planned but
     not switched — the copy restarts from scratch, the volatile dirty
     set died with the process) or ``"retire"`` (switched but the
-    superseded range is not yet fully retired/pruned — retirement is
-    idempotent and simply reruns).  ``pre_switch_boundaries`` is set
-    only for a pending retire: the recovered partitioner needs that
-    history entry so reads still fall back to the un-retired source.
+    source's copies are not yet all deleted — retirement is idempotent
+    and simply reruns).
     """
     boundaries: list[bytes] | None = None
-    previous: list[bytes] | None = None
     epoch = 0
     pending: tuple[MigrationPlan, str] | None = None
     next_plan_id = 1
@@ -360,19 +339,13 @@ def _replay_journal(
             pending = (plan, "copy")
             next_plan_id = max(next_plan_id, plan.plan_id + 1)
         elif kind == "switch":
-            previous = boundaries
             boundaries = list(record["boundaries"])
             epoch = int(record["epoch"])
             if pending is not None:
                 pending = (pending[0], "retire")
-        elif kind == "prune":
+        elif kind in ("retire_done", "abort"):
             pending = None
-            previous = None
-        elif kind == "abort":
-            pending = None
-    if pending is not None and pending[1] == "copy":
-        previous = None
-    return boundaries, previous, epoch, pending, next_plan_id
+    return boundaries, epoch, pending, next_plan_id
 
 
 # ----------------------------------------------------------------------
@@ -621,19 +594,6 @@ class MigrationController:
         """The keys awaiting catch-up (for invariant checks)."""
         return frozenset(self._dirty)
 
-    def mask_range(self) -> tuple[int, bytes, bytes] | None:
-        """The staged range readers must not observe yet, if any.
-
-        During copy and catch-up the target holds staged rows of
-        ``[lo, hi)`` that are not yet authoritative (a key deleted on
-        the source mid-copy may still have a staged copy); the router's
-        scan masks them.  After the switch the target *is* the owner and
-        nothing is masked.
-        """
-        if self.state in (COPY, CATCH_UP) and self.plan is not None:
-            return (self.plan.target, self.plan.lo, self.plan.hi)
-        return None
-
     def on_write(self, key: bytes, op: str) -> int | None:
         """Router callback for every foreground mutation.
 
@@ -662,9 +622,7 @@ class MigrationController:
         """Journal a plan and enter the copy phase; returns the stamped plan.
 
         Raises :class:`MigrationError` when a migration is already in
-        flight, the plan is malformed, or the partitioner still carries
-        placement history that cannot be pruned (a migration over
-        untracked strays could clear live fallback versions).
+        flight or the plan is malformed.
         """
         if self.state != IDLE:
             raise MigrationError(
@@ -692,13 +650,6 @@ class MigrationController:
             raise MigrationError(
                 f"invalid post-switch boundaries {plan.new_boundaries!r}"
             )
-        if partitioner.history_depth:
-            self.engine.prune_placement_history()
-            if partitioner.history_depth:
-                raise MigrationError(
-                    "placement history still holds live stranded versions; "
-                    "cannot start a migration over them"
-                )
         plan = replace(plan, plan_id=self._next_plan_id)
         self._next_plan_id += 1
         self.journal.append(
@@ -904,7 +855,7 @@ class MigrationController:
         )
         # Only reached if the force made the record durable: from here
         # on, recovery rolls this migration forward, never back.
-        self.engine.partitioner.resize(list(plan.new_boundaries))
+        self.engine.partitioner = RangePartitioner(plan.new_boundaries)
         self.engine.epoch = new_epoch
         self.engine._fence_epochs[plan.source] = new_epoch
         self._ctr_switches.inc()
@@ -929,10 +880,6 @@ class MigrationController:
             self._retire_cursor = rows[-1][0] + b"\x00"
         if len(rows) < self.chunk_keys:
             self.journal.append({"type": "retire_done", "id": plan.plan_id})
-            pruned = self.engine.prune_placement_history()
-            self.journal.append(
-                {"type": "prune", "id": plan.plan_id, "pruned": pruned}
-            )
             self.completed += 1
             self._reset()
             return "retired"
@@ -975,7 +922,7 @@ def crash_and_recover(engine: "ShardedEngine") -> "ShardedEngine":
     Drops every shard's volatile state and the migration journal's
     un-forced tail, recovers each shard's tree from its durable
     substrate, replays the journal into an ownership map (boundaries,
-    placement history for any un-retired move, cluster epoch, fences),
+    cluster epoch, fences),
     and re-attaches a controller resumed at the recovered migration
     phase: a plan without a durable switch restarts its copy from
     scratch; a switch without a completed retirement rolls forward
@@ -1006,20 +953,13 @@ def crash_and_recover(engine: "ShardedEngine") -> "ShardedEngine":
         stasis = tree.stasis
         stasis.crash()
         trees.append(BLSM.recover(stasis, tree.options))
-    boundaries, previous, epoch, pending, next_plan_id = _replay_journal(
-        journal
-    )
+    boundaries, epoch, pending, next_plan_id = _replay_journal(journal)
     if boundaries is None:
         raise MigrationError("migration journal has no durable init record")
-    if previous is not None:
-        partitioner = RangePartitioner(previous)
-        partitioner.resize(boundaries)
-    else:
-        partitioner = RangePartitioner(boundaries)
     recovered = ShardedEngine(
         engine.options,
         shards=len(trees),
-        partitioner=partitioner,
+        partitioner=RangePartitioner(boundaries),
         engine_factory=lambda index, _options: BLSMEngine.from_tree(
             trees[index]
         ),
@@ -1040,10 +980,6 @@ def crash_and_recover(engine: "ShardedEngine") -> "ShardedEngine":
         new_controller._next_plan_id, next_plan_id
     )
     new_controller._resume(pending)
-    # Self-healing: drop any history entry whose strays are already gone
-    # (idempotent; covers a crash between retire_done and prune).
-    if new_controller.state == IDLE:
-        recovered.prune_placement_history()
     return recovered
 
 
@@ -1226,8 +1162,6 @@ def live_migration_bench(
                     else 0.0
                 ),
                 "epoch": engine.epoch,
-                "boundaries_moved": engine.partitioner.describe(),
-                "history_depth": engine.partitioner.history_depth,
             }
         engine.close()
         return result

@@ -8,21 +8,20 @@ LSM survey, Section "LSM-based distributed storage"):
 
 * :class:`HashPartitioner` — uniform load spreading, no range locality;
 * :class:`RangePartitioner` — contiguous key ranges per shard, so range
-  scans touch few shards; resizable, with the history bookkeeping the
-  router needs to stay correct across boundary moves.
+  scans touch few shards.
 
-Placement history matters because a resize strands old versions: a key
-written before the move lives on its *old* owner's tree.  The router
-consults :meth:`Partitioner.owners` (current owner first, then historic
-owners, newest first) on reads and broadcasts tombstones to every owner
-on deletes, so stale replicas are masked rather than resurrected.
+A partitioner is immutable and names exactly one owner per key; the
+router reads a key only on that owner and scans a shard only inside
+:meth:`Partitioner.shard_range`.  The one way a boundary moves is a live
+migration (``repro.shard.migration``), which copies the range before its
+switch installs a new partitioner and deletes the old copies after it.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from bisect import bisect_right
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -56,15 +55,10 @@ class Partitioner(ABC):
     def shard_for(self, key: bytes) -> int:
         """The shard that currently owns ``key``."""
 
-    def owners(self, key: bytes) -> tuple[int, ...]:
-        """Every shard that may hold a version of ``key``.
-
-        The current owner first, then historic owners newest-first (a
-        policy that never moved keys returns just the current owner).
-        Reads fall back along this list; deletes write a tombstone to
-        every entry so stale versions on old owners stay masked.
-        """
-        return (self.shard_for(key),)
+    def shard_range(self, index: int) -> tuple[bytes, bytes | None]:
+        """The key range ``[lo, hi)`` shard ``index`` owns (``hi None``
+        = unbounded); a policy that is not by range spans every key."""
+        return b"", None
 
     def describe(self) -> str:
         """Short human-readable policy name for benchmark output."""
@@ -96,26 +90,17 @@ class RangePartitioner(Partitioner):
     ``boundaries`` is a sorted sequence of ``nshards - 1`` split keys:
     shard ``i`` owns keys in ``[boundaries[i-1], boundaries[i])`` (the
     first shard owns everything below ``boundaries[0]``, the last
-    everything at or above ``boundaries[-1]``).
-
-    :meth:`resize` installs new boundaries without migrating data —
-    the cheap, PNUTS-style split.  The superseded mapping is pushed
-    onto a history list so :meth:`owners` can still name the shards
-    where pre-resize versions of a key physically live.
+    everything at or above ``boundaries[-1]``).  A partitioner never
+    changes: a live migration's switch installs a new one.
     """
 
     def __init__(self, boundaries: Sequence[bytes]) -> None:
-        self._boundaries = self._check(boundaries)
-        self._history: list[list[bytes]] = []  # newest superseded first
-
-    @staticmethod
-    def _check(boundaries: Sequence[bytes]) -> list[bytes]:
         split = list(boundaries)
         if not split:
             raise ValueError("need at least one boundary (two shards)")
         if split != sorted(split) or len(set(split)) != len(split):
             raise ValueError("boundaries must be strictly increasing")
-        return split
+        self._boundaries = split
 
     @classmethod
     def from_sample(
@@ -147,105 +132,17 @@ class RangePartitioner(Partitioner):
     def boundaries(self) -> tuple[bytes, ...]:
         return tuple(self._boundaries)
 
-    @property
-    def resized(self) -> bool:
-        """Whether any resize ever happened (owners may differ)."""
-        return bool(self._history)
-
     def shard_for(self, key: bytes) -> int:
         return bisect_right(self._boundaries, key)
 
-    def resize(self, boundaries: Sequence[bytes]) -> None:
-        """Install new split points (same shard count, moved edges).
-
-        Data is not migrated: versions written under the old mapping
-        stay on their old shard and remain reachable via
-        :meth:`owners`.
-        """
-        split = self._check(boundaries)
-        if len(split) != len(self._boundaries):
-            raise ValueError(
-                f"resize must keep {self.nshards} shards, got "
-                f"{len(split) + 1}"
-            )
-        self._history.insert(0, self._boundaries)
-        self._boundaries = split
-
-    def owners(self, key: bytes) -> tuple[int, ...]:
-        seen = [self.shard_for(key)]
-        for boundaries in self._history:
-            owner = bisect_right(boundaries, key)
-            if owner not in seen:
-                seen.append(owner)
-        return tuple(seen)
-
-    @property
-    def history_depth(self) -> int:
-        """How many superseded mappings :meth:`owners` still consults."""
-        return len(self._history)
-
-    def _segments_vs(
-        self, boundaries: Sequence[bytes]
-    ) -> list[tuple[bytes, bytes | None, int]]:
-        """Where a historic mapping disagrees with the current one.
-
-        Returns ``(lo, hi, historic_owner)`` triples covering every
-        keyspace segment whose owner under ``boundaries`` differs from
-        the current owner (``hi is None`` = unbounded above).  The cut
-        points are the union of both boundary sets, so within each
-        segment both mappings are constant.
-        """
-        cuts = sorted(set(self._boundaries) | set(boundaries))
-        edges: list[tuple[bytes, bytes | None]] = []
-        lo: bytes = b""
-        for cut in cuts:
-            edges.append((lo, cut))
-            lo = cut
-        edges.append((lo, None))
-        return [
-            (seg_lo, seg_hi, bisect_right(list(boundaries), seg_lo))
-            for seg_lo, seg_hi in edges
-            if bisect_right(list(boundaries), seg_lo)
-            != bisect_right(self._boundaries, seg_lo)
-        ]
-
-    def prune_history(
-        self, stranded: Callable[[int, bytes, bytes | None], bool]
-    ) -> int:
-        """Drop superseded mappings that no longer own any live version.
-
-        Without pruning every resize appends history forever and every
-        read/delete fans out to ever more shards.  A historic mapping is
-        only *needed* while some shard it names still physically holds a
-        live version the current mapping would not find — exactly what a
-        migration's retirement phase eliminates.  ``stranded(shard, lo,
-        hi)`` must report whether ``shard`` holds any live key in
-        ``[lo, hi)`` (``hi is None`` = unbounded); the sharded engine
-        passes a per-shard ranged ``scan(..., limit=1)`` probe.
-
-        Each entry is checked independently: an entry whose differing
-        segments hold no live rows contributes no reachable version to
-        any read (the fleet keeps at most one live version per key), so
-        dropping it can never change an answer.  Returns the number of
-        entries dropped.
-        """
-        kept: list[list[bytes]] = []
-        dropped = 0
-        for boundaries in self._history:
-            needed = any(
-                stranded(owner, seg_lo, seg_hi)
-                for seg_lo, seg_hi, owner in self._segments_vs(boundaries)
-            )
-            if needed:
-                kept.append(boundaries)
-            else:
-                dropped += 1
-        self._history = kept
-        return dropped
+    def shard_range(self, index: int) -> tuple[bytes, bytes | None]:
+        boundaries = self._boundaries
+        lo = b"" if index == 0 else boundaries[index - 1]
+        hi = None if index == len(boundaries) else boundaries[index]
+        return lo, hi
 
     def describe(self) -> str:
-        suffix = f", resized x{len(self._history)}" if self._history else ""
-        return f"range({self.nshards}{suffix})"
+        return f"range({self.nshards})"
 
 
 def make_partitioner(

@@ -190,7 +190,6 @@ class Stasis:
             eviction_policy=options.eviction_policy,
             durability=options.durability,
             fault_plan=options.fault_plan,
-            retry=options.retry,
             log_disk_model=options.log_disk_model,
             data_stripes=options.data_stripes,
             observability=options.observability,

@@ -134,16 +134,16 @@ def check_sharded_invariants(engine) -> None:
     * no shard's clock is ahead of the router's (a shard working in the
       future would let fan-outs smuggle device time into the past);
     * every bLSM shard passes :func:`check_blsm_invariants`;
-    * router/placement agreement: every key physically live on a shard
-      names that shard in the partitioner's placement history
-      (``owners``) — a key outside its owner set is unreachable to
-      reads and proof of a routing bug;
+    * the ownership rule: every live row on shard *i* is a key *i*
+      owns — a row anywhere else is unreachable to reads and proof of
+      a routing bug — except, while a migration is in flight, a row of
+      its donated ``[lo, hi)`` on its source or target (staged before
+      the switch, awaiting retirement after it).  Once the migration
+      has finished no exception is allowed;
     * mid-migration coherence: an in-flight migration's plan names
       adjacent, distinct shards and a non-empty donated range, its
-      dirty set stays inside that range, a switched-but-unretired
-      source is epoch-fenced, and staged rows on the migration target
-      are confined to the donated range (they are exempt from the
-      owner-set rule — the scan mask hides them from readers).
+      dirty set stays inside that range, and a switched-but-unretired
+      source is epoch-fenced.
 
     The per-shard scans the check performs advance shard clocks; the
     router clock is re-synchronized afterwards so the engine remains
@@ -160,7 +160,7 @@ def check_sharded_invariants(engine) -> None:
             f"router ({engine.clock.now})"
         )
     controller = getattr(engine, "migration", None)
-    mask = controller.mask_range() if controller is not None else None
+    plan = None
     if controller is not None and controller.active:
         plan = controller.plan
         assert plan is not None, "active migration without a plan"
@@ -186,16 +186,16 @@ def check_sharded_invariants(engine) -> None:
         if isinstance(tree, BLSM):
             check_blsm_invariants(tree)
         for key, _ in shard.scan(b""):
-            if (
-                mask is not None
-                and index == mask[0]
-                and mask[1] <= key < mask[2]
-            ):
-                continue  # staged migration rows, hidden by the scan mask
-            owners = partitioner.owners(key)
-            assert index in owners, (
-                f"shard {index} holds {key!r} but the placement history "
-                f"names only shards {owners}"
+            owner = partitioner.shard_for(key)
+            if owner == index:
+                continue
+            assert (
+                plan is not None
+                and index in (plan.source, plan.target)
+                and plan.lo <= key < plan.hi
+            ), (
+                f"shard {index} holds {key!r}, which shard {owner} owns "
+                f"(in-flight migration: {plan})"
             )
     engine.clock.advance_to(
         max(shard.clock.now for shard in engine.shards)

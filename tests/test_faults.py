@@ -23,6 +23,18 @@ from repro.storage import (
 )
 
 
+def tree_with_retry(options, retry):
+    """A tree whose faulted substrate retries under ``retry`` instead of
+    the default policy a ``fault_plan`` option gets."""
+    stasis = Stasis(
+        buffer_pool_pages=options.buffer_pool_pages,
+        durability=options.durability,
+        fault_plan=options.fault_plan,
+        retry=retry,
+    )
+    return BLSM(options, stasis=stasis)
+
+
 def faulty(plan, model=None, runtime=None):
     runtime = runtime if runtime is not None else EngineRuntime()
     return (
@@ -375,9 +387,10 @@ def test_engine_completes_workload_under_transient_faults():
         buffer_pool_pages=16,
         durability=DurabilityMode.SYNC,
         fault_plan=plan,
-        retry=RetryPolicy(max_attempts=6, base_backoff_seconds=1e-4),
     )
-    tree = BLSM(options)
+    tree = tree_with_retry(
+        options, RetryPolicy(max_attempts=6, base_backoff_seconds=1e-4)
+    )
     for i in range(600):
         tree.put(b"k%04d" % (i % 150), b"v%06d" % i)
     metrics = tree.stasis.runtime.metrics
@@ -396,9 +409,10 @@ def test_engine_exhausted_retries_surface_as_io_fault():
         c0_bytes=16 * 1024,
         durability=DurabilityMode.SYNC,
         fault_plan=plan,
-        retry=RetryPolicy(max_attempts=2, base_backoff_seconds=1e-5),
     )
-    tree = BLSM(options)
+    tree = tree_with_retry(
+        options, RetryPolicy(max_attempts=2, base_backoff_seconds=1e-5)
+    )
     tree.put(b"warm", b"x")  # healthy write while disarmed
     plan.arm()
     with pytest.raises(IOFaultError):
@@ -448,13 +462,16 @@ def test_jittered_retry_replay_is_bit_for_bit_deterministic():
     def run(policy_seed):
         from repro.baselines.blsm_engine import BLSMEngine
 
-        engine = BLSMEngine(
-            BLSMOptions(
-                c0_bytes=16 * 1024,
-                buffer_pool_pages=16,
-                durability=DurabilityMode.SYNC,
-                fault_plan=FaultPlan.transient(probability=0.05, seed=7),
-                retry=RetryPolicy(
+        options = BLSMOptions(
+            c0_bytes=16 * 1024,
+            buffer_pool_pages=16,
+            durability=DurabilityMode.SYNC,
+            fault_plan=FaultPlan.transient(probability=0.05, seed=7),
+        )
+        engine = BLSMEngine.from_tree(
+            tree_with_retry(
+                options,
+                RetryPolicy(
                     max_attempts=6,
                     base_backoff_seconds=1e-4,
                     jitter=0.5,

@@ -3,7 +3,8 @@
 Covers the tentpole claims of the migration subsystem: every durable
 transition is journaled before it takes effect, a crash at any step
 recovers to a consistent ownership map, readers never observe staged
-rows mid-copy, stale leases are fenced after the switch, and the
+rows mid-copy (a shard is read only inside the range it owns), stale
+leases are fenced after the switch, and the
 rebalancer closes the loop from load metrics to live split/merge plans.
 Property tests compose journal fault schedules with in-flight
 migrations and interleaved traffic, asserting oracle parity and the
@@ -11,7 +12,7 @@ mid-migration structural invariants after recovery.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import random
@@ -46,7 +47,6 @@ from repro.shard import (
     live_migration_bench,
     plan_merge,
     plan_split,
-    shard_range,
 )
 from repro.shard.migration import _replay_journal
 from repro.sim.clock import VirtualClock
@@ -118,9 +118,9 @@ def step_until(controller, state, limit=10_000):
 
 def test_shard_range_tiles_the_keyspace():
     part = RangePartitioner([b"g", b"p"])
-    assert shard_range(part, 0) == (b"", b"g")
-    assert shard_range(part, 1) == (b"g", b"p")
-    assert shard_range(part, 2) == (b"p", None)
+    assert part.shard_range(0) == (b"", b"g")
+    assert part.shard_range(1) == (b"g", b"p")
+    assert part.shard_range(2) == (b"p", None)
 
 
 def test_plan_split_interior_donates_upper_half_rightward():
@@ -262,21 +262,21 @@ def test_replay_journal_reconstructs_each_phase():
         "lo": b"f", "hi": b"m", "new_boundaries": [b"f"],
     }
     journal.append(plan_record)
-    boundaries, previous, epoch, pending, next_id = _replay_journal(journal)
-    assert boundaries == [b"m"] and previous is None and epoch == 0
+    boundaries, epoch, pending, next_id = _replay_journal(journal)
+    assert boundaries == [b"m"] and epoch == 0
     assert pending is not None and pending[1] == "copy"
     assert pending[0].plan_id == 3 and next_id == 4
 
     journal.append(
         {"type": "switch", "id": 3, "source": 0, "boundaries": [b"f"], "epoch": 1}
     )
-    boundaries, previous, epoch, pending, _ = _replay_journal(journal)
-    assert boundaries == [b"f"] and previous == [b"m"] and epoch == 1
+    boundaries, epoch, pending, _ = _replay_journal(journal)
+    assert boundaries == [b"f"] and epoch == 1
     assert pending is not None and pending[1] == "retire"
 
-    journal.append({"type": "prune", "id": 3, "pruned": 1})
-    boundaries, previous, epoch, pending, _ = _replay_journal(journal)
-    assert boundaries == [b"f"] and previous is None and epoch == 1
+    journal.append({"type": "retire_done", "id": 3})
+    boundaries, epoch, pending, _ = _replay_journal(journal)
+    assert boundaries == [b"f"] and epoch == 1
     assert pending is None
 
 
@@ -288,7 +288,7 @@ def test_replay_journal_aborted_plan_leaves_no_pending():
          "lo": b"f", "hi": b"m", "new_boundaries": [b"f"]}
     )
     journal.append({"type": "abort", "id": 1})
-    _, _, _, pending, _ = _replay_journal(journal)
+    _, _, pending, _ = _replay_journal(journal)
     assert pending is None
 
 
@@ -357,7 +357,6 @@ def test_live_split_under_traffic_stays_oracle_correct():
         ops += 1
     assert controller.completed == 1
     assert engine.epoch == 1
-    assert engine.partitioner.history_depth == 0
     assert tuple(engine.partitioner.boundaries) == plan.new_boundaries
     verify_model(engine, model)
     check_sharded_invariants(engine)
@@ -380,21 +379,24 @@ def test_split_then_merge_round_trip():
     engine.close()
 
 
-def test_scan_mask_hides_staged_rows_mid_copy():
+def test_scan_never_reads_staged_rows_mid_copy():
     engine, controller = make_fleet(chunk_keys=4)
     model = load_keys(engine, 60)
-    controller.start(plan_split(engine, 0))
+    plan = controller.start(plan_split(engine, 0))
     # Advance partway through the copy so the target holds staged rows.
     for _ in range(4):
         controller.step()
     assert controller.state == "copy"
-    mask = controller.mask_range()
-    assert mask is not None and mask[0] == 1
     # Delete a staged key on the source: the target's staged copy must
-    # not resurrect it through a scan, even with a limit.
+    # not resurrect it through a scan, even with a limit — the target
+    # is read only inside the range it owns, which excludes [lo, hi).
     dead = key(40)
     engine.delete(dead)
     model.pop(dead, None)
+    staged = engine._on_shard(
+        plan.target, lambda s: s.get(dead), "migrate_probe"
+    )
+    assert staged == b"v%06d" % 40
     expected = sorted(model.items())
     assert list(engine.scan(b"", None, 10)) == expected[:10]
     assert list(engine.scan(b"")) == expected
@@ -574,7 +576,6 @@ def test_crash_mid_copy_restarts_the_copy_from_scratch():
     check_sharded_invariants(recovered)
     recovered.migration.run_to_completion()
     assert recovered.migration.completed == 1
-    assert recovered.partitioner.history_depth == 0
     verify_model(recovered, model)
     check_sharded_invariants(recovered)
     recovered.close()
@@ -589,13 +590,20 @@ def test_crash_after_switch_rolls_forward_through_retire():
     assert recovered.migration.state == "retire"
     assert recovered.epoch == 1
     assert recovered._fence_epochs[plan.source] == 1
-    # The pre-switch mapping is kept as history so reads still reach the
-    # un-retired source copies.
-    assert recovered.partitioner.history_depth == 1
+    assert recovered.partitioner.boundaries == plan.new_boundaries
+
+    def source_copies():
+        return recovered._on_shard(
+            plan.source, lambda s: list(s.scan(plan.lo, plan.hi)), "probe"
+        )
+
+    # The un-retired source copies are still there, outside the range
+    # the source owns now, so no read reaches them.
+    assert source_copies()
     verify_model(recovered, model)
     check_sharded_invariants(recovered)
     recovered.migration.run_to_completion()
-    assert recovered.partitioner.history_depth == 0
+    assert source_copies() == []
     verify_model(recovered, model)
     recovered.close()
 
@@ -608,7 +616,6 @@ def test_crash_with_no_migration_in_flight_recovers_idle():
     recovered = crash_and_recover(engine)
     assert recovered.migration.state == "idle"
     assert recovered.epoch == 1
-    assert recovered.partitioner.history_depth == 0
     verify_model(recovered, model)
     recovered.close()
 
@@ -674,12 +681,6 @@ def test_close_closes_every_shard_despite_failures():
     assert sorted(closed) == [0, 1]  # healthy shards still closed
     inner.close()
     engine.close()  # idempotent: no second raise
-
-
-def test_prune_placement_history_is_noop_for_hash_partitioning():
-    engine = ShardedEngine(small_options(), shards=2)
-    assert engine.prune_placement_history() == 0
-    engine.close()
 
 
 # ----------------------------------------------------------------------
@@ -799,21 +800,12 @@ def test_live_migration_bench_smoke():
     assert result["p99_ratio"] >= 0.0
     migration = result["migrating"]["migration"]
     assert migration["completed"] >= 1
-    assert migration["history_depth"] == 0
+    assert migration["epoch"] == migration["completed"]  # one switch each
 
 
 # ----------------------------------------------------------------------
 # Property tests: fault schedules composed with in-flight migrations
 # ----------------------------------------------------------------------
-
-settings.register_profile(
-    "repro-migration",
-    max_examples=15,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-settings.load_profile("repro-migration")
-
 
 def _drive_traffic(engine, model, rng, ops):
     """Apply ``ops`` random mutations/reads, model kept in lockstep."""
@@ -835,6 +827,7 @@ def _drive_traffic(engine, model, rng, ops):
             assert engine.get(key(i)) == model.get(key(i))
 
 
+@settings(max_examples=15)
 @given(seed=st.integers(0, 2**16), kind=st.sampled_from(["split", "merge"]))
 def test_property_migration_under_traffic_keeps_oracle_parity(seed, kind):
     """A live split or merge under random traffic never changes answers,
@@ -858,12 +851,12 @@ def test_property_migration_under_traffic_keeps_oracle_parity(seed, kind):
         steps += 1
         assert steps < 5000
     assert controller.completed == 1
-    assert engine.partitioner.history_depth == 0
     verify_model(engine, model)
     check_sharded_invariants(engine)
     engine.close()
 
 
+@settings(max_examples=15)
 @given(
     crash_access=st.integers(1, 8),
     seed=st.integers(0, 2**16),
@@ -912,8 +905,6 @@ def test_property_journal_crash_recovers_to_consistent_ownership(
     assert resumed is not None
     if resumed.active:
         resumed.run_to_completion()
-    recovered.prune_placement_history()
-    assert recovered.partitioner.history_depth == 0
     verify_model(recovered, model)
     check_sharded_invariants(recovered)
     if crashed:
@@ -921,18 +912,17 @@ def test_property_journal_crash_recovers_to_consistent_ownership(
     recovered.close()
 
 
-def test_scan_mask_preserves_limits_through_chunked_refills():
-    # The chunked scan applies the migration mask as a two-window
-    # sub-fetch on the target shard; every limit must see exactly the
-    # same prefix the oracle does, mid-copy, including limits that force
-    # repeated refills straddling the masked range.
+def test_scan_limits_hold_through_chunked_refills_mid_copy():
+    # Mid-copy the target holds staged rows outside the range it owns;
+    # every limit must see exactly the same prefix the oracle does,
+    # including limits that force repeated refills across the staged
+    # range.
     engine, controller = make_fleet(chunk_keys=4)
     model = load_keys(engine, 120)
     controller.start(plan_split(engine, 0))
     for _ in range(4):
         controller.step()
     assert controller.state == "copy"
-    assert controller.mask_range() is not None
     expected = sorted(model.items())
     for limit in (1, 3, 7, 25, 60, 119, 120, 200):
         assert list(engine.scan(b"", None, limit)) == expected[:limit], (

@@ -42,15 +42,10 @@ CALLERS = {
 #: merges in device seconds) replaces them rather than pinning them.
 PENDING = {"low_water", "high_water", "max_tick_bytes"}
 
-#: Also set by nothing outside tests: the fault substrate's retry policy
-#: (CHANGES.md lists it as found, not fixed).
-UNCLAIMED = {"retry"}
-
-
 def test_every_option_names_the_caller_that_varies_it():
     names = {field.name for field in dataclasses.fields(BLSMOptions)}
-    assert set(CALLERS) == names - PENDING - UNCLAIMED
-    assert PENDING | UNCLAIMED <= names
+    assert set(CALLERS) == names - PENDING
+    assert PENDING <= names
     for name, path in CALLERS.items():
         with open(os.path.join(ROOT, path)) as handle:
             assert f"{name}=" in handle.read(), (name, path)

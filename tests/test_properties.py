@@ -2,7 +2,7 @@
 
 import random
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines import BTreeEngine, CompactionEngine
 from repro.bloom import BloomFilter
@@ -15,15 +15,9 @@ from repro.storage import DurabilityMode, RegionAllocator, Stasis
 
 keys = st.binary(min_size=1, max_size=8)
 values = st.binary(min_size=0, max_size=32)
-settings.register_profile(
-    "repro",
-    max_examples=40,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-settings.load_profile("repro")
 
 
+@settings(max_examples=40)
 @given(st.lists(st.tuples(keys, st.integers(0, 2), values), max_size=120))
 def test_memtable_matches_dict(operations):
     table = MemTable(1 << 30)
@@ -41,6 +35,7 @@ def test_memtable_matches_dict(operations):
     assert [record.key for record in table] == sorted(model)
 
 
+@settings(max_examples=40)
 @given(st.lists(keys, unique=True, max_size=80))
 def test_bloom_never_false_negative(members):
     bloom = BloomFilter.for_capacity(max(1, len(members)))
@@ -49,6 +44,7 @@ def test_bloom_never_false_negative(members):
     assert all(key in bloom for key in members)
 
 
+@settings(max_examples=40)
 @given(st.lists(keys, min_size=1, max_size=200), st.integers(1, 20))
 def test_replacement_selection_partitions_sorted_runs(arrivals, memory):
     runs = replacement_selection_runs(arrivals, memory)
@@ -61,6 +57,7 @@ def test_replacement_selection_partitions_sorted_runs(arrivals, memory):
         assert len(run) >= min(memory, len(arrivals))
 
 
+@settings(max_examples=40)
 @given(st.lists(st.tuples(keys, st.integers(0, 2), values), max_size=100))
 def test_blsm_matches_dict_model(operations):
     tree = BLSM(BLSMOptions(c0_bytes=2048, buffer_pool_pages=16))
@@ -79,6 +76,7 @@ def test_blsm_matches_dict_model(operations):
     assert list(tree.scan(b"")) == sorted(model.items())
 
 
+@settings(max_examples=40)
 @given(st.lists(st.tuples(keys, st.booleans(), values), max_size=80))
 def test_blsm_deltas_match_semantic_model(operations):
     tree = BLSM(BLSMOptions(c0_bytes=2048, buffer_pool_pages=16))
@@ -97,6 +95,7 @@ def test_blsm_deltas_match_semantic_model(operations):
         assert tree.get(key) == value
 
 
+@settings(max_examples=40)
 @given(st.lists(st.tuples(keys, values), max_size=60))
 def test_blsm_survives_crash_with_sync_log(writes):
     options = BLSMOptions(
@@ -114,6 +113,7 @@ def test_blsm_survives_crash_with_sync_log(writes):
         assert recovered.get(key) == value
 
 
+@settings(max_examples=40)
 @given(st.lists(st.tuples(keys, st.integers(0, 1), values), max_size=80))
 def test_btree_matches_dict_model(operations):
     engine = BTreeEngine(buffer_pool_pages=8, page_size=1024)
@@ -130,6 +130,7 @@ def test_btree_matches_dict_model(operations):
     assert [k for k, _ in engine.scan(b"")] == sorted(model)
 
 
+@settings(max_examples=40)
 @given(st.lists(st.tuples(keys, values), max_size=80))
 def test_leveldb_matches_dict_model(writes):
     engine = CompactionEngine(
@@ -147,6 +148,7 @@ def test_leveldb_matches_dict_model(writes):
     assert list(engine.scan(b"")) == sorted(model.items())
 
 
+@settings(max_examples=40)
 @given(st.lists(st.tuples(keys, st.integers(0, 1), values), max_size=100))
 def test_bitcask_matches_dict_model(operations):
     from repro.baselines import BitCaskEngine
@@ -165,6 +167,7 @@ def test_bitcask_matches_dict_model(operations):
     assert list(engine.scan(b"")) == sorted(model.items())
 
 
+@settings(max_examples=40)
 @given(
     st.lists(st.lists(st.tuples(keys, values), max_size=30), max_size=4)
 )
@@ -185,6 +188,7 @@ def test_kway_merge_yields_sorted_unique_groups(source_specs):
     assert seen == sorted(set(seen))
 
 
+@settings(max_examples=40)
 @given(st.lists(st.tuples(st.integers(0, 2), values), min_size=1, max_size=10))
 def test_fold_chain_equals_resolve(version_specs):
     # Folding versions pairwise (what merges do) must agree with
@@ -203,6 +207,7 @@ def test_fold_chain_equals_resolve(version_specs):
     assert resolve([folded]) == resolve(newest_first)
 
 
+@settings(max_examples=40)
 @given(st.lists(st.tuples(keys, values), min_size=1, max_size=60))
 def test_sstable_roundtrip(pairs):
     unique = dict(pairs)
@@ -216,6 +221,7 @@ def test_sstable_roundtrip(pairs):
     assert [r.key for r in table.iter_records()] == sorted(unique)
 
 
+@settings(max_examples=40)
 @given(st.lists(st.tuples(st.integers(1, 30), st.booleans()), max_size=60))
 def test_region_allocator_never_overlaps(steps):
     allocator = RegionAllocator()
@@ -230,6 +236,7 @@ def test_region_allocator_never_overlaps(steps):
             assert e1 <= s2  # no overlap
 
 
+@settings(max_examples=40)
 @given(st.lists(st.tuples(keys, values), max_size=100), st.integers(0, 3))
 def test_scan_prefix_consistency(writes, prefix_len):
     tree = BLSM(BLSMOptions(c0_bytes=2048, buffer_pool_pages=16))

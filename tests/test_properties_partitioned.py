@@ -2,7 +2,7 @@
 
 import random
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core import BLSMOptions, PartitionedBLSM
 from repro.core.merge import SnowshovelSource
@@ -13,13 +13,6 @@ from repro.storage import DurabilityMode
 keys = st.binary(min_size=1, max_size=8)
 values = st.binary(min_size=0, max_size=32)
 
-settings.register_profile(
-    "repro_part",
-    max_examples=30,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-settings.load_profile("repro_part")
 
 
 def tiny_tree():
@@ -29,6 +22,7 @@ def tiny_tree():
     )
 
 
+@settings(max_examples=30)
 @given(st.lists(st.tuples(keys, st.integers(0, 2), values), max_size=120))
 def test_partitioned_matches_dict_model(operations):
     tree = tiny_tree()
@@ -47,6 +41,7 @@ def test_partitioned_matches_dict_model(operations):
     assert list(tree.scan(b"")) == sorted(model.items())
 
 
+@settings(max_examples=30)
 @given(st.lists(st.tuples(keys, values), max_size=80))
 def test_partitions_always_tile_keyspace(writes):
     tree = tiny_tree()
@@ -60,6 +55,7 @@ def test_partitions_always_tile_keyspace(writes):
         assert hi == lo
 
 
+@settings(max_examples=30)
 @given(st.lists(st.tuples(keys, values), max_size=60))
 def test_partitioned_crash_recovery(writes):
     options = BLSMOptions(
@@ -79,6 +75,7 @@ def test_partitioned_crash_recovery(writes):
         assert recovered.get(key) == value
 
 
+@settings(max_examples=30)
 @given(
     st.lists(keys, min_size=1, max_size=60, unique=True),
     st.binary(min_size=1, max_size=4),
@@ -102,6 +99,7 @@ def test_range_snowshovel_stays_in_bounds(all_keys, bound_a, bound_b):
     assert remaining == sorted(k for k in all_keys if not lo <= k < hi)
 
 
+@settings(max_examples=30)
 @given(st.lists(st.tuples(keys, values), max_size=80), st.integers(0, 20))
 def test_partitioned_scan_with_interleaved_writes(writes, pause_every):
     tree = tiny_tree()

@@ -1,9 +1,11 @@
-"""Sharded engine: routing, overlapped fan-out, scans, resize safety.
+"""Sharded engine: routing, overlapped fan-out, scans, ownership.
 
 Covers the tentpole claims: batches cost the max (not the sum) of
-per-shard device time, cross-shard scans merge in order, tombstones
-mask versions stranded on old owners after a range resize, and four
-shards deliver at least 3x the batched read throughput of one tree.
+per-shard device time, cross-shard scans merge in order, a shard is
+read only inside the range it owns (so a range scan asks only the
+shards it crosses, and nothing after a migration needs a second read),
+and four shards deliver at least 3x the batched read throughput of one
+tree.
 """
 
 import pytest
@@ -12,8 +14,11 @@ from repro.baselines import BLSMEngine, WriteBatch, validate_io_summary
 from repro.core import BLSMOptions
 from repro.shard import (
     HashPartitioner,
+    MigrationPlan,
+    MigrationThrottle,
     RangePartitioner,
     ShardedEngine,
+    attach_migration,
     fnv1a_bytes,
     make_partitioner,
 )
@@ -32,6 +37,20 @@ def make_engine(shards=4, partitioner=None, **overrides):
     return ShardedEngine(
         small_options(**overrides), shards=shards, partitioner=partitioner
     )
+
+
+def migrate_down(engine, boundary):
+    """Live-migrate a two-shard range fleet's boundary down to
+    ``boundary``: ``[boundary, old)`` moves from shard 0 to shard 1.
+    Returns the controller with the plan started, not yet stepped."""
+    (old,) = engine.partitioner.boundaries
+    controller = attach_migration(
+        engine, chunk_keys=4, throttle=MigrationThrottle(1.0)
+    )
+    controller.start(
+        MigrationPlan(0, "split", 0, 1, boundary, old, (boundary,))
+    )
+    return controller
 
 
 # ----------------------------------------------------------------------
@@ -54,8 +73,9 @@ def test_hash_partitioner_spreads_and_is_deterministic():
     for key in keys:
         index = part.shard_for(key)
         assert part.shard_for(key) == index
-        assert part.owners(key) == (index,)
         buckets[index] += 1
+    # A hash shard's keys span the keyspace: a scan asks every shard.
+    assert {part.shard_range(i) for i in range(4)} == {(b"", None)}
     assert all(count > 50 for count in buckets)
 
 
@@ -89,18 +109,6 @@ def test_range_partitioner_rejects_bad_boundaries():
         RangePartitioner([b"b", b"a"])
     with pytest.raises(ValueError):
         RangePartitioner([b"a", b"a"])
-
-
-def test_range_resize_keeps_history_in_owners():
-    part = RangePartitioner([b"m"])
-    assert part.owners(b"c") == (0,)
-    part.resize([b"b"])  # keys in [b, m) move from shard 0 to shard 1
-    assert part.resized
-    assert part.shard_for(b"c") == 1
-    assert part.owners(b"c") == (1, 0)  # current first, then historic
-    assert part.owners(b"a") == (0,)  # unmoved keys have one owner
-    with pytest.raises(ValueError):
-        part.resize([b"a", b"b"])  # shard count must not change
 
 
 def test_make_partitioner_names():
@@ -234,11 +242,11 @@ def test_read_modify_write_routes_through_batch():
     engine.close()
 
 
-def test_insert_if_not_exists_checks_all_owners():
-    part = RangePartitioner([b"m"])
-    engine = make_engine(shards=2, partitioner=part)
+def test_insert_if_not_exists_checks_the_owner_after_a_migration():
+    engine = make_engine(shards=2, partitioner=RangePartitioner([b"m"]))
     engine.put(b"c", b"old")
-    part.resize([b"b"])  # b"c" now owned by shard 1, version lives on 0
+    migrate_down(engine, b"b").run_to_completion()
+    assert engine.partitioner.shard_for(b"c") == 1  # moved with its data
     assert engine.insert_if_not_exists(b"c", b"new") is False
     assert engine.get(b"c") == b"old"
     assert engine.insert_if_not_exists(b"fresh", b"v") is True
@@ -271,40 +279,84 @@ def test_scan_limit_cuts_across_shard_boundaries():
     engine.close()
 
 
-def test_scan_after_resize_prefers_newest_owner_and_masks_tombstones():
-    part = RangePartitioner([b"key0050"])
-    engine = make_engine(shards=2, partitioner=part)
+def test_scan_after_migration_reads_each_shard_inside_its_range():
+    engine = make_engine(shards=2, partitioner=RangePartitioner([b"key0050"]))
     for i in range(100):
         engine.put(b"key%04d" % i, b"old%04d" % i)
-    # Move the split: keys [key0030, key0050) now belong to shard 1,
-    # but their pre-resize versions remain physically on shard 0.
-    part.resize([b"key0030"])
-    engine.put(b"key0040", b"rewritten")  # new version on the new owner
-    engine.delete(b"key0044")  # tombstone must broadcast to both owners
+    # Move the split: keys [key0030, key0050) go to shard 1.  Stop just
+    # after the switch, before retirement deletes shard 0's copies.
+    controller = migrate_down(engine, b"key0030")
+    while controller.state != "retire":
+        controller.step()
+    engine.put(b"key0040", b"rewritten")  # lands on the new owner only
+    engine.delete(b"key0044")
+    stale = engine._on_shard(0, lambda s: s.get(b"key0044"), "probe")
+    assert stale == b"old0044"  # shard 0 still holds its old copy
 
-    assert engine.get(b"key0040") == b"rewritten"
-    assert engine.get(b"key0035") == b"old0035"  # fallback to old owner
-    assert engine.get(b"key0044") is None
-
-    rows = dict(engine.scan(b"key0000"))
-    assert rows[b"key0040"] == b"rewritten"  # newest owner wins the merge
-    assert b"key0044" not in rows  # stranded version stays masked
-    assert len(rows) == 99
-    assert list(rows) == sorted(rows)
+    for _ in range(2):  # mid-retire, then after it
+        assert engine.get(b"key0040") == b"rewritten"
+        assert engine.get(b"key0035") == b"old0035"
+        assert engine.get(b"key0044") is None
+        rows = dict(engine.scan(b"key0000"))
+        assert rows[b"key0040"] == b"rewritten"
+        assert b"key0044" not in rows
+        assert len(rows) == 99
+        assert list(rows) == sorted(rows)
+        controller.run_to_completion()
     engine.close()
 
 
-def test_multi_get_falls_back_through_placement_history():
-    part = RangePartitioner([b"key0050"])
-    engine = make_engine(shards=2, partitioner=part)
+def test_multi_get_after_a_migration_is_one_fan_out():
+    engine = make_engine(shards=2, partitioner=RangePartitioner([b"key0050"]))
     for i in range(100):
         engine.put(b"key%04d" % i, b"v%04d" % i)
-    part.resize([b"key0030"])
-    keys = [b"key0035", b"key0010", b"key0070", b"key0040"]
+    migrate_down(engine, b"key0030").run_to_completion()
+    keys = [b"key0035", b"key0010", b"key0070", b"key0040", b"key0999"]
+    before = len(engine.trace("shard_batch"))
     assert engine.multi_get(keys) == [
-        b"v0035", b"v0010", b"v0070", b"v0040"
+        b"v0035", b"v0010", b"v0070", b"v0040", None
     ]
-    assert engine.metrics()["shard.fallback_reads"] > 0
+    (batch,) = engine.trace("shard_batch")[before:]
+    assert batch.get("kind") == "multi_get"
+    assert set(batch.get("per_shard")) == {0, 1}
+    engine.close()
+
+
+def test_range_scan_asks_only_the_shards_it_crosses():
+    engine = make_engine(
+        shards=4, partitioner=RangePartitioner([b"m", b"s", b"x"])
+    )
+    rows = {}
+    for prefix in (b"a", b"n", b"t", b"y"):  # 30 keys on each shard
+        for i in range(30):
+            rows[prefix + b"%03d" % i] = b"v%03d" % i
+    for key, value in rows.items():
+        engine.put(key, value)
+
+    def ops():
+        metrics = engine.metrics()
+        return [metrics[f"shard.{i}.ops"] for i in range(4)]
+
+    before, events = ops(), len(engine.trace("shard_batch"))
+    # [n, u) crosses shards 1 and 2; a limit of 50 needs refills there.
+    got = list(engine.scan(b"n", b"u", 50))
+    assert got == sorted(
+        (k, v) for k, v in rows.items() if b"n" <= k < b"u"
+    )[:50]
+    after = ops()
+    assert after[0] == before[0] and after[3] == before[3]
+    assert after[1] > before[1]  # the refills went to the crossed shards
+    scans = engine.trace("shard_batch")[events:]
+    assert {event.get("kind") for event in scans} == {"scan"}
+    assert set(scans[0].get("per_shard")) == {1, 2}
+    assert all(set(e.get("per_shard")) <= {1, 2} for e in scans)
+    # A range that misses every shard but one asks only that one.
+    before = len(engine.trace("shard_batch"))
+    assert list(engine.scan(b"y", None, 3)) == [
+        (b"y000", b"v000"), (b"y001", b"v001"), (b"y002", b"v002")
+    ]
+    (only,) = engine.trace("shard_batch")[before:]
+    assert set(only.get("per_shard")) == {3}
     engine.close()
 
 
