@@ -7,7 +7,7 @@ layout decision — how many runs a level may hold, what merges are due —
 to a :class:`~repro.core.compaction.policy.CompactionPolicy`.  The tree
 keeps bLSM's *mechanisms* — all of
 :class:`~repro.core.kernel.TreeKernel`: logical logging, budget-stepped
-merges paced by the write path, snapshot-pinned scans, log-replay
+merges paced by the write path, snapshot scans, log-replay
 recovery — and swaps only the *policy*, which is exactly the factoring
 the compaction design-space literature argues for (Sarkar et al.; Luo &
 Carey, PAPERS.md).
@@ -105,20 +105,17 @@ class CompactionTree(TreeKernel):
         return lookup(key, (self._memtable, *self._manager.sources()))
 
     def snapshot(self) -> TreeSnapshot:
-        """Pin a consistent point-in-time read view of the tree.
+        """Open a consistent point-in-time read view of the tree.
 
         Opening is O(1): the memtable is read in place, copy-on-write —
         one O(|C0|) copy only if a write lands while the snapshot is
-        open.  Every on-disk run is pinned in the :class:`VersionSet` so
-        merge installs defer their frees past the snapshot's lifetime.
+        open.  The on-disk runs are one reference on the installed
+        :class:`~repro.core.versions.Version`, so merge installs defer
+        their frees past the snapshot's lifetime.
         """
         self._check_open()
         return TreeSnapshot(
-            self.versions,
-            self._memtable,
-            [],
-            self._manager.sources(),
-            engine=self._policy.name,
+            self.versions, self._memtable, engine=self._policy.name
         )
 
     # ------------------------------------------------------------------
@@ -315,10 +312,11 @@ class CompactionTree(TreeKernel):
 
         Ordering mirrors the bLSM tree: install in memory, commit the
         manifest (the durability point), then retire the inputs — their
-        extents are freed once no snapshot pins them.
+        extents are freed once no snapshot's version names them.
         """
         outputs = job.merge.outputs
         self._manager.install(job.inputs, job.plan.target_level, outputs)
+        self.versions.install(self._manager.sources())
         self._merge_finished(
             gear,
             job.merge,
@@ -374,6 +372,7 @@ class CompactionTree(TreeKernel):
         table = self._flush_c0("flush")
         if table is not None:
             self._manager.add_run(0, table)
+            self.versions.install(self._manager.sources())
         self.stasis.commit_manifest(self._manifest())
         self.stasis.logical_log.truncate(self._next_seqno)
 
@@ -446,6 +445,7 @@ class CompactionTree(TreeKernel):
             self.options,
             empty.file_levels,
         )
+        self.versions.install(self._manager.sources())
 
     def _live_tables(self) -> Iterable[SSTable]:
         return self._manager.iter_tables()

@@ -19,12 +19,13 @@ partitions — subclasses the kernel and supplies:
 * ``_init_layout(**layout)`` — its empty component structure, merge
   timelines and scheduler;
 * ``get`` (the probe order, folded by :func:`repro.records.resolve`)
-  and ``snapshot`` (the same order, pinned);
+  and ``snapshot`` (the same order: the RAM sources behind C0 over the
+  installed :class:`~repro.core.versions.Version`);
 * ``_on_write(nbytes)`` — what a write triggers: pacing, merge
   selection, stalls;
 * merge selection, start and install, stepping through
-  :meth:`TreeKernel._step_merge` and retiring replaced components
-  through ``self.versions``;
+  :meth:`TreeKernel._step_merge`, installing each new component set
+  in ``self.versions`` and then retiring the replaced components;
 * ``_manifest`` / ``_restore_layout`` / ``_live_tables`` — its durable
   root and how to read it back.
 """
@@ -41,7 +42,7 @@ from repro.core.components import (
 )
 from repro.core.options import BLSMOptions
 from repro.core.scheduler import make_scheduler
-from repro.core.versions import TreeSnapshot, VersionSet
+from repro.core.versions import TreeSnapshot, VersionSet, scan_view
 from repro.errors import EngineClosedError
 from repro.memtable.memtable import MemTable
 from repro.records import Record
@@ -146,7 +147,7 @@ class TreeKernel:
         raise NotImplementedError
 
     def snapshot(self) -> TreeSnapshot:
-        """Pin a consistent point-in-time read view of the tree."""
+        """Open a consistent point-in-time read view of the tree."""
         raise NotImplementedError
 
     def _on_write(self, nbytes: int) -> None:
@@ -276,17 +277,17 @@ class TreeKernel:
     ) -> Iterator[tuple[bytes, bytes]]:
         """Range scan: merge every component (Section 3.3's 2-3 seeks).
 
-        The scan runs against a pinned :class:`TreeSnapshot`, so merges
+        The scan runs against a :class:`TreeSnapshot`, so merges
         completing (or the memtable switching) while the caller holds
         the scan paused are invisible: no restart, no stall, no row ever
         observed twice.  The epoch-restart loop this replaced re-walked
         the component set from the cursor at every merge install —
         Section 4.4.1's logical-timestamp validation — which blocked
-        paused scans behind merge progress.
+        paused scans behind merge progress.  The snapshot opens at the
+        first ``next`` (a scan never iterated opens none) and closes
+        when the scan is exhausted, closed or collected.
         """
-        self._check_open()
-        with self.snapshot() as snap:
-            yield from snap.scan(lo, hi, limit)
+        return scan_view(None, self.snapshot, lo, hi, limit)
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -128,7 +128,7 @@ class PartitionedBLSM(TreeKernel):
         ))
 
     def snapshot(self) -> TreeSnapshot:
-        """Pin a consistent point-in-time read view of the tree.
+        """Open a consistent point-in-time read view of the tree.
 
         One key range per partition behind the shared C0, each with the
         partition's merge-overlay prefix (while its C0:C1ᵖ pass is
@@ -139,19 +139,20 @@ class PartitionedBLSM(TreeKernel):
         committing underneath it is invisible.
         """
         self._check_open()
-        ranges = [
-            (
-                p.lo,
-                p.hi,
-                [p.m01.overlay.prefix()] if p.m01 is not None else [],
-                [c for c in (p.c1, p.c2) if c is not None],
-            )
+        older_ram = [
+            (p.m01.overlay.prefix(),) if p.m01 is not None else ()
             for p in self._partitions
         ]
         return TreeSnapshot(
-            self.versions, self._memtable, (), (), engine="blsm-part",
-            ranges=ranges,
+            self.versions, self._memtable, older_ram, engine="blsm-part"
         )
+
+    def _publish(self) -> None:
+        """Install one range per partition, its C1ᵖ before its C2ᵖ."""
+        self.versions.install(ranges=[
+            (p.lo, p.hi, tuple(c for c in (p.c1, p.c2) if c is not None))
+            for p in self._partitions
+        ])
 
     # ------------------------------------------------------------------
     # Scheduler (spring + greedy partition selection)
@@ -388,16 +389,18 @@ class PartitionedBLSM(TreeKernel):
                 # Ordinary (non-splitting) pass: the output is the new C1.
                 partition.c1 = process.output
                 partition.last_run_bytes = run_bytes
+                self._publish()
                 self._maybe_persist_bloom(partition.c1)
             else:
                 # Bottom-level pass: outputs land as C2 of (possibly
                 # several) partitions, splitting an oversized range.
                 partition.c1 = None
-                for table in process.outputs:
-                    self._maybe_persist_bloom(table)
                 self._install_split_outputs(
                     partition, process.outputs, run_bytes
                 )
+                self._publish()
+                for table in process.outputs:
+                    self._maybe_persist_bloom(table)
             self.stasis.commit_manifest(self._manifest())
             self.versions.retire(old_c1)
             self._retain_log(self._memtable)
@@ -408,11 +411,12 @@ class PartitionedBLSM(TreeKernel):
             partition.m12 = None
             partition.merge_rounds = 0
             partition.c1 = None
-            for table in outputs:
-                self._maybe_persist_bloom(table)
             self._install_split_outputs(
                 partition, outputs, partition.last_run_bytes
             )
+            self._publish()
+            for table in outputs:
+                self._maybe_persist_bloom(table)
             self.stasis.commit_manifest(self._manifest())
             # C1ᵖ:C2ᵖ merges are rare per partition: checkpoint the WAL
             # so manifest replay stays bounded.
@@ -547,6 +551,7 @@ class PartitionedBLSM(TreeKernel):
             )
             for desc in manifest["partitions"]
         ]
+        self._publish()
 
     def _live_tables(self) -> Iterable[SSTable]:
         return [

@@ -7,7 +7,7 @@ optional Bloom filter sized for a sub-1 % false positive rate.
 """
 
 from repro.sstable.builder import SSTableBuilder
-from repro.sstable.iterator import kway_merge, merge_records
+from repro.sstable.iterator import merge_records
 from repro.sstable.reader import SSTable
 
-__all__ = ["SSTable", "SSTableBuilder", "kway_merge", "merge_records"]
+__all__ = ["SSTable", "SSTableBuilder", "merge_records"]

@@ -141,6 +141,8 @@ class PageFile:
         Merges batch their I/O (the paper's arrays use 512 KB stripes), so
         a run of pages costs at most one seek plus bandwidth.  Every page
         in the run is checksum-verified on a device that can corrupt.
+        Every scan stream comes through here, so without a retry
+        executor the device is called directly, as in :meth:`read_page`.
         """
         if count <= 0:
             return []
@@ -150,12 +152,15 @@ class PageFile:
                 payloads.append(self._pages[page_id])
             except KeyError:
                 raise PageNotFoundError(page_id) from None
-        self._io(
-            lambda: self.disk.read(
-                first_page_id * self.page_size, count * self.page_size
-            ),
-            what="pagefile.read_run",
-        )
+        offset = first_page_id * self.page_size
+        nbytes = count * self.page_size
+        if self.retry is None:
+            self.disk.read(offset, nbytes)
+        else:
+            self.retry.run(
+                lambda: self.disk.read(offset, nbytes),
+                what="pagefile.read_run",
+            )
         if self._checksummed:
             for i, payload in enumerate(payloads):
                 self._verify(first_page_id + i, payload)

@@ -4,7 +4,9 @@
 :func:`check_compaction_invariants` / :func:`check_sharded_invariants`
 verify what a dictionary oracle cannot see: sortedness, version
 ordering, space accounting, partition tiling, file-level disjointness,
-manifest round-trip and router/placement agreement.
+manifest round-trip, router/placement agreement, and that the
+installed :class:`~repro.core.versions.Version` snapshots open names
+exactly the layout's components.
 :func:`repro.testing.run_trace` runs the one that fits an engine's
 layout at the end of every trace.
 """
@@ -15,6 +17,17 @@ from repro.core.compaction import CompactionTree, LevelManager
 from repro.core.partitioned import PartitionedBLSM
 from repro.core.tree import BLSM
 from repro.records import RecordKind
+
+
+def _check_installed_version(tree, ranges) -> None:
+    """The version a snapshot would open is the layout's component set:
+    ``ranges`` is ``(lo, hi, tables)`` per key range, tables newest first."""
+    def shape(rows):
+        return [(lo, hi, [id(t) for t in tables]) for lo, hi, tables in rows]
+
+    assert shape(tree.versions.current.ranges) == shape(ranges), (
+        "installed version is not the layout's component set"
+    )
 
 
 def check_blsm_invariants(tree: BLSM) -> None:
@@ -65,6 +78,8 @@ def check_blsm_invariants(tree: BLSM) -> None:
             record.kind is not RecordKind.TOMBSTONE
             for record in tree._c2.iter_records()
         ), "tombstone survived to the bottom level"
+    on_disk = [c for c in components if c is not None]
+    _check_installed_version(tree, [(b"", None, tree._extras + on_disk)])
 
 
 def check_partitioned_invariants(tree: PartitionedBLSM) -> None:
@@ -74,6 +89,10 @@ def check_partitioned_invariants(tree: PartitionedBLSM) -> None:
     assert ranges[-1][1] is None, "last partition is bounded"
     for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
         assert hi == lo, "partitions do not tile the keyspace"
+    _check_installed_version(tree, [
+        (p.lo, p.hi, [c for c in (p.c1, p.c2) if c is not None])
+        for p in tree._partitions
+    ])
     for partition in tree._partitions:
         for component in (partition.c1, partition.c2):
             if component is None:
@@ -103,6 +122,7 @@ def check_compaction_invariants(tree: CompactionTree) -> None:
     level descriptors rebuild to the same level view.
     """
     manager = tree.manager
+    _check_installed_version(tree, [(b"", None, manager.sources())])
     for level, runs in enumerate(manager.levels):
         for table in runs:
             keys = [record.key for record in table.iter_records()]

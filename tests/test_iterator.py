@@ -1,41 +1,65 @@
-"""Unit tests for k-way merging and record collapsing."""
+"""Unit tests for merging sources in a scan and collapsing records.
 
+The merge of a scan's sources is :func:`repro.core.versions.scan_view`;
+these drive it through :meth:`TreeSnapshot.scan` over hand-built
+:class:`SortedRun` sources and check it against a newest-wins dict.
+"""
+
+from repro.core.versions import SortedRun, TreeSnapshot, VersionSet
+from repro.memtable.memtable import MemTable
 from repro.records import Record
-from repro.sstable import kway_merge, merge_records
+from repro.sstable import merge_records
 
 
 def recs(*pairs):
     return [Record.base(k, v, s) for k, v, s in pairs]
 
 
+def scan_runs(*runs, lo=b"", hi=None, limit=None):
+    """Rows a snapshot whose sources behind an empty C0 are ``runs``
+    (newest first) returns for ``scan(lo, hi, limit)``."""
+    older_ram = ([SortedRun(run) for run in runs],)
+    with TreeSnapshot(VersionSet(), MemTable(1 << 20), older_ram) as snap:
+        return list(snap.scan(lo, hi, limit))
+
+
+def newest_wins(*runs):
+    """The oracle: each key's value in the newest run holding it."""
+    rows = {}
+    for run in reversed(runs):  # oldest first; newer runs overwrite
+        for record in run:
+            rows[record.key] = record.value
+    return sorted(rows.items())
+
+
 def test_merge_disjoint_sources():
     a = recs((b"a", b"1", 10), (b"c", b"3", 11))
     b = recs((b"b", b"2", 1), (b"d", b"4", 2))
-    groups = list(kway_merge([iter(a), iter(b)]))
-    assert [g[0].key for g in groups] == [b"a", b"b", b"c", b"d"]
-    assert all(len(g) == 1 for g in groups)
+    rows = scan_runs(a, b)
+    assert [key for key, _ in rows] == [b"a", b"b", b"c", b"d"]
+    assert rows == newest_wins(a, b)
 
 
 def test_merge_groups_versions_newest_first():
     newer = recs((b"k", b"new", 10))
     older = recs((b"k", b"old", 1))
-    groups = list(kway_merge([iter(newer), iter(older)]))
-    assert len(groups) == 1
-    assert [r.value for r in groups[0]] == [b"new", b"old"]
+    assert scan_runs(newer, older) == [(b"k", b"new")]
+    assert scan_runs(newer, older) == newest_wins(newer, older)
 
 
 def test_merge_three_sources():
     s0 = recs((b"a", b"0", 30))
     s1 = recs((b"a", b"1", 20), (b"b", b"1", 21))
     s2 = recs((b"a", b"2", 10), (b"c", b"2", 11))
-    groups = list(kway_merge([iter(s0), iter(s1), iter(s2)]))
-    assert [g[0].key for g in groups] == [b"a", b"b", b"c"]
-    assert [r.value for r in groups[0]] == [b"0", b"1", b"2"]
+    rows = scan_runs(s0, s1, s2)
+    assert rows == [(b"a", b"0"), (b"b", b"1"), (b"c", b"2")]
+    assert rows == newest_wins(s0, s1, s2)
+    assert scan_runs(s0, s1, s2, lo=b"b", limit=1) == [(b"b", b"1")]
 
 
 def test_merge_empty_sources():
-    assert list(kway_merge([])) == []
-    assert list(kway_merge([iter([]), iter([])])) == []
+    assert scan_runs() == []
+    assert scan_runs([], []) == []
 
 
 def test_merge_records_keeps_newest_base():

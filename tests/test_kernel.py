@@ -120,10 +120,9 @@ def _ranged_snapshot() -> TreeSnapshot:
         [_base(b"m", b"right-m", 3), _base(b"x", b"right-x", 4),
          _base(b"z", b"right-z", 5)]
     )
-    return TreeSnapshot(
-        VersionSet(), memtable, (), (),
-        ranges=[(b"", b"m", [left], []), (b"m", None, [right], [])],
-    )
+    versions = VersionSet()
+    versions.install(ranges=[(b"", b"m", ()), (b"m", None, ())])
+    return TreeSnapshot(versions, memtable, ([left], [right]))
 
 
 def test_ranged_snapshot_get_routes_to_the_range_holding_the_key():

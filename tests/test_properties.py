@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines import BTreeEngine, CompactionEngine
 from repro.bloom import BloomFilter
 from repro.core import BLSM, BLSMOptions
+from repro.core.versions import SortedRun, TreeSnapshot, VersionSet
 from repro.engines import LEVELDB_OPTIONS
 from repro.memtable import MemTable, replacement_selection_runs
 from repro.records import Record, fold, resolve
-from repro.sstable import SSTableBuilder, kway_merge
+from repro.sstable import SSTableBuilder
 from repro.storage import DurabilityMode, RegionAllocator, Stasis
 
 keys = st.binary(min_size=1, max_size=8)
@@ -171,21 +172,20 @@ def test_bitcask_matches_dict_model(operations):
 @given(
     st.lists(st.lists(st.tuples(keys, values), max_size=30), max_size=4)
 )
-def test_kway_merge_yields_sorted_unique_groups(source_specs):
-    sources = []
+def test_scan_over_runs_yields_newest_wins_rows(source_specs):
+    # A snapshot scan over hand-built runs (newest first) returns, in
+    # key order, each key once with its newest run's value.
+    runs = []
+    oracle = {}
     for i, pairs in enumerate(source_specs):
-        unique = {}
-        for key, value in pairs:
-            unique[key] = value
-        records = [
+        unique = dict(pairs)
+        runs.append(SortedRun(
             Record.base(k, v, 1000 - i) for k, v in sorted(unique.items())
-        ]
-        sources.append(iter(records))
-    seen = []
-    for group in kway_merge(sources):
-        assert len({r.key for r in group}) == 1
-        seen.append(group[0].key)
-    assert seen == sorted(set(seen))
+        ))
+        for key, value in unique.items():
+            oracle.setdefault(key, value)  # the newest run seen first wins
+    with TreeSnapshot(VersionSet(), MemTable(1 << 20), (runs,)) as snap:
+        assert list(snap.scan(b"")) == sorted(oracle.items())
 
 
 @settings(max_examples=40)

@@ -1,6 +1,7 @@
 """MVCC snapshot reads: pinned views that survive switches and merges."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.compaction.tree import CompactionTree
 from repro.core.kernel import TreeKernel
@@ -159,15 +160,20 @@ class _FakeTable:
 
 
 def test_versionset_pin_refcounts():
+    # Two snapshots hold one version naming the table; a merge installs
+    # a version without it and retires it.
     versions = VersionSet()
     table = _FakeTable()
-    versions.pin(table)
-    versions.pin(table)
+    versions.install([table])
+    first, second = versions.acquire(), versions.acquire()
+    assert first is second and first.refs == 2
+    versions.install([])
     versions.retire(table)
-    assert not table.freed  # two pins outstanding
-    versions.unpin(table)
-    assert not table.freed  # one pin left
-    versions.unpin(table)
+    assert not table.freed  # two references outstanding
+    assert versions.pinned_count == 1
+    versions.release(first)
+    assert not table.freed  # one reference left
+    versions.release(second)
     assert table.freed
     assert versions.deferred_frees == 1
     assert versions.completed_frees == 1
@@ -188,11 +194,153 @@ def test_versionset_crash_drops_pins_without_freeing():
     # process must not "free" storage it no longer owns.
     versions = VersionSet()
     table = _FakeTable()
-    versions.pin(table)
+    versions.install([table])
+    held = versions.acquire()
+    versions.install([])
     versions.retire(table)
     versions.crash()
     assert not table.freed
     assert versions.pinned_count == versions.zombie_count == 0
+    versions.release(held)  # a reference that outlived the crash
+    assert not table.freed
+    assert versions.live_views == 0
+
+
+# ---------------------------------------------------------------------------
+# Version lifecycle through the tree's own scans
+# ---------------------------------------------------------------------------
+
+
+def test_a_scan_never_iterated_opens_no_view():
+    tree = _small_tree()
+    _fill(tree, 30)
+    scan = tree.scan(b"")
+    versions = tree.versions
+    assert versions.live_views == 0
+    assert versions.current.refs == 0
+    assert tree._memtable.view_count == 0
+    scan.close()
+    del scan
+    assert versions.live_views == versions.pinned_count == 0
+    tree.close()
+
+
+def test_a_scan_paused_across_an_install_defers_exactly_one_free():
+    tree = _small_tree()
+    _fill(tree, 60, tag="old")
+    tree.drain()  # one C1 on disk, C0 empty
+    expected = list(tree.scan(b""))
+    versions = tree.versions
+    scan = tree.scan(b"")
+    rows = [next(scan)]
+    _fill(tree, 60, tag="new")
+    tree.drain()  # installs a new C1 and retires the one the scan holds
+    assert versions.deferred_frees == 1
+    assert versions.zombie_count == 1
+    freed = versions.completed_frees
+    rows.extend(scan)  # exhausting the scan closes its snapshot
+    assert rows == expected
+    assert versions.completed_frees == freed + 1
+    assert versions.zombie_count == versions.pinned_count == 0
+    assert versions.live_views == 0
+    tree.close()
+
+
+_SCAN_KEYS = 24
+
+_LIFECYCLE_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("put"), st.integers(0, _SCAN_KEYS - 1), st.integers(0, 999)
+        ),
+        st.tuples(st.just("delete"), st.integers(0, _SCAN_KEYS - 1)),
+        st.tuples(
+            st.just("delta"), st.integers(0, _SCAN_KEYS - 1), st.integers(0, 9)
+        ),
+        st.tuples(st.just("drain")),
+        st.tuples(
+            st.just("scan"),
+            st.integers(0, _SCAN_KEYS - 1),
+            st.integers(0, _SCAN_KEYS),
+            st.one_of(st.none(), st.integers(1, 4)),
+        ),
+        st.tuples(st.just("abandon"), st.integers(0, _SCAN_KEYS - 1)),
+        st.tuples(st.just("pause"), st.integers(0, _SCAN_KEYS - 1)),
+        st.tuples(st.just("resume")),
+    ),
+    min_size=40,
+    max_size=80,
+)
+
+
+def _key(index: int) -> bytes:
+    return b"key-%06d" % index
+
+
+def _rows(model, lo, hi=None, limit=None):
+    rows = [
+        (key, value)
+        for key, value in sorted(model.items())
+        if key >= lo and (hi is None or key < hi)
+    ]
+    return rows if limit is None else rows[:limit]
+
+
+@pytest.mark.parametrize(
+    "tree_cls", [BLSM, PartitionedBLSM, CompactionTree],
+    ids=lambda cls: cls.__name__,
+)
+@settings(max_examples=40, deadline=None)
+@given(ops=_LIFECYCLE_OPS)
+def test_scans_across_installs_match_a_dict_and_release_everything(
+    tree_cls, ops
+):
+    # Scans interleave with writes and drain()-forced merge installs;
+    # some are abandoned after one row, some stay paused across
+    # installs.  Every scan returns the rows live when it opened, and
+    # once every scan is done no view, reference or zombie is left.
+    tree = _small_tree(tree_cls)
+    model: dict[bytes, bytes] = {}
+    paused = []  # (scan, rows taken, rows expected)
+    for op in ops:
+        kind = op[0]
+        if kind == "put":
+            key, value = _key(op[1]), b"v%03d" % op[2] + bytes(40)
+            tree.put(key, value)
+            model[key] = value
+        elif kind == "delete":
+            tree.delete(_key(op[1]))
+            model.pop(_key(op[1]), None)
+        elif kind == "delta":
+            key, delta = _key(op[1]), b"+%d" % op[2]
+            tree.apply_delta(key, delta)
+            if key in model:  # a delta with no base stays invisible
+                model[key] += delta
+        elif kind == "drain":
+            tree.drain()
+        elif kind == "scan":
+            lo, hi, limit = _key(op[1]), _key(op[2]), op[3]
+            assert list(tree.scan(lo, hi, limit)) == _rows(model, lo, hi, limit)
+        elif kind == "abandon":
+            scan = tree.scan(_key(op[1]))
+            assert next(scan, None) == next(iter(_rows(model, _key(op[1]))), None)
+            del scan  # dropped after one row
+        elif kind == "pause":
+            scan = tree.scan(_key(op[1]))
+            first = next(scan, None)
+            taken = [] if first is None else [first]
+            paused.append((scan, taken, _rows(model, _key(op[1]))))
+        elif paused:  # resume the oldest paused scan
+            scan, taken, expected = paused.pop(0)
+            assert taken + list(scan) == expected
+    for scan, taken, expected in paused:
+        assert taken + list(scan) == expected
+    assert list(tree.scan(b"")) == _rows(model, b"")
+    versions = tree.versions
+    assert versions.live_views == 0
+    assert versions.pinned_count == 0
+    assert versions.zombie_count == 0
+    tree.close()
 
 
 def test_ram_source_is_a_point_in_time_view():
