@@ -1,11 +1,15 @@
 """Unit tests for the Bloom filter."""
 
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.bloom import BloomFilter
 from repro.bloom.filter import optimal_bits, optimal_hash_count
+from repro.records import Record
+from tests.test_bloom_deferred import closed_form_bits
 
 
 def test_no_false_negatives():
@@ -45,8 +49,12 @@ def test_sizing_is_about_ten_bits_per_key():
 
 
 def test_memory_footprint_tracks_bits():
+    # The packed footprint, ceil(nbits / 8), whatever the host holds.
     bloom = BloomFilter(800, 7)
     assert bloom.nbytes == 100
+    assert BloomFilter(801, 7).nbytes == 101
+    bloom = BloomFilter.for_capacity(10000)
+    assert 9.0 < 8 * bloom.nbytes / 10000 < 10.5
 
 
 def test_expected_fpr_grows_with_load():
@@ -92,3 +100,67 @@ def test_counts_insertions():
     bloom.add(b"a")
     bloom.add(b"a")
     assert bloom.ninserted == 2
+
+
+def tiles_per_filter(nhashes):
+    """T = 1 + ceil((k - 1) / 2): the host copies of a filter's bits."""
+    return 1 + math.ceil((nhashes - 1) / 2)
+
+
+def closed_form_answer(key, bits, nbits, nhashes):
+    """``key in`` a filter whose packed bits are ``bits``, by the closed form."""
+    mask = closed_form_bits([key], nbits, nhashes)
+    return all(have & need == need for have, need in zip(bits, mask))
+
+
+# nbits = 1 makes every step 0; an even nbits reaches the step m / 2,
+# the edge of the short way round; 4099 is the digest test's prime.
+NBITS = st.one_of(
+    st.sampled_from([1, 2, 3, 64, 65, 4099]),
+    st.integers(1, 5000),
+    st.integers(1, 500).map(lambda n: BloomFilter.for_capacity(n).nbits),
+)
+
+
+@settings(max_examples=300)
+@given(
+    NBITS,
+    st.integers(1, 12),
+    st.lists(st.binary(max_size=12), max_size=60, unique=True),
+    st.lists(st.binary(max_size=12), max_size=30),
+)
+@example(1, 7, [b"a"], [b"b"])
+@example(2, 7, [b"a", b"b"], [b"c"])
+@example(4, 3, [b"a", b"b", b"c"], [b"d", b"e"])
+def test_answers_and_bytes_equal_the_closed_form(nbits, nhashes, members, others):
+    bloom = BloomFilter(nbits, nhashes)
+    bloom.update(members)
+    expected = closed_form_bits(members, nbits, nhashes)
+    assert bloom.to_bytes() == expected
+    loaded = BloomFilter.from_bytes(nbits, nhashes, bloom.to_bytes())
+    assert loaded.to_bytes() == expected
+    for key in members + others:
+        answer = closed_form_answer(key, expected, nbits, nhashes)
+        assert (key in bloom) == (key in loaded) == answer
+    assert all(key in bloom for key in members)
+
+
+def test_a_filter_holds_its_host_bits_only_once_read():
+    """Simulated bytes are packed; host bytes are T tiles of a byte per
+    bit, allocated at the first probe or persist and never before."""
+    for nhashes in range(1, 13):
+        probed = BloomFilter(1000, nhashes)
+        probed.add(b"k")
+        persisted = BloomFilter(1000, nhashes)
+        persisted.defer([Record.base(b"k", b"v", 0)])
+        idle = BloomFilter(1000, nhashes)
+        idle.defer([Record.base(b"k", b"v", 0)])
+        assert idle._tiles is None and persisted._tiles is None
+        assert b"k" in probed
+        persisted.to_bytes()
+        tiles = tiles_per_filter(nhashes)
+        for bloom in (probed, persisted):
+            assert len(bloom._tiles) == tiles * 1000
+            assert bloom.nbytes == 125
+        assert idle._tiles is None and idle.nbytes == 125
+

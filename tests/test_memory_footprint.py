@@ -1,5 +1,7 @@
 """Tests for RAM accounting (Appendix A's read-fanout inputs)."""
 
+import math
+
 from repro.core import BLSM, BLSMOptions
 from repro.records import Record
 from repro.sstable import SSTableBuilder
@@ -63,3 +65,26 @@ def test_no_bloom_means_zero_bloom_ram():
         tree.put(b"key%05d" % i, bytes(64))
     tree.drain()
     assert tree.memory_footprint()["bloom"] == 0
+
+
+def test_bloom_ram_is_the_packed_bits_whether_or_not_probed():
+    """``memory_footprint()["bloom"]`` is the paper's packed footprint:
+    ceil(nbits / 8) per component.  A probe allocates the filter's host
+    tiles (T = 1 + ceil((k - 1) / 2) bytes per bit) and moves nothing."""
+    tree = BLSM(BLSMOptions(c0_bytes=64 * 1024))
+    for i in range(2000):
+        tree.put(b"key%05d" % i, bytes(100))
+    tree.drain()
+    blooms = [
+        component.bloom
+        for component in (tree._c1, tree._c1_prime, tree._c2)
+        if component is not None and component.bloom is not None
+    ]
+    assert blooms and all(bloom._tiles is None for bloom in blooms)
+    packed = sum((bloom.nbits + 7) // 8 for bloom in blooms)
+    assert tree.memory_footprint()["bloom"] == packed
+    assert tree.get(b"key00001") is not None
+    assert tree.memory_footprint()["bloom"] == packed
+    for bloom in blooms:
+        tiles = 1 + math.ceil((bloom.nhashes - 1) / 2)
+        assert len(bloom._tiles) == tiles * bloom.nbits
