@@ -20,15 +20,14 @@ Differences from the bLSM tree, all policy-neutral:
 * Backpressure is level-0 run count, not C0 fill: once L0 accumulates
   :attr:`CompactionTree.L0_STOP_TRIGGER` runs the writer stalls and
   drives merge work inline until L0 drains below the policy's trigger.
-* At most two merge jobs run at a time — one with source level 0
-  (driven by :meth:`step_m01`) and one deeper (driven by
-  :meth:`step_m12`) — which is how the existing merge schedulers'
-  two-gear surface maps onto N levels without modification.
+* At most two merges run at a time — gear 0 with source level 0 and
+  gear 1 deeper — which is how the kernel's two-gear merge host maps
+  onto N levels, and every scheduler paces every policy.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, NamedTuple
+from typing import Any, Iterable
 
 from repro.core.compaction.manager import LevelManager
 from repro.core.compaction.policy import (
@@ -40,7 +39,6 @@ from repro.core.compaction.policy import (
 from repro.core.kernel import TreeKernel
 from repro.core.merge import MergeProcess
 from repro.core.options import BLSMOptions
-from repro.core.progress import outprogress
 from repro.core.versions import TreeSnapshot
 from repro.records import lookup
 from repro.sstable.reader import SSTable
@@ -48,12 +46,15 @@ from repro.sstable.reader import SSTable
 __all__ = ["CompactionTree"]
 
 
-class _Job(NamedTuple):
-    """A running plan: what it consumes and the merge executing it."""
+class _PlanMerge(MergeProcess):
+    """The merge executing one plan, with the input runs it replaces."""
 
-    plan: MergePlan
-    inputs: list[SSTable]
-    merge: MergeProcess
+    def __init__(
+        self, plan: MergePlan, inputs: list[SSTable], *args: Any, **kwargs: Any
+    ) -> None:
+        super().__init__(*args, **kwargs)
+        self.plan = plan
+        self.inputs = inputs
 
 
 class CompactionTree(TreeKernel):
@@ -79,7 +80,8 @@ class CompactionTree(TreeKernel):
             opts.level_ratio,
             file_levels=self._policy.granularity == "file",
         )
-        self._jobs: dict[str, _Job] = {}  # by gear: "c0c1", "c1c2"
+        self._m01: _PlanMerge | None = None  # source level 0
+        self._m12: _PlanMerge | None = None  # deeper
         self._attach_scheduler()
 
     @staticmethod
@@ -148,66 +150,13 @@ class CompactionTree(TreeKernel):
         if len(tables) == 1 and manager.runs(bottom) == tables:
             return  # already one run at the bottom
         plan = MergePlan(bottom, bottom, include_target=True, label="compact")
-        job = _Job(plan, tables, self._new_merge(tables, drop=True))
-        job.merge.run_to_completion()
-        self._install_job(job, gear="c1c2")
+        merge = self._new_merge(plan, tables, drop=True)
+        merge.run_to_completion()
+        self._install(merge, gear="c1c2")
 
     # ------------------------------------------------------------------
-    # Scheduler interface (the two-gear surface over N levels)
+    # Merge host: gear 0 merges out of level 0, gear 1 deeper
     # ------------------------------------------------------------------
-
-    @property
-    def c0_fill_fraction(self) -> float:
-        """Fill of the active memtable; the spring's displacement."""
-        return self._memtable.fill_fraction
-
-    @property
-    def merging(self) -> bool:
-        """Whether a merge job is running in either gear."""
-        return bool(self._jobs)
-
-    def _inprogress(self, gear: str) -> float:
-        job = self._jobs.get(gear)
-        if job is not None:
-            return job.merge.inprogress
-        return 0.0 if self._next_plan(gear) is not None else 1.0
-
-    @property
-    def m01_inprogress(self) -> float:
-        """Progress of the level-0 merge job (1.0 when none is due)."""
-        return self._inprogress("c0c1")
-
-    @property
-    def m01_outprogress(self) -> float:
-        """Level 1's standing within its geometric budget."""
-        return outprogress(
-            self.m01_inprogress,
-            self._manager.level_bytes(1),
-            self.options.c0_bytes,
-            self._manager.ratio,
-        )
-
-    @property
-    def m12_inprogress(self) -> float:
-        """Progress of the deep merge job (1.0 when none is due)."""
-        return self._inprogress("c1c2")
-
-    @property
-    def m01_input_bytes(self) -> int:
-        """Input size of the active (or next) level-0 merge."""
-        if "c0c1" in self._jobs:
-            return self._jobs["c0c1"].merge.input_bytes
-        return max(
-            1, self._manager.level_bytes(0) + self._manager.level_bytes(1)
-        )
-
-    @property
-    def m12_input_bytes(self) -> int:
-        """Input size of the active (or next) deep merge."""
-        if "c1c2" in self._jobs:
-            return self._jobs["c1c2"].merge.input_bytes
-        deep = self._manager.total_bytes() - self._manager.level_bytes(0)
-        return max(1, deep)
 
     def m01_debt_per_byte(self) -> float:
         """Analytic bytes of merge I/O per written byte (policy-owned).
@@ -224,13 +173,36 @@ class CompactionTree(TreeKernel):
             ),
         )
 
-    def step_m01(self, budget_bytes: int) -> int:
-        """Run up to ``budget_bytes`` of level-0-sourced merge work."""
-        return self._step_gear("c0c1", budget_bytes)
+    def _m01_fills(self) -> tuple[int, float]:
+        return self._manager.level_bytes(1), self._manager.ratio
 
-    def step_m12(self, budget_bytes: int) -> int:
-        """Run up to ``budget_bytes`` of deeper merge work."""
-        return self._step_gear("c1c2", budget_bytes)
+    def _m01_can_start(self) -> bool:
+        return self._next_plan(0) is not None
+
+    def _m12_can_start(self) -> bool:
+        return self._next_plan(1) is not None
+
+    def _m01_next_input_bytes(self) -> int:
+        return self._manager.level_bytes(0) + self._manager.level_bytes(1)
+
+    def _m12_next_input_bytes(self) -> int:
+        return self._manager.total_bytes() - self._manager.level_bytes(0)
+
+    def _start_m01(self) -> bool:
+        self._m01 = self._start_plan("c0c1", self._next_plan(0))
+        return self._m01 is not None
+
+    def _start_m12(self) -> bool:
+        self._m12 = self._start_plan("c1c2", self._next_plan(1))
+        return self._m12 is not None
+
+    def _finish_m01(self) -> None:
+        merge, self._m01 = self._m01, None
+        self._install(merge, "c0c1")
+
+    def _finish_m12(self) -> None:
+        merge, self._m12 = self._m12, None
+        self._install(merge, "c1c2")
 
     def force_drain(self, target_fill: float, chunk: int) -> None:
         """Scheduler stall hook: flush a full C0, then drain L0 overflow."""
@@ -246,19 +218,37 @@ class CompactionTree(TreeKernel):
     # Merge machinery
     # ------------------------------------------------------------------
 
-    def _next_plan(self, gear: str) -> MergePlan | None:
+    def _next_plan(self, gear: int) -> MergePlan | None:
         """The most urgent due plan for one gear (L0-sourced or deeper)."""
         busy = {
             level
-            for job in self._jobs.values()
-            for level in (job.plan.source_level, job.plan.target_level)
+            for merge in (self._m01, self._m12)
+            if merge is not None
+            for level in (merge.plan.source_level, merge.plan.target_level)
         }
         for plan in self._policy.plan_merges(self._manager, busy):
-            if (plan.source_level == 0) == (gear == "c0c1"):
+            if (plan.source_level == 0) == (gear == 0):
                 return plan
         return None
 
-    def _new_merge(self, inputs: list[SSTable], drop: bool) -> MergeProcess:
+    def _start_plan(self, gear: str, plan: MergePlan | None) -> _PlanMerge | None:
+        if plan is None:
+            return None
+        inputs = list(plan.inputs)
+        source, target = plan.source_level, plan.target_level
+        if not inputs:  # level granularity: every run of the levels
+            inputs = list(self._manager.runs(source))
+            if plan.include_target and target != source:
+                inputs.extend(self._manager.runs(target))
+        self._policy.plan_started(self._manager, plan)
+        drop = self._policy.drop_tombstones(self._manager, plan)
+        merge = self._new_merge(plan, inputs, drop)
+        self._merge_started(gear, merge, plan=plan.label)
+        return merge
+
+    def _new_merge(
+        self, plan: MergePlan, inputs: list[SSTable], drop: bool
+    ) -> _PlanMerge:
         """A merge of ``inputs`` (newest first) into the plan's output."""
         opts = self.options
         nbytes = sum(table.nbytes for table in inputs)
@@ -269,7 +259,9 @@ class CompactionTree(TreeKernel):
             # 10 MB L1), each sized for records of the inputs' mean size.
             split = max(1, self._manager.base_bytes // 4)
             keys = max(1, keys * split // max(1, nbytes))
-        return MergeProcess(
+        return _PlanMerge(
+            plan,
+            inputs,
             self.stasis,
             inputs[:-1],
             inputs[-1],
@@ -283,48 +275,24 @@ class CompactionTree(TreeKernel):
             compression_ratio=opts.compression_ratio,
         )
 
-    def _step_gear(self, gear: str, budget_bytes: int) -> int:
-        if budget_bytes <= 0:
-            return 0
-        job = self._jobs.get(gear)
-        if job is None:
-            plan = self._next_plan(gear)
-            if plan is None:
-                return 0
-            inputs = list(plan.inputs)
-            source, target = plan.source_level, plan.target_level
-            if not inputs:  # level granularity: every run of the levels
-                inputs = list(self._manager.runs(source))
-                if plan.include_target and target != source:
-                    inputs.extend(self._manager.runs(target))
-            self._policy.plan_started(self._manager, plan)
-            drop = self._policy.drop_tombstones(self._manager, plan)
-            job = _Job(plan, inputs, self._new_merge(inputs, drop))
-            self._jobs[gear] = job
-            self._merge_started(gear, job.merge, plan=plan.label)
-        return self._step_merge(
-            gear, job.merge, budget_bytes, None,
-            lambda: self._install_job(self._jobs.pop(gear), gear),
-        )
-
-    def _install_job(self, job: _Job, gear: str) -> None:
-        """Swap a finished job's inputs for its outputs, durably.
+    def _install(self, merge: _PlanMerge, gear: str) -> None:
+        """Swap a finished merge's inputs for its outputs, durably.
 
         Ordering mirrors the bLSM tree: install in memory, commit the
         manifest (the durability point), then retire the inputs — their
         extents are freed once no snapshot's version names them.
         """
-        outputs = job.merge.outputs
-        self._manager.install(job.inputs, job.plan.target_level, outputs)
+        outputs = merge.outputs
+        self._manager.install(merge.inputs, merge.plan.target_level, outputs)
         self.versions.install(self._manager.sources())
         self._merge_finished(
             gear,
-            job.merge,
+            merge,
             sum(table.nbytes for table in outputs),
-            plan=job.plan.label,
+            plan=merge.plan.label,
         )
         self.stasis.commit_manifest(self._manifest())
-        for table in job.inputs:
+        for table in merge.inputs:
             self.versions.retire(table)
 
     # ------------------------------------------------------------------

@@ -7,9 +7,11 @@ design-space literature draws the same line (layout, trigger and
 granularity are policy, the rest is mechanism).  :class:`TreeKernel` is
 that mechanism, once: the storage substrate, seqno and tree-id
 counters, C0, the write API down to the logical log, snapshot scans,
-the durability barrier, one budgeted merge step on the caller's clock
-or a background timeline, the merge and stall instrumentation, whole-C0
-flushes, exact log retention and crash recovery.
+the durability barrier, the scheduler's merge host (each gear's step:
+the worker-timeline gate, a merge started when idle, one budgeted
+step; the progress estimators and the gear-1 deficit; the C0 stall
+loop), the merge and stall instrumentation, whole-C0 flushes, exact log
+retention and crash recovery.
 
 A layout — :class:`repro.core.tree.BLSM`'s three slots,
 :class:`repro.core.compaction.tree.CompactionTree`'s policy-owned
@@ -21,11 +23,13 @@ partitions — subclasses the kernel and supplies:
 * ``get`` (the probe order, folded by :func:`repro.records.resolve`)
   and ``snapshot`` (the same order: the RAM sources behind C0 over the
   installed :class:`~repro.core.versions.Version`);
-* ``_on_write(nbytes)`` — what a write triggers: pacing, merge
-  selection, stalls;
-* merge selection, start and install, stepping through
-  :meth:`TreeKernel._step_merge`, installing each new component set
-  in ``self.versions`` and then retiring the replaced components;
+* per gear: the running merge slot (``_m01`` / ``_m12``) and worker
+  timeline (``_bg01`` / ``_bg12``), ``_start_*`` (False when nothing
+  can start), ``_*_can_start``, ``_finish_*`` (install, then clear the
+  slot) and ``_*_next_input_bytes``; a layout without a second gear
+  leaves gear 1 to the kernel's idle defaults;
+* ``m01_debt_per_byte`` and ``_m01_fills`` (the bytes and size ratio
+  of what gear 0 fills);
 * ``_manifest`` / ``_restore_layout`` / ``_live_tables`` — its durable
   root and how to read it back.
 """
@@ -33,6 +37,7 @@ partitions — subclasses the kernel and supplies:
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.core.components import (
@@ -40,7 +45,9 @@ from repro.core.components import (
     describe_component,
     rebuild_component,
 )
+from repro.core.merge import MergeProcess
 from repro.core.options import BLSMOptions
+from repro.core.progress import outprogress
 from repro.core.scheduler import make_scheduler
 from repro.core.versions import TreeSnapshot, VersionSet, scan_view
 from repro.errors import EngineClosedError
@@ -132,9 +139,9 @@ class TreeKernel:
     def _default_options() -> BLSMOptions:
         return BLSMOptions()
 
-    @property
+    @cached_property
     def _c0_capacity(self) -> int:
-        """Usable bytes of the active C0."""
+        """Usable bytes of the active C0 (fixed for the tree's life)."""
         return self.options.c0_bytes
 
     def _init_layout(self, **layout: Any) -> None:
@@ -151,8 +158,9 @@ class TreeKernel:
         raise NotImplementedError
 
     def _on_write(self, nbytes: int) -> None:
-        """A record of ``nbytes`` just landed in C0: pace merges, stall."""
-        raise NotImplementedError
+        """A record of ``nbytes`` just landed in C0: hand it to pacing."""
+        self._gauge_fill.set(self._memtable.fill_fraction)
+        self.scheduler.on_write(nbytes)
 
     def _manifest(self) -> dict[str, Any]:
         """The durable root: both counters plus the component set."""
@@ -314,13 +322,135 @@ class TreeKernel:
     # Merge stepping
     # ------------------------------------------------------------------
 
+    _m01: MergeProcess | None = None
+    _m12: MergeProcess | None = None
+    _bg01: Timeline | None = None
+    _bg12: Timeline | None = None
+    _m01_gear = "c0c1"  # the counters gear 0's running merge books to
+
     def _attach_scheduler(self) -> None:
         """Build ``options.scheduler`` with this tree as its merge host."""
-        opts = self.options
-        self.scheduler = make_scheduler(
-            opts.scheduler, opts.low_water, opts.high_water, opts.max_tick_bytes
-        )
+        self.scheduler = make_scheduler(self.options.scheduler)
         self.scheduler.attach(self)
+
+    @property
+    def c0_fill_fraction(self) -> float:
+        """Fill of the active memtable; the spring's displacement."""
+        return self._memtable.fill_fraction
+
+    @property
+    def merging(self) -> bool:
+        """Whether either gear has a merge running."""
+        return self._m01 is not None or self._m12 is not None
+
+    @property
+    def m01_inprogress(self) -> float:
+        """Gear 0's smooth progress (Section 4.1); 1.0 when none is due."""
+        if self._m01 is not None:
+            return self._m01.inprogress
+        return 0.0 if self._m01_can_start() else 1.0
+
+    @property
+    def m12_deficit(self) -> float:
+        """How far gear 1's inprogress lags gear 0's outprogress
+        (Section 4.1); 0 when gear 1 has nothing to run."""
+        m12 = self._m12
+        if m12 is None and not self._m12_can_start():
+            return 0.0
+        m01 = self._m01
+        filled, ratio = self._m01_fills()
+        return outprogress(
+            self.m01_inprogress if m01 is None else m01.inprogress,
+            filled,
+            self._c0_capacity,
+            ratio,
+        ) - (0.0 if m12 is None else m12.inprogress)
+
+    @property
+    def m01_input_bytes(self) -> int:
+        """Total input of gear 0's active (or next) merge, in bytes."""
+        if self._m01 is not None:
+            return self._m01.input_bytes
+        return max(1, self._m01_next_input_bytes())
+
+    @property
+    def m12_input_bytes(self) -> int:
+        """Total input of gear 1's active (or next) merge, in bytes."""
+        if self._m12 is not None:
+            return self._m12.input_bytes
+        return max(1, self._m12_next_input_bytes())
+
+    def step_m01(self, budget_bytes: int) -> int:
+        """Run up to ``budget_bytes`` of gear 0's merge, starting one
+        when idle; 0 when it could not run.
+
+        With background merges the work is dispatched to the gear's
+        worker; while that worker's timeline is ahead of the clock
+        nothing is dispatched and 0 is returned — the scheduler's
+        deficit carries over, as when a step runs out of budget.
+        """
+        timeline = self._bg01
+        if budget_bytes <= 0 or (
+            timeline is not None and timeline.busy(self.stasis.clock)
+        ):
+            return 0
+        if self._m01 is None and not self._start_m01():
+            return 0
+        return self._step_merge(
+            self._m01_gear, self._m01, budget_bytes, timeline, self._finish_m01
+        )
+
+    def step_m12(self, budget_bytes: int) -> int:
+        """As :meth:`step_m01`, for gear 1 on its own worker."""
+        timeline = self._bg12
+        if budget_bytes <= 0 or (
+            timeline is not None and timeline.busy(self.stasis.clock)
+        ):
+            return 0
+        if self._m12 is None and not self._start_m12():
+            return 0
+        return self._step_merge(
+            "c1c2", self._m12, budget_bytes, timeline, self._finish_m12
+        )
+
+    def force_drain(self, target_fill: float, chunk: int) -> None:
+        """Block the writer until C0 drops to ``target_fill`` (stall path).
+
+        The writer drives both gears ``chunk`` bytes at a time and waits
+        out a busy worker; it gives up only when nothing can run.
+        """
+        if not self._c0_overfull(target_fill):
+            return
+        with self._stall(
+            "merge_backpressure",
+            "memtable_full",
+            fill=self.c0_fill_fraction,
+            c0_bytes=self._memtable.nbytes,
+        ):
+            while self._c0_overfull(target_fill):
+                # A step that completes its merge may consume nothing:
+                # gear 0 gets a second try, which starts the next one.
+                if (
+                    self.step_m01(chunk)
+                    or self.step_m12(chunk)
+                    or self.step_m01(chunk)
+                ):
+                    continue
+                if not self._wait_for_background():
+                    break  # nothing can make progress
+
+    def _c0_overfull(self, target_fill: float) -> bool:
+        return self._memtable.fill_fraction > target_fill
+
+    # A layout without a second gear: gear 1 never has work.
+    def _m12_can_start(self) -> bool:
+        return False
+
+    def _start_m12(self) -> bool:
+        return False
+
+    def _m12_next_input_bytes(self) -> int:
+        return 0
 
     def _new_timeline(self, name: str) -> Timeline | None:
         """One merge worker's timeline (Section 5.1's merge threads),

@@ -88,19 +88,6 @@ class BLSMOptions:
     component adds a seek to scans — the degradation the paper uses to
     argue for level scheduling instead."""
 
-    low_water: float = 0.35
-    """C0 fill below which downstream merges pause (spring and gear)."""
-
-    high_water: float = 0.90
-    """C0 fill above which writes are fully backpressured."""
-
-    max_tick_bytes: int = 512 * 1024
-    """Cap on merge work performed inside a single write.
-
-    This is the scheduler's write-latency bound: ~2 ms of device time at
-    HDD bandwidth.  Deficits beyond the cap carry over to later writes.
-    """
-
     observability: bool = True
     """Record per-access device metrics and trace events.  ``False``
     skips the per-operation metrics/trace dispatch entirely (the hot
@@ -138,11 +125,6 @@ class BLSMOptions:
     def __post_init__(self) -> None:
         if self.c0_bytes <= 0:
             raise ValueError("c0_bytes must be positive")
-        if not 0.0 <= self.low_water < self.high_water <= 1.0:
-            raise ValueError(
-                "require 0 <= low_water < high_water <= 1, got "
-                f"{self.low_water}, {self.high_water}"
-            )
         if self.scheduler not in ("naive", "gear", "spring_gear", "leveldb"):
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
         if self.scheduler == "leveldb" and self.compaction_policy == "blsm3":

@@ -6,7 +6,7 @@ to their update rates concentrates merge activity on frequently updated
 key ranges" (Section 2.3.2).  The paper's prototype defers this ("we
 have not yet implemented partitioning"); this module implements it as a
 layout over the same substrate (:class:`~repro.core.kernel.TreeKernel`),
-composed with the spring scheduler exactly as Section 4.3 envisions.
+paced by the same schedulers, as Section 4.3 envisions for the spring.
 
 Design:
 
@@ -19,9 +19,11 @@ Design:
   concentrate C0 in hot ranges, so hot partitions merge often and cold
   partitions rarely, and distribution shifts never force a bulk copy of
   disjoint cold data (the stall source of Section 4.2.2).
-* The **spring** applies as before: merges pause below the low water
-  mark and writes feel proportional backpressure as C0 fills; only one
-  merge runs at a time (the device is serial).
+* Only one merge runs at a time (the device is serial): it is the
+  kernel's gear 0, whichever kind the selector picked (a promotion books
+  as ``c1c2``), and there is no gear 1.  The scheduler paces it like
+  bLSM's C0:C1 merge — under the spring, merges pause below the low
+  water mark and writes feel proportional backpressure as C0 fills.
 * Oversized partitions split during their C1ᵖ:C2ᵖ merge — the merge
   emits multiple output components, each seeding a new partition.
 * Scans touch at most **two** components per partition they cross
@@ -41,7 +43,6 @@ from repro.core.components import describe_component
 from repro.core.kernel import TreeKernel
 from repro.core.merge import MergeProcess, SnowshovelSource
 from repro.core.options import BLSMOptions
-from repro.core.scheduler import HEADROOM
 from repro.core.tree import target_r
 from repro.core.versions import TreeSnapshot
 from repro.records import lookup
@@ -97,12 +98,6 @@ class PartitionedBLSM(TreeKernel):
         )
 
     def _init_layout(self, max_partition_bytes: int | None = None) -> None:
-        if self.options.scheduler != "spring_gear":
-            raise ValueError(
-                f"scheduler {self.options.scheduler!r}: the partitioned "
-                "tree paces itself (its own spring and greedy selector), "
-                "so it runs only under 'spring_gear'"
-            )
         self.max_partition_bytes = (
             max_partition_bytes
             if max_partition_bytes is not None
@@ -111,8 +106,10 @@ class PartitionedBLSM(TreeKernel):
         self._partitions: list[Partition] = [Partition(lo=b"", hi=None)]
         # One merge runs at a time (the greedy selector serializes them),
         # so one background timeline models the merge worker.
-        self._bg = self._new_timeline("merge-worker")
-        self._gauge_pressure = self.runtime.metrics.gauge("scheduler.pressure")
+        self._m01: MergeProcess | None = None
+        self._m01_partition: Partition | None = None
+        self._bg01 = self._new_timeline("merge-worker")
+        self._attach_scheduler()
 
     # ------------------------------------------------------------------
     # Read API
@@ -155,83 +152,20 @@ class PartitionedBLSM(TreeKernel):
         ])
 
     # ------------------------------------------------------------------
-    # Scheduler (spring + greedy partition selection)
+    # Merge host: gear 0 is the one merge worker, picked greedily
     # ------------------------------------------------------------------
 
-    def _on_write(self, nbytes: int) -> None:
-        opts = self.options
-        fill = self._memtable.fill_fraction
-        self._gauge_fill.set(fill)
-        if fill <= opts.low_water:
-            self._gauge_pressure.set(0.0)
-            return
-        pressure = min(
-            1.0, (fill - opts.low_water) / (opts.high_water - opts.low_water)
-        )
-        self._gauge_pressure.set(pressure)
-        debt = self._merge_debt_per_byte()
-        budget = min(
-            opts.max_tick_bytes, int(HEADROOM * pressure * debt * nbytes) + 1
-        )
-        self.merge_step(budget)
-        if self._memtable.fill_fraction >= 1.0:
-            with self._stall(
-                "merge_backpressure",
-                "memtable_full",
-                fill=self._memtable.fill_fraction,
-                c0_bytes=self._memtable.nbytes,
-            ):
-                while self._memtable.fill_fraction > opts.high_water:
-                    if self.merge_step(opts.max_tick_bytes):
-                        continue
-                    if self._wait_for_background():
-                        continue  # wait for the busy merge worker
-                    break
-
-    def merge_step(self, budget_bytes: int) -> int:
-        """Advance the active merge, starting the best one when idle.
-
-        With background merges, work is dispatched to the merge worker's
-        timeline; while the worker is still servicing previously
-        dispatched I/O, nothing is dispatched and 0 is returned.
-        """
-        timeline = self._bg
-        if budget_bytes <= 0 or (
-            timeline is not None and timeline.busy(self.stasis.clock)
-        ):
-            return 0
-        active = self._active_merge()
-        if active is None:
-            active = self._start_best_merge()
-        if active is None:
-            return 0
-        partition, process = active
-        return self._step_merge(
-            "c1c2" if process is partition.m12 else "c0c1",
-            process,
-            budget_bytes,
-            timeline,
-            lambda: self._finish_merge(partition, process),
-        )
-
-    def _active_merge(self) -> tuple[Partition, MergeProcess] | None:
-        for partition in self._partitions:
-            if partition.m12 is not None:
-                return partition, partition.m12
-            if partition.m01 is not None:
-                return partition, partition.m01
-        return None
-
-    def _start_best_merge(self) -> tuple[Partition, MergeProcess] | None:
+    def _pick_merge(self) -> tuple[Partition, bool] | None:
         """Figure 3's greedy policy: free the most C0 per byte of I/O.
 
+        Returns the partition and whether its merge is a promotion.
         Promotions (C1ᵖ:C2ᵖ merges) take priority for partitions whose
         C1 has grown past its share, to keep per-partition stacks at two
         components.
         """
         overdue = self._most_overdue_promotion()
         if overdue is not None:
-            return overdue, self._start_m12(overdue)
+            return overdue, True
         c0_by_partition = self._c0_bytes_by_partition()
         best: Partition | None = None
         best_score = 0.0
@@ -243,9 +177,39 @@ class PartitionedBLSM(TreeKernel):
             score = c0_bytes / cost
             if score > best_score:
                 best, best_score = partition, score
-        if best is None:
-            return None
-        return best, self._start_m01(best)
+        return None if best is None else (best, False)
+
+    def _m01_can_start(self) -> bool:
+        return (
+            not self._memtable.is_empty
+            or self._most_overdue_promotion() is not None
+        )
+
+    def _m01_next_input_bytes(self) -> int:
+        pick = self._pick_merge()
+        if pick is None:
+            return 0
+        partition, promote = pick
+        if promote:
+            return partition.disk_bytes
+        c1_bytes = partition.c1.nbytes if partition.c1 is not None else 0
+        return self._range_size(partition)[0] + c1_bytes
+
+    def _start_m01(self) -> bool:
+        pick = self._pick_merge()
+        if pick is not None:
+            self._start(*pick)
+        return pick is not None
+
+    def _start(self, partition: Partition, promote: bool) -> None:
+        """Start ``partition``'s C0:C1ᵖ pass, or its promotion, as gear 0."""
+        self._m01_partition = partition
+        self._m01_gear = "c1c2" if promote else "c0c1"
+        start = self._start_promotion if promote else self._start_pass
+        self._m01 = start(partition)
+        self._merge_started(
+            self._m01_gear, self._m01, partition=partition.lo.hex()
+        )
 
     def _most_overdue_promotion(self) -> Partition | None:
         worst: Partition | None = None
@@ -296,12 +260,12 @@ class PartitionedBLSM(TreeKernel):
         data = sum(partition.disk_bytes for partition in self._partitions)
         return target_r(data, self.options.c0_bytes)
 
-    def _merge_debt_per_byte(self) -> float:
-        """Input bytes ``merge_step`` consumes per byte drained from C0.
+    def m01_debt_per_byte(self) -> float:
+        """Input bytes ``step_m01`` consumes per byte drained from C0.
 
         Partitioning caps each merge's inputs at one partition's stack,
         so the estimate uses the *average* partition rather than the
-        whole tree.  One ``merge_step`` runs C0:C1ᵖ and C1ᵖ:C2ᵖ merges
+        whole tree.  The one gear runs C0:C1ᵖ and C1ᵖ:C2ᵖ merges
         alike, so both terms are in the debt, each in input bytes.
         """
         share = max(1.0, self._c0_share())
@@ -320,7 +284,7 @@ class PartitionedBLSM(TreeKernel):
     # Merge lifecycle
     # ------------------------------------------------------------------
 
-    def _start_m01(self, partition: Partition) -> MergeProcess:
+    def _start_pass(self, partition: Partition) -> MergeProcess:
         source = SnowshovelSource(self._memtable, partition.lo, partition.hi)
         c0_bytes, c0_keys = self._range_size(partition)
         c1_bytes = partition.c1.nbytes if partition.c1 is not None else 0
@@ -350,10 +314,9 @@ class PartitionedBLSM(TreeKernel):
             compression_ratio=self.options.compression_ratio,
             bloom_keys=run_keys + c1_keys,
         )
-        self._merge_started("c0c1", partition.m01, partition=partition.lo.hex())
         return partition.m01
 
-    def _start_m12(self, partition: Partition) -> MergeProcess:
+    def _start_promotion(self, partition: Partition) -> MergeProcess:
         assert partition.c1 is not None
         c2_bytes = partition.c2.nbytes if partition.c2 is not None else 0
         c2_keys = partition.c2.key_count if partition.c2 is not None else 0
@@ -370,12 +333,14 @@ class PartitionedBLSM(TreeKernel):
             tree_id_source=self._take_tree_id,
             compression_ratio=self.options.compression_ratio,
         )
-        self._merge_started("c1c2", partition.m12, partition=partition.lo.hex())
         return partition.m12
 
-    def _finish_merge(self, partition: Partition, process: MergeProcess) -> None:
+    def _finish_m01(self) -> None:
+        partition, process = self._m01_partition, self._m01
+        assert partition is not None and process is not None
+        self._m01 = self._m01_partition = None
         self._merge_finished(
-            "c0c1" if process is partition.m01 else "c1c2",
+            self._m01_gear,
             process,
             sum(t.nbytes for t in process.outputs),
             partition=partition.lo.hex(),
@@ -470,17 +435,13 @@ class PartitionedBLSM(TreeKernel):
     def drain(self) -> None:
         """Push all of C0 into the partitions' stacks."""
         self._check_open()
-        while not self._memtable.is_empty or self._active_merge() is not None:
-            if self.merge_step(1 << 30) == 0 and not self._wait_for_background():
+        while not self._memtable.is_empty or self._m01 is not None:
+            if self.step_m01(1 << 30) == 0 and not self._wait_for_background():
                 break
 
     @property
     def partition_count(self) -> int:
         return len(self._partitions)
-
-    @property
-    def c0_fill_fraction(self) -> float:
-        return self._memtable.fill_fraction
 
     def partition_ranges(self) -> list[tuple[bytes, bytes | None]]:
         """The current partition boundaries, in key order."""

@@ -28,34 +28,33 @@ clock) plus any deliberate stall.  The latency a write observes is exactly
 the clock advance across its call — merge work a scheduler fails to
 spread out shows up as a latency spike, just as in the paper's Figure 7.
 
-Schedulers are written against a *merge host* surface, not a concrete
-tree class: any object exposing ``c0_fill_fraction``, the two gears'
-``m01_*``/``m12_*`` progress and input-size properties,
-``m01_debt_per_byte()``, ``step_m01``/``step_m12`` and
-``force_drain`` can attach.  :class:`repro.core.tree.BLSM` maps the
-gears onto its C0:C1 and C1':C2 merges;
-:class:`repro.core.compaction.tree.CompactionTree` maps them onto its
-level-0-sourced and deeper policy merges, which is how one scheduler
-implementation paces every compaction policy (docs/compaction.md).
+Schedulers are written against one *merge host*,
+:class:`~repro.core.kernel.TreeKernel`: ``c0_fill_fraction``,
+``merging``, gear 0's ``m01_inprogress`` and the gear-1 deficit
+``m12_deficit``, both gears' input sizes, ``m01_debt_per_byte()``,
+``step_m01``/``step_m12`` and ``force_drain``.  Every layout maps its
+merges onto the two gears — :class:`repro.core.tree.BLSM` its C0:C1 and
+C1':C2 merges, :class:`repro.core.compaction.tree.CompactionTree` its
+level-0-sourced and deeper policy merges,
+:class:`repro.core.partitioned.PartitionedBLSM` its one merge worker
+with no gear 1 — so one scheduler paces every layout and compaction
+policy (docs/compaction.md).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.compaction.tree import CompactionTree
-    from repro.core.tree import BLSM
-
-    MergeHost = Union["BLSM", "CompactionTree"]
+    from repro.core.kernel import TreeKernel as MergeHost
 
 
 HEADROOM = 1.6
 """Spring merge rate at full pressure, as a multiple of break-even.
 
 The spring rests at pressure ``1 / HEADROOM`` (see
-:class:`SpringGearScheduler`); shared by the partitioned tree's spring.
+:class:`SpringGearScheduler`).
 """
 
 
@@ -128,7 +127,7 @@ class GearScheduler(MergeScheduler):
             work = min(budget, int(deficit01 * tree.m01_input_bytes) + 1)
             budget -= tree.step_m01(work)
         # Gear 2: keep the C1:C2 merge at the C0:C1 merge's outprogress.
-        deficit12 = tree.m01_outprogress - tree.m12_inprogress
+        deficit12 = tree.m12_deficit
         self._gauges[1].set(max(0.0, deficit12))
         if deficit12 > 0 and budget > 0:
             work = min(budget, int(deficit12 * tree.m12_input_bytes) + 1)
@@ -225,7 +224,7 @@ class SpringGearScheduler(MergeScheduler):
         budget = min(max_tick, int(HEADROOM * pressure * debt * nbytes) + 1)
         worked = tree.step_m01(budget)
         remaining = max_tick - worked
-        deficit12 = tree.m01_outprogress - tree.m12_inprogress
+        deficit12 = tree.m12_deficit
         if deficit12 > 0 and remaining > 0:
             work = min(remaining, int(deficit12 * tree.m12_input_bytes) + 1)
             remaining -= tree.step_m12(work)
@@ -265,24 +264,15 @@ class LevelDBScheduler(MergeScheduler):
             budget -= worked
 
 
-def make_scheduler(
-    name: str,
-    low_water: float = 0.35,
-    high_water: float = 0.90,
-    max_tick_bytes: int = 512 * 1024,
-) -> MergeScheduler:
-    """Build a scheduler by name: ``naive``, ``gear``, ``spring_gear``
-    or ``leveldb``."""
+def make_scheduler(name: str) -> MergeScheduler:
+    """Build a scheduler by name, at its default constants: ``naive``,
+    ``gear``, ``spring_gear`` or ``leveldb``."""
     if name == "naive":
         return NaiveScheduler()
     if name == "leveldb":
         return LevelDBScheduler()
     if name == "gear":
-        return GearScheduler(max_tick_bytes=max_tick_bytes)
+        return GearScheduler()
     if name == "spring_gear":
-        return SpringGearScheduler(
-            low_water=low_water,
-            high_water=high_water,
-            max_tick_bytes=max_tick_bytes,
-        )
+        return SpringGearScheduler()
     raise ValueError(f"unknown scheduler {name!r}")

@@ -28,13 +28,13 @@ merge stepping and recovery are :class:`~repro.core.kernel.TreeKernel`.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Any, Iterable
 
 from repro.core.components import component_row, describe_component
 from repro.core.kernel import TreeKernel
 from repro.core.merge import FrozenSource, MergeProcess, SnowshovelSource  # noqa: F401
 from repro.core.options import BLSMOptions
-from repro.core.progress import outprogress
 from repro.core.versions import RamSource, TreeSnapshot
 from repro.errors import EngineClosedError
 from repro.memtable.memtable import MemTable
@@ -166,52 +166,23 @@ class BLSM(TreeKernel):
                     break
 
     # ------------------------------------------------------------------
-    # Scheduler interface
+    # Merge host: gear 0 is the C0:C1 merge, gear 1 the C1':C2 merge
     # ------------------------------------------------------------------
 
-    @property
-    def c0_fill_fraction(self) -> float:
-        """Fill of the active memtable; the spring's displacement."""
-        return self._memtable.fill_fraction
+    # bench/ledger.py wraps step_m01, step_m12 and force_drain in this
+    # class's own dict, so all three stay in its body.
+    step_m01 = TreeKernel.step_m01
+    step_m12 = TreeKernel.step_m12
 
-    @property
-    def m01_inprogress(self) -> float:
-        """The C0:C1 merge's smooth progress estimator (Section 4.1)."""
-        if self._m01 is not None:
-            return self._m01.inprogress
-        return 0.0 if self._m01_can_start() else 1.0
-
-    @property
-    def m01_outprogress(self) -> float:
-        """Where C1 stands within the R passes that fill it (Section 4.1)."""
-        c1_bytes = self._c1.nbytes if self._c1 is not None else 0
-        return outprogress(
-            self.m01_inprogress, c1_bytes, self._c0_capacity, self._r
-        )
-
-    @property
-    def m12_inprogress(self) -> float:
-        """The C1':C2 merge's smooth progress estimator (Section 4.1)."""
-        if self._m12 is not None:
-            return self._m12.inprogress
-        return 0.0 if self._c1_prime is not None else 1.0
-
-    @property
-    def m01_input_bytes(self) -> int:
-        """Total input of the active (or next) C0:C1 merge, in bytes."""
-        if self._m01 is not None:
-            return self._m01.input_bytes
-        c1_bytes = self._c1.nbytes if self._c1 is not None else 0
-        return max(1, self._c0_source_bytes() + c1_bytes)
-
-    @property
-    def m12_input_bytes(self) -> int:
-        """Total input of the active (or next) C1':C2 merge, in bytes."""
-        if self._m12 is not None:
-            return self._m12.input_bytes
-        c1p = self._c1_prime.nbytes if self._c1_prime is not None else 0
-        c2 = self._c2.nbytes if self._c2 is not None else 0
-        return max(1, c1p + c2)
+    def force_drain(self, target_fill: float, chunk: int) -> None:
+        """The kernel's stall; with ``extra_components`` (the Section 3.2
+        workaround) none at all: a full C0 is flushed to an extra
+        overlapping component, trading scan performance for write
+        availability."""
+        if self.options.extra_components:
+            self._flush_extra()
+        else:
+            TreeKernel.force_drain(self, target_fill, chunk)
 
     def m01_debt_per_byte(self) -> float:
         """Input bytes the C0:C1 merge consumes per byte it drains from C0.
@@ -226,72 +197,6 @@ class BLSM(TreeKernel):
         run_bytes = max(1, doubling * self._c0_source_bytes())
         c1_bytes = self._c1.nbytes if self._c1 is not None else 0
         return (run_bytes + c1_bytes) / run_bytes
-
-    def step_m01(self, budget_bytes: int) -> int:
-        """Run up to ``budget_bytes`` of C0:C1 merge work.
-
-        With background merges, the work is dispatched to the C0:C1
-        worker's timeline; if that worker is still servicing previously
-        dispatched I/O (its timeline is ahead of the clock), nothing is
-        dispatched and 0 is returned — the scheduler's deficit carries
-        over, exactly as when a synchronous step runs out of budget.
-        """
-        timeline = self._bg01
-        if budget_bytes <= 0 or (
-            timeline is not None and timeline.busy(self.stasis.clock)
-        ):
-            return 0
-        if self._m01 is None and not self._start_m01():
-            return 0
-        return self._step_merge(
-            "c0c1", self._m01, budget_bytes, timeline, self._finish_m01
-        )
-
-    def step_m12(self, budget_bytes: int) -> int:
-        """Run up to ``budget_bytes`` of C1':C2 merge work.
-
-        Background-merge dispatch gating works exactly as in
-        :meth:`step_m01`, on the C1':C2 worker's own timeline.
-        """
-        timeline = self._bg12
-        if budget_bytes <= 0 or (
-            timeline is not None and timeline.busy(self.stasis.clock)
-        ):
-            return 0
-        if self._m12 is None and not self._start_m12():
-            return 0
-        return self._step_merge(
-            "c1c2", self._m12, budget_bytes, timeline, self._finish_m12
-        )
-
-    def force_drain(self, target_fill: float, chunk: int) -> None:
-        """Block the writer until C0 drops to ``target_fill`` (stall path).
-
-        With snowshoveling, C0:C1 merge work directly removes records
-        from C0.  Without it, the active memtable only empties when it is
-        frozen into C0', which requires the previous pass to finish.
-
-        With ``extra_components`` (the Section 3.2 workaround) there is
-        no stall at all: a full C0 is flushed to an extra overlapping
-        component, trading scan performance for write availability.
-        """
-        if self.options.extra_components:
-            self._flush_extra()
-            return
-        if not self._c0_overfull(target_fill):
-            return
-        with self._stall(
-            "merge_backpressure",
-            "memtable_full",
-            fill=self.c0_fill_fraction,
-            c0_bytes=self._memtable.nbytes,
-        ):
-            while self._c0_overfull(target_fill):
-                if self._relieve_c0(chunk):
-                    continue
-                if self._wait_for_background():
-                    continue  # wait for a busy merge worker, then retry
-                break  # nothing can make progress
 
     def _flush_extra(self) -> None:
         """Flush the whole memtable to an extra overlapping component."""
@@ -423,7 +328,7 @@ class BLSM(TreeKernel):
     # Internals
     # ------------------------------------------------------------------
 
-    @property
+    @cached_property
     def _c0_capacity(self) -> int:
         """Usable active-C0 bytes.
 
@@ -460,6 +365,20 @@ class BLSM(TreeKernel):
         if self.options.snowshovel:
             return self._memtable.nbytes
         return self._frozen.nbytes if self._frozen is not None else 0
+
+    def _m01_next_input_bytes(self) -> int:
+        c1_bytes = self._c1.nbytes if self._c1 is not None else 0
+        return self._c0_source_bytes() + c1_bytes
+
+    def _m01_fills(self) -> tuple[int, float]:
+        return (self._c1.nbytes if self._c1 is not None else 0), self._r
+
+    def _m12_can_start(self) -> bool:
+        return self._c1_prime is not None
+
+    def _m12_next_input_bytes(self) -> int:
+        c1p = self._c1_prime.nbytes if self._c1_prime is not None else 0
+        return c1p + (self._c2.nbytes if self._c2 is not None else 0)
 
     def _m01_can_start(self) -> bool:
         if self._promotion_pending:
@@ -601,20 +520,10 @@ class BLSM(TreeKernel):
     def _c0_overfull(self, target_fill: float) -> bool:
         if self.options.snowshovel:
             return self._memtable.fill_fraction > target_fill
-        # Without snowshoveling the active memtable cannot shrink; the
-        # writer is blocked only while both halves are full.
+        # Without snowshoveling the active memtable cannot shrink (it
+        # empties when frozen into C0', once the previous pass is done):
+        # the writer is blocked only while both halves are full.
         return self._memtable.fill_fraction >= 1.0 and self._frozen is not None
-
-    def _relieve_c0(self, chunk: int) -> bool:
-        if not self.options.snowshovel and self._frozen is None:
-            if self._memtable.fill_fraction >= 1.0:
-                self._freeze_memtable()
-                return True
-        if self.step_m01(chunk):
-            return True
-        if self.step_m12(chunk):
-            return True
-        return self.step_m01(chunk) > 0
 
     # -- manifest ------------------------------------------------------
 

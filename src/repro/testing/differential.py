@@ -28,6 +28,7 @@ from typing import Any, Callable, Sequence
 
 from repro.baselines.interface import KVEngine, WriteBatch
 from repro.core.compaction import CompactionTree
+from repro.core.kernel import TreeKernel
 from repro.core.partitioned import PartitionedBLSM
 from repro.core.tree import BLSM
 from repro.shard.engine import ShardedEngine
@@ -132,12 +133,11 @@ class Divergence:
 
 
 def step_merge(tree: Any, budget: int) -> bool:
-    """Step ``tree``'s merge by ``budget`` bytes; False if it has no
-    merge-step API (``step_m01``, or the partitioned ``merge_step``)."""
-    step = getattr(tree, "step_m01", None) or getattr(tree, "merge_step", None)
-    if step is None:
+    """Step ``tree``'s gear-0 merge by ``budget`` bytes; False if it is
+    no :class:`~repro.core.kernel.TreeKernel` merge host."""
+    if not isinstance(tree, TreeKernel):
         return False
-    step(budget)
+    tree.step_m01(budget)
     return True
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines import BLSMEngine, PartitionedBLSMEngine
 from repro.core import BLSM, BLSMOptions, PartitionedBLSM
+from repro.core.scheduler import SpringGearScheduler
 from repro.errors import DuplicateKeyError, EngineClosedError
 from repro.memtable import MemTable
 from repro.records import Record
@@ -11,10 +12,11 @@ from repro.records import Record
 
 class TestOptionsValidation:
     def test_watermark_ordering(self):
+        # The marks are the spring's constants, checked where it is built.
         with pytest.raises(ValueError):
-            BLSMOptions(low_water=0.9, high_water=0.5)
+            SpringGearScheduler(low_water=0.9, high_water=0.5)
         with pytest.raises(ValueError):
-            BLSMOptions(low_water=-0.1)
+            SpringGearScheduler(low_water=-0.1)
 
     def test_scheduler_name(self):
         with pytest.raises(ValueError):

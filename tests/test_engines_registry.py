@@ -37,7 +37,8 @@ from repro.memtable import MemTable
 from repro.shard import RangePartitioner, ShardedEngine
 from repro.sim import DiskModel
 from repro.storage import DurabilityMode
-from repro.testing.differential import default_fuzz_configs
+from repro.testing.differential import default_fuzz_configs, run_trace
+from repro.testing.trace import generate_trace
 
 
 EXPECTED_TYPES = {
@@ -106,7 +107,7 @@ def test_blsm_options_mirror_config():
 def test_c0_structure_is_a_constant_in_every_layer():
     # C0 is a hash index over a sorted key list; no layer carries a knob
     # that says otherwise.  The counts make adding one a deliberate act.
-    assert len(dataclasses.fields(BLSMOptions)) == 24
+    assert len(dataclasses.fields(BLSMOptions)) == 21
     assert len(dataclasses.fields(EngineConfig)) == 15
     for cls in (BLSMOptions, EngineConfig):
         assert "memtable" not in {f.name for f in dataclasses.fields(cls)}
@@ -144,20 +145,22 @@ def test_unknown_engine_name_raises():
         engine_spec("nope")
 
 
-def test_partitioned_tree_rejects_a_scheduler_it_would_ignore():
-    # blsm-part paces its merges with its own spring; a naive or gear
-    # scheduler used to build, be ignored, and run the same clock.
-    for scheduler in ("naive", "gear"):
-        with pytest.raises(ValueError, match="paces itself"):
-            build_engine("blsm-part", small_config(), scheduler=scheduler)
-    build_engine("blsm-part", small_config()).close()
-    with pytest.raises(SystemExit) as raised:
-        cli.main(
-            ["workload", "--engine", "blsm-part", "--scheduler", "naive",
-             "--records", "10", "--ops", "10"]
-        )
-    assert raised.value.code not in (None, 0)
-    assert "paces itself" in str(raised.value.code)
+def test_partitioned_tree_runs_under_every_scheduler():
+    # blsm-part's one merge worker is the kernel's gear 0, so every
+    # scheduler paces it, and each one answers a trace like the oracle.
+    # The load splits partitions, promotes and stalls under each one.
+    trace = generate_trace(1500, seed=0, keyspace=3000, value_bytes=300)
+    for scheduler in ("naive", "gear", "spring_gear"):
+        engine = build_engine("blsm-part", small_config(), scheduler=scheduler)
+        assert run_trace(engine, trace, config=scheduler) is None
+        metrics = engine.tree.runtime.metrics
+        assert engine.tree.partition_count > 1
+        assert metrics.value("merge.c1c2.passes") > 0
+        assert metrics.value("writes.stalls") > 0
+    assert cli.main(
+        ["workload", "--engine", "blsm-part", "--scheduler", "naive",
+         "--records", "10", "--ops", "10"]
+    ) == 0
 
 
 def test_fault_plan_gate_rejects_non_blsm_engines():

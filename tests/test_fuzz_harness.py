@@ -157,15 +157,14 @@ def test_the_end_of_run_invariant_check_catches_a_planted_fault(name, checker):
     # check can see it.
     engine = build_engine(name, CONFIG)
     tree = engine.tree
-    hook = "step_m01" if hasattr(tree, "step_m01") else "merge_step"
 
     def corrupt(budget):
-        delattr(tree, hook)  # fire once; drain steps the real merge
+        del tree.step_m01  # fire once; drain steps the real merge
         tree.drain()
         tree._live_tables()[0].key_count += 1
         return budget
 
-    setattr(tree, hook, corrupt)
+    tree.step_m01 = corrupt
     planted = trace.replace_ops([*trace, TraceOp.merge_work()])
     divergence = run_trace(engine, planted, config=name)
     assert divergence is not None

@@ -11,6 +11,7 @@ sharing it — one WAL read per recovery, ranged snapshots that open one
 partition at a time, group commit on the partitioned tree.
 """
 
+import inspect
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from repro.baselines.interface import KVEngine, WriteBatch
 from repro.core import BLSM, BLSMOptions, CompactionTree, PartitionedBLSM
 from repro.core.kernel import TreeKernel
 from repro.core.merge import MergeProcess
+from repro.core.progress import outprogress
 from repro.core.versions import SortedRun, TreeSnapshot, VersionSet
 from repro.engines import build_engine
 from repro.memtable import MemTable
@@ -36,8 +38,15 @@ KERNEL_OWNED = {
 }
 
 LAYOUT_HOOKS = {
-    "_init_layout", "get", "snapshot", "_on_write", "_manifest",
-    "_restore_layout", "_live_tables",
+    "_init_layout", "get", "snapshot", "_manifest", "_restore_layout",
+    "_live_tables", "_start_m01", "_m01_can_start", "_finish_m01",
+    "_m01_next_input_bytes", "m01_debt_per_byte",
+}
+
+#: The merge host every scheduler drives (Section 4.1's two gears).
+MERGE_HOST = {
+    "c0_fill_fraction", "merging", "m01_inprogress", "m12_deficit",
+    "m01_input_bytes", "m12_input_bytes", "step_m01", "step_m12",
 }
 
 
@@ -47,6 +56,74 @@ def test_a_layout_defines_its_hooks_and_no_kernel_method(cls):
     assert not KERNEL_OWNED & set(vars(cls))
     assert LAYOUT_HOOKS <= set(vars(cls))
     assert KERNEL_OWNED <= set(vars(TreeKernel))
+
+
+@pytest.mark.parametrize("cls", LAYOUTS, ids=lambda cls: cls.__name__)
+def test_every_layout_is_paced_through_the_kernels_merge_host(cls):
+    # A layout may alias a kernel function (BLSM's ledger targets), never
+    # redefine one; the dispatch gate and the stall loop live only there.
+    kernel = vars(TreeKernel)
+    for name in MERGE_HOST:
+        assert vars(cls).get(name, kernel[name]) is kernel[name], name
+    source = inspect.getsource(inspect.getmodule(cls))
+    assert ".busy(" not in source
+    assert "merge_backpressure" not in source
+
+
+def _gear1_deficit_from_fields(tree):
+    """``m12_deficit`` recomputed from the layout's own slots."""
+    if isinstance(tree, BLSM):
+        gear1_due = tree._c1_prime is not None
+        gear0_due = not tree._promotion_pending and not tree._memtable.is_empty
+        filled, ratio = (tree._c1.nbytes if tree._c1 else 0), tree._r
+        ram = tree._c0_capacity
+    else:
+        busy = {
+            level
+            for merge in (tree._m01, tree._m12) if merge is not None
+            for level in (merge.plan.source_level, merge.plan.target_level)
+        }
+        due = [p.source_level for p in tree.policy.plan_merges(tree.manager, busy)]
+        gear1_due, gear0_due = any(due), 0 in due
+        filled, ratio = tree.manager.level_bytes(1), tree.manager.ratio
+        ram = tree.options.c0_bytes
+    if tree._m12 is None and not gear1_due:
+        return 0.0
+    if tree._m01 is not None:
+        m01 = tree._m01.inprogress
+    else:
+        m01 = 0.0 if gear0_due else 1.0
+    m12 = tree._m12.inprogress if tree._m12 is not None else 0.0
+    return outprogress(m01, filled, ram, ratio) - m12
+
+
+@pytest.mark.parametrize("scheduler", ["gear", "spring_gear"])
+@pytest.mark.parametrize("policy", ["blsm3", "leveled"])
+def test_the_gear1_deficit_is_outprogress_minus_inprogress(policy, scheduler):
+    options = BLSMOptions(
+        c0_bytes=16 * 1024, compaction_policy=policy, scheduler=scheduler
+    )
+    tree = (BLSM if policy == "blsm3" else CompactionTree)(options)
+    deficits = []
+
+    def check():
+        deficits.append(tree.m12_deficit)
+        assert deficits[-1] == _gear1_deficit_from_fields(tree)
+
+    step_m01 = tree.step_m01
+
+    def step_then_check(budget):  # what the scheduler reads next
+        worked = step_m01(budget)
+        check()
+        return worked
+
+    tree.step_m01 = step_then_check
+    rng = random.Random(11)
+    for _ in range(6000):
+        tree.put(b"key%05d" % rng.randrange(20000), bytes(rng.randrange(40, 200)))
+        check()
+    assert tree.runtime.metrics.value("merge.c1c2.passes") > 0
+    assert any(d > 0 for d in deficits) and deficits.count(0.0) > 0
 
 
 def test_the_benchmark_ledgers_targets_stay_where_it_looks():

@@ -38,14 +38,9 @@ CALLERS = {
     "tier_fanout": "src/repro/scenarios.py",
 }
 
-#: The spring's knobs are set only by tests too; ROADMAP item 1 (budget
-#: merges in device seconds) replaces them rather than pinning them.
-PENDING = {"low_water", "high_water", "max_tick_bytes"}
-
 def test_every_option_names_the_caller_that_varies_it():
     names = {field.name for field in dataclasses.fields(BLSMOptions)}
-    assert set(CALLERS) == names - PENDING
-    assert PENDING <= names
+    assert set(CALLERS) == names
     for name, path in CALLERS.items():
         with open(os.path.join(ROOT, path)) as handle:
             assert f"{name}=" in handle.read(), (name, path)

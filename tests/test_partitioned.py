@@ -125,12 +125,10 @@ def test_tombstones_collected_per_partition():
     tree.drain()
     # Force every partition's C1 down into C2 (tombstones drop there).
     for partition in list(tree._partitions):
-        while partition.c1 is not None and partition in tree._partitions:
-            if partition.m12 is None:
-                tree._start_m12(partition)
-            partition.m12.run_to_completion()
-            tree._finish_merge(partition, partition.m12)
-            break
+        if partition.c1 is not None and partition in tree._partitions:
+            tree._start(partition, promote=True)
+            tree._m01.run_to_completion()
+            tree._finish_m01()
     assert list(tree.scan(b"key")) == []
 
 
@@ -191,7 +189,7 @@ def test_crash_mid_merge_is_safe():
         key = b"key%05d" % (i % 1500)
         tree.put(key, b"v%d" % i)
         model[key] = b"v%d" % i
-    tree.merge_step(2000)  # leave a merge in flight
+    tree.step_m01(2000)  # leave a merge in flight
     stasis = tree.stasis
     stasis.crash()
     recovered = PartitionedBLSM.recover(stasis, options)

@@ -32,6 +32,13 @@ def test_unattached_scheduler_rejects_use():
         scheduler.on_write(100)
 
 
+def attach(tree, scheduler):
+    """Pace ``tree`` with ``scheduler`` built at non-default constants."""
+    tree.scheduler = scheduler
+    scheduler.attach(tree)
+    return tree
+
+
 def test_spring_gear_water_marks_validated():
     with pytest.raises(ValueError):
         SpringGearScheduler(low_water=0.9, high_water=0.5)
@@ -80,10 +87,9 @@ def test_gear_scheduler_paces_merges_without_c0_overflow():
 
 
 def test_spring_gear_pauses_merges_below_low_water():
-    options = BLSMOptions(
-        c0_bytes=1 << 20, scheduler="spring_gear", low_water=0.5
+    tree = attach(
+        BLSM(BLSMOptions(c0_bytes=1 << 20)), SpringGearScheduler(low_water=0.5)
     )
-    tree = BLSM(options)
     for i in range(10):
         tree.put(b"k%02d" % i, bytes(64))
     # Fill is tiny, far below the low water mark: no merge should run.
@@ -121,12 +127,11 @@ class TestPerTickLatencyBound:
         # spring gear double-spent (it reached ~2.6x max_tick here).
         max_tick = 16 * 1024
         value_max = 4096
-        options = BLSMOptions(
-            c0_bytes=64 * 1024,
-            scheduler=scheduler,
-            max_tick_bytes=max_tick,
+        pacing = {"gear": GearScheduler, "spring_gear": SpringGearScheduler}
+        tree = attach(
+            BLSM(BLSMOptions(c0_bytes=64 * 1024)),
+            pacing[scheduler](max_tick_bytes=max_tick),
         )
-        tree = BLSM(options)
         metrics = tree.runtime.metrics
 
         def merge_bytes():
@@ -171,8 +176,7 @@ class FakeHost:
     def __init__(self, fill, debt):
         self.c0_fill_fraction = fill
         self.debt = debt
-        self.m01_outprogress = 0.0
-        self.m12_inprogress = 1.0  # no C1':C2 deficit
+        self.m12_deficit = 0.0  # no C1':C2 work
         self.m12_input_bytes = 1
         self.budgets = []
         self.runtime = EngineRuntime()
@@ -269,12 +273,12 @@ def test_c0_rests_two_thirds_of_the_way_up(c0_kib, disk, value_bytes):
     settled = fills[len(fills) // 2:]
     assert 0.62 <= sum(settled) / len(settled) <= 0.78
     one_record = (value_bytes + 64) / c0_bytes
-    assert max(fills) <= tree.options.high_water + one_record
+    assert max(fills) <= tree.scheduler.high_water + one_record
     assert tree.runtime.metrics.value("writes.stalls", 0.0) == 0
 
 
 def test_partitioned_spring_spends_the_same_unit(monkeypatch):
-    """``merge_step`` gets HEADROOM x pressure x debt x nbytes too.
+    """Its one gear gets HEADROOM x pressure x debt x nbytes too.
 
     The partitioned tree has one merge worker, and a C1p:C2p merge
     drains nothing from C0, so its fill swings around a mean instead of
@@ -284,16 +288,16 @@ def test_partitioned_spring_spends_the_same_unit(monkeypatch):
     c0_bytes = 1 << 20
     tree = PartitionedBLSM(BLSMOptions(c0_bytes=c0_bytes))
     first = []
-    merge_step = tree.merge_step
+    step_m01 = tree.step_m01
 
     def recording_step(budget):
         if not first:
             first.append(
-                (budget, tree.c0_fill_fraction, tree._merge_debt_per_byte())
+                (budget, tree.c0_fill_fraction, tree.m01_debt_per_byte())
             )
-        return merge_step(budget)
+        return step_m01(budget)
 
-    monkeypatch.setattr(tree, "merge_step", recording_step)
+    monkeypatch.setattr(tree, "step_m01", recording_step)
     fills = shuffled_load(tree, c0_bytes, 1000)
     budget, fill, debt = first[0]
     nbytes = tree._memtable.nbytes // len(tree._memtable)  # uniform records

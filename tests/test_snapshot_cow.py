@@ -91,9 +91,7 @@ class SnapshotMachine(RuleBasedStateMachine):
 
     @rule(budget=st.integers(1, 5000))
     def merge_step(self, budget):
-        if self.kernel is PartitionedBLSM:
-            self.tree.merge_step(budget)
-        elif self.tree.step_m01(budget) == 0:
+        if self.tree.step_m01(budget) == 0:
             self.tree.step_m12(budget)
 
     @rule()

@@ -138,7 +138,7 @@ class PartitionedMachine(RuleBasedStateMachine):
 
     @rule(budget=st.integers(1, 5000))
     def merge_work(self, budget):
-        self.tree.merge_step(budget)
+        self.tree.step_m01(budget)
 
     @rule()
     def crash_and_recover(self):

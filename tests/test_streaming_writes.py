@@ -264,7 +264,7 @@ def test_partitioned_steps_touch_the_device_once(step_log):
     assert len(tree._partitions) > 1
     assert_one_access_per_step(step_log)
     tree.drain()
-    assert tree._memtable.is_empty and tree._active_merge() is None
+    assert tree._memtable.is_empty and not tree.merging
 
 
 @pytest.mark.parametrize("name", ["leveled", "tiered", "leveldb"])
