@@ -126,9 +126,9 @@ def _build_sharded(config: EngineConfig) -> KVEngine:
         partitioner=partitioner,
     )
     if config.migration:
-        from repro.shard.migration import attach_migration
+        from repro.shard.migration import MigrationController
 
-        attach_migration(engine)
+        MigrationController(engine)
     return engine
 
 

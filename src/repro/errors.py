@@ -67,25 +67,6 @@ class TransientIOError(IOFaultError):
     """
 
 
-class RetryDeadlineError(IOFaultError):
-    """Raised when retries exhaust a policy's virtual-clock deadline.
-
-    Distinct from the attempt-count exhaustion path so callers can tell
-    "the device answered N times with errors" apart from "we ran out of
-    time budget while backing off" — a persistent fault under an
-    unbounded attempt budget surfaces here instead of retrying forever.
-    """
-
-    def __init__(self, what: str, deadline_seconds: float, attempts: int) -> None:
-        super().__init__(
-            f"{what}: retry deadline of {deadline_seconds}s exceeded "
-            f"after {attempts} attempt(s)"
-        )
-        self.what = what
-        self.deadline_seconds = deadline_seconds
-        self.attempts = attempts
-
-
 class CorruptionError(StorageError):
     """Raised when a checksum mismatch reveals corrupted durable data."""
 
@@ -151,24 +132,6 @@ class ShardFanoutError(EngineError):
 
 class MigrationError(EngineError):
     """Raised when a shard migration is planned or driven incorrectly."""
-
-
-class StaleOwnerError(MigrationError):
-    """A write through a lease whose shard lost ownership (epoch fence).
-
-    After a migration's ownership switch the cluster epoch advances and
-    the source shard is fenced; a client still holding a pre-switch lease
-    gets this instead of a silently misplaced write.
-    """
-
-    def __init__(self, shard: int, lease_epoch: int, current_epoch: int) -> None:
-        super().__init__(
-            f"shard {shard} lease at epoch {lease_epoch} is fenced "
-            f"(cluster epoch is now {current_epoch})"
-        )
-        self.shard = shard
-        self.lease_epoch = lease_epoch
-        self.current_epoch = current_epoch
 
 
 class WorkloadError(ReproError):

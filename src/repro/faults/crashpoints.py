@@ -455,9 +455,9 @@ class _MigrationRun(CrashRun):
         from repro.core.options import BLSMOptions
         from repro.shard.engine import ShardedEngine
         from repro.shard.migration import (
-            MigrationJournal,
+            MigrationController,
             MigrationThrottle,
-            attach_migration,
+            open_journal,
         )
         from repro.shard.partitioner import RangePartitioner
         from repro.storage.logical_log import DurabilityMode
@@ -474,11 +474,10 @@ class _MigrationRun(CrashRun):
             shards=2,
             partitioner=RangePartitioner([b"key-000100"]),
         )
-        attach_migration(
+        MigrationController(
             self.engine,
-            journal=MigrationJournal(
-                fault_plan=self.plan if stop_after_steps is None else None,
-                seed=seed,
+            journal=open_journal(
+                self.engine, self.plan if stop_after_steps is None else None
             ),
             chunk_keys=8,
             # The crash test wants step boundaries, not throttle boundaries:
@@ -570,7 +569,7 @@ def enumerate_migration_crash_points(
 
     Two families of crash points cover the whole protocol surface:
     *journal* boundaries (the process dies inside a migration-journal
-    force — plan, copy-start, catch-up-start, switch, retire-done) and
+    force — plan, switch, retire-done) and
     *step* boundaries (between any two controller steps).  A
     disarmed counting run fixes both counts for the scripted scenario;
     every crash then recovers via

@@ -11,20 +11,17 @@ by :class:`~repro.storage.stasis.Stasis` (the buffer manager and merge
 I/O ride on the page file).
 
 Only :class:`~repro.errors.TransientIOError` is retried.  Exhausting the
-attempt budget raises a typed :class:`~repro.errors.IOFaultError`, and
-exceeding the policy's virtual-clock ``deadline_seconds`` raises
-:class:`~repro.errors.RetryDeadlineError` — never silent data loss and
-never an unbounded retry loop.  A :class:`~repro.errors.CrashPoint` is a
+attempt budget raises a typed :class:`~repro.errors.IOFaultError` —
+never silent data loss and never an unbounded retry loop.  A :class:`~repro.errors.CrashPoint` is a
 ``BaseException`` and always propagates: a dead process cannot retry.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, TypeVar
 
-from repro.errors import IOFaultError, RetryDeadlineError, TransientIOError
+from repro.errors import IOFaultError, TransientIOError
 from repro.sim.clock import VirtualClock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -41,28 +38,11 @@ class RetryPolicy:
         max_attempts: total tries per access, including the first.
         base_backoff_seconds: sleep before the first retry.
         multiplier: backoff growth factor per further retry.
-        deadline_seconds: total virtual-clock budget per access, measured
-            from the first attempt; once the clock has advanced past it
-            no further retry is issued (``None`` = attempts-only bound).
-        jitter: fractional backoff randomization in ``[0, 1]``; each
-            backoff is scaled by a seeded draw from
-            ``[1 - jitter, 1 + jitter]`` so a fleet of retriers does not
-            thunder in lockstep.  Zero (the default) keeps the historic
-            deterministic schedule.
-        seed: seed for the jitter RNG.  The seed travels *with the
-            policy* so every executor built from it draws the same
-            jitter sequence — replaying a faulted trace under the same
-            policy reproduces the same backoff schedule bit-for-bit.
-            (Module-level ``random`` would make replay depend on
-            whatever else had consumed the global stream.)
     """
 
     max_attempts: int = 4
     base_backoff_seconds: float = 1e-3
     multiplier: float = 2.0
-    deadline_seconds: float | None = None
-    jitter: float = 0.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -76,15 +56,9 @@ class RetryPolicy:
             )
         if self.multiplier < 1.0:
             raise ValueError(f"multiplier must be >= 1, got {self.multiplier}")
-        if self.deadline_seconds is not None and self.deadline_seconds <= 0.0:
-            raise ValueError(
-                f"deadline_seconds must be positive, got {self.deadline_seconds}"
-            )
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
 
     def backoff_seconds(self, retry_index: int) -> float:
-        """Backoff before the ``retry_index``-th retry (0-based), unjittered."""
+        """Backoff before the ``retry_index``-th retry (0-based)."""
         return self.base_backoff_seconds * self.multiplier**retry_index
 
 
@@ -96,46 +70,26 @@ class RetryExecutor:
         policy: RetryPolicy,
         clock: VirtualClock,
         runtime: "EngineRuntime | None" = None,
-        seed: int | None = None,
     ) -> None:
         self.policy = policy
         self.clock = clock
         self.runtime = runtime
-        # The policy carries the jitter seed (see RetryPolicy.seed); an
-        # explicit ``seed`` argument overrides it for tests only.
-        self._rng = random.Random(policy.seed if seed is None else seed)
         if runtime is not None:
             metrics = runtime.metrics
             self._ctr_retries = metrics.counter("retry.retries")
             self._ctr_backoff = metrics.counter("retry.backoff_seconds")
             self._ctr_exhausted = metrics.counter("retry.exhausted")
-            self._ctr_deadline = metrics.counter("retry.deadline_exceeded")
 
     def run(self, op: Callable[[], T], what: str = "io") -> T:
         """Invoke ``op``, retrying transient faults with backoff.
 
         Raises:
-            RetryDeadlineError: when the policy's virtual-clock deadline
-                elapses before ``op`` succeeds.
             IOFaultError: when ``op`` still fails after the last attempt.
         """
-        deadline = self.policy.deadline_seconds
-        started = self.clock.now
         for attempt in range(1, self.policy.max_attempts + 1):
             try:
                 return op()
             except TransientIOError as error:
-                elapsed = self.clock.now - started
-                if deadline is not None and elapsed >= deadline:
-                    if self.runtime is not None:
-                        self._ctr_deadline.inc()
-                        self.runtime.trace.emit(
-                            "io_retry_deadline",
-                            what=what,
-                            attempts=attempt,
-                            deadline=deadline,
-                        )
-                    raise RetryDeadlineError(what, deadline, attempt) from error
                 if attempt == self.policy.max_attempts:
                     if self.runtime is not None:
                         self._ctr_exhausted.inc()
@@ -147,13 +101,6 @@ class RetryExecutor:
                         f"{attempt} attempts"
                     ) from error
                 backoff = self.policy.backoff_seconds(attempt - 1)
-                if self.policy.jitter > 0.0:
-                    spread = self.policy.jitter * (2.0 * self._rng.random() - 1.0)
-                    backoff *= 1.0 + spread
-                if deadline is not None:
-                    # Never sleep past the deadline: cap the backoff so
-                    # the last retry fires at the budget edge, not after.
-                    backoff = min(backoff, max(0.0, deadline - elapsed))
                 self.clock.advance(backoff)
                 if self.runtime is not None:
                     self._ctr_retries.inc()

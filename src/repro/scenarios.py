@@ -33,7 +33,7 @@ from repro.core.compaction.policy import POLICY_NAMES
 from repro.engines import DISK_MODELS, ENGINE_NAMES, build_engine
 from repro.errors import ReproError, UsageError
 from repro.obs.report import BenchReport, CompareRule, Gate, keyword_defaults
-from repro.shard.migration import live_migration_bench
+from repro.obs.timeline import percentile, windows_over_span
 from repro.ycsb.runner import load_phase, run_batched_workload
 from repro.ycsb.sessions import ARRIVAL_MODES, run_sessions
 from repro.ycsb.stability import run_stability, stability_scenario
@@ -43,6 +43,7 @@ __all__ = [
     "SCENARIOS",
     "Scenario",
     "engine_from",
+    "live_migration_bench",
     "policy_sweep",
     "scenario_for",
     "sessions_contrast",
@@ -504,9 +505,215 @@ def _sessions_rules(baseline: BenchReport, tolerance: float) -> list[CompareRule
 
 
 # ----------------------------------------------------------------------
-# live-migration (repro migrate) and stability (repro stability): the
-# measurements live beside their subsystems
+# live-migration (repro migrate)
 # ----------------------------------------------------------------------
+
+
+def live_migration_bench(
+    *,
+    records: int = 2400,
+    batches: int = 160,
+    batch: int = 32,
+    value_bytes: int = 128,
+    shards: int = 4,
+    seed: int = 0,
+    hot_fraction: float = 0.85,
+    windows: int = 12,
+    c0_bytes: int = 48 * 1024,
+    cache_pages: int = 32,
+    chunk_keys: int = 64,
+    max_migration_fraction: float = 0.5,
+) -> dict[str, Any]:
+    """p99 read/write timelines during a live split vs. quiescent baseline.
+
+    Two identical range-partitioned fleets run the same clustered-Zipfian
+    workload (a hot prefix concentrated on shard 0 — sequential keys, so
+    the hotspot is contiguous in key space).  The *quiescent* run never
+    migrates; the *migrating* run hands per-shard load shares to a
+    :class:`~repro.shard.migration.Rebalancer` that detects the hot
+    shard and performs a live split toward its neighbour, stepping the
+    migration between batches under the throttle.  Every read is
+    verified against a dict oracle and the final states must match it
+    exactly, so the timeline is only reported for a run that stayed
+    correct.  The headline number is ``p99_ratio`` — migrating p99 over
+    quiescent p99 — which CI bounds (``--assert-p99-ratio R``); a run
+    that completes no migration fails.  The migration block reports what
+    the journal cost: ``journal_forces`` and ``journal_seconds`` of the
+    ``migration-journal`` device.
+
+    ``batches`` batches of ``batch`` keys alternate reads and writes,
+    ``hot_fraction`` of the keys drawn from the hot tenth of the key
+    space; latencies are cut into ``windows`` timeline windows.  Each
+    shard has a ``c0_bytes`` C0 and ``cache_pages`` of buffer pool; the
+    migration copies ``chunk_keys`` keys a step and may take at most
+    ``max_migration_fraction`` of the device time.  The return value is
+    the report's ``metrics`` block.
+    """
+    from repro.baselines.interface import WriteBatch
+    from repro.core.options import BLSMOptions
+    from repro.shard.engine import ShardedEngine
+    from repro.shard.migration import (
+        IDLE,
+        JOURNAL_DEVICE,
+        MigrationController,
+        MigrationThrottle,
+        Rebalancer,
+    )
+    from repro.shard.partitioner import RangePartitioner
+    from repro.storage.logical_log import DurabilityMode
+
+    keys = [b"key%08d" % index for index in range(records)]
+    hot_span = max(batch, records // 10)
+
+    def build() -> ShardedEngine:
+        options = BLSMOptions(
+            c0_bytes=c0_bytes,
+            buffer_pool_pages=cache_pages,
+            durability=DurabilityMode.ASYNC,
+        )
+        partitioner = RangePartitioner.from_sample(keys, shards)
+        engine = ShardedEngine(options, shards=shards, partitioner=partitioner)
+        for start in range(0, records, 256):
+            load = WriteBatch()
+            for key in keys[start : start + 256]:
+                load.put(key, b"v0" + bytes(max(0, value_bytes - 2)))
+            engine.apply_batch(load)
+        return engine
+
+    def run(migrate: bool) -> dict[str, Any]:
+        engine = build()
+        oracle = {key: b"v0" + bytes(max(0, value_bytes - 2)) for key in keys}
+        controller: MigrationController | None = None
+        rebalancer: Rebalancer | None = None
+        if migrate:
+            controller = MigrationController(
+                engine,
+                chunk_keys=chunk_keys,
+                throttle=MigrationThrottle(max_migration_fraction),
+            )
+            rebalancer = Rebalancer(
+                engine, controller, hot_share=0.5, cold_share=0.0
+            )
+        rng = random.Random(seed)
+        read_lat: list[tuple[float, float]] = []
+        write_lat: list[tuple[float, float]] = []
+        events: list[dict[str, Any]] = []
+        last_tag = IDLE
+        migration_began: float | None = None
+        migration_done: float | None = None
+
+        def pick_key() -> bytes:
+            if rng.random() < hot_fraction:
+                return keys[rng.randrange(hot_span)]
+            return keys[rng.randrange(records)]
+
+        for batch_index in range(batches):
+            batch_keys = [pick_key() for _ in range(batch)]
+            began = engine.clock.now
+            if batch_index % 2 == 0:
+                values = engine.multi_get(batch_keys)
+                for key, value in zip(batch_keys, values):
+                    expected = oracle.get(key)
+                    if value != expected:
+                        raise AssertionError(
+                            f"oracle divergence mid-migration: {key!r} -> "
+                            f"{value!r}, expected {expected!r}"
+                        )
+                read_lat.append(
+                    (began, (engine.clock.now - began) / max(1, batch))
+                )
+            else:
+                mutation = WriteBatch()
+                for position, key in enumerate(batch_keys):
+                    value = b"v%07d" % (batch_index * batch + position)
+                    value += bytes(max(0, value_bytes - len(value)))
+                    mutation.put(key, value)
+                    oracle[key] = value
+                engine.apply_batch(mutation)
+                write_lat.append(
+                    (began, (engine.clock.now - began) / max(1, batch))
+                )
+            if controller is not None:
+                if rebalancer is not None:
+                    plan = rebalancer.maybe_rebalance()
+                    if plan is not None:
+                        migration_began = engine.clock.now
+                        events.append(
+                            {
+                                "t": engine.clock.now,
+                                "event": "plan",
+                                "kind": plan.kind,
+                                "source": plan.source,
+                                "target": plan.target,
+                            }
+                        )
+                tag = controller.step()
+                if tag != last_tag and tag not in (IDLE, "throttled"):
+                    events.append({"t": engine.clock.now, "event": tag})
+                if tag == "retired":
+                    migration_done = engine.clock.now
+                last_tag = tag
+
+        if controller is not None and controller.active:
+            controller.run_to_completion()
+            migration_done = engine.clock.now
+        final = list(engine.scan(b""))
+        expected_final = sorted(
+            (key, value) for key, value in oracle.items()
+        )
+        if final != expected_final:
+            raise AssertionError(
+                "final scan diverged from the oracle after migration"
+            )
+
+        result: dict[str, Any] = {
+            "read_windows": windows_over_span(read_lat, windows),
+            "write_windows": windows_over_span(write_lat, windows),
+            "read_p50": percentile([v for _, v in read_lat], 50.0),
+            "read_p99": percentile([v for _, v in read_lat], 99.0),
+            "write_p50": percentile([v for _, v in write_lat], 50.0),
+            "write_p99": percentile([v for _, v in write_lat], 99.0),
+            "elapsed_seconds": engine.clock.now,
+            "verified": True,
+        }
+        if controller is not None:
+            metrics = engine._runtime.metrics
+            result["events"] = events
+            result["migration"] = {
+                "completed": controller.completed,
+                "copied_keys": controller.copied_keys,
+                "retired_keys": controller.retired_keys,
+                "steps": int(metrics.value("migration.steps")),
+                "deferred_steps": int(
+                    metrics.value("migration.deferred_steps")
+                ),
+                "busy_seconds": controller.throttle.busy_seconds,
+                "journal_forces": int(
+                    metrics.value(f"disk.{JOURNAL_DEVICE}.write_ops")
+                ),
+                "journal_seconds": metrics.value(
+                    f"disk.{JOURNAL_DEVICE}.busy_seconds"
+                ),
+                "duration_seconds": (
+                    (migration_done - migration_began)
+                    if migration_began is not None and migration_done is not None
+                    else 0.0
+                ),
+                "epoch": engine.epoch,
+            }
+        engine.close()
+        return result
+
+    quiescent = run(migrate=False)
+    migrating = run(migrate=True)
+    q_p99 = max(quiescent["read_p99"], quiescent["write_p99"])
+    m_p99 = max(migrating["read_p99"], migrating["write_p99"])
+    return {
+        "quiescent": quiescent,
+        "migrating": migrating,
+        "p99_ratio": (m_p99 / q_p99) if q_p99 > 0 else 0.0,
+    }
+
 
 
 def _migration_table(report: BenchReport) -> Iterable[str]:
@@ -522,6 +729,10 @@ def _migration_table(report: BenchReport) -> Iterable[str]:
         f"({migration['copied_keys']} keys copied, "
         f"{migration['retired_keys']} retired, {migration['steps']} steps, "
         f"{migration['deferred_steps']} deferred)"
+    )
+    yield (
+        f"  journal: {migration['journal_forces']} forces, "
+        f"{migration['journal_seconds'] * 1e3:.3f} ms on migration-journal"
     )
     yield (
         f"  p99 ratio (migrating/quiescent): "

@@ -13,14 +13,11 @@ from repro.shard.engine import ShardedEngine
 from repro.shard.migration import (
     HotShardDetector,
     MigrationController,
-    MigrationJournal,
     MigrationPlan,
     MigrationThrottle,
     Rebalancer,
-    ShardLease,
-    attach_migration,
     crash_and_recover,
-    live_migration_bench,
+    open_journal,
     plan_merge,
     plan_split,
 )
@@ -36,19 +33,16 @@ __all__ = [
     "HashPartitioner",
     "HotShardDetector",
     "MigrationController",
-    "MigrationJournal",
     "MigrationPlan",
     "MigrationThrottle",
     "Partitioner",
     "RangePartitioner",
     "Rebalancer",
-    "ShardLease",
     "ShardedEngine",
-    "attach_migration",
     "crash_and_recover",
     "fnv1a_bytes",
-    "live_migration_bench",
     "make_partitioner",
+    "open_journal",
     "plan_merge",
     "plan_split",
 ]

@@ -45,7 +45,7 @@ from repro.sim.clock import VirtualClock
 from repro.storage.group_commit import CommitTicket
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.shard.migration import MigrationController, ShardLease
+    from repro.shard.migration import MigrationController
 
 T = TypeVar("T")
 
@@ -112,10 +112,8 @@ class ShardedEngine(KVEngine):
         ]
         self._ctr_fg_batches = metrics.counter("shard.foreground_batches")
         # Online-migration state: the cluster epoch advances at every
-        # ownership switch; a fenced shard rejects writes through leases
-        # older than its fence (see repro.shard.migration).
+        # ownership switch and is journaled (see repro.shard.migration).
         self.epoch = 0
-        self._fence_epochs = [0] * shards
         self.migration: "MigrationController | None" = None
         # Recovered shards (engine_factory wrapping pre-existing trees)
         # may be ahead of a fresh router clock; no shard clock may ever
@@ -460,17 +458,6 @@ class ShardedEngine(KVEngine):
     # ------------------------------------------------------------------
     # Online migration surface
     # ------------------------------------------------------------------
-
-    def lease(self, key: bytes) -> "ShardLease":
-        """An epoch-stamped ownership claim for ``key``'s current shard.
-
-        Writes through the lease raise
-        :class:`~repro.errors.StaleOwnerError` once a migration switch
-        fences the shard — the cached-routing-table client model.
-        """
-        from repro.shard.migration import ShardLease
-
-        return ShardLease(self, self.partitioner.shard_for(key), self.epoch)
 
     def handle_migration_op(
         self, action: str, key: bytes = b"", budget: int = 1

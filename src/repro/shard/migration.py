@@ -30,16 +30,20 @@ bounded unit of work at a time so foreground traffic interleaves:
 ``switch``
     The commit point: one journal force containing the new boundaries
     and a bumped cluster epoch.  Only after the record is durable does
-    the router install a new partitioner and the source become
-    *fenced* — a client still writing through a pre-switch
-    :class:`ShardLease` gets :class:`~repro.errors.StaleOwnerError`
-    instead of a misplaced write.
+    the router install a new partitioner.
     Crash before the force: recovery restarts the copy (the dirty set
     is volatile, so nothing less is safe).  Crash after: recovery
     resumes at retire.  There is no in-between.
 ``retire``
     The source's now-stale copies of the moved range are deleted in
     chunks.
+
+The journal is the tree's own write-ahead log
+(:class:`~repro.storage.wal.WriteAheadLog`, Section 4.4.2) on one
+router device named ``migration-journal``: a record is appended and
+forced behind a durability barrier before its transition takes effect,
+and recovery replays the durable prefix (a torn force is a checksummed
+straddler the log truncates).
 
 Readers follow ownership alone: a key is read only on its owner, and a
 scan reads each shard only inside its owned range.  Before the switch
@@ -58,21 +62,17 @@ per-shard load metrics to live split/merge plans.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
-from typing import Any, Callable, TYPE_CHECKING
+from typing import Any, TYPE_CHECKING
 
-from repro.errors import (
-    CrashPoint,
-    MigrationError,
-    StaleOwnerError,
-    TransientIOError,
-)
+from repro.baselines.interface import WriteBatch
+from repro.errors import MigrationError
+from repro.faults.disk import FaultyDisk
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryExecutor, RetryPolicy
-from repro.obs.timeline import percentile, windows_over_span
 from repro.shard.partitioner import RangePartitioner
-from repro.sim.clock import VirtualClock
+from repro.sim.disk import SimDisk
+from repro.storage.wal import WriteAheadLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.shard.engine import ShardedEngine
@@ -80,14 +80,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "HotShardDetector",
     "MigrationController",
-    "MigrationJournal",
     "MigrationPlan",
     "MigrationThrottle",
     "Rebalancer",
-    "ShardLease",
-    "attach_migration",
     "crash_and_recover",
-    "live_migration_bench",
+    "open_journal",
     "plan_merge",
     "plan_split",
 ]
@@ -223,93 +220,52 @@ def plan_merge(engine: "ShardedEngine", source: int) -> MigrationPlan | None:
 
 
 # ----------------------------------------------------------------------
-# The migration journal (the subsystem's WAL)
+# The migration journal: a write-ahead log on a router device
 # ----------------------------------------------------------------------
 
 
-class MigrationJournal:
-    """An append-only, force-on-append journal of migration records.
+JOURNAL_DEVICE = "migration-journal"
 
-    The journal is the migration subsystem's write-ahead log: every
-    state transition is appended *and forced* before the transition
-    takes effect in memory, so replaying the durable prefix always
-    reconstructs a consistent ownership map.  Each force charges the
-    router clock and (optionally) consults a :class:`FaultPlan` under
-    the device name ``migration-journal`` — transient faults are retried
-    through a :class:`RetryExecutor` (with a deadline, so a persistent
-    fault surfaces typed), ``crash``/``torn`` faults kill the process at
-    the force boundary leaving the record volatile, and ``latency``
-    faults just cost time.  :meth:`crash` models the process death:
-    the un-forced tail is dropped.
+
+def _journal_device(
+    engine: "ShardedEngine", fault_plan: FaultPlan | None
+) -> tuple[SimDisk, RetryExecutor | None]:
+    """The journal's device on ``engine``'s clock and runtime, and the
+    retry executor a faulted one forces through — the rule
+    :class:`~repro.storage.stasis.Stasis` applies to a tree's log."""
+    options = engine.options
+    model = options.log_disk_model or options.disk_model
+    runtime = engine._runtime
+    if fault_plan is None:
+        disk = SimDisk(model, engine.clock, name=JOURNAL_DEVICE, runtime=runtime)
+        return disk, None
+    disk = FaultyDisk(
+        model, engine.clock, name=JOURNAL_DEVICE, runtime=runtime,
+        plan=fault_plan,
+    )
+    return disk, RetryExecutor(RetryPolicy(), engine.clock, runtime=runtime)
+
+
+def open_journal(
+    engine: "ShardedEngine", fault_plan: FaultPlan | None = None
+) -> WriteAheadLog:
+    """The migration journal of ``engine``'s router.
+
+    A :class:`~repro.storage.wal.WriteAheadLog` on one device named
+    ``migration-journal``, of the router's ``log_disk_model`` (else its
+    ``disk_model``), registered with the router's runtime so its forces
+    are booked under ``disk.migration-journal.*``.  With a
+    ``fault_plan`` the device is a :class:`~repro.faults.disk.FaultyDisk`
+    and forces retry under the default :class:`RetryPolicy`.
     """
-
-    def __init__(
-        self,
-        clock: VirtualClock | None = None,
-        fault_plan: FaultPlan | None = None,
-        force_seconds: float = 2e-4,
-        retry_policy: RetryPolicy | None = None,
-        seed: int = 0,
-    ) -> None:
-        self.clock = clock if clock is not None else VirtualClock()
-        self.fault_plan = fault_plan
-        self.force_seconds = force_seconds
-        self.retry_policy = retry_policy or RetryPolicy(
-            max_attempts=6, deadline_seconds=1.0, jitter=0.25
-        )
-        self.seed = seed
-        self.forces = 0
-        self._records: list[dict[str, Any]] = []
-        self._durable = 0
-
-    @property
-    def records(self) -> list[dict[str, Any]]:
-        """The durable record prefix (everything that survived forces)."""
-        return list(self._records[: self._durable])
-
-    def append(self, record: dict[str, Any]) -> None:
-        """Append one record and force it durable (or die trying)."""
-        self._records.append(dict(record))
-        self.force()
-
-    def force(self) -> None:
-        """Make every appended record durable, charging clock time."""
-
-        def write_once() -> None:
-            if self.fault_plan is not None:
-                for rule in self.fault_plan.note_access(
-                    "migration-journal", "write"
-                ):
-                    if rule.kind == "transient":
-                        self.clock.advance(self.force_seconds)
-                        raise TransientIOError(
-                            "migration-journal force failed"
-                        )
-                    if rule.kind in ("crash", "torn"):
-                        raise CrashPoint(
-                            access_index=self.fault_plan.access_count
-                        )
-                    if rule.kind == "latency":
-                        self.clock.advance(rule.extra_seconds)
-            self.clock.advance(self.force_seconds)
-
-        executor = RetryExecutor(self.retry_policy, self.clock, seed=self.seed)
-        executor.run(write_once, "migration-journal")
-        self._durable = len(self._records)
-        self.forces += 1
-
-    def crash(self) -> int:
-        """Drop the volatile tail (process death); return records lost."""
-        lost = len(self._records) - self._durable
-        del self._records[self._durable :]
-        return lost
+    return WriteAheadLog(*_journal_device(engine, fault_plan))
 
 
 def _replay_journal(
-    journal: MigrationJournal,
+    journal: WriteAheadLog,
 ) -> tuple[list[bytes] | None, int, tuple[MigrationPlan, str] | None, int]:
     """Reconstruct ``(boundaries, epoch, pending, next_plan_id)`` from
-    the journal's durable records.
+    the journal's durable records (a read of the journal device).
 
     ``pending`` is ``(plan, phase)`` with phase ``"copy"`` (planned but
     not switched — the copy restarts from scratch, the volatile dirty
@@ -321,29 +277,16 @@ def _replay_journal(
     epoch = 0
     pending: tuple[MigrationPlan, str] | None = None
     next_plan_id = 1
-    for record in journal.records:
-        kind = record["type"]
-        if kind == "init":
-            boundaries = list(record["boundaries"])
-            epoch = int(record["epoch"])
-        elif kind == "plan":
-            plan = MigrationPlan(
-                plan_id=int(record["id"]),
-                kind=record["kind"],
-                source=int(record["source"]),
-                target=int(record["target"]),
-                lo=record["lo"],
-                hi=record["hi"],
-                new_boundaries=tuple(record["new_boundaries"]),
-            )
-            pending = (plan, "copy")
-            next_plan_id = max(next_plan_id, plan.plan_id + 1)
-        elif kind == "switch":
-            boundaries = list(record["boundaries"])
-            epoch = int(record["epoch"])
+    for record in journal.records():
+        kind, payload = record.kind, record.payload
+        if kind in ("init", "switch"):  # init is first: nothing pending
+            boundaries, epoch = list(payload[0]), payload[1]
             if pending is not None:
                 pending = (pending[0], "retire")
-        elif kind in ("retire_done", "abort"):
+        elif kind == "plan":
+            pending = (payload, "copy")
+            next_plan_id = max(next_plan_id, payload.plan_id + 1)
+        else:  # retire_done, abort
             pending = None
     return boundaries, epoch, pending, next_plan_id
 
@@ -480,47 +423,6 @@ class Rebalancer:
 
 
 # ----------------------------------------------------------------------
-# Epoch-fenced client leases
-# ----------------------------------------------------------------------
-
-
-class ShardLease:
-    """A client's claim that one shard owns a key range, epoch-stamped.
-
-    Real sharded deployments hand clients a routing table; a migration
-    switch invalidates cached entries.  A lease captures the cluster
-    epoch at creation; writes through it are rejected with
-    :class:`~repro.errors.StaleOwnerError` once the leased shard has
-    been fenced by a later switch or the key routes elsewhere — the
-    stale client re-leases instead of writing through dead routing
-    state.
-    """
-
-    def __init__(self, engine: "ShardedEngine", shard: int, epoch: int) -> None:
-        self.engine = engine
-        self.shard = shard
-        self.epoch = epoch
-
-    def _check(self, key: bytes) -> None:
-        fence = self.engine._fence_epochs[self.shard]
-        if fence > self.epoch:
-            raise StaleOwnerError(self.shard, self.epoch, self.engine.epoch)
-        if self.engine.partitioner.shard_for(key) != self.shard:
-            raise StaleOwnerError(self.shard, self.epoch, self.engine.epoch)
-
-    def put(self, key: bytes, value: bytes) -> None:
-        self._check(key)
-        self.engine.put(key, value)
-
-    def delete(self, key: bytes) -> None:
-        self._check(key)
-        self.engine.delete(key)
-
-    def __repr__(self) -> str:
-        return f"ShardLease(shard={self.shard}, epoch={self.epoch})"
-
-
-# ----------------------------------------------------------------------
 # The controller
 # ----------------------------------------------------------------------
 
@@ -533,14 +435,15 @@ class MigrationController:
     one bounded chunk per :meth:`step` call, so the driver interleaves
     foreground traffic freely.  Every durable transition is journaled
     *before* it takes effect; :func:`crash_and_recover` rebuilds the
-    whole fleet — ownership map, epoch, fences and pending migration —
-    from the journal plus the shards' own recovery.
+    whole fleet — ownership map, epoch and pending migration — from the
+    journal plus the shards' own recovery.  ``journal`` defaults to
+    :func:`open_journal` of the engine.
     """
 
     def __init__(
         self,
         engine: "ShardedEngine",
-        journal: MigrationJournal | None = None,
+        journal: WriteAheadLog | None = None,
         chunk_keys: int = 64,
         throttle: MigrationThrottle | None = None,
     ) -> None:
@@ -552,8 +455,7 @@ class MigrationController:
         if chunk_keys < 1:
             raise ValueError(f"chunk_keys must be >= 1, got {chunk_keys}")
         self.engine = engine
-        self.journal = journal if journal is not None else MigrationJournal()
-        self.journal.clock = engine.clock
+        self.journal = journal if journal is not None else open_journal(engine)
         self.chunk_keys = chunk_keys
         self.throttle = throttle or MigrationThrottle()
         self.state = IDLE
@@ -562,10 +464,8 @@ class MigrationController:
         self.copied_keys = 0
         self.retired_keys = 0
         self._dirty: set[bytes] = set()
-        self._clear_done = False
-        self._clear_cursor = b""
-        self._copy_cursor = b""
-        self._retire_cursor = b""
+        self._clearing = False
+        self._cursor = b""  # where the current phase's next chunk starts
         self._next_plan_id = 1
         metrics = engine._runtime.metrics
         self._ctr_steps = metrics.counter("migration.steps")
@@ -574,14 +474,20 @@ class MigrationController:
         self._ctr_retired = metrics.counter("migration.retired_keys")
         self._ctr_switches = metrics.counter("migration.switches")
         engine.migration = self
-        if not self.journal.records:
-            self.journal.append(
-                {
-                    "type": "init",
-                    "boundaries": list(engine.partitioner.boundaries),
-                    "epoch": engine.epoch,
-                }
-            )
+        if self.journal.durable_lsn == 0:
+            boundaries = tuple(engine.partitioner.boundaries)
+            self._log("init", (boundaries, engine.epoch))
+
+    def _log(self, kind: str, payload: Any) -> None:
+        """Append one record and force it durable (or die trying).
+
+        The force follows a durability barrier, so it pays one head
+        positioning, as a synchronous commit of a tree's logical log
+        does (``LogicalLog.force(sync=True)``).
+        """
+        self.journal.append(kind, payload)
+        self.journal.disk.sync_barrier()
+        self.journal.force()
 
     # -- router hooks --------------------------------------------------
 
@@ -652,20 +558,8 @@ class MigrationController:
             )
         plan = replace(plan, plan_id=self._next_plan_id)
         self._next_plan_id += 1
-        self.journal.append(
-            {
-                "type": "plan",
-                "id": plan.plan_id,
-                "kind": plan.kind,
-                "source": plan.source,
-                "target": plan.target,
-                "lo": plan.lo,
-                "hi": plan.hi,
-                "new_boundaries": list(plan.new_boundaries),
-            }
-        )
+        self._log("plan", plan)
         self._enter_copy(plan)
-        self.journal.append({"type": "copy_start", "id": plan.plan_id})
         return plan
 
     def abort(self) -> None:
@@ -683,19 +577,26 @@ class MigrationController:
             )
         plan = self.plan
         assert plan is not None
-        self._clear_range(plan.target, plan.lo, plan.hi)
-        self.journal.append({"type": "abort", "id": plan.plan_id})
+        cursor: bytes | None = plan.lo
+        while cursor is not None:
+            _, cursor = self._delete_chunk(
+                plan.target, cursor, plan.hi, "migrate_clear"
+            )
+        self._log("abort", plan.plan_id)
         self._reset()
 
     def _enter_copy(self, plan: MigrationPlan) -> None:
         self.plan = plan
         self.state = COPY
         self._dirty.clear()
-        self._clear_done = False
-        self._clear_cursor = plan.lo
-        self._copy_cursor = plan.lo
-        self._retire_cursor = plan.lo
+        self._clearing = True
+        self._cursor = plan.lo
         self.throttle.begin(self.engine)
+
+    def _enter_retire(self, plan: MigrationPlan) -> None:
+        self.plan = plan
+        self.state = RETIRE
+        self._cursor = plan.lo
 
     def _reset(self) -> None:
         self.plan = None
@@ -741,7 +642,7 @@ class MigrationController:
         plan = self.plan
         assert plan is not None
         if self.state == COPY:
-            if not self._clear_done:
+            if self._clearing:
                 return self._step_clear(plan)
             return self._step_copy(plan)
         if self.state == CATCH_UP:
@@ -757,50 +658,36 @@ class MigrationController:
             shard, lambda s: list(s.scan(lo, hi, self.chunk_keys)), kind
         )
 
-    def _clear_range(self, shard: int, lo: bytes, hi: bytes) -> int:
-        """Delete every live row of ``[lo, hi)`` on one shard (chunked)."""
-        from repro.baselines.interface import WriteBatch
+    def _delete_chunk(
+        self, shard: int, lo: bytes, hi: bytes, kind: str
+    ) -> tuple[int, bytes | None]:
+        """Delete the next chunk of live rows of ``[lo, hi)`` on one shard.
 
-        cleared = 0
-        cursor = lo
-        while True:
-            rows = self._scan_chunk(shard, cursor, hi, "migrate_clear")
-            if rows:
-                batch = WriteBatch()
-                for key, _ in rows:
-                    batch.delete(key)
-                self.engine._on_shard(
-                    shard, lambda s: s.apply_batch(batch), "migrate_clear"
-                )
-                cleared += len(rows)
-                cursor = rows[-1][0] + b"\x00"
-            if len(rows) < self.chunk_keys:
-                return cleared
-
-    def _step_clear(self, plan: MigrationPlan) -> str:
-        from repro.baselines.interface import WriteBatch
-
-        rows = self._scan_chunk(
-            plan.target, self._clear_cursor, plan.hi, "migrate_clear"
-        )
+        Returns the rows deleted and where the next chunk starts, or
+        ``None`` once the range holds no more live rows.
+        """
+        rows = self._scan_chunk(shard, lo, hi, kind)
         if rows:
             batch = WriteBatch()
             for key, _ in rows:
                 batch.delete(key)
-            self.engine._on_shard(
-                plan.target, lambda s: s.apply_batch(batch), "migrate_clear"
-            )
-            self._clear_cursor = rows[-1][0] + b"\x00"
+            self.engine._on_shard(shard, lambda s: s.apply_batch(batch), kind)
         if len(rows) < self.chunk_keys:
-            self._clear_done = True
+            return len(rows), None
+        return len(rows), rows[-1][0] + b"\x00"
+
+    def _step_clear(self, plan: MigrationPlan) -> str:
+        _, cursor = self._delete_chunk(
+            plan.target, self._cursor, plan.hi, "migrate_clear"
+        )
+        if cursor is None:
+            self._clearing = False
+            cursor = plan.lo
+        self._cursor = cursor
         return "clear"
 
     def _step_copy(self, plan: MigrationPlan) -> str:
-        from repro.baselines.interface import WriteBatch
-
-        rows = self._scan_chunk(
-            plan.source, self._copy_cursor, plan.hi, "migrate_copy"
-        )
+        rows = self._scan_chunk(plan.source, self._cursor, plan.hi, "migrate_copy")
         if rows:
             batch = WriteBatch()
             for key, value in rows:
@@ -810,15 +697,12 @@ class MigrationController:
             )
             self.copied_keys += len(rows)
             self._ctr_copied.inc(len(rows))
-            self._copy_cursor = rows[-1][0] + b"\x00"
+            self._cursor = rows[-1][0] + b"\x00"
         if len(rows) < self.chunk_keys:
             self.state = CATCH_UP
-            self.journal.append({"type": "catchup_start", "id": plan.plan_id})
         return "copy"
 
     def _step_catch_up(self, plan: MigrationPlan) -> str:
-        from repro.baselines.interface import WriteBatch
-
         keys = sorted(self._dirty)[: self.chunk_keys]
         if keys:
             values = self.engine._on_shard(
@@ -844,45 +728,26 @@ class MigrationController:
     def _switch(self, plan: MigrationPlan) -> None:
         """The atomic ownership switch (one journal force commits it)."""
         new_epoch = self.engine.epoch + 1
-        self.journal.append(
-            {
-                "type": "switch",
-                "id": plan.plan_id,
-                "source": plan.source,
-                "boundaries": list(plan.new_boundaries),
-                "epoch": new_epoch,
-            }
-        )
+        self._log("switch", (plan.new_boundaries, new_epoch))
         # Only reached if the force made the record durable: from here
         # on, recovery rolls this migration forward, never back.
         self.engine.partitioner = RangePartitioner(plan.new_boundaries)
         self.engine.epoch = new_epoch
-        self.engine._fence_epochs[plan.source] = new_epoch
         self._ctr_switches.inc()
-        self.state = RETIRE
-        self._retire_cursor = plan.lo
+        self._enter_retire(plan)
 
     def _step_retire(self, plan: MigrationPlan) -> str:
-        from repro.baselines.interface import WriteBatch
-
-        rows = self._scan_chunk(
-            plan.source, self._retire_cursor, plan.hi, "migrate_retire"
+        retired, cursor = self._delete_chunk(
+            plan.source, self._cursor, plan.hi, "migrate_retire"
         )
-        if rows:
-            batch = WriteBatch()
-            for key, _ in rows:
-                batch.delete(key)
-            self.engine._on_shard(
-                plan.source, lambda s: s.apply_batch(batch), "migrate_retire"
-            )
-            self.retired_keys += len(rows)
-            self._ctr_retired.inc(len(rows))
-            self._retire_cursor = rows[-1][0] + b"\x00"
-        if len(rows) < self.chunk_keys:
-            self.journal.append({"type": "retire_done", "id": plan.plan_id})
+        self.retired_keys += retired
+        self._ctr_retired.inc(retired)
+        if cursor is None:
+            self._log("retire_done", plan.plan_id)
             self.completed += 1
             self._reset()
             return "retired"
+        self._cursor = cursor
         return RETIRE
 
     # -- recovery ------------------------------------------------------
@@ -898,22 +763,8 @@ class MigrationController:
             # full re-copy (clear first) is safe.
             self._enter_copy(plan)
         else:
-            self.plan = plan
-            self.state = RETIRE
-            self._retire_cursor = plan.lo
+            self._enter_retire(plan)
             self.throttle.begin(self.engine)
-
-
-def attach_migration(
-    engine: "ShardedEngine",
-    journal: MigrationJournal | None = None,
-    chunk_keys: int = 64,
-    throttle: MigrationThrottle | None = None,
-) -> MigrationController:
-    """Attach a migration controller to a range-partitioned engine."""
-    return MigrationController(
-        engine, journal=journal, chunk_keys=chunk_keys, throttle=throttle
-    )
 
 
 def crash_and_recover(engine: "ShardedEngine") -> "ShardedEngine":
@@ -921,13 +772,15 @@ def crash_and_recover(engine: "ShardedEngine") -> "ShardedEngine":
 
     Drops every shard's volatile state and the migration journal's
     un-forced tail, recovers each shard's tree from its durable
-    substrate, replays the journal into an ownership map (boundaries,
-    cluster epoch, fences),
-    and re-attaches a controller resumed at the recovered migration
-    phase: a plan without a durable switch restarts its copy from
-    scratch; a switch without a completed retirement rolls forward
-    through retirement.  Requires bLSM shards (``SYNC`` durability for
-    acked-write guarantees, as everywhere else in the crash harness).
+    substrate, replays the journal into an ownership map (boundaries and
+    cluster epoch), and re-attaches a controller resumed at the
+    recovered migration phase: a plan without a durable switch restarts
+    its copy from scratch; a switch without a completed retirement rolls
+    forward through retirement.  The recovered router starts where the
+    crashed one stopped (replay included) and takes the journal's
+    durable records over on its own handle of the journal device.
+    Requires bLSM shards (``SYNC`` durability for acked-write
+    guarantees, as everywhere else in the crash harness).
     """
     from repro.baselines.blsm_engine import BLSMEngine
     from repro.core.tree import BLSM
@@ -940,8 +793,11 @@ def crash_and_recover(engine: "ShardedEngine") -> "ShardedEngine":
             "(the journal is the recovery source of truth)"
         )
     journal = controller.journal
-    if journal.fault_plan is not None:
-        journal.fault_plan.disarm()
+    fault_plan = (
+        journal.disk.plan if isinstance(journal.disk, FaultyDisk) else None
+    )
+    if fault_plan is not None:
+        fault_plan.disarm()
     journal.crash()
     trees = []
     for shard in engine.shards:
@@ -964,12 +820,9 @@ def crash_and_recover(engine: "ShardedEngine") -> "ShardedEngine":
             trees[index]
         ),
     )
+    recovered.clock.advance_to(engine.clock.now)
     recovered.epoch = epoch
-    for record in journal.records:
-        if record["type"] == "switch":
-            recovered._fence_epochs[int(record["source"])] = int(
-                record["epoch"]
-            )
+    journal.disk, journal.retry = _journal_device(recovered, fault_plan)
     new_controller = MigrationController(
         recovered,
         journal=journal,
@@ -981,197 +834,3 @@ def crash_and_recover(engine: "ShardedEngine") -> "ShardedEngine":
     )
     new_controller._resume(pending)
     return recovered
-
-
-# ----------------------------------------------------------------------
-# The live-migration benchmark (repro migrate)
-# ----------------------------------------------------------------------
-
-
-def live_migration_bench(
-    records: int = 2400,
-    batches: int = 160,
-    batch: int = 32,
-    value_bytes: int = 128,
-    shards: int = 4,
-    seed: int = 0,
-    hot_fraction: float = 0.85,
-    windows: int = 12,
-    c0_bytes: int = 48 * 1024,
-    cache_pages: int = 32,
-    chunk_keys: int = 64,
-    max_migration_fraction: float = 0.5,
-) -> dict[str, Any]:
-    """p99 read/write timelines during a live split vs. quiescent baseline.
-
-    Two identical range-partitioned fleets run the same clustered-Zipfian
-    workload (a hot prefix concentrated on shard 0 — sequential keys, so
-    the hotspot is contiguous in key space).  The *quiescent* run never
-    migrates; the *migrating* run hands per-shard load shares to a
-    :class:`Rebalancer` that detects the hot shard and performs a live
-    split toward its neighbour, stepping the migration between batches
-    under the throttle.  Every read is verified against a dict oracle and
-    the final states must match it exactly, so the timeline is only
-    reported for a run that stayed correct.  The headline number is
-    ``p99_ratio`` — migrating p99 over quiescent p99 — which CI bounds
-    (``--assert-p99-ratio R``); a run that completes no migration fails.
-
-    ``batches`` batches of ``batch`` keys alternate reads and writes,
-    ``hot_fraction`` of the keys drawn from the hot tenth of the key
-    space; latencies are cut into ``windows`` timeline windows.  Each
-    shard has a ``c0_bytes`` C0 and ``cache_pages`` of buffer pool; the
-    migration copies ``chunk_keys`` keys a step and may take at most
-    ``max_migration_fraction`` of the device time.  The return value is
-    the report's ``metrics`` block.
-    """
-    from repro.baselines.interface import WriteBatch
-    from repro.core.options import BLSMOptions
-    from repro.shard.engine import ShardedEngine
-    from repro.storage.logical_log import DurabilityMode
-
-    keys = [b"key%08d" % index for index in range(records)]
-    hot_span = max(batch, records // 10)
-
-    def build() -> ShardedEngine:
-        options = BLSMOptions(
-            c0_bytes=c0_bytes,
-            buffer_pool_pages=cache_pages,
-            durability=DurabilityMode.ASYNC,
-        )
-        partitioner = RangePartitioner.from_sample(keys, shards)
-        engine = ShardedEngine(options, shards=shards, partitioner=partitioner)
-        for start in range(0, records, 256):
-            load = WriteBatch()
-            for key in keys[start : start + 256]:
-                load.put(key, b"v0" + bytes(max(0, value_bytes - 2)))
-            engine.apply_batch(load)
-        return engine
-
-    def run(migrate: bool) -> dict[str, Any]:
-        engine = build()
-        oracle = {key: b"v0" + bytes(max(0, value_bytes - 2)) for key in keys}
-        controller: MigrationController | None = None
-        rebalancer: Rebalancer | None = None
-        if migrate:
-            controller = attach_migration(
-                engine,
-                chunk_keys=chunk_keys,
-                throttle=MigrationThrottle(max_migration_fraction),
-            )
-            rebalancer = Rebalancer(
-                engine, controller, hot_share=0.5, cold_share=0.0
-            )
-        rng = random.Random(seed)
-        read_lat: list[tuple[float, float]] = []
-        write_lat: list[tuple[float, float]] = []
-        events: list[dict[str, Any]] = []
-        last_tag = IDLE
-        migration_began: float | None = None
-        migration_done: float | None = None
-
-        def pick_key() -> bytes:
-            if rng.random() < hot_fraction:
-                return keys[rng.randrange(hot_span)]
-            return keys[rng.randrange(records)]
-
-        for batch_index in range(batches):
-            batch_keys = [pick_key() for _ in range(batch)]
-            began = engine.clock.now
-            if batch_index % 2 == 0:
-                values = engine.multi_get(batch_keys)
-                for key, value in zip(batch_keys, values):
-                    expected = oracle.get(key)
-                    if value != expected:
-                        raise AssertionError(
-                            f"oracle divergence mid-migration: {key!r} -> "
-                            f"{value!r}, expected {expected!r}"
-                        )
-                read_lat.append(
-                    (began, (engine.clock.now - began) / max(1, batch))
-                )
-            else:
-                mutation = WriteBatch()
-                for position, key in enumerate(batch_keys):
-                    value = b"v%07d" % (batch_index * batch + position)
-                    value += bytes(max(0, value_bytes - len(value)))
-                    mutation.put(key, value)
-                    oracle[key] = value
-                engine.apply_batch(mutation)
-                write_lat.append(
-                    (began, (engine.clock.now - began) / max(1, batch))
-                )
-            if controller is not None:
-                if rebalancer is not None:
-                    plan = rebalancer.maybe_rebalance()
-                    if plan is not None:
-                        migration_began = engine.clock.now
-                        events.append(
-                            {
-                                "t": engine.clock.now,
-                                "event": "plan",
-                                "kind": plan.kind,
-                                "source": plan.source,
-                                "target": plan.target,
-                            }
-                        )
-                tag = controller.step()
-                if tag != last_tag and tag not in (IDLE, "throttled"):
-                    events.append({"t": engine.clock.now, "event": tag})
-                if tag == "retired":
-                    migration_done = engine.clock.now
-                last_tag = tag
-
-        if controller is not None and controller.active:
-            controller.run_to_completion()
-            migration_done = engine.clock.now
-        final = list(engine.scan(b""))
-        expected_final = sorted(
-            (key, value) for key, value in oracle.items()
-        )
-        if final != expected_final:
-            raise AssertionError(
-                "final scan diverged from the oracle after migration"
-            )
-
-        result: dict[str, Any] = {
-            "read_windows": windows_over_span(read_lat, windows),
-            "write_windows": windows_over_span(write_lat, windows),
-            "read_p50": percentile([v for _, v in read_lat], 50.0),
-            "read_p99": percentile([v for _, v in read_lat], 99.0),
-            "write_p50": percentile([v for _, v in write_lat], 50.0),
-            "write_p99": percentile([v for _, v in write_lat], 99.0),
-            "elapsed_seconds": engine.clock.now,
-            "verified": True,
-        }
-        if controller is not None:
-            result["events"] = events
-            result["migration"] = {
-                "completed": controller.completed,
-                "copied_keys": controller.copied_keys,
-                "retired_keys": controller.retired_keys,
-                "steps": int(
-                    engine._runtime.metrics.value("migration.steps")
-                ),
-                "deferred_steps": int(
-                    engine._runtime.metrics.value("migration.deferred_steps")
-                ),
-                "busy_seconds": controller.throttle.busy_seconds,
-                "duration_seconds": (
-                    (migration_done - migration_began)
-                    if migration_began is not None and migration_done is not None
-                    else 0.0
-                ),
-                "epoch": engine.epoch,
-            }
-        engine.close()
-        return result
-
-    quiescent = run(migrate=False)
-    migrating = run(migrate=True)
-    q_p99 = max(quiescent["read_p99"], quiescent["write_p99"])
-    m_p99 = max(migrating["read_p99"], migrating["write_p99"])
-    return {
-        "quiescent": quiescent,
-        "migrating": migrating,
-        "p99_ratio": (m_p99 / q_p99) if q_p99 > 0 else 0.0,
-    }

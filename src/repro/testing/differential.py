@@ -366,7 +366,7 @@ def default_fuzz_configs(
                 count: int = count, boundaries: tuple[bytes, ...] = boundaries
             ) -> KVEngine:
                 from repro.shard.engine import ShardedEngine
-                from repro.shard.migration import attach_migration
+                from repro.shard.migration import MigrationController
                 from repro.shard.partitioner import RangePartitioner
 
                 from repro.engines import blsm_options
@@ -376,7 +376,7 @@ def default_fuzz_configs(
                     shards=count,
                     partitioner=RangePartitioner(list(boundaries)),
                 )
-                attach_migration(engine, chunk_keys=16)
+                MigrationController(engine, chunk_keys=16)
                 return engine
 
             configs.append(

@@ -161,9 +161,8 @@ def check_sharded_invariants(engine) -> None:
       the switch, awaiting retirement after it).  Once the migration
       has finished no exception is allowed;
     * mid-migration coherence: an in-flight migration's plan names
-      adjacent, distinct shards and a non-empty donated range, its
-      dirty set stays inside that range, and a switched-but-unretired
-      source is epoch-fenced.
+      adjacent, distinct shards and a non-empty donated range, and its
+      dirty set stays inside that range.
 
     The per-shard scans the check performs advance shard clocks; the
     router clock is re-synchronized afterwards so the engine remains
@@ -195,11 +194,6 @@ def check_sharded_invariants(engine) -> None:
             assert plan.lo <= key < plan.hi, (
                 f"dirty key {key!r} outside the donated range "
                 f"[{plan.lo!r}, {plan.hi!r})"
-            )
-        if controller.state == "retire":
-            assert engine._fence_epochs[plan.source] == engine.epoch, (
-                f"switched source {plan.source} is not fenced at the "
-                f"current epoch {engine.epoch}"
             )
     for index, shard in enumerate(engine.shards):
         tree = getattr(shard, "tree", None)

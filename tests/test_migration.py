@@ -3,16 +3,17 @@
 Covers the tentpole claims of the migration subsystem: every durable
 transition is journaled before it takes effect, a crash at any step
 recovers to a consistent ownership map, readers never observe staged
-rows mid-copy (a shard is read only inside the range it owns), stale
-leases are fenced after the switch, and the
+rows mid-copy (a shard is read only inside the range it owns), and the
 rebalancer closes the loop from load metrics to live split/merge plans.
+The journal is a write-ahead log on the router's ``migration-journal``
+device, so its tests read that device's counters and the router clock.
 Property tests compose journal fault schedules with in-flight
 migrations and interleaved traffic, asserting oracle parity and the
 mid-migration structural invariants after recovery.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import random
@@ -23,12 +24,9 @@ from repro.errors import (
     CrashPoint,
     IOFaultError,
     MigrationError,
-    RetryDeadlineError,
     ShardFanoutError,
-    StaleOwnerError,
-    TransientIOError,
 )
-from repro.faults import FaultPlan, FaultRule, RetryExecutor, RetryPolicy
+from repro.faults import FaultPlan, FaultRule, RetryPolicy
 from repro.faults.crashpoints import (
     enumerate_migration_crash_points,
     format_report,
@@ -36,20 +34,18 @@ from repro.faults.crashpoints import (
 from repro.shard import (
     HotShardDetector,
     MigrationController,
-    MigrationJournal,
     MigrationPlan,
     MigrationThrottle,
     RangePartitioner,
     Rebalancer,
     ShardedEngine,
-    attach_migration,
     crash_and_recover,
-    live_migration_bench,
+    open_journal,
     plan_merge,
     plan_split,
 )
+from repro.scenarios import live_migration_bench
 from repro.shard.migration import _replay_journal
-from repro.sim.clock import VirtualClock
 from repro.storage.logical_log import DurabilityMode
 from repro.testing import check_sharded_invariants
 from repro.testing.differential import default_fuzz_configs, run_trace
@@ -75,10 +71,22 @@ def make_fleet(
         shards=shards,
         partitioner=RangePartitioner(list(boundaries)),
     )
-    controller = attach_migration(
+    controller = MigrationController(
         engine, chunk_keys=chunk_keys, throttle=MigrationThrottle(1.0)
     )
     return engine, controller
+
+
+def bare_fleet():
+    """A two-shard range fleet with no controller attached."""
+    return ShardedEngine(
+        small_options(), shards=2, partitioner=RangePartitioner([b"m"])
+    )
+
+
+def kinds(journal):
+    """The kinds of the journal's durable records (a replay read)."""
+    return [record.kind for record in journal.records()]
 
 
 def key(i):
@@ -191,105 +199,108 @@ def test_plan_merge_returns_none_when_degenerate():
 
 
 def test_journal_force_makes_records_durable_and_charges_time():
-    clock = VirtualClock()
-    journal = MigrationJournal(clock=clock, force_seconds=1e-3)
-    journal.append({"type": "init", "boundaries": [], "epoch": 0})
-    journal.append({"type": "plan", "id": 1})
-    assert len(journal.records) == 2
-    assert journal.forces == 2
-    assert clock.now == pytest.approx(2e-3)
+    engine = bare_fleet()
+    began = engine.clock.now
+    controller = MigrationController(engine)  # forces the init record
+    disk = controller.journal.disk
+    assert disk.name == "migration-journal"
+    assert disk.stats.write_ops == 1
+    # The router waits out exactly the device's service time.
+    assert engine.clock.now - began == pytest.approx(disk.stats.busy_seconds)
+    assert disk.stats.busy_seconds >= disk.model.write_access_seconds
+    assert engine.metrics()["disk.migration-journal.write_ops"] == 1
+    load_keys(engine, 40)
+    controller.start(plan_split(engine, 0))
+    # Every force follows a durability barrier: one positioning each,
+    # though the journal's offsets are contiguous.
+    assert disk.stats.write_ops == 2 and disk.stats.seeks == 2
+    assert kinds(controller.journal) == ["init", "plan"]
+    engine.close()
 
 
 def test_journal_crash_drops_only_the_volatile_tail():
-    journal = MigrationJournal()
-    journal.append({"type": "init"})
-    journal._records.append({"type": "plan", "id": 1})  # never forced
-    assert journal.crash() == 1
-    assert [r["type"] for r in journal.records] == ["init"]
-    assert journal.crash() == 0  # idempotent
+    engine = bare_fleet()
+    journal = MigrationController(engine).journal
+    journal.append("plan", None)  # never forced
+    journal.crash()
+    assert kinds(journal) == ["init"]
+    journal.crash()  # idempotent
+    assert kinds(journal) == ["init"]
+    engine.close()
 
 
 def test_journal_retries_transient_faults_until_durable():
     plan = FaultPlan(
         [FaultRule(kind="transient", device="migration-journal", every=1, count=2)]
     )
-    journal = MigrationJournal(fault_plan=plan)
-    journal.append({"type": "init"})
-    assert len(journal.records) == 1
+    engine = bare_fleet()
+    journal = open_journal(engine, plan)
+    MigrationController(engine, journal=journal)
     assert plan.fired_by_kind["transient"] == 2
+    assert engine.metrics()["retry.retries"] == 2
+    assert kinds(journal) == ["init"]
+    engine.close()
 
 
 def test_journal_persistent_fault_surfaces_typed():
     plan = FaultPlan(
         [FaultRule(kind="transient", device="migration-journal", every=1)]
     )
-    journal = MigrationJournal(fault_plan=plan)
+    engine = bare_fleet()
+    journal = open_journal(engine, plan)
     with pytest.raises(IOFaultError):
-        journal.append({"type": "init"})
-    assert journal.records == []  # the failed append never became durable
-
-
-def test_journal_deadline_bounds_persistent_retries():
-    plan = FaultPlan(
-        [FaultRule(kind="transient", device="migration-journal", every=1)]
-    )
-    journal = MigrationJournal(
-        fault_plan=plan,
-        retry_policy=RetryPolicy(
-            max_attempts=50, base_backoff_seconds=0.4, deadline_seconds=1.0
-        ),
-    )
-    with pytest.raises(RetryDeadlineError):
-        journal.append({"type": "init"})
-    # The executor never sleeps past the budget edge.
-    assert journal.clock.now <= 1.0 + 50 * journal.force_seconds
+        MigrationController(engine, journal=journal)
+    # The retry budget bounds a persistent fault: the default policy's
+    # attempts, no more.
+    assert plan.fired_by_kind["transient"] == RetryPolicy().max_attempts
+    plan.disarm()
+    assert kinds(journal) == []  # the failed append never became durable
+    engine.close()
 
 
 def test_journal_crash_fault_kills_the_process_at_the_force():
     plan = FaultPlan([FaultRule(kind="crash", at_access=1, count=1)])
-    journal = MigrationJournal(fault_plan=plan)
+    engine = bare_fleet()
+    journal = open_journal(engine, plan)
     with pytest.raises(CrashPoint):
-        journal.append({"type": "init"})
+        MigrationController(engine, journal=journal)
     journal.crash()
-    assert journal.records == []
+    plan.disarm()
+    assert kinds(journal) == []
+    engine.close()
 
 
 def test_replay_journal_reconstructs_each_phase():
-    journal = MigrationJournal()
-    journal.append({"type": "init", "boundaries": [b"m"], "epoch": 0})
-    plan_record = {
-        "type": "plan", "id": 3, "kind": "split", "source": 0, "target": 1,
-        "lo": b"f", "hi": b"m", "new_boundaries": [b"f"],
-    }
-    journal.append(plan_record)
-    boundaries, epoch, pending, next_id = _replay_journal(journal)
-    assert boundaries == [b"m"] and epoch == 0
-    assert pending is not None and pending[1] == "copy"
-    assert pending[0].plan_id == 3 and next_id == 4
+    engine, controller = make_fleet()
+    load_keys(engine, 40)
+    disk = controller.journal.disk
+    plan = controller.start(plan_split(engine, 0))
+    reads = disk.stats.read_ops
+    boundaries, epoch, pending, next_id = _replay_journal(controller.journal)
+    assert disk.stats.read_ops == reads + 1  # replay is a booked read
+    assert boundaries == [b"key-000060"] and epoch == 0
+    assert pending == (plan, "copy") and next_id == plan.plan_id + 1
 
-    journal.append(
-        {"type": "switch", "id": 3, "source": 0, "boundaries": [b"f"], "epoch": 1}
-    )
-    boundaries, epoch, pending, _ = _replay_journal(journal)
-    assert boundaries == [b"f"] and epoch == 1
-    assert pending is not None and pending[1] == "retire"
+    step_until(controller, "retire")
+    boundaries, epoch, pending, _ = _replay_journal(controller.journal)
+    assert boundaries == list(plan.new_boundaries) and epoch == 1
+    assert pending == (plan, "retire")
 
-    journal.append({"type": "retire_done", "id": 3})
-    boundaries, epoch, pending, _ = _replay_journal(journal)
-    assert boundaries == [b"f"] and epoch == 1
+    controller.run_to_completion()
+    boundaries, epoch, pending, _ = _replay_journal(controller.journal)
+    assert boundaries == list(plan.new_boundaries) and epoch == 1
     assert pending is None
+    engine.close()
 
 
 def test_replay_journal_aborted_plan_leaves_no_pending():
-    journal = MigrationJournal()
-    journal.append({"type": "init", "boundaries": [b"m"], "epoch": 0})
-    journal.append(
-        {"type": "plan", "id": 1, "kind": "split", "source": 0, "target": 1,
-         "lo": b"f", "hi": b"m", "new_boundaries": [b"f"]}
-    )
-    journal.append({"type": "abort", "id": 1})
-    _, _, pending, _ = _replay_journal(journal)
-    assert pending is None
+    engine, controller = make_fleet()
+    load_keys(engine, 40)
+    controller.start(plan_split(engine, 0))
+    controller.abort()
+    _, epoch, pending, next_id = _replay_journal(controller.journal)
+    assert pending is None and epoch == 0 and next_id == 2
+    engine.close()
 
 
 # ----------------------------------------------------------------------
@@ -465,40 +476,8 @@ def test_abort_after_switch_is_rejected():
 def test_controller_requires_range_partitioner():
     hashed = ShardedEngine(small_options(), shards=2)
     with pytest.raises(MigrationError):
-        attach_migration(hashed)
+        MigrationController(hashed)
     hashed.close()
-
-
-# ----------------------------------------------------------------------
-# Epoch fencing
-# ----------------------------------------------------------------------
-
-
-def test_stale_lease_is_fenced_after_the_switch():
-    engine, controller = make_fleet()
-    load_keys(engine, 60)
-    moving = key(45)  # upper half of shard 0: donated by the split
-    lease = engine.lease(moving)
-    lease.put(moving, b"pre-switch")  # valid before the switch
-    controller.start(plan_split(engine, 0))
-    controller.run_to_completion()
-    with pytest.raises(StaleOwnerError):
-        lease.put(moving, b"post-switch")
-    with pytest.raises(StaleOwnerError):
-        lease.delete(moving)
-    assert engine.get(moving) == b"pre-switch"
-    # A fresh lease sees the new epoch and works.
-    engine.lease(moving).put(moving, b"fresh")
-    assert engine.get(moving) == b"fresh"
-    engine.close()
-
-
-def test_lease_rejects_rerouted_keys():
-    engine, _ = make_fleet()
-    lease = engine.lease(key(5))  # shard 0
-    with pytest.raises(StaleOwnerError):
-        lease.put(key(999999), b"x")  # routes to shard 1
-    engine.close()
 
 
 # ----------------------------------------------------------------------
@@ -586,11 +565,14 @@ def test_crash_after_switch_rolls_forward_through_retire():
     model = load_keys(engine, 60)
     plan = controller.start(plan_split(engine, 0))
     step_until(controller, "retire")
+    journal = controller.journal
     recovered = crash_and_recover(engine)
     assert recovered.migration.state == "retire"
     assert recovered.epoch == 1
-    assert recovered._fence_epochs[plan.source] == 1
     assert recovered.partitioner.boundaries == plan.new_boundaries
+    # The recovered router took the journal's durable records over.
+    assert recovered.migration.journal is journal
+    assert recovered.clock.now >= engine.clock.now
 
     def source_copies():
         return recovered._on_shard(
@@ -605,6 +587,9 @@ def test_crash_after_switch_rolls_forward_through_retire():
     recovered.migration.run_to_completion()
     assert source_copies() == []
     verify_model(recovered, model)
+    # Its retire-done force is booked on the recovered router's device.
+    assert recovered.metrics()["disk.migration-journal.write_ops"] == 1
+    assert kinds(journal)[-2:] == ["switch", "retire_done"]
     recovered.close()
 
 
@@ -730,62 +715,6 @@ def test_differential_migrating_config_matches_oracle():
 
 
 # ----------------------------------------------------------------------
-# Retry deadline and jitter (the journal's retry substrate)
-# ----------------------------------------------------------------------
-
-
-def test_retry_deadline_raises_typed_error():
-    clock = VirtualClock()
-    policy = RetryPolicy(
-        max_attempts=50, base_backoff_seconds=0.4, deadline_seconds=1.0
-    )
-    attempts = []
-
-    def always_fails():
-        attempts.append(1)
-        raise TransientIOError("nope")
-
-    with pytest.raises(RetryDeadlineError) as excinfo:
-        RetryExecutor(policy, clock).run(always_fails, "unit")
-    assert excinfo.value.what == "unit"
-    # Backoffs are capped at the budget edge: the clock never runs past
-    # the deadline, and far fewer than max_attempts were issued.
-    assert clock.now <= 1.0
-    assert 2 < len(attempts) < 50
-
-
-def test_retry_jitter_is_seeded_and_bounded():
-    policy = RetryPolicy(
-        max_attempts=2, base_backoff_seconds=1e-3, jitter=0.5
-    )
-
-    def run_once(seed):
-        clock = VirtualClock()
-        calls = []
-
-        def flaky():
-            calls.append(1)
-            if len(calls) == 1:
-                raise TransientIOError("once")
-
-        RetryExecutor(policy, clock, seed=seed).run(flaky)
-        return clock.now
-
-    # Bounded by [1 - jitter, 1 + jitter] around the nominal backoff...
-    assert 0.5e-3 <= run_once(1) <= 1.5e-3
-    # ...deterministic per seed, and actually varying across seeds.
-    assert run_once(2) == run_once(2)
-    assert len({run_once(seed) for seed in range(8)}) > 1
-
-
-def test_retry_policy_validates_deadline_and_jitter():
-    with pytest.raises(ValueError):
-        RetryPolicy(deadline_seconds=0.0)
-    with pytest.raises(ValueError):
-        RetryPolicy(jitter=1.5)
-
-
-# ----------------------------------------------------------------------
 # Bench smoke (the BENCH_7 surface)
 # ----------------------------------------------------------------------
 
@@ -801,6 +730,9 @@ def test_live_migration_bench_smoke():
     migration = result["migrating"]["migration"]
     assert migration["completed"] >= 1
     assert migration["epoch"] == migration["completed"]  # one switch each
+    # init, then plan / switch / retire-done per migration
+    assert migration["journal_forces"] == 1 + 3 * migration["completed"]
+    assert migration["journal_seconds"] > 0.0
 
 
 # ----------------------------------------------------------------------
@@ -860,14 +792,20 @@ def test_property_migration_under_traffic_keeps_oracle_parity(seed, kind):
 @given(
     crash_access=st.integers(1, 8),
     seed=st.integers(0, 2**16),
+    kind=st.sampled_from(["crash", "torn"]),
 )
+@example(crash_access=2, seed=0, kind="torn")  # tear the switch force
 def test_property_journal_crash_recovers_to_consistent_ownership(
-    crash_access, seed
+    crash_access, seed, kind
 ):
-    """Kill the process at the N-th journal force mid-migration, under
-    traffic; recovery must yield a consistent ownership map, full acked
-    parity, and a migration that resumes to completion."""
-    journal_plan = FaultPlan.crash_at(crash_access, armed=False)
+    """Kill the process at the N-th journal force mid-migration (before
+    the write, or tearing it), under traffic; recovery must yield a
+    consistent ownership map, full acked parity, and a migration that
+    resumes to completion."""
+    journal_plan = FaultPlan(
+        [FaultRule(kind=kind, op="write", at_access=crash_access, count=1)],
+        armed=False,
+    )
     engine = ShardedEngine(
         small_options(),
         shards=2,
@@ -875,7 +813,7 @@ def test_property_journal_crash_recovers_to_consistent_ownership(
     )
     controller = MigrationController(
         engine,
-        journal=MigrationJournal(fault_plan=journal_plan),
+        journal=open_journal(engine, journal_plan),
         chunk_keys=8,
         throttle=MigrationThrottle(1.0),
     )
@@ -903,12 +841,19 @@ def test_property_journal_crash_recovers_to_consistent_ownership(
         assert recovered.get(k) == v
     resumed = recovered.migration
     assert resumed is not None
+    if crashed and crash_access == 2:
+        # The forces are plan, switch, retire-done: a switch that died
+        # or tore never committed, so the copy restarts.
+        assert resumed.state == "copy" and recovered.epoch == 0
+    if crashed and kind == "torn":
+        # The torn record is on the device with a broken checksum.
+        assert resumed.journal.torn_truncations == 1
     if resumed.active:
         resumed.run_to_completion()
     verify_model(recovered, model)
     check_sharded_invariants(recovered)
     if crashed:
-        assert journal_plan.fired_by_kind.get("crash", 0) >= 1
+        assert journal_plan.fired_by_kind.get(kind, 0) >= 1
     recovered.close()
 
 

@@ -21,11 +21,11 @@ from hypothesis import strategies as st
 from repro.baselines.interface import WriteBatch
 from repro.core.options import BLSMOptions
 from repro.shard import (
+    MigrationController,
     MigrationPlan,
     MigrationThrottle,
     RangePartitioner,
     ShardedEngine,
-    attach_migration,
     crash_and_recover,
 )
 from repro.storage.logical_log import DurabilityMode
@@ -42,7 +42,7 @@ def build_engine(boundaries=(b"k040", b"k080")):
         shards=len(boundaries) + 1,
         partitioner=RangePartitioner(list(boundaries)),
     )
-    attach_migration(engine, chunk_keys=8, throttle=MigrationThrottle(1.0))
+    MigrationController(engine, chunk_keys=8, throttle=MigrationThrottle(1.0))
     return engine
 
 

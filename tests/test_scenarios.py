@@ -19,12 +19,12 @@ from repro.cli import build_parser, main
 from repro.obs.report import keyword_defaults, load_report
 from repro.scenarios import (
     SCENARIOS,
+    live_migration_bench,
     policy_sweep,
     scenario_for,
     sessions_contrast,
     sharded_batch_read,
 )
-from repro.shard import live_migration_bench
 
 ROWS = {row.command: row for row in SCENARIOS}
 

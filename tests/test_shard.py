@@ -14,11 +14,11 @@ from repro.baselines import BLSMEngine, WriteBatch, validate_io_summary
 from repro.core import BLSMOptions
 from repro.shard import (
     HashPartitioner,
+    MigrationController,
     MigrationPlan,
     MigrationThrottle,
     RangePartitioner,
     ShardedEngine,
-    attach_migration,
     fnv1a_bytes,
     make_partitioner,
 )
@@ -44,7 +44,7 @@ def migrate_down(engine, boundary):
     ``boundary``: ``[boundary, old)`` moves from shard 0 to shard 1.
     Returns the controller with the plan started, not yet stepped."""
     (old,) = engine.partitioner.boundaries
-    controller = attach_migration(
+    controller = MigrationController(
         engine, chunk_keys=4, throttle=MigrationThrottle(1.0)
     )
     controller.start(
