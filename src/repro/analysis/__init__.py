@@ -33,7 +33,6 @@ from repro.analysis.levels import (
 from repro.analysis.stability import (
     bounded_latency_block,
     bounded_latency_check,
-    stability_compare_rules,
     stability_table,
 )
 
@@ -64,7 +63,6 @@ __all__ = [
     "policy_write_amplification",
     "read_amplification",
     "read_fanout",
-    "stability_compare_rules",
     "stability_table",
     "tradeoff_table",
     "write_amplification",

@@ -1,20 +1,19 @@
-"""Stability-bench analysis: ceilings, tables and perf-gate rules.
+"""Stability-bench analysis: ceilings and tables.
 
 Companions to :mod:`repro.ycsb.stability`: given a matrix of stability
 runs (or a saved BENCH_9 :class:`~repro.obs.report.BenchReport`), this
 module derives the bounded-latency verdict the paper's Section 4 claims
 (the spring-and-gear scheduler's windowed p99.9 write-latency ceiling
-sits strictly below the unthrottled base LSM's), renders the
-human-readable matrix table, and produces the
-:class:`~repro.obs.report.CompareRule` set the CI perf gate applies
-against a committed baseline report.
+sits strictly below the unthrottled base LSM's) and renders the
+human-readable matrix table.  The CI perf gate regenerates the
+committed BENCH_9.json and diffs it.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.obs.report import BenchReport, CompareRule
+from repro.obs.report import BenchReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ycsb.stability import StabilityResult
@@ -22,7 +21,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "bounded_latency_block",
     "bounded_latency_check",
-    "stability_compare_rules",
     "stability_table",
 ]
 
@@ -105,36 +103,3 @@ def stability_table(report: BenchReport) -> str:
         )
     return "\n".join(lines)
 
-
-def stability_compare_rules(
-    baseline: BenchReport, tolerance: float = 0.25
-) -> list[CompareRule]:
-    """Perf-gate rules for diffing a stability run against a baseline.
-
-    Derived from the baseline's own config matrix so the gate tracks
-    whatever configurations the committed report actually ran: each
-    config's p99.9 write-latency ceiling and overall write p99 must not
-    degrade (lower is better) and its achieved rate must not collapse
-    (higher is better), all within ``tolerance``.
-    """
-    rules: list[CompareRule] = []
-    for name in baseline.metrics.get("configs", {}):
-        prefix = f"configs.{name}"
-        rules.append(
-            CompareRule(
-                f"{prefix}.write_p999_ceiling", "lower", tolerance
-            )
-        )
-        rules.append(
-            CompareRule(f"{prefix}.write.p99", "lower", tolerance)
-        )
-        rules.append(
-            CompareRule(f"{prefix}.achieved_rate", "higher", tolerance)
-        )
-    if "bounded_latency" in baseline.metrics:
-        rules.append(
-            CompareRule(
-                "bounded_latency.ceiling_ratio", "higher", tolerance
-            )
-        )
-    return rules

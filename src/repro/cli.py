@@ -4,7 +4,7 @@ Ten subcommands: ``workload`` and ``trace`` run one engine; ``fuzz``
 (the differential oracle plus end-of-run invariant checks) and
 ``crashtest`` check correctness; the five rows of
 :data:`repro.scenarios.SCENARIOS` are the gated benches; ``report``
-validates and compares their reports.  The paper's analytical tables
+validates their reports.  The paper's analytical tables
 (Figure 2, Table 2) are written by ``benchmarks/`` into
 ``benchmarks/results/``, and ``examples/engine_comparison.py`` runs one
 workload on every engine.
@@ -30,16 +30,13 @@ from repro.errors import UsageError
 from repro.faults.crashpoints import PROTOCOL_SWEEPS
 from repro.obs.report import (
     ReportError,
-    compare_reports,
-    comparison_passed,
     evaluate_gates,
-    format_comparison,
     format_gate_table,
     gates_passed,
     load_report,
     new_report,
 )
-from repro.scenarios import SCENARIOS, Scenario, engine_from, scenario_for
+from repro.scenarios import SCENARIOS, Scenario, engine_from
 from repro.ycsb import (
     OpKind,
     WorkloadSpec,
@@ -288,39 +285,14 @@ def _add_scenario(sub: Any, row: Scenario) -> None:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    """Bench-report toolbox: validate envelopes, diff against baselines.
+    """Validate bench-report envelopes.
 
     ``repro report PATH...`` loads each file and reports whether it
-    parses.
-    ``repro report --compare BASELINE CURRENT`` is the CI perf gate:
-    it derives the bench's default comparison rules and fails on
-    throughput or tail-latency drift beyond ``--tolerance``.
+    parses.  A committed report is checked against the code by
+    regenerating it and diffing the file, not here.
     """
     import json as _json
 
-    if args.compare:
-        base_path, cur_path = args.compare
-        baseline = load_report(base_path)
-        current = load_report(cur_path)
-        row = scenario_for(baseline.bench)
-        rules = row.rules(baseline, args.tolerance) if row else []
-        if not rules:
-            raise SystemExit(
-                f"no default comparison rules for bench {baseline.bench!r}"
-            )
-        print(
-            f"perf gate: {cur_path} vs baseline {base_path} "
-            f"(bench={baseline.bench}, tolerance {args.tolerance:.0%})"
-        )
-        rows = compare_reports(baseline, current, rules)
-        for line in format_comparison(rows):
-            print(line)
-        return 0 if comparison_passed(rows) else 1
-    if not args.paths:
-        raise SystemExit(
-            "repro report: give PATHs to validate, or "
-            "--compare BASELINE CURRENT"
-        )
     status = 0
     for path in args.paths:
         try:
@@ -531,19 +503,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser(
         "report",
-        help="validate bench-report files; diff a run against a baseline",
+        help="validate bench-report files",
     )
     report.add_argument(
-        "paths", nargs="*", metavar="PATH",
+        "paths", nargs="+", metavar="PATH",
         help="report files to validate",
-    )
-    report.add_argument(
-        "--compare", nargs=2, metavar=("BASELINE", "CURRENT"),
-        help="perf gate: fail on regressions of CURRENT vs BASELINE",
-    )
-    report.add_argument(
-        "--tolerance", type=float, default=0.25, metavar="FRACTION",
-        help="allowed relative drift per metric (default 0.25)",
     )
     report.set_defaults(fn=_cmd_report)
 

@@ -10,12 +10,9 @@ engine's :class:`EngineRuntime`.
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.report import (
     BenchReport,
-    CompareRule,
     Gate,
     ReportError,
-    compare_reports,
     evaluate_gates,
-    format_comparison,
     format_gate_table,
     load_report,
     new_report,
@@ -46,7 +43,6 @@ from repro.obs.trace import TraceEvent, TraceRecorder
 
 __all__ = [
     "BenchReport",
-    "CompareRule",
     "Counter",
     "EngineRuntime",
     "Gate",
@@ -58,10 +54,8 @@ __all__ = [
     "TraceEvent",
     "TraceRecorder",
     "WindowedTimeline",
-    "compare_reports",
     "evaluate_gates",
     "events_within",
-    "format_comparison",
     "format_gate_table",
     "load_report",
     "new_report",

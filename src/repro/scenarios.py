@@ -11,10 +11,12 @@ row of :data:`SCENARIOS`:
 * the report's ``config`` block is the parameters the function was
   called with — nothing is retyped;
 * ``table`` renders the *report* (so a saved report prints the same
-  table), ``asserts`` are the ``--assert-*`` gates as
-  :class:`~repro.obs.report.Gate` templates, ``rules`` the perf-gate
-  :class:`~repro.obs.report.CompareRule` set ``repro report --compare``
-  applies to a baseline of this bench.
+  table) and ``asserts`` are the ``--assert-*`` gates as
+  :class:`~repro.obs.report.Gate` templates.
+
+A run's report is a pure function of the code and its parameters, so a
+committed report is checked by running its row again and diffing the
+file (docs/benchmarking.md).
 
 ``repro.cli`` holds the one runner (``_cmd_scenario``) and builds one
 subparser per row; docs/benchmarking.md has the recipe for adding one.
@@ -27,12 +29,12 @@ import typing
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Literal, Mapping
 
-from repro.analysis.stability import stability_compare_rules, stability_table
+from repro.analysis.stability import stability_table
 from repro.baselines.interface import KVEngine
 from repro.core.compaction.policy import POLICY_NAMES
 from repro.engines import DISK_MODELS, ENGINE_NAMES, build_engine
 from repro.errors import ReproError, UsageError
-from repro.obs.report import BenchReport, CompareRule, Gate, keyword_defaults
+from repro.obs.report import BenchReport, Gate, keyword_defaults
 from repro.obs.timeline import percentile, windows_over_span
 from repro.ycsb.runner import load_phase, run_batched_workload
 from repro.ycsb.sessions import ARRIVAL_MODES, run_sessions
@@ -45,7 +47,6 @@ __all__ = [
     "engine_from",
     "live_migration_bench",
     "policy_sweep",
-    "scenario_for",
     "sessions_contrast",
     "sharded_batch_read",
 ]
@@ -66,7 +67,6 @@ class Scenario:
     summary: str
     run: Callable[..., dict[str, Any]]
     table: Callable[[BenchReport], Iterable[str]]
-    rules: Callable[[BenchReport, float], list[CompareRule]]
     asserts: Mapping[str, Gate | tuple[Gate, ...]] = field(default_factory=dict)
     """``--assert-<key>`` (``_`` spelt ``-``): a :class:`Gate` template
     whose bound a float flag supplies (0 = off), or a tuple of complete
@@ -265,13 +265,6 @@ def _sharded_table(report: BenchReport) -> Iterable[str]:
         yield f"speedup: {report.metrics['speedup']:.2f}x"
 
 
-def _sharded_rules(baseline: BenchReport, tolerance: float) -> list[CompareRule]:
-    rules = [CompareRule("run.throughput", "higher", tolerance)]
-    if "speedup" in baseline.metrics:
-        rules.append(CompareRule("speedup", "higher", tolerance))
-    return rules
-
-
 # ----------------------------------------------------------------------
 # compaction-policy-sweep (repro policies)
 # ----------------------------------------------------------------------
@@ -396,14 +389,6 @@ def _policy_table(report: BenchReport) -> Iterable[str]:
         )
 
 
-def _policy_rules(baseline: BenchReport, tolerance: float) -> list[CompareRule]:
-    return [
-        CompareRule(f"policies.{name}.{leaf}", better, tolerance)
-        for name in baseline.metrics.get("policies", {})
-        for leaf, better in (("read_ops_per_s", "higher"), ("write_amp", "lower"))
-    ]
-
-
 # ----------------------------------------------------------------------
 # sessions-group-commit (repro sessions)
 # ----------------------------------------------------------------------
@@ -496,14 +481,6 @@ def _sessions_table(report: BenchReport) -> Iterable[str]:
     yield f"  force ratio (sync/group): {report.metrics['force_ratio']:.2f}x"
 
 
-def _sessions_rules(baseline: BenchReport, tolerance: float) -> list[CompareRule]:
-    return [
-        CompareRule("force_ratio", "higher", tolerance),
-        CompareRule("group.forces_per_commit", "lower", tolerance),
-        CompareRule("group.ack_latency.p99", "lower", tolerance),
-    ]
-
-
 # ----------------------------------------------------------------------
 # live-migration (repro migrate)
 # ----------------------------------------------------------------------
@@ -537,9 +514,12 @@ def live_migration_bench(
     exactly, so the timeline is only reported for a run that stayed
     correct.  The headline number is ``p99_ratio`` — migrating p99 over
     quiescent p99 — which CI bounds (``--assert-p99-ratio R``); a run
-    that completes no migration fails.  The migration block reports what
-    the journal cost: ``journal_forces`` and ``journal_seconds`` of the
-    ``migration-journal`` device.
+    that completes no migration fails.  The migration block holds run
+    totals over every migration: its ``steps`` and ``deferred_steps``,
+    the router-clock ``busy_seconds`` the steps took, the
+    ``duration_seconds`` from each plan to its retirement, and what the
+    journal cost (``journal_forces`` and ``journal_seconds`` of the
+    ``migration-journal`` device).
 
     ``batches`` batches of ``batch`` keys alternate reads and writes,
     ``hot_fraction`` of the keys drawn from the hot tenth of the key
@@ -599,8 +579,8 @@ def live_migration_bench(
         write_lat: list[tuple[float, float]] = []
         events: list[dict[str, Any]] = []
         last_tag = IDLE
-        migration_began: float | None = None
-        migration_done: float | None = None
+        migration_began = 0.0
+        migration_seconds = 0.0
 
         def pick_key() -> bytes:
             if rng.random() < hot_fraction:
@@ -651,12 +631,12 @@ def live_migration_bench(
                 if tag != last_tag and tag not in (IDLE, "throttled"):
                     events.append({"t": engine.clock.now, "event": tag})
                 if tag == "retired":
-                    migration_done = engine.clock.now
+                    migration_seconds += engine.clock.now - migration_began
                 last_tag = tag
 
         if controller is not None and controller.active:
             controller.run_to_completion()
-            migration_done = engine.clock.now
+            migration_seconds += engine.clock.now - migration_began
         final = list(engine.scan(b""))
         expected_final = sorted(
             (key, value) for key, value in oracle.items()
@@ -694,11 +674,7 @@ def live_migration_bench(
                 "journal_seconds": metrics.value(
                     f"disk.{JOURNAL_DEVICE}.busy_seconds"
                 ),
-                "duration_seconds": (
-                    (migration_done - migration_began)
-                    if migration_began is not None and migration_done is not None
-                    else 0.0
-                ),
+                "duration_seconds": migration_seconds,
                 "epoch": engine.epoch,
             }
         engine.close()
@@ -740,15 +716,11 @@ def _migration_table(report: BenchReport) -> Iterable[str]:
     )
 
 
-def _migration_rules(baseline: BenchReport, tolerance: float) -> list[CompareRule]:
-    return [CompareRule("p99_ratio", "lower", tolerance)]
-
-
 SCENARIOS: tuple[Scenario, ...] = (
     Scenario(
         "bench", "sharded-batch-read",
         "batched uniform-read throughput; sharded scale-out gate",
-        sharded_batch_read, _sharded_table, _sharded_rules,
+        sharded_batch_read, _sharded_table,
         asserts={
             "speedup": Gate(
                 "sharded speedup over baseline", "speedup", ">=", 0.0, unit="x"
@@ -758,7 +730,7 @@ SCENARIOS: tuple[Scenario, ...] = (
     Scenario(
         "policies", "compaction-policy-sweep",
         "compaction design-space sweep; leveled/tiered crossover gate",
-        policy_sweep, _policy_table, _policy_rules,
+        policy_sweep, _policy_table,
         asserts={
             "crossover": tuple(
                 Gate(f"crossover: {name}", f"crossover.{name}", "==", 1.0)
@@ -773,7 +745,7 @@ SCENARIOS: tuple[Scenario, ...] = (
     Scenario(
         "sessions", "sessions-group-commit",
         "multi-session open-loop bench: group commit vs per-write sync",
-        sessions_contrast, _sessions_table, _sessions_rules,
+        sessions_contrast, _sessions_table,
         asserts={
             "force_ratio": Gate(
                 "force ratio (sync/group)", "force_ratio", ">=", 0.0, unit="x"
@@ -790,7 +762,7 @@ SCENARIOS: tuple[Scenario, ...] = (
     Scenario(
         "migrate", "live-migration",
         "live shard split under Zipfian traffic: p99 vs quiescent baseline",
-        live_migration_bench, _migration_table, _migration_rules,
+        live_migration_bench, _migration_table,
         asserts={
             "p99_ratio": Gate(
                 "migrating/quiescent p99 ratio", "p99_ratio", "<=", 0.0,
@@ -812,7 +784,6 @@ SCENARIOS: tuple[Scenario, ...] = (
         "ceilings, stall/backpressure timelines",
         stability_scenario,
         lambda report: [stability_table(report)],
-        stability_compare_rules,
         asserts={
             "bounded": (
                 Gate(
@@ -831,7 +802,3 @@ SCENARIOS: tuple[Scenario, ...] = (
     ),
 )
 
-
-def scenario_for(bench: str) -> Scenario | None:
-    """The row that produces reports named ``bench``."""
-    return next((row for row in SCENARIOS if row.bench == bench), None)

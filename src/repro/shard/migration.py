@@ -300,11 +300,13 @@ class MigrationThrottle:
     """Bound migration's share of cluster time while traffic flows.
 
     Tracks the router-clock seconds migration steps consume and defers
-    further steps whenever that share of elapsed time exceeds
-    ``max_fraction`` *and* foreground batches arrived since the last
-    step (an idle cluster migrates at full speed — there is no one to
-    protect).  Deferral is self-correcting: migration's share decays as
-    foreground time accumulates, so progress is guaranteed.
+    further steps whenever the current migration's share of the time
+    elapsed since it began exceeds ``max_fraction`` *and* foreground
+    batches arrived since the last step (an idle cluster migrates at
+    full speed — there is no one to protect).  Deferral is
+    self-correcting: migration's share decays as foreground time
+    accumulates, so progress is guaranteed.  ``busy_seconds`` is the
+    run total over every migration.
     """
 
     def __init__(self, max_fraction: float = 0.5) -> None:
@@ -314,12 +316,13 @@ class MigrationThrottle:
             )
         self.max_fraction = max_fraction
         self.busy_seconds = 0.0
+        self._migration_busy = 0.0
         self._began: float | None = None
         self._last_foreground: float | None = None
 
     def begin(self, engine: "ShardedEngine") -> None:
-        """Reset accounting at migration start."""
-        self.busy_seconds = 0.0
+        """Start the share test over at migration start."""
+        self._migration_busy = 0.0
         self._began = engine.clock.now
         self._last_foreground = engine._runtime.metrics.value(
             "shard.foreground_batches"
@@ -338,11 +341,13 @@ class MigrationThrottle:
         elapsed = engine.clock.now - self._began
         if elapsed <= 0.0:
             return False
-        return self.busy_seconds / elapsed > self.max_fraction
+        return self._migration_busy / elapsed > self.max_fraction
 
     def charge(self, seconds: float) -> None:
         """Account one step's router-clock cost against the budget."""
-        self.busy_seconds += max(0.0, seconds)
+        seconds = max(0.0, seconds)
+        self.busy_seconds += seconds
+        self._migration_busy += seconds
 
 
 class HotShardDetector:
