@@ -39,8 +39,6 @@ from repro.core.compaction.policy import (
 from repro.core.kernel import TreeKernel
 from repro.core.merge import MergeProcess
 from repro.core.options import BLSMOptions
-from repro.core.versions import TreeSnapshot
-from repro.records import lookup
 from repro.sstable.reader import SSTable
 
 __all__ = ["CompactionTree"]
@@ -90,35 +88,6 @@ class CompactionTree(TreeKernel):
         if opts.level_base_bytes is not None:
             return opts.level_base_bytes
         return max(1, L0_TRIGGER * opts.c0_bytes)
-
-    # ------------------------------------------------------------------
-    # Public read API
-    # ------------------------------------------------------------------
-
-    def get(self, key: bytes) -> bytes | None:
-        """Point lookup: probe runs newest-to-oldest, stop at a base.
-
-        Recency is a total order over the structure (data only flows
-        downward), so C0 followed by :meth:`LevelManager.sources` *is*
-        the probe order for every policy; Bloom filters skip most absent
-        probes.
-        """
-        self._check_open()
-        return lookup(key, (self._memtable, *self._manager.sources()))
-
-    def snapshot(self) -> TreeSnapshot:
-        """Open a consistent point-in-time read view of the tree.
-
-        Opening is O(1): the memtable is read in place, copy-on-write —
-        one O(|C0|) copy only if a write lands while the snapshot is
-        open.  The on-disk runs are one reference on the installed
-        :class:`~repro.core.versions.Version`, so merge installs defer
-        their frees past the snapshot's lifetime.
-        """
-        self._check_open()
-        return TreeSnapshot(
-            self.versions, self._memtable, engine=self._policy.name
-        )
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -6,12 +6,14 @@ merge threads, snapshot-consistent reads) and presents partitioning
 design-space literature draws the same line (layout, trigger and
 granularity are policy, the rest is mechanism).  :class:`TreeKernel` is
 that mechanism, once: the storage substrate, seqno and tree-id
-counters, C0, the write API down to the logical log, snapshot scans,
-the durability barrier, the scheduler's merge host (each gear's step:
-the worker-timeline gate, a merge started when idle, one budgeted
-step; the progress estimators and the gear-1 deficit; the C0 stall
-loop), the merge and stall instrumentation, whole-C0 flushes, exact log
-retention and crash recovery.
+counters, C0, the write API down to the logical log, the read path
+(``get``, ``snapshot`` and scans over the installed
+:class:`~repro.core.versions.Version`), the durability barrier, the
+scheduler's merge host (each gear's step: the worker-timeline gate, a
+merge started when idle, one budgeted step; the progress estimators
+and the gear-1 deficit; the C0 stall loop), the merge and stall
+instrumentation, whole-C0 flushes, exact log retention and crash
+recovery.
 
 A layout — :class:`repro.core.tree.BLSM`'s three slots,
 :class:`repro.core.compaction.tree.CompactionTree`'s policy-owned
@@ -20,9 +22,13 @@ partitions — subclasses the kernel and supplies:
 
 * ``_init_layout(**layout)`` — its empty component structure, merge
   timelines and scheduler;
-* ``get`` (the probe order, folded by :func:`repro.records.resolve`)
-  and ``snapshot`` (the same order: the RAM sources behind C0 over the
-  installed :class:`~repro.core.versions.Version`);
+* its on-disk component set, installed with ``versions.install``
+  wherever it changes, newest first per key range, and ``_ram``: one
+  tuple per installed range of the in-RAM sources behind C0 there (a
+  frozen C0', a merge overlay), newest first, updated where those slots
+  change.  ``get`` and ``snapshot`` are not hooks: they read C0, then
+  the key's range's ``_ram`` and on-disk components, so the probe order
+  (Section 3.1) is stated once, by what the layout installs;
 * per gear: the running merge slot (``_m01`` / ``_m12``) and worker
   timeline (``_bg01`` / ``_bg12``), ``_start_*`` (False when nothing
   can start), ``_*_can_start``, ``_finish_*`` (install, then clear the
@@ -36,9 +42,10 @@ partitions — subclasses the kernel and supplies:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from contextlib import contextmanager
 from functools import cached_property
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core.components import (
     component_extents,
@@ -49,10 +56,16 @@ from repro.core.merge import MergeProcess
 from repro.core.options import BLSMOptions
 from repro.core.progress import outprogress
 from repro.core.scheduler import make_scheduler
-from repro.core.versions import TreeSnapshot, VersionSet, scan_view
+from repro.core.versions import (
+    Prefix,
+    TreeSnapshot,
+    VersionSet,
+    _range_lo,
+    scan_view,
+)
 from repro.errors import EngineClosedError
 from repro.memtable.memtable import MemTable
-from repro.records import Record
+from repro.records import Record, lookup
 from repro.sim.clock import Timeline
 from repro.sstable.bloom_store import persist_bloom
 from repro.sstable.builder import SSTableBuilder
@@ -85,7 +98,11 @@ def replay_log(stasis: Stasis, memtable: MemTable, next_seqno: int) -> int:
 
 
 class TreeKernel:
-    """Log, C0, write path, snapshots, merge stepping and recovery."""
+    """Log, C0, write path, reads, snapshots, merge stepping and recovery."""
+
+    # The RAM sources behind C0, one tuple per installed range: none
+    # for a layout whose C0 flushes whole.
+    _ram: Sequence[tuple[MemTable, ...]] = ((),)
 
     def __init__(
         self,
@@ -147,14 +164,6 @@ class TreeKernel:
     def _init_layout(self, **layout: Any) -> None:
         """Create the empty on-disk structure, timelines and scheduler
         (``layout``: the constructor's layout keywords, if it has any)."""
-        raise NotImplementedError
-
-    def get(self, key: bytes) -> bytes | None:
-        """Point lookup, newest component to oldest."""
-        raise NotImplementedError
-
-    def snapshot(self) -> TreeSnapshot:
-        """Open a consistent point-in-time read view of the tree."""
         raise NotImplementedError
 
     def _on_write(self, nbytes: int) -> None:
@@ -276,6 +285,43 @@ class TreeKernel:
     # ------------------------------------------------------------------
     # Public read API
     # ------------------------------------------------------------------
+
+    def get(self, key: bytes) -> bytes | None:
+        """Point lookup; at most ``1 + N/100`` seeks (Section 3.1).
+
+        C0, then the other RAM sources of the key's range and that
+        range's on-disk components, newest first; the walk stops at the
+        first base record or tombstone and folds any deltas above it
+        (Section 3.1.1).
+        """
+        if self._closed:  # _check_open inline: a frame fewer per read
+            raise EngineClosedError()
+        ranges = self.versions.current.ranges
+        index = bisect_right(ranges, key, key=_range_lo) - 1
+        return lookup(
+            key, (self._memtable, *self._ram[index], *ranges[index][2])
+        )
+
+    def snapshot(self) -> TreeSnapshot:
+        """Open a consistent point-in-time read view of the tree.
+
+        Opening does no I/O and copies nothing.  C0 is read in place,
+        copy-on-write: only a write that lands while the snapshot is
+        open makes it take a copy, just before that write.  The other
+        RAM sources are read through
+        :class:`~repro.core.versions.Prefix` views, and the on-disk
+        components are one reference on the installed
+        :class:`~repro.core.versions.Version`, which defers their
+        ``free()`` past the snapshot's lifetime.  Reads through the
+        snapshot charge the device clock exactly like live reads.
+        """
+        if self._closed:  # _check_open inline: a frame fewer per scan
+            raise EngineClosedError()
+        return TreeSnapshot(
+            self.versions,
+            self._memtable,
+            [tuple(map(Prefix, ram)) for ram in self._ram],
+        )
 
     def scan(
         self,

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Callable, Protocol, Sequence
 
-from repro.core.versions import SortedRun
+from repro.memtable.memtable import MemTable
 from repro.memtable.snowshovel import SnowshovelCursor as SnowshovelSource
 from repro.records import Record, RecordKind
 from repro.sstable.builder import SSTableBuilder
@@ -238,11 +238,11 @@ class MergeProcess:
         # readable until the merge commits (in the real system they are
         # served from the in-progress tree, Figure 1).  Sources that
         # expose ``advance_past`` drain a live memtable and need it.
-        # They emit in strictly ascending key order, so the overlay is
-        # an append-only sorted run and a snapshot's view of it is a
-        # prefix (no copy).
+        # They emit in strictly ascending key order, so the overlay (a
+        # memtable, ``nbytes`` its RAM) only grows at its tail and a
+        # snapshot's view of it is a prefix (no copy).
         self._track_overlay = hasattr(newer, "advance_past")
-        self.overlay = SortedRun()
+        self.overlay = MemTable(self.input_bytes)
 
     @property
     def inprogress(self) -> float:
@@ -261,11 +261,6 @@ class MergeProcess:
         if self.done:
             return 0
         return self._readahead_pages + self._stasis.streaming_pages
-
-    @property
-    def overlay_bytes(self) -> int:
-        """RAM the snowshovel overlay holds: what the pass took from C0."""
-        return self.newer_bytes_read if self._track_overlay else 0
 
     def step(self, budget_bytes: int) -> int:
         """Consume up to ``budget_bytes`` of input; return bytes consumed.
@@ -380,7 +375,7 @@ class MergeProcess:
         if self.max_seqno_consumed is None or seqno > self.max_seqno_consumed:
             self.max_seqno_consumed = seqno
         if self._track_overlay:
-            self.overlay.append(record)
+            self.overlay.put(record)
         return nbytes
 
     def _emit(self, record: Record) -> None:

@@ -44,8 +44,6 @@ from repro.core.kernel import TreeKernel
 from repro.core.merge import MergeProcess, SnowshovelSource
 from repro.core.options import BLSMOptions
 from repro.core.tree import target_r
-from repro.core.versions import TreeSnapshot
-from repro.records import lookup
 from repro.sstable.reader import SSTable
 from repro.storage.stasis import Stasis
 
@@ -112,44 +110,29 @@ class PartitionedBLSM(TreeKernel):
         self._attach_scheduler()
 
     # ------------------------------------------------------------------
-    # Read API
+    # Read path: one range per partition behind the shared C0
     # ------------------------------------------------------------------
 
-    def get(self, key: bytes) -> bytes | None:
-        self._check_open()
-        partition = self._partition_for(key)
-        m01 = partition.m01
-        return lookup(key, (
-            self._memtable, None if m01 is None else m01.overlay,
-            partition.c1, partition.c2,
-        ))
-
-    def snapshot(self) -> TreeSnapshot:
-        """Open a consistent point-in-time read view of the tree.
-
-        One key range per partition behind the shared C0, each with the
-        partition's merge-overlay prefix (while its C0:C1ᵖ pass is
-        open) and its at most two components: a scan opens the ranges
-        it crosses one at a time, so a short scan touches only the
-        partition it lands in — the two-seek property partitioning
-        exists to provide (Section 3.3) — and a merge or split
-        committing underneath it is invisible.
-        """
-        self._check_open()
-        older_ram = [
-            (p.m01.overlay.prefix(),) if p.m01 is not None else ()
-            for p in self._partitions
-        ]
-        return TreeSnapshot(
-            self.versions, self._memtable, older_ram, engine="blsm-part"
-        )
-
     def _publish(self) -> None:
-        """Install one range per partition, its C1ᵖ before its C2ᵖ."""
+        """Install one range per partition, its C1ᵖ before its C2ᵖ.
+
+        A snapshot opens the ranges a scan crosses one at a time, so a
+        short scan touches only the partition it lands in — the two-seek
+        property partitioning exists to provide (Section 3.3) — and a
+        merge or split committing underneath it is invisible.
+        """
         self.versions.install(ranges=[
             (p.lo, p.hi, tuple(c for c in (p.c1, p.c2) if c is not None))
             for p in self._partitions
         ])
+        self._set_ram()
+
+    def _set_ram(self) -> None:
+        """Each range's RAM source: its pass's overlay while one runs."""
+        self._ram = [
+            (p.m01.overlay,) if p.m01 is not None else ()
+            for p in self._partitions
+        ]
 
     # ------------------------------------------------------------------
     # Merge host: gear 0 is the one merge worker, picked greedily
@@ -207,6 +190,7 @@ class PartitionedBLSM(TreeKernel):
         self._m01_gear = "c1c2" if promote else "c0c1"
         start = self._start_promotion if promote else self._start_pass
         self._m01 = start(partition)
+        self._set_ram()
         self._merge_started(
             self._m01_gear, self._m01, partition=partition.lo.hex()
         )
@@ -481,11 +465,6 @@ class PartitionedBLSM(TreeKernel):
 
     def _partition_index(self, key: bytes) -> int:
         return max(0, bisect.bisect_right(self._partitions, key, key=_LO) - 1)
-
-    def _partition_for(self, key: bytes) -> Partition:
-        partition = self._partitions[self._partition_index(key)]
-        assert partition.covers(key)
-        return partition
 
     def _manifest(self) -> dict[str, Any]:
         return {

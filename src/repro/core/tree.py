@@ -10,18 +10,19 @@ Structure: an in-memory component C0 (a memtable) and three on-disk slots.
 * ``C2`` — the largest component; tombstones are garbage-collected when
   they reach it.
 
-Reads walk C0, C1, C1', C2 (newest to oldest), skip components whose
-Bloom filter rejects the key, and terminate at the first base record or
-tombstone (Section 3.1.1).  ``insert_if_not_exists`` is zero-seek in the
-common case because the largest component's Bloom filter answers the
-existence check (Section 3.1.2).
+Reads walk C0, C0' or the merge overlay, the §3.2 extras, C1, C1', C2
+(newest to oldest), skip components whose Bloom filter rejects the key,
+and terminate at the first base record or tombstone (Section 3.1.1).
+``insert_if_not_exists`` is zero-seek in the common case because the
+largest component's Bloom filter answers the existence check
+(Section 3.1.2).
 
 Merges run incrementally on the write path under a pluggable scheduler;
 all I/O advances the shared virtual clock, so a scheduler that lets a
 merge fall behind produces exactly the write-latency spikes the paper
 measures.
 
-This module is the layout only; the log, C0, the write API, scans,
+This module is the layout only; the log, C0, the write API, reads,
 merge stepping and recovery are :class:`~repro.core.kernel.TreeKernel`.
 """
 
@@ -33,12 +34,9 @@ from typing import Any, Iterable
 
 from repro.core.components import component_row, describe_component
 from repro.core.kernel import TreeKernel
-from repro.core.merge import FrozenSource, MergeProcess, SnowshovelSource  # noqa: F401
+from repro.core.merge import FrozenSource, MergeProcess, SnowshovelSource
 from repro.core.options import BLSMOptions
-from repro.core.versions import RamSource, TreeSnapshot
-from repro.errors import EngineClosedError
 from repro.memtable.memtable import MemTable
-from repro.records import lookup
 from repro.sstable.reader import SSTable
 
 MIN_R = 2.0
@@ -73,53 +71,12 @@ class BLSM(TreeKernel):
         self._attach_scheduler()
 
     # ------------------------------------------------------------------
-    # Public read API
+    # Read path: C0, ``_ram`` (C0' or the merge overlay), the Version
     # ------------------------------------------------------------------
-
-    def get(self, key: bytes) -> bytes | None:
-        """Point lookup; at most ``1 + N/100`` seeks (Section 3.1).
-
-        A base record or tombstone in C0 answers at once; otherwise the
-        walk goes on through C0', the merge overlay, the §3.2 extras
-        (newest first) and C1, C1', C2, and stops at the first base
-        record or tombstone (Section 3.1.1).
-        """
-        if self._closed:  # _check_open inline: a frame fewer per read
-            raise EngineClosedError()
-        m01 = self._m01
-        return lookup(key, (
-            self._memtable, self._frozen,
-            None if m01 is None else m01.overlay, *self._extras,
-            self._c1, self._c1_prime, self._c2,
-        ))
-
-    def snapshot(self) -> TreeSnapshot:
-        """Open a consistent point-in-time read view of the tree.
-
-        Opening is O(1) and does no I/O: nothing is copied.  C0 is read
-        in place, copy-on-write — only if a write lands while the
-        snapshot is open does it take one O(|C0|) copy, just before that
-        write.  A frozen C0' never changes and is referenced as is; the
-        snowshovel overlay is append-only, so its current length bounds
-        the view.  The on-disk components are one reference on the
-        installed :class:`~repro.core.versions.Version`, which defers
-        their ``free()`` past the snapshot's lifetime.  Reads through
-        the snapshot charge the device clock exactly like live reads.
-        """
-        if self._closed:  # _check_open inline: a frame fewer per scan
-            raise EngineClosedError()
-        older_ram: list[RamSource] = []
-        if self._frozen is not None:
-            older_ram.append(self._frozen)
-        if self._m01 is not None:
-            older_ram.append(self._m01.overlay.prefix())
-        return TreeSnapshot(
-            self.versions, self._memtable, (older_ram,), engine="blsm"
-        )
 
     def _publish(self) -> None:
         """Install the on-disk component set in read order (the §3.2
-        extras newest first, then C1, C1', C2) for snapshots to open."""
+        extras newest first, then C1, C1', C2) for reads and snapshots."""
         self.versions.install(
             (*self._extras, *(
                 component
@@ -293,7 +250,7 @@ class BLSM(TreeKernel):
                 if merge is not None
             ),
             "merge_overlay": (
-                self._m01.overlay_bytes if self._m01 is not None else 0
+                self._m01.overlay.nbytes if self._m01 is not None else 0
             ),
         }
 
@@ -348,6 +305,7 @@ class BLSM(TreeKernel):
 
     def _freeze_memtable(self) -> None:
         self._frozen = self._memtable
+        self._ram = [(self._frozen,)]
         self._memtable = self._new_memtable()
         self._ctr_rotations.inc()
         self.runtime.trace.emit(
@@ -429,6 +387,8 @@ class BLSM(TreeKernel):
             compression_ratio=self.options.compression_ratio,
             bloom_keys=run_keys + c1_keys,
         )
+        if isinstance(newer, SnowshovelSource):
+            self._ram = [(self._m01.overlay,)]  # what it drained from C0
         self._merge_started("c0c1", self._m01)
         return True
 
@@ -466,6 +426,7 @@ class BLSM(TreeKernel):
         self._publish()
         if not self.options.snowshovel:
             self._frozen = None
+        self._ram = [(self._frozen,) if self._frozen is not None else ()]
         self._maybe_persist_bloom(self._c1)
         self.stasis.commit_manifest(self._manifest())
         self.versions.retire(old_c1)

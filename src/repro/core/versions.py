@@ -24,21 +24,21 @@ Four pieces:
   ``deferred_frees`` counts how often a snapshot actually held a
   component past its retirement — the direct evidence that a read
   survived a merge install without blocking or restarting.
-* :class:`SortedRun` — an append-only run of records in ascending key
-  order (parallel ``keys``/``records`` lists: a range read is a
-  ``bisect``, a point read one probe of a key -> position index).
-  The snowshovel merge overlay is one; so is the copy a snapshot takes
-  of C0.  Because a run only ever grows at its tail, its first ``n``
-  records never change: :meth:`SortedRun.prefix` is an O(1)
-  point-in-time view.
-* :class:`TreeSnapshot` — the read view itself: RAM sources plus the
-  referenced version, in recency order.  ``get``/``multi_get``/``scan``
-  walk exactly the source order the live tree would have walked at
-  snapshot time; disk reads charge the virtual clock normally.  A
-  partitioned tree's view is one such source list per key range
-  behind the shared C0; a scan opens the ranges it crosses one at a
-  time.  :func:`scan_view` is the one scan body, for a snapshot's own
-  scans and for the tree's (which open and close their snapshot).
+* :class:`Prefix` — an in-RAM table bounded by its last key when a
+  snapshot opened.  Every in-RAM component is a
+  :class:`~repro.memtable.memtable.MemTable` (C0, a frozen C0', the
+  snowshovel merge overlay, a snapshot's copy of C0); C0' never changes
+  and the overlay only grows at its tail, so the bound is an O(1)
+  point-in-time view of either.
+* :class:`TreeSnapshot` — the read view itself: C0, a :class:`Prefix`
+  of each other RAM source and the referenced version, in recency
+  order.  ``get``/``multi_get``/``scan`` walk exactly the sources
+  :meth:`~repro.core.kernel.TreeKernel.get` walked at snapshot time;
+  disk reads charge the virtual clock normally.  A partitioned tree's
+  view is one such source list per key range behind the shared C0; a
+  scan opens the ranges it crosses one at a time.  :func:`scan_view` is
+  the one scan body, for a snapshot's own scans and for the tree's
+  (which open and close their snapshot).
 
 Cost contract: opening a snapshot is one reference on the installed
 version, O(1) in the number of components and the size of C0, and does
@@ -46,12 +46,12 @@ no I/O; closing it drops the reference, O(1) unless a merge deferred a
 free.  No RAM source is copied at open — the live memtable is read in
 place, copy-on-write: the snapshot registers with the
 :class:`~repro.memtable.memtable.MemTable`, whose first ``put`` or
-``remove`` makes the snapshot take one O(|C0|) sorted copy before the
-mutation lands (an in-flight scan resumes on the copy after its last
-key).  A snapshot opened, read and closed with no write in between
-never copies.  A frozen C0' is immutable while any reader can reach it
-and is referenced as is; the merge overlay is a :class:`SortedRun`
-prefix.  ``versions.cow_copies`` counts the copies taken,
+``remove`` makes the snapshot take one copy of it
+(:meth:`~repro.memtable.memtable.MemTable.copy`) before the mutation
+lands (an in-flight scan resumes on the copy after its last key).  A
+snapshot opened, read and closed with no write in between never
+copies.  A frozen C0' and the merge overlay are read through a
+:class:`Prefix`.  ``versions.cow_copies`` counts the copies taken,
 ``versions.live_views`` the snapshots currently open.
 
 Scans built on snapshots never restart: the epoch-validation loop the
@@ -69,7 +69,7 @@ from heapq import heapify, heappop, heapreplace
 from itertools import islice
 from operator import itemgetter
 from typing import (
-    TYPE_CHECKING, Any, Callable, Iterable, Iterator, Protocol, Sequence,
+    TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence,
 )
 
 from repro.records import Record, RecordKind, lookup, resolve
@@ -256,14 +256,6 @@ class VersionSet:
         self._set_live_views(0)
 
 
-class RamSource(Protocol):
-    """What a snapshot reads an in-RAM component through."""
-
-    def get(self, key: bytes) -> Record | None: ...
-
-    def scan(self, lo: bytes, hi: bytes | None) -> Iterator[Record]: ...
-
-
 VersionRange = tuple[bytes, "bytes | None", Sequence["SSTable | FileRun"]]
 """``(lo, hi, tables)``: one key range ``[lo, hi)`` of a :class:`Version`
 and the on-disk components that serve it, newest first."""
@@ -272,72 +264,29 @@ _range_lo = itemgetter(0)
 BASE = RecordKind.BASE
 
 
-class SortedRun:
-    """Append-only run of records in strictly ascending key order.
+class Prefix:
+    """An in-RAM table as it stood when a snapshot opened: the records up
+    to its last key then.
 
-    Parallel ``keys``/``records`` lists (range reads are a ``bisect``)
-    plus a key -> position index, so a point read stays one hash probe —
-    ``BLSM.get`` consults the merge overlay on every lookup made while a
-    C0:C1 pass is open.  ``end`` bounds a read to the run's first
-    ``end`` records, which appends never disturb — see :meth:`prefix`.
+    A frozen C0' never changes and the snowshovel overlay only grows at
+    its tail (the merge drains in ascending key order), so bounding
+    either by the key past its last one is a point-in-time view without
+    a copy.
     """
 
-    __slots__ = ("keys", "records", "_index")
+    __slots__ = ("_table", "_end")
 
-    def __init__(self, records: Iterable[Record] = ()) -> None:
-        self.records = list(records)
-        self.keys = [record.key for record in self.records]
-        self._index = {key: index for index, key in enumerate(self.keys)}
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def append(self, record: Record) -> None:
-        """Add ``record``, whose key must exceed every key in the run."""
-        keys = self.keys
-        assert not keys or record.key > keys[-1], "run out of order"
-        self._index[record.key] = len(keys)
-        keys.append(record.key)
-        self.records.append(record)
-
-    def get(self, key: bytes, end: int | None = None) -> Record | None:
-        index = self._index.get(key)
-        if index is None or (end is not None and index >= end):
-            return None
-        return self.records[index]
-
-    def scan(
-        self, lo: bytes, hi: bytes | None, end: int | None = None
-    ) -> Iterator[Record]:
-        """Records with lo <= key < hi among the first ``end``."""
-        keys, records = self.keys, self.records
-        if end is None:
-            end = len(keys)
-        start = bisect_left(keys, lo, 0, end)
-        if hi is not None:
-            end = bisect_left(keys, hi, start, end)
-        for index in range(start, end):
-            yield records[index]
-
-    def prefix(self) -> "RunPrefix":
-        """A zero-copy view of the run as it stands now."""
-        return RunPrefix(self, len(self.keys))
-
-
-class RunPrefix:
-    """The first ``end`` records of a :class:`SortedRun`."""
-
-    __slots__ = ("_run", "_end")
-
-    def __init__(self, run: SortedRun, end: int) -> None:
-        self._run = run
-        self._end = end
+    def __init__(self, table: "MemTable") -> None:
+        keys = table._keys
+        self._table = table
+        self._end = keys[-1] + b"\x00" if keys else b""  # first key past it
 
     def get(self, key: bytes) -> Record | None:
-        return self._run.get(key, self._end)
+        return self._table.get(key) if key < self._end else None
 
     def scan(self, lo: bytes, hi: bytes | None) -> Iterator[Record]:
-        return self._run.scan(lo, hi, self._end)
+        end = self._end
+        return self._table.scan(lo, end if hi is None or hi > end else hi)
 
 
 class FileRun:
@@ -374,27 +323,25 @@ class TreeSnapshot:
     :class:`Version`, the on-disk components in recency order (newest
     first) — the same order the live tree's read path walks.
     ``older_ram`` holds, for each range of that version in key order,
-    the in-RAM sources behind C0 that cannot change under a reader (a
-    frozen C0', a merge-overlay prefix), newest first.  The constructor
-    registers with the memtable (copy-on-write, see :meth:`materialize`);
-    :meth:`close` (or context-manager exit) undoes that and drops the
-    reference, triggering any frees a merge deferred.
+    the in-RAM sources behind C0 as :class:`Prefix` views (a frozen C0',
+    a merge overlay), newest first.  The constructor registers with the
+    memtable (copy-on-write, see :meth:`materialize`); :meth:`close` (or
+    context-manager exit) undoes that and drops the reference,
+    triggering any frees a merge deferred.
     """
 
     def __init__(
         self,
         versions: VersionSet,
         memtable: "MemTable",
-        older_ram: Sequence[Sequence[RamSource]] = ((),),
-        engine: str = "tree",
+        older_ram: Sequence[Sequence[Prefix]] = ((),),
     ) -> None:
-        self.engine = engine
         self._versions = versions
         self._version = versions.acquire()
         self._ram = older_ram
         # Read in place until a write is about to land on it.
         self._memtable: "MemTable | None" = memtable
-        self._c0: RamSource = memtable
+        self._c0 = memtable
         self._released = False
         memtable.attach_view(self)
 
@@ -411,7 +358,7 @@ class TreeSnapshot:
         exactly the state every read so far has seen.
         """
         assert self._memtable is not None
-        self._c0 = SortedRun(self._memtable)  # iterates in key order
+        self._c0 = self._memtable.copy()
         self._memtable = None
         self._versions.note_cow_copy()
 
@@ -454,8 +401,7 @@ class TreeSnapshot:
     def __repr__(self) -> str:
         state = "released" if self._released else "open"
         return (
-            f"TreeSnapshot({self.engine}, "
-            f"ranges={len(self._version.ranges)}, "
+            f"TreeSnapshot(ranges={len(self._version.ranges)}, "
             f"tables={len(self._tables)}, {state})"
         )
 

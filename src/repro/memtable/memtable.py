@@ -17,7 +17,9 @@ the next key at or after its cursor (``ceiling``, Section 4.2).
 
 The memtable tracks its approximate byte footprint; the merge scheduler
 uses the fill fraction of C0 as its primary progress signal
-(Section 4.3).
+(Section 4.3).  It is the one in-RAM component type: a frozen C0', the
+snowshovel merge overlay and a snapshot's copy of C0 (:meth:`copy`)
+are memtables too.
 
 Snapshots read C0 in place (copy-on-write): an open snapshot registers
 with :meth:`MemTable.attach_view` and reads through ``get``/``scan``;
@@ -148,6 +150,15 @@ class MemTable:
         keys = self._keys
         position = bisect_left(keys, key)
         return self._index[keys[position]] if position < len(keys) else None
+
+    def copy(self) -> "MemTable":
+        """An independent table with the same records (no views): two
+        container copies, no work per record."""
+        table = MemTable(self.capacity_bytes)
+        table._index = self._index.copy()
+        table._keys = self._keys.copy()
+        table._nbytes = self._nbytes
+        return table
 
     def __iter__(self) -> Iterator[Record]:
         index = self._index

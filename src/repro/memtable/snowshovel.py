@@ -34,32 +34,24 @@ from repro.records import Record
 
 
 class SnowshovelCursor:
-    """Drains a live memtable's keys in ``[lo, hi)`` in key order, one run
-    at a time (``hi=None`` means unbounded).
+    """Drains one run of a live memtable's keys in ``[lo, hi)`` in key
+    order (``hi=None`` means unbounded).
 
     ``peek`` is the smallest record at or after the cursor and below
-    ``hi``; ``pop`` (or ``next_record``) removes and returns it.  It
-    reflects the memtable's current contents, so records inserted ahead
-    of the cursor join the current run.  When no such record exists the
-    run is exhausted; ``start_new_run`` wraps the cursor back to ``lo``
-    so draining can continue with the keys that arrived behind it.
-    Records outside the range stay in the memtable.
+    ``hi``; ``pop`` removes and returns it.  It reflects the memtable's
+    current contents, so records inserted ahead of the cursor join the
+    run.  When no such record exists the run is exhausted; the keys that
+    arrived behind the cursor wait for the next run, a fresh cursor at
+    ``lo`` (each C0:C1 pass builds one).  Records outside the range stay
+    in the memtable.
     """
 
     def __init__(
         self, memtable: MemTable, lo: bytes = b"", hi: bytes | None = None
     ) -> None:
         self._memtable = memtable
-        self._lo = lo
         self._hi = hi
-        self._cursor = lo
-        self.records_emitted = 0
-        self.runs_completed = 0
-
-    @property
-    def cursor(self) -> bytes:
-        """Smallest key the current run may still emit."""
-        return self._cursor
+        self._cursor = lo  # the smallest key the run may still emit
 
     def peek(self) -> Record | None:
         """The run's next record without consuming it; ``None`` when the
@@ -76,12 +68,7 @@ class SnowshovelCursor:
             raise StopIteration("snowshovel run exhausted")
         self._memtable.remove(record.key)
         self._cursor = record.key + b"\x00"  # strictly-greater successor
-        self.records_emitted += 1
         return record
-
-    def next_record(self) -> Record | None:
-        """Pop the next record of the current run, or ``None`` if exhausted."""
-        return None if self.peek() is None else self.pop()
 
     def advance_past(self, key: bytes) -> None:
         """Move the cursor past ``key`` without consuming anything.
@@ -94,15 +81,6 @@ class SnowshovelCursor:
         successor = key + b"\x00"
         if successor > self._cursor:
             self._cursor = successor
-
-    def run_exhausted(self) -> bool:
-        """True when nothing at or after the cursor remains."""
-        return self.peek() is None
-
-    def start_new_run(self) -> None:
-        """Wrap the cursor to ``lo`` (the next run)."""
-        self._cursor = self._lo
-        self.runs_completed += 1
 
 
 def replacement_selection_runs(

@@ -14,7 +14,8 @@ thing:
   :mod:`repro.ycsb.stability`) takes that timeline from
   ``run_sessions``, adds its stall windows and summarises the
   per-window p99.9 with :func:`percentile`;
-* the live-migration bench (:mod:`repro.shard.migration`) slices its
+* the live-migration bench
+  (:func:`repro.scenarios.live_migration_bench`) slices its
   collected read and write latencies with :func:`windows_over_span`.
 
 Two windowing styles, one sample store:

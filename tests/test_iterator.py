@@ -2,10 +2,10 @@
 
 The merge of a scan's sources is :func:`repro.core.versions.scan_view`;
 these drive it through :meth:`TreeSnapshot.scan` over hand-built
-:class:`SortedRun` sources and check it against a newest-wins dict.
+:class:`MemTable` sources and check it against a newest-wins dict.
 """
 
-from repro.core.versions import SortedRun, TreeSnapshot, VersionSet
+from repro.core.versions import Prefix, TreeSnapshot, VersionSet
 from repro.memtable.memtable import MemTable
 from repro.records import Record
 from repro.sstable import merge_records
@@ -15,10 +15,17 @@ def recs(*pairs):
     return [Record.base(k, v, s) for k, v, s in pairs]
 
 
+def memtable_of(records):
+    table = MemTable(1 << 20)
+    for record in records:
+        table.put(record)
+    return table
+
+
 def scan_runs(*runs, lo=b"", hi=None, limit=None):
     """Rows a snapshot whose sources behind an empty C0 are ``runs``
     (newest first) returns for ``scan(lo, hi, limit)``."""
-    older_ram = ([SortedRun(run) for run in runs],)
+    older_ram = ([Prefix(memtable_of(run)) for run in runs],)
     with TreeSnapshot(VersionSet(), MemTable(1 << 20), older_ram) as snap:
         return list(snap.scan(lo, hi, limit))
 

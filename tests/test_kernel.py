@@ -1,6 +1,6 @@
 """One tree kernel, three layouts.
 
-Structural: the mechanism (log, C0, write path, snapshots, merge
+Structural: the mechanism (log, C0, write path, reads and snapshots, merge
 stepping, recovery) is defined once, on :class:`TreeKernel`, and the
 three tree classes define only their layout — plus the handful of names
 the frozen benchmark's ledger patches with ``vars(owner)[attr]``, which
@@ -22,7 +22,7 @@ from repro.core import BLSM, BLSMOptions, CompactionTree, PartitionedBLSM
 from repro.core.kernel import TreeKernel
 from repro.core.merge import MergeProcess
 from repro.core.progress import outprogress
-from repro.core.versions import SortedRun, TreeSnapshot, VersionSet
+from repro.core.versions import Prefix, TreeSnapshot, VersionSet
 from repro.engines import build_engine
 from repro.memtable import MemTable
 from repro.records import Record, RecordKind
@@ -32,13 +32,14 @@ LAYOUTS = [BLSM, CompactionTree, PartitionedBLSM]
 
 KERNEL_OWNED = {
     "put", "delete", "apply_delta", "insert_if_not_exists",
-    "read_modify_write", "write_batch", "_write", "scan", "flush_log",
+    "read_modify_write", "write_batch", "_write", "get", "snapshot",
+    "scan", "flush_log",
     "close", "recover", "_take_seqno", "_take_tree_id", "_check_open",
     "_maybe_persist_bloom", "_rebuild_component",
 }
 
 LAYOUT_HOOKS = {
-    "_init_layout", "get", "snapshot", "_manifest", "_restore_layout",
+    "_init_layout", "_manifest", "_restore_layout",
     "_live_tables", "_start_m01", "_m01_can_start", "_finish_m01",
     "_m01_next_input_bytes", "m01_debt_per_byte",
 }
@@ -188,18 +189,21 @@ def _ranged_snapshot() -> TreeSnapshot:
     memtable = MemTable(1 << 20)
     memtable.put(_base(b"c", b"c0-c", 10))
     memtable.put(_base(b"n", b"c0-n", 11))
-    left = SortedRun(
-        [_base(b"a", b"left-a", 0), _base(b"c", b"left-c", 1),
-         # Out of its range on purpose: only routing keeps it unseen.
-         _base(b"x", b"left-x", 2)]
-    )
-    right = SortedRun(
-        [_base(b"m", b"right-m", 3), _base(b"x", b"right-x", 4),
-         _base(b"z", b"right-z", 5)]
-    )
+    left, right = MemTable(1 << 20), MemTable(1 << 20)
+    for record in (
+        _base(b"a", b"left-a", 0), _base(b"c", b"left-c", 1),
+        # Out of its range on purpose: only routing keeps it unseen.
+        _base(b"x", b"left-x", 2),
+    ):
+        left.put(record)
+    for record in (
+        _base(b"m", b"right-m", 3), _base(b"x", b"right-x", 4),
+        _base(b"z", b"right-z", 5),
+    ):
+        right.put(record)
     versions = VersionSet()
     versions.install(ranges=[(b"", b"m", ()), (b"m", None, ())])
-    return TreeSnapshot(versions, memtable, ([left], [right]))
+    return TreeSnapshot(versions, memtable, ([Prefix(left)], [Prefix(right)]))
 
 
 def test_ranged_snapshot_get_routes_to_the_range_holding_the_key():

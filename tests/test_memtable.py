@@ -98,6 +98,21 @@ def test_first_and_ceiling_key():
     assert table.ceiling_key(b"z") is None
 
 
+def test_copy_is_independent_and_knows_no_views():
+    table = MemTable(1024)
+    table.put(Record.base(b"m", b"1", 1))
+    table.put(Record.base(b"c", b"2", 2))
+    table.attach_view(object())
+    copy = table.copy()
+    assert list(copy) == list(table)
+    assert (copy.nbytes, copy.capacity_bytes) == (table.nbytes, 1024)
+    assert copy.view_count == 0
+    copy.put(Record.base(b"a", b"3", 3))
+    copy.remove(b"m")
+    assert [r.key for r in table] == [b"c", b"m"]
+    assert [r.key for r in copy] == [b"a", b"c"]
+
+
 def test_invalid_capacity_rejected():
     with pytest.raises(ValueError):
         MemTable(0)
@@ -201,12 +216,13 @@ def test_the_index_and_the_key_list_hold_the_same_keys(ops, bounds):
                     x for x in sorted(model)
                     if x >= position and (hi is None or x < hi)
                 ]
-                got = cursor.next_record()
+                got = cursor.peek()
                 if not run:
                     assert got is None
-                    cursor.start_new_run()
+                    cursor = SnowshovelCursor(table, lo, hi)  # the next run
                     position = lo
                     break
+                assert cursor.pop() is got
                 assert got == model.pop(run[0])
                 position = got.key + b"\x00"
         elif op == 5:

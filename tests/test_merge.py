@@ -14,6 +14,7 @@ from repro.core.merge import (
     StreamSource,
     _AccessDeferred,
 )
+from repro.core.versions import Prefix
 from repro.memtable import MemTable
 from repro.records import Record, RecordKind
 from repro.sim import DiskModel
@@ -478,7 +479,7 @@ def _differential_world(seed, reference):
             view = _View(memtable)
             memtable.attach_view(view)
             views.append(view)
-            prefixes.append(process.overlay.prefix())
+            prefixes.append(Prefix(process.overlay))
         else:
             budget = rng.choice(
                 (1, rng.randrange(1, 300), rng.randrange(300, 12_000),
@@ -507,7 +508,7 @@ def _differential_world(seed, reference):
             process.read_calls, process.seeks, process.write_calls,
             process.write_seeks,
         ),
-        "overlay": list(process.overlay.records),
+        "overlay": list(process.overlay),
         "snapshots": [
             (view.copy, list(prefix.scan(b"", None)))
             for view, prefix in zip(views, prefixes)

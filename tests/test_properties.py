@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines import BTreeEngine, CompactionEngine
 from repro.bloom import BloomFilter
 from repro.core import BLSM, BLSMOptions
-from repro.core.versions import SortedRun, TreeSnapshot, VersionSet
+from repro.core.versions import Prefix, TreeSnapshot, VersionSet
 from repro.engines import LEVELDB_OPTIONS
 from repro.memtable import MemTable, replacement_selection_runs
 from repro.records import Record, fold, resolve
@@ -179,9 +179,10 @@ def test_scan_over_runs_yields_newest_wins_rows(source_specs):
     oracle = {}
     for i, pairs in enumerate(source_specs):
         unique = dict(pairs)
-        runs.append(SortedRun(
-            Record.base(k, v, 1000 - i) for k, v in sorted(unique.items())
-        ))
+        run = MemTable(1 << 20)
+        for k, v in unique.items():
+            run.put(Record.base(k, v, 1000 - i))
+        runs.append(Prefix(run))
         for key, value in unique.items():
             oracle.setdefault(key, value)  # the newest run seen first wins
     with TreeSnapshot(VersionSet(), MemTable(1 << 20), (runs,)) as snap:

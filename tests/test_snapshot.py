@@ -8,8 +8,9 @@ from repro.core.kernel import TreeKernel
 from repro.core.options import BLSMOptions
 from repro.core.partitioned import PartitionedBLSM
 from repro.core.tree import BLSM
-from repro.core.versions import SortedRun, VersionSet
+from repro.core.versions import Prefix, VersionSet
 from repro.engines import EngineConfig, build_engine
+from repro.memtable import MemTable
 from repro.records import Record, RecordKind
 
 
@@ -346,23 +347,26 @@ def test_scans_across_installs_match_a_dict_and_release_everything(
 def test_ram_source_is_a_point_in_time_view():
     # The contract the eager copy used to provide, now without copying:
     # what a RAM source showed when the view opened is what it shows
-    # forever, whatever is added to the underlying run afterwards.
-    run = SortedRun(
-        [
-            Record(b"a", b"1", RecordKind.BASE, seqno=0),
-            Record(b"b", b"2", RecordKind.BASE, seqno=1),
-        ]
-    )
-    source = run.prefix()
-    run.append(Record(b"c", b"3", RecordKind.BASE, seqno=2))
+    # forever, whatever is added past its last key afterwards (the merge
+    # overlay only grows at its tail).
+    run = MemTable(1 << 20)
+    run.put(Record(b"a", b"1", RecordKind.BASE, seqno=0))
+    run.put(Record(b"b", b"2", RecordKind.BASE, seqno=1))
+    source = Prefix(run)
+    run.put(Record(b"c", b"3", RecordKind.BASE, seqno=2))
+    run.put(Record(b"b\x00", b"4", RecordKind.BASE, seqno=3))
     assert source.get(b"a").value == b"1"
     assert source.get(b"c") is None
+    assert source.get(b"b\x00") is None  # the first key past its last
     assert [r.key for r in source.scan(b"", None)] == [b"a", b"b"]
     assert [r.key for r in source.scan(b"b", b"z")] == [b"b"]
-    # ...and no list was copied to get it.
-    assert source._run is run
+    assert [r.key for r in source.scan(b"", b"b")] == [b"a"]
+    # ...and no table was copied to get it.
+    assert source._table is run
     assert run.get(b"c").value == b"3"
-    assert [r.key for r in run.scan(b"b", None)] == [b"b", b"c"]
+    assert [r.key for r in run.scan(b"b", None)] == [b"b", b"b\x00", b"c"]
+    empty = Prefix(MemTable(1 << 20))
+    assert empty.get(b"") is None and list(empty.scan(b"", None)) == []
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ A snapshot no longer copies C0 when it opens: it reads the live
 memtable in place and takes its own copy only if a write lands while it
 is open (``core/versions.py``).  The stateful test holds the isolation
 contract — every read through a snapshot answers from the state frozen
-at open, whatever happens underneath — for both C0 disciplines and
-all three layouts; the deterministic tests hold the
-cost contract and the bookkeeping (registry, pins, gauges) around it.
+at open, whatever happens underneath, and every live ``get`` from the
+current state — for both C0 disciplines and all three layouts; the
+deterministic tests hold the cost contract and the bookkeeping
+(registry, pins, gauges) around it.
 """
 
 import itertools
@@ -129,6 +130,12 @@ class SnapshotMachine(RuleBasedStateMachine):
     def get_through_snapshot(self, index, key):
         view = self.open[index % len(self.open)]
         assert view.snap.get(key) == view.frozen.get(key)
+
+    @rule(key=keys)
+    def live_get(self, key):
+        # The kernel's one read path, while C0', an overlay or a
+        # ranged version holds what the model says.
+        assert self.tree.get(key) == self.model.get(key)
 
     @precondition(lambda self: self.open)
     @rule(index=st.integers(0, 3), lo=st.binary(max_size=2))

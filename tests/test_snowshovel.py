@@ -16,47 +16,49 @@ def fill(table, keys, start_seqno=0):
         table.put(Record.base(key, b"v", start_seqno + i))
 
 
+def drain(cursor):
+    """Pop the rest of the cursor's run; the keys, in order."""
+    keys = []
+    while cursor.peek() is not None:
+        keys.append(cursor.pop().key)
+    return keys
+
+
 class TestSnowshovelCursor:
     def test_drains_in_key_order(self):
         table = MemTable(10_000)
         fill(table, [b"c", b"a", b"b"])
-        cursor = SnowshovelCursor(table)
-        keys = []
-        while (record := cursor.next_record()) is not None:
-            keys.append(record.key)
-        assert keys == [b"a", b"b", b"c"]
+        assert drain(SnowshovelCursor(table)) == [b"a", b"b", b"c"]
         assert table.is_empty
 
     def test_inserts_ahead_of_cursor_join_run(self):
         table = MemTable(10_000)
         fill(table, [b"b", b"d"])
         cursor = SnowshovelCursor(table)
-        assert cursor.next_record().key == b"b"
+        assert cursor.pop().key == b"b"
         table.put(Record.base(b"c", b"v", 10))  # lands ahead of cursor
-        assert cursor.next_record().key == b"c"
-        assert cursor.next_record().key == b"d"
+        assert drain(cursor) == [b"c", b"d"]
 
     def test_inserts_behind_cursor_wait_for_next_run(self):
         table = MemTable(10_000)
         fill(table, [b"b", b"d"])
         cursor = SnowshovelCursor(table)
-        assert cursor.next_record().key == b"b"
+        assert cursor.pop().key == b"b"
         table.put(Record.base(b"a", b"v", 10))  # behind the cursor
-        assert cursor.next_record().key == b"d"
-        assert cursor.next_record() is None  # run over; 'a' remains
-        assert cursor.run_exhausted()
-        cursor.start_new_run()
-        assert cursor.next_record().key == b"a"
+        assert drain(cursor) == [b"d"]  # run over; 'a' remains
+        with pytest.raises(StopIteration):
+            cursor.pop()
+        # The next run is a fresh cursor at lo, as each C0:C1 pass builds.
+        assert drain(SnowshovelCursor(table)) == [b"a"]
 
     def test_advance_past_skips_intermediate_keys(self):
         table = MemTable(10_000)
         fill(table, [b"a", b"m"])
         cursor = SnowshovelCursor(table)
-        assert cursor.next_record().key == b"a"
+        assert cursor.pop().key == b"a"
         cursor.advance_past(b"k")
         table.put(Record.base(b"c", b"v", 10))  # now behind the cursor
-        assert cursor.next_record().key == b"m"
-        assert cursor.next_record() is None
+        assert drain(cursor) == [b"m"]
         assert table.get(b"c") is not None
 
     def test_advance_past_never_moves_backwards(self):
@@ -65,17 +67,8 @@ class TestSnowshovelCursor:
         cursor = SnowshovelCursor(table)
         cursor.advance_past(b"m")
         cursor.advance_past(b"c")  # earlier key: must not rewind
-        assert cursor.cursor == b"m\x00"
-
-    def test_counts(self):
-        table = MemTable(10_000)
-        fill(table, [b"a", b"b"])
-        cursor = SnowshovelCursor(table)
-        cursor.next_record()
-        cursor.next_record()
-        cursor.start_new_run()
-        assert cursor.records_emitted == 2
-        assert cursor.runs_completed == 1
+        table.put(Record.base(b"d", b"v", 10))  # between c and m
+        assert cursor.peek().key == b"x"
 
 
 class TestReplacementSelection:
@@ -137,8 +130,9 @@ class TestReplacementSelection:
 def test_the_drain_matches_a_sorted_list_model(ops, bounds):
     """One partition's ``[lo, hi)`` drained while C0 takes inserts ahead
     of and behind the cursor, overwrites of resident keys, removals that
-    do not go through the cursor, new runs and drains to empty; what it
-    drains and what C0 keeps match a sorted list after every step."""
+    do not go through the cursor, new runs (a fresh cursor at ``lo``)
+    and drains to empty; what it drains and what C0 keeps match a
+    sorted list after every step."""
     lo, hi = sorted(b"%02d" % bound for bound in bounds)
     hi = None if hi == b"48" else hi
     table = MemTable(1 << 20)
@@ -162,15 +156,15 @@ def test_the_drain_matches_a_sorted_list_model(ops, bounds):
         elif op in (2, 3):  # drain n records, or to the end of the run
             for _ in range(n if op == 2 else len(model) + 1):
                 expected = next((x for x in model if in_run(x)), None)
-                record = cursor.next_record()
+                record = cursor.peek()
                 assert (record and record.key) == expected
                 if record is None:
-                    assert cursor.run_exhausted()
                     break
+                assert cursor.pop() is record
                 model.remove(record.key)
                 position = record.key + b"\x00"
         elif op == 4:
-            cursor.start_new_run()
+            cursor = SnowshovelCursor(table, lo, hi)
             position = lo
         elif op == 5 and model:  # a removal that does not use the cursor
             victim = model.pop(k % len(model))

@@ -345,7 +345,7 @@ def test_the_snowshovel_overlay_is_ram_the_footprint_shows():
     while tree._m01 is None or len(tree._m01.overlay) < 50:
         tree.put(b"key%06d" % ((i * 7919) % 100_000), bytes(1000))
         i += 1
-    held = sum(record.nbytes for record in tree._m01.overlay.records)
+    held = sum(record.nbytes for record in tree._m01.overlay)
     assert tree.memory_footprint()["merge_overlay"] == held > 0
     tree.drain()
     assert tree.memory_footprint()["merge_overlay"] == 0
