@@ -426,7 +426,7 @@ class BLSM(TreeKernel):
         self._publish()
         if not self.options.snowshovel:
             self._frozen = None
-        self._ram = [(self._frozen,) if self._frozen is not None else ()]
+        self._ram = [()]  # C0' merged, or the overlay's records installed
         self._maybe_persist_bloom(self._c1)
         self.stasis.commit_manifest(self._manifest())
         self.versions.retire(old_c1)
