@@ -62,18 +62,26 @@ _SCALES = {
 SCALE = _SCALES[os.environ.get("REPRO_BENCH_SCALE", "default")]
 
 
-def make_blsm(
+def blsm_options(
     disk: DiskModel | None = None,
     scale: Scale = SCALE,
     **option_overrides,
-) -> BLSMEngine:
+) -> BLSMOptions:
     options = dict(
         c0_bytes=scale.c0_bytes,
         buffer_pool_pages=scale.cache_pages(4096),
         disk_model=disk if disk is not None else DiskModel.hdd(),
     )
     options.update(option_overrides)
-    return BLSMEngine(BLSMOptions(**options))
+    return BLSMOptions(**options)
+
+
+def make_blsm(
+    disk: DiskModel | None = None,
+    scale: Scale = SCALE,
+    **option_overrides,
+) -> BLSMEngine:
+    return BLSMEngine(blsm_options(disk, scale, **option_overrides))
 
 
 def make_btree(

@@ -8,7 +8,9 @@ schedulers:
 * **extra components** (HBase with compaction disabled, Cassandra
   1.0's overlapping partitions): never stall, but every extra
   overlapping component adds a seek to scans — "this approach still
-  severely impacts scan performance";
+  severely impacts scan performance".  That is a policy tree whose
+  full C0 becomes one more overlapping level-0 run, under the naive
+  scheduler, which leaves those runs unmerged up to the stop trigger;
 * **level scheduling** (spring and gear): steady merge progress bounds
   write latency *and* keeps the component count fixed.
 
@@ -19,21 +21,27 @@ state each policy leaves behind.
 
 from __future__ import annotations
 
-from benchmarks.conftest import SCALE, make_blsm, report
+from benchmarks.conftest import SCALE, blsm_options, report
+from repro.baselines import BLSMEngine, CompactionEngine
 from repro.ycsb import WorkloadSpec, load_phase, run_workload
 
 CONFIGS = [
-    ("stall (naive)", dict(scheduler="naive", snowshovel=False)),
+    ("stall (naive)", BLSMEngine, dict(scheduler="naive", snowshovel=False)),
     (
         "extra components",
-        dict(scheduler="naive", snowshovel=True, extra_components=True),
+        CompactionEngine,
+        dict(compaction_policy="leveled", scheduler="naive"),
     ),
-    ("spring+gear", dict(scheduler="spring_gear", snowshovel=True)),
+    (
+        "spring+gear",
+        BLSMEngine,
+        dict(scheduler="spring_gear", snowshovel=True),
+    ),
 ]
 
 
-def _run(overrides):
-    engine = make_blsm(**overrides)
+def _run(engine_class, overrides):
+    engine = engine_class(blsm_options(**overrides))
     load = WorkloadSpec(
         record_count=SCALE.record_count * 2,
         operation_count=0,
@@ -49,24 +57,18 @@ def _run(overrides):
         value_bytes=SCALE.value_bytes,
     )
     scan_result = run_workload(engine, scans, seed=132)
-    sizes = engine.tree.component_sizes()
+    levels = engine.tree.level_view()["levels"]
     return {
         "write_max_ms": result.all_latencies().max * 1e3,
         "write_ops": result.throughput,
         "scan_ops": scan_result.throughput,
-        "extras": len(engine.tree._extras),
-        "disk_components": sum(
-            1
-            for c in (engine.tree._c1, engine.tree._c1_prime, engine.tree._c2)
-            if c is not None
-        )
-        + len(engine.tree._extras),
-        "sizes": sizes,
+        "extras": len(levels[0]),
+        "disk_components": sum(len(level) for level in levels),
     }
 
 
 def _measure():
-    return {name: _run(overrides) for name, overrides in CONFIGS}
+    return {name: _run(cls, overrides) for name, cls, overrides in CONFIGS}
 
 
 def test_ablation_stall_strategies(run_once):

@@ -39,6 +39,7 @@ from repro.core.compaction.policy import (
 from repro.core.kernel import TreeKernel
 from repro.core.merge import MergeProcess
 from repro.core.options import BLSMOptions
+from repro.sstable.builder import SSTableBuilder
 from repro.sstable.reader import SSTable
 
 __all__ = ["CompactionTree"]
@@ -302,14 +303,32 @@ class CompactionTree(TreeKernel):
         """Flush the whole memtable as level 0's newest run.
 
         The flush empties C0 whole, so the log truncates to a seqno
-        prefix instead of the exact retention snowshoveling needs.
+        prefix instead of the exact retention snowshoveling needs.  It
+        truncates only after the manifest naming the run commits: a
+        crash between the two replays onto state that already holds the
+        run, which is idempotent because replay rebuilds C0 from scratch.
         """
-        if self._memtable.is_empty:
+        memtable = self._memtable
+        if memtable.is_empty:
             return
-        table = self._flush_c0("flush")
-        if table is not None:
-            self._manager.add_run(0, table)
-            self.versions.install(self._manager.sources())
+        builder = SSTableBuilder(
+            self.stasis,
+            tree_id=self._take_tree_id(),
+            expected_bytes=memtable.nbytes,
+            expected_keys=len(memtable),
+            with_bloom=self.options.with_bloom_filters,
+            compression_ratio=self.options.compression_ratio,
+        )
+        for record in memtable:
+            builder.add(record)
+        table = builder.finish()
+        self._memtable = self._new_memtable()
+        self._ctr_rotations.inc()
+        self.runtime.trace.emit(
+            "memtable_rotate", kind="flush", frozen_bytes=memtable.nbytes
+        )
+        self._manager.add_run(0, table)
+        self.versions.install(self._manager.sources())
         self.stasis.commit_manifest(self._manifest())
         self.stasis.logical_log.truncate(self._next_seqno)
 

@@ -12,8 +12,7 @@ counters, C0, the write API down to the logical log, the read path
 scheduler's merge host (each gear's step: the worker-timeline gate, a
 merge started when idle, one budgeted step; the progress estimators
 and the gear-1 deficit; the C0 stall loop), the merge and stall
-instrumentation, whole-C0 flushes, exact log retention and crash
-recovery.
+instrumentation, exact log retention and crash recovery.
 
 A layout — :class:`repro.core.tree.BLSM`'s three slots,
 :class:`repro.core.compaction.tree.CompactionTree`'s policy-owned
@@ -68,7 +67,6 @@ from repro.memtable.memtable import MemTable
 from repro.records import Record, lookup
 from repro.sim.clock import Timeline
 from repro.sstable.bloom_store import persist_bloom
-from repro.sstable.builder import SSTableBuilder
 from repro.sstable.reader import SSTable
 from repro.storage.group_commit import CommitTicket
 from repro.storage.stasis import Stasis
@@ -617,31 +615,6 @@ class TreeKernel:
 
     def _new_memtable(self) -> MemTable:
         return MemTable(self._c0_capacity)
-
-    def _flush_c0(self, kind: str) -> SSTable | None:
-        """Write the whole memtable out as one component and start a
-        fresh C0; the caller installs the component, commits the
-        manifest and only then truncates the log, so a crash between
-        the two replays onto state that already contains the component
-        — idempotent because replay rebuilds C0 from scratch."""
-        memtable = self._memtable
-        builder = SSTableBuilder(
-            self.stasis,
-            tree_id=self._take_tree_id(),
-            expected_bytes=memtable.nbytes,
-            expected_keys=len(memtable),
-            with_bloom=self.options.with_bloom_filters,
-            compression_ratio=self.options.compression_ratio,
-        )
-        for record in memtable:
-            builder.add(record)
-        table = builder.finish()
-        self._memtable = self._new_memtable()
-        self._ctr_rotations.inc()
-        self.runtime.trace.emit(
-            "memtable_rotate", kind=kind, frozen_bytes=memtable.nbytes
-        )
-        return table
 
     def _retain_log(self, *memtables: MemTable | None) -> None:
         """Checkpoint the log down to the writes still resident in memory.

@@ -80,14 +80,6 @@ class BLSMOptions:
     ``leveldb`` (a fixed share of each write, for a policy tree: it
     never drains C0, so the paper's tree cannot run under it)."""
 
-    extra_components: bool = False
-    """The Section 3.2 workaround instead of stalling: when C0 is full
-    and the C0:C1 merge cannot proceed, flush C0 to an *extra*
-    overlapping component (HBase's disabled compaction, Cassandra 1.0's
-    overlapping range partitions).  Writes never block, but every extra
-    component adds a seek to scans — the degradation the paper uses to
-    argue for level scheduling instead."""
-
     observability: bool = True
     """Record per-access device metrics and trace events.  ``False``
     skips the per-operation metrics/trace dispatch entirely (the hot

@@ -10,9 +10,9 @@ Structure: an in-memory component C0 (a memtable) and three on-disk slots.
 * ``C2`` — the largest component; tombstones are garbage-collected when
   they reach it.
 
-Reads walk C0, C0' or the merge overlay, the §3.2 extras, C1, C1', C2
-(newest to oldest), skip components whose Bloom filter rejects the key,
-and terminate at the first base record or tombstone (Section 3.1.1).
+Reads walk C0, C0' or the merge overlay, C1, C1', C2 (newest to
+oldest), skip components whose Bloom filter rejects the key, and
+terminate at the first base record or tombstone (Section 3.1.1).
 ``insert_if_not_exists`` is zero-seek in the common case because the
 largest component's Bloom filter answers the existence check
 (Section 3.1.2).
@@ -59,9 +59,7 @@ class BLSM(TreeKernel):
         self._c1: SSTable | None = None
         self._c1_prime: SSTable | None = None
         self._c2: SSTable | None = None
-        self._extras: list[SSTable] = []  # §3.2 workaround components
         self._m01: MergeProcess | None = None
-        self._m01_extra: SSTable | None = None
         self._m12: MergeProcess | None = None
         self._promotion_pending = False
         self._r = MIN_R
@@ -75,14 +73,12 @@ class BLSM(TreeKernel):
     # ------------------------------------------------------------------
 
     def _publish(self) -> None:
-        """Install the on-disk component set in read order (the §3.2
-        extras newest first, then C1, C1', C2) for reads and snapshots."""
+        """Install the on-disk component set in read order (C1, C1', C2)
+        for reads and snapshots."""
         self.versions.install(
-            (*self._extras, *(
-                component
-                for component in (self._c1, self._c1_prime, self._c2)
-                if component is not None
-            ))
+            component
+            for component in (self._c1, self._c1_prime, self._c2)
+            if component is not None
         )
 
     # ------------------------------------------------------------------
@@ -130,16 +126,7 @@ class BLSM(TreeKernel):
     # class's own dict, so all three stay in its body.
     step_m01 = TreeKernel.step_m01
     step_m12 = TreeKernel.step_m12
-
-    def force_drain(self, target_fill: float, chunk: int) -> None:
-        """The kernel's stall; with ``extra_components`` (the Section 3.2
-        workaround) none at all: a full C0 is flushed to an extra
-        overlapping component, trading scan performance for write
-        availability."""
-        if self.options.extra_components:
-            self._flush_extra()
-        else:
-            TreeKernel.force_drain(self, target_fill, chunk)
+    force_drain = TreeKernel.force_drain
 
     def m01_debt_per_byte(self) -> float:
         """Input bytes the C0:C1 merge consumes per byte it drains from C0.
@@ -154,17 +141,6 @@ class BLSM(TreeKernel):
         run_bytes = max(1, doubling * self._c0_source_bytes())
         c1_bytes = self._c1.nbytes if self._c1 is not None else 0
         return (run_bytes + c1_bytes) / run_bytes
-
-    def _flush_extra(self) -> None:
-        """Flush the whole memtable to an extra overlapping component."""
-        if self._memtable.is_empty:
-            return
-        table = self._flush_c0("extra_flush")
-        if table is not None:
-            self._extras.insert(0, table)  # newest first
-            self._publish()
-        self.stasis.commit_manifest(self._manifest())
-        self._retain_log(self._memtable, self._frozen)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -183,7 +159,6 @@ class BLSM(TreeKernel):
             "c1": self._c1.nbytes if self._c1 is not None else 0,
             "c1_prime": self._c1_prime.nbytes if self._c1_prime is not None else 0,
             "c2": self._c2.nbytes if self._c2 is not None else 0,
-            "extras": sum(extra.nbytes for extra in self._extras),
         }
 
     def level_view(self) -> dict[str, Any]:
@@ -191,11 +166,11 @@ class BLSM(TreeKernel):
 
         Maps the paper's fixed slots onto levels so cross-policy tooling
         (``repro policies``, docs/compaction.md) can render every
-        engine the same way: level 0 holds the §3.2 extra components
-        (overlapping runs, like any L0), level 1 C1 and C1', level 2 C2.
+        engine the same way: level 0 is always empty (C0 never flushes
+        whole, it merges into C1), level 1 holds C1 and C1', level 2 C2.
         """
         levels: list[list[dict[str, Any]]] = [
-            [component_row(extra) for extra in self._extras],
+            [],
             [
                 component_row(c)
                 for c in (self._c1, self._c1_prime)
@@ -341,8 +316,6 @@ class BLSM(TreeKernel):
     def _m01_can_start(self) -> bool:
         if self._promotion_pending:
             return False  # C1 is full and waiting on the C1':C2 merge
-        if self._extras:
-            return True  # drain the §3.2 workaround components first
         if self.options.snowshovel:
             return not self._memtable.is_empty
         return self._frozen is not None
@@ -350,14 +323,7 @@ class BLSM(TreeKernel):
     def _start_m01(self) -> bool:
         if not self._m01_can_start():
             return False
-        self._m01_extra = None
-        if self._extras:
-            # Oldest extra first: it sits directly above C1 in recency.
-            self._m01_extra = self._extras[-1]
-            newer = self._m01_extra
-            newer_bytes = self._m01_extra.nbytes
-            newer_keys = run_keys = self._m01_extra.key_count
-        elif self.options.snowshovel:
+        if self.options.snowshovel:
             newer = SnowshovelSource(self._memtable)
             newer_bytes = self._memtable.nbytes
             newer_keys = len(self._memtable)
@@ -419,10 +385,6 @@ class BLSM(TreeKernel):
             "c0c1", self._m01, self._c1.nbytes if self._c1 is not None else 0
         )
         self._m01 = None
-        consumed_extra = self._m01_extra
-        self._m01_extra = None
-        if consumed_extra is not None:
-            self._extras = [e for e in self._extras if e is not consumed_extra]
         self._publish()
         if not self.options.snowshovel:
             self._frozen = None
@@ -430,7 +392,6 @@ class BLSM(TreeKernel):
         self._maybe_persist_bloom(self._c1)
         self.stasis.commit_manifest(self._manifest())
         self.versions.retire(old_c1)
-        self.versions.retire(consumed_extra)
         self._retain_log(self._memtable, self._frozen)
         if (
             self._c1 is not None
@@ -496,9 +457,8 @@ class BLSM(TreeKernel):
             "c1": describe_component(self._c1),
             "c1_prime": describe_component(self._c1_prime),
             "c2": describe_component(self._c2),
-            "extras": tuple(
-                describe_component(extra) for extra in self._extras
-            ),
+            # Always empty, kept: a manifest's WAL bytes are len(repr(it)).
+            "extras": (),
         }
 
     def _restore_layout(self, manifest: dict[str, Any]) -> None:
@@ -506,12 +466,8 @@ class BLSM(TreeKernel):
         self._c1 = self._rebuild_component(manifest["c1"])
         self._c1_prime = self._rebuild_component(manifest["c1_prime"])
         self._c2 = self._rebuild_component(manifest["c2"])
-        self._extras = [
-            self._rebuild_component(desc)
-            for desc in manifest.get("extras", ())
-        ]
         self._publish()
 
     def _live_tables(self) -> Iterable[SSTable]:
-        slots = (self._c1, self._c1_prime, self._c2, *self._extras)
+        slots = (self._c1, self._c1_prime, self._c2)
         return [table for table in slots if table is not None]

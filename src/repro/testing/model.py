@@ -34,9 +34,10 @@ def check_blsm_invariants(tree: BLSM) -> None:
     """Structural deep check of an unpartitioned tree.
 
     Verifies per-component sortedness/uniqueness/byte accounting,
-    cross-level version ordering (seqnos strictly decrease walking
-    down), space accounting (no orphan extents outside active merges),
-    and tombstone GC at the bottom level.
+    cross-level version ordering (a key's seqnos strictly decrease
+    walking C0, C0', the merge overlay, C1, C1', C2), space accounting
+    (no orphan extents outside active merges), and tombstone GC at the
+    bottom level.
     """
     components = [tree._c1, tree._c1_prime, tree._c2]
     ratio = tree.options.compression_ratio
@@ -52,25 +53,27 @@ def check_blsm_invariants(tree: BLSM) -> None:
             max(8, int(r.nbytes * ratio)) for r in records
         )
         assert expected_bytes == component.nbytes, "byte accounting drift"
-    levels = [{r.key: r.seqno for r in tree._memtable}]
+    levels = [tree._memtable]  # newest first
+    if tree._frozen is not None:
+        levels.append(tree._frozen)
     if tree._m01 is not None:
-        levels.append({r.key: r.seqno for r in tree._m01.overlay})
-    for extra in tree._extras:
-        levels.append({r.key: r.seqno for r in extra.iter_records()})
-    for component in components:
-        if component is not None:
-            levels.append({r.key: r.seqno for r in component.iter_records()})
-    for newer, older in zip(levels, levels[1:]):
-        for key, seqno in newer.items():
-            if key in older:
-                assert seqno > older[key], f"version inversion for {key!r}"
+        levels.append(tree._m01.overlay)
+    on_disk = [c for c in components if c is not None]
+    levels += [c.iter_records() for c in on_disk]
+    newer: dict[bytes, int] = {}  # key -> its seqno in the level above
+    for level in levels:
+        for record in level:
+            above = newer.get(record.key)
+            assert above is None or record.seqno < above, (
+                f"version inversion for {record.key!r}"
+            )
+            newer[record.key] = record.seqno
     if tree._m01 is None and tree._m12 is None:
         live = set()
-        for component in components + tree._extras:
-            if component is not None:
-                live.update(component.extents)
-                if component.bloom_extent is not None:
-                    live.add(component.bloom_extent)
+        for component in on_disk:
+            live.update(component.extents)
+            if component.bloom_extent is not None:
+                live.add(component.bloom_extent)
         orphans = set(tree.stasis.regions.allocated_extents) - live
         assert not orphans, f"leaked extents: {orphans}"
     if tree._c2 is not None:
@@ -78,8 +81,7 @@ def check_blsm_invariants(tree: BLSM) -> None:
             record.kind is not RecordKind.TOMBSTONE
             for record in tree._c2.iter_records()
         ), "tombstone survived to the bottom level"
-    on_disk = [c for c in components if c is not None]
-    _check_installed_version(tree, [(b"", None, tree._extras + on_disk)])
+    _check_installed_version(tree, [(b"", None, on_disk)])
 
 
 def check_partitioned_invariants(tree: PartitionedBLSM) -> None:

@@ -295,6 +295,30 @@ def test_blsm_level_view_maps_slots_to_levels():
     view = tree.level_view()
     assert view["policy"] == "blsm3"
     assert len(view["levels"]) == 3
+    assert view["levels"][0] == []  # C0 merges into C1, never flushes
     assert len(view["max_bytes"]) == 3
     assert sum(len(level) for level in view["levels"]) >= 1
     tree.close()
+
+
+# ----------------------------------------------------------------------
+# Level 0: overlapping runs (the §3.2 workaround's layout)
+# ----------------------------------------------------------------------
+
+
+def test_scan_seeks_at_least_once_per_run():
+    # Under the naive scheduler level-0 runs pile up unmerged (HBase
+    # with compaction off): each overlapping run costs a scan a seek.
+    tree = make_tree(
+        small_options(
+            "leveled", c0_bytes=16 * 1024, buffer_pool_pages=2,
+            scheduler="naive",
+        )
+    )
+    for i in range(5000):
+        tree.put(b"key%06d" % (i % 2500), bytes(64))
+    runs = len(list(tree.manager.iter_tables()))
+    assert tree.manager.run_count(0) >= 2
+    seeks_before = tree.stasis.data_disk.stats.seeks
+    list(tree.scan(b"key", limit=5))
+    assert tree.stasis.data_disk.stats.seeks - seeks_before >= runs

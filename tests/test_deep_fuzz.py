@@ -38,9 +38,11 @@ def engine_matrix():
             durability=DurabilityMode.SYNC,
         )
     )
-    yield "blsm-extras", BLSMEngine(
+    # The §3.2 workaround's layout: under the naive scheduler a full
+    # C0 becomes one more overlapping level-0 run.
+    yield "leveled-naive", CompactionEngine(
         BLSMOptions(
-            c0_bytes=48 * 1024, scheduler="naive", extra_components=True
+            c0_bytes=48 * 1024, compaction_policy="leveled", scheduler="naive"
         )
     )
     yield "partitioned", PartitionedBLSMEngine(

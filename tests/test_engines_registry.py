@@ -107,7 +107,7 @@ def test_blsm_options_mirror_config():
 def test_c0_structure_is_a_constant_in_every_layer():
     # C0 is a hash index over a sorted key list; no layer carries a knob
     # that says otherwise.  The counts make adding one a deliberate act.
-    assert len(dataclasses.fields(BLSMOptions)) == 21
+    assert len(dataclasses.fields(BLSMOptions)) == 20
     assert len(dataclasses.fields(EngineConfig)) == 15
     for cls in (BLSMOptions, EngineConfig):
         assert "memtable" not in {f.name for f in dataclasses.fields(cls)}

@@ -29,7 +29,6 @@ CALLERS = {
     "compression_ratio": "benchmarks/test_ablation_compression.py",
     "persist_bloom_filters": "benchmarks/test_ablation_bloom_persistence.py",
     "scheduler": "benchmarks/test_ablation_schedulers.py",
-    "extra_components": "benchmarks/test_ablation_stall_strategies.py",
     "observability": "bench/workloads.py",
     "fault_plan": "src/repro/engines.py",
     "compaction_policy": "src/repro/scenarios.py",

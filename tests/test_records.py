@@ -126,6 +126,15 @@ def test_resolve_skips_deltas_already_in_base():
     assert resolve(versions) == b"v+d"
 
 
+def test_resolve_dedupes_equal_seqno_deltas():
+    versions = [
+        Record.delta(b"k", b"+D", 7),
+        Record.delta(b"k", b"+D", 7),  # replay duplicate
+        Record.base(b"k", b"v", 3),
+    ]
+    assert resolve(versions) == b"v+D"
+
+
 def test_fold_mismatched_keys_rejected():
     with pytest.raises(ValueError):
         fold(Record.base(b"a", b"", 2), Record.base(b"b", b"", 1))

@@ -150,7 +150,7 @@ def test_tombstone_heavy_component_forces_refills():
             # More reads than components: at least one refilled.
             components = sum(
                 c is not None for c in (tree._c1, tree._c1_prime, tree._c2)
-            ) + len(tree._extras)
+            )
             assert len(reads) > components
     tree.close()
 

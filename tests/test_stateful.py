@@ -28,9 +28,8 @@ class BLSMMachine(RuleBasedStateMachine):
     """The unpartitioned tree under arbitrary API interleavings.
 
     The option combination is itself randomized, so every feature flag
-    (scheduler, snowshoveling, compression, Bloom persistence, the
-    extra-components workaround) is exercised under the same arbitrary
-    interleavings.
+    (scheduler, snowshoveling, compression, Bloom persistence) is
+    exercised under the same arbitrary interleavings.
     """
 
     @initialize(
@@ -38,10 +37,8 @@ class BLSMMachine(RuleBasedStateMachine):
         snowshovel=st.booleans(),
         compression=st.sampled_from([1.0, 0.5]),
         persist_blooms=st.booleans(),
-        extras=st.booleans(),
     )
-    def setup(self, scheduler, snowshovel, compression, persist_blooms,
-              extras):
+    def setup(self, scheduler, snowshovel, compression, persist_blooms):
         self.options = BLSMOptions(
             c0_bytes=2048,
             buffer_pool_pages=8,
@@ -50,7 +47,6 @@ class BLSMMachine(RuleBasedStateMachine):
             snowshovel=snowshovel,
             compression_ratio=compression,
             persist_bloom_filters=persist_blooms,
-            extra_components=extras,
         )
         self.tree = BLSM(self.options)
         self.model: dict[bytes, bytes] = {}

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import BLSM, BLSMOptions
+from repro.core.compaction import CompactionTree
 from repro.core.merge import (
     FrozenSource,
     MergeProcess,
@@ -241,17 +242,34 @@ def test_blsm_steps_touch_the_device_once(step_log, scheduler):
     assert_one_access_per_step(step_log)
 
 
-def test_frozen_c0_and_extra_components_step_once_too(step_log):
-    """Both inputs on disk (an extra component over C1), no snowshovel."""
+def test_frozen_c0_steps_touch_the_device_once_too(step_log):
+    """A frozen C0' over C1 (no snowshovel)."""
     tree = BLSM(
         BLSMOptions(
             c0_bytes=256 * KIB, buffer_pool_pages=32, snowshovel=False,
-            extra_components=True, scheduler="naive", observability=False,
+            scheduler="naive", observability=False,
         )
     )
     run_stream(tree, 4_000, 5, reads=False)
     tree.compact()
-    assert tree.component_sizes()["extras"] == 0
+    assert tree._frozen is None and tree.component_sizes()["c1"] == 0
+    assert_one_access_per_step(step_log)
+    assert any(fetched_a_head_only(step_log))
+
+
+def test_level0_runs_over_level1_step_once_too(step_log):
+    """Every input on disk: under the naive scheduler level-0 runs pile
+    up to the stop trigger, then merge into level 1 in one stall."""
+    tree = CompactionTree(
+        BLSMOptions(
+            c0_bytes=64 * KIB, buffer_pool_pages=32,
+            compaction_policy="leveled", scheduler="naive",
+            observability=False,
+        )
+    )
+    run_stream(tree, 4_000, 5, reads=False)
+    tree.compact()
+    assert tree.manager.run_count(0) == 0
     assert_one_access_per_step(step_log)
     assert any(fetched_a_head_only(step_log))
 
