@@ -94,6 +94,14 @@ class BLSM(TreeKernel):
         """
         self._check_open()
         while True:
+            if (
+                not self.options.snowshovel
+                and self._frozen is None
+                and self._m01 is None
+                and not self._memtable.is_empty
+            ):
+                # A C0 below capacity is never frozen by the write path.
+                self._freeze_memtable()
             if self.step_m01(1 << 30):
                 continue
             if self._memtable.is_empty and self._frozen is None and self._m01 is None:

@@ -47,6 +47,25 @@ def test_delete_survives_drain_and_compact():
     assert tree.get(b"k") is None
 
 
+@pytest.mark.parametrize("scheduler", ["naive", "gear", "spring_gear"])
+def test_drain_and_compact_empty_c0_without_snowshoveling(scheduler):
+    tree = small_tree(c0_bytes=16 * 1024, snowshovel=False, scheduler=scheduler)
+    rng = random.Random(0)
+    expected = {}
+    for i in range(2000):
+        key = b"key%04d" % rng.randrange(900)
+        value = b"v%05d" % i + bytes(20)
+        tree.put(key, value)
+        expected[key] = value
+    tree.drain()
+    assert tree.component_sizes()["c0"] == 0
+    tree.compact()
+    sizes = tree.component_sizes()
+    assert sizes["c2"] > 0
+    assert [name for name, nbytes in sizes.items() if nbytes] == ["c2"]
+    assert all(tree.get(key) == value for key, value in expected.items())
+
+
 def test_deltas_fold_across_levels():
     tree = small_tree()
     tree.put(b"k", b"base")
