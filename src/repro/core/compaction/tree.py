@@ -226,9 +226,8 @@ class CompactionTree(TreeKernel):
         split = None
         if self._policy.granularity == "file":
             # Files of a quarter of the level base (LevelDB: 2 MB under a
-            # 10 MB L1), each sized for records of the inputs' mean size.
+            # 10 MB L1).
             split = max(1, self._manager.base_bytes // 4)
-            keys = max(1, keys * split // max(1, nbytes))
         return _PlanMerge(
             plan,
             inputs,

@@ -222,9 +222,14 @@ class MergeProcess:
             raise ValueError("split_output_bytes requires tree_id_source")
         self._split_output_bytes = split_output_bytes
         self._tree_id_source = tree_id_source
-        self._builder = self._new_builder(tree_id, input_bytes)
-        self._drop_tombstones = drop_tombstones
         self.input_bytes = max(1, input_bytes)
+        self._builder = self._new_builder(
+            tree_id,
+            input_bytes
+            if split_output_bytes is None
+            else min(input_bytes, split_output_bytes),
+        )
+        self._drop_tombstones = drop_tombstones
         self.bytes_read = 0
         self.newer_bytes_read = 0  # consumed from the newer source only
         self.output: SSTable | None = None
@@ -398,14 +403,29 @@ class MergeProcess:
         return MergedSource([self._open_stream(table) for table in tables])
 
     def _new_builder(self, tree_id: int, expected_bytes: int) -> SSTableBuilder:
+        """A builder for ``expected_bytes`` of the output.
+
+        A split file is sized (extent reservation, Bloom filter) for its
+        share of the merge's keys, at the merge's mean record size: it
+        takes records until it reaches ``expected_bytes``, so it holds
+        whole records, not exactly that many bytes.
+        """
+        keys, bloom_keys = self._expected_keys, self._bloom_keys
+        split = self._split_output_bytes is not None
+        if split and keys and expected_bytes < self.input_bytes:
+            share = -(-keys * expected_bytes // self.input_bytes)
+            expected_bytes = -(-share * self.input_bytes // keys)
+            if bloom_keys is not None:
+                bloom_keys = -(-bloom_keys * share // keys)
+            keys = share
         return SSTableBuilder(
             self._stasis,
             tree_id=tree_id,
             expected_bytes=expected_bytes,
-            expected_keys=self._expected_keys,
+            expected_keys=keys,
             with_bloom=self._with_bloom,
             compression_ratio=self._compression_ratio,
-            bloom_keys=self._bloom_keys,
+            bloom_keys=bloom_keys,
             gate=self._gate,
         )
 

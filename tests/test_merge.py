@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bloom import BloomFilter
 from repro.core.merge import (
     EmptySource,
     FrozenSource,
@@ -249,6 +250,37 @@ class TestMergeProcess:
         keys = [r.key for r in process.output.iter_records()]
         assert keys == [b"a", b"m", b"z"]
         assert memtable.get(b"c") is not None  # waits for the next pass
+
+    @pytest.mark.parametrize("value_bytes", [100, 1000, 3000])
+    def test_each_split_file_is_sized_for_its_own_keys(self, stasis, value_bytes):
+        def run(tree_id, first):
+            builder = SSTableBuilder(stasis, tree_id=tree_id, expected_keys=1200)
+            for i in range(first, 2400, 2):
+                builder.add(Record.base(b"key%06d" % i, bytes(value_bytes), i))
+            return builder.finish()
+
+        newer, older = run(1, 1), run(2, 0)
+        ids = iter(range(10, 1000))
+        process = MergeProcess(
+            stasis,
+            newer,
+            older,
+            tree_id=3,
+            input_bytes=newer.nbytes + older.nbytes,
+            expected_keys=newer.key_count + older.key_count,
+            drop_tombstones=True,
+            split_output_bytes=40 * 4096,
+            tree_id_source=lambda: next(ids),
+        )
+        process.run_to_completion()
+        files = process.outputs
+        assert len(files) > 1
+        # Each file lands in the one extent reserved for it, and its
+        # filter is sized for its keys, not the whole merge's 2 400.
+        assert [len(table.extents) for table in files] == [1] * len(files)
+        for table in files[:-1]:
+            ceiling = BloomFilter.for_capacity(2 * table.key_count)
+            assert table.bloom.nbits <= ceiling.nbits
 
 
 # ---------------------------------------------------------------------------
@@ -640,17 +672,23 @@ class ReferenceKWayMerge:
         self._sources = [StreamSource(table, self._gate) for table in inputs]
         self._drop = drop_tombstones
         self._keys = sum(table.key_count for table in inputs)
+        self._bytes = sum(table.nbytes for table in inputs)
         self._split, self._ids = split, ids
         self._builder = self._new_builder(
-            tree_id, sum(table.nbytes for table in inputs)
+            tree_id, min(self._bytes, split or self._bytes)
         )
         self.outputs = []
         self.done = False
 
     def _new_builder(self, tree_id, expected_bytes):
+        keys = self._keys
+        if expected_bytes < self._bytes:
+            # A split file: its share of the keys at their mean size.
+            share = -(-keys * expected_bytes // self._bytes)
+            expected_bytes, keys = -(-share * self._bytes // keys), share
         return SSTableBuilder(
             self._stasis, tree_id=tree_id, expected_bytes=expected_bytes,
-            expected_keys=self._keys, gate=self._gate,
+            expected_keys=keys, gate=self._gate,
         )
 
     def _close(self):
