@@ -30,13 +30,15 @@ from repro.sim import DiskModel
 from repro.ycsb import WorkloadSpec, load_phase, run_workload
 
 
-# The skew scenario runs at data : RAM = 3.3 : 1 instead of 5 : 1.  A
-# partitioned tree commits one manifest per partition merge; with dense
-# blocks and streaming merge reads and writes a merge costs little
-# device time, and at the default C0 those commits cost more log time
-# than the merge I/O partitioning saves (16474 vs 22508 ops/s while write
-# amplification still wins 1.47 vs 2.15).  A C0 half again as large
-# makes the run merge-bound again.
+# The skew scenario runs at data : RAM = 3.3 : 1 instead of 5 : 1.  At
+# the default C0 the partitioned tree still writes less (write amp 1.35
+# vs 1.85) but is slower (18266 vs 25033 ops/s): its smaller, more
+# numerous partition merges position the heads more often, 40 vs 23
+# data-device seeks and 26 vs 12 log-device seeks (each of its 15
+# manifest commits, against 8, moves the log head off the logical log's
+# tail and back).  Manifest bytes are not the cause: logging version
+# edits cut its WAL from 660 to 131 KB and moved it by 1 %.  A C0 half
+# again as large makes the run merge-bound again.
 SKEW_SCALE = Scale(memory_bytes=960 * KIB)
 
 

@@ -2,7 +2,8 @@
 
 The manifest (committed through the physical WAL, Section 4.4.2) stores
 one descriptor per live component: its blocks, extents, counters and —
-when filter persistence is enabled — where its Bloom filter lives.
+when filter persistence is enabled — where its Bloom filter lives.  The
+``tree_id`` entry is what the WAL's version edits name a component by.
 Recovery turns descriptors back into :class:`SSTable` objects, loading
 the persisted filter or rebuilding it with a full component scan (the
 paper's prototype behaviour, Section 4.4.3).
@@ -21,35 +22,18 @@ from repro.storage.region import Extent
 from repro.storage.stasis import Stasis
 
 
-class _Descriptor(dict):
-    """One component's manifest entry, with its ``repr`` taken once.
-
-    Every manifest commit sizes its WAL record by ``len(repr(manifest))``
-    and a manifest names every block of every live component; components
-    are immutable, so the text of an entry never changes.
-    """
-
-    __slots__ = ("_repr",)
-
-    def __repr__(self) -> str:
-        try:
-            return self._repr
-        except AttributeError:
-            self._repr = dict.__repr__(self)
-            return self._repr
-
-
 def describe_component(table: SSTable | None) -> dict[str, Any] | None:
     """The manifest entry for one component (``None`` for an empty slot).
 
-    Memoised on the table; :func:`~repro.sstable.bloom_store.persist_bloom`,
-    the one thing that changes an entry, drops the memo.
+    Memoised on the table, so the manifest log finds an unchanged entry
+    by identity; :func:`~repro.sstable.bloom_store.persist_bloom`, the
+    one thing that changes an entry, drops the memo.
     """
     if table is None:
         return None
     desc = table.descriptor
     if desc is None:
-        desc = table.descriptor = _Descriptor(
+        desc = table.descriptor = dict(
             tree_id=table.tree_id,
             blocks=tuple(table.blocks),
             extents=tuple(table.extents),

@@ -367,9 +367,6 @@ class PartitionedBLSM(TreeKernel):
             for table in outputs:
                 self._maybe_persist_bloom(table)
             self.stasis.commit_manifest(self._manifest())
-            # C1ᵖ:C2ᵖ merges are rare per partition: checkpoint the WAL
-            # so manifest replay stays bounded.
-            self.stasis.checkpoint_wal()
             self.versions.retire(old_c1)
             self.versions.retire(old_c2)
 

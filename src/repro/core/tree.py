@@ -421,9 +421,6 @@ class BLSM(TreeKernel):
         self._recompute_r()
         self._maybe_persist_bloom(self._c2)
         self.stasis.commit_manifest(self._manifest())
-        # Major merges are rare: a good moment to drop superseded
-        # manifest records so WAL replay stays bounded.
-        self.stasis.checkpoint_wal()
         self.versions.retire(old_c2)
         self.versions.retire(old_c1_prime)
         if self._promotion_pending:
@@ -465,8 +462,6 @@ class BLSM(TreeKernel):
             "c1": describe_component(self._c1),
             "c1_prime": describe_component(self._c1_prime),
             "c2": describe_component(self._c2),
-            # Always empty, kept: a manifest's WAL bytes are len(repr(it)).
-            "extras": (),
         }
 
     def _restore_layout(self, manifest: dict[str, Any]) -> None:

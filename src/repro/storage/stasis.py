@@ -11,6 +11,18 @@ makes a new manifest durable atomically: it appends one WAL record and
 forces the WAL, mirroring how "Stasis ensures each tree merge runs in its
 own atomic and durable transaction".
 
+The record is a *version edit* (LevelDB's VersionEdit → MANIFEST): the
+manifest with every component the previous committed manifest already
+described replaced by its tree id, so a commit logs the scalars, the
+new components in full and the rest by name.  Components are the dicts
+of the manifest that carry a ``"tree_id"``; the layouts build nothing
+else for the log.  A *base* is a full manifest: the first commit writes
+one, so does a commit whose edit names no earlier component, and once
+the edits logged since the last base reach that base's own size, the
+commit forces the full manifest after its edit and truncates the WAL
+below it.  Recovery folds the edits, in LSN order, over the newest
+base, and so reads at most two bases' worth plus one edit.
+
 Fault injection: pass a :class:`~repro.faults.plan.FaultPlan` and both
 devices become :class:`~repro.faults.disk.FaultyDisk` instances sharing
 the plan (so access indices count globally across data and log I/O — the
@@ -40,9 +52,37 @@ from repro.storage.group_commit import GroupCommitQueue
 from repro.storage.logical_log import DurabilityMode, LogicalLog
 from repro.storage.pagefile import DEFAULT_PAGE_SIZE, PageFile
 from repro.storage.region import RegionAllocator
-from repro.storage.wal import WriteAheadLog
+from repro.storage.wal import WriteAheadLog, record_bytes
 
-_MANIFEST_KIND = "manifest"
+_BASE_KIND = "manifest"
+_EDIT_KIND = "edit"
+
+
+class _Named:
+    """An edit's entry for a component the previous manifest described."""
+
+    __slots__ = ("tree_id",)
+
+    def __init__(self, tree_id: int) -> None:
+        self.tree_id = tree_id
+
+    def __repr__(self) -> str:
+        return f"#{self.tree_id}"
+
+
+def _map_components(node: Any, fn: Any) -> Any:
+    """``node`` rebuilt with ``fn`` applied to every component in it (a
+    descriptor dict with a ``"tree_id"``, or an edit's :class:`_Named`)."""
+    cls = type(node)
+    if cls is dict:
+        if "tree_id" in node:
+            return fn(node)
+        return {key: _map_components(value, fn) for key, value in node.items()}
+    if cls is tuple:
+        return tuple(_map_components(value, fn) for value in node)
+    if cls is _Named:
+        return fn(node)
+    return node
 
 WRITE_BEHIND_PAGES = 64
 """Floor of :attr:`Stasis.streaming_pages`, the one sequential unit.
@@ -177,7 +217,12 @@ class Stasis:
         self.wal = WriteAheadLog(self.log_disk, retry=self.retry)
         self.logical_log = LogicalLog(self.log_disk, durability, retry=self.retry)
         self.group_commit = GroupCommitQueue(self)
-        self._committed_manifest: Any = None
+        # The manifest log's state: each component of the last committed
+        # manifest by tree id, the newest base's size and the edit bytes
+        # logged since it.
+        self._named: dict[int, dict[str, Any]] = {}
+        self._base_bytes = 0
+        self._edit_bytes = 0
 
     @classmethod
     def from_options(cls, options: Any) -> "Stasis":
@@ -200,32 +245,68 @@ class Stasis:
         return self.pagefile.page_size
 
     def commit_manifest(self, manifest: Any) -> None:
-        """Durably install a new manifest (one forced WAL record)."""
-        self.wal.append(_MANIFEST_KIND, manifest)
+        """Durably install a new manifest: one forced WAL record, its
+        version edit (or a base; see the module docstring)."""
+        previous = self._named
+        named: dict[int, dict[str, Any]] = {}
+        kept: list[int] = []
+
+        def name(desc: dict[str, Any]) -> Any:
+            tree_id = desc["tree_id"]
+            named[tree_id] = desc
+            known = previous.get(tree_id)
+            if known is desc or known == desc:
+                kept.append(tree_id)
+                return _Named(tree_id)
+            return desc
+
+        edit = _map_components(manifest, name)
+        if not kept:
+            self._write_base(manifest)
+        else:
+            nbytes = record_bytes(edit)
+            self.wal.append(_EDIT_KIND, edit, nbytes)
+            self.wal.force()
+            self._edit_bytes += nbytes
+            if self._edit_bytes >= self._base_bytes:
+                self._write_base(manifest)
+        self._named = named
+
+    def _write_base(self, manifest: Any) -> None:
+        """Force the full manifest, then drop every record below it."""
+        nbytes = record_bytes(manifest)
+        lsn = self.wal.append(_BASE_KIND, manifest, nbytes)
         self.wal.force()
-        self._committed_manifest = manifest
+        self.wal.truncate(lsn)
+        self._base_bytes = nbytes
+        self._edit_bytes = 0
 
     def recover_manifest(self) -> Any:
-        """Return the newest durable manifest, replaying the WAL.
+        """Return the newest durable manifest: the newest base with every
+        later edit folded over it, in LSN order.
 
         Raises:
             RecoveryError: if no manifest was ever committed.
         """
         manifest = None
+        named: dict[int, dict[str, Any]] = {}
         for record in self.wal.records():
-            if record.kind == _MANIFEST_KIND:
-                manifest = record.payload
+            if record.kind == _BASE_KIND:
+                self._base_bytes, self._edit_bytes = record.nbytes, 0
+            else:
+                self._edit_bytes += record.nbytes
+            previous, named = named, {}
+
+            def resolve(entry: Any) -> dict[str, Any]:
+                desc = previous[entry.tree_id] if type(entry) is _Named else entry
+                named[desc["tree_id"]] = desc
+                return desc
+
+            manifest = _map_components(record.payload, resolve)
         if manifest is None:
             raise RecoveryError("no committed manifest found in the WAL")
+        self._named = named
         return manifest
-
-    def checkpoint_wal(self) -> None:
-        """Truncate the WAL to only the newest manifest record."""
-        if self._committed_manifest is None:
-            return
-        keep_lsn = self.wal.append(_MANIFEST_KIND, self._committed_manifest)
-        self.wal.force()
-        self.wal.truncate(keep_lsn)
 
     def crash(self) -> None:
         """Simulate a crash: volatile state is lost, durable state kept.

@@ -5,7 +5,8 @@ allocation; this log ensures a physically consistent version of the tree is
 available at crash" (Section 4.4.2).  Index and data page contents are
 *not* logged — merges force-write whole tree components through the page
 file instead — so this log only carries small manifest records (which tree
-components exist, their extents and key counts).
+components exist, their extents and key counts): version edits over a
+periodically rewritten full manifest (:class:`~repro.storage.stasis.Stasis`).
 
 The log lives on its own simulated device so appends are strictly
 sequential, as the paper expects of dedicated logging hardware
@@ -40,6 +41,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.retry import RetryExecutor
 
 _RECORD_OVERHEAD = 32  # simulated on-disk framing per log record
+
+
+def record_bytes(payload: Any) -> int:
+    """Simulated size of a record carrying ``payload``: framing plus the
+    length of its ``repr``."""
+    return _RECORD_OVERHEAD + len(repr(payload))
 
 
 @dataclass(frozen=True)
@@ -121,7 +128,7 @@ class WriteAheadLog:
             The LSN assigned to the record.
         """
         if nbytes is None:
-            nbytes = _RECORD_OVERHEAD + len(repr(payload))
+            nbytes = record_bytes(payload)
         lsn = self._next_lsn
         record = WALRecord(
             lsn,

@@ -178,25 +178,31 @@ def test_load_fill_and_padding_guard(value_bytes, min_fill, max_overhead):
 
 
 def test_manifest_record_size_is_its_repr_length():
-    # Descriptors memoise their repr; the WAL must still be charged
-    # exactly len(repr(manifest)) of a plain-dict manifest.
+    # A commit logs the manifest's edit: the components the previous
+    # commit already described go by tree id, and the record is charged
+    # exactly len(repr(edit)) plus its framing.
     tree = loaded_tree(3000, 1000, c0_bytes=128 * 1024)
     manifest = tree._manifest()
 
-    def plain(value):
-        if isinstance(value, dict):
-            return {key: plain(item) for key, item in value.items()}
-        if isinstance(value, tuple) and not hasattr(value, "_fields"):
-            return tuple(plain(item) for item in value)
-        return value
+    class Named:
+        def __init__(self, tree_id):
+            self.tree_id = tree_id
 
-    assert type(manifest["c2"]) is not dict  # the memoising descriptor
-    assert repr(manifest) == repr(plain(manifest))
+        def __repr__(self):
+            return f"#{self.tree_id}"
+
+    edit = {
+        key: Named(value["tree_id"]) if isinstance(value, dict) else value
+        for key, value in manifest.items()
+    }
+    assert sum(type(value) is Named for value in edit.values()) == 3
     wal = tree.stasis.wal
     tree.stasis.commit_manifest(manifest)
     logged = list(wal.records())[-1]
-    assert logged.payload is manifest
-    assert logged.nbytes == _RECORD_OVERHEAD + len(repr(plain(manifest)))
+    assert logged.kind == "edit"
+    assert repr(logged.payload) == repr(edit)
+    assert logged.nbytes == _RECORD_OVERHEAD + len(repr(edit)) == 135
+    assert logged.nbytes * 100 < _RECORD_OVERHEAD + len(repr(manifest))
     tree.close()
 
 

@@ -80,30 +80,31 @@ def read_cold_shaped(policy, stripes, seed):
 
 #: (clock, seeks, bytes read, pool hits, misses, evictions, Bloom
 #: negatives, hits, false positives, digest of the values read) per
-#: (policy, data stripes, read seed).
+#: (policy, data stripes, read seed).  The clock is the load's as well:
+#: it moved alone when manifest commits began logging version edits.
 TRACE_PINS = {
     (EvictionPolicy.CLOCK, 1, 0): (
-        "3.890159704685452", 1459, 11993088,
+        "3.8897235139213424", 1459, 11993088,
         90, 2928, 2910, 1416, 1506, 3, "245c214a02e079ba",
     ),
     (EvictionPolicy.CLOCK, 1, 1): (
-        "3.897659704685452", 1462, 11993088,
+        "3.8972235139213427", 1462, 11993088,
         80, 2928, 2910, 1389, 1502, 2, "77a431cbd23bcb1f",
     ),
     (EvictionPolicy.LRU, 1, 0): (
-        "3.887627152602118", 1458, 11984896,
+        "3.8871909618380087", 1458, 11984896,
         92, 2926, 2908, 1416, 1506, 3, "245c214a02e079ba",
     ),
     (EvictionPolicy.LRU, 1, 1): (
-        "3.897659704685452", 1462, 11993088,
+        "3.8972235139213427", 1462, 11993088,
         80, 2928, 2910, 1389, 1502, 2, "77a431cbd23bcb1f",
     ),
     (EvictionPolicy.CLOCK, 2, 0): (
-        "3.88560892343545", 1465, 11993088,
+        "3.885172732671341", 1465, 11993088,
         90, 2928, 2910, 1416, 1506, 3, "245c214a02e079ba",
     ),
     (EvictionPolicy.CLOCK, 2, 1): (
-        "3.9056089234354503", 1473, 11993088,
+        "3.9051727326713412", 1473, 11993088,
         80, 2928, 2910, 1389, 1502, 2, "77a431cbd23bcb1f",
     ),
 }

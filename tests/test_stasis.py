@@ -44,10 +44,11 @@ def test_crash_drops_buffer_pool():
 
 
 def test_checkpoint_truncates_wal():
+    # A manifest that names no component is its own edit: each commit
+    # writes a base and truncates the WAL below it.
     stasis = Stasis()
     for version in range(10):
         stasis.commit_manifest({"version": version})
-    stasis.checkpoint_wal()
     records = list(stasis.wal.records())
     assert len(records) == 1
     assert records[0].payload == {"version": 9}
@@ -55,9 +56,10 @@ def test_checkpoint_truncates_wal():
 
 
 def test_wal_stays_bounded_across_many_merges():
-    # Without checkpointing, every merge's manifest record would
-    # accumulate in the WAL forever; the trees checkpoint at major
-    # merges so recovery replay stays bounded.
+    # Without base rewrites, every merge's manifest record would
+    # accumulate in the WAL forever; a base follows once the edits
+    # since the last one reach its size, so recovery replay stays
+    # bounded.
     import random
 
     from repro.core import BLSM, BLSMOptions
@@ -68,7 +70,7 @@ def test_wal_stays_bounded_across_many_merges():
         tree.put(b"key%06d" % rng.randrange(10**6), bytes(64))
     durable_manifests = sum(1 for _ in tree.stasis.wal.records())
     # Dozens of merges ran; the WAL holds only the records since the
-    # last checkpoint, not one per merge since the beginning.
+    # last base, not one per merge since the beginning.
     assert durable_manifests < 40
 
 
