@@ -411,8 +411,7 @@ class MergeProcess:
         whole records, not exactly that many bytes.
         """
         keys, bloom_keys = self._expected_keys, self._bloom_keys
-        split = self._split_output_bytes is not None
-        if split and keys and expected_bytes < self.input_bytes:
+        if keys and expected_bytes < self.input_bytes:
             share = -(-keys * expected_bytes // self.input_bytes)
             expected_bytes = -(-share * self.input_bytes // keys)
             if bloom_keys is not None:
