@@ -49,7 +49,7 @@ def _from(records: tuple[Record, ...], lo: bytes) -> tuple[Record, ...]:
     return records[start:] if start else records
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Block:
     """One indexed unit: ``npages`` consecutive pages holding records.
 
@@ -67,6 +67,16 @@ class Block:
     first_page_id: int
     npages: int
     nrecords: int
+
+    def __repr__(self) -> str:
+        # The generated repr's text, without its reprlib.recursive_repr
+        # frame: a manifest base is sized by its repr, which names every
+        # block of every live component.
+        return (
+            f"Block(first_key={self.first_key!r}, "
+            f"first_page_id={self.first_page_id!r}, "
+            f"npages={self.npages!r}, nrecords={self.nrecords!r})"
+        )
 
 
 class SSTable:

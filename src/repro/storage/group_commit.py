@@ -8,8 +8,9 @@ issuing their own.  One device force amortizes across the whole group,
 which is the difference between commit latency bounded by rotational
 latency per session and per *group*.
 
-On the virtual clock the queue models this with a dedicated commit
-:class:`~repro.sim.clock.Timeline` (the log writer).  Committing a
+On the virtual clock the queue drives the log device's one writer, the
+logical log's :attr:`~repro.storage.logical_log.LogicalLog.writer`
+:class:`~repro.sim.clock.Timeline`.  Committing a
 batch stages its records (already appended by ``log()`` under
 :class:`~repro.storage.logical_log.DurabilityMode.GROUP`) and enqueues
 a :class:`CommitTicket`.  A force starts as soon as the log writer is
@@ -30,8 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
-
-from repro.sim.clock import Timeline
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.storage.stasis import Stasis
@@ -97,7 +96,8 @@ class GroupCommitQueue:
 
     def __init__(self, stasis: "Stasis") -> None:
         self.stasis = stasis
-        self.timeline = Timeline("commit")
+        #: The log device's one writer, shared with ASYNC's appends.
+        self.writer = stasis.logical_log.writer
         self._pending: list[CommitTicket] = []
         #: Leader-group sizes seen so far: {group size: occurrences}.
         self.group_sizes: dict[int, int] = {}
@@ -160,8 +160,8 @@ class GroupCommitQueue:
         clock = self.stasis.clock
         while ticket.durable_at is None:
             self._drain_ready()
-            if ticket.durable_at is None and self.timeline.busy(clock):
-                clock.advance_to(self.timeline.now)
+            if ticket.durable_at is None and self.writer.busy(clock):
+                clock.advance_to(self.writer.now)
         clock.advance_to(ticket.durable_at)
         return ticket
 
@@ -170,9 +170,9 @@ class GroupCommitQueue:
         clock = self.stasis.clock
         while self._pending:
             self._drain_ready()
-            if self._pending and self.timeline.busy(clock):
-                clock.advance_to(self.timeline.now)
-        clock.advance_to(self.timeline.now)
+            if self._pending and self.writer.busy(clock):
+                clock.advance_to(self.writer.now)
+        clock.advance_to(self.writer.now)
 
     def crash(self) -> None:
         """Unacknowledged tickets die with the process."""
@@ -206,10 +206,10 @@ class GroupCommitQueue:
         caller's point of view).
         """
         clock = self.stasis.clock
-        timeline = self.timeline
-        while self._pending and not timeline.busy(clock):
+        writer = self.writer
+        while self._pending and not writer.busy(clock):
             pending = self._pending
-            start = max(timeline.now, pending[0].enqueued_at)
+            start = max(writer.now, pending[0].enqueued_at)
             cut = len(pending)
             for index, ticket in enumerate(pending):
                 if ticket.enqueued_at > start:
@@ -222,18 +222,18 @@ class GroupCommitQueue:
         stasis = self.stasis
         log = stasis.logical_log
         wal = stasis.wal
-        timeline = self.timeline
-        timeline.advance_to(start)
+        writer = self.writer
+        writer.advance_to(start)
         instruments = self._instruments
         if instruments is None:
             instruments = self._bind_instruments()
         commits, ops_ctr, group_size, queue_delay = instruments
         issued = log.pending_count > 0 or wal.pending_records > 0
         if issued:
-            # The leader's force runs on the log writer's timeline:
+            # The leader's force runs on the log writer:
             # followers and concurrent reads never charge for it, they
             # only feel it through the ticket's durable_at.
-            with stasis.clock.running_on(timeline):
+            with stasis.clock.running_on(writer):
                 log.force()
                 wal.force()
             self.forces += 1
@@ -243,7 +243,7 @@ class GroupCommitQueue:
                     "commit.forces"
                 )
             forces.inc()
-        durable_at = timeline.now
+        durable_at = writer.now
         durable_lsn = log.durable_seqno
         size = len(tickets)
         tickets[0].leader = True

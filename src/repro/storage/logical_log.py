@@ -14,7 +14,8 @@ practice (Section 4.4.2 and 5.1):
 * ``ASYNC`` — size-triggered batching; append the buffer when it exceeds
   a threshold.  This is the paper's benchmark configuration ("none of
   the systems sync their logs at commit"), so the append is *not* a
-  durability barrier: the log streams at device bandwidth.
+  durability barrier: the log streams at device bandwidth, written
+  behind on the log device's one writer (:attr:`LogicalLog.writer`).
 * ``GROUP`` — leader-based group commit: ``log()`` only stages the
   record; a :class:`~repro.storage.group_commit.GroupCommitQueue` owns
   every force, so concurrent sessions amortize one force across their
@@ -41,6 +42,16 @@ per call): every SYNC write, every GROUP leader force, and every explicit
 size-triggered appends do not; they reposition only when something else
 (a WAL manifest commit, which is always forced) moved the log device's
 head in between.
+
+Who waits for the log device: ASYNC's appends and GROUP's leader forces
+run on :attr:`LogicalLog.writer`, the log device's one writer
+:class:`~repro.sim.clock.Timeline`, so their service (a repositioning
+included) is background time.  A writer waits for an append only when
+its next buffer fills while the previous append is still in flight.
+Everything else runs on its caller's clock and queues behind an
+in-flight append through the device's ``busy_until``: SYNC forces,
+explicit forces, WAL manifest commits and the :meth:`retain_ranges`
+checkpoint (merge-completion bookkeeping, on the merge's clock).
 """
 
 from __future__ import annotations
@@ -50,6 +61,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import CorruptionError, CrashPoint
+from repro.sim.clock import Timeline
 from repro.sim.disk import SimDisk
 from repro.storage.checksum import CORRUPTION_MASK, payload_checksum
 
@@ -140,6 +152,9 @@ class LogicalLog:
         self._durable_seqno = -1  # highest seqno fully persisted by a force
         self.torn_records_dropped = 0
         self.forces = 0  # completed non-empty forces and ASYNC appends
+        #: The log device's one writer: ASYNC's appends and GROUP's
+        #: leader forces run on it, ahead of the caller's clock.
+        self.writer = Timeline("log")
         # A device that never corrupts or tears (plain SimDisk) can never
         # fail read-back verification, so skip the per-append checksum —
         # it sits on the write hot path.  Fault-capable devices pay.
@@ -172,7 +187,8 @@ class LogicalLog:
         return len(self._pending)
 
     def log(self, seqno: int, op: str, key: bytes, value: bytes | None) -> float:
-        """Append one write; return the virtual time spent forcing, if any."""
+        """Append one write; return the virtual time its caller spent on
+        the log (a SYNC force, or a wait for the log writer), if any."""
         mode = self.mode
         if mode is DurabilityMode.NONE:
             return 0.0
@@ -193,8 +209,25 @@ class LogicalLog:
             # The GroupCommitQueue owns every force; log() only stages.
             return 0.0
         if self._pending_bytes >= self.group_commit_bytes:
-            return self.force(sync=False)
+            return self._append_behind()
         return 0.0
+
+    def _append_behind(self) -> float:
+        """ASYNC's size-triggered append, written behind on :attr:`writer`.
+
+        One buffer fills while the previous one is in flight: the caller
+        waits only for an append the writer is still busy with, and
+        returns that wait.  The append is issued here, at the same point
+        of the device's access sequence as a foreground one would be.
+        """
+        clock = self.disk.clock
+        writer = self.writer
+        waited = writer.lag(clock)
+        clock.advance_to(writer.now)
+        writer.catch_up(clock)
+        with clock.running_on(writer):
+            self.force(sync=False)
+        return waited
 
     def force(self, sync: bool = True) -> float:
         """Write buffered records sequentially; return service time.
@@ -256,7 +289,8 @@ class LogicalLog:
                 self._durable.append(record)
                 self._durable_seqno = max(self._durable_seqno, record.seqno)
             elif cursor < persisted:
-                self._offsets[record.seqno] = (offset + cursor, record.nbytes)
+                # Only its prefix reached the device: place just that.
+                self._offsets[record.seqno] = (offset + cursor, persisted - cursor)
                 self._durable.append(record)
                 self._torn.add(record.seqno)
             cursor += record.nbytes
@@ -332,7 +366,9 @@ class LogicalLog:
         return service
 
     def replay(self) -> Iterator[LogicalRecord]:
-        """Yield durable records in seqno order, charging replay I/O.
+        """Yield durable records in seqno order, charging replay I/O: the
+        bytes that reached the device, so a torn record only its
+        persisted prefix.
 
         Records whose read-back checksum fails because their force was
         torn are dropped (the write was never acknowledged); records whose
@@ -341,13 +377,10 @@ class LogicalLog:
         acknowledged, so its loss must not be silent.
         """
         records = sorted(self._durable, key=lambda record: record.seqno)
-        nbytes = sum(record.nbytes for record in records)
+        placements = [self._offsets[record.seqno] for record in records]
+        nbytes = sum(size for _offset, size in placements)
         if nbytes:
-            start = min(
-                (self._offsets[r.seqno][0] for r in records if r.seqno in self._offsets),
-                default=0,
-            )
-            self.disk.read(start, nbytes)
+            self.disk.read(min(placements)[0], nbytes)
         for record in records:
             if self._readback_checksum(record) != record.checksum:
                 if record.seqno in self._torn:

@@ -184,8 +184,9 @@ class WriteAheadLog:
                 self._offsets[record.lsn] = (offset + cursor, record.nbytes)
                 self._records.append(record)
             elif cursor < persisted:
-                # Straddles the tear: on disk, but its checksum is broken.
-                self._offsets[record.lsn] = (offset + cursor, record.nbytes)
+                # Straddles the tear: its prefix is on disk, with a broken
+                # checksum; the placement covers only that prefix.
+                self._offsets[record.lsn] = (offset + cursor, persisted - cursor)
                 self._records.append(record)
                 self._torn.add(record.lsn)
             # Past the tear: never reached the device.
@@ -218,14 +219,16 @@ class WriteAheadLog:
         """Iterate durable records with LSN >= ``from_lsn`` (replay order).
 
         Charges a sequential read of the replayed bytes from the durable
-        head (the paper notes replay "is extremely expensive").  Each
+        head (the paper notes replay "is extremely expensive"): what
+        reached the device, so a torn record only its persisted prefix.  Each
         record's checksum is verified against what the device returns: a
         torn record truncates the tail (it and everything after it are
         dropped, never replayed); a corrupted record raises
         :class:`~repro.errors.CorruptionError`.
         """
         selected = [record for record in self._records if record.lsn >= from_lsn]
-        nbytes = sum(record.nbytes for record in selected)
+        offsets = self._offsets
+        nbytes = sum(offsets[record.lsn][1] for record in selected)
         if nbytes:
             self.disk.read(self._head_offset, nbytes)
         for record in selected:

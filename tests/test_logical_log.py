@@ -6,7 +6,9 @@ import pickle
 import pytest
 
 from repro.sim import DiskModel, SimDisk, VirtualClock
+from repro.errors import CrashPoint
 from repro.storage import DurabilityMode, LogicalLog, LogicalRecord
+from tests.test_wal import _TornDisk
 
 
 def make_log(mode, group_bytes=512 * 1024):
@@ -180,3 +182,22 @@ def test_replay_charges_read_io():
     before = log.disk.stats.bytes_read
     list(log.replay())
     assert log.disk.stats.bytes_read > before
+
+
+def test_replay_after_a_tear_reads_only_the_persisted_bytes():
+    disk = _TornDisk(DiskModel.hdd(), VirtualClock())
+    log = LogicalLog(disk, DurabilityMode.ASYNC)
+    value = bytes(100 - 24 - 2)  # 100-byte records
+    for seqno in range(3):
+        log.log(seqno, "put", b"k%d" % seqno, value)
+    log.force()
+    for seqno in range(3, 6):
+        log.log(seqno, "put", b"k%d" % seqno, value)
+    disk.tear_fraction = 0.5  # 150 of 300 bytes: seqno 3 and half of 4
+    with pytest.raises(CrashPoint):
+        log.force()
+    log.crash()
+    before = disk.stats.bytes_read
+    assert [record.seqno for record in log.replay()] == [0, 1, 2, 3]
+    assert disk.stats.bytes_read - before == 300 + 150
+    assert log.torn_records_dropped == 1

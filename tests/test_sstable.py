@@ -1,10 +1,13 @@
 """Unit tests for on-disk tree components (builder and reader)."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import StorageError
 from repro.records import Record
 from repro.sstable import SSTableBuilder
+from repro.sstable.reader import Block
 from repro.storage import Stasis
 
 
@@ -32,6 +35,19 @@ def test_build_and_point_lookup(stasis):
     assert record is not None
     assert record.seqno == 42
     assert table.get(b"key99999") is None
+
+
+def test_a_block_reprs_as_the_generated_dataclass_repr(stasis):
+    """Manifests are sized by their repr, so the hand-written
+    ``Block.__repr__`` must print what the generated one printed."""
+    generated = dataclasses.make_dataclass(
+        "Block",
+        [(field.name, field.type) for field in dataclasses.fields(Block)],
+        frozen=True,
+    )
+    blocks = [*build(stasis).blocks, Block(b"k'\x00\"", 0, 1, 0)]
+    for block in blocks:
+        assert repr(block) == repr(generated(*dataclasses.astuple(block)))
 
 
 def test_metadata(stasis):

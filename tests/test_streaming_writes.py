@@ -3,9 +3,11 @@
 ``SSTableBuilder`` writes behind ``Stasis.streaming_pages`` (the unit
 merge inputs are read in), a merge step gets one data-device access
 (``StepGate``) without losing budget to it, and ASYNC's size-triggered
-log appends stream instead of paying a barrier each.
+log appends stream instead of paying a barrier each, written behind on
+the log device's one writer.
 """
 
+import hashlib
 import math
 import pathlib
 import random
@@ -438,14 +440,15 @@ def test_state_digest_matches_the_parent_commit():
 # The benchmark's ingest load at 3 000 records: the clock, data seeks,
 # bytes read and written, and state_digest() as the record-at-a-time
 # merge loop left them (1549b4c), but for the clock, which moved when
-# manifest commits began logging version edits (shorter WAL forces).
+# manifest commits began logging version edits (shorter WAL forces) and
+# when ASYNC log appends began running behind on the log writer.
 # Host-CPU changes to the write path must leave every one in place.
 # At these two seeds a step that drops the bytes of a run the gate cut
 # short moves the clock and the seeks.
 INGEST_TRACE = {
-    6: ("0.3712039152781169", 69, 10993664, 13447168,
+    6: ("0.3582879773775737", 69, 10993664, 13447168,
         "bb5a3509804282b39014f5fe82d039bc54a24d627ab715658bb7ddb35a9c89cf"),
-    8: ("0.36597063223520915", 64, 11276288, 13729792,
+    8: ("0.35290815830230704", 64, 11276288, 13729792,
         "90167c05daa3e0d0d8124203b9cd6a01cda59b7f41b1d18614b1501f821cb730"),
 }
 
@@ -488,6 +491,16 @@ def make_log(mode):
     return LogicalLog(disk, mode), disk
 
 
+def append_once(log, n=0):
+    """Log 1000-byte puts from seqno ``n`` until one more append has
+    been issued; the next seqno."""
+    forces = log.forces
+    while log.forces == forces:
+        log.log(n, "put", b"k%08d" % n, bytes(1000))
+        n += 1
+    return n
+
+
 def test_async_appends_charge_bandwidth_only():
     log, disk = make_log(DurabilityMode.ASYNC)
     value = bytes(1000)
@@ -510,25 +523,15 @@ def test_async_appends_charge_bandwidth_only():
 def test_a_wal_commit_costs_the_log_one_positioning():
     stasis = Stasis(observability=False)  # ASYNC; the WAL shares the device
     log, stats = stasis.logical_log, stasis.log_disk.stats
-    n = 0
-
-    def append_once():
-        nonlocal n
-        forces = log.forces
-        while log.forces == forces:
-            log.log(n, "put", b"k%08d" % n, bytes(1000))
-            n += 1
-
-    append_once()
+    n = append_once(log)
     seeks = stats.seeks
-    append_once()
-    append_once()
+    n = append_once(log, append_once(log, n))
     assert stats.seeks == seeks  # streaming
     stasis.commit_manifest({"generation": 1})  # forced: its own barrier
     seeks = stats.seeks
-    append_once()
+    n = append_once(log, n)
     assert stats.seeks == seeks + 1  # the head moved away
-    append_once()
+    append_once(log, n)
     assert stats.seeks == seeks + 1
 
 
@@ -555,6 +558,86 @@ def test_group_forces_pay_one_barrier_each():
     assert queue.forces == 20
     # Each leader force repositions for the log and again for the WAL.
     assert stasis.log_disk.stats.seeks >= queue.forces
+
+
+def test_an_async_append_runs_behind_on_the_log_writer():
+    log, disk = make_log(DurabilityMode.ASYNC)
+    clock = disk.clock
+    append_once(log)
+    stats = disk.stats
+    assert clock.now == 0.0  # the writer runs it, not the caller
+    assert log.writer.now == disk.busy_until > 0.0
+    assert stats.bg_busy_seconds == stats.busy_seconds > 0.0
+    assert stats.fg_wait_seconds == 0.0
+
+
+def test_an_append_due_while_one_is_in_flight_waits_for_the_writer():
+    log, disk = make_log(DurabilityMode.ASYNC)
+    clock = disk.clock
+    n = append_once(log)
+    in_flight = log.writer.now
+    n = append_once(log, n)
+    assert clock.now == in_flight  # waited for exactly the first append
+    assert log.writer.now > in_flight  # the second is in flight now
+    clock.advance(1.0)  # the writer is idle by the third
+    now = clock.now
+    append_once(log, n)
+    assert clock.now == now
+    assert log.writer.now > now
+
+
+@pytest.mark.parametrize("barrier", ["force", "wal"])
+def test_a_foreground_barrier_queues_behind_an_append(barrier):
+    stasis = Stasis(observability=False)  # ASYNC
+    log, stats = stasis.logical_log, stasis.log_disk.stats
+    n = append_once(log)
+    in_flight = log.writer.now
+    if barrier == "force":  # flush_log / close
+        log.log(n, "put", b"k%08d" % n, bytes(1000))
+        log.force()
+    else:
+        stasis.commit_manifest({"generation": 1})
+    # The caller (at time 0) waited behind the append for the device.
+    assert stats.fg_wait_seconds == in_flight > 0.0
+    assert stasis.clock.now > in_flight
+
+
+def device_trace_digest(durability):
+    """Both devices' traced accesses and the clock after 1 500 writes
+    (commit batches under GROUP, every fourth one waited on)."""
+    engine = build_engine(
+        "blsm",
+        durability=durability,
+        c0_bytes=64 * KIB,
+        cache_pages=16,
+        observability=False,
+    )
+    stasis = engine.tree.stasis
+    stasis.log_disk.start_trace()
+    stasis.data_disk.start_trace()
+    rng = random.Random(5)
+    for i in range(1500):
+        key = b"user%06d" % rng.randrange(2000)
+        if durability == "group":
+            engine.commit_batch([("put", key, bytes(200))], wait=i % 4 == 3)
+        else:
+            engine.put(key, bytes(200))
+    engine.flush()
+    events = (stasis.log_disk.stop_trace(), stasis.data_disk.stop_trace())
+    return hashlib.sha256(
+        repr((engine.clock.now, events)).encode()
+    ).hexdigest()[:16]
+
+
+# device_trace_digest() before ASYNC appends moved onto the log writer:
+# SYNC and GROUP forces were already on the caller's clock or the
+# group-commit writer, so neither trace may move.
+BARRIER_TRACES = {"sync": "3f58e70d8480372a", "group": "cda0a4ed2844a294"}
+
+
+@pytest.mark.parametrize("durability", sorted(BARRIER_TRACES))
+def test_sync_and_group_device_traces_are_unchanged(durability):
+    assert device_trace_digest(durability) == BARRIER_TRACES[durability]
 
 
 def test_crash_point_enumeration_outcome_is_unchanged():

@@ -286,6 +286,24 @@ def test_torn_tail_truncation_rolls_back_tail_offset():
     assert [r.payload for r in wal.records()] == [1, 3]
 
 
+def test_replay_after_a_tear_reads_only_the_persisted_bytes():
+    disk = _TornDisk(DiskModel.hdd(), VirtualClock())
+    wal = WriteAheadLog(disk)
+    wal.append("good", 1, nbytes=100)
+    wal.force()
+    wal.append("whole", 2, nbytes=100)
+    wal.append("torn", 3, nbytes=100)
+    disk.tear_fraction = 0.75  # 150 of 200 bytes reach the platter
+    try:
+        wal.force()
+    except CrashPoint:
+        pass
+    wal.crash()
+    before = disk.stats.bytes_read
+    assert [r.payload for r in wal.records()] == [1, 2]
+    assert disk.stats.bytes_read - before == 100 + 150
+
+
 def test_torn_tail_truncation_of_whole_log_resets_head():
     clock = VirtualClock()
     disk = _TornDisk(DiskModel.hdd(), clock)
