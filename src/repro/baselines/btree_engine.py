@@ -94,15 +94,16 @@ class BTreeEngine(KVEngine):
 
     def put(self, key: bytes, value: bytes) -> None:
         self._check_open()
-        self._log("put", key, value)
-        self._upsert(Record.base(key, value, self._take_seqno()))
+        seqno = self._take_seqno()
+        self._log(seqno, "put", key, value)
+        self._upsert(Record.base(key, value, seqno))
 
     def delete(self, key: bytes) -> None:
         self._check_open()
         index = self._leaf_index(key)
         if index is None:
             return
-        self._log("delete", key, None)
+        self._log(self._take_seqno(), "delete", key, None)
         records = list(self._read_leaf(index))
         position = bisect.bisect_left(records, key, key=lambda r: r.key)
         if position < len(records) and records[position].key == key:
@@ -178,7 +179,7 @@ class BTreeEngine(KVEngine):
                 raise ValueError("bulk_load input must be sorted and unique")
             last_key = key
             record = Record.base(key, value, self._take_seqno())
-            self._log("put", key, value)
+            self._log(record.seqno, "put", key, value)
             if leaf and leaf_bytes + record.nbytes > page_size:
                 self._append_leaf(tuple(leaf))
                 leaf, leaf_bytes = [], 0
@@ -267,8 +268,12 @@ class BTreeEngine(KVEngine):
         self._next_seqno += 1
         return seqno
 
-    def _log(self, op: str, key: bytes, value: bytes | None) -> None:
-        self.stasis.logical_log.log(self._next_seqno, op, key, value)
+    def _log(
+        self, seqno: int, op: str, key: bytes, value: bytes | None
+    ) -> None:
+        """Log one write under its own seqno (replay and the log's
+        placements are per seqno)."""
+        self.stasis.logical_log.log(seqno, op, key, value)
 
     def _leaf_index(self, key: bytes) -> int | None:
         """Index of the leaf whose range covers ``key`` (RAM-only)."""

@@ -96,8 +96,10 @@ class GroupCommitQueue:
 
     def __init__(self, stasis: "Stasis") -> None:
         self.stasis = stasis
-        #: The log device's one writer, shared with ASYNC's appends.
+        #: The log device's one writer, shared with ASYNC's appends,
+        #: which wait for it through :meth:`drain`.
         self.writer = stasis.logical_log.writer
+        stasis.logical_log.commit_queue = self
         self._pending: list[CommitTicket] = []
         #: Leader-group sizes seen so far: {group size: occurrences}.
         self.group_sizes: dict[int, int] = {}

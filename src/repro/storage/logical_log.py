@@ -47,11 +47,14 @@ Who waits for the log device: ASYNC's appends and GROUP's leader forces
 run on :attr:`LogicalLog.writer`, the log device's one writer
 :class:`~repro.sim.clock.Timeline`, so their service (a repositioning
 included) is background time.  A writer waits for an append only when
-its next buffer fills while the previous append is still in flight.
-Everything else runs on its caller's clock and queues behind an
-in-flight append through the device's ``busy_until``: SYNC forces,
-explicit forces, WAL manifest commits and the :meth:`retain_ranges`
-checkpoint (merge-completion bookkeeping, on the merge's clock).
+its next buffer fills while the previous append is still in flight,
+and it waits through the commit queue's ``drain``, as a GROUP commit
+waits through its ``wait``.  Everything else runs on its caller's
+clock and queues behind an in-flight append through the device's
+``busy_until``: SYNC forces, explicit forces, WAL manifest commits and
+the :meth:`retain_ranges` checkpoint (merge-completion bookkeeping, on
+the merge's clock).  An explicit force with nothing left to write
+still waits for the append in flight.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ from repro.storage.checksum import CORRUPTION_MASK, payload_checksum
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.retry import RetryExecutor
+    from repro.storage.group_commit import GroupCommitQueue
 
 _RECORD_OVERHEAD = 24  # simulated framing per logical record
 
@@ -155,6 +159,9 @@ class LogicalLog:
         #: The log device's one writer: ASYNC's appends and GROUP's
         #: leader forces run on it, ahead of the caller's clock.
         self.writer = Timeline("log")
+        #: The commit queue that drives :attr:`writer` (it sets this);
+        #: an ASYNC append waits for the writer through its ``drain``.
+        self.commit_queue: "GroupCommitQueue | None" = None
         # A device that never corrupts or tears (plain SimDisk) can never
         # fail read-back verification, so skip the per-append checksum —
         # it sits on the write hot path.  Fault-capable devices pay.
@@ -217,17 +224,24 @@ class LogicalLog:
 
         One buffer fills while the previous one is in flight: the caller
         waits only for an append the writer is still busy with, and
-        returns that wait.  The append is issued here, at the same point
-        of the device's access sequence as a foreground one would be.
+        returns that wait.  It waits through the commit queue's
+        ``drain``: with no commit staged that is exactly this wait (a
+        staged ``wait=False`` commit is forced first, as at any drain).
+        The append is issued here, at the same point of the device's
+        access sequence as a foreground one would be.
         """
         clock = self.disk.clock
         writer = self.writer
-        waited = writer.lag(clock)
-        clock.advance_to(writer.now)
+        before = clock.now
+        if writer.busy(clock):
+            if self.commit_queue is not None:
+                self.commit_queue.drain()
+            else:
+                clock.advance_to(writer.now)
         writer.catch_up(clock)
         with clock.running_on(writer):
             self.force(sync=False)
-        return waited
+        return clock.now - before
 
     def force(self, sync: bool = True) -> float:
         """Write buffered records sequentially; return service time.
@@ -240,9 +254,19 @@ class LogicalLog:
         fully-persisted records stay durable, the straddler stays on disk
         with a broken checksum (dropped at replay), later records are
         lost.  The crash re-raises — the process is dead.
+
+        Off the writer, a force is a barrier even with nothing to write:
+        its caller waits for an append still in flight (a write queues
+        behind it on the device anyway).
         """
         if not self._pending:
-            return 0.0
+            clock = self.disk.clock
+            active = clock.active_timeline
+            if active is self.writer:
+                return 0.0
+            requester = clock if active is None else active
+            before = requester.now
+            return requester.advance_to(self.writer.now) - before
         offset = self._tail_offset
         nbytes = self._pending_bytes
         # A force is a durability barrier: the write it issues pays head

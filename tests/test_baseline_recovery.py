@@ -60,6 +60,24 @@ class TestBTreeRecovery:
         recovered = BTreeEngine.recover(stasis)
         assert recovered.get(b"k") is None
 
+    def test_replay_reads_each_logged_write_once(self):
+        # A delete and the put after it are two records under two
+        # seqnos: replay reads the three records' bytes, each once.
+        stasis = btree_stasis()
+        engine = _btree_over(stasis)
+        engine.put(b"a", b"1" * 50)
+        engine.delete(b"a")
+        engine.put(b"b", b"2" * 200)
+        stasis.crash()
+        before = stasis.log_disk.stats.bytes_read
+        recovered = BTreeEngine.recover(stasis)
+        framing = 24
+        assert stasis.log_disk.stats.bytes_read - before == (
+            (framing + 1 + 50) + (framing + 1) + (framing + 1 + 200)
+        )
+        assert recovered.get(b"a") is None
+        assert recovered.get(b"b") == b"2" * 200
+
     def test_recovered_engine_keeps_working(self):
         stasis = btree_stasis()
         engine = _btree_over(stasis)

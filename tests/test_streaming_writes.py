@@ -586,6 +586,28 @@ def test_an_append_due_while_one_is_in_flight_waits_for_the_writer():
     assert log.writer.now > now
 
 
+def test_a_write_waits_for_the_log_writer_through_the_commit_queue():
+    stasis = Stasis(observability=False)  # ASYNC
+    log, queue = stasis.logical_log, stasis.group_commit
+    drains = []
+    drain = queue.drain
+    queue.drain = lambda: drains.append(stasis.clock.now) or drain()
+    n = append_once(log)
+    assert drains == []  # the writer was idle
+    in_flight = log.writer.now
+    append_once(log, n)
+    assert drains == [0.0]
+    assert stasis.clock.now == in_flight
+
+
+def test_an_empty_force_waits_for_an_append_in_flight():
+    log, disk = make_log(DurabilityMode.ASYNC)
+    append_once(log)
+    assert log.pending_count == 0
+    log.force()  # BTreeEngine.flush / close: nothing left to write
+    assert disk.clock.now == log.writer.now > 0.0
+
+
 @pytest.mark.parametrize("barrier", ["force", "wal"])
 def test_a_foreground_barrier_queues_behind_an_append(barrier):
     stasis = Stasis(observability=False)  # ASYNC
