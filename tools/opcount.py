@@ -12,6 +12,15 @@ compared on the same workload, seed and op count give a before/after
 that repeats exactly; it says nothing about time spent in C code or
 waiting.
 
+The counts are split by layer.  A frame's layer is its ``repro`` module
+with the package prefix dropped (``core.merge``, ``storage.logical_log``,
+``bloom.filter``); a frame of any other module (the standard library,
+``bench``) belongs to the layer of its nearest ``repro`` caller, and one
+with none, the loop that drives the ops, to ``HARNESS``.  Each opcode
+and each call is booked to the layer of the frame it runs in, so the
+layers are self counts and sum exactly to the total.  The layers come
+from the frames alone: nothing in ``repro`` exists for the counter.
+
 A closed-loop workload runs the first ``--ops`` ops of its first timed
 segment through ``runner.execute``.  The open-loop ``sessions_ol`` runs
 the first ``--ops`` arrivals of its reference-rate segment (300 ops per
@@ -22,11 +31,14 @@ queue, group commit and the closing flush.
 ``--check OPCOUNT.json`` is the committed gate: it re-counts every
 workload the file records, at the file's seed and op counts, and exits
 1 when any workload's opcodes or calls per op rose by more than
-``TOLERANCE`` (1 %).  Counts repeat exactly only on one CPython minor
-version, so under any other the check reports the mismatch and passes
-without counting.  ``--record OPCOUNT.json`` re-counts the same
-workloads and rewrites the file — what a change that moves a count
-commits, with the reason.
+``TOLERANCE`` (1 %) above the recorded count (taken at the top of its
+0.1 rounding), in total or in any one layer (a layer the file does not
+record counts as a rise from zero), so work moved from one layer into
+another fails the gate even when the total holds.  Counts repeat
+exactly only on one CPython minor version, so under any other the check
+reports the mismatch and passes without counting.  ``--record
+OPCOUNT.json`` re-counts the same workloads and rewrites the file —
+what a change that moves a count commits, with the reason.
 
 Run:
     python3 tools/opcount.py --workload read_cold --ops 3000 [--seed 0]
@@ -48,22 +60,47 @@ TOLERANCE = 0.01
 """How far a count may rise above the committed one before ``--check``
 fails."""
 
+RESOLUTION = 0.05
+"""Half the 0.1 per op to which ``OPCOUNT.json`` records a count."""
+
+HARNESS = "(harness)"
+"""The layer of frames with no ``repro`` module on their stack."""
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def count(run: Callable[[], Any]) -> tuple[int, int]:
-    """Call ``run()``; return the (bytecodes, Python calls) it took."""
-    opcodes = calls = 0
+def layer_of(frame: Any) -> str:
+    """The layer a frame's opcodes and its call are booked to."""
+    while frame is not None:
+        module = frame.f_globals.get("__name__", "")
+        if module.startswith("repro."):
+            return module[6:]
+        if module == "repro":
+            return module
+        frame = frame.f_back
+    return HARNESS
 
-    def local(frame: Any, event: str, arg: Any) -> Any:
-        nonlocal opcodes
-        if event == "opcode":
-            opcodes += 1
+
+def count(run: Callable[[], Any]) -> dict[str, list[int]]:
+    """Call ``run()``; return ``{layer: [bytecodes, Python calls]}``."""
+    layers: dict[str, list[int]] = {}
+    tracers: dict[str, Callable] = {}
+
+    def tracer(cell: list[int]) -> Callable:
+        def local(frame: Any, event: str, arg: Any) -> Any:
+            if event == "opcode":
+                cell[0] += 1
+            return local
+
         return local
 
     def on_call(frame: Any, event: str, arg: Any) -> Any:
-        nonlocal calls
-        calls += 1
+        layer = layer_of(frame)
+        local = tracers.get(layer)
+        if local is None:
+            cell = layers[layer] = [0, 0]
+            local = tracers[layer] = tracer(cell)
+        layers[layer][1] += 1
         frame.f_trace_opcodes = True
         return local
 
@@ -72,7 +109,7 @@ def count(run: Callable[[], Any]) -> tuple[int, int]:
         run()
     finally:
         sys.settrace(None)
-    return opcodes, calls
+    return layers
 
 
 def closed_loop_run(workload: Any, ops: int) -> tuple[Callable[[], Any], int]:
@@ -119,16 +156,52 @@ def _bootstrap() -> None:
             sys.path.insert(0, path)
 
 
-def measure(name: str, ops: int, seed: int) -> tuple[int, float, float]:
-    """``(ops run, opcodes per op, calls per op)`` of workload ``name``."""
+def measure(name: str, ops: int, seed: int) -> tuple[int, dict[str, Any]]:
+    """``(ops run, counts)`` of workload ``name``: ``counts`` holds
+    ``opcodes_per_op`` and ``calls_per_op`` in total and per layer
+    (``layers``, the largest first)."""
     _bootstrap()
     from bench.workloads import make_workload
 
     workload = make_workload(name, seed, 1.0, 10.0)
     build = open_loop_run if workload.open_loop else closed_loop_run
     run, ran = build(workload, ops)
-    opcodes, calls = count(run)
-    return ran, opcodes / ran, calls / ran
+    layers = count(run)
+    return ran, {
+        "opcodes_per_op": sum(op for op, _ in layers.values()) / ran,
+        "calls_per_op": sum(calls for _, calls in layers.values()) / ran,
+        "layers": {
+            layer: {"opcodes_per_op": op / ran, "calls_per_op": calls / ran}
+            for layer, (op, calls) in sorted(
+                layers.items(), key=lambda item: (-item[1][0], item[0])
+            )
+        },
+    }
+
+
+def rounded(counts: dict[str, Any]) -> dict[str, Any]:
+    """``counts`` as ``OPCOUNT.json`` records them: 0.1 per op."""
+    return {
+        key: rounded(value) if isinstance(value, dict) else round(value, 1)
+        for key, value in counts.items()
+    }
+
+
+def report(name: str, seed: int, ops: int, counts: dict[str, Any]) -> str:
+    """The total line, then one line per layer with its share."""
+    total = counts["opcodes_per_op"]
+    lines = [
+        f"{name} seed={seed} ops={ops}: {total:.1f} opcodes/op, "
+        f"{counts['calls_per_op']:.1f} calls/op"
+    ]
+    width = max(len(layer) for layer in counts["layers"])
+    for layer, row in counts["layers"].items():
+        share = row["opcodes_per_op"] / total if total else 0.0
+        lines.append(
+            f"  {layer:<{width}} {row['opcodes_per_op']:9.1f} opcodes/op "
+            f"({share:6.1%}) {row['calls_per_op']:7.1f} calls/op"
+        )
+    return "\n".join(lines)
 
 
 def interpreter() -> str:
@@ -136,8 +209,27 @@ def interpreter() -> str:
     return "%d.%d" % sys.version_info[:2]
 
 
+def _compare(where: str, was: dict[str, Any], now: dict[str, Any]) -> bool:
+    """Print ``where``'s two metrics; whether either rose past tolerance.
+
+    ``was`` is recorded to 0.1 per op, so the true count behind it may
+    lie up to ``RESOLUTION`` above it: a rise counts from there, and a
+    layer of a few opcodes per op does not fail on a rounding flip.
+    """
+    rose = False
+    for metric in ("opcodes_per_op", "calls_per_op"):
+        before, after = was.get(metric, 0.0), now[metric]
+        verdict = "ok"
+        if after > (before + RESOLUTION) * (1 + TOLERANCE):
+            verdict = f"ROSE more than {TOLERANCE:.0%}"
+            rose = True
+        print(f"{where} {metric}: {before:.1f} -> {after:.1f} {verdict}")
+    return rose
+
+
 def check(path: str) -> int:
-    """Re-count what ``path`` records; 1 if any count rose past tolerance."""
+    """Re-count what ``path`` records; 1 if any count, in total or in
+    one layer, rose past tolerance."""
     with open(path) as handle:
         baseline = json.load(handle)
     if baseline["python"] != interpreter():
@@ -148,14 +240,13 @@ def check(path: str) -> int:
         return 0
     failed = False
     for name, row in baseline["workloads"].items():
-        _ran, opcodes, calls = measure(name, row["ops"], baseline["seed"])
-        for metric, now in (("opcodes_per_op", opcodes), ("calls_per_op", calls)):
-            was = row[metric]
-            verdict = "ok"
-            if now > was * (1 + TOLERANCE):
-                verdict = f"ROSE more than {TOLERANCE:.0%}"
-                failed = True
-            print(f"{name} {metric}: {was:.1f} -> {now:.1f} {verdict}")
+        _ran, now = measure(name, row["ops"], baseline["seed"])
+        failed |= _compare(name, row, now)
+        recorded = row.get("layers", {})
+        for layer, layer_now in now["layers"].items():
+            failed |= _compare(
+                f"{name} [{layer}]", recorded.get(layer, {}), layer_now
+            )
     return 1 if failed else 0
 
 
@@ -164,9 +255,8 @@ def record(path: str) -> int:
     with open(path) as handle:
         baseline = json.load(handle)
     for name, row in baseline["workloads"].items():
-        _ran, opcodes, calls = measure(name, row["ops"], baseline["seed"])
-        row["opcodes_per_op"] = round(opcodes, 1)
-        row["calls_per_op"] = round(calls, 1)
+        _ran, counts = measure(name, row["ops"], baseline["seed"])
+        row.update(rounded(counts))
     baseline["python"] = interpreter()
     with open(path, "w") as handle:
         json.dump(baseline, handle, indent=2)
@@ -192,11 +282,8 @@ def main(argv: list[str]) -> int:
         return record(args.record)
     if args.ops is None or args.ops <= 0:
         parser.error("--workload needs a positive --ops")
-    ops, opcodes, calls = measure(args.workload, args.ops, args.seed)
-    print(
-        f"{args.workload} seed={args.seed} ops={ops}: "
-        f"{opcodes:.1f} opcodes/op, {calls:.1f} calls/op"
-    )
+    ops, counts = measure(args.workload, args.ops, args.seed)
+    print(report(args.workload, args.seed, ops, counts))
     return 0
 
 
