@@ -104,11 +104,7 @@ class BTreeEngine(KVEngine):
         if index is None:
             return
         self._log(self._take_seqno(), "delete", key, None)
-        records = list(self._read_leaf(index))
-        position = bisect.bisect_left(records, key, key=lambda r: r.key)
-        if position < len(records) and records[position].key == key:
-            del records[position]
-            self._write_leaf(index, tuple(records))
+        self._remove(index, key)
 
     def apply_delta(self, key: bytes, delta: bytes) -> None:
         """B-Trees have no blind-write primitive: a delta is a full
@@ -220,8 +216,11 @@ class BTreeEngine(KVEngine):
         """Rebuild from the last checkpoint plus logical-log replay.
 
         Pages flushed by the checkpoint are durable; writes after it are
-        re-executed from the logical log (they are idempotent: puts and
-        deletes of full values).
+        re-applied from the logical log (they are idempotent: puts and
+        deletes of full values).  A replayed write is applied under its
+        own seqno and is not logged again: it is already in the log,
+        where it stays until the next checkpoint, so a second recovery
+        replays it once more, and only once.
         """
         engine = cls.__new__(cls)
         engine.stasis = stasis
@@ -239,10 +238,14 @@ class BTreeEngine(KVEngine):
             if record.seqno < manifest["next_seqno"]:
                 continue  # already durable via the checkpoint
             if record.op == "delete":
-                engine.delete(record.key)
+                index = engine._leaf_index(record.key)
+                if index is not None:
+                    engine._remove(index, record.key)
             else:
                 assert record.value is not None
-                engine.put(record.key, record.value)
+                engine._upsert(
+                    Record.base(record.key, record.value, record.seqno)
+                )
             engine._next_seqno = max(engine._next_seqno, record.seqno + 1)
         return engine
 
@@ -332,6 +335,13 @@ class BTreeEngine(KVEngine):
         if sum(r.nbytes for r in records) > self.stasis.page_size:
             self._split_leaf(index, records)
         else:
+            self._write_leaf(index, tuple(records))
+
+    def _remove(self, index: int, key: bytes) -> None:
+        records = list(self._read_leaf(index))
+        position = bisect.bisect_left(records, key, key=lambda r: r.key)
+        if position < len(records) and records[position].key == key:
+            del records[position]
             self._write_leaf(index, tuple(records))
 
     def _split_leaf(self, index: int, records: list[Record]) -> None:

@@ -36,6 +36,7 @@ def persist_bloom(stasis: Stasis, table: SSTable) -> None:
         data[offset : offset + page_size]
         for offset in range(0, npages * page_size, page_size)
     ]
+    stasis.await_commit(extent.start, npages)
     stasis.pagefile.write_run(extent.start, payloads)
     table.bloom_extent = extent
     table.descriptor = None  # its manifest entry now names the filter

@@ -255,7 +255,9 @@ class SSTableBuilder:
 
     def _flush_pending(self) -> None:
         """Write the head of the buffer as one transfer: up to one
-        write-behind unit of pages, ending early at an extent boundary."""
+        write-behind unit of pages, ending early at an extent boundary.
+        A transfer into pages a commit still in flight freed waits for
+        that commit first (:meth:`Stasis.await_commit`)."""
         pending = self._pending
         first_id = pending[0][0]
         limit = min(len(pending), self._write_behind_pages)
@@ -264,6 +266,7 @@ class SSTableBuilder:
             n += 1
         if n < len(pending) and pending[n][0] != first_id + n:
             self._pending_breaks -= 1
+        self._stasis.await_commit(first_id, n)
         self._stasis.pagefile.write_run(
             first_id, [payload for _, payload in pending[:n]]
         )

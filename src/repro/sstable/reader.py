@@ -363,7 +363,7 @@ class SSTable:
             for page_id in range(extent.start, extent.end):
                 self._stasis.buffer.invalidate(page_id)
                 self._stasis.pagefile.free_page(page_id)
-            self._stasis.regions.free(extent)
+            self._stasis.release(extent)
 
     def __repr__(self) -> str:
         return (

@@ -96,8 +96,9 @@ class GroupCommitQueue:
 
     def __init__(self, stasis: "Stasis") -> None:
         self.stasis = stasis
-        #: The log device's one writer, shared with ASYNC's appends,
-        #: which wait for it through :meth:`drain`.
+        #: The log device's one writer, shared with what ASYNC writes
+        #: behind (appends, manifest commits, checkpoints); a caller
+        #: that needs one of those done waits through :meth:`drain`.
         self.writer = stasis.logical_log.writer
         stasis.logical_log.commit_queue = self
         self._pending: list[CommitTicket] = []
@@ -167,14 +168,17 @@ class GroupCommitQueue:
         clock.advance_to(ticket.durable_at)
         return ticket
 
-    def drain(self) -> None:
-        """Force every pending group (a flush/close durability barrier)."""
+    def drain(self, until: float | None = None) -> None:
+        """Force every pending group (a flush/close durability barrier),
+        then wait for the log writer: until it is idle, or only until
+        ``until``, the end of the one piece of its work the caller
+        needs (an append, a manifest commit)."""
         clock = self.stasis.clock
         while self._pending:
             self._drain_ready()
             if self._pending and self.writer.busy(clock):
                 clock.advance_to(self.writer.now)
-        clock.advance_to(self.writer.now)
+        clock.advance_to(self.writer.now if until is None else until)
 
     def crash(self) -> None:
         """Unacknowledged tickets die with the process."""

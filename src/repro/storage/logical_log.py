@@ -43,18 +43,30 @@ size-triggered appends do not; they reposition only when something else
 (a WAL manifest commit, which is always forced) moved the log device's
 head in between.
 
-Who waits for the log device: ASYNC's appends and GROUP's leader forces
-run on :attr:`LogicalLog.writer`, the log device's one writer
-:class:`~repro.sim.clock.Timeline`, so their service (a repositioning
-included) is background time.  A writer waits for an append only when
-its next buffer fills while the previous append is still in flight,
-and it waits through the commit queue's ``drain``, as a GROUP commit
-waits through its ``wait``.  Everything else runs on its caller's
-clock and queues behind an in-flight append through the device's
-``busy_until``: SYNC forces, explicit forces, WAL manifest commits and
-the :meth:`retain_ranges` checkpoint (merge-completion bookkeeping, on
-the merge's clock).  An explicit force with nothing left to write
-still waits for the append in flight.
+Who waits for the log device: the log device has one writer,
+:attr:`LogicalLog.writer`, a :class:`~repro.sim.clock.Timeline`.
+GROUP's leader forces run on it, and so does everything ASYNC writes
+there: the size-triggered appends, the WAL manifest commits
+(:meth:`~repro.storage.stasis.Stasis.commit_manifest`, under NONE too,
+which logs nothing else) and the :meth:`retain_ranges` checkpoint, each
+queued behind what the writer has in flight (:meth:`behind`).  Their
+service, a repositioning included, is background time, so the step
+that completes a merge costs its caller only its data-device time.  A
+writer waits for an append only when its next buffer fills while the
+previous append is still in flight, and it waits through the commit
+queue's ``drain``, as a GROUP commit waits through its ``wait``; a
+data-device write into an extent that a commit still in flight freed
+waits for that commit the same way
+(:meth:`~repro.storage.stasis.Stasis.await_commit`).  Everything else
+runs on its caller's clock and queues behind the writer's work through
+the device's ``busy_until``: SYNC forces, explicit forces, and under
+SYNC and GROUP the manifest commits and checkpoints too.  An explicit
+force with nothing left to write still waits for the writer.  The
+writer issues each access where a foreground one would have been
+issued, so the device access sequence, and with it every crash point,
+does not move, with one exception: an ASYNC ``commit_batch`` ticket's
+leader force starts when the writer is idle, so a commit on the writer
+regroups tickets, as it would under GROUP.
 """
 
 from __future__ import annotations
@@ -64,7 +76,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import CorruptionError, CrashPoint
-from repro.sim.clock import Timeline
+from repro.sim.clock import RunningOn, Timeline
 from repro.sim.disk import SimDisk
 from repro.storage.checksum import CORRUPTION_MASK, payload_checksum
 
@@ -162,6 +174,7 @@ class LogicalLog:
         #: The commit queue that drives :attr:`writer` (it sets this);
         #: an ASYNC append waits for the writer through its ``drain``.
         self.commit_queue: "GroupCommitQueue | None" = None
+        self._append_end = 0.0  # when the last ASYNC append is written
         # A device that never corrupts or tears (plain SimDisk) can never
         # fail read-back verification, so skip the per-append checksum —
         # it sits on the write hot path.  Fault-capable devices pay.
@@ -219,28 +232,52 @@ class LogicalLog:
             return self._append_behind()
         return 0.0
 
+    @property
+    def writes_behind(self) -> bool:
+        """Whether manifest commits and checkpoints run on :attr:`writer`:
+        under ASYNC, and NONE, which logs nothing else; SYNC and GROUP
+        run them on the caller's clock."""
+        mode = self.mode
+        return mode is DurabilityMode.ASYNC or mode is DurabilityMode.NONE
+
+    def behind(self) -> RunningOn:
+        """Charge the block to :attr:`writer`, queued behind what it has
+        in flight and starting no earlier than the requester (the
+        caller's clock, or the merge timeline that runs the caller).
+
+        Use as ``with log.behind():``.  The accesses inside are issued
+        where the block runs, so the device access sequence is the one a
+        foreground write would give; only the clocks differ.
+        """
+        clock = self.disk.clock
+        active = clock.active_timeline
+        self.writer.advance_to((clock if active is None else active).now)
+        return clock.running_on(self.writer)
+
     def _append_behind(self) -> float:
         """ASYNC's size-triggered append, written behind on :attr:`writer`.
 
         One buffer fills while the previous one is in flight: the caller
-        waits only for an append the writer is still busy with, and
-        returns that wait.  It waits through the commit queue's
+        waits only for an append the writer is still writing, and
+        returns that wait.  Other work on the writer (a manifest commit,
+        a checkpoint, a leader force) holds no append buffer, so it is
+        no reason to wait.  The caller waits through the commit queue's
         ``drain``: with no commit staged that is exactly this wait (a
         staged ``wait=False`` commit is forced first, as at any drain).
         The append is issued here, at the same point of the device's
         access sequence as a foreground one would be.
         """
         clock = self.disk.clock
-        writer = self.writer
         before = clock.now
-        if writer.busy(clock):
+        in_flight = self._append_end
+        if in_flight > before:
             if self.commit_queue is not None:
-                self.commit_queue.drain()
+                self.commit_queue.drain(in_flight)
             else:
-                clock.advance_to(writer.now)
-        writer.catch_up(clock)
-        with clock.running_on(writer):
+                clock.advance_to(in_flight)
+        with self.behind():
             self.force(sync=False)
+        self._append_end = self.writer.now
         return clock.now - before
 
     def force(self, sync: bool = True) -> float:
@@ -353,7 +390,8 @@ class LogicalLog:
         deltas.
 
         A small checkpoint record describing the retained set is charged
-        to the log device.  Returns the charge's service time.
+        to the log device, behind on :attr:`writer` under ASYNC.
+        Returns the charge's latency on whichever clock ran it.
 
         Args:
             coverage: per key, the (coverage_start, seqno) range of the
@@ -382,7 +420,11 @@ class LogicalLog:
                 torn.discard(seqno)
         self._durable = kept
         checkpoint_bytes = 16 + 24 * len(coverage)
-        service = self.disk.write(self._tail_offset, checkpoint_bytes)
+        if self.writes_behind:
+            with self.behind():
+                service = self.disk.write(self._tail_offset, checkpoint_bytes)
+        else:
+            service = self.disk.write(self._tail_offset, checkpoint_bytes)
         self._tail_offset += checkpoint_bytes
         if floor is None:
             floor = top + 1  # nothing retained: past every logged write
@@ -390,9 +432,12 @@ class LogicalLog:
         return service
 
     def replay(self) -> Iterator[LogicalRecord]:
-        """Yield durable records in seqno order, charging replay I/O: the
-        bytes that reached the device, so a torn record only its
-        persisted prefix.
+        """Yield durable records in seqno order, charging replay I/O: one
+        sequential read of ``[head, tail)``, from the lowest placement of
+        a durable record to the end of what the log wrote (a torn
+        record's persisted prefix, checkpoints and records truncated in
+        between included: retention keeps whatever C0 still holds, which
+        snowshoveling scatters across the span).
 
         Records whose read-back checksum fails because their force was
         torn are dropped (the write was never acknowledged); records whose
@@ -401,10 +446,10 @@ class LogicalLog:
         acknowledged, so its loss must not be silent.
         """
         records = sorted(self._durable, key=lambda record: record.seqno)
-        placements = [self._offsets[record.seqno] for record in records]
-        nbytes = sum(size for _offset, size in placements)
-        if nbytes:
-            self.disk.read(min(placements)[0], nbytes)
+        if records:
+            offsets = self._offsets
+            head = min(offsets[record.seqno][0] for record in records)
+            self.disk.read(head, self._tail_offset - head)
         for record in records:
             if self._readback_checksum(record) != record.checksum:
                 if record.seqno in self._torn:

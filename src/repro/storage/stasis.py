@@ -51,7 +51,7 @@ from repro.storage.buffer import BufferManager, EvictionPolicy
 from repro.storage.group_commit import GroupCommitQueue
 from repro.storage.logical_log import DurabilityMode, LogicalLog
 from repro.storage.pagefile import DEFAULT_PAGE_SIZE, PageFile
-from repro.storage.region import RegionAllocator
+from repro.storage.region import Extent, RegionAllocator
 from repro.storage.wal import WriteAheadLog, record_bytes
 
 _BASE_KIND = "manifest"
@@ -223,6 +223,10 @@ class Stasis:
         self._named: dict[int, dict[str, Any]] = {}
         self._base_bytes = 0
         self._edit_bytes = 0
+        # When the last commit run behind on the log writer is done, and
+        # the extents released since, each held until that time.
+        self._commit_done = 0.0
+        self._held: list[tuple[Extent, float]] = []
 
     @classmethod
     def from_options(cls, options: Any) -> "Stasis":
@@ -246,7 +250,64 @@ class Stasis:
 
     def commit_manifest(self, manifest: Any) -> None:
         """Durably install a new manifest: one forced WAL record, its
-        version edit (or a base; see the module docstring)."""
+        version edit (or a base; see the module docstring).
+
+        Where the logical log writes behind
+        (:attr:`LogicalLog.writes_behind`), the commit runs on the log
+        writer, so its caller pays no log-device time; the components
+        it drops are released while it may still be in flight
+        (:meth:`release`).
+        """
+        log = self.logical_log
+        if not log.writes_behind:
+            self._commit(manifest)
+            return
+        with log.behind():
+            self._commit(manifest)
+        self._commit_done = log.writer.now
+
+    def release(self, extent: Extent) -> None:
+        """Free an extent of a retired component.
+
+        A component is retired right after the commit that dropped it,
+        which may still be on the log writer; until it is done, a write
+        into the extent waits for it (:meth:`await_commit`).
+        """
+        self.regions.free(extent)
+        if self._commit_done:
+            self._held.append((extent, self._commit_done))
+
+    def await_commit(self, first_page: int, npages: int) -> None:
+        """Hold a data write into ``npages`` pages from ``first_page``
+        until the commit that released them is done.
+
+        A write into a released extent before the commit that dropped
+        its component is durable would overwrite a component the
+        durable manifest still names.  Such a write waits for the
+        commit: on the caller's clock through the commit queue's
+        ``drain``, or on the merge timeline that issues it.  A write
+        into space no commit in flight released does not wait.
+        """
+        if not self._held:
+            return
+        clock = self.clock
+        active = clock.active_timeline
+        now = (clock if active is None else active).now
+        end = first_page + npages
+        until = now
+        held = [(extent, done) for extent, done in self._held if done > now]
+        for extent, done in held:
+            if extent.start < end and first_page < extent.end and done > until:
+                until = done
+        self._held = held
+        if until > now:
+            if active is None:
+                self.group_commit.drain(until)
+            else:
+                active.advance_to(until)
+
+    def _commit(self, manifest: Any) -> None:
+        """Log ``manifest`` as an edit or a base and force the WAL."""
         previous = self._named
         named: dict[int, dict[str, Any]] = {}
         kept: list[int] = []

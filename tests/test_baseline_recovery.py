@@ -78,6 +78,40 @@ class TestBTreeRecovery:
         assert recovered.get(b"a") is None
         assert recovered.get(b"b") == b"2" * 200
 
+    def test_recovery_does_not_log_the_writes_it_replays(self):
+        # Five SYNC puts, then two crash-and-recover rounds: each round
+        # replays each write once and leaves the log's durable records
+        # as it found them.
+        stasis = btree_stasis()
+        engine = _btree_over(stasis)
+        for i in range(5):
+            engine.put(b"k%d" % i, b"v%d" % i)
+        log = stasis.logical_log
+        logged = [(r.seqno, r.op, r.key, r.value) for r in log._durable]
+        assert [seqno for seqno, *_ in logged] == [0, 1, 2, 3, 4]
+        for _round in range(2):
+            stasis.crash()
+            replayed = []
+            replay = log.replay
+
+            def counted():
+                for record in replay():
+                    replayed.append(record.seqno)
+                    yield record
+
+            log.replay = counted
+            recovered = BTreeEngine.recover(stasis)
+            del log.replay
+            assert replayed == [0, 1, 2, 3, 4]
+            assert [
+                (r.seqno, r.op, r.key, r.value) for r in log._durable
+            ] == logged
+            assert log.pending_count == 0
+            for i in range(5):
+                assert recovered.get(b"k%d" % i) == b"v%d" % i
+        recovered.put(b"k5", b"v5")  # takes the seqno after the replayed ones
+        assert log._durable[-1].seqno == 5
+
     def test_recovered_engine_keeps_working(self):
         stasis = btree_stasis()
         engine = _btree_over(stasis)

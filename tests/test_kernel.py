@@ -267,8 +267,9 @@ def test_a_short_scan_opens_only_the_partition_it_lands_in():
     # Pins of pacing, re-pinned when the partitioned spring's budget
     # moved to merge_step's unit (before: 7 partitions, 207 reads,
     # "1.040913181"), and the clock again when manifest commits began
-    # logging version edits ("0.850655156"); the per-scan bound below
-    # is the claim.
+    # logging version edits ("0.850655156") and when ASYNC manifest
+    # commits began running behind on the log writer ("0.850372193");
+    # the per-scan bound below is the claim.
     assert tree.partition_count == 6
     stats = tree.stasis.data_disk.stats
     total = 0
@@ -281,7 +282,7 @@ def test_a_short_scan_opens_only_the_partition_it_lands_in():
         assert reads <= on_disk  # the pool may serve a landing block
         total += reads
     assert total == 210
-    assert f"{tree.stasis.clock.now:.9f}" == "0.850372193"
+    assert f"{tree.stasis.clock.now:.9f}" == "0.697206906"
 
 
 def test_partitioned_engine_snapshot_is_a_pinned_view():

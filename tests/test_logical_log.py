@@ -4,7 +4,9 @@ import copy
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core import BLSM, BLSMOptions
 from repro.sim import DiskModel, SimDisk, VirtualClock
 from repro.errors import CrashPoint
 from repro.storage import DurabilityMode, LogicalLog, LogicalRecord
@@ -201,3 +203,60 @@ def test_replay_after_a_tear_reads_only_the_persisted_bytes():
     assert [record.seqno for record in log.replay()] == [0, 1, 2, 3]
     assert disk.stats.bytes_read - before == 300 + 150
     assert log.torn_records_dropped == 1
+
+
+_PUT = st.tuples(st.just("put"), st.integers(0, 40), st.integers(1, 400))
+_TREE_OPS = st.lists(
+    st.one_of(
+        _PUT,
+        _PUT,
+        _PUT,
+        st.tuples(st.just("delete"), st.integers(0, 40)),
+        st.tuples(st.just("merge"), st.integers(1, 64 * 1024)),
+        st.tuples(st.just("force")),
+        st.tuples(st.just("crash")),
+    ),
+    min_size=40,
+    max_size=160,
+)
+
+
+@pytest.mark.parametrize(
+    "mode", [DurabilityMode.SYNC, DurabilityMode.ASYNC, DurabilityMode.GROUP]
+)
+@settings(max_examples=30, deadline=None)
+@given(ops=_TREE_OPS)
+def test_replay_reads_the_log_from_its_head_to_its_tail(mode, ops):
+    """Retention keeps what C0 holds, scattered by snowshoveling; replay
+    reads every byte from the lowest live placement to the tail."""
+    options = BLSMOptions(
+        c0_bytes=8 * 1024,
+        buffer_pool_pages=16,
+        durability=mode,
+        observability=False,
+    )
+    tree = BLSM(options)
+    stasis = tree.stasis
+    log, disk = stasis.logical_log, stasis.log_disk
+    for op in ops + [("crash",)]:
+        kind = op[0]
+        if kind == "put":
+            tree.put(b"k%03d" % op[1], bytes(op[2]))
+        elif kind == "delete":
+            tree.delete(b"k%03d" % op[1])
+        elif kind == "merge":
+            tree.step_m01(op[1])
+        elif kind == "force":
+            tree.flush_log()
+        else:
+            stasis.crash()
+            live = [log._offsets[record.seqno][0] for record in log._durable]
+            disk.start_trace()
+            list(log.replay())
+            reads = [(e.offset, e.nbytes) for e in disk.stop_trace()]
+            if live:
+                head = min(live)
+                assert reads == [(head, log._tail_offset - head)]
+            else:
+                assert reads == []
+            tree = BLSM.recover(stasis, options)

@@ -4,7 +4,8 @@
 merge inputs are read in), a merge step gets one data-device access
 (``StepGate``) without losing budget to it, and ASYNC's size-triggered
 log appends stream instead of paying a barrier each, written behind on
-the log device's one writer.
+the log device's one writer, where ASYNC's merge commits and log
+checkpoints run too.
 """
 
 import hashlib
@@ -440,15 +441,16 @@ def test_state_digest_matches_the_parent_commit():
 # The benchmark's ingest load at 3 000 records: the clock, data seeks,
 # bytes read and written, and state_digest() as the record-at-a-time
 # merge loop left them (1549b4c), but for the clock, which moved when
-# manifest commits began logging version edits (shorter WAL forces) and
-# when ASYNC log appends began running behind on the log writer.
+# manifest commits began logging version edits (shorter WAL forces),
+# when ASYNC log appends began running behind on the log writer, and
+# when ASYNC manifest commits and checkpoints followed them there.
 # Host-CPU changes to the write path must leave every one in place.
 # At these two seeds a step that drops the bytes of a run the gate cut
 # short moves the clock and the seeks.
 INGEST_TRACE = {
-    6: ("0.3582879773775737", 69, 10993664, 13447168,
+    6: ("0.26961914062499986", 69, 10993664, 13447168,
         "bb5a3509804282b39014f5fe82d039bc54a24d627ab715658bb7ddb35a9c89cf"),
-    8: ("0.35290815830230704", 64, 11276288, 13729792,
+    8: ("0.2593652343749998", 64, 11276288, 13729792,
         "90167c05daa3e0d0d8124203b9cd6a01cda59b7f41b1d18614b1501f821cb730"),
 }
 
@@ -591,7 +593,9 @@ def test_a_write_waits_for_the_log_writer_through_the_commit_queue():
     log, queue = stasis.logical_log, stasis.group_commit
     drains = []
     drain = queue.drain
-    queue.drain = lambda: drains.append(stasis.clock.now) or drain()
+    queue.drain = lambda *until: (
+        drains.append(stasis.clock.now) or drain(*until)
+    )
     n = append_once(log)
     assert drains == []  # the writer was idle
     in_flight = log.writer.now
@@ -617,11 +621,130 @@ def test_a_foreground_barrier_queues_behind_an_append(barrier):
     if barrier == "force":  # flush_log / close
         log.log(n, "put", b"k%08d" % n, bytes(1000))
         log.force()
+        # The caller (at time 0) waited behind the append for the device.
+        assert stats.fg_wait_seconds == in_flight > 0.0
+        assert stasis.clock.now > in_flight
     else:
         stasis.commit_manifest({"generation": 1})
-    # The caller (at time 0) waited behind the append for the device.
-    assert stats.fg_wait_seconds == in_flight > 0.0
-    assert stasis.clock.now > in_flight
+        # The commit queued behind the append on the writer; the caller
+        # did not wait for either.
+        assert stasis.clock.now == 0.0
+        assert log.writer.now == stasis.log_disk.busy_until > in_flight
+        assert stats.fg_wait_seconds == 0.0
+        assert stats.bg_busy_seconds == stats.busy_seconds
+
+
+# ---------------------------------------------------------------------------
+# (e) who waits for a merge's commit
+# ---------------------------------------------------------------------------
+
+
+def complete_a_merge(durability):
+    """Load a bLSM until a C0:C1 merge runs, then step it to completion
+    by hand; the tree and the clock and device deltas of the step that
+    completed it (which commits its manifest and checkpoints the log)."""
+    tree = BLSM(
+        BLSMOptions(
+            c0_bytes=64 * KIB,
+            buffer_pool_pages=16,
+            durability=durability,
+            observability=False,
+        )
+    )
+    stasis = tree.stasis
+    i = 0
+    while tree._m01 is None or tree._c1 is None:
+        tree.put(b"user%06d" % (i * 7919 % 10_000), bytes(500))
+        i += 1
+    data, log = stasis.data_disk.stats, stasis.log_disk.stats
+    while True:
+        before = (stasis.clock.now, data.snapshot(), log.snapshot())
+        tree.step_m01(1 << 20)
+        if tree._m01 is None:
+            break
+    now, data0, log0 = before
+    return tree, stasis.clock.now - now, data.delta(data0), log.delta(log0)
+
+
+def test_an_async_merge_completion_costs_its_caller_only_data_device_time():
+    tree, elapsed, data, log = complete_a_merge(DurabilityMode.ASYNC)
+    assert data.write_ops > 0 and data.bg_busy_seconds == 0.0
+    assert elapsed == pytest.approx(data.busy_seconds + data.fg_wait_seconds)
+    # The manifest commit and the checkpoint: all of it on the writer.
+    assert log.write_ops >= 2
+    assert log.bg_busy_seconds == log.busy_seconds > 0.0
+    assert log.fg_wait_seconds == 0.0
+    writer = tree.stasis.logical_log.writer
+    assert writer.now > tree.stasis.clock.now
+
+
+@pytest.mark.parametrize(
+    "durability", [DurabilityMode.SYNC, DurabilityMode.GROUP]
+)
+def test_sync_and_group_merge_commits_still_run_on_the_callers_clock(
+    durability,
+):
+    _tree, elapsed, data, log = complete_a_merge(durability)
+    assert log.write_ops >= 2 and log.bg_busy_seconds == 0.0
+    assert elapsed == pytest.approx(
+        data.busy_seconds + data.fg_wait_seconds
+        + log.busy_seconds + log.fg_wait_seconds
+    )
+
+
+def test_a_flush_after_a_merge_completion_waits_for_its_commit():
+    tree, _elapsed, _data, _log = complete_a_merge(DurabilityMode.ASYNC)
+    stasis = tree.stasis
+    committed = stasis.logical_log.writer.now
+    assert committed > stasis.clock.now
+    tree.flush_log()
+    assert stasis.clock.now >= committed
+
+
+def build_component(stasis, tree_id, keys):
+    """A one-extent component of ``keys`` through the real builder."""
+    builder = SSTableBuilder(
+        stasis, tree_id, expected_bytes=keys * 1000, expected_keys=keys
+    )
+    for i in range(keys):
+        builder.add(Record.base(b"k%06d" % i, bytes(1000), i))
+    return builder.finish()
+
+
+def test_a_write_into_space_an_inflight_commit_freed_waits_for_it():
+    stasis = Stasis(observability=False)  # ASYNC
+    old = build_component(stasis, 1, 200)
+    clock, writer = stasis.clock, stasis.logical_log.writer
+    stasis.commit_manifest({"generation": 1})  # drops the component ...
+    committed = writer.now
+    assert committed > clock.now
+    old.free()  # ... whose extent goes straight back to the allocator
+    drains = []
+    drain = stasis.group_commit.drain
+    stasis.group_commit.drain = lambda *until: (
+        drains.append(until) or drain(*until)
+    )
+    stasis.data_disk.start_trace()
+    new = build_component(stasis, 2, 200)
+    first = stasis.data_disk.stop_trace()[0]
+    assert new.extents[0].start == old.extents[0].start  # reused space
+    # The builder's first write waited for the commit, through drain.
+    assert drains == [(committed,)]
+    assert first.time - first.service - first.wait == pytest.approx(committed)
+
+
+def test_a_write_into_fresh_space_does_not_wait_for_a_commit():
+    stasis = Stasis(observability=False)  # ASYNC
+    old = build_component(stasis, 1, 200)
+    clock, writer = stasis.clock, stasis.logical_log.writer
+    stasis.commit_manifest({"generation": 1})
+    assert writer.now > clock.now  # in flight, but the space is not freed
+    now = clock.now
+    stasis.data_disk.start_trace()
+    new = build_component(stasis, 2, 200)
+    first = stasis.data_disk.stop_trace()[0]
+    assert new.extents[0].start >= old.extents[0].end
+    assert first.time - first.service - first.wait == pytest.approx(now)
 
 
 def device_trace_digest(durability):
