@@ -101,7 +101,13 @@ class RetryExecutor:
                         f"{attempt} attempts"
                     ) from error
                 backoff = self.policy.backoff_seconds(attempt - 1)
-                self.clock.advance(backoff)
+                # The requester waits out the backoff: the background
+                # timeline that issued the access, if one is active.
+                timeline = self.clock.active_timeline
+                if timeline is not None:
+                    timeline.advance_to(timeline.now + backoff)
+                else:
+                    self.clock.advance(backoff)
                 if self.runtime is not None:
                     self._ctr_retries.inc()
                     self._ctr_backoff.inc(backoff)

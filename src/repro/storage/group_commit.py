@@ -96,12 +96,18 @@ class GroupCommitQueue:
 
     def __init__(self, stasis: "Stasis") -> None:
         self.stasis = stasis
+        self._clock = stasis.clock
         #: The log device's one writer, shared with what ASYNC writes
         #: behind (appends, manifest commits, checkpoints); a caller
         #: that needs one of those done waits through :meth:`drain`.
         self.writer = stasis.logical_log.writer
         stasis.logical_log.commit_queue = self
         self._pending: list[CommitTicket] = []
+        #: Whether a ticket was ever submitted: from then on manifest
+        #: commits and checkpoints no longer run on the writer
+        #: (:meth:`LogicalLog.bookkeeping
+        #: <repro.storage.logical_log.LogicalLog.bookkeeping>`).
+        self.submitted = False
         #: Leader-group sizes seen so far: {group size: occurrences}.
         self.group_sizes: dict[int, int] = {}
         self.commits = 0
@@ -128,17 +134,25 @@ class GroupCommitQueue:
         logical log (``DurabilityMode.GROUP`` stages without forcing).
         The ticket is acknowledged asynchronously by a leader force;
         use :meth:`wait` (or :meth:`commit`) to block on it.
+
+        A leader force starts when the writer is idle, so work that
+        ASYNC wrote behind would hold it.  The first ticket therefore
+        waits for the writer, and from then on commits and checkpoints
+        run on their caller's clock, as under GROUP.
         """
         if last_seqno < first_seqno:
             raise ValueError(
                 f"empty commit range [{first_seqno}, {last_seqno}]"
             )
+        if not self.submitted:
+            self.submitted = True
+            self.drain()
         ticket = CommitTicket(
             session=session,
             first_seqno=first_seqno,
             last_seqno=last_seqno,
             ops=ops,
-            enqueued_at=self.stasis.clock.now,
+            enqueued_at=self._clock.now,
         )
         self._pending.append(ticket)
         self._drain_ready()
@@ -160,7 +174,7 @@ class GroupCommitQueue:
 
     def wait(self, ticket: CommitTicket) -> CommitTicket:
         """Advance virtual time until ``ticket`` is acknowledged."""
-        clock = self.stasis.clock
+        clock = self._clock
         while ticket.durable_at is None:
             self._drain_ready()
             if ticket.durable_at is None and self.writer.busy(clock):
@@ -173,7 +187,7 @@ class GroupCommitQueue:
         then wait for the log writer: until it is idle, or only until
         ``until``, the end of the one piece of its work the caller
         needs (an append, a manifest commit)."""
-        clock = self.stasis.clock
+        clock = self._clock
         while self._pending:
             self._drain_ready()
             if self._pending and self.writer.busy(clock):
@@ -211,7 +225,7 @@ class GroupCommitQueue:
         the foreground clock (a force is still in flight from the
         caller's point of view).
         """
-        clock = self.stasis.clock
+        clock = self._clock
         writer = self.writer
         while self._pending and not writer.busy(clock):
             pending = self._pending

@@ -49,7 +49,8 @@ GROUP's leader forces run on it, and so does everything ASYNC writes
 there: the size-triggered appends, the WAL manifest commits
 (:meth:`~repro.storage.stasis.Stasis.commit_manifest`, under NONE too,
 which logs nothing else) and the :meth:`retain_ranges` checkpoint, each
-queued behind what the writer has in flight (:meth:`behind`).  Their
+queued behind what the writer has in flight (:meth:`behind`;
+:meth:`bookkeeping` picks the clock for a commit or a checkpoint).  Their
 service, a repositioning included, is background time, so the step
 that completes a merge costs its caller only its data-device time.  A
 writer waits for an append only when its next buffer fills while the
@@ -60,18 +61,19 @@ waits for that commit the same way
 (:meth:`~repro.storage.stasis.Stasis.await_commit`).  Everything else
 runs on its caller's clock and queues behind the writer's work through
 the device's ``busy_until``: SYNC forces, explicit forces, and under
-SYNC and GROUP the manifest commits and checkpoints too.  An explicit
-force with nothing left to write still waits for the writer.  The
-writer issues each access where a foreground one would have been
-issued, so the device access sequence, and with it every crash point,
-does not move, with one exception: an ASYNC ``commit_batch`` ticket's
-leader force starts when the writer is idle, so a commit on the writer
-regroups tickets, as it would under GROUP.
+SYNC and GROUP the manifest commits and checkpoints too, and so do a
+store's commits and checkpoints once its sessions commit through
+tickets: a leader force starts when the writer is idle, so a commit on
+the writer would regroup the tickets.  An explicit force with nothing
+left to write still waits for the writer.  The writer issues each
+access where a foreground one would have been issued, so the device
+access sequence, and with it every crash point, does not move.
 """
 
 from __future__ import annotations
 
 import enum
+from contextlib import nullcontext
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator
 
@@ -85,6 +87,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.storage.group_commit import GroupCommitQueue
 
 _RECORD_OVERHEAD = 24  # simulated framing per logical record
+_ON_CALLER = nullcontext()  # bookkeeping on the caller's own clock
 
 
 class DurabilityMode(enum.Enum):
@@ -232,13 +235,23 @@ class LogicalLog:
             return self._append_behind()
         return 0.0
 
-    @property
-    def writes_behind(self) -> bool:
-        """Whether manifest commits and checkpoints run on :attr:`writer`:
-        under ASYNC, and NONE, which logs nothing else; SYNC and GROUP
-        run them on the caller's clock."""
+    def bookkeeping(self) -> "RunningOn | nullcontext[None]":
+        """The clock a manifest commit or a checkpoint runs on.
+
+        :meth:`behind` (``with`` binds :attr:`writer`) under ASYNC, and
+        NONE, which logs nothing else.  The caller's own clock (``with``
+        binds ``None``) under SYNC and GROUP, and once sessions commit
+        through tickets: a leader force starts when the writer is idle,
+        so a commit on the writer would hold it and regroup the tickets
+        (:meth:`GroupCommitQueue.submit
+        <repro.storage.group_commit.GroupCommitQueue.submit>`).
+        """
         mode = self.mode
-        return mode is DurabilityMode.ASYNC or mode is DurabilityMode.NONE
+        if mode is DurabilityMode.ASYNC or mode is DurabilityMode.NONE:
+            queue = self.commit_queue
+            if queue is None or not queue.submitted:
+                return self.behind()
+        return _ON_CALLER
 
     def behind(self) -> RunningOn:
         """Charge the block to :attr:`writer`, queued behind what it has
@@ -390,7 +403,7 @@ class LogicalLog:
         deltas.
 
         A small checkpoint record describing the retained set is charged
-        to the log device, behind on :attr:`writer` under ASYNC.
+        to the log device, on the clock :meth:`bookkeeping` names.
         Returns the charge's latency on whichever clock ran it.
 
         Args:
@@ -420,10 +433,7 @@ class LogicalLog:
                 torn.discard(seqno)
         self._durable = kept
         checkpoint_bytes = 16 + 24 * len(coverage)
-        if self.writes_behind:
-            with self.behind():
-                service = self.disk.write(self._tail_offset, checkpoint_bytes)
-        else:
+        with self.bookkeeping():
             service = self.disk.write(self._tail_offset, checkpoint_bytes)
         self._tail_offset += checkpoint_bytes
         if floor is None:

@@ -252,19 +252,16 @@ class Stasis:
         """Durably install a new manifest: one forced WAL record, its
         version edit (or a base; see the module docstring).
 
-        Where the logical log writes behind
-        (:attr:`LogicalLog.writes_behind`), the commit runs on the log
+        Where the logical log writes it behind
+        (:meth:`LogicalLog.bookkeeping`), the commit runs on the log
         writer, so its caller pays no log-device time; the components
         it drops are released while it may still be in flight
         (:meth:`release`).
         """
-        log = self.logical_log
-        if not log.writes_behind:
+        with self.logical_log.bookkeeping() as writer:
             self._commit(manifest)
-            return
-        with log.behind():
-            self._commit(manifest)
-        self._commit_done = log.writer.now
+        if writer is not None:
+            self._commit_done = writer.now
 
     def release(self, extent: Extent) -> None:
         """Free an extent of a retired component.
@@ -287,6 +284,11 @@ class Stasis:
         commit: on the caller's clock through the commit queue's
         ``drain``, or on the merge timeline that issues it.  A write
         into space no commit in flight released does not wait.
+
+        A merge timeline may run ahead of the clock, and another
+        requester behind it, so only the holds done by the clock are
+        dropped: every dispatched timeline has caught up to the clock,
+        which is the earliest time any requester can write at.
         """
         if not self._held:
             return
@@ -295,7 +297,8 @@ class Stasis:
         now = (clock if active is None else active).now
         end = first_page + npages
         until = now
-        held = [(extent, done) for extent, done in self._held if done > now]
+        floor = clock.now
+        held = [(extent, done) for extent, done in self._held if done > floor]
         for extent, done in held:
             if extent.start < end and first_page < extent.end and done > until:
                 until = done

@@ -14,6 +14,7 @@ from repro.errors import (
 from repro.faults import FaultPlan, FaultRule, FaultyDisk, RetryExecutor, RetryPolicy
 from repro.obs import EngineRuntime
 from repro.sim import DiskModel, VirtualClock
+from repro.sim.clock import Timeline
 from repro.storage import (
     DurabilityMode,
     LogicalLog,
@@ -184,6 +185,29 @@ def test_retry_absorbs_transient_faults_and_charges_backoff():
     assert runtime.metrics.value("retry.retries") == 1
     assert runtime.metrics.value("retry.backoff_seconds") == pytest.approx(0.01)
     assert runtime.clock.now > before + 0.01
+
+
+def test_retry_charges_backoff_to_the_timeline_that_retries():
+    runtime = EngineRuntime()
+    disk, _ = faulty(FaultPlan.transient(every=1, count=1), runtime=runtime)
+    policy = RetryPolicy(max_attempts=3, base_backoff_seconds=0.01)
+    executor = RetryExecutor(policy, runtime.clock, runtime=runtime)
+    merge = Timeline("m01")
+    with runtime.clock.running_on(merge):
+        executor.run(lambda: disk.read(0, 4096))
+    assert runtime.clock.now == 0.0
+    assert merge.now > 0.01
+
+
+def test_a_faulted_commit_behind_on_the_log_writer_costs_its_caller_nothing():
+    stasis = Stasis(
+        fault_plan=FaultPlan.transient(every=1, count=1, device="hdd-log"),
+        observability=False,
+    )  # ASYNC: the commit runs on the log writer
+    stasis.commit_manifest({"generation": 1})
+    assert stasis.runtime.metrics.value("retry.retries") == 1
+    assert stasis.clock.now == 0.0
+    assert stasis.logical_log.writer.now > 0.0
 
 
 def test_retry_exhaustion_raises_io_fault_error():

@@ -108,3 +108,23 @@ def test_check_reports_a_version_mismatch_instead_of_failing(tmp_path, capsys):
     path = _baseline(tmp_path / "OPCOUNT.json", "2.7", 1.0, 1.0)
     assert tool.main(["--check", path]) == 0
     assert "version mismatch" in capsys.readouterr().out
+
+
+def test_a_total_gets_no_rounding_slack(tmp_path, capsys):
+    """A layer's recorded count may lie up to 0.05 below its true one;
+    a workload's total is gated at exactly 1 % above what it records."""
+    tool = _tool()
+    _ran, counts = tool.measure("ingest", 20, 0)
+    # Recorded 1.05 % below what the code counts, which is within the
+    # layers' 0.05 slack at this size (fewer than 100 calls per op).
+    assert counts["calls_per_op"] < 100
+    path = _baseline(
+        tmp_path / "OPCOUNT.json",
+        tool.interpreter(),
+        counts["opcodes_per_op"],
+        counts["calls_per_op"] / 1.0105,
+        counts["layers"],
+    )
+    assert tool.main(["--check", path]) == 1
+    rose = [line for line in capsys.readouterr().out.splitlines() if "ROSE" in line]
+    assert len(rose) == 1 and rose[0].startswith("ingest calls_per_op")

@@ -31,6 +31,7 @@ from repro.faults.crashpoints import enumerate_crash_points
 from repro.obs.summary import format_summary, merge_io_by_level
 from repro.records import Record
 from repro.sim import DiskModel, SimDisk, StripedDisk, VirtualClock
+from repro.sim.clock import Timeline
 from repro.sim.disk import MIB
 from repro.sstable import SSTableBuilder
 from repro.storage import DurabilityMode, LogicalLog, Stasis
@@ -701,6 +702,26 @@ def test_a_flush_after_a_merge_completion_waits_for_its_commit():
     assert stasis.clock.now >= committed
 
 
+def test_the_first_ticket_waits_for_a_commit_in_flight():
+    stasis = Stasis(observability=False)  # ASYNC
+    clock, log = stasis.clock, stasis.logical_log
+    queue = stasis.group_commit
+    stasis.commit_manifest({"generation": 1})
+    committed = log.writer.now
+    assert committed > clock.now == 0.0
+    log.log(0, "put", b"k0", bytes(100))
+    ticket = queue.submit(0, 0, 1)
+    # It waited for the commit, so its leader force started at once.
+    assert ticket.enqueued_at == committed
+    assert ticket.durable_at is not None and ticket.leader
+    # From here on a commit runs on the caller's clock.
+    queue.wait(ticket)
+    before = clock.now
+    stasis.commit_manifest({"generation": 2})
+    assert clock.now > before
+    assert log.writer.now <= clock.now
+
+
 def build_component(stasis, tree_id, keys):
     """A one-extent component of ``keys`` through the real builder."""
     builder = SSTableBuilder(
@@ -733,6 +754,32 @@ def test_a_write_into_space_an_inflight_commit_freed_waits_for_it():
     assert first.time - first.service - first.wait == pytest.approx(committed)
 
 
+def test_a_timeline_past_a_commit_keeps_its_hold_for_the_others():
+    stasis = Stasis(observability=False)  # ASYNC
+    old = build_component(stasis, 1, 200)
+    clock, writer = stasis.clock, stasis.logical_log.writer
+    stasis.commit_manifest({"generation": 1})
+    committed = writer.now
+    old.free()
+    first, npages = old.extents[0].start, 1
+    # A merge timeline already past the commit writes without waiting ...
+    ahead = Timeline("m12", start=committed + 1.0)
+    with clock.running_on(ahead):
+        stasis.await_commit(first, npages)
+    assert ahead.now == committed + 1.0
+    # ... and another one, behind it, still waits for the commit.
+    behind = Timeline("m01", start=clock.now)
+    with clock.running_on(behind):
+        stasis.await_commit(first, npages)
+    assert behind.now == committed
+    # So does a foreground builder writing into the freed extent.
+    stasis.data_disk.start_trace()
+    new = build_component(stasis, 2, 200)
+    write = stasis.data_disk.stop_trace()[0]
+    assert new.extents[0].start == first
+    assert write.time - write.service - write.wait == pytest.approx(committed)
+
+
 def test_a_write_into_fresh_space_does_not_wait_for_a_commit():
     stasis = Stasis(observability=False)  # ASYNC
     old = build_component(stasis, 1, 200)
@@ -747,9 +794,12 @@ def test_a_write_into_fresh_space_does_not_wait_for_a_commit():
     assert first.time - first.service - first.wait == pytest.approx(now)
 
 
-def device_trace_digest(durability):
+def device_trace_digest(durability, tickets=None):
     """Both devices' traced accesses and the clock after 1 500 writes
-    (commit batches under GROUP, every fourth one waited on)."""
+    (commit batches under GROUP, or with ``tickets``, every fourth one
+    waited on)."""
+    if tickets is None:
+        tickets = durability == "group"
     engine = build_engine(
         "blsm",
         durability=durability,
@@ -763,7 +813,7 @@ def device_trace_digest(durability):
     rng = random.Random(5)
     for i in range(1500):
         key = b"user%06d" % rng.randrange(2000)
-        if durability == "group":
+        if tickets:
             engine.commit_batch([("put", key, bytes(200))], wait=i % 4 == 3)
         else:
             engine.put(key, bytes(200))
@@ -783,6 +833,15 @@ BARRIER_TRACES = {"sync": "3f58e70d8480372a", "group": "cda0a4ed2844a294"}
 @pytest.mark.parametrize("durability", sorted(BARRIER_TRACES))
 def test_sync_and_group_device_traces_are_unchanged(durability):
     assert device_trace_digest(durability) == BARRIER_TRACES[durability]
+
+
+def test_async_tickets_group_as_when_commits_ran_on_the_callers_clock():
+    # Under ASYNC too a ticket's leader force starts when the writer is
+    # idle.  Once sessions commit through tickets, commits and
+    # checkpoints run on the caller's clock, so nothing run behind
+    # regroups them: the devices see exactly GROUP's accesses, as
+    # before any commit ran behind.
+    assert device_trace_digest("async", tickets=True) == BARRIER_TRACES["group"]
 
 
 def test_crash_point_enumeration_outcome_is_unchanged():

@@ -31,12 +31,12 @@ queue, group commit and the closing flush.
 ``--check OPCOUNT.json`` is the committed gate: it re-counts every
 workload the file records, at the file's seed and op counts, and exits
 1 when any workload's opcodes or calls per op rose by more than
-``TOLERANCE`` (1 %) above the recorded count (taken at the top of its
-0.1 rounding), in total or in any one layer (a layer the file does not
-record counts as a rise from zero), so work moved from one layer into
-another fails the gate even when the total holds.  Counts repeat
-exactly only on one CPython minor version, so under any other the check
-reports the mismatch and passes without counting.  ``--record
+``TOLERANCE`` (1 %) above the recorded count, in total or in any one
+layer (a layer's count taken at the top of its 0.1 rounding; a layer
+the file does not record counts as a rise from zero), so work moved
+from one layer into another fails the gate even when the total holds.
+Counts repeat exactly only on one CPython minor version, so under any
+other the check reports the mismatch and passes without counting.  ``--record
 OPCOUNT.json`` re-counts the same workloads and rewrites the file —
 what a change that moves a count commits, with the reason.
 
@@ -209,18 +209,21 @@ def interpreter() -> str:
     return "%d.%d" % sys.version_info[:2]
 
 
-def _compare(where: str, was: dict[str, Any], now: dict[str, Any]) -> bool:
+def _compare(
+    where: str, was: dict[str, Any], now: dict[str, Any], slack: float = 0.0
+) -> bool:
     """Print ``where``'s two metrics; whether either rose past tolerance.
 
     ``was`` is recorded to 0.1 per op, so the true count behind it may
-    lie up to ``RESOLUTION`` above it: a rise counts from there, and a
-    layer of a few opcodes per op does not fail on a rounding flip.
+    lie up to ``RESOLUTION`` above it.  A layer passes that as
+    ``slack``, so that a layer of a few opcodes or calls per op does
+    not fail on a rounding flip; a workload's total gets none.
     """
     rose = False
     for metric in ("opcodes_per_op", "calls_per_op"):
         before, after = was.get(metric, 0.0), now[metric]
         verdict = "ok"
-        if after > (before + RESOLUTION) * (1 + TOLERANCE):
+        if after > (before + slack) * (1 + TOLERANCE):
             verdict = f"ROSE more than {TOLERANCE:.0%}"
             rose = True
         print(f"{where} {metric}: {before:.1f} -> {after:.1f} {verdict}")
@@ -245,7 +248,10 @@ def check(path: str) -> int:
         recorded = row.get("layers", {})
         for layer, layer_now in now["layers"].items():
             failed |= _compare(
-                f"{name} [{layer}]", recorded.get(layer, {}), layer_now
+                f"{name} [{layer}]",
+                recorded.get(layer, {}),
+                layer_now,
+                RESOLUTION,
             )
     return 1 if failed else 0
 
