@@ -53,6 +53,8 @@ class CrashOutcome:
     family: str = "access"
     """Which boundary family ``access_index`` counts (a report may sweep
     more than one: migration has journal forces and step boundaries)."""
+    recovery_vsec: float = 0.0
+    """Virtual time the recovery after the crash took."""
 
     @property
     def ok(self) -> bool:
@@ -364,10 +366,12 @@ class _GroupCommitRun(CrashRun):
         tree, applied = self.tree, self.applied
         if outcome.crashed:
             acked = _acked_records(self.script, self.tickets)
+            started = tree.stasis.clock.now
             tree.stasis.crash()
             recovered = registry().recover_crash_tree(
                 "blsm", tree.stasis, tree.options
             )
+            outcome.recovery_vsec = tree.stasis.clock.now - started
             outcome.recovered = True
             _verify_prefix_consistent(recovered, applied, acked, outcome)
         else:
@@ -543,7 +547,9 @@ class _MigrationRun(CrashRun):
             _verify_fleet(self.engine, self.model, outcome)
             self.engine.close()
             return
+        started = self.engine.clock.now
         recovered = crash_and_recover(self.engine)
+        outcome.recovery_vsec = recovered.clock.now - started
         outcome.recovered = True
         _verify_fleet(recovered, self.model, outcome)
         controller = recovered.migration
@@ -631,4 +637,8 @@ def format_report(report: CrashTestReport) -> str:
                 f"    at {outcome.family} {outcome.access_index}: {failure}"
             )
     lines.append(f"  {'verdict':25s}: {'PASS' if report.ok else 'FAIL'}")
+    vsecs = [o.recovery_vsec for o in report.outcomes if o.recovered]
+    if vsecs:
+        lines.append(f"  {'recovery vsec (mean)':25s}: {sum(vsecs) / len(vsecs):.6f}")
+        lines.append(f"  {'recovery vsec (max)':25s}: {max(vsecs):.6f}")
     return "\n".join(lines)

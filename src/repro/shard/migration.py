@@ -491,8 +491,7 @@ class MigrationController:
         does (``LogicalLog.force(sync=True)``).
         """
         self.journal.append(kind, payload)
-        self.journal.disk.sync_barrier()
-        self.journal.force()
+        self.journal.file.force(sync=True)
 
     # -- router hooks --------------------------------------------------
 
@@ -827,7 +826,7 @@ def crash_and_recover(engine: "ShardedEngine") -> "ShardedEngine":
     )
     recovered.clock.advance_to(engine.clock.now)
     recovered.epoch = epoch
-    journal.disk, journal.retry = _journal_device(recovered, fault_plan)
+    journal.file.disk, journal.file.retry = _journal_device(recovered, fault_plan)
     new_controller = MigrationController(
         recovered,
         journal=journal,

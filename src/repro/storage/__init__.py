@@ -5,12 +5,14 @@ providing a region allocator (contiguous extents, no filesystem
 fragmentation), a carefully tuned buffer manager with CLOCK eviction, a
 physical write-ahead log for metadata, and a separate logical log for
 individual writes.  This package re-implements each of those pieces over a
-:class:`~repro.sim.SimDisk`.
+:class:`~repro.sim.SimDisk`; both logs are one log-file type
+(:class:`LogFile`) under their own record semantics.
 """
 
 from repro.storage.buffer import BufferManager, EvictionPolicy
 from repro.storage.checksum import CORRUPTION_MASK, payload_checksum
 from repro.storage.group_commit import CommitTicket, GroupCommitQueue
+from repro.storage.logfile import LogFile
 from repro.storage.logical_log import DurabilityMode, LogicalLog, LogicalRecord
 from repro.storage.pagefile import DEFAULT_PAGE_SIZE, PageFile
 from repro.storage.region import Extent, RegionAllocator
@@ -26,6 +28,7 @@ __all__ = [
     "EvictionPolicy",
     "Extent",
     "GroupCommitQueue",
+    "LogFile",
     "LogicalLog",
     "LogicalRecord",
     "PageFile",

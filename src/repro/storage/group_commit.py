@@ -248,14 +248,15 @@ class GroupCommitQueue:
         if instruments is None:
             instruments = self._bind_instruments()
         commits, ops_ctr, group_size, queue_delay = instruments
-        issued = log.pending_count > 0 or wal.pending_records > 0
-        if issued:
+        wal_staged = wal.file.pending
+        if log.file.pending or wal_staged:
             # The leader's force runs on the log writer:
             # followers and concurrent reads never charge for it, they
             # only feel it through the ticket's durable_at.
             with stasis.clock.running_on(writer):
                 log.force()
-                wal.force()
+                if wal_staged:
+                    wal.force()
             self.forces += 1
             forces = self._ctr_forces
             if forces is None:

@@ -193,7 +193,9 @@ class _TraceRun(CrashRun):
 
     def settle(self, outcome: CrashOutcome, context: str = "") -> None:
         if outcome.crashed:
+            started = self.tree.stasis.clock.now
             self._recover()
+            outcome.recovery_vsec = self.tree.stasis.clock.now - started
             outcome.recovered = True
         _verify_recovered(
             self.tree, self.model, self.in_flight, self.failures,

@@ -87,7 +87,7 @@ class TestBTreeRecovery:
         for i in range(5):
             engine.put(b"k%d" % i, b"v%d" % i)
         log = stasis.logical_log
-        logged = [(r.seqno, r.op, r.key, r.value) for r in log._durable]
+        logged = [(r.seqno, r.op, r.key, r.value) for r in log.file.durable]
         assert [seqno for seqno, *_ in logged] == [0, 1, 2, 3, 4]
         for _round in range(2):
             stasis.crash()
@@ -104,13 +104,13 @@ class TestBTreeRecovery:
             del log.replay
             assert replayed == [0, 1, 2, 3, 4]
             assert [
-                (r.seqno, r.op, r.key, r.value) for r in log._durable
+                (r.seqno, r.op, r.key, r.value) for r in log.file.durable
             ] == logged
             assert log.pending_count == 0
             for i in range(5):
                 assert recovered.get(b"k%d" % i) == b"v%d" % i
         recovered.put(b"k5", b"v5")  # takes the seqno after the replayed ones
-        assert log._durable[-1].seqno == 5
+        assert log.file.durable[-1].seqno == 5
 
     def test_recovered_engine_keeps_working(self):
         stasis = btree_stasis()

@@ -9,6 +9,14 @@ from hypothesis import given, settings, strategies as st
 from repro.core import BLSM, BLSMOptions
 from repro.sim import DiskModel, SimDisk, VirtualClock
 from repro.errors import CrashPoint
+from repro.shard import (
+    MigrationController,
+    MigrationThrottle,
+    RangePartitioner,
+    ShardedEngine,
+    crash_and_recover,
+    plan_split,
+)
 from repro.storage import DurabilityMode, LogicalLog, LogicalRecord
 from tests.test_wal import _TornDisk
 
@@ -221,23 +229,86 @@ _TREE_OPS = st.lists(
 )
 
 
+def _assert_replay_reads_head_to_tail(disk, file, recover):
+    """Return ``recover()``, which must read ``file`` once, from its
+    lowest live placement to its tail (nothing if no record is live)."""
+    live = [offset for _record, offset, _nbytes in file.placements()]
+    disk.start_trace()
+    recovered = recover()
+    reads = [(e.offset, e.nbytes) for e in disk.stop_trace()]
+    if live:
+        head = min(live)
+        assert reads == [(head, file.tail - head)]
+    else:
+        assert reads == []
+    return recovered
+
+
+def _journal_run(ops):
+    """``ops`` on a two-shard fleet whose merges are migration steps: a
+    crash recovers the fleet, replaying its migration journal."""
+    options = BLSMOptions(
+        c0_bytes=8 * 1024,
+        buffer_pool_pages=16,
+        durability=DurabilityMode.SYNC,
+        observability=False,
+    )
+    engine = ShardedEngine(
+        options, shards=2, partitioner=RangePartitioner([b"k020"])
+    )
+    MigrationController(engine, chunk_keys=4, throttle=MigrationThrottle(1.0))
+    for op in ops + [("crash",)]:
+        kind = op[0]
+        controller = engine.migration
+        if kind == "put":
+            engine.put(b"k%03d" % op[1], bytes(op[2]))
+        elif kind == "delete":
+            engine.delete(b"k%03d" % op[1])
+        elif kind == "merge" and controller.active:
+            controller.step()
+        elif kind == "merge":
+            plan = plan_split(engine, op[1] % 2)
+            if plan is not None:
+                controller.start(plan)
+        elif kind == "force":
+            engine.flush()
+        elif kind == "crash":
+            journal = controller.journal
+            engine = _assert_replay_reads_head_to_tail(
+                journal.disk, journal.file, lambda: crash_and_recover(engine)
+            )
+
+
 @pytest.mark.parametrize(
-    "mode", [DurabilityMode.SYNC, DurabilityMode.ASYNC, DurabilityMode.GROUP]
+    "mode",
+    [
+        DurabilityMode.SYNC,
+        DurabilityMode.ASYNC,
+        DurabilityMode.GROUP,
+        "manifest-wal",
+        "migration-journal",
+    ],
 )
 @settings(max_examples=30, deadline=None)
 @given(ops=_TREE_OPS)
 def test_replay_reads_the_log_from_its_head_to_its_tail(mode, ops):
     """Retention keeps what C0 holds, scattered by snowshoveling; replay
-    reads every byte from the lowest live placement to the tail."""
+    reads every byte from the lowest live placement to the tail.  So does
+    the replay of the manifest WAL (truncated below each base manifest)
+    and of the migration journal, which are the same log file."""
+    if mode == "migration-journal":
+        _journal_run(ops)
+        return
     options = BLSMOptions(
         c0_bytes=8 * 1024,
         buffer_pool_pages=16,
-        durability=mode,
+        durability=DurabilityMode.ASYNC if mode == "manifest-wal" else mode,
         observability=False,
     )
     tree = BLSM(options)
     stasis = tree.stasis
-    log, disk = stasis.logical_log, stasis.log_disk
+    log = stasis.wal if mode == "manifest-wal" else stasis.logical_log
+    replay = log.records if mode == "manifest-wal" else log.replay
     for op in ops + [("crash",)]:
         kind = op[0]
         if kind == "put":
@@ -250,13 +321,7 @@ def test_replay_reads_the_log_from_its_head_to_its_tail(mode, ops):
             tree.flush_log()
         else:
             stasis.crash()
-            live = [log._offsets[record.seqno][0] for record in log._durable]
-            disk.start_trace()
-            list(log.replay())
-            reads = [(e.offset, e.nbytes) for e in disk.stop_trace()]
-            if live:
-                head = min(live)
-                assert reads == [(head, log._tail_offset - head)]
-            else:
-                assert reads == []
+            _assert_replay_reads_head_to_tail(
+                stasis.log_disk, log.file, lambda: list(replay())
+            )
             tree = BLSM.recover(stasis, options)

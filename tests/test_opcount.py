@@ -128,3 +128,14 @@ def test_a_total_gets_no_rounding_slack(tmp_path, capsys):
     assert tool.main(["--check", path]) == 1
     rose = [line for line in capsys.readouterr().out.splitlines() if "ROSE" in line]
     assert len(rose) == 1 and rose[0].startswith("ingest calls_per_op")
+
+
+def test_each_layer_names_its_ledger_row():
+    tool = _tool()
+    assert tool.ledger_row("storage.logfile") == "log.force, sim.logdisk"
+    assert tool.ledger_row("storage.logical_log") == "log"
+    assert tool.ledger_row("sstable.bloom_store") == "sstable"  # its package
+    assert tool.ledger_row(tool.HARNESS) == "ycsb.driver"
+    assert tool.ledger_row("records") == "(caller's row)"
+    text = tool.report("ingest", 0, 20, tool.measure("ingest", 20, 0)[1])
+    assert "storage.logical_log" in text and "-> log" in text

@@ -65,14 +65,6 @@ def test_truncate_past_end_rejected(wal):
         wal.truncate(10)
 
 
-def test_replay_from_lsn(wal):
-    for i in range(4):
-        wal.append("r", i)
-    wal.force()
-    payloads = [record.payload for record in wal.records(from_lsn=2)]
-    assert payloads == [2, 3]
-
-
 def test_replay_charges_read_io(wal):
     wal.append("r", "data")
     wal.force()
@@ -318,3 +310,24 @@ def test_torn_tail_truncation_of_whole_log_resets_head():
     assert list(wal.records()) == []
     assert wal.head_offset == wal.tail_offset == 0
     assert wal.live_bytes == 0
+
+
+def test_wal_record_is_an_immutable_tuple_with_named_fields():
+    import copy
+    import pickle
+
+    from repro.storage import WALRecord
+
+    record = WALRecord(3, "edit", {"root": 7}, 64, 99)
+    assert isinstance(record, tuple)
+    assert (record.lsn, record.kind, record.payload) == (3, "edit", {"root": 7})
+    assert (record.nbytes, record.checksum) == (64, 99)
+    assert WALRecord(4, "manifest", None, 40).checksum == 0
+    with pytest.raises(AttributeError):
+        record.lsn = 4
+    assert copy.deepcopy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert repr(record) == (
+        "WALRecord(lsn=3, kind='edit', payload={'root': 7}, nbytes=64, "
+        "checksum=99)"
+    )

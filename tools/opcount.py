@@ -20,6 +20,10 @@ with none, the loop that drives the ops, to ``HARNESS``.  Each opcode
 and each call is booked to the layer of the frame it runs in, so the
 layers are self counts and sum exactly to the total.  The layers come
 from the frames alone: nothing in ``repro`` exists for the counter.
+Each layer's line ends with the ``bench/ledger.py`` row its CPU time is
+booked to (``LEDGER_ROWS``), so a count reads next to the traced
+benchmark's ``*.self_cpu_ns_per_op`` rows: the log file's, for instance,
+next to ``log.force`` and ``sim.logdisk.*``.
 
 A closed-loop workload runs the first ``--ops`` ops of its first timed
 segment through ``runner.execute``.  The open-loop ``sessions_ol`` runs
@@ -67,6 +71,45 @@ HARNESS = "(harness)"
 """The layer of frames with no ``repro`` module on their stack."""
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+LEDGER_ROWS = {
+    HARNESS: "ycsb.driver",
+    "ycsb.generator": "ycsb.gen",
+    "ycsb.distributions": "ycsb.gen",
+    "ycsb.runner": "ycsb.driver",
+    "ycsb.sessions": "ycsb.sessions",
+    "baselines": "core.tree",
+    "core.tree": "core.tree",
+    "core.kernel": "core.tree",
+    "core.scheduler": "core.scheduler",
+    "core.merge": "core.merge",
+    "memtable": "memtable",
+    "bloom": "bloom",
+    "sstable": "sstable",
+    "storage.buffer": "buffer",
+    "storage.pagefile": "pagefile",
+    "storage.logical_log": "log",
+    "storage.logfile": "log.force, sim.logdisk",
+    "storage.wal": "core.merge",
+    "storage.stasis": "core.merge",
+    "storage.group_commit": "group_commit",
+    "sim.disk": "sim.disk, sim.logdisk",
+}
+"""Layer (or package) -> the ``bench/ledger.py`` row its work is booked
+to: the ledger charges unwrapped code to its nearest wrapped caller, so
+the manifest WAL's commits land in ``core.merge``.  A layer with no row
+of its own (``records``, ``sim.clock``, ``obs.*``) books to its caller's."""
+
+
+def ledger_row(layer: str) -> str:
+    """The ledger row of ``layer``: its own entry, else its package's."""
+    parts = layer.split(".")
+    while parts:
+        row = LEDGER_ROWS.get(".".join(parts))
+        if row is not None:
+            return row
+        parts.pop()
+    return "(caller's row)"
 
 
 def layer_of(frame: Any) -> str:
@@ -200,6 +243,7 @@ def report(name: str, seed: int, ops: int, counts: dict[str, Any]) -> str:
         lines.append(
             f"  {layer:<{width}} {row['opcodes_per_op']:9.1f} opcodes/op "
             f"({share:6.1%}) {row['calls_per_op']:7.1f} calls/op"
+            f"  -> {ledger_row(layer)}"
         )
     return "\n".join(lines)
 
