@@ -32,13 +32,13 @@ from repro.ycsb import WorkloadSpec, load_phase, run_workload
 
 # The skew scenario runs at data : RAM = 3.3 : 1 instead of 5 : 1.  At
 # the default C0 the partitioned tree still writes less (write amp 1.35
-# vs 1.85) but is slower (18266 vs 25033 ops/s): its smaller, more
-# numerous partition merges position the heads more often, 40 vs 23
-# data-device seeks and 26 vs 12 log-device seeks (each of its 15
-# manifest commits, against 8, moves the log head off the logical log's
-# tail and back).  Manifest bytes are not the cause: logging version
-# edits cut its WAL from 660 to 131 KB and moved it by 1 %.  A C0 half
-# again as large makes the run merge-bound again.
+# vs 1.85) but is slower (28 477 vs 34 935 ops/s): its smaller, more
+# numerous partition merges position the data heads more often, 47 vs
+# 29 seeks over load and run.  The log is not the cause: its manifest
+# commits write at the logical log's tail, one log-device seek each
+# tree (28 vs 14 when the WAL had a tail of its own), and logging
+# version edits cut its WAL from 660 to 131 KB.  A C0 half again as
+# large makes the run merge-bound again.
 SKEW_SCALE = Scale(memory_bytes=960 * KIB)
 
 
@@ -79,6 +79,7 @@ def _skewed_write_run(engine):
         "throughput": result.throughput,
         "write_amp": merged_bytes / app_bytes,
         "max_latency_ms": result.all_latencies().max * 1e3,
+        "log_seeks": engine.tree.stasis.log_disk.stats.seeks,
     }
 
 
@@ -103,6 +104,7 @@ def _shift_run(engine):
         "throughput": n / elapsed,
         "write_amp": merged / (n * SCALE.value_bytes),
         "max_latency_ms": worst * 1e3,
+        "log_seeks": engine.tree.stasis.log_disk.stats.seeks,
     }
 
 
@@ -127,12 +129,13 @@ def test_ablation_partitioning(run_once):
         lines.append(scenario)
         lines.append(
             f"  {'variant':16s}{'ops/s':>10s}{'write amp':>11s}"
-            f"{'max lat (ms)':>14s}"
+            f"{'max lat (ms)':>14s}{'log seeks':>11s}"
         )
         for variant, row in variants.items():
             lines.append(
                 f"  {variant:16s}{row['throughput']:10.0f}"
                 f"{row['write_amp']:11.2f}{row['max_latency_ms']:14.2f}"
+                f"{row['log_seeks']:11d}"
             )
     report("ablation_partitioning", lines)
 

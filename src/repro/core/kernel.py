@@ -355,11 +355,10 @@ class TreeKernel:
         self.stasis.logical_log.force()
 
     def close(self) -> None:
-        """Force logs and mark the tree closed."""
+        """Force the log and mark the tree closed."""
         if self._closed:
             return
         self.flush_log()
-        self.stasis.wal.force()
         self._closed = True
 
     # ------------------------------------------------------------------

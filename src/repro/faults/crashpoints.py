@@ -18,9 +18,9 @@ checked after the crash:
   :func:`enumerate_crash_points` is that sweep over a put/delete
   script): every acknowledged ``SYNC`` write reads back exactly, the
   single in-flight operation as either its old or its new value;
-* the ``GROUP`` commit path (:func:`enumerate_group_commit_crash_points`):
-  the recovered state is a seqno-prefix of the submitted records no
-  shorter than what resolved tickets acknowledged;
+* the commit path (:func:`enumerate_group_commit_crash_points`), under
+  ``GROUP`` and ``ASYNC``: the recovered state is a seqno-prefix of the
+  submitted records no shorter than what resolved GROUP tickets acked;
 * an online shard migration (:func:`enumerate_migration_crash_points`):
   acked writes, fleet invariants, and the migration resumes to
   completion — at every journal force and every step boundary.
@@ -322,24 +322,21 @@ def _verify_prefix_consistent(
 
 
 class _GroupCommitRun(CrashRun):
-    """A ``GROUP``-durability BLSM tree driven by a multi-session script."""
+    """A ``mode``-durability BLSM tree driven by a multi-session script."""
 
     def __init__(
-        self, script: list[tuple[int, Script]], seed: int, point: int | None
+        self, script: list[tuple[int, Script]], seed: int, point: int | None, mode: Any
     ) -> None:
         from dataclasses import replace
 
         from repro.core.tree import BLSM
-        from repro.storage.logical_log import DurabilityMode
 
         self.script = script
         self.plan = crash_plan(point, seed)
         self.tree = BLSM(
-            replace(
-                registry().crash_options(self.plan),
-                durability=DurabilityMode.GROUP,
-            )
+            replace(registry().crash_options(self.plan), durability=mode)
         )
+        self.acks = mode.name == "GROUP"  # an ASYNC ticket promises nothing
         # Mutated in place, so the pre-crash truth survives a CrashPoint:
         # the flattened record stream in seqno order, and the receipts.
         self.applied: Script = []
@@ -355,8 +352,10 @@ class _GroupCommitRun(CrashRun):
         """
         queue = self.tree.stasis.group_commit
         for index, (sid, ops) in enumerate(self.script):
-            ticket = self.tree.write_batch(ops, session=sid, wait=False)
+            # Submitted before the call: a merge step inside it may make
+            # the batch durable (a manifest commit forces the log).
             self.applied.extend(ops)
+            ticket = self.tree.write_batch(ops, session=sid, wait=False)
             self.tickets.append(ticket)
             if index % 5 == 4:
                 queue.wait(ticket)
@@ -365,7 +364,7 @@ class _GroupCommitRun(CrashRun):
     def settle(self, outcome: CrashOutcome) -> None:
         tree, applied = self.tree, self.applied
         if outcome.crashed:
-            acked = _acked_records(self.script, self.tickets)
+            acked = _acked_records(self.script, self.tickets) if self.acks else 0
             started = tree.stasis.clock.now
             tree.stasis.crash()
             recovered = registry().recover_crash_tree(
@@ -387,29 +386,33 @@ def enumerate_group_commit_crash_points(
     seed: int = 0,
     progress: Callable[[str], None] | None = None,
 ) -> CrashTestReport:
-    """Kill the GROUP-durability commit path at every I/O boundary.
+    """Kill the commit path at every I/O boundary, under GROUP and then
+    under ASYNC durability.
 
     Crashing a multi-session batch script at every ``every``-th device
     access places kills inside leader forces over partially drained
     groups, memtable-flush merges, and the final drain.  After each,
     recovery must yield a state that is prefix-consistent with the
-    submitted record stream and no shorter than what the resolved
-    tickets acked (:func:`_verify_prefix_consistent`).
+    submitted record stream and, under GROUP, no shorter than what the
+    resolved tickets acked (:func:`_verify_prefix_consistent`).
     """
+    from repro.storage.logical_log import DurabilityMode
+
     require_positive(batches=batches, every=every)
     script = group_commit_script(batches, seed=seed)
+    report = CrashTestReport("group-commit", batches, every, seed)
+    for mode in (DurabilityMode.GROUP, DurabilityMode.ASYNC):
 
-    def fresh(point: int | None) -> _GroupCommitRun:
-        return _GroupCommitRun(script, seed, point)
+        def fresh(point: int | None, mode: Any = mode) -> _GroupCommitRun:
+            return _GroupCommitRun(script, seed, point, mode)
 
-    total = fresh(None).count()
-    report = CrashTestReport(
-        "group-commit", batches, every, seed,
-        {"workload device accesses": total},
-    )
-    return sweep_crash_points(
-        report, range(1, total + 1, every), fresh, progress=progress
-    )
+        total = fresh(None).count()
+        report.boundaries[f"{mode.name} device accesses"] = total
+        sweep_crash_points(
+            report, range(1, total + 1, every), fresh,
+            family=f"{mode.name} access", progress=progress,
+        )
+    return report
 
 
 # ---------------------------------------------------------------------------

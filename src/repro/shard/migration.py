@@ -43,7 +43,9 @@ The journal is the tree's own write-ahead log
 router device named ``migration-journal``: a record is appended and
 forced behind a durability barrier before its transition takes effect,
 and recovery replays the durable prefix (a torn force is a checksummed
-straddler the log truncates).
+straddler the log truncates).  A ``retire_done`` or ``abort`` record
+carries the whole ownership state, and the journal is truncated below
+it.
 
 Readers follow ownership alone: a key is read only on its owner, and a
 scan reads each shard only inside its owned range.  Before the switch
@@ -286,8 +288,10 @@ def _replay_journal(
         elif kind == "plan":
             pending = (payload, "copy")
             next_plan_id = max(next_plan_id, payload.plan_id + 1)
-        else:  # retire_done, abort
-            pending = None
+        else:  # retire_done, abort: nothing pending, the whole state
+            _, settled, epoch, settled_id = payload
+            boundaries, pending = list(settled), None
+            next_plan_id = max(next_plan_id, settled_id)
     return boundaries, epoch, pending, next_plan_id
 
 
@@ -493,6 +497,15 @@ class MigrationController:
         self.journal.append(kind, payload)
         self.journal.file.force(sync=True)
 
+    def _settle(self, kind: str, plan_id: int) -> None:
+        """Journal that migration ``plan_id`` is over (``retire_done`` or
+        ``abort``) with the state replay needs, and truncate below it."""
+        engine, lsn = self.engine, self.journal.next_lsn
+        state = (tuple(engine.partitioner.boundaries), engine.epoch)
+        self._log(kind, (plan_id, *state, self._next_plan_id))
+        self.journal.truncate(lsn)
+        self._reset()
+
     # -- router hooks --------------------------------------------------
 
     @property
@@ -586,8 +599,7 @@ class MigrationController:
             _, cursor = self._delete_chunk(
                 plan.target, cursor, plan.hi, "migrate_clear"
             )
-        self._log("abort", plan.plan_id)
-        self._reset()
+        self._settle("abort", plan.plan_id)
 
     def _enter_copy(self, plan: MigrationPlan) -> None:
         self.plan = plan
@@ -747,9 +759,8 @@ class MigrationController:
         self.retired_keys += retired
         self._ctr_retired.inc(retired)
         if cursor is None:
-            self._log("retire_done", plan.plan_id)
+            self._settle("retire_done", plan.plan_id)
             self.completed += 1
-            self._reset()
             return "retired"
         self._cursor = cursor
         return RETIRE

@@ -14,28 +14,29 @@ logical log's :attr:`~repro.storage.logical_log.LogicalLog.writer`
 batch stages its records (already appended by ``log()`` under
 :class:`~repro.storage.logical_log.DurabilityMode.GROUP`) and enqueues
 a :class:`CommitTicket`.  A force starts as soon as the log writer is
-idle; every ticket enqueued by then joins the leader's
-:class:`CommitGroup`.  Tickets enqueued *while* a force is in flight
-stack up and form the next group — exactly the LevelDB/Stasis
-batching dynamic: the busier the log device, the bigger the groups.
+idle; every ticket enqueued by then joins the leader's group.  Tickets
+enqueued *while* a force is in flight stack up and form the next
+group — exactly the LevelDB/Stasis batching dynamic: the busier the log
+device, the bigger the groups.
 
 Durability contract: a ticket is acknowledged (``durable_at`` set)
-only when a force covering its last seqno completes.  On a crash,
-unacknowledged staged records are individually dropped-or-kept by the
-torn-force prefix rule of the logical log; acknowledged tickets always
-replay in full.  The crash matrix (``tests/test_group_commit.py``)
-enumerates every force boundary to pin this down.
+only when a force covering its last seqno completes (a leader's, or a
+manifest commit's: it forces every staged record of the log file).  On
+a crash, unacknowledged staged records survive as a prefix: a torn
+force is cut at the torn record.  Acknowledged tickets always replay
+in full.  The crash matrix (``tests/test_group_commit.py``) enumerates
+every force boundary to pin this down.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.storage.stasis import Stasis
 
-__all__ = ["CommitGroup", "CommitTicket", "GroupCommitQueue"]
+__all__ = ["CommitTicket", "GroupCommitQueue"]
 
 
 @dataclass
@@ -70,22 +71,8 @@ class CommitTicket:
         return max(0.0, self.durable_at - self.enqueued_at)
 
 
-@dataclass
-class CommitGroup:
-    """The set of tickets one leader force acknowledged together."""
-
-    leader: CommitTicket
-    tickets: list[CommitTicket] = field(default_factory=list)
-    forced_at: float = 0.0
-    durable_at: float = 0.0
-
-    @property
-    def size(self) -> int:
-        return len(self.tickets)
-
-
 class GroupCommitQueue:
-    """The commit queue in front of the write-ahead/logical logs.
+    """The commit queue in front of the log file.
 
     One queue per :class:`~repro.storage.stasis.Stasis` instance (so
     one per shard in a sharded fleet — each shard's log device has its
@@ -241,22 +228,18 @@ class GroupCommitQueue:
     def _force_group(self, tickets: list[CommitTicket], start: float) -> None:
         stasis = self.stasis
         log = stasis.logical_log
-        wal = stasis.wal
         writer = self.writer
         writer.advance_to(start)
         instruments = self._instruments
         if instruments is None:
             instruments = self._bind_instruments()
         commits, ops_ctr, group_size, queue_delay = instruments
-        wal_staged = wal.file.pending
-        if log.file.pending or wal_staged:
+        if log.file.pending:
             # The leader's force runs on the log writer:
             # followers and concurrent reads never charge for it, they
             # only feel it through the ticket's durable_at.
             with stasis.clock.running_on(writer):
                 log.force()
-                if wal_staged:
-                    wal.force()
             self.forces += 1
             forces = self._ctr_forces
             if forces is None:
@@ -264,6 +247,10 @@ class GroupCommitQueue:
                     "commit.forces"
                 )
             forces.inc()
+        else:
+            # Another force wrote the group's records (a manifest
+            # commit's, on the caller's clock): durable once it is done.
+            writer.advance_to(stasis.log_disk.busy_until)
         durable_at = writer.now
         durable_lsn = log.durable_seqno
         size = len(tickets)

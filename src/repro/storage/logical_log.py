@@ -23,30 +23,25 @@ practice (Section 4.4.2 and 5.1):
   since the last completed merge are lost, which the paper notes is
   acceptable for high-throughput replication.
 
-The :class:`~repro.storage.logfile.LogFile` under the log places,
-forces, checksums and reads the records back.  A logical record is one
-acknowledged-or-not write, so replay *drops* a record a torn force cut
-short (it was never acknowledged), while a corruption mark raises
-:class:`~repro.errors.CorruptionError`: that write *was* acknowledged.
-
-A force pays a sync barrier (one head positioning): every SYNC write,
-every GROUP leader force and every explicit :meth:`LogicalLog.force`.
-ASYNC's appends do not.  The log device has one writer,
-:attr:`LogicalLog.writer` (a :class:`~repro.sim.clock.Timeline`):
-GROUP's leader forces and ASYNC's appends run on it, and under ASYNC
-(and NONE) so do the WAL manifest commits and the :meth:`retain_ranges`
-checkpoint until sessions commit through tickets (:meth:`bookkeeping`),
-so a completing merge costs its caller only data-device time.  The
-writer issues each access where a foreground one would be issued, so the
-device access sequence, and every crash point, does not move;
-docs/concurrency.md ("The log writer") has who waits for whom.
+The log is one record stream of the tree's
+:class:`~repro.storage.logfile.LogFile`, whose tail it shares with the
+manifest :class:`~repro.storage.wal.WriteAheadLog`, so a crash leaves a
+prefix of the writes.  A force pays a sync barrier (one head
+positioning) on every SYNC write, GROUP leader force and explicit
+:meth:`LogicalLog.force`; ASYNC's appends do not.  The log device has
+one writer, :attr:`LogicalLog.writer` (a
+:class:`~repro.sim.clock.Timeline`): GROUP's leader forces and ASYNC's
+appends run on it, and so do ASYNC's (and NONE's) manifest commits and
+:meth:`retain_ranges` checkpoints until sessions commit through tickets
+(:meth:`bookkeeping`); docs/concurrency.md ("The log writer") has who
+waits for whom.
 """
 
 from __future__ import annotations
 
 import enum
 from contextlib import nullcontext
-from itertools import chain
+from itertools import compress
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator
 
@@ -98,6 +93,7 @@ class LogicalRecord(tuple):
     value = property(itemgetter(3), doc="The value or delta (None: delete).")
     checksum = property(itemgetter(4), doc="Payload checksum (0: unchecked).")
     nbytes = property(itemgetter(5), doc="Simulated on-disk size in bytes.")
+    torn_counter = "log.torn_records_dropped"
 
     def crc(self) -> int:
         """The payload's checksum, recomputed."""
@@ -116,6 +112,9 @@ class LogicalRecord(tuple):
         return f"logical record seqno={self[0]} op={self[1]!r}"
 
 
+_MINE = LogicalRecord.__instancecheck__  # whether a record is this log's
+
+
 class LogicalLog:
     """Sequential operation log with group commit and truncation."""
 
@@ -131,7 +130,6 @@ class LogicalLog:
         self.group_commit_bytes = group_commit_bytes
         self.file = LogFile(disk, retry, "log.force")
         self._truncated_below = 0  # seqnos below this are covered by trees
-        self.torn_records_dropped = 0
         self.forces = 0  # completed non-empty forces and ASYNC appends
         #: The log device's one writer: ASYNC's appends and GROUP's
         #: leader forces run on it, ahead of the caller's clock.
@@ -145,10 +143,16 @@ class LogicalLog:
         lambda self: self._truncated_below, doc="Lowest seqno still logged."
     )
     durable_records = property(
-        lambda self: len(self.file.durable), doc="Durable records (post-truncation)."
+        lambda self: sum(1 for _ in self.file.of(LogicalRecord)),
+        doc="Durable records (post-truncation).",
     )
     pending_count = property(
-        lambda self: len(self.file.pending), doc="Staged, unforced records."
+        lambda self: sum(map(_MINE, self.file.pending)),
+        doc="Staged, unforced records.",
+    )
+    torn_records_dropped = property(
+        lambda self: self.file.cuts.get(LogicalRecord, 0),
+        doc="Torn records the log was cut at.",
     )
 
     @property
@@ -156,7 +160,7 @@ class LogicalLog:
         """Highest seqno a completed force fully persisted (-1 if none):
         the LSN a group-commit leader hands its followers.  Truncation
         never lowers it (covered writes stay durable, in a component)."""
-        return self.file.top
+        return self.file.top.get(LogicalRecord, -1)
 
     def log(self, seqno: int, op: str, key: bytes, value: bytes | None) -> float:
         """Append one write; return the virtual time its caller spent on
@@ -240,7 +244,8 @@ class LogicalLog:
         """Drop durable records whose seqno is below ``below_seqno`` (a
         completed merge made them durable in a tree component)."""
         self._truncated_below = below = max(self._truncated_below, below_seqno)
-        self.file.keep([record[0] >= below for record in self.file.durable])
+        mine = filter(_MINE, self.file.durable)
+        self.file.keep(LogicalRecord, [record[0] >= below for record in mine])
 
     def retain_ranges(self, coverage: dict[bytes, tuple[int, int]]) -> float:
         """Exact truncation: keep only the writes still resident in C0.
@@ -262,39 +267,27 @@ class LogicalLog:
         bounds_of = coverage.get
         mask: list[bool] = []
         keep = mask.append
-        logged = file.durable
+        logged = list(filter(_MINE, file.durable))
         for record in logged:
             bounds = bounds_of(record[2])
             keep(bounds is not None and bounds[0] <= record[0] <= bounds[1])
-        file.keep(mask)
-        if file.durable:  # truncate below the lowest seqno kept
-            floor = min(map(_SEQNO, file.durable))
+        file.keep(LogicalRecord, mask)
+        kept = list(compress(logged, mask))
+        if kept:  # truncate below the lowest seqno kept
+            floor = min(map(_SEQNO, kept))
         else:  # nothing retained: past every logged write
-            floor = max(map(_SEQNO, chain(logged, file.pending)), default=-1) + 1
+            logged += filter(_MINE, file.pending)
+            floor = max(map(_SEQNO, logged), default=-1) + 1
         with self.bookkeeping():
             service = file.checkpoint(16 + 24 * len(coverage))
         self._truncated_below = max(self._truncated_below, floor)
         return service
 
     def replay(self) -> Iterator[LogicalRecord]:
-        """Yield durable records in seqno order, charging one read of the
-        log from its head to its tail (checkpoints, a torn prefix and
-        records truncated in between included: retention keeps whatever
-        C0 still holds, which snowshoveling scatters across the span).
-        A record a torn force cut short is dropped."""
-        for record, torn in self.file.replay():
-            if torn:
-                self._drop_torn(record)
-                continue
-            yield record
-
-    def _drop_torn(self, record: LogicalRecord) -> None:
-        self.file.keep([kept is not record for kept in self.file.durable])
-        self.torn_records_dropped += 1
-        runtime = self.disk.runtime
-        if runtime is not None:
-            runtime.metrics.counter("log.torn_records_dropped").inc()
-            runtime.trace.emit("log_torn_record", seqno=record.seqno, op=record.op)
+        """Yield durable records in seqno order (one read of the log
+        file from its head to its tail, whatever lies in between:
+        snowshoveling scatters what retention keeps across the span)."""
+        return self.file.replay(LogicalRecord)
 
     def crash(self) -> None:
         """Simulate a crash: buffered (un-forced) records are lost."""

@@ -3,13 +3,15 @@
 Engines construct a :class:`Stasis` and get a shared virtual clock, a data
 device with a page file, buffer manager and region allocator, and two logs
 on a dedicated log device (physical WAL for the tree manifest, logical log
-for individual writes) — the architecture of Section 4.4.2.
+for individual writes) — the architecture of Section 4.4.2 — as two
+record streams of one :class:`~repro.storage.logfile.LogFile`.
 
 A *manifest* is the engine's durable root metadata (which tree components
 exist, their extents, key counts and timestamps).  ``commit_manifest``
 makes a new manifest durable atomically: it appends one WAL record and
-forces the WAL, mirroring how "Stasis ensures each tree merge runs in its
-own atomic and durable transaction".
+forces the log file, mirroring how "Stasis ensures each tree merge runs
+in its own atomic and durable transaction"; the force writes the
+logical records staged ahead of it too (the write-ahead rule).
 
 The record is a *version edit* (LevelDB's VersionEdit → MANIFEST): the
 manifest with every component the previous committed manifest already
@@ -21,7 +23,7 @@ one, so does a commit whose edit names no earlier component, and once
 the edits logged since the last base reach that base's own size, the
 commit forces the full manifest after its edit and truncates the WAL
 below it.  Recovery folds the edits, in LSN order, over the newest
-base, and so reads at most two bases' worth plus one edit.
+base.
 
 Fault injection: pass a :class:`~repro.faults.plan.FaultPlan` and both
 devices become :class:`~repro.faults.disk.FaultyDisk` instances sharing
@@ -30,7 +32,7 @@ crash-point harness enumerates one boundary sequence).  A
 :class:`~repro.faults.retry.RetryPolicy` (defaulted when a plan is
 present) is bound to the clock as a
 :class:`~repro.faults.retry.RetryExecutor` and threaded through the page
-file and both logs' force paths, which transitively hardens the buffer
+file and the log file's force path, which transitively hardens the buffer
 manager and merge I/O.
 """
 
@@ -214,8 +216,8 @@ class Stasis:
             self.pagefile, buffer_pool_pages, eviction_policy, runtime=runtime
         )
         self.regions = RegionAllocator()
-        self.wal = WriteAheadLog(self.log_disk, retry=self.retry)
         self.logical_log = LogicalLog(self.log_disk, durability, retry=self.retry)
+        self.wal = WriteAheadLog(self.logical_log.file)  # one file, one tail
         self.group_commit = GroupCommitQueue(self)
         # The manifest log's state: each component of the last committed
         # manifest by tree id, the newest base's size and the edit bytes
@@ -310,7 +312,7 @@ class Stasis:
                 active.advance_to(until)
 
     def _commit(self, manifest: Any) -> None:
-        """Log ``manifest`` as an edit or a base and force the WAL."""
+        """Log ``manifest`` as an edit or a base and force the log."""
         previous = self._named
         named: dict[int, dict[str, Any]] = {}
         kept: list[int] = []
@@ -375,12 +377,11 @@ class Stasis:
     def crash(self) -> None:
         """Simulate a crash: volatile state is lost, durable state kept.
 
-        Drops the buffer pool (dirty pages included) and un-forced log
-        tails.  The page file and forced log records survive.
+        Drops the buffer pool (dirty pages included) and the log's
+        un-forced tail.  The page file and forced log records survive.
         """
         self.buffer.drop_all()
-        self.wal.crash()
-        self.logical_log.crash()
+        self.logical_log.crash()  # and the WAL's records: one file
         self.group_commit.crash()
 
     def io_summary(self) -> dict[str, Any]:

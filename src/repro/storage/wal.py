@@ -11,17 +11,13 @@ The sharded router journals its migrations in one too
 (:mod:`repro.shard.migration`).
 
 Records take consecutive LSNs and replay in LSN order; ``truncate``
-drops those below an LSN.  The :class:`~repro.storage.logfile.LogFile`
-under the log writes and reads them.  A manifest record is only safe to
-replay whole and in order, so replay **truncates the torn tail** at a
-record a torn force cut short (the tail rolls back over it and all after
-it), while a corruption mark raises :class:`~repro.errors.CorruptionError`:
-a mid-log manifest cannot be safely dropped.
+drops those below an LSN.  They are one record stream of a
+:class:`~repro.storage.logfile.LogFile`, which a tree's WAL shares with
+its logical log.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Iterator, NamedTuple
 
 from repro.errors import LogError
@@ -50,6 +46,8 @@ class WALRecord(NamedTuple):
     nbytes: int
     checksum: int = 0
 
+    torn_counter = "wal.torn_tail_truncations"
+
     def crc(self) -> int:
         """The payload's checksum, recomputed."""
         return payload_checksum(self[0], self[1], self[2])
@@ -58,18 +56,23 @@ class WALRecord(NamedTuple):
         return f"WAL record lsn={self[0]} kind={self[1]!r}"
 
 
+_MINE = WALRecord.__instancecheck__  # whether a record is this log's
+
+
 class WriteAheadLog:
     """Append-only physical log with explicit force and truncation.
 
-    Records appended but not yet forced are lost by a simulated crash.
+    ``disk`` is the log's device, or the :class:`LogFile` of a log whose
+    tail this one shares.  Records appended but not yet forced are lost
+    by a simulated crash.
     """
 
     def __init__(
-        self, disk: SimDisk, retry: "RetryExecutor | None" = None
+        self, disk: SimDisk | LogFile, retry: "RetryExecutor | None" = None
     ) -> None:
-        self.file = LogFile(disk, retry, "wal.force")
+        shared = isinstance(disk, LogFile)
+        self.file = disk if shared else LogFile(disk, retry, "wal.force")
         self._next_lsn = 0
-        self.torn_truncations = 0  # torn tails dropped at replay
 
     disk = property(lambda self: self.file.disk, doc="The log's device.")
     retry = property(
@@ -85,16 +88,20 @@ class WriteAheadLog:
         lambda self: self.file.tail, doc="Where the next force writes."
     )
     pending_records = property(
-        lambda self: len(self.file.pending), doc="Records the next force writes."
+        lambda self: sum(map(_MINE, self.file.pending)),
+        doc="Records the next force writes.",
     )
-
     durable_lsn = property(
-        lambda self: self.file.durable[-1].lsn + 1 if self.file.durable else 0,
+        lambda self: self.file.top.get(WALRecord, -1) + 1,
         doc="One past the LSN of the newest forced record.",
     )
     live_bytes = property(
-        lambda self: sum(map(attrgetter("nbytes"), self.file.durable)),
+        lambda self: sum(record.nbytes for record, _ in self.file.of(WALRecord)),
         doc="Bytes of the durable records.",
+    )
+    torn_truncations = property(
+        lambda self: self.file.cuts.get(WALRecord, 0),
+        doc="Torn records the log was cut at.",
     )
 
     def append(self, kind: str, payload: Any, nbytes: int | None = None) -> int:
@@ -110,7 +117,7 @@ class WriteAheadLog:
         return lsn
 
     def force(self) -> float:
-        """Write all buffered records sequentially; return service time."""
+        """Write every staged record of the file; return service time."""
         return self.file.force(sync=False)
 
     def truncate(self, lsn: int) -> None:
@@ -118,30 +125,14 @@ class WriteAheadLog:
         replay reads only from the oldest retained one."""
         if lsn > self._next_lsn:
             raise LogError(f"cannot truncate past next LSN ({lsn} > {self._next_lsn})")
-        self.file.keep([record[0] >= lsn for record in self.file.durable])
+        mine = filter(_MINE, self.file.durable)
+        self.file.keep(WALRecord, [record[0] >= lsn for record in mine])
 
     def records(self) -> Iterator[WALRecord]:
         """Iterate durable records in LSN order (replay order), charging
         one read from the head to the tail (the paper notes replay "is
-        extremely expensive").  A torn record truncates the tail: it and
-        every later record are dropped, never replayed."""
-        for record, torn in self.file.replay():
-            if torn:
-                self._truncate_torn_tail(record)
-                return
-            yield record
-
-    def _truncate_torn_tail(self, record: WALRecord) -> None:
-        """Drop the torn record and all after it; appends after recovery
-        overwrite its bytes, as a log manager reuses its tail."""
-        dropped = self.file.cut(record)
-        self.torn_truncations += 1
-        runtime = self.disk.runtime
-        if runtime is not None:
-            runtime.metrics.counter("wal.torn_tail_truncations").inc()
-            runtime.trace.emit(
-                "wal_torn_tail", from_lsn=record.lsn, dropped=dropped
-            )
+        extremely expensive")."""
+        return self.file.replay(WALRecord)
 
     def crash(self) -> None:
         """Simulate a crash: unforced records are lost."""

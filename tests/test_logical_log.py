@@ -232,7 +232,7 @@ _TREE_OPS = st.lists(
 def _assert_replay_reads_head_to_tail(disk, file, recover):
     """Return ``recover()``, which must read ``file`` once, from its
     lowest live placement to its tail (nothing if no record is live)."""
-    live = [offset for _record, offset, _nbytes in file.placements()]
+    live = list(file.placed)
     disk.start_trace()
     recovered = recover()
     reads = [(e.offset, e.nbytes) for e in disk.stop_trace()]

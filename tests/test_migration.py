@@ -303,6 +303,36 @@ def test_replay_journal_aborted_plan_leaves_no_pending():
     engine.close()
 
 
+def test_a_settled_migration_truncates_the_journal_below_it():
+    # A retire_done or abort leaves nothing pending: its record carries
+    # the boundaries, epoch and next plan id, and recovery reads from it
+    # on, not from the fleet's init record.
+    engine, controller = make_fleet()
+    load_keys(engine, 80)
+    journal = controller.journal
+    split = controller.start(plan_split(engine, 0))
+    controller.run_to_completion()
+    (settled,) = journal.records()
+    assert settled.kind == "retire_done"
+    assert journal.head_offset == journal.tail_offset - settled.nbytes
+    boundaries = list(split.new_boundaries)
+    assert _replay_journal(journal) == (boundaries, 1, None, split.plan_id + 1)
+    controller.start(plan_merge(engine, 0))
+    controller.abort()
+    (settled,) = journal.records()
+    assert settled.kind == "abort"
+    assert _replay_journal(journal) == (boundaries, 1, None, split.plan_id + 2)
+    disk = journal.disk
+    journal.crash()
+    before = disk.stats.bytes_read
+    recovered = crash_and_recover(engine)
+    assert disk.stats.bytes_read - before == settled.nbytes
+    assert recovered.partitioner.boundaries == split.new_boundaries
+    assert recovered.epoch == 1 and recovered.migration.state == "idle"
+    assert recovered.migration.start(plan_split(recovered, 0)).plan_id == 3
+    recovered.close()
+
+
 # ----------------------------------------------------------------------
 # Controller lifecycle
 # ----------------------------------------------------------------------
@@ -589,7 +619,9 @@ def test_crash_after_switch_rolls_forward_through_retire():
     verify_model(recovered, model)
     # Its retire-done force is booked on the recovered router's device.
     assert recovered.metrics()["disk.migration-journal.write_ops"] == 1
-    assert kinds(journal)[-2:] == ["switch", "retire_done"]
+    # The retire-done record settles the migration: the journal is
+    # truncated below it.
+    assert kinds(journal) == ["retire_done"]
     recovered.close()
 
 

@@ -83,30 +83,32 @@ def read_cold_shaped(policy, stripes, seed):
 #: (policy, data stripes, read seed).  The clock is the load's as well:
 #: it moved alone when manifest commits began logging version edits,
 #: again when ASYNC log appends began running behind on the log writer,
-#: and again when ASYNC manifest commits and checkpoints followed them.
+#: again when ASYNC manifest commits and checkpoints followed them, and
+#: again when the manifest WAL and the logical log began sharing one
+#: tail (fewer log positionings).
 TRACE_PINS = {
     (EvictionPolicy.CLOCK, 1, 0): (
-        "3.8362558460237928", 1459, 11993088,
+        "3.8353513256711107", 1459, 11993088,
         90, 2928, 2910, 1416, 1506, 3, "245c214a02e079ba",
     ),
     (EvictionPolicy.CLOCK, 1, 1): (
-        "3.843755846023793", 1462, 11993088,
+        "3.842851325671111", 1462, 11993088,
         80, 2928, 2910, 1389, 1502, 2, "77a431cbd23bcb1f",
     ),
     (EvictionPolicy.LRU, 1, 0): (
-        "3.833723293940459", 1458, 11984896,
+        "3.832818773587777", 1458, 11984896,
         92, 2926, 2908, 1416, 1506, 3, "245c214a02e079ba",
     ),
     (EvictionPolicy.LRU, 1, 1): (
-        "3.843755846023793", 1462, 11993088,
+        "3.842851325671111", 1462, 11993088,
         80, 2928, 2910, 1389, 1502, 2, "77a431cbd23bcb1f",
     ),
     (EvictionPolicy.CLOCK, 2, 0): (
-        "3.8317050647737907", 1465, 11993088,
+        "3.830800544421109", 1465, 11993088,
         90, 2928, 2910, 1416, 1506, 3, "245c214a02e079ba",
     ),
     (EvictionPolicy.CLOCK, 2, 1): (
-        "3.8517050647737916", 1473, 11993088,
+        "3.85080054442111", 1473, 11993088,
         80, 2928, 2910, 1389, 1502, 2, "77a431cbd23bcb1f",
     ),
 }

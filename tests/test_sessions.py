@@ -134,14 +134,17 @@ PINNED_SPEC = WorkloadSpec(
 #: probe count — recorded from the per-arrival list rebuild the deque
 #: replaced, so the runner's output is pinned bit for bit.  The digests
 #: moved (counts did not) when manifest commits began logging version
-#: edits: shorter WAL forces move the latencies in the summary.
+#: edits: shorter WAL forces move the latencies in the summary.  Digests
+#: and forces moved when the WAL and the logical log began sharing one
+#: tail: a merge's commit and checkpoint no longer reposition the log
+#: head, so writes wait less and leader forces form smaller groups.
 SESSIONS_PINS = {
-    ("uniform", 0): ("6fe352879105c4dc", 74, 411, 13),
-    ("uniform", 1): ("4f3971a8ee7b3216", 69, 428, 13),
-    ("poisson", 0): ("0cf773d11ce84a31", 70, 411, 13),
-    ("poisson", 1): ("da2f2d1cd8cbf375", 66, 428, 13),
-    ("diurnal", 0): ("52a5aa9ec85e63e5", 72, 411, 13),
-    ("diurnal", 1): ("b1b90a668869b573", 65, 428, 13),
+    ("uniform", 0): ("50241157daef7c60", 75, 411, 13),
+    ("uniform", 1): ("a5a9df8dd5d56750", 71, 428, 13),
+    ("poisson", 0): ("76fbd68b9bac308a", 71, 411, 13),
+    ("poisson", 1): ("ba498df29b1e657c", 68, 428, 13),
+    ("diurnal", 0): ("60ba36400941ada3", 73, 411, 13),
+    ("diurnal", 1): ("2a5cfdddbdc676e6", 67, 428, 13),
 }
 
 

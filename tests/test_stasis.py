@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.kernel import replay_log
-from repro.errors import RecoveryError
+from repro.errors import CorruptionError, RecoveryError
+from repro.faults.plan import FaultPlan, FaultRule
 from repro.memtable import MemTable
 from repro.sim import DiskModel
 from repro.storage import DurabilityMode, Stasis
@@ -101,3 +102,84 @@ def test_io_summary_keys():
     summary = stasis.io_summary()
     for key in ("data_seeks", "data_bytes_read", "busy_seconds"):
         assert key in summary
+
+
+# ----------------------------------------------------------------------
+# One log file: the manifest WAL and the logical log share one tail
+# ----------------------------------------------------------------------
+
+
+def test_the_wal_and_the_logical_log_are_one_file():
+    stasis = Stasis(durability=DurabilityMode.GROUP)
+    assert stasis.wal.file is stasis.logical_log.file
+    stasis.logical_log.log(0, "put", b"a", b"1")  # staged, not forced
+    stasis.commit_manifest({"version": 1})
+    # The manifest's force wrote the staged write ahead of it.
+    assert stasis.logical_log.durable_seqno == 0
+    assert [type(r).__name__ for r in stasis.wal.file.durable] == [
+        "LogicalRecord",
+        "WALRecord",
+    ]
+
+
+def test_a_corrupt_manifest_write_leaves_a_logical_record_readable():
+    plan = FaultPlan(armed=False)
+    stasis = Stasis(durability=DurabilityMode.SYNC, fault_plan=plan)
+    stasis.logical_log.log(0, "put", b"key", b"v" * 50)  # forced, clean
+    plan.add(FaultRule(kind="corrupt", device="log", op="write", at_access=1))
+    plan.arm()
+    stasis.commit_manifest({"version": 1})
+    plan.disarm()
+    stasis.crash()
+    with pytest.raises(CorruptionError):
+        stasis.recover_manifest()
+    assert [(r.seqno, r.key) for r in stasis.logical_log.replay()] == [
+        (0, b"key")
+    ]
+
+
+@pytest.mark.parametrize("mode", [DurabilityMode.SYNC, DurabilityMode.GROUP])
+def test_a_manifest_commit_costs_at_most_one_positioning_in_all(mode):
+    # The commit and the merge's checkpoint write at the log's one tail,
+    # so the next logical force's sync barrier is the only positioning.
+    stasis = Stasis(durability=mode, observability=False)
+    log, stats = stasis.logical_log, stasis.log_disk.stats
+
+    def write(seqno):
+        log.log(seqno, "put", b"k%d" % seqno, bytes(100))
+        if mode is DurabilityMode.GROUP:
+            stasis.group_commit.commit(seqno, seqno, 1)
+
+    write(0)
+    seeks = stats.seeks
+    stasis.commit_manifest({"version": 1})
+    log.retain_ranges({b"k0": (0, 0)})
+    write(1)
+    assert stats.seeks - seeks == 1
+
+
+def test_a_recovery_reads_the_log_device_once():
+    from repro.core import BLSM, BLSMOptions
+
+    options = BLSMOptions(
+        c0_bytes=8 * 1024,
+        buffer_pool_pages=16,
+        durability=DurabilityMode.ASYNC,
+        observability=False,
+    )
+    tree = BLSM(options)
+    for i in range(400):
+        tree.put(b"key%04d" % (i * 7 % 300), bytes(60))
+    tree.flush_log()
+    stasis = tree.stasis
+    file = stasis.logical_log.file
+    assert {type(r).__name__ for r in file.durable} == {
+        "LogicalRecord",
+        "WALRecord",
+    }
+    stasis.crash()
+    head, tail = file.head, file.tail
+    stasis.log_disk.start_trace()
+    BLSM.recover(stasis, options)
+    reads = [(e.offset, e.nbytes) for e in stasis.log_disk.stop_trace()]
+    assert reads == [(head, tail - head)]

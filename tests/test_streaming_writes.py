@@ -523,19 +523,18 @@ def test_async_appends_charge_bandwidth_only():
     assert log.durable_records == n - log.pending_count
 
 
-def test_a_wal_commit_costs_the_log_one_positioning():
-    stasis = Stasis(observability=False)  # ASYNC; the WAL shares the device
+def test_a_wal_commit_costs_the_log_no_positioning():
+    stasis = Stasis(observability=False)  # ASYNC; the WAL shares the tail
     log, stats = stasis.logical_log, stasis.log_disk.stats
     n = append_once(log)
     seeks = stats.seeks
     n = append_once(log, append_once(log, n))
     assert stats.seeks == seeks  # streaming
-    stasis.commit_manifest({"generation": 1})  # forced: its own barrier
-    seeks = stats.seeks
+    stasis.commit_manifest({"generation": 1})  # written at the tail
     n = append_once(log, n)
-    assert stats.seeks == seeks + 1  # the head moved away
+    assert stats.seeks == seeks  # the head never moved away
     append_once(log, n)
-    assert stats.seeks == seeks + 1
+    assert stats.seeks == seeks
 
 
 def test_explicit_and_sync_forces_still_pay_the_barrier():
@@ -824,10 +823,12 @@ def device_trace_digest(durability, tickets=None):
     ).hexdigest()[:16]
 
 
-# device_trace_digest() before ASYNC appends moved onto the log writer:
-# SYNC and GROUP forces were already on the caller's clock or the
-# group-commit writer, so neither trace may move.
-BARRIER_TRACES = {"sync": "3f58e70d8480372a", "group": "cda0a4ed2844a294"}
+# device_trace_digest() pinned when the manifest WAL and the logical log
+# began sharing one tail (manifest commits and checkpoints moved to it;
+# before: "3f58e70d8480372a" and "cda0a4ed2844a294", unmoved since ASYNC
+# appends went onto the log writer, as SYNC and GROUP forces were
+# already on the caller's clock or the group-commit writer).
+BARRIER_TRACES = {"sync": "2151a18960721017", "group": "63b2c440aca20364"}
 
 
 @pytest.mark.parametrize("durability", sorted(BARRIER_TRACES))
