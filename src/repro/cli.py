@@ -409,11 +409,6 @@ def _engine_flags(parser: argparse.ArgumentParser) -> None:
         "(bLSM engines only)",
     )
     parser.add_argument(
-        "--background-merges", action="store_true",
-        help="run merge I/O on background timelines instead of charging "
-        "it to the writer (bLSM engines only)",
-    )
-    parser.add_argument(
         "--shards", type=int, default=4, metavar="N",
         help="shard count for the sharded engine",
     )

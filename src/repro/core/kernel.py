@@ -9,8 +9,8 @@ that mechanism, once: the storage substrate, seqno and tree-id
 counters, C0, the write API down to the logical log, the read path
 (``get``, ``snapshot`` and scans over the installed
 :class:`~repro.core.versions.Version`), the durability barrier, the
-scheduler's merge host (each gear's step: the worker-timeline gate, a
-merge started when idle, one budgeted step; the progress estimators
+scheduler's merge host (each gear's step: a merge started when idle,
+then one budgeted step on the caller's clock; the progress estimators
 and the gear-1 deficit; the C0 stall loop), the merge and stall
 instrumentation, exact log retention and crash recovery.
 
@@ -19,8 +19,8 @@ A layout — :class:`repro.core.tree.BLSM`'s three slots,
 levels, :class:`repro.core.partitioned.PartitionedBLSM`'s key-range
 partitions — subclasses the kernel and supplies:
 
-* ``_init_layout(**layout)`` — its empty component structure, merge
-  timelines and scheduler;
+* ``_init_layout(**layout)`` — its empty component structure and
+  scheduler;
 * its on-disk component set, installed with ``versions.install``
   wherever it changes, newest first per key range, and ``_ram``: one
   tuple per installed range of the in-RAM sources behind C0 there (a
@@ -28,11 +28,11 @@ partitions — subclasses the kernel and supplies:
   change.  ``get`` and ``snapshot`` are not hooks: they read C0, then
   the key's range's ``_ram`` and on-disk components, so the probe order
   (Section 3.1) is stated once, by what the layout installs;
-* per gear: the running merge slot (``_m01`` / ``_m12``) and worker
-  timeline (``_bg01`` / ``_bg12``), ``_start_*`` (False when nothing
-  can start), ``_*_can_start``, ``_finish_*`` (install, then clear the
-  slot) and ``_*_next_input_bytes``; a layout without a second gear
-  leaves gear 1 to the kernel's idle defaults;
+* per gear: the running merge slot (``_m01`` / ``_m12``),
+  ``_start_*`` (False when nothing can start), ``_*_can_start``,
+  ``_finish_*`` (install, then clear the slot) and
+  ``_*_next_input_bytes``; a layout without a second gear leaves gear 1
+  to the kernel's idle defaults;
 * ``m01_debt_per_byte`` and ``_m01_fills`` (the bytes and size ratio
   of what gear 0 fills);
 * ``_manifest`` / ``_restore_layout`` / ``_live_tables`` — its durable
@@ -65,7 +65,6 @@ from repro.core.versions import (
 from repro.errors import EngineClosedError
 from repro.memtable.memtable import MemTable
 from repro.records import Record, lookup
-from repro.sim.clock import Timeline
 from repro.sstable.bloom_store import persist_bloom
 from repro.sstable.reader import SSTable
 from repro.storage.group_commit import CommitTicket
@@ -128,7 +127,6 @@ class TreeKernel:
         self._next_seqno = 0
         self._next_tree_id = 1
         self._closed = False
-        self._timelines: list[Timeline] = []
         self._memtable = self._new_memtable()
         metrics = self.runtime.metrics
         self._ctr_rotations = metrics.counter("memtable.rotations")
@@ -160,7 +158,7 @@ class TreeKernel:
         return self.options.c0_bytes
 
     def _init_layout(self, **layout: Any) -> None:
-        """Create the empty on-disk structure, timelines and scheduler
+        """Create the empty on-disk structure and the scheduler
         (``layout``: the constructor's layout keywords, if it has any)."""
         raise NotImplementedError
 
@@ -232,11 +230,13 @@ class TreeKernel:
         """Apply a batch of mutations and commit them as one ticket.
 
         The batch's records are applied to C0 and staged in the logical
-        log, then committed through the Stasis group-commit queue: under
-        :class:`~repro.storage.logical_log.DurabilityMode.GROUP` the
-        ticket resolves when a leader's force covers the batch (several
-        sessions' batches share one force); under SYNC/ASYNC each write
-        forced per its mode already, so the ticket is trivially durable.
+        log, then committed through the Stasis group-commit queue.  Under
+        :class:`~repro.storage.logical_log.DurabilityMode.GROUP` and
+        ASYNC the ticket resolves when a force covers the batch: a
+        leader's (several sessions' batches share one force) or a
+        manifest commit's, which forces every staged record.  Under SYNC
+        each write was forced as it was logged, so the ticket resolves
+        once the log device has finished those forces.
         With ``wait=False`` the ticket is returned unresolved and the
         caller acknowledges the commit at ``ticket.durable_at`` once a
         later force (or a drain) resolves it.
@@ -367,8 +367,6 @@ class TreeKernel:
 
     _m01: MergeProcess | None = None
     _m12: MergeProcess | None = None
-    _bg01: Timeline | None = None
-    _bg12: Timeline | None = None
     _m01_gear = "c0c1"  # the counters gear 0's running merge books to
 
     def _attach_scheduler(self) -> None:
@@ -424,43 +422,25 @@ class TreeKernel:
         return max(1, self._m12_next_input_bytes())
 
     def step_m01(self, budget_bytes: int) -> int:
-        """Run up to ``budget_bytes`` of gear 0's merge, starting one
-        when idle; 0 when it could not run.
-
-        With background merges the work is dispatched to the gear's
-        worker; while that worker's timeline is ahead of the clock
-        nothing is dispatched and 0 is returned — the scheduler's
-        deficit carries over, as when a step runs out of budget.
-        """
-        timeline = self._bg01
-        if budget_bytes <= 0 or (
-            timeline is not None and timeline.busy(self.stasis.clock)
-        ):
-            return 0
-        if self._m01 is None and not self._start_m01():
+        """Run up to ``budget_bytes`` of gear 0's merge on the caller's
+        clock, starting one when idle; 0 when it could not run."""
+        if budget_bytes <= 0 or (self._m01 is None and not self._start_m01()):
             return 0
         return self._step_merge(
-            self._m01_gear, self._m01, budget_bytes, timeline, self._finish_m01
+            self._m01_gear, self._m01, budget_bytes, self._finish_m01
         )
 
     def step_m12(self, budget_bytes: int) -> int:
-        """As :meth:`step_m01`, for gear 1 on its own worker."""
-        timeline = self._bg12
-        if budget_bytes <= 0 or (
-            timeline is not None and timeline.busy(self.stasis.clock)
-        ):
+        """As :meth:`step_m01`, for gear 1."""
+        if budget_bytes <= 0 or (self._m12 is None and not self._start_m12()):
             return 0
-        if self._m12 is None and not self._start_m12():
-            return 0
-        return self._step_merge(
-            "c1c2", self._m12, budget_bytes, timeline, self._finish_m12
-        )
+        return self._step_merge("c1c2", self._m12, budget_bytes, self._finish_m12)
 
     def force_drain(self, target_fill: float, chunk: int) -> None:
         """Block the writer until C0 drops to ``target_fill`` (stall path).
 
-        The writer drives both gears ``chunk`` bytes at a time and waits
-        out a busy worker; it gives up only when nothing can run.
+        The writer drives both gears ``chunk`` bytes at a time; it gives
+        up only when nothing can run.
         """
         if not self._c0_overfull(target_fill):
             return
@@ -473,13 +453,11 @@ class TreeKernel:
             while self._c0_overfull(target_fill):
                 # A step that completes its merge may consume nothing:
                 # gear 0 gets a second try, which starts the next one.
-                if (
+                if not (
                     self.step_m01(chunk)
                     or self.step_m12(chunk)
                     or self.step_m01(chunk)
                 ):
-                    continue
-                if not self._wait_for_background():
                     break  # nothing can make progress
 
     def _c0_overfull(self, target_fill: float) -> bool:
@@ -495,40 +473,6 @@ class TreeKernel:
     def _m12_next_input_bytes(self) -> int:
         return 0
 
-    def _new_timeline(self, name: str) -> Timeline | None:
-        """One merge worker's timeline (Section 5.1's merge threads),
-        when ``options.background_merges`` is set.
-
-        Merge I/O dispatched to a :class:`~repro.sim.clock.Timeline`
-        advances the timeline and the device busy horizons instead of
-        the writer's clock.  A worker whose timeline is ahead of the
-        clock is *busy* — new merge work is not dispatched to it, which
-        bounds merge progress by device speed and keeps C0-fill
-        backpressure meaningful (docs/concurrency.md).
-        """
-        if not self.options.background_merges:
-            return None
-        timeline = Timeline(name)
-        self._timelines.append(timeline)
-        return timeline
-
-    def _wait_for_background(self) -> bool:
-        """Advance the clock to the next background completion, if any.
-
-        This is the stall path's genuine *waiting*: the foreground has
-        nothing it can do until a merge worker frees up, so virtual time
-        passes without any foreground service being charged.  Returns
-        whether there was anything to wait for.
-        """
-        clock = self.stasis.clock
-        horizons = [
-            timeline.now for timeline in self._timelines if timeline.busy(clock)
-        ]
-        if not horizons:
-            return False
-        clock.advance_to(min(horizons))
-        return True
-
     def _merge_started(self, gear: str, merge: Any, **where: Any) -> None:
         self._merge_obs[gear][0].inc()
         self.runtime.trace.emit(
@@ -540,28 +484,16 @@ class TreeKernel:
         gear: str,
         merge: Any,
         budget_bytes: int,
-        timeline: Timeline | None,
         finish: Callable[[], None],
     ) -> int:
-        """Run one budgeted step of ``merge``; install it when done.
-
-        Without a timeline the step runs on the caller's clock.  With
-        one (which the caller has found idle) the work is dispatched to
-        the worker: the step, and the install if it completes the merge,
-        advance the timeline and the device horizons, not the writer.
+        """Run one budgeted step of ``merge`` on the caller's clock, which
+        pays its device time (docs/concurrency.md: Section 5.1's merge
+        threads are budgeted steps here); install the merge when done.
         """
         clock = self.stasis.clock
-        if timeline is None:
-            started = clock.now
-            worked = merge.step(budget_bytes)
-            seconds = clock.now - started
-        else:
-            started = timeline.catch_up(clock)
-            with clock.running_on(timeline):
-                worked = merge.step(budget_bytes)
-                if merge.done:
-                    finish()
-            seconds = timeline.now - started
+        started = clock.now
+        worked = merge.step(budget_bytes)
+        seconds = clock.now - started
         if worked:
             _passes, ctr_bytes, ctr_seconds = self._merge_obs[gear]
             ctr_bytes.inc(worked)
@@ -579,7 +511,7 @@ class TreeKernel:
                     writes=merge.write_calls,
                     write_seeks=merge.write_seeks,
                 )
-        if timeline is None and merge.done:
+        if merge.done:
             finish()
         return worked
 

@@ -6,9 +6,8 @@ scheduler can interleave merge work with application writes.  In the
 paper these are threads rate-limited by the scheduler; on the virtual
 clock the same rate coupling is expressed by calling ``step`` with a byte
 budget.  A step also gets only one data-device access
-(:class:`~repro.storage.stasis.StepGate`), so whatever runs the step (an
-application write, a background dispatch) pays for at most one streaming
-unit of device time.
+(:class:`~repro.storage.stasis.StepGate`), so the write that runs the
+step pays for at most one streaming unit of device time.
 
 The newer source is a :class:`SnowshovelSource` draining the live
 memtable (Section 4.2) over a key range — the one C0 drain,

@@ -45,12 +45,6 @@ class BLSMOptions:
     :class:`~repro.sim.disk.SimDisk`; >= 2 builds a RAID-0
     :class:`~repro.sim.disk.StripedDisk` (Section 5.1's arrays)."""
 
-    background_merges: bool = False
-    """Run merge I/O on per-merge background timelines (the paper's merge
-    threads, Section 5.1) instead of charging it synchronously to the
-    writer.  Foreground writes then feel merges only through device
-    queueing and C0-fill backpressure; see docs/concurrency.md."""
-
     eviction_policy: EvictionPolicy = EvictionPolicy.CLOCK
     """Buffer-pool replacement policy (CLOCK per Section 4.4.2)."""
 

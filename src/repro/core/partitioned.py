@@ -102,11 +102,9 @@ class PartitionedBLSM(TreeKernel):
             else 4 * self.options.c0_bytes
         )
         self._partitions: list[Partition] = [Partition(lo=b"", hi=None)]
-        # One merge runs at a time (the greedy selector serializes them),
-        # so one background timeline models the merge worker.
+        # One merge runs at a time (the greedy selector serializes them).
         self._m01: MergeProcess | None = None
         self._m01_partition: Partition | None = None
-        self._bg01 = self._new_timeline("merge-worker")
         self._attach_scheduler()
 
     # ------------------------------------------------------------------
@@ -135,7 +133,7 @@ class PartitionedBLSM(TreeKernel):
         ]
 
     # ------------------------------------------------------------------
-    # Merge host: gear 0 is the one merge worker, picked greedily
+    # Merge host: gear 0 is the one running merge, picked greedily
     # ------------------------------------------------------------------
 
     def _pick_merge(self) -> tuple[Partition, bool] | None:
@@ -417,7 +415,7 @@ class PartitionedBLSM(TreeKernel):
         """Push all of C0 into the partitions' stacks."""
         self._check_open()
         while not self._memtable.is_empty or self._m01 is not None:
-            if self.step_m01(1 << 30) == 0 and not self._wait_for_background():
+            if self.step_m01(1 << 30) == 0:
                 break
 
     @property

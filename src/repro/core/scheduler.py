@@ -36,9 +36,10 @@ Schedulers are written against one *merge host*,
 merges onto the two gears — :class:`repro.core.tree.BLSM` its C0:C1 and
 C1':C2 merges, :class:`repro.core.compaction.tree.CompactionTree` its
 level-0-sourced and deeper policy merges,
-:class:`repro.core.partitioned.PartitionedBLSM` its one merge worker
-with no gear 1 — so one scheduler paces every layout and compaction
-policy (docs/compaction.md).
+:class:`repro.core.partitioned.PartitionedBLSM` its one merge at a
+time with no gear 1 — so one scheduler paces every layout and
+compaction policy (docs/compaction.md).  Every step runs on the
+caller's clock: the write that runs it pays its device time.
 """
 
 from __future__ import annotations

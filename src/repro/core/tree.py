@@ -63,9 +63,6 @@ class BLSM(TreeKernel):
         self._m12: MergeProcess | None = None
         self._promotion_pending = False
         self._r = MIN_R
-        # Each merge level gets its own worker (Section 5.1's threads).
-        self._bg01 = self._new_timeline("merge-c0c1")
-        self._bg12 = self._new_timeline("merge-c1c2")
         self._attach_scheduler()
 
     # ------------------------------------------------------------------
@@ -86,12 +83,7 @@ class BLSM(TreeKernel):
     # ------------------------------------------------------------------
 
     def drain(self) -> None:
-        """Push all of C0 into C1 (complete outstanding C0:C1 passes).
-
-        With background merges, steps that find their worker busy return
-        0; the loop then *waits* (advances the clock to the worker's
-        completion) rather than concluding no progress is possible.
-        """
+        """Push all of C0 into C1 (complete outstanding C0:C1 passes)."""
         self._check_open()
         while True:
             if (
@@ -106,24 +98,21 @@ class BLSM(TreeKernel):
                 continue
             if self._memtable.is_empty and self._frozen is None and self._m01 is None:
                 return
-            if self.step_m12(1 << 30) == 0:
-                if self.step_m01(1 << 30) == 0:
-                    if self._wait_for_background():
-                        continue
-                    return
+            if self.step_m12(1 << 30) == 0 and self.step_m01(1 << 30) == 0:
+                return
 
     def compact(self) -> None:
         """Merge everything into a single C2 component (major compaction)."""
         self.drain()
         while self._m12 is not None or self._c1_prime is not None:
-            if self.step_m12(1 << 30) == 0 and not self._wait_for_background():
+            if self.step_m12(1 << 30) == 0:
                 break
         if self._c1 is not None:
             self._c1_prime = self._c1
             self._c1 = None
             self._publish()
             while self._m12 is not None or self._c1_prime is not None:
-                if self.step_m12(1 << 30) == 0 and not self._wait_for_background():
+                if self.step_m12(1 << 30) == 0:
                     break
 
     # ------------------------------------------------------------------

@@ -83,7 +83,6 @@ class EngineConfig:
     fault_plan: FaultPlan | None = None
     log_disk: DiskModel | None = None
     data_stripes: int = 1
-    background_merges: bool = False
     shards: int = 4
     partitioner: str = "hash"
     partitioner_sample: tuple[bytes, ...] | None = None
@@ -103,7 +102,6 @@ def blsm_options(config: EngineConfig) -> BLSMOptions:
         fault_plan=config.fault_plan,
         log_disk_model=config.log_disk,
         data_stripes=config.data_stripes,
-        background_merges=config.background_merges,
         observability=config.observability,
     )
 
@@ -264,15 +262,11 @@ def build_engine(
         raise ValueError(
             f"fault injection requires one of {accepting}, not {name!r}"
         )
-    placement = (
-        config.log_disk is not None
-        or config.data_stripes != 1
-        or config.background_merges
-    )
+    placement = config.log_disk is not None or config.data_stripes != 1
     if placement and not spec.supports_placement:
         raise ValueError(
-            "log-device/data-stripes/background-merges require a bLSM "
-            f"or sharded engine, not {name!r}"
+            "log-device/data-stripes require a bLSM or sharded engine, "
+            f"not {name!r}"
         )
     return spec.build(config)
 

@@ -101,8 +101,8 @@ class RetryExecutor:
                         f"{attempt} attempts"
                     ) from error
                 backoff = self.policy.backoff_seconds(attempt - 1)
-                # The requester waits out the backoff: the background
-                # timeline that issued the access, if one is active.
+                # The requester waits out the backoff: the log writer's
+                # timeline if it issued the access.
                 timeline = self.clock.active_timeline
                 if timeline is not None:
                     timeline.advance_to(timeline.now + backoff)

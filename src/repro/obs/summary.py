@@ -188,10 +188,10 @@ def format_device_summary(runtime: Any) -> list[str]:
 
     One row per registered device: how busy it was over the observation
     window, how that busy time splits between synchronous foreground
-    service and background merge work, how long foreground requests
-    queued behind the device's busy horizon, and ``seq eff``: the share
-    of busy time spent transferring rather than positioning (is this
-    device streaming or seeking?).
+    service (merge steps included) and the log writer's background work,
+    how long foreground requests queued behind the device's busy
+    horizon, and ``seq eff``: the share of busy time spent transferring
+    rather than positioning (is this device streaming or seeking?).
     """
     rows = runtime.device_summary()
     if not rows:

@@ -133,7 +133,7 @@ class Scenario:
 #: ``EngineConfig`` fields an entry point may carry under the same name.
 _ENGINE_FIELDS = (
     "c0_bytes", "cache_pages", "durability", "compression", "scheduler",
-    "data_stripes", "background_merges", "shards", "partitioner",
+    "data_stripes", "shards", "partitioner",
 )
 
 

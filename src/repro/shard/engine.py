@@ -7,9 +7,9 @@ complete shard engines — each with its own Stasis substrate, device set
 and virtual clock — behind the one :class:`~repro.baselines.interface.
 KVEngine` surface every benchmark already drives.
 
-Concurrency model (the same discipline as PR 3's background merges, one
-level up): each shard's clock is an independent position on the virtual
-time axis.  A batched operation fans sub-batches out to the shards they
+Concurrency model (the discipline of the log writer's
+:class:`~repro.sim.clock.Timeline`, one level up): each shard's clock is
+an independent position on the virtual time axis.  A batched operation fans sub-batches out to the shards they
 route to; every involved shard first catches up to the router's clock
 (an idle server cannot work in the past), then services its sub-batch on
 its *own* clock and devices.  The router completes the batch at the

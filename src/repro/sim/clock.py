@@ -5,16 +5,17 @@ clock; no component ever consults wall-clock time.  This makes every
 benchmark in the repository deterministic and independent of host speed.
 
 Concurrency model (docs/concurrency.md): the clock is the *foreground*
-timeline — the application's point of view.  Background work (the paper's
-merge threads, Section 5.1) runs on a :class:`Timeline`: an independent
-position on the same virtual time axis.  While a timeline is installed via
+timeline — the application's point of view, which merges run on too, as
+budgeted steps charged to the write that runs them.  The log device's one
+writer (the logical log's group-commit leader forces and ASYNC's
+write-behind) runs on a :class:`Timeline`: an independent position on the
+same virtual time axis.  While a timeline is installed via
 :meth:`VirtualClock.running_on`, device service advances the timeline and
-the device's busy horizon instead of the foreground clock, so merge I/O is
+the device's busy horizon instead of the foreground clock, so that I/O is
 *overlapped* with application work rather than charged to it.  Foreground
-requests still feel the merge through device queueing: a device whose
+requests still feel it through device queueing: a device whose
 ``busy_until`` horizon is ahead of the clock delays the next synchronous
-request — contention, not charged service, exactly the distinction the
-paper's dedicated log disk + data array hardware expresses.
+request — contention, not charged service.
 """
 
 from __future__ import annotations
@@ -85,8 +86,8 @@ class RunningOn:
     """The context :meth:`VirtualClock.running_on` returns.
 
     A slotted class rather than a generator-based context manager: every
-    background merge step and every group-commit force enters one, and
-    entering a generator costs several times what two attribute swaps do.
+    group-commit force and every ASYNC append enters one, and entering a
+    generator costs several times what two attribute swaps do.
     """
 
     __slots__ = ("_clock", "_timeline", "_previous")
@@ -109,25 +110,23 @@ class RunningOn:
 class Timeline:
     """An independent position on the shared virtual time axis.
 
-    One :class:`Timeline` models one background worker (the paper's merge
-    threads).  It only ever moves forward, and it can run *ahead* of the
-    foreground clock — the worker has committed to servicing queued I/O
-    into the future.  The gap, :meth:`lag`, is how long the worker stays
-    busy from the foreground's point of view; dispatchers use
-    :meth:`busy` to avoid handing a worker more work than real time
-    allows, which is what converts "bytes dispatched" into a rate bounded
-    by device speed.
+    One :class:`Timeline` models one writer that works behind the
+    foreground (the log device's, ``LogicalLog.writer``).  It only ever
+    moves forward, and it can run *ahead* of the foreground clock — the
+    writer has committed to servicing queued I/O into the future; while
+    it does, it is :meth:`busy`, and a caller that needs that work done
+    advances the clock to :attr:`now`.
     """
 
     __slots__ = ("name", "_now")
 
-    def __init__(self, name: str = "background", start: float = 0.0) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self._now = start
+        self._now = 0.0
 
     @property
     def now(self) -> float:
-        """This worker's current position in virtual time."""
+        """This writer's current position in virtual time."""
         return self._now
 
     def advance_to(self, t: float) -> float:
@@ -136,20 +135,8 @@ class Timeline:
             self._now = t
         return self._now
 
-    def catch_up(self, clock: VirtualClock) -> float:
-        """Sync with the foreground clock before dispatching new work.
-
-        An idle worker cannot perform work in the past: work dispatched
-        at foreground time *t* starts no earlier than *t*.
-        """
-        return self.advance_to(clock.now)
-
-    def lag(self, clock: VirtualClock) -> float:
-        """Seconds of queued work ahead of the foreground clock (>= 0)."""
-        return max(0.0, self._now - clock.now)
-
     def busy(self, clock: VirtualClock) -> bool:
-        """Whether this worker is still servicing previously queued work."""
+        """Whether this writer is still servicing previously queued work."""
         return self._now > clock.now
 
     def __repr__(self) -> str:

@@ -10,14 +10,13 @@ have mean access times over 5ms").
 Each device also keeps a ``busy_until`` horizon on the shared virtual time
 axis: a request issued at time *t* starts at ``max(t, busy_until)`` and the
 horizon advances to its completion.  A *synchronous* requester (the
-application) advances the foreground :class:`~repro.sim.clock.VirtualClock`
-to completion; a *background* requester (a merge running on a
-:class:`~repro.sim.clock.Timeline`, installed via
-``clock.running_on(timeline)``) advances only its own timeline and the
+application, and the merge steps it runs) advances the foreground
+:class:`~repro.sim.clock.VirtualClock` to completion; a *background*
+requester (the log writer, a :class:`~repro.sim.clock.Timeline` installed
+via ``clock.running_on(timeline)``) advances only its own timeline and the
 device horizon.  Foreground latency therefore includes *queueing behind*
-background work but never the background work itself — the distinction
-between merge service time and device contention that the paper's
-dedicated log disk + RAID data array hardware expresses (Section 5.1).
+background work but never the background work itself — service time
+versus device contention (Section 5.1's dedicated log disk).
 
 :class:`StripedDisk` models that RAID-0 array: N member devices, each with
 its own head and busy horizon, striped in fixed-size chunks.  A logical
@@ -261,7 +260,7 @@ class SimDisk:
             self._validate(offset, nbytes, is_write)
             if nbytes == 0:
                 return 0.0
-        # The requester: a background timeline if one is installed, else
+        # The requester: the log writer's timeline if it is installed, else
         # the foreground clock.  Both keep their position in ``_now``;
         # every access of every device passes here, so it reads and
         # moves that in place and books the access inline (one frame;

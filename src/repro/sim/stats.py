@@ -28,13 +28,13 @@ class IOStats:
             the head; the rest transferred bytes (a device that streams
             keeps this share small).
         bg_busy_seconds: the share of ``busy_seconds`` issued from a
-            background :class:`~repro.sim.clock.Timeline` (merge work);
-            the remainder was synchronous foreground service.
+            background :class:`~repro.sim.clock.Timeline` (the log
+            writer's); the remainder was synchronous foreground service.
         queue_wait_seconds: total time requesters spent queued behind the
             device's busy horizon before their access started.
         fg_wait_seconds: the share of ``queue_wait_seconds`` paid by
-            synchronous foreground requests (the rest delayed only
-            background merge work).
+            synchronous foreground requests (the rest delayed only the
+            log writer).
     """
 
     seeks: int = 0

@@ -184,25 +184,20 @@ class LogicalLog:
 
     def bookkeeping(self) -> "RunningOn | nullcontext[None]":
         """The clock a manifest commit or a checkpoint runs on:
-        :meth:`behind` under ASYNC and NONE, the caller's (``with`` binds
-        ``None``) under SYNC and GROUP and once sessions commit through
-        tickets, which a commit held on the writer would regroup."""
+        :attr:`writer` (``with`` binds it), queued behind its work from
+        the caller's time, under ASYNC and NONE; the caller's (``with``
+        binds ``None``) under SYNC and GROUP and once sessions commit
+        through tickets, which a commit held on the writer would
+        regroup.  The accesses are issued where the block runs: only the
+        clocks differ."""
         mode = self.mode
         if mode is DurabilityMode.ASYNC or mode is DurabilityMode.NONE:
             queue = self.commit_queue
             if queue is None or not queue.submitted:
-                return self.behind()
+                clock = self.disk.clock
+                self.writer.advance_to(clock.now)
+                return clock.running_on(self.writer)
         return _ON_CALLER
-
-    def behind(self) -> RunningOn:
-        """``with log.behind():`` charges the block to :attr:`writer`,
-        queued behind its work, from the requester's time (the caller's
-        clock or the merge timeline running it).  The accesses are
-        issued where the block runs: only the clocks differ."""
-        clock = self.disk.clock
-        active = clock.active_timeline
-        self.writer.advance_to((clock if active is None else active).now)
-        return clock.running_on(self.writer)
 
     def _append_behind(self) -> float:
         """ASYNC's append, written behind on :attr:`writer`.  The caller
@@ -216,26 +211,23 @@ class LogicalLog:
                 self.commit_queue.drain(in_flight)
             else:
                 clock.advance_to(in_flight)
-        with self.behind():
+        writer = self.writer
+        writer.advance_to(clock.now)
+        with clock.running_on(writer):
             self.force(sync=False)
-        self._append_end = self.writer.now
+        self._append_end = writer.now
         return clock.now - before
 
     def force(self, sync: bool = True) -> float:
         """Write buffered records sequentially; return service time.
 
-        ``sync=False`` is ASYNC's append: no durability barrier.  Off the
-        writer, a force with nothing to write still waits for an append
-        in flight."""
+        ``sync=False`` is ASYNC's append: no durability barrier.  A force
+        with nothing to write still waits for an append in flight."""
         file = self.file
         if not file.pending:
             clock = self.disk.clock
-            active = clock.active_timeline
-            if active is self.writer:
-                return 0.0
-            requester = clock if active is None else active
-            before = requester.now
-            return requester.advance_to(self.writer.now) - before
+            before = clock.now
+            return clock.advance_to(self.writer.now) - before
         service = file.force(sync)
         self.forces += 1
         return service

@@ -283,33 +283,22 @@ class Stasis:
         A write into a released extent before the commit that dropped
         its component is durable would overwrite a component the
         durable manifest still names.  Such a write waits for the
-        commit: on the caller's clock through the commit queue's
-        ``drain``, or on the merge timeline that issues it.  A write
-        into space no commit in flight released does not wait.
-
-        A merge timeline may run ahead of the clock, and another
-        requester behind it, so only the holds done by the clock are
-        dropped: every dispatched timeline has caught up to the clock,
-        which is the earliest time any requester can write at.
+        commit, through the commit queue's ``drain``; a write into space
+        no commit in flight released does not wait.  Holds the clock has
+        passed are dropped.
         """
         if not self._held:
             return
-        clock = self.clock
-        active = clock.active_timeline
-        now = (clock if active is None else active).now
+        now = self.clock.now
         end = first_page + npages
         until = now
-        floor = clock.now
-        held = [(extent, done) for extent, done in self._held if done > floor]
+        held = [(extent, done) for extent, done in self._held if done > now]
         for extent, done in held:
             if extent.start < end and first_page < extent.end and done > until:
                 until = done
         self._held = held
         if until > now:
-            if active is None:
-                self.group_commit.drain(until)
-            else:
-                active.advance_to(until)
+            self.group_commit.drain(until)
 
     def _commit(self, manifest: Any) -> None:
         """Log ``manifest`` as an edit or a base and force the log."""

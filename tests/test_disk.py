@@ -134,7 +134,7 @@ def test_a_striped_members_booking_matches_a_plain_access():
         clock.advance(rng.choice([0.0, 1e-4, 5e-3]))
         background = rng.random() < 0.4
         if background and rng.random() < 0.3:
-            merge.catch_up(clock)
+            merge.advance_to(clock.now)
         is_write = rng.random() < 0.5
         offset = rng.choice([max(0, plain._head), 4096 * rng.randrange(4096)])
         nbytes = 4096 * rng.randint(1, 64)

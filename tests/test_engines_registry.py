@@ -107,8 +107,8 @@ def test_blsm_options_mirror_config():
 def test_c0_structure_is_a_constant_in_every_layer():
     # C0 is a hash index over a sorted key list; no layer carries a knob
     # that says otherwise.  The counts make adding one a deliberate act.
-    assert len(dataclasses.fields(BLSMOptions)) == 20
-    assert len(dataclasses.fields(EngineConfig)) == 15
+    assert len(dataclasses.fields(BLSMOptions)) == 19
+    assert len(dataclasses.fields(EngineConfig)) == 14
     for cls in (BLSMOptions, EngineConfig):
         assert "memtable" not in {f.name for f in dataclasses.fields(cls)}
     params = inspect.signature(MemTable.__init__).parameters
@@ -196,8 +196,6 @@ def test_placement_gate_rejects_flat_engines():
             build_engine(name, small_config(data_stripes=4))
         with pytest.raises(ValueError, match="require a bLSM"):
             build_engine(name, small_config(log_disk=DiskModel.ssd()))
-        with pytest.raises(ValueError, match="require a bLSM"):
-            build_engine(name, small_config(background_merges=True))
 
 
 def test_placement_accepted_by_sharded_engine():

@@ -21,7 +21,6 @@ CALLERS = {
     "disk_model": "src/repro/engines.py",
     "log_disk_model": "src/repro/engines.py",
     "data_stripes": "src/repro/engines.py",
-    "background_merges": "src/repro/engines.py",
     "eviction_policy": "benchmarks/test_ablation_buffer.py",
     "durability": "src/repro/engines.py",
     "with_bloom_filters": "benchmarks/test_ablation_bloom.py",

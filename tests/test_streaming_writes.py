@@ -319,36 +319,6 @@ def test_force_drain_sees_a_merge_start_as_progress(step_log):
     assert any(fetched_a_head_only(step_log))
 
 
-def test_one_background_dispatch_is_one_access(step_log):
-    tree = BLSM(
-        BLSMOptions(
-            c0_bytes=256 * KIB, buffer_pool_pages=32, background_merges=True,
-            log_disk_model=DiskModel.hdd(), observability=False,
-        )
-    )
-    dispatches = []
-    for name in ("step_m01", "step_m12"):
-        real = getattr(tree, name)
-
-        def dispatch(budget, real=real):
-            stats = tree.stasis.data_disk.stats
-            before = stats.read_ops + stats.write_ops
-            steps = len(step_log)
-            worked = real(budget)
-            finished = any(done for _, done, _ in step_log[steps:])
-            if not finished:
-                dispatches.append(stats.read_ops + stats.write_ops - before)
-            return worked
-
-        setattr(tree, name, dispatch)
-    run_stream(tree, 6_000, 3, reads=False)
-    assert tree._c2 is not None
-    assert max(dispatches) == 1
-    tree.compact()
-    sizes = tree.component_sizes()
-    assert sizes["c0"] == sizes["c1"] == sizes["c1_prime"] == 0 < sizes["c2"]
-
-
 def test_frozen_source_fetches_nothing_before_the_first_peek():
     pulled = []
 
@@ -753,30 +723,21 @@ def test_a_write_into_space_an_inflight_commit_freed_waits_for_it():
     assert first.time - first.service - first.wait == pytest.approx(committed)
 
 
-def test_a_timeline_past_a_commit_keeps_its_hold_for_the_others():
+def test_a_builder_writing_into_a_freed_extent_waits_for_the_commit():
     stasis = Stasis(observability=False)  # ASYNC
     old = build_component(stasis, 1, 200)
-    clock, writer = stasis.clock, stasis.logical_log.writer
+    writer = stasis.logical_log.writer
     stasis.commit_manifest({"generation": 1})
     committed = writer.now
     old.free()
-    first, npages = old.extents[0].start, 1
-    # A merge timeline already past the commit writes without waiting ...
-    ahead = Timeline("m12", start=committed + 1.0)
-    with clock.running_on(ahead):
-        stasis.await_commit(first, npages)
-    assert ahead.now == committed + 1.0
-    # ... and another one, behind it, still waits for the commit.
-    behind = Timeline("m01", start=clock.now)
-    with clock.running_on(behind):
-        stasis.await_commit(first, npages)
-    assert behind.now == committed
-    # So does a foreground builder writing into the freed extent.
     stasis.data_disk.start_trace()
     new = build_component(stasis, 2, 200)
     write = stasis.data_disk.stop_trace()[0]
-    assert new.extents[0].start == first
+    assert new.extents[0].start == old.extents[0].start
     assert write.time - write.service - write.wait == pytest.approx(committed)
+    # The clock has passed the commit, so the next check drops its hold.
+    stasis.await_commit(old.extents[0].start, 1)
+    assert stasis._held == []
 
 
 def test_a_write_into_fresh_space_does_not_wait_for_a_commit():
@@ -881,8 +842,6 @@ def test_striped_access_still_nets_out_waiting_behind_other_accesses():
     model = DiskModel.hdd_member()
     clock = VirtualClock()
     array = StripedDisk(model, clock, stripes=2, chunk_bytes=512 * KIB)
-    from repro.sim.clock import Timeline
-
     background = Timeline("bg")
     with clock.running_on(background):
         array.write(0, 512 * KIB)  # member 0 busy, in the background
