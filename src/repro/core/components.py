@@ -19,21 +19,22 @@ from repro.sstable.bloom_store import bloom_descriptor, load_bloom
 from repro.sstable.builder import BLOOM_FALSE_POSITIVE_RATE
 from repro.sstable.reader import SSTable
 from repro.storage.region import Extent
-from repro.storage.stasis import Stasis
+from repro.storage.stasis import ManifestEntry, Stasis
 
 
 def describe_component(table: SSTable | None) -> dict[str, Any] | None:
     """The manifest entry for one component (``None`` for an empty slot).
 
     Memoised on the table, so the manifest log finds an unchanged entry
-    by identity; :func:`~repro.sstable.bloom_store.persist_bloom`, the
-    one thing that changes an entry, drops the memo.
+    by identity and renders it once (:class:`ManifestEntry`);
+    :func:`~repro.sstable.bloom_store.persist_bloom`, the one thing that
+    changes an entry, drops the memo.
     """
     if table is None:
         return None
     desc = table.descriptor
     if desc is None:
-        desc = table.descriptor = dict(
+        desc = table.descriptor = ManifestEntry(
             tree_id=table.tree_id,
             blocks=tuple(table.blocks),
             extents=tuple(table.extents),

@@ -64,7 +64,7 @@ from repro.core.versions import (
 )
 from repro.errors import EngineClosedError
 from repro.memtable.memtable import MemTable
-from repro.records import Record, lookup
+from repro.records import Record, RecordKind, lookup
 from repro.sstable.bloom_store import persist_bloom
 from repro.sstable.reader import SSTable
 from repro.storage.group_commit import CommitTicket
@@ -75,6 +75,7 @@ __all__ = ["TreeKernel", "replay_log"]
 OP_PUT = "put"
 OP_DELETE = "delete"
 OP_DELTA = "delta"
+_BASE = RecordKind.BASE
 
 
 def replay_log(stasis: Stasis, memtable: MemTable, next_seqno: int) -> int:
@@ -123,6 +124,8 @@ class TreeKernel:
             stasis if stasis is not None else Stasis.from_options(self.options)
         )
         self.runtime = self.stasis.runtime
+        self._log = self.stasis.logical_log
+        self._trace = self.runtime.trace
         self.versions = VersionSet(self.runtime)
         self._next_seqno = 0
         self._next_tree_id = 1
@@ -164,7 +167,7 @@ class TreeKernel:
 
     def _on_write(self, nbytes: int) -> None:
         """A record of ``nbytes`` just landed in C0: hand it to pacing."""
-        self._gauge_fill.set(self._memtable.fill_fraction)
+        self._gauge_fill.value = self.c0_fill_fraction  # Gauge.set, inline
         self.scheduler.on_write(nbytes)
 
     def _manifest(self) -> dict[str, Any]:
@@ -185,7 +188,15 @@ class TreeKernel:
 
     def put(self, key: bytes, value: bytes) -> None:
         """Blind write of a full base record: zero seeks (Table 1)."""
-        self._write(Record.base(key, value, self._take_seqno()), OP_PUT)
+        # _write, inline: every write of a load comes through here.
+        if self._closed:
+            raise EngineClosedError()
+        seqno = self._next_seqno
+        self._next_seqno = seqno + 1
+        record = Record(key, value, _BASE, seqno)
+        self._log.log(seqno, OP_PUT, key, value)
+        self._memtable.put(record)
+        self._on_write(record.nbytes)
 
     def delete(self, key: bytes) -> None:
         """Write a tombstone; physical space is reclaimed by merges."""
@@ -274,9 +285,10 @@ class TreeKernel:
         )
 
     def _write(self, record: Record, op: str) -> None:
-        self._check_open()
+        if self._closed:  # _check_open inline: a frame fewer per write
+            raise EngineClosedError()
         value = record.value if op != OP_DELETE else None
-        self.stasis.logical_log.log(record.seqno, op, record.key, value)
+        self._log.log(record.seqno, op, record.key, value)
         self._memtable.put(record)
         self._on_write(record.nbytes)
 
@@ -423,18 +435,27 @@ class TreeKernel:
 
     def step_m01(self, budget_bytes: int) -> int:
         """Run up to ``budget_bytes`` of gear 0's merge on the caller's
-        clock, starting one when idle; 0 when it could not run."""
+        clock, which pays its device time (docs/concurrency.md: Section
+        5.1's merge threads are budgeted steps here), starting one when
+        idle and installing it when done; 0 when it could not run.  The
+        merge books its own progress (:meth:`MergeProcess.report_to`)."""
         if budget_bytes <= 0 or (self._m01 is None and not self._start_m01()):
             return 0
-        return self._step_merge(
-            self._m01_gear, self._m01, budget_bytes, self._finish_m01
-        )
+        merge = self._m01
+        worked = merge.step(budget_bytes)
+        if merge.done:
+            self._finish_m01()
+        return worked
 
     def step_m12(self, budget_bytes: int) -> int:
         """As :meth:`step_m01`, for gear 1."""
         if budget_bytes <= 0 or (self._m12 is None and not self._start_m12()):
             return 0
-        return self._step_merge("c1c2", self._m12, budget_bytes, self._finish_m12)
+        merge = self._m12
+        worked = merge.step(budget_bytes)
+        if merge.done:
+            self._finish_m12()
+        return worked
 
     def force_drain(self, target_fill: float, chunk: int) -> None:
         """Block the writer until C0 drops to ``target_fill`` (stall path).
@@ -474,46 +495,12 @@ class TreeKernel:
         return 0
 
     def _merge_started(self, gear: str, merge: Any, **where: Any) -> None:
-        self._merge_obs[gear][0].inc()
-        self.runtime.trace.emit(
+        passes, ctr_bytes, ctr_seconds = self._merge_obs[gear]
+        passes.inc()
+        merge.report_to(gear, ctr_bytes, ctr_seconds, self._trace)
+        self._trace.emit(
             "merge_start", level=gear, **where, input_bytes=merge.input_bytes
         )
-
-    def _step_merge(
-        self,
-        gear: str,
-        merge: Any,
-        budget_bytes: int,
-        finish: Callable[[], None],
-    ) -> int:
-        """Run one budgeted step of ``merge`` on the caller's clock, which
-        pays its device time (docs/concurrency.md: Section 5.1's merge
-        threads are budgeted steps here); install the merge when done.
-        """
-        clock = self.stasis.clock
-        started = clock.now
-        worked = merge.step(budget_bytes)
-        seconds = clock.now - started
-        if worked:
-            _passes, ctr_bytes, ctr_seconds = self._merge_obs[gear]
-            ctr_bytes.inc(worked)
-            ctr_seconds.inc(seconds)
-            trace = self.runtime.trace
-            if trace.enabled:  # skip the kwargs build when tracing is off
-                trace.emit(
-                    "merge_progress",
-                    level=gear,
-                    worked=worked,
-                    seconds=seconds,
-                    inprogress=merge.inprogress,
-                    reads=merge.read_calls,
-                    seeks=merge.seeks,
-                    writes=merge.write_calls,
-                    write_seeks=merge.write_seeks,
-                )
-        if merge.done:
-            finish()
-        return worked
 
     def _merge_finished(
         self, gear: str, merge: Any, output_bytes: int, **where: Any

@@ -1,6 +1,6 @@
 """Incremental tree merges (Sections 2.3.1, 4.2, 4.4.1).
 
-A :class:`MergeProcess` merges a newer source with an older source into a
+A :class:`MergeProcess` merges a newer input with an older input into a
 new on-disk component, a bounded number of bytes at a time, so the
 scheduler can interleave merge work with application writes.  In the
 paper these are threads rate-limited by the scheduler; on the virtual
@@ -9,32 +9,47 @@ budget.  A step also gets only one data-device access
 (:class:`~repro.storage.stasis.StepGate`), so the write that runs the
 step pays for at most one streaming unit of device time.
 
-The newer source is a :class:`SnowshovelSource` draining the live
-memtable (Section 4.2) over a key range — the one C0 drain,
-:class:`~repro.memtable.snowshovel.SnowshovelCursor`, which bLSM runs
-over the whole keyspace and the partitioned tree over one partition —
-a :class:`FrozenSource` over a frozen C0', or an on-disk component;
-the older source is the downstream component being rewritten.  An
-on-disk input is a :class:`StreamSource`: it holds one streaming run of
-the component (``SSTable.iter_runs``) as a list and reads the next when
-the last record of one is taken.
+The newer input is C0 drained in place through a
+:class:`~repro.memtable.snowshovel.SnowshovelCursor` (Section 4.2), over
+the whole keyspace in bLSM and over one partition in the partitioned
+tree; a frozen C0' (a memtable read in key order, left intact); or one
+or more on-disk components.  The older input is the downstream
+component being rewritten, or nothing.
 
-A merge is one sequential pass over its inputs (Section 4.4.1), and
-``step`` spends per record what that needs: a run of records with no
-version in the other input is copied to the builder with one key
-compare each, and only a key present in both inputs is folded
-(``merge_records``).
+A merge is one sequential pass over its inputs (Section 4.4.1), and a
+step is one loop over them by index.  C0 is walked as its sorted key
+list from the cursor's position; an on-disk input is walked as the list
+of records of its current streaming run (``SSTable.read_run``), the
+next run read when the last record of one is taken, if the step's
+access is unspent (a read that fails leaves the input on that run).
+Both heads and positions stay in locals: a stretch of records with no
+version in the other input is copied with no per-record call (C0's
+found with one ``bisect``), and only a key present in both inputs is
+folded (``merge_records``).  Copied records go straight into the
+output's open block by the builder's packing rule (append, add the
+bytes, and call ``SSTableBuilder.settle`` once the block reaches its
+``due``); ``settle`` decides every close and writes nothing.  The step
+books what it took (positions, bytes, the last key) before it writes a
+closed block behind and before every run read, so a read or write that
+fails raises with every record taken so far booked.  What the step
+drained from C0 leaves as one slice at its end
+(``MemTable.take_slice``), appended to the overlay that keeps it
+readable until the output installs, and the cursor moves past the last
+key the step wrote.
 
 It is the only merge: a policy tree's plan of ``k`` on-disk inputs
-passes the newest ``k - 1`` as ``newer`` (one :class:`MergedSource`).
+passes the newest ``k - 1`` as ``newer``, which the loop folds per key
+(every version of the key those inputs hold, no tombstone drop) before
+it meets the oldest.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Protocol, Sequence
+from bisect import bisect_left
+from typing import Any, Callable, Sequence
 
 from repro.memtable.memtable import MemTable
-from repro.memtable.snowshovel import SnowshovelCursor as SnowshovelSource
+from repro.memtable.snowshovel import SnowshovelCursor
 from repro.records import Record, RecordKind
 from repro.sstable.builder import SSTableBuilder
 from repro.sstable.iterator import merge_records
@@ -42,129 +57,20 @@ from repro.sstable.reader import SSTable
 from repro.storage.stasis import WAIT, Stasis, StepGate
 
 _TOMBSTONE = RecordKind.TOMBSTONE
-_UNREAD = object()  # a head not fetched yet
+_NO_RUN: list[Record] = []  # what an absent older input reads as
 
 
-class RecordSource(Protocol):
-    """A peekable stream of records in increasing key order."""
+class _Input:
+    """An on-disk input: its current streaming run, the position in it,
+    and the block its next run starts at."""
 
-    def peek(self) -> Record | None:
-        """Next record without consuming it; ``None`` when exhausted."""
-        ...
+    __slots__ = ("table", "run", "pos", "next_block")
 
-    def pop(self) -> Record:
-        """Consume and return the next record."""
-        ...
-
-
-class EmptySource:
-    """A source with no records (first merge into an empty level)."""
-
-    def peek(self) -> Record | None:
-        return None
-
-    def pop(self) -> Record:
-        raise StopIteration("empty source")
-
-
-class _AccessDeferred(Exception):
-    """An input needs the device and this step's one access is spent."""
-
-
-class FrozenSource:
-    """Drains a frozen memtable (C0') in key order.
-
-    Nothing is fetched before the first ``peek``.
-    """
-
-    def __init__(self, records) -> None:
-        self._iterator = iter(records)
-        self._head = _UNREAD
-
-    def peek(self) -> Record | None:
-        if self._head is _UNREAD:
-            self._head = next(self._iterator, None)
-        return self._head
-
-    def pop(self) -> Record:
-        record = self.peek()
-        if record is None:
-            raise StopIteration("source exhausted")
-        self._head = next(self._iterator, None)
-        return record
-
-
-class StreamSource:
-    """Drains an on-disk component one streaming run at a time.
-
-    Nothing is read before the first ``peek``.  Taking a run's last
-    record reads the next run at once if the step's gate is still clear;
-    otherwise the read waits, and ``peek`` raises :class:`_AccessDeferred`
-    until a later step's gate lets it through.
-    """
-
-    def __init__(self, table: SSTable, gate: StepGate) -> None:
-        self._runs = table.iter_runs(gate)
-        self._run: list[Record] | None = []  # None once exhausted
-        self._pos = 0
-
-    def peek(self) -> Record | None:
-        run = self._run
-        if run is not None and self._pos == len(run):
-            if not self._fetch():
-                raise _AccessDeferred
-            run = self._run
-        return None if run is None else run[self._pos]
-
-    def pop(self) -> Record:
-        record = self.peek()
-        if record is None:
-            raise StopIteration("source exhausted")
-        self._pos += 1
-        if self._pos == len(self._run):  # type: ignore[arg-type]
-            self._fetch()
-        return record
-
-    def _fetch(self) -> bool:
-        """Take the next run; ``False`` when the gate puts the read off."""
-        run = next(self._runs, None)
-        if run is WAIT:
-            return False
-        self._run, self._pos = run, 0
-        return True
-
-
-class MergedSource:
-    """On-disk inputs, newest first, as one source: the smallest head key
-    with every version of it folded (no tombstone drop); ``taken`` is the
-    bytes the last ``pop`` consumed.  ``peek`` reads every head before it
-    changes anything, so a deferred read leaves no partial state."""
-
-    def __init__(self, children: list[StreamSource]) -> None:
-        self._children = children
-        self._head: Record | None | object = _UNREAD
-        self._holders: list[StreamSource] = []
-        self.taken = 0
-
-    def peek(self) -> Record | None:
-        if self._head is _UNREAD:
-            heads = [(child, child.peek()) for child in self._children]
-            live = [(child, head) for child, head in heads if head is not None]
-            key = min((head.key for _, head in live), default=None)
-            group = [head for _, head in live if head.key == key]
-            self._holders = [child for child, head in live if head.key == key]
-            self.taken = sum(record.nbytes for record in group)
-            self._head = merge_records(group) if group else None
-        return self._head  # type: ignore[return-value]
-
-    def pop(self) -> Record:
-        record = self.peek()
-        if record is None:
-            raise StopIteration("source exhausted")
-        for child in self._holders:
-            child.pop()
-        self._head = _UNREAD
-        return record
+    def __init__(self, table: SSTable) -> None:
+        self.table = table
+        self.run: list[Record] = []  # nothing is read before the first step
+        self.pos = 0
+        self.next_block = 0
 
 
 class MergeProcess:
@@ -173,7 +79,7 @@ class MergeProcess:
     def __init__(
         self,
         stasis: Stasis,
-        newer: RecordSource | SSTable | Sequence[SSTable],
+        newer: SnowshovelCursor | MemTable | SSTable | Sequence[SSTable],
         older: SSTable | None,
         tree_id: int,
         input_bytes: int,
@@ -186,24 +92,35 @@ class MergeProcess:
         bloom_keys: int | None = None,
     ) -> None:
         self._stasis = stasis
+        self._clock = stasis.clock
         self._stats = stasis.data_disk.stats
         self._gate = StepGate(self._stats)
-        # On-disk inputs are read as streams (``SSTable.iter_runs``);
-        # each holds one streaming-size run of its pages in RAM.  A
-        # stream reads nothing until ``step`` first peeks it.
+        # On-disk inputs are read one streaming-size run at a time; each
+        # holds one run of its pages in RAM.
         self._readahead_pages = 0
-        if isinstance(newer, SSTable):
-            newer = self._open_stream(newer)
-        elif isinstance(newer, (list, tuple)):
-            newer = self._open_streams(newer)
-        self._newer: RecordSource = newer
-        self._merged = newer if isinstance(newer, MergedSource) else None
-        self._older: RecordSource = (
-            self._open_stream(older) if older is not None else EmptySource()
-        )
+        # The newer input: C0 through a cursor (drained, or a frozen C0'
+        # walked in place), or on-disk components newest first.
+        self._cursor: SnowshovelCursor | None = None
+        self._newer: list[_Input] = []
+        if isinstance(newer, SnowshovelCursor):
+            self._cursor = newer
+        elif isinstance(newer, MemTable):
+            self._cursor = SnowshovelCursor(newer)
+        else:
+            tables = [newer] if isinstance(newer, SSTable) else list(newer)
+            self._newer = [self._open(table) for table in tables]
+        self._older = self._open(older) if older is not None else None
+        # A drained C0 keeps what the pass took readable until the merge
+        # commits (in the real system it is served from the in-progress
+        # tree, Figure 1).  The pass takes keys in strictly ascending
+        # order, so the overlay (a memtable, ``nbytes`` its RAM) only
+        # grows at its tail and a snapshot's view of it is a prefix (no
+        # copy).
+        self.overlay = MemTable(max(1, input_bytes))
+        self._into = self.overlay if isinstance(newer, SnowshovelCursor) else None
         # Data-device accesses this pass issued, and the head
-        # repositionings among them, from ``IOStats`` deltas around
-        # ``step``.
+        # repositionings among them, from ``IOStats`` deltas around the
+        # steps that touched the device.
         self.read_calls = 0
         self.seeks = 0  # repositionings by reads and writes together
         self.write_calls = 0
@@ -229,31 +146,29 @@ class MergeProcess:
             else min(input_bytes, split_output_bytes),
         )
         self._drop_tombstones = drop_tombstones
+        # The versions the newer inputs' next key gathered (several
+        # on-disk newer inputs): who holds them and their bytes.
+        self._holders: list[_Input] = []
+        self._folded_bytes = 0
         self.bytes_read = 0
-        self.newer_bytes_read = 0  # consumed from the newer source only
+        self.newer_bytes_read = 0  # consumed from the newer input only
+        self.inprogress = 0.0
+        """Fraction of input consumed (the paper's smooth estimator), 1.0
+        once done; the scheduler reads it after every write."""
         self.output: SSTable | None = None
         self.outputs: list[SSTable] = []
         self.done = False
-        self.min_seqno_consumed: int | None = None
-        self.max_seqno_consumed: int | None = None
-        # Snowshoveling physically removes records from the live memtable
-        # as they are consumed, but the half-built output component is not
-        # yet visible to readers.  The overlay keeps those records
-        # readable until the merge commits (in the real system they are
-        # served from the in-progress tree, Figure 1).  Sources that
-        # expose ``advance_past`` drain a live memtable and need it.
-        # They emit in strictly ascending key order, so the overlay (a
-        # memtable, ``nbytes`` its RAM) only grows at its tail and a
-        # snapshot's view of it is a prefix (no copy).
-        self._track_overlay = hasattr(newer, "advance_past")
-        self.overlay = MemTable(self.input_bytes)
+        # Where each step's progress is booked (see report_to).
+        self._report: tuple[str, Any, Any, Any] | None = None
 
-    @property
-    def inprogress(self) -> float:
-        """Fraction of input consumed (the paper's smooth estimator)."""
-        if self.done:
-            return 1.0
-        return min(1.0, self.bytes_read / self.input_bytes)
+    def report_to(
+        self, gear: str, bytes_counter: Any, seconds_counter: Any, trace: Any
+    ) -> None:
+        """Book every step that worked to its owner's gear: the bytes it
+        consumed and the virtual seconds it took to ``bytes_counter`` and
+        ``seconds_counter``, and a ``merge_progress`` event to ``trace``
+        while that records."""
+        self._report = (gear, bytes_counter, seconds_counter, trace)
 
     @property
     def buffer_pages(self) -> int:
@@ -269,74 +184,308 @@ class MergeProcess:
     def step(self, budget_bytes: int) -> int:
         """Consume up to ``budget_bytes`` of input; return bytes consumed.
 
-        The step gets one data-device access (an input stream reading its
-        next run, or the builder writing one behind) and ends early only
-        when an input needs a second one; a write-behind that comes due
-        after the access waits in the builder instead.  The step that
-        starts a merge of two on-disk inputs fetches one head and cannot
-        consume yet: it returns 1, so that 0 keeps meaning "could not
-        run" to every caller.
+        The step gets one data-device access (an input reading its next
+        run, or the builder writing one behind) and ends early only when
+        an input needs a second one; a write-behind that comes due after
+        the access waits in the builder instead.  The step that starts a
+        merge of two on-disk inputs reads one head and cannot consume
+        yet: it returns 1, so that 0 keeps meaning "could not run" to
+        every caller.  A read or write that fails raises with every
+        record taken before it booked: a run read leaves its input at
+        that run, so the next step reads it again.
 
         Completing the merge (building the output component) happens
-        automatically when both sources drain; closing an output flushes
+        automatically when both inputs drain; closing an output flushes
         its tail whatever the step has already touched.
         """
         if self.done or budget_bytes <= 0:
             return 0
+        started = self._clock.now
         stats = self._stats
-        reads, writes = stats.read_ops, stats.write_ops
-        seeks, write_seeks = stats.seeks, stats.write_seeks
-        self._gate.open()
-        newer, older = self._newer, self._older
-        drop, track = self._drop_tombstones, self._track_overlay
-        consumed = 0
+        gate = self._gate
+        gate.mark = stats.read_ops + stats.write_ops  # opened
+        drop = self._drop_tombstones
+        consumed = newer_bytes = 0
+        last = None  # the key of the last record consumed
+        # A head whose run waits for the next step's access ends the
+        # step: no budget is left.
+        budget = budget_bytes
+        # The newer input, kind 0 (C0 by the cursor: its sorted keys and
+        # index), 1 (one on-disk run) or 2 (several on-disk inputs folded
+        # per key; none at all is that kind too).
+        cursor = self._cursor
+        if cursor is not None:
+            kind = 0
+            nlist, index, npos, nend = cursor.span()
+            newer = index[nlist[npos]] if npos < nend else None
+        elif len(self._newer) == 1:
+            kind = 1
+            source = self._newer[0]
+            nlist, npos = source.run, source.pos
+            nend = len(nlist)
+            if npos < nend:
+                newer = nlist[npos]
+            else:  # its run is used up: the next is the step's access
+                newer = run = self._next_run(source)
+                if run is not None:
+                    nlist, npos, nend = run, 0, len(run)
+                    newer = run[0]
+        else:
+            kind = 2
+            newer = self._fold_newer()
+            if newer is WAIT:
+                budget = 0
+        # The older input: one on-disk run, or none.
+        older_input = self._older
+        if older_input is None:
+            orun, opos, oend, older = _NO_RUN, 0, 0, None
+        else:
+            orun, opos = older_input.run, older_input.pos
+            oend = len(orun)
+            if opos < oend:
+                older = orun[opos]
+            else:
+                older = run = self._next_run(older_input)
+                if run is WAIT:
+                    budget = 0
+                elif run is not None:
+                    orun, opos, oend = run, 0, len(run)
+                    older = run[0]
+        # The output's open block, packed here by the builder's rule:
+        # records go in as they are taken, and ``settle`` looks at the
+        # block once it reaches ``due``.  Nothing is written or read
+        # before every record taken so far is booked in the locals
+        # below, which the step writes back however it ends.
+        builder = self._builder
+        block, held, due = builder.block, builder.held, builder.due
         try:
-            while consumed < budget_bytes:
-                newer_head = newer.peek()
-                older_head = older.peek()
-                if older_head is None:
-                    if newer_head is None:
-                        self._complete()
-                        break
-                    source, bound = newer, None
-                elif newer_head is None:
-                    source, bound = older, None
-                elif newer_head.key < older_head.key:
-                    source, bound = newer, older_head.key
-                elif older_head.key < newer_head.key:
-                    source, bound = older, newer_head.key
-                else:
-                    consumed += self._emit_next()
-                    continue
-                # Copy the records below the other input's head: none of
-                # them has a second version to fold.
-                from_newer = source is newer
-                while True:
-                    record = source.pop()
-                    if from_newer:
-                        consumed += self._took_newer(record)
+            while consumed < budget:
+                if older is not None and (
+                    newer is None or older.key < newer.key
+                ):
+                    # Copy the older records below the newer head: none
+                    # has a second version.  Taking a run's last record
+                    # reads the next run first, if the access is unspent.
+                    bound = None if newer is None else newer.key
+                    final = oend - 1
+                    start = opos
+                    record = older
+                    while True:
+                        if opos == final:
+                            if opos > start:
+                                last = orun[opos - 1].key
+                            run = self._next_run(older_input)  # type: ignore[arg-type]
+                        opos += 1
+                        nbytes = record.nbytes
+                        consumed += nbytes
+                        if not (drop and record.kind is _TOMBSTONE):
+                            block.append(record)
+                            held += nbytes
+                            if held >= due:
+                                block, held, due, stop = builder.settle(held)
+                                if stop:
+                                    break
+                        if consumed >= budget or opos == oend:
+                            break
+                        record = orun[opos]
+                        if bound is not None and record.key >= bound:
+                            break
+                    last = orun[opos - 1].key
+                    if opos < oend:
+                        older = orun[opos]
+                    elif run is WAIT:
+                        budget = 0
+                    elif run is None:
+                        older = None
                     else:
-                        consumed += record.nbytes
-                        if track:  # keep the snowshovel cursor at the output
-                            newer.advance_past(record.key)  # type: ignore
-                    if not (drop and record.kind is _TOMBSTONE):
-                        self._emit(record)
-                    if consumed >= budget_bytes:
-                        break
-                    head = source.peek()
-                    if head is None or (
-                        bound is not None and head.key >= bound
-                    ):
-                        break
-        except _AccessDeferred:
-            pass
-        self.bytes_read += consumed
-        self.read_calls += stats.read_ops - reads
-        self.write_calls += stats.write_ops - writes
-        self.seeks += stats.seeks - seeks
-        self.write_seeks += stats.write_seeks - write_seeks
-        if consumed == 0 and not self.done and not self._gate.clear:
-            return 1
+                        orun, opos, oend = run, 0, len(run)
+                        older = run[0]
+                elif newer is None:
+                    builder.held = held
+                    self._complete()
+                    break
+                elif older is not None and older.key == newer.key:
+                    # Both inputs hold the key: fold its two versions.
+                    # Every run read the take needs is made first, the
+                    # newer input's before the older's, so a read that
+                    # fails leaves both inputs on the key.
+                    if kind == 0:
+                        nrun = None
+                    elif kind == 1:
+                        nrun = self._next_run(source) if npos + 1 == nend else None
+                    else:
+                        nrun = self._holder_runs()
+                    orun_next = (
+                        self._next_run(older_input)  # type: ignore[arg-type]
+                        if opos + 1 == oend
+                        else None
+                    )
+                    merged = merge_records([newer, older], drop_tombstones=drop)
+                    if merged is not None:
+                        block.append(merged)
+                        held += merged.nbytes
+                        if held >= due:
+                            block, held, due, stop = builder.settle(held)
+                    taken = newer.nbytes if kind != 2 else self._folded_bytes
+                    consumed += taken + older.nbytes
+                    newer_bytes += taken
+                    last = older.key
+                    if kind == 0:
+                        npos += 1
+                        newer = index[nlist[npos]] if npos < nend else None
+                    elif kind == 1:
+                        if nrun is None or nrun is WAIT:
+                            npos += 1
+                            newer = nlist[npos] if npos < nend else nrun
+                        else:
+                            nlist, npos, nend = nrun, 0, len(nrun)
+                            newer = nrun[0]
+                    else:
+                        self._take_folded(nrun)
+                    if orun_next is None or orun_next is WAIT:
+                        opos += 1
+                        older = orun[opos] if opos < oend else orun_next
+                    else:
+                        orun, opos, oend = orun_next, 0, len(orun_next)
+                        older = orun_next[0]
+                    if builder.write_due:
+                        builder, block, held, due = self._write(held)
+                    if kind == 2:
+                        newer = self._fold_newer()
+                    if newer is WAIT or older is WAIT:
+                        budget = 0
+                    continue
+                elif kind == 0:
+                    # Copy the C0 records below the older head.
+                    bound = (
+                        nend
+                        if older is None
+                        else bisect_left(nlist, older.key, npos, nend)
+                    )
+                    taken = consumed
+                    while npos < bound:
+                        record = index[nlist[npos]]
+                        npos += 1
+                        nbytes = record.nbytes
+                        consumed += nbytes
+                        if not (drop and record.kind is _TOMBSTONE):
+                            block.append(record)
+                            held += nbytes
+                            if held >= due:
+                                block, held, due, stop = builder.settle(held)
+                                if stop:
+                                    break
+                        if consumed >= budget:
+                            break
+                    newer_bytes += consumed - taken
+                    last = record.key
+                    newer = index[nlist[npos]] if npos < nend else None
+                elif kind == 1:
+                    # Copy the newer run's records below the older head,
+                    # its last record as the older input's is.
+                    bound = None if older is None else older.key
+                    final = nend - 1
+                    start = npos
+                    taken = consumed
+                    record = newer
+                    while True:
+                        if npos == final:
+                            if npos > start:
+                                last = nlist[npos - 1].key
+                            newer_bytes += consumed - taken
+                            taken = consumed
+                            run = self._next_run(source)
+                        npos += 1
+                        nbytes = record.nbytes
+                        consumed += nbytes
+                        if not (drop and record.kind is _TOMBSTONE):
+                            block.append(record)
+                            held += nbytes
+                            if held >= due:
+                                block, held, due, stop = builder.settle(held)
+                                if stop:
+                                    break
+                        if consumed >= budget or npos == nend:
+                            break
+                        record = nlist[npos]
+                        if bound is not None and record.key >= bound:
+                            break
+                    newer_bytes += consumed - taken
+                    last = nlist[npos - 1].key
+                    if npos < nend:
+                        newer = nlist[npos]
+                    elif run is WAIT:
+                        budget = 0
+                    elif run is None:
+                        newer = None
+                    else:
+                        nlist, npos, nend = run, 0, len(run)
+                        newer = run[0]
+                else:
+                    # Copy the newer inputs' folded key below the older
+                    # head.
+                    self._take_folded()
+                    if not (drop and newer.kind is _TOMBSTONE):
+                        block.append(newer)
+                        held += newer.nbytes
+                        if held >= due:
+                            block, held, due, stop = builder.settle(held)
+                    consumed += self._folded_bytes
+                    newer_bytes += self._folded_bytes
+                    last = newer.key
+                    if builder.write_due:
+                        builder, block, held, due = self._write(held)
+                    newer = self._fold_newer()
+                    if newer is WAIT:
+                        budget = 0
+                    continue
+                if builder.write_due:
+                    builder, block, held, due = self._write(held)
+        finally:
+            # Write the step's state back: the open block's bytes (unless
+            # closing the output closed it), what it took from C0 leaves
+            # C0 as one slice, the cursor moves past the last key it
+            # wrote, and the inputs keep their runs and positions.
+            if block is builder.block:
+                builder.held = held
+            if kind == 0:
+                if last is not None:
+                    cursor.take(npos, newer_bytes, last, self._into)  # type: ignore[union-attr]
+            elif kind == 1:
+                source.run, source.pos = nlist, npos
+            if older_input is not None:
+                older_input.run, older_input.pos = orun, opos
+            self.bytes_read += consumed
+            self.newer_bytes_read += newer_bytes
+            if not self.done:
+                inprogress = self.bytes_read / self.input_bytes
+                self.inprogress = inprogress if inprogress < 1.0 else 1.0
+            if stats.read_ops + stats.write_ops != gate.mark:
+                reads, writes, seeks, write_seeks = gate.before
+                self.read_calls += stats.read_ops - reads
+                self.write_calls += stats.write_ops - writes
+                self.seeks += stats.seeks - seeks
+                self.write_seeks += stats.write_seeks - write_seeks
+        if consumed == 0 and not self.done and not gate.clear:
+            consumed = 1  # it read a head: it ran
+        report = self._report
+        if consumed and report is not None:
+            gear, bytes_counter, seconds_counter, trace = report
+            seconds = self._clock.now - started
+            bytes_counter.value += consumed  # Counter.inc, inline: both >= 0
+            seconds_counter.value += seconds
+            if trace.enabled:  # skip the kwargs build when tracing is off
+                trace.emit(
+                    "merge_progress",
+                    level=gear,
+                    worked=consumed,
+                    seconds=seconds,
+                    inprogress=self.inprogress,
+                    reads=self.read_calls,
+                    seeks=self.seeks,
+                    writes=self.write_calls,
+                    write_seeks=self.write_seeks,
+                )
         return consumed
 
     def run_to_completion(self) -> int:
@@ -350,56 +499,86 @@ class MergeProcess:
         """Tear the merge down, freeing the partially built output."""
         if not self.done:
             self.done = True
+            self.inprogress = 1.0
             self._builder.abandon()
 
-    def _emit_next(self) -> int:
-        """Fold the key both inputs hold next; return input bytes consumed."""
-        newer = self._newer.pop()
-        consumed = self._took_newer(newer)
-        older = self._older.pop()
-        if self._track_overlay:
-            # The snowshovel cursor must not fall behind the merge's
-            # output position (see SnowshovelCursor.advance_past).
-            self._newer.advance_past(older.key)  # type: ignore[attr-defined]
-        merged = merge_records(
-            [newer, older], drop_tombstones=self._drop_tombstones
-        )
-        if merged is not None:
-            self._emit(merged)
-        return consumed + older.nbytes
-
-    def _took_newer(self, record: Record) -> int:
-        """Book a record taken from the newer input; return its bytes
-        (a MergedSource's: every version it folded)."""
-        nbytes = record.nbytes if self._merged is None else self._merged.taken
-        self.newer_bytes_read += nbytes
-        seqno = record.seqno
-        if self.min_seqno_consumed is None or seqno < self.min_seqno_consumed:
-            self.min_seqno_consumed = seqno
-        if self.max_seqno_consumed is None or seqno > self.max_seqno_consumed:
-            self.max_seqno_consumed = seqno
-        if self._track_overlay:
-            self.overlay.put(record)
-        return nbytes
-
-    def _emit(self, record: Record) -> None:
-        self._builder.add(record)
-        if (
-            self._split_output_bytes is not None
-            and self._builder.nbytes >= self._split_output_bytes
-        ):
-            self._rotate_builder()
-
-    def _open_stream(self, table: SSTable) -> StreamSource:
+    def _open(self, table: SSTable) -> _Input:
         self._readahead_pages += min(self._stasis.streaming_pages, table.npages)
-        return StreamSource(table, self._gate)
+        return _Input(table)
 
-    def _open_streams(self, tables: Sequence[SSTable]) -> RecordSource:
-        if not tables:
-            return EmptySource()
-        if len(tables) == 1:
-            return self._open_stream(tables[0])
-        return MergedSource([self._open_stream(table) for table in tables])
+    def _next_run(self, source: _Input) -> list[Record] | None | Any:
+        """The run after ``source``'s current one: read now if the step's
+        access is unspent, :data:`WAIT` if it is spent, ``None`` past the
+        last."""
+        table = source.table
+        start = source.next_block
+        if start == len(table.blocks):
+            return None
+        if not self._gate.clear:
+            return WAIT
+        run, source.next_block = table.read_run(start)
+        return run
+
+    def _fold_newer(self) -> Record | None | Any:
+        """The newer on-disk inputs' next key with every version of it
+        folded, newest first and no tombstone dropped; ``None`` past
+        their end, :data:`WAIT` while an input's next run waits for the
+        step's access.  Who holds the versions and their bytes are kept
+        for :meth:`_take_folded`."""
+        heads = []
+        for source in self._newer:
+            run, pos = source.run, source.pos
+            if pos == len(run):
+                run = self._next_run(source)
+                if run is WAIT:
+                    return WAIT
+                if run is None:
+                    continue
+                source.run, source.pos, pos = run, 0, 0
+            heads.append((source, run[pos]))
+        if not heads:
+            return None
+        key = min(head.key for _, head in heads)
+        group = [head for _, head in heads if head.key == key]
+        self._holders = [source for source, head in heads if head.key == key]
+        self._folded_bytes = sum(record.nbytes for record in group)
+        return merge_records(group)
+
+    def _holder_runs(self) -> list[Any]:
+        """The run each holder of the folded key reads next, in order,
+        for those whose run the key ends (``None`` for the rest).  Only
+        the first read can go through, so a read that fails leaves no
+        input changed."""
+        return [
+            self._next_run(source) if source.pos + 1 == len(source.run) else None
+            for source in self._holders
+        ]
+
+    def _take_folded(self, runs: list[Any] | None = None) -> None:
+        """Move every holder of the folded key past it (onto the run
+        :meth:`_holder_runs` read for it, if any)."""
+        if runs is None:
+            runs = self._holder_runs()
+        for source, run in zip(self._holders, runs):
+            if run is None or run is WAIT:
+                source.pos += 1
+            else:
+                source.run, source.pos = run, 0
+
+    def _write(
+        self, held: int
+    ) -> tuple[SSTableBuilder, list[Record], int, int]:
+        """The builder has writing to do, and the step has booked what
+        it took: write behind what the gate lets through, and start the
+        next output file if this one is full.  Returns the builder and
+        its packing state after."""
+        builder = self._builder
+        builder.held = held
+        builder.write_behind()
+        if builder.full:
+            self._rotate_builder()
+            builder = self._builder
+        return builder, builder.block, builder.held, builder.due
 
     def _new_builder(self, tree_id: int, expected_bytes: int) -> SSTableBuilder:
         """A builder for ``expected_bytes`` of the output.
@@ -425,9 +604,11 @@ class MergeProcess:
             compression_ratio=self._compression_ratio,
             bloom_keys=bloom_keys,
             gate=self._gate,
+            limit_bytes=self._split_output_bytes,
         )
 
     def _rotate_builder(self) -> None:
+        self._gate.keep()  # closing the file writes whatever the gate says
         table = self._builder.finish()
         if table is not None:
             self.outputs.append(table)
@@ -438,9 +619,11 @@ class MergeProcess:
         )
 
     def _complete(self) -> None:
+        self._gate.keep()  # closing the output writes whatever the gate says
         table = self._builder.finish()
         if table is not None:
             self.outputs.append(table)
         if self._split_output_bytes is None:
             self.output = table
         self.done = True
+        self.inprogress = 1.0

@@ -41,9 +41,10 @@ from typing import Any, Iterable
 
 from repro.core.components import describe_component
 from repro.core.kernel import TreeKernel
-from repro.core.merge import MergeProcess, SnowshovelSource
+from repro.core.merge import MergeProcess
 from repro.core.options import BLSMOptions
 from repro.core.tree import target_r
+from repro.memtable.snowshovel import SnowshovelCursor
 from repro.sstable.reader import SSTable
 from repro.storage.stasis import Stasis
 
@@ -267,7 +268,7 @@ class PartitionedBLSM(TreeKernel):
     # ------------------------------------------------------------------
 
     def _start_pass(self, partition: Partition) -> MergeProcess:
-        source = SnowshovelSource(self._memtable, partition.lo, partition.hi)
+        source = SnowshovelCursor(self._memtable, partition.lo, partition.hi)
         c0_bytes, c0_keys = self._range_size(partition)
         c1_bytes = partition.c1.nbytes if partition.c1 is not None else 0
         c1_keys = partition.c1.key_count if partition.c1 is not None else 0

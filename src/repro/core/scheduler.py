@@ -215,15 +215,15 @@ class SpringGearScheduler(MergeScheduler):
         if gauge is None or self._engaged != (pressure > 0.0):
             self._set_pressure(pressure)
         else:
-            gauge.set(pressure)
+            gauge.value = pressure  # Gauge.set, inline
         if fill <= low:
             return  # spring unwound: pause merges, let C0 absorb writes
         # One budget is shared across all steps below: max_tick_bytes is
         # the per-tick latency bound, not a per-step cap.
         max_tick = self.max_tick_bytes
         debt = tree.m01_debt_per_byte()
-        budget = min(max_tick, int(HEADROOM * pressure * debt * nbytes) + 1)
-        worked = tree.step_m01(budget)
+        budget = int(HEADROOM * pressure * debt * nbytes) + 1
+        worked = tree.step_m01(budget if budget < max_tick else max_tick)
         remaining = max_tick - worked
         deficit12 = tree.m12_deficit
         if deficit12 > 0 and remaining > 0:

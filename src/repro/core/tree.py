@@ -34,9 +34,10 @@ from typing import Any, Iterable
 
 from repro.core.components import component_row, describe_component
 from repro.core.kernel import TreeKernel
-from repro.core.merge import FrozenSource, MergeProcess, SnowshovelSource
+from repro.core.merge import MergeProcess
 from repro.core.options import BLSMOptions
 from repro.memtable.memtable import MemTable
+from repro.memtable.snowshovel import SnowshovelCursor
 from repro.sstable.reader import SSTable
 
 MIN_R = 2.0
@@ -134,9 +135,12 @@ class BLSM(TreeKernel):
         about twice what C0 holds now (Section 4.2) and a frozen pass
         consumes exactly C0'.
         """
-        doubling = 2 if self.options.snowshovel else 1
-        run_bytes = max(1, doubling * self._c0_source_bytes())
-        c1_bytes = self._c1.nbytes if self._c1 is not None else 0
+        if self.options.snowshovel:
+            run_bytes = 2 * self._memtable.nbytes or 1
+        else:
+            run_bytes = self._c0_source_bytes() or 1
+        c1 = self._c1
+        c1_bytes = c1.nbytes if c1 is not None else 0
         return (run_bytes + c1_bytes) / run_bytes
 
     # ------------------------------------------------------------------
@@ -269,10 +273,10 @@ class BLSM(TreeKernel):
         return max(1, self.options.c0_bytes // 2)
 
     def _on_write(self, nbytes: int) -> None:
-        self._gauge_fill.set(self._memtable.fill_fraction)
-        if not self.options.snowshovel and self._memtable.fill_fraction >= 1.0:
-            if self._frozen is None:
-                self._freeze_memtable()
+        fill = self._memtable.fill_fraction
+        self._gauge_fill.value = fill  # Gauge.set, inline
+        if fill >= 1.0 and self._frozen is None and not self.options.snowshovel:
+            self._freeze_memtable()
         self.scheduler.on_write(nbytes)
 
     def _freeze_memtable(self) -> None:
@@ -320,8 +324,9 @@ class BLSM(TreeKernel):
     def _start_m01(self) -> bool:
         if not self._m01_can_start():
             return False
+        newer: SnowshovelCursor | MemTable
         if self.options.snowshovel:
-            newer = SnowshovelSource(self._memtable)
+            newer = SnowshovelCursor(self._memtable)
             newer_bytes = self._memtable.nbytes
             newer_keys = len(self._memtable)
             # Keys keep joining the run while the pass drains it: size
@@ -332,7 +337,7 @@ class BLSM(TreeKernel):
             )
         else:
             assert self._frozen is not None
-            newer = FrozenSource(iter(self._frozen))
+            newer = self._frozen  # read in key order, left intact
             newer_bytes = self._frozen.nbytes
             newer_keys = run_keys = len(self._frozen)
         c1_bytes = self._c1.nbytes if self._c1 is not None else 0
@@ -350,7 +355,7 @@ class BLSM(TreeKernel):
             compression_ratio=self.options.compression_ratio,
             bloom_keys=run_keys + c1_keys,
         )
-        if isinstance(newer, SnowshovelSource):
+        if self.options.snowshovel:
             self._ram = [(self._m01.overlay,)]  # what it drained from C0
         self._merge_started("c0c1", self._m01)
         return True

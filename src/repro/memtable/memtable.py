@@ -12,8 +12,10 @@ read checks C0 first, and most of them miss it — and the resident keys
 as one sorted list.  An overwrite touches only the index; a new key is
 appended when it sorts last and ``insort``-ed otherwise, and a removal
 deletes it at its ``bisect`` position.  Ordered walks bisect and then
-step along the list, so a merge is one pass and snowshoveling can take
-the next key at or after its cursor (``ceiling``, Section 4.2).
+step along the list, so a merge is one pass: snowshoveling walks the
+list from the first key at or after its cursor (Section 4.2) and takes
+what a merge step drained out as one slice
+(:class:`~repro.memtable.snowshovel.SnowshovelCursor`).
 
 The memtable tracks its approximate byte footprint; the merge scheduler
 uses the fill fraction of C0 as its primary progress signal
@@ -47,7 +49,8 @@ class MemTable:
         self.capacity_bytes = capacity_bytes
         self._index: dict[bytes, Record] = {}
         self._keys: list[bytes] = []  # the index's keys, sorted
-        self._nbytes = 0
+        self.nbytes = 0
+        """Approximate bytes of record payload currently held."""
         # Open snapshots reading this table in place; emptied by the
         # first mutation (each view has copied by then) or by release.
         self._views: list[Any] = []
@@ -56,14 +59,9 @@ class MemTable:
         return len(self._keys)
 
     @property
-    def nbytes(self) -> int:
-        """Approximate bytes of record payload currently held."""
-        return self._nbytes
-
-    @property
     def fill_fraction(self) -> float:
         """How full C0 is; the spring-and-gear scheduler's input signal."""
-        return self._nbytes / self.capacity_bytes
+        return self.nbytes / self.capacity_bytes
 
     @property
     def is_empty(self) -> bool:
@@ -106,7 +104,7 @@ class MemTable:
         key = record.key
         existing = self._index.get(key)
         if existing is None:
-            self._nbytes += record.nbytes
+            self.nbytes += record.nbytes
             keys = self._keys
             if not keys or key > keys[-1]:
                 keys.append(key)
@@ -118,7 +116,7 @@ class MemTable:
                 or record.seqno <= existing.seqno
             ):
                 record = fold(record, existing)
-            self._nbytes += record.nbytes - existing.nbytes
+            self.nbytes += record.nbytes - existing.nbytes
         self._index[key] = record
 
     def get(self, key: bytes) -> Record | None:
@@ -132,8 +130,31 @@ class MemTable:
         record = self._index.pop(key, None)
         if record is not None:
             del self._keys[bisect_left(self._keys, key)]
-            self._nbytes -= record.nbytes
+            self.nbytes -= record.nbytes
         return record
+
+    def ordered(self) -> tuple[list[bytes], dict[bytes, Record]]:
+        """The sorted key list and the index, read in place and not to be
+        changed by the reader.  They are the same two objects for the
+        table's life: every change edits them in place."""
+        return self._keys, self._index
+
+    def take_slice(
+        self, start: int, stop: int, nbytes: int, into: "MemTable"
+    ) -> None:
+        """Move the records at sorted positions ``[start, stop)``, which
+        hold ``nbytes``, to the tail of ``into`` in one slice (a merge
+        step drained them).  Every key of ``into`` is below them, and no
+        snapshot reads ``into`` in place."""
+        if self._views:
+            self._detach_views()
+        keys = self._keys
+        moved = keys[start:stop]
+        del keys[start:stop]
+        self.nbytes -= nbytes
+        into._keys += moved
+        into._index.update(zip(moved, map(self._index.pop, moved)))
+        into.nbytes += nbytes
 
     def first_key(self) -> bytes | None:
         """Smallest resident key, or ``None`` when empty."""
@@ -157,7 +178,7 @@ class MemTable:
         table = MemTable(self.capacity_bytes)
         table._index = self._index.copy()
         table._keys = self._keys.copy()
-        table._nbytes = self._nbytes
+        table.nbytes = self.nbytes
         return table
 
     def __iter__(self) -> Iterator[Record]:

@@ -14,11 +14,11 @@ workloads.
 Two implementations live here:
 
 * :class:`SnowshovelCursor` — the incremental drain every C0:C1 merge
-  runs against the live memtable (``repro.core.merge.SnowshovelSource``),
+  runs against the live memtable (:class:`repro.core.merge.MergeProcess`),
   over the whole keyspace or, in a partitioned tree, one partition's
   ``[lo, hi)``.  It is one ascending walk of the memtable's sorted key
-  list: ``MemTable.ceiling`` (a ``bisect`` at the cursor), then
-  ``MemTable.remove`` of the key it found.
+  list: each merge step bisects at the cursor, walks the keys from
+  there by index and takes what it consumed out of C0 as one slice.
 * :func:`replacement_selection_runs` — the classic offline tournament-sort
   formulation over a bounded heap, used by the ablation benchmark to
   measure run lengths under sorted / random / reverse arrival orders.
@@ -27,6 +27,7 @@ Two implementations live here:
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from typing import Iterable, Iterator, Sequence
 
 from repro.memtable.memtable import MemTable
@@ -34,51 +35,55 @@ from repro.records import Record
 
 
 class SnowshovelCursor:
-    """Drains one run of a live memtable's keys in ``[lo, hi)`` in key
-    order (``hi=None`` means unbounded).
+    """Where one run of a memtable's keys in ``[lo, hi)`` stands
+    (``hi=None`` means unbounded).
 
-    ``peek`` is the smallest record at or after the cursor and below
-    ``hi``; ``pop`` removes and returns it.  It reflects the memtable's
-    current contents, so records inserted ahead of the cursor join the
-    run.  When no such record exists the run is exhausted; the keys that
-    arrived behind the cursor wait for the next run, a fresh cursor at
-    ``lo`` (each C0:C1 pass builds one).  Records outside the range stay
-    in the memtable.
+    The run is the memtable's keys at or after the cursor and below
+    ``hi``, in key order, as they are now: records inserted ahead of the
+    cursor join the run, and keys that arrived behind it wait for the
+    next run, a fresh cursor at ``lo`` (each C0:C1 pass builds one).
+    A merge step reads the run off the memtable's sorted key list
+    (:meth:`span`) and then reports what it took (:meth:`take`): the
+    records leave the memtable in one slice, and the cursor moves past
+    the last key the step wrote.  Records outside the range stay in the
+    memtable.  (A frozen C0' is walked by a cursor too, and left intact.)
     """
 
     def __init__(
         self, memtable: MemTable, lo: bytes = b"", hi: bytes | None = None
     ) -> None:
-        self._memtable = memtable
+        self.memtable = memtable
+        self._keys, self._index = memtable.ordered()
         self._hi = hi
         self._cursor = lo  # the smallest key the run may still emit
+        self._start = 0  # where the last span began
 
-    def peek(self) -> Record | None:
-        """The run's next record without consuming it; ``None`` when the
-        run is exhausted."""
-        record = self._memtable.ceiling(self._cursor)
-        if record is None or (self._hi is not None and record.key >= self._hi):
-            return None
-        return record
+    def span(self) -> tuple[list[bytes], dict[bytes, Record], int, int]:
+        """The memtable's sorted key list and index, and the run's keys
+        as the positions ``[start, end)`` of that list; valid until the
+        memtable next changes."""
+        keys = self._keys
+        start = self._start = bisect_left(keys, self._cursor)
+        hi = self._hi
+        end = len(keys) if hi is None else bisect_left(keys, hi, start)
+        return keys, self._index, start, end
 
-    def pop(self) -> Record:
-        """Consume and return the run's next record."""
-        record = self.peek()
-        if record is None:
-            raise StopIteration("snowshovel run exhausted")
-        self._memtable.remove(record.key)
-        self._cursor = record.key + b"\x00"  # strictly-greater successor
-        return record
-
-    def advance_past(self, key: bytes) -> None:
-        """Move the cursor past ``key`` without consuming anything.
-
-        The run cursor tracks the *last value written* by the merge
-        (Section 4.2), which may come from the downstream tree rather
-        than C0; keys arriving behind it must wait for the next run or
-        the merge output would go out of order.
-        """
-        successor = key + b"\x00"
+    def take(
+        self, stop: int, nbytes: int, last: bytes, into: MemTable | None
+    ) -> None:
+        """The step took the span's keys up to position ``stop``, which
+        hold ``nbytes``, and wrote keys up to ``last``.  The records move
+        to the tail of ``into`` in one slice (all its keys are below
+        them; no snapshot reads it in place), unless ``into`` is
+        ``None``; the cursor moves past ``last``."""
+        start = self._start
+        if stop > start and into is not None:
+            self.memtable.take_slice(start, stop, nbytes, into)
+        # The run cursor tracks the *last value written* by the merge
+        # (Section 4.2), which may come from the downstream tree rather
+        # than C0; keys arriving behind it must wait for the next run or
+        # the merge output would go out of order.  It never moves back.
+        successor = last + b"\x00"  # strictly-greater successor
         if successor > self._cursor:
             self._cursor = successor
 

@@ -26,19 +26,17 @@ class VirtualClock:
 
     The clock starts at zero.  Components advance it by the service time of
     the work they perform; the benchmark harness reads :attr:`now` to
-    compute latencies and throughput windows.
+    compute latencies and throughput windows.  ``now`` is a plain
+    attribute, read on every write and merge step; only :meth:`advance`
+    and :meth:`advance_to` move it.
     """
 
-    __slots__ = ("_now", "_active_timeline")
+    __slots__ = ("now", "_active_timeline")
 
     def __init__(self) -> None:
-        self._now = 0.0
-        self._active_timeline: Timeline | None = None
-
-    @property
-    def now(self) -> float:
+        self.now = 0.0
         """Current virtual time in seconds since the simulation started."""
-        return self._now
+        self._active_timeline: Timeline | None = None
 
     def advance(self, seconds: float) -> float:
         """Advance the clock by ``seconds`` and return the new time.
@@ -48,8 +46,8 @@ class VirtualClock:
         """
         if seconds < 0:
             raise ValueError(f"cannot advance clock by {seconds!r} seconds")
-        self._now += seconds
-        return self._now
+        self.now += seconds
+        return self.now
 
     def advance_to(self, t: float) -> float:
         """Advance the clock to at least ``t`` and return the new time.
@@ -57,9 +55,9 @@ class VirtualClock:
         Waiting for something that already happened is free: a ``t`` in
         the past leaves the clock unchanged (time never goes back).
         """
-        if t > self._now:
-            self._now = t
-        return self._now
+        if t > self.now:
+            self.now = t
+        return self.now
 
     @property
     def active_timeline(self) -> "Timeline | None":
@@ -79,7 +77,7 @@ class VirtualClock:
         return RunningOn(self, timeline)
 
     def __repr__(self) -> str:
-        return f"VirtualClock(now={self._now:.6f})"
+        return f"VirtualClock(now={self.now:.6f})"
 
 
 class RunningOn:
@@ -118,26 +116,22 @@ class Timeline:
     advances the clock to :attr:`now`.
     """
 
-    __slots__ = ("name", "_now")
+    __slots__ = ("name", "now")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._now = 0.0
-
-    @property
-    def now(self) -> float:
+        self.now = 0.0
         """This writer's current position in virtual time."""
-        return self._now
 
     def advance_to(self, t: float) -> float:
         """Move forward to at least ``t`` and return the new position."""
-        if t > self._now:
-            self._now = t
-        return self._now
+        if t > self.now:
+            self.now = t
+        return self.now
 
     def busy(self, clock: VirtualClock) -> bool:
         """Whether this writer is still servicing previously queued work."""
-        return self._now > clock.now
+        return self.now > clock.now
 
     def __repr__(self) -> str:
-        return f"Timeline(name={self.name!r}, now={self._now:.6f})"
+        return f"Timeline(name={self.name!r}, now={self.now:.6f})"

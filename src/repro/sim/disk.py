@@ -261,7 +261,7 @@ class SimDisk:
             if nbytes == 0:
                 return 0.0
         # The requester: the log writer's timeline if it is installed, else
-        # the foreground clock.  Both keep their position in ``_now``;
+        # the foreground clock.  Both keep their position in ``now``;
         # every access of every device passes here, so it reads and
         # moves that in place and books the access inline (one frame;
         # :meth:`_service_at` is the same booking for a striped array's
@@ -269,7 +269,7 @@ class SimDisk:
         clock = self.clock
         timeline = clock._active_timeline
         requester = clock if timeline is None else timeline
-        issue_at = requester._now
+        issue_at = requester.now
         stats = self.stats
         sequential = offset == self._head
         service = nbytes / bandwidth
@@ -300,7 +300,7 @@ class SimDisk:
                 issue_at, offset, nbytes, is_write, 0 if sequential else 1,
                 service, wait, end, timeline is not None,
             )
-        requester._now = end  # end >= issue_at: time never goes back
+        requester.now = end  # end >= issue_at: time never goes back
         return end - issue_at
 
     def _service_at(
@@ -311,15 +311,16 @@ class SimDisk:
         access_seconds: float,
         bandwidth: float,
         is_write: bool,
-        background: bool,
     ) -> tuple[float, float, bool]:
         """Book one access issued at ``issue_at``; return
         ``(end_time, queue_wait, seeked)``.
 
         :meth:`_access`'s booking, for a :class:`StripedDisk` member: it
-        advances the device horizon and all counters but *no* clock or
-        timeline — the array fans one logical access out to several
-        members, all issued at once, and advances its requester itself.
+        advances the device horizon and all counters but *not* the clock
+        — the array fans one logical access out to several members, all
+        issued at once, and advances the clock itself.  An array is only
+        ever a data device, which nothing runs behind the foreground on,
+        so its members book foreground accesses only.
         """
         stats = self.stats
         sequential = offset == self._head
@@ -341,15 +342,12 @@ class SimDisk:
             stats.bytes_read += nbytes
         stats.busy_seconds += service
         stats.queue_wait_seconds += wait
-        if background:
-            stats.bg_busy_seconds += service
-        else:
-            stats.fg_wait_seconds += wait
+        stats.fg_wait_seconds += wait
         self._head = offset + nbytes
         if self._obs or self._trace is not None:
             self._record(
                 issue_at, offset, nbytes, is_write, 0 if sequential else 1,
-                service, wait, end, background,
+                service, wait, end, False,
             )
         return end, wait, not sequential
 
@@ -473,7 +471,9 @@ class StripedDisk(SimDisk):
     device name: consumers (page file, logs) and the metrics registry see
     a single device whose counters sum the members'.  Members are built
     without a runtime so device-level metrics are not double-counted;
-    per-member counters remain available via :attr:`members`.
+    per-member counters remain available via :attr:`members`.  An array
+    is only ever a data device, and only the log device's writer runs
+    behind the foreground, so every access runs on the caller's clock.
     """
 
     def __init__(
@@ -537,9 +537,7 @@ class StripedDisk(SimDisk):
         self._validate(offset, nbytes, is_write)
         if nbytes == 0:
             return 0.0
-        timeline = self.clock.active_timeline
-        background = timeline is not None
-        issue_at = timeline.now if background else self.clock.now
+        issue_at = self.clock.now
         end = issue_at
         wait = 0.0
         seeked = 0
@@ -552,7 +550,6 @@ class StripedDisk(SimDisk):
                 access_seconds,
                 bandwidth,
                 is_write,
-                background=background,
             )
             seeked += sub_seeked
             # A member's later sub-requests queue behind its own first
@@ -581,19 +578,13 @@ class StripedDisk(SimDisk):
             self.stats.bytes_read += nbytes
         self.stats.busy_seconds += service
         self.stats.queue_wait_seconds += wait
-        if background:
-            self.stats.bg_busy_seconds += service
-        else:
-            self.stats.fg_wait_seconds += wait
+        self.stats.fg_wait_seconds += wait
         if self._obs or self._trace is not None:
             self._record(
                 issue_at, offset, nbytes, is_write, seeked,
-                service, wait, end, background,
+                service, wait, end, False,
             )
-        if background:
-            timeline.advance_to(end)
-        else:
-            self.clock.advance_to(end)
+        self.clock.advance_to(end)
         return latency
 
     @property

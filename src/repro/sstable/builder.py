@@ -42,6 +42,7 @@ from repro.storage.region import Extent
 from repro.storage.stasis import Stasis, StepGate
 
 _CONTINUATION = ("cont",)  # payload of pages 2..n of a multi-page block
+_NEVER = 1 << 62  # a byte count no block reaches
 _MIN_EXTENT_PAGES = 16
 
 BLOOM_FALSE_POSITIVE_RATE = 0.01
@@ -61,6 +62,7 @@ class SSTableBuilder:
         compression_ratio: float = 1.0,
         bloom_keys: int | None = None,
         gate: StepGate | None = None,
+        limit_bytes: int | None = None,
     ) -> None:
         if not 0.0 < compression_ratio <= 1.0:
             raise ValueError(
@@ -78,7 +80,8 @@ class SSTableBuilder:
         # ratio * size on disk, shrinking merge bandwidth by a constant
         # factor without affecting reads.  Decompression cost is CPU,
         # which the device model does not charge.
-        self._compression_ratio = compression_ratio
+        # A record takes its own bytes on disk, or this share of them.
+        self._ratio = None if compression_ratio == 1.0 else compression_ratio
         self._bloom: BloomFilter | None = None
         if with_bloom:
             capacity = bloom_keys or expected_keys or 1024
@@ -91,15 +94,31 @@ class SSTableBuilder:
         self._blocks: list[Block] = []
         self._pending: list[tuple[int, object]] = []  # (page_id, payload)
         self._pending_breaks = 0  # extent boundaries inside the buffer
-        self._current: list[Record] = []
-        self._current_bytes = 0
-        self._key_count = 0
-        self._nbytes = 0
-        self._last_key: bytes | None = None
+        # The open block, packed by one rule: a record goes into
+        # ``block`` and its ``nbytes`` into ``held``, and once ``held``
+        # reaches ``due``, :meth:`settle` looks at the block (after every
+        # record when records are compressed: it counts the record's
+        # bytes on disk instead).  :meth:`add` follows the rule; a merge
+        # step follows it inline, on these three held in its locals.
+        self.block: list[Record] = []
+        self.held = 0
+        self.due = 0
+        self._cap = _NEVER  # the bytes of the pages the block owns
+        self._limit_bytes = limit_bytes
+        self._closed_bytes = 0  # of the blocks closed so far
+        self._closed_keys = 0
+        self._closed_last_key: bytes | None = None
         self._finished = False
+        self.full = False
+        """Whether the component has reached ``limit_bytes``."""
+        self.write_due = False
+        """Whether writing is due: a block closed since the last
+        :meth:`write_behind` left a unit the gate lets through, or the
+        component is :attr:`full`."""
         metrics = stasis.runtime.metrics
         self._ctr_packed = metrics.counter("sstable.bytes_packed")
         self._ctr_padded = metrics.counter("sstable.bytes_padded")
+        self.settle(0)  # ``due``: the first page, or ``limit_bytes``
         if expected_bytes > 0:
             pages = self._pages_for(expected_bytes, expected_keys)
             self._grow(max(_MIN_EXTENT_PAGES, pages))
@@ -107,48 +126,138 @@ class SSTableBuilder:
     @property
     def nbytes(self) -> int:
         """Record payload bytes added so far."""
-        return self._nbytes
+        return self._closed_bytes + self.held
 
     @property
     def key_count(self) -> int:
-        return self._key_count
+        return self._closed_keys + len(self.block)
 
-    def add(self, record: Record) -> None:
-        """Append one record; keys must be strictly increasing."""
+    def add(self, record: Record) -> bool:
+        """Append one record; keys must be strictly increasing.  Writes
+        behind what is due, and returns whether the component has
+        reached ``limit_bytes`` (the caller starts the next one)."""
         if self._finished:
             raise StorageError("builder already finished")
-        if self._last_key is not None and record.key <= self._last_key:
+        block = self.block
+        last = block[-1].key if block else self._closed_last_key
+        if last is not None and record.key <= last:
             raise StorageError(
                 f"records must arrive in strictly increasing key order "
-                f"({record.key!r} after {self._last_key!r})"
+                f"({record.key!r} after {last!r})"
             )
-        self._last_key = record.key
-        disk_bytes = max(8, int(record.nbytes * self._compression_ratio))
-        held = self._current_bytes
-        page_size = self._page_size
-        # A block that has reached a page owns ceil(held / page_size)
-        # pages: top up the last one, close before the record that
-        # would need one more.
-        if (
-            held >= page_size
-            and held + disk_bytes > -(-held // page_size) * page_size
-        ):
+        block.append(record)
+        held = self.held + record.nbytes
+        if held >= self.due:
+            self.settle(held)
+        else:
+            self.held = held
+        if self.write_due:
+            self.write_behind()
+        return self.full
+
+    def write_behind(self) -> None:
+        """Write the buffer's head while a unit is buffered, or the
+        buffer has left an extent (that extent's last, short run), and
+        the step's access (if any) is unspent."""
+        self.write_due = False
+        gate = self._gate
+        while (
+            len(self._pending) >= self._write_behind_pages
+            or self._pending_breaks
+        ) and (gate is None or gate.clear):
+            self._flush_pending()
+
+    def settle(self, held: int) -> tuple[list[Record], int, int, bool]:
+        """The open block's bytes, ``held``, reached ``due``.  A block
+        below a page takes every record; from there it owns
+        ceil(bytes / page_size) pages, tops up the last one, and a record
+        that would need one more opens the next block instead (this one
+        closes first).  It writes nothing.  Returns the packing state
+        after (``block``, ``held``, ``due``) and :attr:`write_due`."""
+        cap, page_size = self._cap, self._page_size
+        block, ratio = self.block, self._ratio
+        if ratio is not None and block:
+            nbytes = block[-1].nbytes
+            held = held - nbytes + max(8, int(nbytes * ratio))
+        self.held = held
+        closed = held > cap
+        if closed:
+            record = block.pop()
+            nbytes = (
+                record.nbytes
+                if ratio is None
+                else max(8, int(record.nbytes * ratio))
+            )
+            self.held = held - nbytes
             self._close_block()
-            held = 0
-        self._current.append(record)
-        self._current_bytes = held + disk_bytes
-        self._key_count += 1
-        self._nbytes += disk_bytes
+            block = self.block
+            block.append(record)
+            self.held = held = nbytes
+            cap = _NEVER
+        if cap == _NEVER and held >= page_size:
+            cap = self._cap = -(-held // page_size) * page_size
+        due = page_size if cap == _NEVER else cap + 1
+        limit = self._limit_bytes
+        if limit is not None:
+            due = min(due, limit - self._closed_bytes)
+            if self._closed_bytes + held >= limit:
+                self.full = self.write_due = True
+        if ratio is not None:
+            due = 0
+        self.due = due
+        if closed and not self.write_due:
+            gate = self._gate
+            self.write_due = (
+                len(self._pending) >= self._write_behind_pages
+                or self._pending_breaks > 0
+            ) and (gate is None or gate.clear)
+        return block, held, due, self.write_due
+
+    def _close_block(self) -> None:
+        """Close the open block: it takes the pages its bytes need and
+        joins the write-behind buffer.  (:meth:`settle` calls it and
+        sets the next block's ``due``.)"""
+        block = self.block
+        # Blocks follow one another in key order, whoever packed them
+        # (a merge step packs inline): a cheap check, once a block.
+        after = self._closed_last_key
+        if after is not None and block[0].key <= after:
+            raise StorageError(
+                f"records must arrive in strictly increasing key order "
+                f"(a block from {block[0].key!r} after {after!r})"
+            )
+        held = self.held
+        page_size = self._page_size
+        npages = -(-held // page_size)  # math.ceil(held / page_size), held > 0
+        self._ctr_packed.value += held  # Counter.inc, inline: both >= 0
+        self._ctr_padded.value += npages * page_size - held
+        payload = tuple(block)
+        first_page = self._reserve(npages)
+        if self._bloom is not None:
+            self._bloom.defer(payload)
+        self._blocks.append(Block(block[0].key, first_page, npages, len(block)))
+        pending = self._pending
+        pending.append((first_page, payload))
+        for page_id in range(first_page + 1, first_page + npages):
+            pending.append((page_id, _CONTINUATION))
+        self._closed_bytes += held
+        self._closed_keys += len(block)
+        self._closed_last_key = block[-1].key
+        self.block = []
+        self.held = 0
+        self._cap = _NEVER
 
     def finish(self) -> SSTable | None:
-        """Flush everything and return the component (``None`` if empty)."""
+        """Flush everything and return the component (``None`` if empty).
+        A write that fails raises and leaves the rest buffered: calling
+        again writes it."""
         if self._finished:
             raise StorageError("builder already finished")
-        self._finished = True
-        if self._current:
+        if self.block:
             self._close_block()
         while self._pending:
             self._flush_pending()
+        self._finished = True
         if not self._blocks:
             for extent in self._extents:
                 self._stasis.regions.free(extent)
@@ -158,11 +267,11 @@ class SSTableBuilder:
             self._stasis,
             self._blocks,
             self._extents,
-            self._key_count,
-            self._nbytes,
+            self._closed_keys,
+            self._closed_bytes,
             self._bloom,
             self._tree_id,
-            max_key=self._last_key,
+            max_key=self._closed_last_key,
         )
 
     def abandon(self) -> None:
@@ -187,7 +296,7 @@ class SSTableBuilder:
     ) -> int:
         """Pages a build of uniform records of the expected mean size fills.
 
-        Follows the close rule in :meth:`add`, so a merge whose output
+        Follows the packing rule of :meth:`settle`, so a merge whose output
         matches its estimate lands in the one extent reserved up front.
         Without a key count the records are taken to be small.
         """
@@ -200,36 +309,6 @@ class SSTableBuilder:
         block_pages = math.ceil(opening / page_size)
         per_block = block_pages * page_size // record
         return math.ceil(expected_keys / per_block) * block_pages
-
-    def _close_block(self) -> None:
-        npages = max(1, math.ceil(self._current_bytes / self._page_size))
-        self._ctr_packed.inc(self._current_bytes)
-        self._ctr_padded.inc(npages * self._page_size - self._current_bytes)
-        first_page = self._reserve(npages)
-        payload = tuple(self._current)
-        if self._bloom is not None:
-            self._bloom.defer(payload)
-        self._blocks.append(
-            Block(
-                first_key=self._current[0].key,
-                first_page_id=first_page,
-                npages=npages,
-                nrecords=len(self._current),
-            )
-        )
-        self._pending.append((first_page, payload))
-        for i in range(1, npages):
-            self._pending.append((first_page + i, _CONTINUATION))
-        self._current = []
-        self._current_bytes = 0
-        # A write-behind is due when a unit is buffered, or when the
-        # buffer has left an extent (that extent's last, short run).
-        gate = self._gate
-        while (
-            len(self._pending) >= self._write_behind_pages
-            or self._pending_breaks
-        ) and (gate is None or gate.clear):
-            self._flush_pending()
 
     def _reserve(self, npages: int) -> int:
         """Claim ``npages`` contiguous page ids, growing extents as needed."""
@@ -264,12 +343,14 @@ class SSTableBuilder:
         n = 1
         while n < limit and pending[n][0] == first_id + n:
             n += 1
-        if n < len(pending) and pending[n][0] != first_id + n:
-            self._pending_breaks -= 1
         self._stasis.await_commit(first_id, n)
         self._stasis.pagefile.write_run(
             first_id, [payload for _, payload in pending[:n]]
         )
+        # Booked once the write succeeds: a write that fails leaves the
+        # buffer as it was, for the next attempt.
+        if n < len(pending) and pending[n][0] != first_id + n:
+            self._pending_breaks -= 1
         del pending[:n]
 
     def _trim_tail(self) -> None:

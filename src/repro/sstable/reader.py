@@ -19,11 +19,12 @@ Three read paths exist:
   not, and one that went through the pool would flush it.  The block a
   scan first had to go to the device for is offered to the pool and
   admitted on its second miss (``BufferManager.offer``).
-* ``iter_runs`` bypasses the buffer manager and reads page runs of
-  the device's streaming size, handing each over as one list of records
-  (merge reads; the paper pins merge pages separately from the
+* ``read_run`` bypasses the buffer manager and reads one run of pages
+  of the device's streaming size, handing it over as one list of
+  records (merge reads; the paper pins merge pages separately from the
   application cache and batches iterator operations, Section 4.4.1).
-  ``iter_records`` is the same stream one record at a time, ungated.
+  ``iter_runs`` reads every run in turn and ``iter_records`` is the
+  same stream one record at a time.
 """
 
 from __future__ import annotations
@@ -32,13 +33,14 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
 from repro.bloom import BloomFilter
 from repro.errors import CorruptionError, IOFaultError
 from repro.records import Record
 from repro.storage.region import Extent
-from repro.storage.stasis import WAIT, Stasis, StepGate
+from repro.storage.stasis import Stasis
 
 _KEY = operator.attrgetter("key")
 
@@ -301,46 +303,47 @@ class SSTable:
         for page_id in range(first_page_id, first_page_id + count):
             self._stasis.buffer.invalidate(page_id)
 
-    def iter_runs(self, gate: StepGate | None = None) -> Iterator[list[Record]]:
-        """Yield all records in order, one list per streaming-size run.
+    def read_run(self, start: int) -> tuple[list[Record], int]:
+        """Read the streaming run that begins at block ``start``: its
+        records, and the block the next run begins at.
 
         This is the merge read path: it bypasses the buffer manager so
         merges do not evict the application's working set, and it reads
         contiguous pages ``Stasis.streaming_pages`` at a time, so the
         device spends most of each access transferring, not positioning.
         A run is a maximal group of physically contiguous blocks, closed
-        once it holds ``streaming_pages``.
-
-        A merge passes its ``gate``: while the gate is not clear the
-        iterator yields :data:`~repro.storage.stasis.WAIT` instead of
-        reading its next run, and reads it when asked again later.
+        once it holds ``streaming_pages``.  A read that fails raises and
+        leaves nothing behind, so the caller can read the same run again.
         """
         run_pages = self._stasis.streaming_pages
         blocks = self.blocks
-        start = 0
-        while start < len(blocks):
-            end, pages = start + 1, blocks[start].npages
-            while (
-                end < len(blocks)
-                and pages < run_pages
-                and blocks[end - 1].first_page_id + blocks[end - 1].npages
-                == blocks[end].first_page_id
-            ):
-                pages += blocks[end].npages
-                end += 1
-            while gate is not None and not gate.clear:
-                yield WAIT
-            first = blocks[start].first_page_id
-            last = blocks[end - 1]
-            payloads = self._stasis.pagefile.read_run(
-                first, last.first_page_id + last.npages - first
+        end, pages = start + 1, blocks[start].npages
+        while (
+            end < len(blocks)
+            and pages < run_pages
+            and blocks[end - 1].first_page_id + blocks[end - 1].npages
+            == blocks[end].first_page_id
+        ):
+            pages += blocks[end].npages
+            end += 1
+        first = blocks[start].first_page_id
+        last = blocks[end - 1]
+        payloads = self._stasis.pagefile.read_run(
+            first, last.first_page_id + last.npages - first
+        )
+        return list(
+            chain.from_iterable(
+                payloads[block.first_page_id - first] for block in blocks[start:end]
             )
-            yield [
-                record
-                for block in blocks[start:end]
-                for record in payloads[block.first_page_id - first]
-            ]
-            start = end
+        ), end
+
+    def iter_runs(self) -> Iterator[list[Record]]:
+        """Yield all records in order, one list per streaming-size run
+        (:meth:`read_run` from the first block to the last)."""
+        start = 0
+        while start < len(self.blocks):
+            run, start = self.read_run(start)
+            yield run
 
     def iter_records(self) -> Iterator[Record]:
         """Yield all records in order: :meth:`iter_runs`, flattened."""

@@ -72,10 +72,31 @@ class _Named:
         return f"#{self.tree_id}"
 
 
+class ManifestEntry(dict):
+    """One component's manifest entry, rendered once.
+
+    An entry is never changed after it is made (a component that
+    changes gets a new one), so its ``repr`` — what sizes every WAL
+    record naming it (:func:`~repro.storage.wal.record_bytes`) — is
+    the plain dict's text, kept from the first time it is asked for.
+    """
+
+    __slots__ = ("_text",)
+
+    def __repr__(self) -> str:
+        try:
+            return self._text
+        except AttributeError:
+            self._text: str = dict.__repr__(self)
+            return self._text
+
+
 def _map_components(node: Any, fn: Any) -> Any:
     """``node`` rebuilt with ``fn`` applied to every component in it (a
     descriptor dict with a ``"tree_id"``, or an edit's :class:`_Named`)."""
     cls = type(node)
+    if cls is ManifestEntry:
+        return fn(node)
     if cls is dict:
         if "tree_id" in node:
             return fn(node)
@@ -95,36 +116,51 @@ below this many pages, and this floor applies instead.
 """
 
 WAIT: Any = object()
-"""What a gated merge input yields instead of a record while the step's
-one data-device access is spent (see :class:`StepGate`)."""
+"""What a merge input's next run is while the step's one data-device
+access is spent (see :class:`StepGate`): it is read by a later step."""
 
 
 class StepGate:
     """One data-device access per merge step.
 
-    A merge step calls :meth:`open` on entry.  The step's sequential
-    readers and its builder ask :attr:`clear` before each streaming
-    access: the first goes through (and moves the device's counters, so
-    the gate closes by itself), a later one is put off to the next step —
-    an input stream yields :data:`WAIT` instead of reading its next run,
-    the builder keeps buffering.  One step therefore never stacks two
-    streaming units of device time on whoever runs it, and it loses no
-    budget to the access it did make.
+    A merge step opens the gate on entry: it sets :attr:`mark` to the
+    device's access count (reads plus writes).  The step's input reads
+    and its builder ask :attr:`clear` before each streaming access: the
+    first goes through (and moves the device's counters, so the gate
+    closes by itself), a later one is put off to the next step — an
+    input's next run waits (:data:`WAIT`), the builder keeps buffering.  One step
+    therefore never stacks two streaming units of device time on whoever
+    runs it, and it loses no budget to the access it did make.
+
+    A clear gate also keeps the device's counters as they stood before
+    the step's first access (:attr:`before`: reads, writes, seeks, write
+    seeks), so a step that touched the device can book what it did
+    without reading them when it does not.
     """
 
-    __slots__ = ("_stats", "_mark")
+    __slots__ = ("_stats", "mark", "before")
 
     def __init__(self, stats: IOStats) -> None:
         self._stats = stats
-        self._mark = -1
+        self.mark = -1
+        self.before = (0, 0, 0, 0)
 
-    def open(self) -> None:
-        self._mark = self._stats.read_ops + self._stats.write_ops
+    def keep(self) -> bool:
+        """Whether the device is untouched since the gate opened; if it
+        is, its counters now become :attr:`before` (an access may come:
+        one the gate lets through, or an output's closing flush, which
+        it does not govern)."""
+        stats = self._stats
+        if stats.read_ops + stats.write_ops != self.mark:
+            return False
+        self.before = (
+            stats.read_ops, stats.write_ops, stats.seeks, stats.write_seeks
+        )
+        return True
 
-    @property
-    def clear(self) -> bool:
-        """Whether the device is untouched since :meth:`open`."""
-        return self._stats.read_ops + self._stats.write_ops == self._mark
+    clear = property(
+        keep, doc="Whether the device is untouched since the gate opened."
+    )
 
 
 class Stasis:
@@ -388,7 +424,7 @@ class Stasis:
             self.clock.now, self.data_disk.busy_until, self.log_disk.busy_until
         )
         busy = data.busy_seconds + log.busy_seconds
-        bg_busy = data.bg_busy_seconds + log.bg_busy_seconds
+        bg_busy = log.bg_busy_seconds  # only the log writer runs behind
         return {
             "data_seeks": data.seeks,
             "data_bytes_read": data.bytes_read,

@@ -37,8 +37,8 @@ class TestBusyHorizon:
 
     def test_background_access_leaves_clock_untouched(self):
         clock = VirtualClock()
-        disk = SimDisk(DiskModel.hdd(), clock)
-        worker = Timeline("merge")
+        disk = SimDisk(DiskModel.hdd(), clock, name="hdd-log")
+        worker = Timeline("log-writer")
         with clock.running_on(worker):
             latency = disk.write(0, 4 * MIB)
         assert clock.now == 0.0
@@ -48,8 +48,8 @@ class TestBusyHorizon:
 
     def test_foreground_queues_behind_background_horizon(self):
         clock = VirtualClock()
-        disk = SimDisk(DiskModel.hdd(), clock)
-        worker = Timeline("merge")
+        disk = SimDisk(DiskModel.hdd(), clock, name="hdd-log")
+        worker = Timeline("log-writer")
         with clock.running_on(worker):
             disk.write(0, 4 * MIB)
         horizon = disk.busy_until
@@ -66,8 +66,10 @@ class TestBusyHorizon:
 
     def test_wait_and_busy_split_by_requester(self):
         runtime = EngineRuntime()
-        disk = SimDisk(DiskModel.hdd(), runtime.clock, runtime=runtime)
-        worker = Timeline("merge")
+        disk = SimDisk(
+            DiskModel.hdd(), runtime.clock, name="hdd-log", runtime=runtime
+        )
+        worker = Timeline("log-writer")
         with runtime.clock.running_on(worker):
             disk.write(0, 2 * MIB)
         disk.read(4 * MIB, 4096)
@@ -79,12 +81,14 @@ class TestBusyHorizon:
         assert bg + fg == pytest.approx(
             metrics.value(f"disk.{disk.name}.busy_seconds")
         )
-        assert wait == pytest.approx(bg)  # queued behind the whole merge
+        assert wait == pytest.approx(bg)  # queued behind the whole append
 
     def test_device_summary_reports_utilization_and_backlog(self):
         runtime = EngineRuntime()
-        disk = SimDisk(DiskModel.hdd(), runtime.clock, runtime=runtime)
-        worker = Timeline("merge")
+        disk = SimDisk(
+            DiskModel.hdd(), runtime.clock, name="hdd-log", runtime=runtime
+        )
+        worker = Timeline("log-writer")
         with runtime.clock.running_on(worker):
             disk.write(0, 2 * MIB)
         rows = runtime.device_summary()

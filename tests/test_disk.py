@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.sim import DiskModel, SimDisk, Timeline, VirtualClock
+from repro.sim import DiskModel, SimDisk, VirtualClock
 
 
 @pytest.fixture
@@ -118,13 +118,14 @@ def test_single_hdd_matches_paper_write_amp_arithmetic():
 
 
 def test_a_striped_members_booking_matches_a_plain_access():
-    """``_access`` books an access inline at its requester's time;
+    """``_access`` books an access inline at the clock's time;
     ``_service_at`` books a striped array member's sub-access the same
     way at a given issue time: the same end, wait, seek, counters and
-    traced events, foreground and background alike."""
+    traced events.  (An array is a data device, which nothing runs
+    behind the foreground on, so its members book foreground accesses
+    only.)"""
     model = DiskModel.hdd()
     clock = VirtualClock()
-    merge = Timeline("merge")
     plain = SimDisk(model, clock)
     member = SimDisk(model, VirtualClock())
     plain.start_trace()
@@ -132,30 +133,22 @@ def test_a_striped_members_booking_matches_a_plain_access():
     rng = random.Random(5)
     for _ in range(400):
         clock.advance(rng.choice([0.0, 1e-4, 5e-3]))
-        background = rng.random() < 0.4
-        if background and rng.random() < 0.3:
-            merge.advance_to(clock.now)
         is_write = rng.random() < 0.5
         offset = rng.choice([max(0, plain._head), 4096 * rng.randrange(4096)])
         nbytes = 4096 * rng.randint(1, 64)
-        requester = merge if background else clock
-        issue_at = requester.now
+        issue_at = clock.now
         seeks = plain.stats.seeks
         access = plain.write if is_write else plain.read
-        if background:
-            with clock.running_on(merge):
-                latency = access(offset, nbytes)
-        else:
-            latency = access(offset, nbytes)
+        latency = access(offset, nbytes)
         cost = (
             (model.write_access_seconds, model.seq_write_bandwidth)
             if is_write
             else (model.read_access_seconds, model.seq_read_bandwidth)
         )
         end, _wait, seeked = member._service_at(
-            issue_at, offset, nbytes, *cost, is_write, background
+            issue_at, offset, nbytes, *cost, is_write
         )
-        assert requester.now == end and latency == end - issue_at
+        assert clock.now == end and latency == end - issue_at
         assert plain.stats.seeks - seeks == seeked
         assert plain.busy_until == member.busy_until
     assert plain.stats == member.stats

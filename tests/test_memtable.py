@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.memtable import MemTable, SnowshovelCursor
 from repro.records import Record, fold
+from tests.test_snowshovel import head, take
 
 
 def test_put_and_get():
@@ -65,6 +66,25 @@ def test_remove_updates_bytes():
     assert removed is not None
     assert table.nbytes == 0
     assert table.is_empty
+
+
+def test_take_slice_moves_records_and_bytes_to_the_tail_of_another_table():
+    table, into = MemTable(1 << 20), MemTable(1 << 20)
+    into.put(Record.base(b"a", b"v", 1))
+    for i, key in enumerate([b"b", b"c", b"d", b"e"]):
+        table.put(Record.base(key, b"v" * (i + 1), 10 + i))
+    view = type("View", (), {"materialize": lambda self: setattr(self, "done", 1)})()
+    table.attach_view(view)
+    keys, index = table.ordered()
+    moved = sum(index[key].nbytes for key in keys[1:3])
+    before = table.nbytes
+    table.take_slice(1, 3, moved, into)
+    assert getattr(view, "done", 0) == 1 and table.view_count == 0
+    assert [r.key for r in table] == [b"b", b"e"]
+    assert [r.key for r in into] == [b"a", b"c", b"d"]
+    assert table.nbytes == before - moved
+    assert into.nbytes == Record.base(b"a", b"v", 1).nbytes + moved
+    assert table.get(b"c") is None and into.get(b"c").value == b"vv"
 
 
 def test_remove_missing_returns_none():
@@ -216,13 +236,13 @@ def test_the_index_and_the_key_list_hold_the_same_keys(ops, bounds):
                     x for x in sorted(model)
                     if x >= position and (hi is None or x < hi)
                 ]
-                got = cursor.peek()
+                got = head(cursor)
                 if not run:
                     assert got is None
                     cursor = SnowshovelCursor(table, lo, hi)  # the next run
                     position = lo
                     break
-                assert cursor.pop() is got
+                assert take(cursor) is got
                 assert got == model.pop(run[0])
                 position = got.key + b"\x00"
         elif op == 5:

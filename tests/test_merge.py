@@ -6,17 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bloom import BloomFilter
-from repro.core.merge import (
-    EmptySource,
-    FrozenSource,
-    MergedSource,
-    MergeProcess,
-    SnowshovelSource,
-    StreamSource,
-    _AccessDeferred,
-)
+from repro.core.merge import MergeProcess
 from repro.core.versions import Prefix
-from repro.memtable import MemTable
+from repro.memtable import MemTable, SnowshovelCursor
 from repro.records import Record, RecordKind
 from repro.sim import DiskModel
 from repro.sstable import SSTableBuilder
@@ -45,26 +37,46 @@ def make_memtable(keys, seqno=100):
 
 
 class TestSources:
-    def test_empty_source(self):
-        source = EmptySource()
-        assert source.peek() is None
-        with pytest.raises(StopIteration):
-            source.pop()
+    def test_empty_source(self, stasis):
+        """A merge with no input completes at once, with no output."""
+        process = MergeProcess(
+            stasis,
+            newer=[],
+            older=None,
+            tree_id=6,
+            input_bytes=0,
+            expected_keys=0,
+            drop_tombstones=False,
+        )
+        assert process.step(1000) == 0
+        assert process.done and process.output is None
 
-    def test_frozen_source_orders(self):
-        records = [Record.base(b"a", b"", 0), Record.base(b"b", b"", 1)]
-        source = FrozenSource(iter(records))
-        assert source.peek().key == b"a"
-        assert source.pop().key == b"a"
-        assert source.pop().key == b"b"
-        assert source.peek() is None
+    def test_frozen_source_orders(self, stasis):
+        """A frozen C0' is read in key order and left intact."""
+        frozen = make_memtable([b"b", b"a"])
+        process = MergeProcess(
+            stasis,
+            newer=frozen,
+            older=None,
+            tree_id=6,
+            input_bytes=frozen.nbytes,
+            expected_keys=2,
+            drop_tombstones=False,
+        )
+        process.run_to_completion()
+        assert [r.key for r in process.output.iter_records()] == [b"a", b"b"]
+        assert [r.key for r in frozen] == [b"a", b"b"]
+        assert len(process.overlay) == 0
 
     def test_snowshovel_source_sees_live_inserts(self):
         table = make_memtable([b"b"])
-        source = SnowshovelSource(table)
-        assert source.pop().key == b"b"
+        cursor = SnowshovelCursor(table)
+        keys, index, start, end = cursor.span()
+        assert index[keys[start]].key == b"b" and end - start == 1
+        cursor.take(start + 1, index[b"b"].nbytes, b"b", MemTable(1 << 20))
         table.put(Record.base(b"c", b"", 200))
-        assert source.peek().key == b"c"
+        keys, index, start, end = cursor.span()
+        assert [keys[i] for i in range(start, end)] == [b"c"]
 
 
 class TestMergeProcess:
@@ -72,7 +84,7 @@ class TestMergeProcess:
         memtable = make_memtable([b"a", b"b", b"c"])
         process = MergeProcess(
             stasis,
-            newer=SnowshovelSource(memtable),
+            newer=SnowshovelCursor(memtable),
             older=None,
             tree_id=7,
             input_bytes=memtable.nbytes,
@@ -89,7 +101,7 @@ class TestMergeProcess:
         memtable = make_memtable([b"b", b"c"])
         process = MergeProcess(
             stasis,
-            newer=SnowshovelSource(memtable),
+            newer=SnowshovelCursor(memtable),
             older=old,
             tree_id=8,
             input_bytes=memtable.nbytes + old.nbytes,
@@ -106,7 +118,7 @@ class TestMergeProcess:
         memtable = make_memtable([b"k%03d" % i for i in range(100)])
         process = MergeProcess(
             stasis,
-            newer=SnowshovelSource(memtable),
+            newer=SnowshovelCursor(memtable),
             older=None,
             tree_id=9,
             input_bytes=memtable.nbytes,
@@ -122,7 +134,7 @@ class TestMergeProcess:
         memtable = make_memtable([b"a"])
         process = MergeProcess(
             stasis,
-            newer=SnowshovelSource(memtable),
+            newer=SnowshovelCursor(memtable),
             older=None,
             tree_id=10,
             input_bytes=memtable.nbytes,
@@ -139,7 +151,7 @@ class TestMergeProcess:
         memtable.put(Record.tombstone(b"a", 50))
         process = MergeProcess(
             stasis,
-            newer=SnowshovelSource(memtable),
+            newer=SnowshovelCursor(memtable),
             older=old,
             tree_id=11,
             input_bytes=old.nbytes + memtable.nbytes,
@@ -155,7 +167,7 @@ class TestMergeProcess:
         memtable.put(Record.tombstone(b"a", 50))
         process = MergeProcess(
             stasis,
-            newer=SnowshovelSource(memtable),
+            newer=SnowshovelCursor(memtable),
             older=old,
             tree_id=12,
             input_bytes=old.nbytes + memtable.nbytes,
@@ -169,7 +181,7 @@ class TestMergeProcess:
         memtable = make_memtable([b"a", b"b"])
         process = MergeProcess(
             stasis,
-            newer=SnowshovelSource(memtable),
+            newer=SnowshovelCursor(memtable),
             older=None,
             tree_id=13,
             input_bytes=memtable.nbytes,
@@ -185,7 +197,7 @@ class TestMergeProcess:
         memtable = make_memtable([b"a", b"b"], seqno=40)
         process = MergeProcess(
             stasis,
-            newer=SnowshovelSource(memtable),
+            newer=SnowshovelCursor(memtable),
             older=None,
             tree_id=14,
             input_bytes=memtable.nbytes,
@@ -193,14 +205,13 @@ class TestMergeProcess:
             drop_tombstones=False,
         )
         process.run_to_completion()
-        assert process.min_seqno_consumed == 40
-        assert process.max_seqno_consumed == 41
+        assert [r.seqno for r in process.output.iter_records()] == [40, 41]
 
     def test_abort_frees_partial_output(self, stasis):
         memtable = make_memtable([b"k%03d" % i for i in range(200)])
         process = MergeProcess(
             stasis,
-            newer=SnowshovelSource(memtable),
+            newer=SnowshovelCursor(memtable),
             older=None,
             tree_id=15,
             input_bytes=memtable.nbytes,
@@ -216,7 +227,7 @@ class TestMergeProcess:
         memtable = make_memtable([b"b", b"y"])
         process = MergeProcess(
             stasis,
-            newer=SnowshovelSource(memtable),
+            newer=SnowshovelCursor(memtable),
             older=None,
             tree_id=16,
             input_bytes=memtable.nbytes,
@@ -236,7 +247,7 @@ class TestMergeProcess:
         memtable = make_memtable([b"a"])
         process = MergeProcess(
             stasis,
-            newer=SnowshovelSource(memtable),
+            newer=SnowshovelCursor(memtable),
             older=old,
             tree_id=17,
             input_bytes=old.nbytes + memtable.nbytes,
@@ -287,26 +298,31 @@ class TestMergeProcess:
 # Differential: the record-at-a-time step the merge loop replaced
 # ---------------------------------------------------------------------------
 #
-# ``ReferenceMerge`` is MergeProcess with the previous inner loop, kept
+# ``ReferenceMerge`` is MergeProcess with a record-at-a-time step, kept
 # here as the reference: both inputs peeked for every record, one record
 # (or one equal-key pair) folded through ``merge_records`` per iteration,
 # an on-disk input read one record at a time (``_gated_records``), and
-# C0 drained by a fresh ``scan`` from the cursor for every peek.  Two
-# worlds rebuilt from one seed run the same steps and C0 writes; the
-# bytes each step consumes, the device trace, the outputs and what C0
-# and a snapshot hold must all agree.
+# C0 drained by a fresh ``scan`` from the cursor for every peek, each
+# record removed on its own.  Two worlds rebuilt from one seed run the
+# same steps and C0 writes; the bytes each step consumes, the device
+# trace, the outputs and what C0 and a snapshot hold must all agree.
 
 KEYS = [b"k%05d" % i for i in range(400)]
 
 
+class _Deferred(Exception):
+    """A reference input needs the device and the step's access is spent."""
+
+
 def _gated_records(table, gate):
-    """The table one record at a time, ``WAIT`` where the gate puts its
+    """The table one record at a time, ``WAIT`` while the gate puts its
     next streaming run off."""
-    for run in table.iter_runs(gate):
-        if run is WAIT:
+    start = 0
+    while start < len(table.blocks):
+        while not gate.clear:
             yield WAIT
-        else:
-            yield from run
+        run, start = table.read_run(start)
+        yield from run
 
 
 class _ReferenceStream:
@@ -321,7 +337,7 @@ class _ReferenceStream:
         if head is WAIT:
             head = self._head = next(self._iterator, None)
             if head is WAIT:
-                raise _AccessDeferred
+                raise _Deferred
         return head
 
     def pop(self):
@@ -360,11 +376,25 @@ class _ReferenceDrain:
 
 
 class ReferenceMerge(MergeProcess):
-    """MergeProcess stepping one output record per loop iteration."""
+    """MergeProcess stepping one output record per loop iteration over
+    reference inputs built from the same arguments."""
 
-    def _open_stream(self, table):
-        self._readahead_pages += min(self._stasis.streaming_pages, table.npages)
-        return _ReferenceStream(_gated_records(table, self._gate))
+    def __init__(self, stasis, newer, older, *args, **kwargs):
+        super().__init__(stasis, newer, older, *args, **kwargs)
+        self._track = isinstance(newer, SnowshovelCursor)
+        if self._track:
+            self._ref_newer = _ReferenceDrain(
+                newer.memtable, newer._cursor, newer._hi
+            )
+        elif isinstance(newer, MemTable):
+            self._ref_newer = _ReferenceStream(list(newer))
+        else:
+            self._ref_newer = _ReferenceStream(
+                _gated_records(newer, self._gate)
+            )
+        self._ref_older = _ReferenceStream(
+            _gated_records(older, self._gate) if older is not None else ()
+        )
 
     def step(self, budget_bytes):
         if self.done or budget_bytes <= 0:
@@ -372,17 +402,17 @@ class ReferenceMerge(MergeProcess):
         stats = self._stats
         reads, writes = stats.read_ops, stats.write_ops
         seeks, write_seeks = stats.seeks, stats.write_seeks
-        self._gate.open()
+        self._gate.mark = self._stats.read_ops + self._stats.write_ops
         consumed = 0
         try:
             while consumed < budget_bytes:
-                newer_head = self._newer.peek()
-                older_head = self._older.peek()
+                newer_head = self._ref_newer.peek()
+                older_head = self._ref_older.peek()
                 if newer_head is None and older_head is None:
                     self._complete()
                     break
                 consumed += self._emit_one(newer_head, older_head)
-        except _AccessDeferred:
+        except _Deferred:
             pass
         self.bytes_read += consumed
         self.read_calls += stats.read_ops - reads
@@ -403,16 +433,18 @@ class ReferenceMerge(MergeProcess):
             newer_head is None or older_head.key <= newer_head.key
         )
         if take_newer:
-            record = self._newer.pop()
+            record = self._ref_newer.pop()
             group.append(record)
             consumed += record.nbytes
-            self._took_newer(record)
+            self.newer_bytes_read += record.nbytes
+            if self._track:
+                self.overlay.put(record)
         if take_older:
-            record = self._older.pop()
+            record = self._ref_older.pop()
             group.append(record)
             consumed += record.nbytes
-            if self._track_overlay:
-                self._newer.advance_past(record.key)
+            if self._track:
+                self._ref_newer.advance_past(record.key)
         merged = merge_records(group, drop_tombstones=self._drop_tombstones)
         if merged is not None:
             self._builder.add(merged)
@@ -477,12 +509,9 @@ def _differential_world(seed, reference):
             stasis, rng, rng.sample(KEYS, rng.randrange(1, 300)), 5_000, 2
         )
     elif kind == "frozen":
-        newer = (_ReferenceStream if reference else FrozenSource)(
-            iter(list(memtable))
-        )
+        newer = memtable
     else:
-        drain = _ReferenceDrain if reference else SnowshovelSource
-        newer = drain(memtable, lo, hi)
+        newer = SnowshovelCursor(memtable, lo, hi)
     split = rng.choice((None, None, 8_192, 60_000))
     ids = iter(range(100, 10_000))
     process = (ReferenceMerge if reference else MergeProcess)(
@@ -536,7 +565,6 @@ def _differential_world(seed, reference):
         "outputs": outputs,
         "counts": (
             process.bytes_read, process.newer_bytes_read,
-            process.min_seqno_consumed, process.max_seqno_consumed,
             process.read_calls, process.seeks, process.write_calls,
             process.write_seeks,
         ),
@@ -570,21 +598,20 @@ def test_the_differential_cases_cover_what_the_loop_must_keep(monkeypatch):
     snapshot of C0 taken mid-drain."""
     seen = set()
     deferred = []
-    peek = StreamSource.peek
+    next_run = MergeProcess._next_run
 
-    def deferring_peek(self):
-        try:
-            return peek(self)
-        except _AccessDeferred:
-            deferred.append(self)
-            raise
+    def deferring_next_run(self, source):
+        run = next_run(self, source)
+        if run is WAIT:
+            deferred.append(source)
+        return run
 
     def folding(group, drop_tombstones):
         kinds = "/".join(record.kind.name for record in group)
         seen.add(f"fold-{kinds}-drop={drop_tombstones}")
         return merge_records(group, drop_tombstones=drop_tombstones)
 
-    monkeypatch.setattr(StreamSource, "peek", deferring_peek)
+    monkeypatch.setattr(MergeProcess, "_next_run", deferring_next_run)
     monkeypatch.setattr("repro.core.merge.merge_records", folding)
     for seed in range(60):
         kind = ("m01", "m12", "frozen")[seed % 3]
@@ -592,7 +619,7 @@ def test_the_differential_cases_cover_what_the_loop_must_keep(monkeypatch):
         seen |= world["script"]
         process = world["process"]
         for source in deferred:
-            side = "newer" if source is process._newer else "older"
+            side = "older" if source is process._older else "newer"
             seen.add(f"deferred-{side}-{kind}")
         deferred.clear()
         if len(world["outputs"]) > 1:
@@ -652,14 +679,15 @@ def test_a_deferred_peek_keeps_the_bytes_the_run_took():
 #
 # ``ReferenceKWayMerge`` is the policy trees' former PolicyMergeJob loop,
 # kept as the reference for MergeProcess over k newest-first runs (the
-# newest k - 1 drained as one MergedSource): every input's head is
-# peeked, all versions of the smallest key are taken at once, folded by
-# one ``merge_records`` and counted in the bytes consumed.  Its inputs
-# are the same gated StreamSources MergeProcess reads: PolicyMergeJob's
-# ``kway_merge`` generator held a group back while the gate put off its
-# successor's read (the group's bytes landed in the next step), where a
-# stream returns the record and defers the next peek.  It cuts outputs
-# at ``split_output_bytes`` as LevelDB's file-granularity merges do.
+# newest k - 1 folded per key): every input's head is peeked, all
+# versions of the smallest key are taken at once, folded by one
+# ``merge_records`` and counted in the bytes consumed.  Its inputs are
+# gated streams read one record at a time, as MergeProcess reads runs:
+# PolicyMergeJob's ``kway_merge`` generator held a group back while the
+# gate put off its successor's read (the group's bytes landed in the
+# next step), where a stream returns the record and defers the next
+# peek.  It cuts outputs at ``split_output_bytes`` as LevelDB's
+# file-granularity merges do.
 
 
 class ReferenceKWayMerge:
@@ -669,7 +697,10 @@ class ReferenceKWayMerge:
         self._stasis = stasis
         self._stats = stasis.data_disk.stats
         self._gate = StepGate(self._stats)
-        self._sources = [StreamSource(table, self._gate) for table in inputs]
+        self._sources = [
+            _ReferenceStream(_gated_records(table, self._gate))
+            for table in inputs
+        ]
         self._drop = drop_tombstones
         self._keys = sum(table.key_count for table in inputs)
         self._bytes = sum(table.nbytes for table in inputs)
@@ -699,7 +730,7 @@ class ReferenceKWayMerge:
     def step(self, budget_bytes):
         if self.done or budget_bytes <= 0:
             return 0
-        self._gate.open()
+        self._gate.mark = self._stats.read_ops + self._stats.write_ops
         consumed = 0
         try:
             while consumed < budget_bytes:
@@ -725,7 +756,7 @@ class ReferenceKWayMerge:
                     self._builder = self._new_builder(
                         next(self._ids), self._split
                     )
-        except _AccessDeferred:
+        except _Deferred:
             pass
         if consumed == 0 and not self.done and not self._gate.clear:
             return 1
@@ -807,30 +838,20 @@ def test_the_kway_cases_cover_what_the_merged_source_must_keep(monkeypatch):
     split outputs of a merge of three or more runs, and 1-byte and
     unbounded budgets."""
     seen = set()
-    peek = StreamSource.peek
-    merged = []
+    next_run = MergeProcess._next_run
 
-    def deferring_peek(self):
-        try:
-            return peek(self)
-        except _AccessDeferred:
-            if merged and self in merged[-1]._children:
-                seen.add("deferred-in-merged-source")
-            raise
+    def deferring_next_run(self, source):
+        run = next_run(self, source)
+        if run is WAIT and len(self._newer) > 1 and source in self._newer:
+            seen.add("deferred-in-merged-source")
+        return run
 
     def folding(group, drop_tombstones=False):
         kinds = "/".join(record.kind.name for record in group)
         seen.add(f"fold-{kinds}-drop={drop_tombstones}")
         return merge_records(group, drop_tombstones=drop_tombstones)
 
-    init = MergedSource.__init__
-
-    def tracking_init(self, children):
-        init(self, children)
-        merged.append(self)
-
-    monkeypatch.setattr(StreamSource, "peek", deferring_peek)
-    monkeypatch.setattr(MergedSource, "__init__", tracking_init)
+    monkeypatch.setattr(MergeProcess, "_next_run", deferring_next_run)
     monkeypatch.setattr("repro.core.merge.merge_records", folding)
     for seed in range(60):
         world = _kway_world(seed, reference=False)
@@ -861,8 +882,9 @@ _VERSION = st.tuples(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_VERSION, min_size=2, max_size=7), st.booleans())
 def test_folding_the_newest_versions_first_is_the_same_fold(versions, drop):
-    """What MergedSource relies on: one fold of a key's versions equals
-    folding its newest k - 1 first (the drop off) and then the oldest."""
+    """What folding the newer inputs per key relies on: one fold of a
+    key's versions equals folding its newest k - 1 first (the drop off)
+    and then the oldest."""
     group, seqno = [], 1000
     for kind, value, gap, covered in versions:  # newest first
         if kind is RecordKind.TOMBSTONE:

@@ -5,10 +5,10 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.core import BLSMOptions, PartitionedBLSM
-from repro.core.merge import SnowshovelSource
-from repro.memtable import MemTable
+from repro.memtable import MemTable, SnowshovelCursor
 from repro.records import Record
 from repro.storage import DurabilityMode
+from tests.test_snowshovel import drain
 
 keys = st.binary(min_size=1, max_size=8)
 values = st.binary(min_size=0, max_size=32)
@@ -88,10 +88,7 @@ def test_range_snowshovel_stays_in_bounds(all_keys, bound_a, bound_b):
     table = MemTable(1 << 20)
     for i, key in enumerate(all_keys):
         table.put(Record.base(key, b"v", i))
-    source = SnowshovelSource(table, lo, hi)
-    drained = []
-    while (record := source.peek()) is not None:
-        drained.append(source.pop().key)
+    drained = drain(SnowshovelCursor(table, lo, hi))
     expected = sorted(k for k in all_keys if lo <= k < hi)
     assert drained == expected
     # Everything outside the range is untouched.

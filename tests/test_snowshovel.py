@@ -16,11 +16,35 @@ def fill(table, keys, start_seqno=0):
         table.put(Record.base(key, b"v", start_seqno + i))
 
 
+def head(cursor):
+    """The run's next record, or ``None`` at its end."""
+    keys, index, start, end = cursor.span()
+    return index[keys[start]] if start < end else None
+
+
+def take(cursor):
+    """Take the run's next record off C0 as a merge step takes what it
+    drained: one slice moved into an overlay, the cursor past it."""
+    keys, index, start, end = cursor.span()
+    if start == end:
+        raise StopIteration("snowshovel run exhausted")
+    record = index[keys[start]]
+    cursor.take(start + 1, record.nbytes, record.key, MemTable(1 << 30))
+    return record
+
+
+def advance_past(cursor, key):
+    """Move the cursor past ``key`` taking nothing, as a merge step does
+    that wrote only the downstream tree's records up to ``key``."""
+    start = cursor.span()[2]
+    cursor.take(start, 0, key, None)
+
+
 def drain(cursor):
-    """Pop the rest of the cursor's run; the keys, in order."""
+    """Take the rest of the cursor's run; the keys, in order."""
     keys = []
-    while cursor.peek() is not None:
-        keys.append(cursor.pop().key)
+    while head(cursor) is not None:
+        keys.append(take(cursor).key)
     return keys
 
 
@@ -35,7 +59,7 @@ class TestSnowshovelCursor:
         table = MemTable(10_000)
         fill(table, [b"b", b"d"])
         cursor = SnowshovelCursor(table)
-        assert cursor.pop().key == b"b"
+        assert take(cursor).key == b"b"
         table.put(Record.base(b"c", b"v", 10))  # lands ahead of cursor
         assert drain(cursor) == [b"c", b"d"]
 
@@ -43,11 +67,11 @@ class TestSnowshovelCursor:
         table = MemTable(10_000)
         fill(table, [b"b", b"d"])
         cursor = SnowshovelCursor(table)
-        assert cursor.pop().key == b"b"
+        assert take(cursor).key == b"b"
         table.put(Record.base(b"a", b"v", 10))  # behind the cursor
         assert drain(cursor) == [b"d"]  # run over; 'a' remains
         with pytest.raises(StopIteration):
-            cursor.pop()
+            take(cursor)
         # The next run is a fresh cursor at lo, as each C0:C1 pass builds.
         assert drain(SnowshovelCursor(table)) == [b"a"]
 
@@ -55,8 +79,8 @@ class TestSnowshovelCursor:
         table = MemTable(10_000)
         fill(table, [b"a", b"m"])
         cursor = SnowshovelCursor(table)
-        assert cursor.pop().key == b"a"
-        cursor.advance_past(b"k")
+        assert take(cursor).key == b"a"
+        advance_past(cursor, b"k")
         table.put(Record.base(b"c", b"v", 10))  # now behind the cursor
         assert drain(cursor) == [b"m"]
         assert table.get(b"c") is not None
@@ -65,10 +89,10 @@ class TestSnowshovelCursor:
         table = MemTable(10_000)
         fill(table, [b"x"])
         cursor = SnowshovelCursor(table)
-        cursor.advance_past(b"m")
-        cursor.advance_past(b"c")  # earlier key: must not rewind
+        advance_past(cursor, b"m")
+        advance_past(cursor, b"c")  # earlier key: must not rewind
         table.put(Record.base(b"d", b"v", 10))  # between c and m
-        assert cursor.peek().key == b"x"
+        assert head(cursor).key == b"x"
 
 
 class TestReplacementSelection:
@@ -156,11 +180,11 @@ def test_the_drain_matches_a_sorted_list_model(ops, bounds):
         elif op in (2, 3):  # drain n records, or to the end of the run
             for _ in range(n if op == 2 else len(model) + 1):
                 expected = next((x for x in model if in_run(x)), None)
-                record = cursor.peek()
+                record = head(cursor)
                 assert (record and record.key) == expected
                 if record is None:
                     break
-                assert cursor.pop() is record
+                assert take(cursor) is record
                 model.remove(record.key)
                 position = record.key + b"\x00"
         elif op == 4:
@@ -170,6 +194,6 @@ def test_the_drain_matches_a_sorted_list_model(ops, bounds):
             victim = model.pop(k % len(model))
             assert table.remove(victim).key == victim
         elif op == 6:
-            cursor.advance_past(key)
+            advance_past(cursor, key)
             position = max(position, key + b"\x00")
         assert [record.key for record in table] == model

@@ -67,6 +67,65 @@ def test_out_of_order_add_rejected(stasis):
         builder.add(Record.base(b"b", b"", 2))  # duplicates also rejected
 
 
+def pack_inline(builder, records):
+    """Pack ``records`` by the builder's rule as a merge step does: append,
+    add the bytes, hand the block to ``settle`` at ``due``, and write
+    behind once writing is due."""
+    block, held, due = builder.block, builder.held, builder.due
+    for record in records:
+        block.append(record)
+        held += record.nbytes
+        if held >= due:
+            block, held, due, stop = builder.settle(held)
+            if stop:
+                builder.held = held
+                builder.write_behind()
+    builder.held = held
+
+
+def test_a_step_packing_inline_builds_what_add_builds(stasis):
+    records = [
+        Record.base(b"key%05d" % i, b"v" * (50 + 97 * i % 900), i)
+        for i in range(400)
+    ]
+    one = SSTableBuilder(stasis, tree_id=1, expected_keys=400)
+    for record in records:
+        one.add(record)
+    inline = SSTableBuilder(stasis, tree_id=2, expected_keys=400)
+    pack_inline(inline, records)
+    a, b = one.finish(), inline.finish()
+    assert [
+        (blk.first_key, blk.npages, blk.nrecords) for blk in a.blocks
+    ] == [(blk.first_key, blk.npages, blk.nrecords) for blk in b.blocks]
+    assert list(a.iter_records()) == list(b.iter_records()) == records
+
+
+def test_a_block_that_starts_below_the_last_one_is_rejected(stasis):
+    builder = SSTableBuilder(stasis, tree_id=1, expected_keys=100)
+    big = b"x" * 3000
+    pack_inline(builder, [Record.base(b"k%02d" % i, big, i) for i in (5, 6)])
+    with pytest.raises(StorageError):  # a block from k01 closes after k06
+        pack_inline(
+            builder, [Record.base(b"k%02d" % i, big, i) for i in (1, 2, 3)]
+        )
+
+
+def test_a_finish_whose_write_fails_can_be_called_again(stasis):
+    builder = SSTableBuilder(stasis, tree_id=1, expected_keys=10)
+    builder.add(Record.base(b"a", b"v", 0))
+    pagefile = stasis.pagefile
+
+    def failing(first_page_id, payloads):
+        raise OSError("write failed")
+
+    pagefile.write_run = failing
+    with pytest.raises(OSError):
+        builder.finish()
+    del pagefile.write_run
+    table = builder.finish()
+    assert [r.key for r in table.iter_records()] == [b"a"]
+
+
 def test_empty_builder_returns_none(stasis):
     builder = SSTableBuilder(stasis, tree_id=1, expected_bytes=4096)
     assert builder.finish() is None

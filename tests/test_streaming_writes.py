@@ -19,19 +19,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import BLSM, BLSMOptions
 from repro.core.compaction import CompactionTree
-from repro.core.merge import (
-    FrozenSource,
-    MergeProcess,
-    StreamSource,
-    _AccessDeferred,
-)
+from repro.core.merge import MergeProcess
 from repro.core.partitioned import PartitionedBLSM
 from repro.engines import build_engine
 from repro.faults.crashpoints import enumerate_crash_points
 from repro.obs.summary import format_summary, merge_io_by_level
+from repro.memtable import MemTable
 from repro.records import Record
 from repro.sim import DiskModel, SimDisk, StripedDisk, VirtualClock
-from repro.sim.clock import Timeline
 from repro.sim.disk import MIB
 from repro.sstable import SSTableBuilder
 from repro.storage import DurabilityMode, LogicalLog, Stasis
@@ -319,52 +314,60 @@ def test_force_drain_sees_a_merge_start_as_progress(step_log):
     assert any(fetched_a_head_only(step_log))
 
 
-def test_frozen_source_fetches_nothing_before_the_first_peek():
-    pulled = []
-
-    def records():
-        for i in range(3):
-            pulled.append(i)
-            yield Record.base(b"k%d" % i, b"v", i)
-
-    source = FrozenSource(records())
-    assert pulled == []  # opening reads nothing
-    assert source.peek().key == b"k0" and pulled == [0]
-    assert source.pop().key == b"k0" and pulled == [0, 1]
-    assert source.peek().key == b"k1" and source.peek().key == b"k1"
-    assert [source.pop().key, source.pop().key] == [b"k1", b"k2"]
-    assert source.peek() is None
-    with pytest.raises(StopIteration):
-        source.pop()
+def test_a_frozen_c0_is_taken_in_key_order_one_budget_at_a_time():
+    """A merge over a frozen C0' reads nothing when it opens, a budget
+    ends on the record that spends it, and the table stays intact."""
+    stasis = Stasis(observability=False)
+    frozen = MemTable(1 << 20)
+    for i in (2, 0, 1):
+        frozen.put(Record.base(b"k%d" % i, b"v", i))
+    stats = stasis.data_disk.stats
+    accesses = stats.read_ops + stats.write_ops
+    process = MergeProcess(
+        stasis, frozen, None, 1, input_bytes=frozen.nbytes,
+        expected_keys=3, drop_tombstones=False,
+    )
+    assert process.bytes_read == 0  # opening takes nothing
+    nbytes = Record.base(b"k0", b"v", 0).nbytes
+    assert process.step(1) == nbytes  # ends on the first record
+    assert process.step(nbytes + 1) == 2 * nbytes  # on the one past it
+    assert process.step(1 << 30) == 0 and process.done
+    assert stats.read_ops + stats.write_ops > accesses  # the output
+    assert [r.key for r in process.output.iter_records()] == [
+        b"k0", b"k1", b"k2"
+    ]
+    assert [r.key for r in frozen] == [b"k0", b"k1", b"k2"]
 
 
 def test_a_gated_stream_waits_for_the_next_step():
     """The second run of an input is not read in a step that has already
-    touched the device; the head stays unfetched until the gate reopens."""
+    touched the device: the step ends with the first run taken, and the
+    next step reads the second."""
     stasis = Stasis(observability=False)
     unit = stasis.streaming_pages
     builder = SSTableBuilder(stasis, tree_id=1, expected_bytes=2 * unit * PAGE)
     for i in range(2 * unit):  # about one page each: two runs and a bit
         builder.add(Record.base(b"k%08d" % i, bytes(4000), i))
     table = builder.finish()
+    first = table.read_run(0)[0]
     stats = stasis.data_disk.stats
-    gate = StepGate(stats)
-    gate.open()
-    source = StreamSource(table, gate)
+    process = MergeProcess(
+        stasis, table, None, 2, input_bytes=table.nbytes,
+        expected_keys=table.key_count, drop_tombstones=False,
+    )
     reads = stats.read_ops
-    assert source.peek().key == b"k%08d" % 0 and stats.read_ops == reads + 1
-    assert not gate.clear
-    popped = 1
-    source.pop()
-    while source._pos < len(source._run):  # drain the first run
-        source.pop()
-        popped += 1
-    with pytest.raises(_AccessDeferred):
-        source.peek()
+    worked = process.step(1 << 30)
     assert stats.read_ops == reads + 1
-    gate.open()
-    assert source.peek().key == b"k%08d" % popped
+    assert worked == sum(record.nbytes for record in first)
+    assert not process.done
+    worked = process.step(1)
     assert stats.read_ops == reads + 2
+    assert worked == first[0].nbytes  # the second run's first record
+
+
+def open_gate(gate, stats):
+    """Open ``gate`` as a merge step does on entry."""
+    gate.mark = stats.read_ops + stats.write_ops
 
 
 def test_a_write_behind_waits_in_the_builder():
@@ -381,14 +384,14 @@ def test_a_write_behind_waits_in_the_builder():
             i = next(added)
             builder.add(Record.base(b"k%08d" % i, bytes(4000), i))
 
-    gate.open()
+    open_gate(gate, stasis.data_disk.stats)
     stasis.data_disk.read(0, PAGE)  # the step's one access is spent
     writes = write_pages(stasis.data_disk, lambda: add_pages(unit + 50))
     assert writes == [] and len(builder._pending) >= unit
-    gate.open()  # next step: the first block closed writes one unit
+    open_gate(gate, stasis.data_disk.stats)  # next step: one unit
     assert write_pages(stasis.data_disk, lambda: add_pages(2)) == [unit]
     assert write_pages(stasis.data_disk, lambda: add_pages(unit)) == []
-    gate.open()
+    open_gate(gate, stasis.data_disk.stats)
     tail = write_pages(stasis.data_disk, builder.finish)
     assert tail[0] == unit and max(tail) <= unit
 
@@ -836,23 +839,6 @@ def test_striped_access_books_its_critical_path():
     assert stats.sequential_efficiency == pytest.approx(
         1 - model.write_access_seconds / per_member
     )
-
-
-def test_striped_access_still_nets_out_waiting_behind_other_accesses():
-    model = DiskModel.hdd_member()
-    clock = VirtualClock()
-    array = StripedDisk(model, clock, stripes=2, chunk_bytes=512 * KIB)
-    background = Timeline("bg")
-    with clock.running_on(background):
-        array.write(0, 512 * KIB)  # member 0 busy, in the background
-    first = array.stats.busy_seconds
-    # The foreground reads member 0 only: it queues behind that write.
-    latency = array.read(0, 512 * KIB)
-    service = model.read_access_seconds + 512 * KIB / model.seq_read_bandwidth
-    assert latency == pytest.approx(first + service)
-    assert array.stats.busy_seconds == pytest.approx(first + service)
-    assert array.stats.fg_wait_seconds == pytest.approx(first)
-    assert array.stats.bg_busy_seconds == pytest.approx(first)
 
 
 # ---------------------------------------------------------------------------
