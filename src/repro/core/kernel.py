@@ -600,8 +600,7 @@ class TreeKernel:
         }
         for extent in stasis.regions.allocated_extents:
             if extent not in live:
-                for page_id in range(extent.start, extent.end):
-                    stasis.pagefile.free_page(page_id)
+                stasis.pagefile.free_run(extent.start, extent.length)
                 stasis.regions.free(extent)
         tree._next_seqno = replay_log(
             stasis, tree._memtable, manifest["next_seqno"]

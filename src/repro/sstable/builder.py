@@ -283,8 +283,7 @@ class SSTableBuilder:
         """
         self._finished = True
         for extent in self._extents:
-            for page_id in range(extent.start, extent.end):
-                self._stasis.pagefile.free_page(page_id)
+            self._stasis.pagefile.free_run(extent.start, extent.length)
             self._stasis.regions.free(extent)
         self._extents = []
         self._blocks = []

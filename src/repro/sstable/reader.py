@@ -300,8 +300,7 @@ class SSTable:
         resident copies and ghost entries of its pages go, so no later
         read is served from a range the device got wrong.
         """
-        for page_id in range(first_page_id, first_page_id + count):
-            self._stasis.buffer.invalidate(page_id)
+        self._stasis.buffer.invalidate(first_page_id, count)
 
     def read_run(self, start: int) -> tuple[list[Record], int]:
         """Read the streaming run that begins at block ``start``: its
@@ -362,11 +361,11 @@ class SSTable:
         extents = list(self.extents)
         if self.bloom_extent is not None:
             extents.append(self.bloom_extent)
+        stasis = self._stasis
         for extent in extents:
-            for page_id in range(extent.start, extent.end):
-                self._stasis.buffer.invalidate(page_id)
-                self._stasis.pagefile.free_page(page_id)
-            self._stasis.release(extent)
+            stasis.buffer.invalidate(extent.start, extent.length)
+            stasis.pagefile.free_run(extent.start, extent.length)
+            stasis.release(extent)
 
     def __repr__(self) -> str:
         return (

@@ -69,6 +69,14 @@ class _Frame:
     next: "_Frame | None" = field(default=None, repr=False)
 
 
+def _common(span: range, table: dict[int, Any]) -> list[int]:
+    """The page ids of ``span`` that ``table`` holds, found by walking
+    the smaller of the two."""
+    if len(span) <= len(table):
+        return list(filter(table.__contains__, span))
+    return list(filter(span.__contains__, table))
+
+
 class BufferManager:
     """A page cache of bounded size in front of a :class:`PageFile`.
 
@@ -230,21 +238,29 @@ class BufferManager:
                 written += 1
         return written
 
-    def invalidate(self, page_id: int) -> None:
-        """Drop a page from the cache without writing it back.
+    def invalidate(self, first_page_id: int, count: int = 1) -> None:
+        """Drop ``count`` pages from ``first_page_id`` from the cache
+        without writing them back.
 
         Used when a tree component is deleted: its pages can never be
-        referenced again, so writeback would be wasted I/O.  The page id
-        may be handed out again, so the ghost list forgets it too.
+        referenced again, so writeback would be wasted I/O.  The page
+        ids may be handed out again, so the ghost list forgets the
+        blocks that start in the span too.  Each side walks whichever
+        is smaller, the span or what the pool holds.
         """
-        frame = self._frames.pop(page_id, None)
-        if frame is not None and self._uses_clock:
-            if self._hand is frame:
-                self._hand = frame.next
-            frame.prev.next = frame.next
-            frame.next.prev = frame.prev
-        if self._ghost:
-            self._ghost_pages -= self._ghost.pop(page_id, 0)
+        span = range(first_page_id, first_page_id + count)
+        frames = self._frames
+        for page_id in _common(span, frames):
+            frame = frames.pop(page_id)
+            if self._uses_clock:
+                if self._hand is frame:
+                    self._hand = frame.next
+                frame.prev.next = frame.next
+                frame.next.prev = frame.prev
+        ghost = self._ghost
+        if ghost:
+            for page_id in _common(span, ghost):
+                self._ghost_pages -= ghost.pop(page_id)
 
     def drop_all(self) -> None:
         """Drop the entire cache without writeback (simulated crash)."""

@@ -73,13 +73,15 @@ class ZipfianChooser(KeyChooser):
         self._eta = (1.0 - (2.0 / n) ** (1.0 - theta)) / (
             1.0 - self._zeta2 / self._zetan
         )
+        # ``uz`` below this (and at least 1) draws rank 1.
+        self._rank1_bound = 1.0 + 0.5**theta
 
     def next(self, rng: random.Random) -> int:
         u = rng.random()
         uz = u * self._zetan
         if uz < 1.0:
             return 0
-        if uz < 1.0 + 0.5**self.theta:
+        if uz < self._rank1_bound:
             return 1
         return int(self.n * (self._eta * u - self._eta + 1.0) ** self._alpha)
 

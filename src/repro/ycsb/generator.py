@@ -32,9 +32,13 @@ class OpKind(enum.Enum):
     DELETE = "delete"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Operation:
-    """One operation to run against an engine."""
+    """One operation to run against an engine.
+
+    Frozen, because a prepared stream hands out one object for every
+    repeat of a key-only op (:meth:`OperationGenerator.prepared_operations`).
+    """
 
     kind: OpKind
     key: bytes
@@ -108,10 +112,13 @@ class OperationGenerator:
         into a single ``choices(k=n)`` call, write values come from a
         small reusable pool (their content is irrelevant — only the
         size is simulated) and key rendering is cached per chosen
-        index.  Distributions match :meth:`operations` but the RNG draw
-        *order* differs, so the streams are not byte-identical;
-        committed benchmark baselines and replay tests keep using
-        :meth:`operations`.
+        index.  A READ or DELETE carries nothing but its key, so each
+        (kind, key index) gets one :class:`Operation`, appended again
+        every time it comes up: a skewed read stream holds one object
+        per distinct key, not per op.  Distributions match
+        :meth:`operations` but the RNG draw *order* differs, so the
+        streams are not byte-identical; committed benchmark baselines
+        and replay tests keep using :meth:`operations`.
         """
         spec = self.spec
         rng = self._rng
@@ -127,6 +134,8 @@ class OperationGenerator:
         ]
         pool_n = len(pool)
         key_cache: dict[int, bytes] = {}
+        reads: dict[int, Operation] = {}  # key index -> its READ
+        deletes: dict[int, Operation] = {}  # key index -> its DELETE
         ordered = spec.ordered_inserts
         chooser = self._chooser
         grow = (
@@ -134,10 +143,12 @@ class OperationGenerator:
         )
         choose = chooser.next
         scan_lo, scan_hi = spec.scan_length_min, spec.scan_length_max
+        insert, scan = OpKind.INSERT, OpKind.SCAN
+        read, delete = OpKind.READ, OpKind.DELETE
         ops: list[Operation] = []
         append = ops.append
         for position, kind in enumerate(kinds):
-            if kind is OpKind.INSERT:
+            if kind is insert:
                 key = make_key(self._inserted, ordered)
                 self._inserted += 1
                 if grow is not None:
@@ -145,18 +156,25 @@ class OperationGenerator:
                 append(Operation(kind, key, pool[position % pool_n]))
                 continue
             index = choose(rng)
+            if kind is read or kind is delete:
+                shared = reads if kind is read else deletes
+                op = shared.get(index)
+                if op is None:
+                    key = key_cache.get(index)
+                    if key is None:
+                        key = key_cache[index] = make_key(index, ordered)
+                    op = shared[index] = Operation(kind, key)
+                append(op)
+                continue
             key = key_cache.get(index)
             if key is None:
-                key = make_key(index, ordered)
-                key_cache[index] = key
-            if kind is OpKind.SCAN:
+                key = key_cache[index] = make_key(index, ordered)
+            if kind is scan:
                 append(
                     Operation(
                         kind, key, scan_length=rng.randint(scan_lo, scan_hi)
                     )
                 )
-            elif kind is OpKind.READ or kind is OpKind.DELETE:
-                append(Operation(kind, key))
             else:  # UPDATE, BLIND_WRITE, RMW carry a fresh value
                 append(Operation(kind, key, pool[position % pool_n]))
         return ops

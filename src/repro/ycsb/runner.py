@@ -85,26 +85,24 @@ def _latency_observer(engine: KVEngine):
 
 def execute(engine: KVEngine, op: Operation) -> None:
     """Run one generated operation against an engine."""
-    if op.kind is OpKind.READ:
+    kind = op.kind
+    if kind is OpKind.READ:
         engine.get(op.key)
-    elif op.kind is OpKind.BLIND_WRITE:
+    elif kind is OpKind.INSERT or kind is OpKind.BLIND_WRITE:
         assert op.value is not None
         engine.put(op.key, op.value)
-    elif op.kind in (OpKind.UPDATE, OpKind.RMW):
+    elif kind is OpKind.UPDATE or kind is OpKind.RMW:
         assert op.value is not None
         new_value = op.value
         engine.read_modify_write(op.key, lambda _old: new_value)
-    elif op.kind is OpKind.INSERT:
-        assert op.value is not None
-        engine.put(op.key, op.value)
-    elif op.kind is OpKind.SCAN:
+    elif kind is OpKind.SCAN:
         consumed = 0
         for _ in engine.scan(op.key, limit=op.scan_length):
             consumed += 1
-    elif op.kind is OpKind.DELETE:
+    elif kind is OpKind.DELETE:
         engine.delete(op.key)
     else:  # pragma: no cover - exhaustive
-        raise ValueError(f"unknown operation kind {op.kind!r}")
+        raise ValueError(f"unknown operation kind {kind!r}")
 
 
 def execute_batch(engine: KVEngine, batch: list[Operation]) -> None:

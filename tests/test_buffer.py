@@ -208,6 +208,45 @@ def test_invalidating_the_page_under_the_hand_moves_the_hand_on():
     assert 2 not in buffer and 3 in buffer and 4 in buffer
 
 
+def _pool_state(buffer):
+    """Everything an invalidation can change: frames in pool order, the
+    CLOCK ring from the hand on, and the ghost list."""
+    ring, frame = [], buffer._hand.next
+    while frame is not buffer._hand:
+        ring.append(frame.page_id)
+        frame = frame.next
+    ghost = list(buffer._ghost.items()), buffer._ghost_pages
+    return list(buffer._frames), buffer._hand.page_id, ring, ghost
+
+
+@pytest.mark.parametrize("policy", list(EvictionPolicy))
+@pytest.mark.parametrize(
+    "first, count", [(6, 4), (0, 30), (13, 2), (21, 1), (8, 0)]
+)
+def test_invalidating_a_span_is_invalidating_each_page(policy, first, count):
+    """One call over a span leaves the pool as a call per page does,
+    whether it walks the span (shorter than the pool) or the frames."""
+    pools = []
+    for _ in range(2):
+        buffer, pagefile = make_buffer(capacity=6, policy=policy)
+        for i in range(30):
+            pagefile.write_page(i, f"p{i}")
+        for page_id in (3, 7, 8, 12, 20, 25, 9, 7):  # 9 evicts; hand moves
+            buffer.get(page_id)
+        for block in (14, 16, 22, 10):
+            buffer.offer(block, ["x", "y"], 2)  # full: onto the ghost list
+        pools.append(buffer)
+    whole, by_page = pools
+    whole.invalidate(first, count)
+    for page_id in range(first, first + count):
+        by_page.invalidate(page_id)
+    assert _pool_state(whole) == _pool_state(by_page)
+    for page_id in (1, 7, 14, 29, 3):  # and they evict alike afterwards
+        whole.get(page_id)
+        by_page.get(page_id)
+    assert _pool_state(whole) == _pool_state(by_page)
+
+
 # ---------------------------------------------------------------------------
 # offered pages: admitted on the second miss
 # ---------------------------------------------------------------------------

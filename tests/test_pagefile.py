@@ -64,11 +64,13 @@ def test_empty_run_is_free(pagefile):
     assert pagefile.disk.stats.busy_seconds == before
 
 
-def test_free_page_removes_without_io(pagefile):
-    pagefile.write_page(0, "a")
+def test_free_run_removes_without_io(pagefile):
+    pagefile.write_run(0, ["a", "b", "c"])
+    pagefile.write_page(5, "f")
     busy = pagefile.disk.stats.busy_seconds
-    pagefile.free_page(0)
-    assert 0 not in pagefile
+    pagefile.free_run(1, 5)  # pages 3 and 4 were never written
+    assert 0 in pagefile and 5 not in pagefile
+    assert 1 not in pagefile and 2 not in pagefile
     assert pagefile.disk.stats.busy_seconds == busy
 
 

@@ -32,13 +32,21 @@ virtual second) through ``run_sessions``, with the window width of the
 full segment, and the count includes the op generator, the session
 queue, group commit and the closing flush.
 
+A closed-loop workload's set-up also builds its op list with one
+``OperationGenerator.prepared_operations()`` call, and that call is
+counted too, per op it returns (``prepared`` in the report and in
+``OPCOUNT.json``): ``setup_s`` is mostly that call on ``read_hot``, so
+this is its deterministic count.  ``ingest`` and ``sessions_ol`` prepare
+no op list and have no such count.
+
 ``--check OPCOUNT.json`` is the committed gate: it re-counts every
 workload the file records, at the file's seed and op counts, and exits
-1 when any workload's opcodes or calls per op rose by more than
-``TOLERANCE`` (1 %) above the recorded count, in total or in any one
-layer (a layer's count taken at the top of its 0.1 rounding; a layer
-the file does not record counts as a rise from zero), so work moved
-from one layer into another fails the gate even when the total holds.
+1 when any workload's opcodes or calls per op (timed or prepared) rose
+by more than ``TOLERANCE`` (1 %) above the recorded count, in total or
+in any one layer (a layer's count taken at the top of its 0.1 rounding;
+a layer the file does not record counts as a rise from zero), so work
+moved from one layer into another fails the gate even when the total
+holds.
 Counts repeat exactly only on one CPython minor version, so under any
 other the check reports the mismatch and passes without counting.  ``--record
 OPCOUNT.json`` re-counts the same workloads and rewrites the file —
@@ -54,11 +62,12 @@ Run:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
 import sys
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 TOLERANCE = 0.01
 """How far a count may rise above the committed one before ``--check``
@@ -155,6 +164,28 @@ def count(run: Callable[[], Any]) -> dict[str, list[int]]:
     return layers
 
 
+@contextlib.contextmanager
+def counting_preparation(counted: list) -> Iterator[None]:
+    """While open, every ``OperationGenerator.prepared_operations()``
+    call runs under :func:`count`, and ``counted`` gets its
+    ``(layers, ops returned)``."""
+    from repro.ycsb.generator import OperationGenerator
+
+    original = OperationGenerator.prepared_operations
+
+    def prepared_operations(self: Any, *args: Any, **kwargs: Any) -> Any:
+        made: list = []
+        layers = count(lambda: made.extend(original(self, *args, **kwargs)))
+        counted.append((layers, len(made)))
+        return made
+
+    OperationGenerator.prepared_operations = prepared_operations
+    try:
+        yield
+    finally:
+        OperationGenerator.prepared_operations = original
+
+
 def closed_loop_run(workload: Any, ops: int) -> tuple[Callable[[], Any], int]:
     """The first ``ops`` ops of segment 0, one ``execute`` each."""
     from repro.ycsb.runner import execute
@@ -199,27 +230,39 @@ def _bootstrap() -> None:
             sys.path.insert(0, path)
 
 
-def measure(name: str, ops: int, seed: int) -> tuple[int, dict[str, Any]]:
-    """``(ops run, counts)`` of workload ``name``: ``counts`` holds
-    ``opcodes_per_op`` and ``calls_per_op`` in total and per layer
-    (``layers``, the largest first)."""
-    _bootstrap()
-    from bench.workloads import make_workload
-
-    workload = make_workload(name, seed, 1.0, 10.0)
-    build = open_loop_run if workload.open_loop else closed_loop_run
-    run, ran = build(workload, ops)
-    layers = count(run)
-    return ran, {
-        "opcodes_per_op": sum(op for op, _ in layers.values()) / ran,
-        "calls_per_op": sum(calls for _, calls in layers.values()) / ran,
+def per_op(layers: dict[str, list[int]], ops: int) -> dict[str, Any]:
+    """``opcodes_per_op`` and ``calls_per_op`` in total and per layer
+    (``layers``, the largest first) of ``count``'s result over ``ops``."""
+    return {
+        "opcodes_per_op": sum(op for op, _ in layers.values()) / ops,
+        "calls_per_op": sum(calls for _, calls in layers.values()) / ops,
         "layers": {
-            layer: {"opcodes_per_op": op / ran, "calls_per_op": calls / ran}
+            layer: {"opcodes_per_op": op / ops, "calls_per_op": calls / ops}
             for layer, (op, calls) in sorted(
                 layers.items(), key=lambda item: (-item[1][0], item[0])
             )
         },
     }
+
+
+def measure(name: str, ops: int, seed: int) -> tuple[int, dict[str, Any]]:
+    """``(ops run, counts)`` of workload ``name``: ``counts`` is
+    :func:`per_op` of the ops run, plus, for a workload whose set-up
+    prepares its op list, ``prepared``: :func:`per_op` of that
+    ``prepared_operations()`` call over the ops it returned."""
+    _bootstrap()
+    from bench.workloads import make_workload
+
+    workload = make_workload(name, seed, 1.0, 10.0)
+    build = open_loop_run if workload.open_loop else closed_loop_run
+    prepared: list = []
+    with counting_preparation(prepared):
+        run, ran = build(workload, ops)
+    counts = per_op(count(run), ran)
+    if prepared:
+        ((layers, made),) = prepared
+        counts["prepared"] = per_op(layers, made)
+    return ran, counts
 
 
 def rounded(counts: dict[str, Any]) -> dict[str, Any]:
@@ -231,12 +274,28 @@ def rounded(counts: dict[str, Any]) -> dict[str, Any]:
 
 
 def report(name: str, seed: int, ops: int, counts: dict[str, Any]) -> str:
-    """The total line, then one line per layer with its share."""
+    """The total line, then one line per layer with its share; then the
+    same for the prepared op list, if there is one."""
     total = counts["opcodes_per_op"]
     lines = [
         f"{name} seed={seed} ops={ops}: {total:.1f} opcodes/op, "
         f"{counts['calls_per_op']:.1f} calls/op"
     ]
+    lines += _layer_lines(counts)
+    prepared = counts.get("prepared")
+    if prepared is not None:
+        lines.append(
+            f"prepared_operations(): {prepared['opcodes_per_op']:.1f} "
+            f"opcodes/op, {prepared['calls_per_op']:.1f} calls/op"
+        )
+        lines += _layer_lines(prepared)
+    return "\n".join(lines)
+
+
+def _layer_lines(counts: dict[str, Any]) -> list[str]:
+    """One line per layer of ``counts``, with its share of the total."""
+    total = counts["opcodes_per_op"]
+    lines = []
     width = max(len(layer) for layer in counts["layers"])
     for layer, row in counts["layers"].items():
         share = row["opcodes_per_op"] / total if total else 0.0
@@ -245,7 +304,7 @@ def report(name: str, seed: int, ops: int, counts: dict[str, Any]) -> str:
             f"({share:6.1%}) {row['calls_per_op']:7.1f} calls/op"
             f"  -> {ledger_row(layer)}"
         )
-    return "\n".join(lines)
+    return lines
 
 
 def interpreter() -> str:
@@ -288,16 +347,34 @@ def check(path: str) -> int:
     failed = False
     for name, row in baseline["workloads"].items():
         _ran, now = measure(name, row["ops"], baseline["seed"])
-        failed |= _compare(name, row, now)
-        recorded = row.get("layers", {})
-        for layer, layer_now in now["layers"].items():
-            failed |= _compare(
-                f"{name} [{layer}]",
-                recorded.get(layer, {}),
-                layer_now,
+        failed |= _check_counts(name, row, now)
+        if "prepared" in now:
+            # A prepared op makes two or three calls: a total that small
+            # takes the rounding slack a layer does.
+            failed |= _check_counts(
+                f"{name} prepared",
+                row.get("prepared", {}),
+                now["prepared"],
                 RESOLUTION,
             )
     return 1 if failed else 0
+
+
+def _check_counts(
+    where: str, was: dict[str, Any], now: dict[str, Any], slack: float = 0.0
+) -> bool:
+    """:func:`_compare` on the total (with ``slack``), then on every
+    layer of ``now``."""
+    rose = _compare(where, was, now, slack)
+    recorded = was.get("layers", {})
+    for layer, layer_now in now["layers"].items():
+        rose |= _compare(
+            f"{where} [{layer}]",
+            recorded.get(layer, {}),
+            layer_now,
+            RESOLUTION,
+        )
+    return rose
 
 
 def record(path: str) -> int:
